@@ -157,9 +157,12 @@ def cmd_lrtest(args) -> int:
     print(f"  asymptotic p = {result.p_asymptotic:.4f} "
           f"(5% critical value {result.critical_value_05:.2f})")
     if result.p_mc is not None:
+        reasons = ", ".join(f"{k} {v}" for k, v in
+                            result.replicates_dropped_by_reason.items())
         print(f"  Monte Carlo p = {result.p_mc:.4f} "
               f"({result.replicates_kept} replicates kept, "
-              f"{result.replicates_dropped} dropped)")
+              f"{result.replicates_dropped} dropped: {reasons}; "
+              f"{result.replicates_serial_fallback} refits by serial fallback)")
     return 0 if result.all_converged else 1
 
 

@@ -21,10 +21,11 @@ SEPARATION_BOUND = 30.0
 
 
 def _log_softmax(v: np.ndarray) -> np.ndarray:
-    m = v.max(axis=1, keepdims=True)
+    """Log-softmax over the last (outcome) axis."""
+    m = v.max(axis=-1, keepdims=True)
     z = v - m
     with np.errstate(under="ignore"):
-        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+        lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z - lse
 
 
@@ -65,6 +66,40 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
         p = np.exp(logp)
         grad = (xi - x * (p @ inc.T)).sum(axis=0)
         return ll, grad
+
+    return objective
+
+
+def make_batch_objective(design: DesignMatrix, y_index: np.ndarray):
+    """Batched log-likelihood, gradient and analytic Hessian.
+
+    ``y_index`` is a (B, N) matrix of outcome vectors for the design's
+    covariates.  The closure maps ``(theta, rows)`` - a (K, P) stack of
+    coefficient vectors and the K outcome rows they belong to - to (K,)
+    log-likelihoods, (K, P) gradients and (K, P, P) Hessians; each row
+    agrees with :func:`make_objective` on its outcomes.
+    """
+    if design.n_params != len(design.spec.terms):
+        raise ValueError("objective requires a design with fixed terms only")
+    x = design.x
+    inc = design.incidence
+    n, t = x.shape
+    y_all = np.asarray(y_index, dtype=np.int64)
+    xi_all = x * inc.T[y_all]  # (B, N, T)
+    # d[n, t, i] = dv[n, i] / dtheta[t]; dd pairs them for the Hessian
+    d = x[:, :, None] * inc[None]
+    dd = np.einsum("nti,nsi->nits", d, d).reshape(n * inc.shape[1], t * t)
+
+    def objective(theta, rows):
+        y = y_all[rows]
+        logp = _log_softmax((x * theta[:, None, :]) @ inc)
+        ll = np.take_along_axis(logp, y[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        p = np.exp(logp)
+        m = x * (p @ inc.T)
+        grad = (xi_all[rows] - m).sum(axis=1)
+        hess = (m.transpose(0, 2, 1) @ m
+                - (p.reshape(len(rows), -1) @ dd).reshape(-1, t, t))
+        return ll, grad, hess
 
     return objective
 

@@ -106,6 +106,72 @@ def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
     return objective
 
 
+def _batch_poch_tables(r: np.ndarray, amax: int):
+    """Row-wise :func:`_poch_tables` for a (K, 1) column of ``r``.
+
+    Returns ``tab`` and ``dtab`` as there, plus ``h2tab[a] = sum_{k<a}
+    k r / (r + k)^2``: the second log-alpha derivative of ``tab``, summed
+    term by term so that it does not cancel when alpha is small.  All
+    three are (K, amax + 1), flattened row after row.
+    """
+    k = np.arange(amax, dtype=np.float64)
+    rk = r + k
+    out = np.zeros((3, r.shape[0], amax + 1))
+    np.cumsum(np.log1p(k / r), axis=1, out=out[0, :, 1:])
+    np.cumsum(-k / (r * rk), axis=1, out=out[1, :, 1:])
+    np.cumsum(k * r / rk ** 2, axis=1, out=out[2, :, 1:])
+    return out.reshape(3, -1)
+
+
+def make_batch_objective(design: DesignMatrix, counts: np.ndarray):
+    """Batched log-likelihood, gradient and analytic Hessian.
+
+    ``counts`` is a (B, N) matrix of count vectors for the design's
+    covariates.  The closure maps ``(theta, rows)`` - a (K, T+1) stack
+    of parameter vectors and the K count rows they belong to - to (K,)
+    log-likelihoods, (K, T+1) gradients and (K, T+1, T+1) Hessians.
+    Each row agrees with :func:`make_objective` on its counts and uses
+    dispersion tables of its own, as wide as the largest count among
+    the rows evaluated.
+    """
+    x = design.x
+    a_all = np.asarray(counts).astype(np.int64)
+    af_all = a_all.astype(np.float64)
+    gamln_all = gammaln(af_all + 1.0)
+    amax_all = a_all.max(axis=1, initial=0)
+    t = x.shape[1]
+
+    def objective(theta, rows):
+        a, af = a_all[rows], af_all[rows]
+        amax = int(amax_all[rows].max(initial=0))
+        # position of count a of row k in the flattened tables
+        at = a + (amax + 1) * np.arange(len(rows))[:, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            alpha = np.exp(theta[:, -1:])
+            r = np.exp(-theta[:, -1:])
+            tab, dtab, h2tab = _batch_poch_tables(r, amax)[:, at]
+            eta = theta[:, :-1] @ x.T
+            lam = np.exp(eta)
+            l1p = np.log1p(alpha * lam)
+            ll = (tab + af * eta - (r + af) * l1p - gamln_all[rows]).sum(axis=1)
+            q = lam / (r + lam)
+            qq = q * (r / (r + lam))  # q (1 - q)
+            grad = np.empty((len(rows), t + 1))
+            grad[:, :-1] = (af - (r + af) * q) @ x
+            grad[:, -1] = (-r * dtab + r * l1p - (r + af) * q).sum(axis=1)
+            hess = np.empty((len(rows), t + 1, t + 1))
+            hess[:, :-1, :-1] = np.einsum("kn,nt,ns->kts", -(r + af) * qq, x, x)
+            cross = (qq * (lam - af)) @ x
+            hess[:, :-1, -1] = cross
+            hess[:, -1, :-1] = cross
+            hess[:, -1, -1] = (h2tab - r * l1p + 2.0 * r * q
+                               - (r + af) * qq).sum(axis=1)
+        ll[~np.isfinite(ll)] = -np.inf
+        return ll, grad, hess
+
+    return objective
+
+
 def nb_loglik(theta, design: DesignMatrix):
     """Log-likelihood and gradient; ``theta = (betas..., log alpha)``."""
     return make_objective(design)(theta)

@@ -150,6 +150,84 @@ def maximize(objective, theta0, settings: OptimSettings | None = None) -> Maximi
                           _scaled_gnorm(grad, ll), message, ll_path)
 
 
+@dataclass
+class BatchResult:
+    """Row-wise outcome of :func:`maximize_batch`.
+
+    Rows with ``converged`` False stopped before the gradient test
+    passed; their ``theta`` and ``ll`` are the last accepted iterate.
+    """
+
+    theta: np.ndarray      # (B, P)
+    ll: np.ndarray         # (B,)
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) int
+
+
+def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
+    """Newton maximization of B independent problems at once.
+
+    ``objective(theta, rows)`` maps a (K, P) stack of iterates and the
+    indices of the K problems they belong to onto (K,) log-likelihoods,
+    (K, P) gradients and (K, P, P) Hessians.  Every row takes Newton
+    steps with its own Armijo backtracking and stops under the gradient
+    test of :func:`maximize`.  A row stops unconverged, to be refitted
+    by :func:`maximize`, when it starts non-finite, meets a Hessian that
+    is not negative definite, finds no ascent step, moves less than
+    ``step_tolerance`` or runs out of iterations.
+    """
+    s = settings or OptimSettings()
+    theta = np.array(theta0, dtype=np.float64)
+    b = theta.shape[0]
+    all_rows = np.arange(b)
+    ll, grad, hess = objective(theta, all_rows)
+    gnorm = lambda g, f: np.max(np.abs(g), axis=1) / np.maximum(1.0, np.abs(f))
+    finite = np.isfinite(ll) & np.isfinite(grad).all(axis=1)
+    converged = np.zeros(b, dtype=bool)
+    converged[finite] = gnorm(grad[finite], ll[finite]) <= s.gradient_tolerance
+    active = finite & ~converged
+    iterations = np.zeros(b, dtype=np.int64)
+    c1 = 1e-4
+
+    for it in range(1, s.max_iterations + 1):
+        rows = all_rows[active]
+        if rows.size == 0:
+            break
+        neg_h = -hess[rows]
+        ok = np.isfinite(neg_h).all(axis=(1, 2))
+        ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
+        active[rows[~ok]] = False
+        rows, neg_h = rows[ok], neg_h[ok]
+        g = grad[rows]
+        direction = np.linalg.solve(neg_h, g[:, :, None])[:, :, 0]
+        slope = np.einsum("kp,kp->k", direction, g)
+
+        step = np.ones(rows.size)
+        pending = np.arange(rows.size)
+        while pending.size:
+            idx = rows[pending]
+            trial = theta[idx] + step[pending, None] * direction[pending]
+            ll_t, grad_t, hess_t = objective(trial, idx)
+            good = (np.isfinite(ll_t) & np.isfinite(grad_t).all(axis=1)
+                    & (ll_t >= ll[idx] + c1 * step[pending] * slope[pending]))
+            acc = idx[good]
+            delta = step[pending[good], None] * direction[pending[good]]
+            theta[acc], ll[acc] = trial[good], ll_t[good]
+            grad[acc], hess[acc] = grad_t[good], hess_t[good]
+            iterations[acc] = it
+            done = gnorm(grad[acc], ll[acc]) <= s.gradient_tolerance
+            converged[acc[done]] = True
+            stalled = (np.max(np.abs(delta), axis=1)
+                       <= s.step_tolerance * (1.0 + np.max(np.abs(theta[acc]), axis=1)))
+            active[acc[done | stalled]] = False
+            step[pending[~good]] *= 0.5
+            failed = ~good & (step[pending] < 1e-14)
+            active[idx[failed]] = False
+            pending = pending[~good & ~failed]
+
+    return BatchResult(theta, ll, converged, iterations)
+
+
 def hessian_fd(objective, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
     """Hessian of the log-likelihood by central differences of the gradient.
 

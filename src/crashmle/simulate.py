@@ -309,29 +309,33 @@ def generate(config: DgpConfig) -> ObservationTable:
     return _generate(config)
 
 
+def draw_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices (severity) or counts (frequency) for ``design``.
+
+    ``theta_internal`` is the packed optimizer vector of a fit of the
+    design's spec (scales and alpha as logs).  Mixing draws, the gamma
+    stage, and the outcome draws all come from ``rng`` in a fixed order.
+    """
+    theta = np.asarray(theta_internal, dtype=np.float64)
+    spec = design.spec
+    theta_terms = theta[:-1] if spec.is_frequency else theta
+    locs, scales = design.unpack(theta_terms)
+    coef = coefficient_matrix(design, locs, scales, rng)
+    if spec.is_severity:
+        return draw_severity_outcomes(design, coef, rng)
+    return draw_counts(design, coef, float(np.exp(theta[-1])), rng)
+
+
 def redraw_outcomes(spec: ModelSpec, theta_internal: np.ndarray,
                     table: ObservationTable,
                     rng: np.random.Generator) -> ObservationTable:
     """New outcomes for existing covariates at fitted parameters.
 
-    ``theta_internal`` is the packed optimizer vector of a fit of
-    ``spec`` (scales and alpha as logs).  Used to simulate the null in
-    parametric bootstrap tests.  Mixing draws, the gamma stage, and the
-    outcome draws all come from ``rng`` in a fixed order.
+    Used to simulate the null in parametric bootstrap tests; the draws
+    are those of :func:`draw_outcomes`.
     """
-    design = build_design(table, spec)
-    theta = np.asarray(theta_internal, dtype=np.float64)
-    if spec.is_frequency:
-        alpha = float(np.exp(theta[-1]))
-        theta_terms = theta[:-1]
-    else:
-        alpha = None
-        theta_terms = theta
-    locs, scales = design.unpack(theta_terms)
-    coef = coefficient_matrix(design, locs, scales, rng)
+    outcome = draw_outcomes(build_design(table, spec), theta_internal, rng)
     if spec.is_severity:
-        idx = draw_severity_outcomes(design, coef, rng)
-        outcome = np.asarray(spec.outcomes)[idx]
-    else:
-        outcome = draw_counts(design, coef, alpha, rng)
+        outcome = np.asarray(spec.outcomes)[outcome]
     return ObservationTable(dict(table.columns), outcome, table.mode)

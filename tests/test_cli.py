@@ -180,7 +180,7 @@ def test_marginal_effects_for_count_fit(workdir):
                  "--out", str(workdir / "bad"), "--type", "elasticity"]) == 2
 
 
-def test_lrtest_asymptotic_and_mc(workdir):
+def test_lrtest_asymptotic_and_mc(workdir, capsys):
     base = ["lrtest", "--data", str(workdir / "nb_data.csv"),
             "--spec", str(workdir / "nb.ini"), "--flag", "flag"]
     assert main(base + ["--out", str(workdir / "lr")]) == 0
@@ -193,6 +193,9 @@ def test_lrtest_asymptotic_and_mc(workdir):
                         "--seed", "2"]) == 0
     result = json.loads((workdir / "lrmc.json").read_text())
     assert result["replicates_kept"] > 0
+    assert sum(result["replicates_dropped_by_reason"].values()) == \
+        result["replicates_dropped"]
+    assert "refits by serial fallback" in capsys.readouterr().out
     assert 0.0 <= result["p_mc"] <= 1.0
     assert (workdir / "lrmc.hist.csv").exists()
 

@@ -177,6 +177,12 @@ def test_mc_null_distribution_properties():
                                   bins=10)
     assert result.replicates_requested == 60
     assert result.replicates_kept + result.replicates_dropped == 60
+    assert set(result.replicates_dropped_by_reason) == {
+        "optimization_error", "not_converged", "negative_statistic"}
+    assert sum(result.replicates_dropped_by_reason.values()) == \
+        result.replicates_dropped
+    assert isinstance(result.replicates_dropped, int)
+    assert result.replicates_serial_fallback >= 0
     assert result.null_stats.shape == (result.replicates_kept,)
     assert result.null_stats.min() >= 0.0
     exceed = int((result.null_stats >= result.x2).sum())
@@ -231,6 +237,15 @@ def test_mc_aborts_when_replicates_cannot_converge():
                                  settings=strangled)
 
 
+def test_mc_aborts_when_every_replicate_is_dropped():
+    table = nb_table_with_flag(150, seed=4)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        with pytest.raises(RuntimeError, match="10 of 10"):
+            mc_null_distribution(table, NB_SPEC, "flag", replicates=10, seed=0,
+                                 settings=OptimSettings(max_iterations=1),
+                                 max_failure_rate=1.0)
+
+
 def test_mc_result_serialization_excludes_raw_statistics(tmp_path):
     table = nb_table_with_flag(120, seed=1)
     result = mc_null_distribution(table, NB_SPEC, "flag", replicates=30, seed=0)
@@ -239,3 +254,5 @@ def test_mc_result_serialization_excludes_raw_statistics(tmp_path):
     assert d["histogram"] is not None
     assert d["p_mc"] == result.p_mc
     assert d["pooled"]["label"] == "pooled"
+    assert d["replicates_dropped_by_reason"] == result.replicates_dropped_by_reason
+    assert d["replicates_serial_fallback"] == result.replicates_serial_fallback
