@@ -15,13 +15,10 @@ import sys
 
 import numpy as np
 
-from . import serialize
+from . import families, serialize
 from .dataset import load_csv, load_spec
 from .influence import search_influence
 from .lrtest import lr_test, mc_null_distribution
-from .mixed import fit_mixed_mnl, mixed_effects
-from .mnl import elasticities, fit_mnl, pseudo_elasticities
-from .negbin import fit_mixed_nb, fit_nb, marginal_effects
 from .optimize import FitResult, OptimizationError, OptimSettings
 from .reporting import VERSION, RunManifest, fit_table_text
 from .simulate import DgpConfig, generate
@@ -60,26 +57,16 @@ def _load_table(args, spec):
 def cmd_fit(args) -> int:
     spec = load_spec(args.spec)
     table = _load_table(args, spec)
-    settings = _settings(args)
-    if spec.is_mixed and args.draws is None:
+    if families.REGISTRY[spec.family].needs_draws and args.draws is None:
         raise ValueError("mixed families require --draws")
-    if spec.family == "mnl":
-        fit = fit_mnl(table, spec, settings)
-    elif spec.family == "mixed_mnl":
-        fit = fit_mixed_mnl(table, spec, settings, n_draws=args.draws,
-                            seed=args.seed, skip=args.skip, shift=args.shift)
-    elif spec.family == "nb":
-        fit = fit_nb(table, spec, settings)
-    else:
-        fit = fit_mixed_nb(table, spec, settings, n_draws=args.draws,
-                           seed=args.seed, skip=args.skip, shift=args.shift)
+    fit = families.fit(table, spec, _settings(args), n_draws=args.draws,
+                       seed=args.seed, skip=args.skip, shift=args.shift)
     text = fit_table_text(fit)
     with open(f"{args.out}.txt", "w", encoding="utf-8") as fh:
         fh.write(text)
     serialize.write_json(f"{args.out}.json", fit.to_dict())
     _manifest(args, [args.data, args.spec],
-              seed=args.seed if spec.is_mixed else None,
-              n_draws=args.draws).write(f"{args.out}.manifest.json")
+              seed=fit.seed, n_draws=args.draws).write(f"{args.out}.manifest.json")
     print(text, end="")
     return 0 if fit.converged else 1
 
@@ -89,31 +76,14 @@ def cmd_effects(args) -> int:
         fit = FitResult.from_dict(json.load(fh))
     if fit.spec is None:
         raise ValueError("fit file carries no model spec")
-    mode = "severity" if fit.spec.is_severity else "frequency"
-    labels = fit.spec.outcomes if fit.spec.is_severity else None
-    table = load_csv(args.data, mode, args.outcome_column, labels)
+    table = _load_table(args, fit.spec)
     variables = [v.strip() for v in args.vars.split(",")] if args.vars else None
 
-    family = fit.spec.family
-    if args.type == "elasticity":
-        if family == "mnl":
-            report = elasticities(fit, table, variables)
-        elif family == "mixed_mnl":
-            report = mixed_effects(fit, table, variables, pseudo=False)
-        else:
-            raise ValueError("elasticities apply to severity fits; "
-                             "use --type marginal for count models")
-    elif args.type == "pseudo":
-        if family == "mnl":
-            report = pseudo_elasticities(fit, table, variables)
-        elif family == "mixed_mnl":
-            report = mixed_effects(fit, table, variables, pseudo=True)
-        else:
-            raise ValueError("pseudo-elasticities apply to severity fits")
-    else:
-        if not fit.spec.is_frequency:
-            raise ValueError("marginal effects apply to count fits")
-        report = marginal_effects(fit, table, variables)
+    effects = families.REGISTRY[fit.spec.family].effects
+    if args.type not in effects:
+        raise ValueError(f"--type {args.type} does not apply to "
+                         f"{fit.spec.family} fits; use {' or '.join(effects)}")
+    report = effects[args.type](fit, table, variables)
 
     report.to_csv(f"{args.out}.csv")
     serialize.write_json(f"{args.out}.json", report.to_dict())

@@ -18,9 +18,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from . import mixed, mnl, negbin, simulate
+from . import mnl, negbin, simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
+from .draws import DrawMatrix
+from .families import REGISTRY
 from .optimize import (FitResult, OptimizationError, OptimSettings, maximize,
                        maximize_batch)
 
@@ -174,30 +176,6 @@ class LrTestResult:
                                  int(count)])
 
 
-def _objective_for(family: str, design: DesignMatrix,
-                   draws: mixed.DrawMatrix | None = None,
-                   y_index=None, counts=None):
-    if family == "mnl":
-        return mnl.make_objective(design, y_index=y_index)
-    if family == "mixed_mnl":
-        return mixed.make_objective(design, draws, y_index=y_index)
-    if family == "nb":
-        return negbin.make_objective(design, counts=counts)
-    if family == "mixed_nb":
-        return negbin.make_mixed_objective(design, draws, counts=counts)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _param_count(spec: ModelSpec, design: DesignMatrix) -> int:
-    return design.n_params + (1 if spec.is_frequency else 0)
-
-
-def _default_start(spec: ModelSpec, design: DesignMatrix) -> np.ndarray:
-    if spec.is_frequency:
-        return negbin._default_theta0(design)
-    return np.zeros(design.n_params)
-
-
 class _Pieces:
     """Cached designs, draw matrices, and observed fits for one test."""
 
@@ -205,6 +183,7 @@ class _Pieces:
                  flag_column: str, settings: OptimSettings | None,
                  n_draws: int | None, draw_seed: int = 0):
         self.spec = spec
+        self.family = REGISTRY[spec.family]
         self.settings = settings
         self.flag_column = flag_column
         self.table = table
@@ -218,23 +197,18 @@ class _Pieces:
         self.designs = {"all": build_design(table, spec),
                         "a": build_design(part_a, spec),
                         "b": build_design(part_b, spec)}
-        self.n_draws = n_draws if n_draws is not None else (
-            200 if spec.is_mixed else None)
         self.draws = {}
-        if spec.is_mixed:
+        if self.family.needs_draws:
             for key, design in self.designs.items():
-                self.draws[key] = mixed.DrawMatrix.for_design(
-                    design, self.n_draws, seed=draw_seed)
+                self.draws[key] = DrawMatrix.for_design(
+                    design, 200 if n_draws is None else n_draws, seed=draw_seed)
 
-    def objective(self, key: str, y_index=None, counts=None):
-        return _objective_for(self.spec.family, self.designs[key],
-                              draws=self.draws.get(key),
-                              y_index=y_index, counts=counts)
-
-    def fit(self, key: str, theta0=None, y_index=None, counts=None):
-        start = (_default_start(self.spec, self.designs[key]) if theta0 is None
-                 else theta0)
-        return maximize(self.objective(key, y_index, counts), start, self.settings)
+    def fit(self, key: str, theta0=None, outcomes=None):
+        """Maximize model ``key``; ``outcomes`` replaces its outcomes."""
+        design = self.designs[key]
+        objective = self.family.objective(design, self.draws.get(key), outcomes)
+        start = self.family.start(design) if theta0 is None else theta0
+        return maximize(objective, start, self.settings)
 
 
 def _observed(pieces: _Pieces):
@@ -245,7 +219,7 @@ def _observed(pieces: _Pieces):
 
 
 def _build_result(pieces: _Pieces, res_all, res_a, res_b) -> LrTestResult:
-    p_all = _param_count(pieces.spec, pieces.designs["all"])
+    p_all = res_all.theta.size
     x2, dof = lr_statistic(res_all.ll, res_a.ll, res_b.ll, p_all, p_all, p_all)
     for label, res in (("pooled", res_all), ("subset A", res_a), ("subset B", res_b)):
         if not res.converged:
@@ -331,10 +305,9 @@ def _refit_stage(pieces: _Pieces, key: str, starts: np.ndarray,
         theta, ll, converged = res.theta, res.ll, res.converged
         serial = ~converged
         handed = int(serial.sum())
-    outcome_kw = "counts" if pieces.spec.is_frequency else "y_index"
     for i in np.flatnonzero(serial):
         try:
-            rep = pieces.fit(key, theta0=starts[i], **{outcome_kw: outcomes[i]})
+            rep = pieces.fit(key, theta0=starts[i], outcomes=outcomes[i])
         except OptimizationError:
             error[i] = True
             continue

@@ -3,9 +3,9 @@
 Random coefficients follow normal or uniform mixing distributions.  The
 choice probability is the mixing-distribution average of the logit
 probability, approximated by the mean over R quasi-random draws per
-observation.  Draws come from Halton sequences (one prime base per
-random term, initial burn-in skipped, disjoint blocks per observation)
-so repeated evaluations and reruns see exactly the same draw matrix.
+observation.  The draws come from the Halton draw matrix of
+:mod:`crashmle.draws`, fixed across evaluations, so the simulated
+likelihood is a deterministic function of the parameters.
 """
 
 from __future__ import annotations
@@ -15,59 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .optimize import (FitResult, OptimSettings, covariance, maximize,
-                       summarize)
-from .reporting import EffectRow, EffectsReport
-
-MIN_DRAWS = 25
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
-
-
-def first_primes(count: int) -> tuple[int, ...]:
-    primes = []
-    n = 2
-    while len(primes) < count:
-        if is_prime(n):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
-
-
-def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
-    """Radical-inverse sequence in base ``base``.
-
-    Returns elements ``skip+1 .. skip+count`` of the classic sequence
-    (index 1 is 1/base); all values lie strictly inside (0, 1).
-    """
-    if not is_prime(base):
-        raise ValueError(f"Halton base must be prime, got {base}")
-    if count < 1:
-        raise ValueError("count must be positive")
-    if skip < 0:
-        raise ValueError("skip must be non-negative")
-    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
-    out = np.zeros(count)
-    f = 1.0
-    while idx.any():
-        f /= base
-        out += f * (idx % base)
-        idx //= base
-    return out
+from . import families
+from .dataset import DesignMatrix, ModelSpec, ObservationTable
+# first_primes, halton, is_prime and natural_from_internal are re-exported
+from .draws import (DrawMatrix, draw_mean, first_primes, halton, is_prime,
+                    scale_score)
+from .families import natural_from_internal
+from .mnl import (_log_softmax, _logit_effects, _predictor_draws,
+                  restricted_loglik)
+from .optimize import FitResult, OptimSettings
+from .reporting import EffectsReport
 
 
 @dataclass(frozen=True)
@@ -106,93 +63,10 @@ def sign_share(mixing: Mixing) -> float:
     return float(np.clip((s - b) / (2.0 * s), 0.0, 1.0))
 
 
-_KIND_TO_DIST = {"random_normal": "normal", "random_uniform": "uniform"}
-
-
-class DrawMatrix:
-    """Standardized quasi-random draws for every random term.
-
-    ``std[d]`` is an (N, R) array for dimension ``d``: inverse-normal
-    transforms for normal terms, ``2u - 1`` for uniform terms.
-    Observation ``n`` owns the post-skip Halton elements
-    ``[n*R, (n+1)*R)`` of the dimension's base sequence.  An optional
-    Cranley-Patterson shift rotates each dimension by a seeded uniform
-    offset before transforming.
-    """
-
-    def __init__(self, n_obs: int, n_draws: int, dists: tuple[str, ...],
-                 seed: int = 0, skip: int = 10, shift: bool = False):
-        if n_draws < MIN_DRAWS:
-            raise ValueError(f"need at least {MIN_DRAWS} draws, got {n_draws}")
-        if n_obs < 1:
-            raise ValueError("n_obs must be positive")
-        self.n_obs = n_obs
-        self.n_draws = n_draws
-        self.dists = tuple(dists)
-        self.seed = seed
-        self.skip = skip
-        self.shift = shift
-        self.primes = first_primes(len(self.dists))
-        offsets = None
-        if shift:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            offsets = rng.random(len(self.dists))
-        std = []
-        for d, dist in enumerate(self.dists):
-            u = halton(self.primes[d], n_obs * n_draws, skip=skip)
-            if offsets is not None:
-                u = np.mod(u + offsets[d], 1.0)
-                u = np.clip(u, 1e-12, 1.0 - 1e-12)
-            u = u.reshape(n_obs, n_draws)
-            if dist == "normal":
-                std.append(ndtri(u))
-            else:
-                std.append(2.0 * u - 1.0)
-        self.std = tuple(std)
-
-    @classmethod
-    def for_design(cls, design: DesignMatrix, n_draws: int, seed: int = 0,
-                   skip: int = 10, shift: bool = False) -> "DrawMatrix":
-        dists = tuple(_KIND_TO_DIST[design.spec.terms[j].kind]
-                      for j in design.random_terms)
-        if not dists:
-            raise ValueError("design has no random terms")
-        return cls(design.n_obs, n_draws, dists, seed=seed, skip=skip, shift=shift)
-
-
-def _coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix, dim: int):
-    """Draws (N, R) for the dim-th random term, plus its scale."""
-    j = design.random_terms[dim]
-    loc = theta[design.loc_pos[j]]
-    scale = np.exp(theta[design.scale_pos[j]])
-    return loc + scale * draws.std[dim], scale
-
-
-def _predictor_draws(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
-    """Linear predictors per draw, shape (N, R, I)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    v_fixed = design.linear_predictors(theta)  # locations of every term
-    v = np.broadcast_to(v_fixed[:, None, :],
-                        (design.n_obs, draws.n_draws, design.n_outcomes)).copy()
-    for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        contrib = design.x[:, j, None] * (scale * draws.std[dim])  # (N, R)
-        for col in np.flatnonzero(design.incidence[j]):
-            v[:, :, col] += contrib
-    return v
-
-
-def _log_softmax3(v: np.ndarray) -> np.ndarray:
-    m = v.max(axis=2, keepdims=True)
-    z = v - m
-    with np.errstate(under="ignore"):
-        return z - np.log(np.exp(z).sum(axis=2, keepdims=True))
-
-
 def simulated_probs(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     """Simulated outcome probabilities (N, I): mean over draws of the
     conditional logit probabilities."""
-    logp = _log_softmax3(_predictor_draws(theta, design, draws))
+    logp = _log_softmax(_predictor_draws(theta, design, draws))
     return np.exp(logp).mean(axis=1)
 
 
@@ -212,10 +86,37 @@ def simulated_prob(theta, design: DesignMatrix, row: int,
         contrib = design.x[row, j] * (scale * draws.std[dim][row])  # (R,)
         for col in np.flatnonzero(design.incidence[j]):
             v[:, col] += contrib
-    m = v.max(axis=1, keepdims=True)
-    with np.errstate(under="ignore"):
-        logp = (v - m) - np.log(np.exp(v - m).sum(axis=1, keepdims=True))
-    return np.exp(logp).mean(axis=0)
+    return np.exp(_log_softmax(v)).mean(axis=0)
+
+
+def _kernel(design: DesignMatrix, draws: DrawMatrix,
+            y_index: np.ndarray | None = None):
+    """Simulated likelihood kernel ``theta -> (ll (N,), scores (N, P))``.
+
+    ``y_index`` overrides the design's encoded outcomes.  Scores are
+    reduced over draws term by term, so no (N, R, P) array is built;
+    they fill a (P, N) matrix, returned transposed, so that each
+    parameter's scores stay contiguous for the objective's sum.
+    """
+    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
+    rows = np.arange(design.n_obs)
+    inc_y = design.incidence.T[y]  # (N, T)
+
+    def kernel(theta):
+        theta = np.asarray(theta, dtype=np.float64)
+        logp = _log_softmax(_predictor_draws(theta, design, draws))
+        ll, w = draw_mean(logp[rows, :, y])
+        p = np.exp(logp)
+        scores = np.empty((design.n_params, design.n_obs))
+        for j in range(len(design.spec.terms)):
+            cols = np.flatnonzero(design.incidence[j])
+            we = w * (inc_y[:, j, None] - p[:, :, cols].sum(axis=2))  # (N, R)
+            scores[design.loc_pos[j]] = design.x[:, j] * we.sum(axis=1)
+            if j in design.random_terms:
+                scores[design.scale_pos[j]] = scale_score(theta, design, draws, j, we)
+        return ll, scores.T
+
+    return kernel
 
 
 def make_objective(design: DesignMatrix, draws: DrawMatrix,
@@ -228,40 +129,7 @@ def make_objective(design: DesignMatrix, draws: DrawMatrix,
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
-    x = design.x
-    inc = design.incidence
-    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
-    inc_y = inc.T[y]  # (N, T)
-    n = design.n_obs
-    rows = np.arange(n)
-    log_r = np.log(draws.n_draws)
-
-    def objective(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        v = _predictor_draws(theta, design, draws)
-        logp = _log_softmax3(v)
-        lp_obs = logp[rows, :, y]  # (N, R)
-        m = lp_obs.max(axis=1, keepdims=True)
-        with np.errstate(under="ignore"):
-            lse = m + np.log(np.exp(lp_obs - m).sum(axis=1, keepdims=True))
-        ll = float(lse.sum()) - n * log_r
-        w = np.exp(lp_obs - lse)  # (N, R), rows sum to one
-        p = np.exp(logp)
-
-        grad = np.zeros(design.n_params)
-        dim_of = {j: d for d, j in enumerate(design.random_terms)}
-        for j in range(len(design.spec.terms)):
-            cols = np.flatnonzero(inc[j])
-            e = inc_y[:, j, None] - p[:, :, cols].sum(axis=2)  # (N, R)
-            we = w * e
-            grad[design.loc_pos[j]] = float((x[:, j] * we.sum(axis=1)).sum())
-            if j in dim_of:
-                scale = np.exp(theta[design.scale_pos[j]])
-                zsum = (we * draws.std[dim_of[j]]).sum(axis=1)
-                grad[design.scale_pos[j]] = float((x[:, j] * zsum).sum() * scale)
-        return ll, grad
-
-    return objective
+    return families.summed(_kernel(design, draws, y_index))
 
 
 def mixed_loglik(theta, design: DesignMatrix, draws: DrawMatrix):
@@ -271,49 +139,7 @@ def mixed_loglik(theta, design: DesignMatrix, draws: DrawMatrix):
 
 def mixed_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     """Per-observation simulated score matrix (N, P)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    v = _predictor_draws(theta, design, draws)
-    logp = _log_softmax3(v)
-    rows = np.arange(design.n_obs)
-    lp_obs = logp[rows, :, design.y_index]
-    m = lp_obs.max(axis=1, keepdims=True)
-    with np.errstate(under="ignore"):
-        lse = m + np.log(np.exp(lp_obs - m).sum(axis=1, keepdims=True))
-    w = np.exp(lp_obs - lse)
-    p = np.exp(logp)
-    inc = design.incidence
-    inc_y = inc.T[design.y_index]
-    scores = np.zeros((design.n_obs, design.n_params))
-    dim_of = {j: d for d, j in enumerate(design.random_terms)}
-    for j in range(len(design.spec.terms)):
-        cols = np.flatnonzero(inc[j])
-        e = inc_y[:, j, None] - p[:, :, cols].sum(axis=2)
-        we = w * e
-        scores[:, design.loc_pos[j]] = design.x[:, j] * we.sum(axis=1)
-        if j in dim_of:
-            scale = np.exp(theta[design.scale_pos[j]])
-            scores[:, design.scale_pos[j]] = design.x[:, j] * (
-                we * draws.std[dim_of[j]]).sum(axis=1) * scale
-    return scores
-
-
-def natural_from_internal(theta, design: DesignMatrix, cov=None):
-    """Map internal (log-scale) estimates to the reported scale.
-
-    Returns (theta_natural, cov_natural); covariance uses the delta
-    method with the diagonal Jacobian of the transform.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    nat = theta.copy()
-    jac = np.ones(theta.size)
-    for j in design.random_terms:
-        k = design.scale_pos[j]
-        nat[k] = np.exp(theta[k])
-        jac[k] = nat[k]
-    cov_nat = None
-    if cov is not None:
-        cov_nat = cov * np.outer(jac, jac)
-    return nat, cov_nat
+    return _kernel(design, draws)(theta)[1]
 
 
 def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,
@@ -321,20 +147,7 @@ def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,
                   n_draws: int = 200, seed: int = 0, skip: int = 10,
                   shift: bool = False,
                   theta0: np.ndarray | None = None) -> FitResult:
-    """Estimate a mixed logit by simulated maximum likelihood.
-
-    Parameters
-    ----------
-    table, spec : data and model
-        ``spec.family`` must be ``"mixed_mnl"`` with at least one
-        random term.
-    n_draws : int
-        Halton draws per observation (minimum 25); the draw matrix is
-        fixed across iterations, so the simulated likelihood is a
-        deterministic function of ``theta``.
-    seed, skip, shift
-        Draw-matrix controls; ``seed`` only matters when ``shift``
-        randomizes the sequences.
+    """:func:`crashmle.families.fit` for family ``"mixed_mnl"``.
 
     Mixing scales are estimated as logs and reported as positive
     scales (normal: sd, uniform: half-width spread) with delta-method
@@ -342,29 +155,8 @@ def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mixed_mnl":
         raise ValueError(f"fit_mixed_mnl expects family 'mixed_mnl', got {spec.family!r}")
-    design = build_design(table, spec)
-    draws = DrawMatrix.for_design(design, n_draws, seed=seed, skip=skip, shift=shift)
-    objective = make_objective(design, draws)
-    start = np.zeros(design.n_params) if theta0 is None else np.asarray(theta0, float)
-    res = maximize(objective, start, settings)
-
-    cov = covariance(objective, res.theta, settings,
-                     scores=mixed_scores(res.theta, design, draws))
-    nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
-    ll_restricted = design.n_obs * float(np.log(1.0 / design.n_outcomes))
-    return summarize(
-        nat, cov_nat, res.ll, ll_restricted,
-        param_names=design.param_names, converged=res.converged,
-        iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
-        theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=res.message, n_draws=n_draws, seed=seed)
-
-
-def _rebuild_draws(fit: FitResult, design: DesignMatrix) -> DrawMatrix:
-    if fit.n_draws is None:
-        raise ValueError("fit carries no draw count; was it a mixed fit?")
-    return DrawMatrix.for_design(design, fit.n_draws,
-                                 seed=fit.seed if fit.seed is not None else 0)
+    return families.fit(table, spec, settings, theta0, n_draws=n_draws, seed=seed,
+                        skip=skip, shift=shift)
 
 
 def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
@@ -376,57 +168,17 @@ def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
     draw matrix the fit used, so coefficient heterogeneity propagates
     into the averaged effects.
     """
-    from .mnl import _require_continuous, _require_indicator, _term_targets
-
     if fit.spec is None or fit.spec.family != "mixed_mnl":
         raise ValueError("mixed_effects requires a mixed_mnl fit")
-    design = build_design(table, fit.spec)
-    if draws is None:
-        draws = _rebuild_draws(fit, design)
-    theta = fit.theta_internal
-    v = _predictor_draws(theta, design, draws)
-    p = np.exp(_log_softmax3(v))  # (N, R, I)
-    p_bar = p.mean(axis=1)
-    labels = design.outcome_labels
-    rows = []
-    for var, j, target in _term_targets(design, variables):
-        x = design.table.columns[var] if var in design.table.columns else None
-        if x is None:
-            raise ValueError(f"variable {var!r} not in table")
-        col = labels.index(target)
-        if pseudo:
-            _require_indicator(x, var)
-            beta_draws = _term_beta_draws(theta, design, draws, j)
-            v_on = v.copy()
-            v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
-            v_off = v.copy()
-            v_off[:, :, col] -= beta_draws * x[:, None]
-            delta = (np.exp(_log_softmax3(v_on)) - np.exp(_log_softmax3(v_off))).mean(axis=1)
-            values = (delta / p_bar).mean(axis=0)
-        else:
-            _require_continuous(x, var)
-            beta_draws = _term_beta_draws(theta, design, draws, j)
-            pj = p[:, :, col]
-            values = np.empty(len(labels))
-            for i in range(len(labels)):
-                kron = 1.0 if i == col else 0.0
-                dp = (p[:, :, i] * beta_draws * (kron - pj)).mean(axis=1)
-                values[i] = float(np.mean(x * dp / p_bar[:, i]))
-        rows.append(EffectRow(var, target, target,
-                              "direct", float(values[col])))
-        for i, label in enumerate(labels):
-            if i == col:
-                continue
-            rows.append(EffectRow(var, target, label, "cross", float(values[i])))
-    kind = "pseudo_elasticity" if pseudo else "elasticity"
-    return EffectsReport(kind, tuple(rows), design.n_obs)
+    return _logit_effects(fit, table, variables, pseudo, draws)
 
 
-def _term_beta_draws(theta, design: DesignMatrix, draws: DrawMatrix, j: int):
-    """Coefficient draws (N, R) for term j (constant across draws if fixed)."""
-    loc = theta[design.loc_pos[j]]
-    if j in design.random_terms:
-        dim = design.random_terms.index(j)
-        scale = np.exp(theta[design.scale_pos[j]])
-        return loc + scale * draws.std[dim]
-    return np.full((design.n_obs, draws.n_draws), loc)
+families.REGISTRY["mixed_mnl"] = families.Family(
+    objective=lambda design, draws, y: make_objective(design, draws, y_index=y),
+    scores=lambda theta, design, draws: mixed_scores(theta, design, draws),
+    start=lambda design: np.zeros(design.n_params),
+    restricted_ll=lambda design, settings: restricted_loglik(design),
+    needs_draws=True,
+    effects={"elasticity": lambda fit, table, v: mixed_effects(fit, table, v),
+             "pseudo": lambda fit, table, v: mixed_effects(fit, table, v,
+                                                           pseudo=True)})

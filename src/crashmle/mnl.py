@@ -4,16 +4,19 @@ Outcome probabilities are softmax functions of linear predictors built
 from the design matrix; the base outcome's predictor is identically
 zero.  The log-likelihood is globally concave in the coefficients, so
 the quasi-Newton maximizer converges from a zero start unless the data
-are degenerate (perfect separation is flagged after the fit).
+are degenerate (perfect separation is flagged after the fit).  The
+predictor and effects helpers also take a draw matrix, so the mixed
+logit (:mod:`crashmle.mixed`) reports its effects through them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .optimize import (FitResult, OptimSettings, covariance, maximize,
-                       summarize)
+from .draws import coefficient_draws
+from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
 #: predictor magnitude beyond which a fit is flagged as separated
@@ -45,6 +48,22 @@ def mnl_prob(theta: np.ndarray, design: DesignMatrix, row: int) -> np.ndarray:
     return mnl_probs(theta, design)[row]
 
 
+def _kernel(design: DesignMatrix, y_index: np.ndarray | None = None):
+    """Likelihood kernel ``theta -> (ll (N,), scores (N, T))``; ``y_index``
+    overrides the design's encoded outcomes."""
+    x = design.x
+    inc = design.incidence
+    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
+    rows = np.arange(len(y))
+    xi = x * inc.T[y]  # data part of the score: x where y is in term t's set
+
+    def kernel(theta):
+        logp = _log_softmax((x * np.asarray(theta, dtype=np.float64)) @ inc)
+        return logp[rows, y], xi - x * (np.exp(logp) @ inc.T)
+
+    return kernel
+
+
 def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
     """Log-likelihood closure ``theta -> (ll, grad)`` for all-fixed designs.
 
@@ -53,21 +72,7 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
     """
     if design.n_params != len(design.spec.terms):
         raise ValueError("objective requires a design with fixed terms only")
-    x = design.x
-    inc = design.incidence
-    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
-    inc_y = inc.T[y]  # (N, T) indicator: outcome of row n is in term t's set
-    xi = x * inc_y    # contribution of each row to the data part of the score
-
-    def objective(theta):
-        v = (x * theta) @ inc
-        logp = _log_softmax(v)
-        ll = float(logp[np.arange(len(y)), y].sum())
-        p = np.exp(logp)
-        grad = (xi - x * (p @ inc.T)).sum(axis=0)
-        return ll, grad
-
-    return objective
+    return families.summed(_kernel(design, y_index))
 
 
 def make_batch_objective(design: DesignMatrix, y_index: np.ndarray):
@@ -111,12 +116,7 @@ def mnl_loglik(theta: np.ndarray, design: DesignMatrix):
 
 def mnl_scores(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     """Per-observation gradient contributions (N, P)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x = design.x
-    inc = design.incidence
-    y = design.y_index
-    p = np.exp(_log_softmax((x * theta) @ inc))
-    return x * (inc.T[y] - p @ inc.T)
+    return _kernel(design)(theta)[1]
 
 
 def restricted_loglik(design: DesignMatrix) -> float:
@@ -124,22 +124,18 @@ def restricted_loglik(design: DesignMatrix) -> float:
     return design.n_obs * float(np.log(1.0 / design.n_outcomes))
 
 
+def _separation(design: DesignMatrix, theta: np.ndarray) -> str | None:
+    vmax = float(np.max(np.abs(design.linear_predictors(theta))))
+    if vmax > SEPARATION_BOUND:
+        return (f"linear predictors reach {vmax:.1f}; possible perfect "
+                f"separation, estimates are not interior")
+    return None
+
+
 def fit_mnl(table: ObservationTable, spec: ModelSpec,
             settings: OptimSettings | None = None,
             theta0: np.ndarray | None = None) -> FitResult:
-    """Estimate a multinomial logit by maximum likelihood.
-
-    Parameters
-    ----------
-    table : ObservationTable
-        Severity data whose labels all belong to ``spec.outcomes``.
-    spec : ModelSpec
-        Family ``"mnl"``; all terms fixed.
-    settings : OptimSettings, optional
-        Optimizer controls.
-    theta0 : array, optional
-        Starting coefficients (defaults to zeros, where the model is
-        the equal-shares null).
+    """:func:`crashmle.families.fit` for family ``"mnl"`` (all terms fixed).
 
     A solution whose linear predictors exceed 30 in magnitude is
     reported as non-converged with a perfect-separation message: the
@@ -148,31 +144,14 @@ def fit_mnl(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mnl":
         raise ValueError(f"fit_mnl expects family 'mnl', got {spec.family!r}")
-    design = build_design(table, spec)
-    objective = make_objective(design)
-    start = np.zeros(design.n_params) if theta0 is None else np.asarray(theta0, float)
-    res = maximize(objective, start, settings)
-
-    converged = res.converged
-    message = res.message
-    vmax = float(np.max(np.abs(design.linear_predictors(res.theta))))
-    if vmax > SEPARATION_BOUND:
-        converged = False
-        message = (f"linear predictors reach {vmax:.1f}; possible perfect "
-                   f"separation, estimates are not interior")
-
-    cov = covariance(objective, res.theta, settings,
-                     scores=mnl_scores(res.theta, design))
-    return summarize(
-        res.theta, cov.cov, res.ll, restricted_loglik(design),
-        param_names=design.param_names, converged=converged,
-        iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
-        theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=message)
+    return families.fit(table, spec, settings, theta0)
 
 
 def _term_targets(design: DesignMatrix, variables):
-    """(variable, term index, target outcome) triples in report order."""
+    """(variable, term index, target outcome) triples in report order.
+
+    Count-model terms have no outcomes; their target is ``""``.
+    """
     spec = design.spec
     if variables is None:
         variables = []
@@ -187,7 +166,7 @@ def _term_targets(design: DesignMatrix, variables):
         if not hits:
             raise ValueError(f"variable {var!r} has no term in the model")
         for j in hits:
-            for target in spec.terms[j].outcomes:
+            for target in spec.terms[j].outcomes or ("",):
                 triples.append((var, j, target))
     return triples
 
@@ -210,6 +189,66 @@ def _require_continuous(values: np.ndarray, var: str):
                          f"use pseudo-elasticities")
 
 
+def _predictor_draws(theta, design: DesignMatrix, draws=None) -> np.ndarray:
+    """Linear predictors per draw, shape (N, R, I); R = 1 without draws."""
+    theta = np.asarray(theta, dtype=np.float64)
+    n_draws = 1 if draws is None else draws.n_draws
+    v = np.repeat(design.linear_predictors(theta)[:, None, :], n_draws, axis=1)
+    for dim, j in enumerate(design.random_terms):
+        scale = np.exp(theta[design.scale_pos[j]])
+        contrib = design.x[:, j, None] * (scale * draws.std[dim])  # (N, R)
+        for col in np.flatnonzero(design.incidence[j]):
+            v[:, :, col] += contrib
+    return v
+
+
+def _logit_effects(fit: FitResult, table: ObservationTable, variables,
+                   pseudo: bool, draws=None) -> EffectsReport:
+    """Elasticities or indicator pseudo-elasticities of a logit fit.
+
+    Probabilities and their derivatives are averaged over the fit's
+    draws (a plain logit has one draw), so coefficient heterogeneity
+    propagates into the averaged effects.
+    """
+    design = build_design(table, fit.spec)
+    if draws is None:
+        draws = families.fit_draws(fit, design)
+    theta = fit.theta_internal
+    v = _predictor_draws(theta, design, draws)
+    p = np.exp(_log_softmax(v))  # (N, R, I)
+    p_bar = p.mean(axis=1)
+    labels = design.outcome_labels
+    rows = []
+    for var, j, target in _term_targets(design, variables):
+        x = _variable_values(design, var)
+        col = labels.index(target)
+        beta_draws = coefficient_draws(theta, design, draws, j)
+        if pseudo:
+            _require_indicator(x, var)
+            v_on = v.copy()
+            v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
+            v_off = v.copy()
+            v_off[:, :, col] -= beta_draws * x[:, None]
+            delta = (np.exp(_log_softmax(v_on)) - np.exp(_log_softmax(v_off))).mean(axis=1)
+            values = (delta / p_bar).mean(axis=0)
+        else:
+            _require_continuous(x, var)
+            pj = p[:, :, col]
+            values = np.empty(len(labels))
+            for i in range(len(labels)):
+                kron = 1.0 if i == col else 0.0
+                dp = (p[:, :, i] * beta_draws * (kron - pj)).mean(axis=1)
+                values[i] = float(np.mean(x * dp / p_bar[:, i]))
+        rows.append(EffectRow(var, target, target,
+                              "direct", float(values[col])))
+        for i, label in enumerate(labels):
+            if i == col:
+                continue
+            rows.append(EffectRow(var, target, label, "cross", float(values[i])))
+    kind = "pseudo_elasticity" if pseudo else "elasticity"
+    return EffectsReport(kind, tuple(rows), design.n_obs)
+
+
 def elasticities(fit: FitResult, table: ObservationTable,
                  variables=None) -> EffectsReport:
     """Average direct and cross elasticities of outcome probabilities.
@@ -224,25 +263,7 @@ def elasticities(fit: FitResult, table: ObservationTable,
     if fit.spec is None or fit.spec.family != "mnl":
         raise ValueError("elasticities requires a plain mnl fit; "
                          "use mixed_effects for mixed fits")
-    design = build_design(table, fit.spec)
-    theta = fit.theta_internal
-    probs = mnl_probs(theta, design)
-    rows = []
-    for var, j, target in _term_targets(design, variables):
-        x = _variable_values(design, var)
-        _require_continuous(x, var)
-        beta = float(theta[design.loc_pos[j]])
-        col = design.outcome_labels.index(target)
-        pj = probs[:, col]
-        bx = beta * x
-        direct = float(np.mean((1.0 - pj) * bx))
-        cross = float(np.mean(-pj * bx))
-        rows.append(EffectRow(var, target, target, "direct", direct))
-        for i, label in enumerate(design.outcome_labels):
-            if i == col:
-                continue
-            rows.append(EffectRow(var, target, label, "cross", cross))
-    return EffectsReport("elasticity", tuple(rows), design.n_obs)
+    return _logit_effects(fit, table, variables, pseudo=False)
 
 
 def pseudo_elasticities(fit: FitResult, table: ObservationTable,
@@ -256,25 +277,15 @@ def pseudo_elasticities(fit: FitResult, table: ObservationTable,
     if fit.spec is None or fit.spec.family != "mnl":
         raise ValueError("pseudo_elasticities requires a plain mnl fit; "
                          "use mixed_effects for mixed fits")
-    design = build_design(table, fit.spec)
-    theta = fit.theta_internal
-    v = design.linear_predictors(theta)
-    p_obs = np.exp(_log_softmax(v))
-    rows = []
-    for var, j, target in _term_targets(design, variables):
-        x = _variable_values(design, var)
-        _require_indicator(x, var)
-        beta = float(theta[design.loc_pos[j]])
-        col = design.outcome_labels.index(target)
-        v_on = v.copy()
-        v_on[:, col] += beta * (1.0 - x)
-        v_off = v.copy()
-        v_off[:, col] -= beta * x
-        delta = np.exp(_log_softmax(v_on)) - np.exp(_log_softmax(v_off))
-        values = (delta / p_obs).mean(axis=0)
-        rows.append(EffectRow(var, target, target, "direct", float(values[col])))
-        for i, label in enumerate(design.outcome_labels):
-            if i == col:
-                continue
-            rows.append(EffectRow(var, target, label, "cross", float(values[i])))
-    return EffectsReport("pseudo_elasticity", tuple(rows), design.n_obs)
+    return _logit_effects(fit, table, variables, pseudo=True)
+
+
+families.REGISTRY["mnl"] = families.Family(
+    objective=lambda design, draws, y: make_objective(design, y),
+    scores=lambda theta, design, draws: mnl_scores(theta, design),
+    start=lambda design: np.zeros(design.n_params),
+    restricted_ll=lambda design, settings: restricted_loglik(design),
+    needs_draws=False,
+    effects={"elasticity": lambda fit, table, v: elasticities(fit, table, v),
+             "pseudo": lambda fit, table, v: pseudo_elasticities(fit, table, v)},
+    boundary=_separation)

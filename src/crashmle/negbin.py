@@ -10,14 +10,17 @@ values, which stays accurate for arbitrarily small ``alpha``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import gammaln
 
+from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, build_design)
-from .mixed import DrawMatrix
-from .optimize import (FitResult, OptimSettings, covariance, maximize,
-                       summarize)
+from .draws import DrawMatrix, coefficient_draws, draw_mean, scale_score
+from .mnl import _term_targets
+from .optimize import FitResult, OptimSettings, maximize
 from .reporting import EffectRow, EffectsReport
 
 
@@ -67,43 +70,67 @@ def nb_logpmf(counts, lam, alpha: float):
     return out
 
 
-def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
-    """Log-likelihood closure for a plain NB design.
+def _eta_draws(theta, design: DesignMatrix,
+               draws: DrawMatrix | None) -> np.ndarray:
+    """Log-mean per draw, shape (N, R), or (N, 1) without draws; scale
+    slots hold logs."""
+    n_draws = 1 if draws is None else draws.n_draws
+    eta = np.repeat((design.x @ theta[design.loc_pos])[:, None], n_draws, axis=1)
+    for dim, j in enumerate(design.random_terms):
+        scale = np.exp(theta[design.scale_pos[j]])
+        eta += design.x[:, j, None] * (scale * draws.std[dim])
+    return eta
 
-    ``theta`` packs the coefficient vector followed by log(alpha).
-    Count-dependent quantities are cached, so repeated evaluations only
-    rebuild the O(max count) dispersion tables.
+
+def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
+    """Likelihood kernel ``theta -> (ll (N,), scores (N, P))``.
+
+    ``theta`` packs the design's parameters (log mixing scales in the
+    scale slots) followed by log(alpha).  With draws the likelihood is
+    the draw average of NB probabilities, the dispersion common to all
+    draws; without draws it is the plain NB, as if with one draw.
+    ``counts`` overrides the design's counts.  Count-dependent
+    quantities are cached, so repeated evaluations only rebuild the
+    O(max count) dispersion tables.
     """
-    x = design.x
-    a = (design.counts if counts is None else np.asarray(counts)).astype(np.int64)
+    a = np.asarray(design.counts if counts is None else counts).astype(np.int64)
     amax = int(a.max()) if a.size else 0
-    af = a.astype(np.float64)
+    af = a.astype(np.float64)[:, None]  # (N, 1)
     gamln_a1 = gammaln(af + 1.0)
-    t = x.shape[1]
+    p = design.n_params + 1
 
-    def objective(theta):
+    def kernel(theta):
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != t + 1:
-            raise ValueError(f"expected {t + 1} parameters, got {theta.size}")
-        log_alpha = theta[-1]
-        alpha = np.exp(log_alpha)
-        r = np.exp(-log_alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eta = x @ theta[:-1]
+        if theta.size != p:
+            raise ValueError(f"expected {p} parameters, got {theta.size}")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            alpha = np.exp(theta[-1])
+            r = np.exp(-theta[-1])
+            tab, dtab = _poch_tables(r, amax)
+            eta = _eta_draws(theta, design, draws)
             lam = np.exp(eta)
             l1p = np.log1p(alpha * lam)
-            tab, dtab = _poch_tables(r, amax)
-            ll = float((tab[a] + af * eta - (r + af) * l1p - gamln_a1).sum())
-            if not np.isfinite(ll):
-                return -np.inf, np.zeros(t + 1)
-            dleta = af - lam * (r + af) / (r + lam)
-            grad = np.empty(t + 1)
-            grad[:-1] = x.T @ dleta
-            grad[-1] = float((-r * dtab[a] + r * l1p
-                              - (r + af) * lam / (r + lam)).sum())
-        return ll, grad
+            lpmf = (tab[a][:, None] - gamln_a1) + af * eta - (r + af) * l1p
+            ll, w = draw_mean(lpmf)
+            q = lam * (r + af) / (r + lam)
+            wd = w * (af - q)
+            scores = np.empty((p, design.n_obs))
+            scores[design.loc_pos] = design.x.T * wd.sum(axis=1)
+            for j in design.random_terms:
+                scores[design.scale_pos[j]] = scale_score(theta, design, draws, j, wd)
+            scores[-1] = -r * dtab[a] + (w * (r * l1p - q)).sum(axis=1)
+        return ll, scores.T
 
-    return objective
+    return kernel
+
+
+def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
+    """Log-likelihood closure ``theta -> (ll, grad)`` for a plain NB design.
+
+    ``theta`` packs the coefficient vector followed by log(alpha);
+    ``counts`` overrides the design's counts.
+    """
+    return families.summed(_kernel(design, None, counts))
 
 
 def _batch_poch_tables(r: np.ndarray, amax: int):
@@ -179,31 +206,19 @@ def nb_loglik(theta, design: DesignMatrix):
 
 def nb_scores(theta, design: DesignMatrix) -> np.ndarray:
     """Per-observation score matrix (N, T+1)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x = design.x
-    a = design.counts.astype(np.int64)
-    af = a.astype(np.float64)
-    log_alpha = theta[-1]
-    alpha = np.exp(log_alpha)
-    r = np.exp(-log_alpha)
-    eta = x @ theta[:-1]
-    lam = np.exp(eta)
-    l1p = np.log1p(alpha * lam)
-    _, dtab = _poch_tables(r, int(a.max()) if a.size else 0)
-    dleta = af - lam * (r + af) / (r + lam)
-    dalpha = -r * dtab[a] + r * l1p - (r + af) * lam / (r + lam)
-    return np.column_stack([x * dleta[:, None], dalpha])
+    return _kernel(design, None)(theta)[1]
 
 
-def _intercept_only_ll(table: ObservationTable,
+def _intercept_only_ll(design: DesignMatrix,
                        settings: OptimSettings | None) -> float:
-    """Converged log-likelihood of the constant-plus-dispersion model."""
+    """Converged log-likelihood of the constant-plus-dispersion model;
+    raises if every count is zero (alpha is then not identified)."""
+    if int(design.counts.max()) == 0:
+        raise ValueError("all counts are zero; overdispersion is not identified")
     spec = ModelSpec("nb", (Term(CONSTANT),))
-    design = build_design(table, spec)
-    mean = float(design.counts.mean())
-    theta0 = np.array([np.log(max(mean, 0.05)), 0.0])
-    res = maximize(make_objective(design), theta0, settings)
-    return res.ll
+    intercept = build_design(design.table, spec)
+    theta0 = np.array([np.log(max(float(design.counts.mean()), 0.05)), 0.0])
+    return maximize(make_objective(intercept), theta0, settings).ll
 
 
 def _default_theta0(design: DesignMatrix) -> np.ndarray:
@@ -221,7 +236,7 @@ def _default_theta0(design: DesignMatrix) -> np.ndarray:
 def fit_nb(table: ObservationTable, spec: ModelSpec,
            settings: OptimSettings | None = None,
            theta0: np.ndarray | None = None) -> FitResult:
-    """Estimate a negative binomial regression by maximum likelihood.
+    """:func:`crashmle.families.fit` for family ``"nb"``.
 
     The restricted log-likelihood comes from an intercept-only fit of
     the same family, so McFadden's rho-squared measures the covariates'
@@ -230,37 +245,7 @@ def fit_nb(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "nb":
         raise ValueError(f"fit_nb expects family 'nb', got {spec.family!r}")
-    design = build_design(table, spec)
-    if int(design.counts.max()) == 0:
-        raise ValueError("all counts are zero; overdispersion is not identified")
-    objective = make_objective(design)
-    start = _default_theta0(design) if theta0 is None else np.asarray(theta0, float)
-    res = maximize(objective, start, settings)
-
-    cov = covariance(objective, res.theta, settings,
-                     scores=nb_scores(res.theta, design))
-    jac = np.ones(res.theta.size)
-    jac[-1] = np.exp(res.theta[-1])
-    nat = res.theta.copy()
-    nat[-1] = jac[-1]
-    cov_nat = cov.cov * np.outer(jac, jac) if cov.cov is not None else None
-    return summarize(
-        nat, cov_nat, res.ll, _intercept_only_ll(table, settings),
-        param_names=design.param_names + ("alpha",), converged=res.converged,
-        iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
-        theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=res.message)
-
-
-def _eta_draws(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
-    """Log-mean per draw, shape (N, R); scale slots hold logs."""
-    eta_fixed = design.x @ theta[design.loc_pos]
-    eta = np.broadcast_to(eta_fixed[:, None],
-                          (design.n_obs, draws.n_draws)).copy()
-    for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        eta += design.x[:, j, None] * (scale * draws.std[dim])
-    return eta
+    return families.fit(table, spec, settings, theta0)
 
 
 def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
@@ -272,80 +257,12 @@ def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
-    x = design.x
-    a = (design.counts if counts is None else np.asarray(counts)).astype(np.int64)
-    amax = int(a.max()) if a.size else 0
-    af = a.astype(np.float64)[:, None]  # (N, 1)
-    gamln_a1 = gammaln(af + 1.0)
-    p = design.n_params + 1
-    log_r = np.log(draws.n_draws)
-
-    def objective(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != p:
-            raise ValueError(f"expected {p} parameters, got {theta.size}")
-        log_alpha = theta[-1]
-        alpha = np.exp(log_alpha)
-        r = np.exp(-log_alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            eta = _eta_draws(theta, design, draws)
-            lam = np.exp(eta)
-            l1p = np.log1p(alpha * lam)
-            tab, dtab = _poch_tables(r, amax)
-            lpmf = (tab[a][:, None] - gamln_a1) + af * eta - (r + af) * l1p
-            m = lpmf.max(axis=1, keepdims=True)
-            lse = m + np.log(np.exp(lpmf - m).sum(axis=1, keepdims=True))
-            ll = float(lse.sum()) - design.n_obs * log_r
-            if not np.isfinite(ll):
-                return -np.inf, np.zeros(p)
-            w = np.exp(lpmf - lse)  # (N, R)
-            dleta = af - lam * (r + af) / (r + lam)
-            wd = w * dleta
-            grad = np.zeros(p)
-            for j in range(len(design.spec.terms)):
-                grad[design.loc_pos[j]] = float((x[:, j] * wd.sum(axis=1)).sum())
-            for dim, j in enumerate(design.random_terms):
-                scale = np.exp(theta[design.scale_pos[j]])
-                zsum = (wd * draws.std[dim]).sum(axis=1)
-                grad[design.scale_pos[j]] = float((x[:, j] * zsum).sum() * scale)
-            galpha = (w * (r * l1p - (r + af) * lam / (r + lam))).sum(axis=1)
-            grad[-1] = float((-r * dtab[a] + galpha).sum())
-        return ll, grad
-
-    return objective
-
-
-def mixed_nb_loglik(theta, design: DesignMatrix, draws: DrawMatrix):
-    """Simulated log-likelihood and gradient for a mixed NB model."""
-    return make_mixed_objective(design, draws)(theta)
+    return families.summed(_kernel(design, draws, counts))
 
 
 def mixed_nb_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    x = design.x
-    a = design.counts.astype(np.int64)
-    af = a.astype(np.float64)[:, None]
-    log_alpha = theta[-1]
-    alpha = np.exp(log_alpha)
-    r = np.exp(-log_alpha)
-    eta = _eta_draws(theta, design, draws)
-    lam = np.exp(eta)
-    l1p = np.log1p(alpha * lam)
-    tab, dtab = _poch_tables(r, int(a.max()) if a.size else 0)
-    lpmf = (tab[a][:, None] - gammaln(af + 1.0)) + af * eta - (r + af) * l1p
-    m = lpmf.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(lpmf - m).sum(axis=1, keepdims=True))
-    w = np.exp(lpmf - lse)
-    dleta = af - lam * (r + af) / (r + lam)
-    wd = w * dleta
-    scores = np.zeros((design.n_obs, design.n_params + 1))
-    for j in range(len(design.spec.terms)):
-        scores[:, design.loc_pos[j]] = x[:, j] * wd.sum(axis=1)
-    for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        scores[:, design.scale_pos[j]] = x[:, j] * (wd * draws.std[dim]).sum(axis=1) * scale
-    scores[:, -1] = -r * dtab[a] + (w * (r * l1p - (r + af) * lam / (r + lam))).sum(axis=1)
-    return scores
+    """Per-observation simulated score matrix (N, P+1)."""
+    return _kernel(design, draws)(theta)[1]
 
 
 def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
@@ -353,7 +270,7 @@ def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
                  n_draws: int = 200, seed: int = 0, skip: int = 10,
                  shift: bool = False,
                  theta0: np.ndarray | None = None) -> FitResult:
-    """Estimate a random-coefficients NB model by simulated likelihood.
+    """:func:`crashmle.families.fit` for family ``"mixed_nb"``.
 
     Mixing applies to the coefficients only; alpha is shared across
     draws.  The restricted log-likelihood is the plain intercept-only
@@ -361,31 +278,8 @@ def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mixed_nb":
         raise ValueError(f"fit_mixed_nb expects family 'mixed_nb', got {spec.family!r}")
-    design = build_design(table, spec)
-    if int(design.counts.max()) == 0:
-        raise ValueError("all counts are zero; overdispersion is not identified")
-    draws = DrawMatrix.for_design(design, n_draws, seed=seed, skip=skip, shift=shift)
-    objective = make_mixed_objective(design, draws)
-    start = _default_theta0(design) if theta0 is None else np.asarray(theta0, float)
-    res = maximize(objective, start, settings)
-
-    cov = covariance(objective, res.theta, settings,
-                     scores=mixed_nb_scores(res.theta, design, draws))
-    jac = np.ones(res.theta.size)
-    nat = res.theta.copy()
-    for j in design.random_terms:
-        k = design.scale_pos[j]
-        nat[k] = np.exp(res.theta[k])
-        jac[k] = nat[k]
-    nat[-1] = np.exp(res.theta[-1])
-    jac[-1] = nat[-1]
-    cov_nat = cov.cov * np.outer(jac, jac) if cov.cov is not None else None
-    return summarize(
-        nat, cov_nat, res.ll, _intercept_only_ll(table, settings),
-        param_names=design.param_names + ("alpha",), converged=res.converged,
-        iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
-        theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=res.message, n_draws=n_draws, seed=seed)
+    return families.fit(table, spec, settings, theta0, n_draws=n_draws, seed=seed,
+                        skip=skip, shift=shift)
 
 
 def marginal_effects(fit: FitResult, table: ObservationTable,
@@ -399,42 +293,25 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
         raise ValueError("marginal_effects requires an nb or mixed_nb fit")
     design = build_design(table, fit.spec)
     theta = fit.theta_internal
-    if variables is None:
-        variables = []
-        for t in fit.spec.terms:
-            if t.variable != CONSTANT and t.variable not in variables:
-                variables.append(t.variable)
-    term_of = {}
-    for j, t in enumerate(fit.spec.terms):
-        term_of.setdefault(t.variable, j)
+    draws = families.fit_draws(fit, design)
+    lam = np.exp(_eta_draws(theta, design, draws))  # (N, R)
     rows = []
-    if fit.spec.family == "nb":
-        lam = np.exp(design.x @ theta[design.loc_pos])
-        lam_bar = float(lam.mean())
-        for var in variables:
-            if var == CONSTANT:
-                raise ValueError("marginal effect of the constant is not defined")
-            if var not in term_of:
-                raise ValueError(f"variable {var!r} has no term in the model")
-            beta = float(theta[design.loc_pos[term_of[var]]])
-            rows.append(EffectRow(var, "", "", "marginal", lam_bar * beta))
-    else:
-        draws = DrawMatrix.for_design(design, fit.n_draws,
-                                      seed=fit.seed if fit.seed is not None else 0)
-        lam = np.exp(_eta_draws(theta, design, draws))  # (N, R)
-        for var in variables:
-            if var == CONSTANT:
-                raise ValueError("marginal effect of the constant is not defined")
-            if var not in term_of:
-                raise ValueError(f"variable {var!r} has no term in the model")
-            j = term_of[var]
-            loc = theta[design.loc_pos[j]]
-            if j in design.random_terms:
-                dim = design.random_terms.index(j)
-                scale = np.exp(theta[design.scale_pos[j]])
-                beta_draws = loc + scale * draws.std[dim]
-                value = float((lam * beta_draws).mean())
-            else:
-                value = float(lam.mean() * loc)
-            rows.append(EffectRow(var, "", "", "marginal", value))
+    for var, j, _ in _term_targets(design, variables):
+        beta = coefficient_draws(theta, design, draws, j)
+        rows.append(EffectRow(var, "", "", "marginal", float((lam * beta).mean())))
     return EffectsReport("marginal", tuple(rows), design.n_obs)
+
+
+families.REGISTRY["nb"] = families.Family(
+    objective=lambda design, draws, counts: make_objective(design, counts=counts),
+    scores=lambda theta, design, draws: nb_scores(theta, design),
+    start=_default_theta0,
+    restricted_ll=_intercept_only_ll,
+    needs_draws=False,
+    effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)})
+families.REGISTRY["mixed_nb"] = replace(
+    families.REGISTRY["nb"],
+    objective=lambda design, draws, counts: make_mixed_objective(
+        design, draws, counts=counts),
+    scores=lambda theta, design, draws: mixed_nb_scores(theta, design, draws),
+    needs_draws=True)

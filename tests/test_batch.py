@@ -268,9 +268,7 @@ def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
     assert handed > 0
 
 
-# the serial fits of the outlier row overflow exp(log alpha) on the way
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_outlier_count_sends_its_block_to_the_serial_fit(monkeypatch):
     table, pieces, theta, outcomes = forced_block()
     outcomes[3, 5] = 100_000
