@@ -131,25 +131,29 @@ def coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
 
 
 def draw_mean(log_lik: np.ndarray):
-    """Simulated log-likelihood per observation from per-draw values (N, R).
+    """Simulated log-likelihood per observation from per-draw values.
 
-    Returns the log of the draw-mean likelihood (N,) and each draw's
-    posterior share of it (N, R), which weights the draws in the scores.
+    ``log_lik`` is (..., N, R).  Returns the log of the draw-mean
+    likelihood (..., N) and each draw's posterior share of it (..., N,
+    R), which weights the draws in the scores; one draw has share one.
     """
-    m = log_lik.max(axis=1, keepdims=True)
+    if log_lik.shape[-1] == 1:
+        return log_lik[..., 0], np.broadcast_to(1.0, log_lik.shape)
+    m = log_lik.max(axis=-1, keepdims=True)
     with np.errstate(under="ignore"):
-        lse = m + np.log(np.exp(log_lik - m).sum(axis=1, keepdims=True))
-    return lse[:, 0] - np.log(log_lik.shape[1]), np.exp(log_lik - lse)
+        lse = m + np.log(np.exp(log_lik - m).sum(axis=-1, keepdims=True))
+    return lse[..., 0] - np.log(log_lik.shape[-1]), np.exp(log_lik - lse)
 
 
 def scale_score(theta, design: DesignMatrix, draws: DrawMatrix, j: int,
                 we: np.ndarray) -> np.ndarray:
-    """Per-observation score (N,) of random term ``j``'s log-scale.
+    """Per-observation score (..., N) of random term ``j``'s log-scale.
 
-    ``we`` (N, R) is the posterior-weighted derivative of each draw's
-    log-likelihood with respect to the term's coefficient draw; summed
-    over draws it gives the location score.
+    ``we`` (..., N, R) is the posterior-weighted derivative of each
+    draw's log-likelihood with respect to the term's coefficient draw
+    (of ``theta``, one vector or (K, P) rows); summed over draws it gives
+    the location score.
     """
     dim = design.random_terms.index(j)
-    scale = np.exp(theta[design.scale_pos[j]])
-    return design.x[:, j] * (we * draws.std[dim]).sum(axis=1) * scale
+    scale = np.exp(theta[..., design.scale_pos[j], None])
+    return design.x[:, j] * (we * draws.std[dim]).sum(axis=-1) * scale

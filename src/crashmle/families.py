@@ -5,6 +5,11 @@ Each family module (``mnl``, ``mixed``, ``negbin``) adds a
 them, so the table is complete once ``crashmle`` is imported.  The fit
 pipeline, the CLI and the pooling test look a family up here instead of
 branching on its name.
+
+The MNL and NB likelihoods are stacked kernels: ``kernel(theta, rows,
+hessian=False)`` maps (K, P) parameter rows and the indices of the K
+outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
+scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
 """
 
 from __future__ import annotations
@@ -43,9 +48,35 @@ class Family:
     effects: dict
     #: (design, theta) -> message when the estimates are not interior
     boundary: Callable = lambda design, theta: None
+    #: (design, (B, N) outcomes) -> batched Newton objective, or None
+    batch_objective: Callable | None = None
 
 
 REGISTRY: dict[str, Family] = {}
+
+
+def first_row(kernel):
+    """A stacked kernel at one ``theta`` on its first outcome row:
+    ``theta -> (ll (N,), scores (N, P))``."""
+    def single(theta):
+        ll, scores = kernel(np.asarray(theta, dtype=np.float64)[None], slice(0, 1))
+        return ll[0], scores[0]
+
+    return single
+
+
+def batched(kernel):
+    """Newton objective ``(theta, rows) -> (ll (K,), grad (K, P), hess)``
+    summing a stacked kernel's rows; a non-finite row log-likelihood comes
+    back as -inf."""
+    def objective(theta, rows):
+        ll_obs, scores, hess = kernel(theta, rows, hessian=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ll = ll_obs.sum(axis=1)
+        ll[~np.isfinite(ll)] = -np.inf
+        return ll, scores.sum(axis=1), hess
+
+    return objective
 
 
 def summed(kernel):
@@ -86,13 +117,15 @@ def natural_from_internal(theta, design: DesignMatrix, cov=None):
 
 
 def fit_draws(fit: FitResult, design: DesignMatrix) -> DrawMatrix | None:
-    """The draw matrix ``fit`` was estimated with (None without draws)."""
+    """The draw matrix ``fit`` was estimated with (None without draws);
+    draw settings the fit does not record take their defaults."""
     if not REGISTRY[fit.spec.family].needs_draws:
         return None
     if fit.n_draws is None:
         raise ValueError("fit carries no draw count; was it a mixed fit?")
-    return DrawMatrix.for_design(design, fit.n_draws,
-                                 seed=fit.seed if fit.seed is not None else 0)
+    recorded = {"seed": fit.seed, "skip": fit.skip, "shift": fit.shift}
+    return DrawMatrix.for_design(design, fit.n_draws, **{
+        k: v for k, v in recorded.items() if v is not None})
 
 
 def fit(table: ObservationTable, spec: ModelSpec,
@@ -113,9 +146,9 @@ def fit(table: ObservationTable, spec: ModelSpec,
     family = REGISTRY[spec.family]
     design = build_design(table, spec)
     ll_restricted = family.restricted_ll(design, settings)
-    draws = (DrawMatrix.for_design(design, n_draws, seed=seed, skip=skip,
-                                   shift=shift)
-             if family.needs_draws else None)
+    draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
+                     if family.needs_draws else {})
+    draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
     objective = family.objective(design, draws, None)
     start = family.start(design) if theta0 is None else np.asarray(theta0, float)
     res = maximize(objective, start, settings)
@@ -133,5 +166,4 @@ def fit(table: ObservationTable, spec: ModelSpec,
         param_names=design.param_names + alpha, converged=converged,
         iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
         theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=message, n_draws=n_draws if family.needs_draws else None,
-        seed=seed if family.needs_draws else None)
+        message=message, **draw_settings)

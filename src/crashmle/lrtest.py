@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
-from . import mnl, negbin, simulate
+from . import simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
 from .draws import DrawMatrix
@@ -33,8 +33,6 @@ BLOCK_ROWS = 64
 BATCH_COUNT_CAP = 4096
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
-_BATCH_KERNELS = {"mnl": mnl.make_batch_objective,
-                  "nb": negbin.make_batch_objective}
 
 
 def chi2_sf(x, dof) -> float:
@@ -283,10 +281,10 @@ def _refit_stage(pieces: _Pieces, key: str, starts: np.ndarray,
                  outcomes: np.ndarray):
     """Refit model ``key`` to every row of ``outcomes`` from ``starts``.
 
-    Plain MNL and NB rows go through batched Newton; a row that Newton
-    does not converge is refitted by :func:`maximize` from the same
-    start, as is every row of the other families and of a count block
-    above ``BATCH_COUNT_CAP``.  Returns the thetas, log-likelihoods,
+    Rows of a family with a batch objective (plain MNL and NB) go
+    through batched Newton; a row that Newton does not converge is
+    refitted by :func:`maximize` from the same start, as is every row of
+    the other families and of a count block above ``BATCH_COUNT_CAP``.  Returns the thetas, log-likelihoods,
     converged flags, OptimizationError flags, and the number of rows
     that Newton handed to :func:`maximize`.
     """
@@ -297,11 +295,11 @@ def _refit_stage(pieces: _Pieces, key: str, starts: np.ndarray,
     error = np.zeros(b, dtype=bool)
     serial = np.ones(b, dtype=bool)
     handed = 0
-    kernel = _BATCH_KERNELS.get(pieces.spec.family)
-    if b and kernel is not None and not (
+    batch_objective = pieces.family.batch_objective
+    if b and batch_objective is not None and not (
             pieces.spec.is_frequency and outcomes.max() > BATCH_COUNT_CAP):
-        res = maximize_batch(kernel(pieces.designs[key], outcomes), starts,
-                             pieces.settings)
+        res = maximize_batch(batch_objective(pieces.designs[key], outcomes),
+                             starts, pieces.settings)
         theta, ll, converged = res.theta, res.ll, res.converged
         serial = ~converged
         handed = int(serial.sum())

@@ -78,14 +78,7 @@ def simulated_prob(theta, design: DesignMatrix, row: int,
     """
     if not 0 <= row < design.n_obs:
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    theta = np.asarray(theta, dtype=np.float64)
-    v_fixed = design.linear_predictors(theta)[row]  # (I,)
-    v = np.broadcast_to(v_fixed, (draws.n_draws, design.n_outcomes)).copy()
-    for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        contrib = design.x[row, j] * (scale * draws.std[dim][row])  # (R,)
-        for col in np.flatnonzero(design.incidence[j]):
-            v[:, col] += contrib
+    v = _predictor_draws(theta, design, draws, rows=[row])[0]  # (R, I)
     return np.exp(_log_softmax(v)).mean(axis=0)
 
 

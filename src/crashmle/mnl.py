@@ -49,17 +49,29 @@ def mnl_prob(theta: np.ndarray, design: DesignMatrix, row: int) -> np.ndarray:
 
 
 def _kernel(design: DesignMatrix, y_index: np.ndarray | None = None):
-    """Likelihood kernel ``theta -> (ll (N,), scores (N, T))``; ``y_index``
-    overrides the design's encoded outcomes."""
+    """Stacked likelihood kernel (see :mod:`crashmle.families`);
+    ``y_index`` (B, N), or (N,) for B = 1, overrides the design's encoded
+    outcomes."""
     x = design.x
     inc = design.incidence
-    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
-    rows = np.arange(len(y))
+    y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
     xi = x * inc.T[y]  # data part of the score: x where y is in term t's set
 
-    def kernel(theta):
-        logp = _log_softmax((x * np.asarray(theta, dtype=np.float64)) @ inc)
-        return logp[rows, y], xi - x * (np.exp(logp) @ inc.T)
+    def kernel(theta, rows, hessian=False):
+        theta = np.asarray(theta, dtype=np.float64)
+        logp = _log_softmax((x * theta[:, None, :]) @ inc)  # (K, N, I)
+        ll = np.take_along_axis(logp, y[rows][..., None], axis=-1)[..., 0]
+        p = np.exp(logp, out=logp)  # reuses the log-probabilities' memory
+        m = x * (p @ inc.T)
+        scores = xi[rows] - m
+        if not hessian:
+            return ll, scores
+        # d v_ni / d theta_t = x_nt inc_ti, paired per observation and outcome
+        k, t = theta.shape
+        xx = (x[:, :, None] * x[:, None, :]).reshape(-1, t * t)
+        ii = (inc.T[:, :, None] * inc.T[:, None, :]).reshape(-1, t * t)
+        pdd = (p.transpose(0, 2, 1) @ xx * ii).sum(axis=1).reshape(k, t, t)
+        return ll, scores, m.transpose(0, 2, 1) @ m - pdd
 
     return kernel
 
@@ -72,41 +84,16 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
     """
     if design.n_params != len(design.spec.terms):
         raise ValueError("objective requires a design with fixed terms only")
-    return families.summed(_kernel(design, y_index))
+    return families.summed(families.first_row(_kernel(design, y_index)))
 
 
 def make_batch_objective(design: DesignMatrix, y_index: np.ndarray):
-    """Batched log-likelihood, gradient and analytic Hessian.
-
-    ``y_index`` is a (B, N) matrix of outcome vectors for the design's
-    covariates.  The closure maps ``(theta, rows)`` - a (K, P) stack of
-    coefficient vectors and the K outcome rows they belong to - to (K,)
-    log-likelihoods, (K, P) gradients and (K, P, P) Hessians; each row
-    agrees with :func:`make_objective` on its outcomes.
-    """
+    """Batched Newton objective (:func:`crashmle.families.batched`) for
+    the (B, N) outcome vectors ``y_index``; each row agrees with
+    :func:`make_objective` on its outcomes."""
     if design.n_params != len(design.spec.terms):
         raise ValueError("objective requires a design with fixed terms only")
-    x = design.x
-    inc = design.incidence
-    n, t = x.shape
-    y_all = np.asarray(y_index, dtype=np.int64)
-    xi_all = x * inc.T[y_all]  # (B, N, T)
-    # d[n, t, i] = dv[n, i] / dtheta[t]; dd pairs them for the Hessian
-    d = x[:, :, None] * inc[None]
-    dd = np.einsum("nti,nsi->nits", d, d).reshape(n * inc.shape[1], t * t)
-
-    def objective(theta, rows):
-        y = y_all[rows]
-        logp = _log_softmax((x * theta[:, None, :]) @ inc)
-        ll = np.take_along_axis(logp, y[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        p = np.exp(logp)
-        m = x * (p @ inc.T)
-        grad = (xi_all[rows] - m).sum(axis=1)
-        hess = (m.transpose(0, 2, 1) @ m
-                - (p.reshape(len(rows), -1) @ dd).reshape(-1, t, t))
-        return ll, grad, hess
-
-    return objective
+    return families.batched(_kernel(design, y_index))
 
 
 def mnl_loglik(theta: np.ndarray, design: DesignMatrix):
@@ -116,7 +103,7 @@ def mnl_loglik(theta: np.ndarray, design: DesignMatrix):
 
 def mnl_scores(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     """Per-observation gradient contributions (N, P)."""
-    return _kernel(design)(theta)[1]
+    return families.first_row(_kernel(design))(theta)[1]
 
 
 def restricted_loglik(design: DesignMatrix) -> float:
@@ -189,14 +176,18 @@ def _require_continuous(values: np.ndarray, var: str):
                          f"use pseudo-elasticities")
 
 
-def _predictor_draws(theta, design: DesignMatrix, draws=None) -> np.ndarray:
-    """Linear predictors per draw, shape (N, R, I); R = 1 without draws."""
+def _predictor_draws(theta, design: DesignMatrix, draws=None,
+                     rows=slice(None)) -> np.ndarray:
+    """Linear predictors per draw of the observations ``rows`` selects,
+    shape (N, R, I); R = 1 without draws."""
     theta = np.asarray(theta, dtype=np.float64)
     n_draws = 1 if draws is None else draws.n_draws
-    v = np.repeat(design.linear_predictors(theta)[:, None, :], n_draws, axis=1)
+    x = design.x[rows]
+    v = np.repeat(((x * theta[design.loc_pos]) @ design.incidence)[:, None, :],
+                  n_draws, axis=1)
     for dim, j in enumerate(design.random_terms):
         scale = np.exp(theta[design.scale_pos[j]])
-        contrib = design.x[:, j, None] * (scale * draws.std[dim])  # (N, R)
+        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (N, R)
         for col in np.flatnonzero(design.incidence[j]):
             v[:, :, col] += contrib
     return v
@@ -288,4 +279,5 @@ families.REGISTRY["mnl"] = families.Family(
     needs_draws=False,
     effects={"elasticity": lambda fit, table, v: elasticities(fit, table, v),
              "pseudo": lambda fit, table, v: pseudo_elasticities(fit, table, v)},
-    boundary=_separation)
+    boundary=_separation,
+    batch_objective=lambda design, y: make_batch_objective(design, y))

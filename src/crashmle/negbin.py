@@ -24,17 +24,24 @@ from .optimize import FitResult, OptimSettings, maximize
 from .reporting import EffectRow, EffectsReport
 
 
-def _poch_tables(r: float, amax: int):
-    """Cumulative tables indexed by count a.
+def _poch_tables(r: np.ndarray, amax: int, hessian: bool = False):
+    """Tables ``tab``, ``dtab`` (and ``h2tab`` with ``hessian``), each
+    (K, amax + 1) for the (K, 1) column ``r`` and indexed by count a.
 
     ``tab[a] = sum_{k=0}^{a-1} log1p(k / r)`` equals
     ``lnGamma(a + r) - lnGamma(r) - a * ln(r)`` without cancellation;
-    ``dtab`` is its derivative in ``r``.
+    ``dtab`` is its derivative in ``r``; ``h2tab[a] = sum_{k<a} k r /
+    (r + k)^2`` is the second log-alpha derivative of ``tab``, summed
+    term by term so that it does not cancel when alpha is small.
     """
     k = np.arange(amax, dtype=np.float64)
-    tab = np.concatenate(([0.0], np.cumsum(np.log1p(k / r))))
-    dtab = np.concatenate(([0.0], np.cumsum(-k / (r * (r + k)))))
-    return tab, dtab
+    terms = [np.log1p(k / r), -k / (r * (r + k))]
+    if hessian:
+        terms.append(k * r / (r + k) ** 2)
+    tables = [np.zeros((r.shape[0], amax + 1)) for _ in terms]
+    for term, table in zip(terms, tables):
+        np.cumsum(term, axis=1, out=table[:, 1:])
+    return tables
 
 
 def nb_logpmf(counts, lam, alpha: float):
@@ -62,7 +69,7 @@ def nb_logpmf(counts, lam, alpha: float):
     if np.any(lam_arr <= 0):
         raise ValueError("lam must be positive")
     r = 1.0 / alpha
-    tab, _ = _poch_tables(r, int(a.max()) if a.size else 0)
+    tab = _poch_tables(np.array([[r]]), int(a.max()) if a.size else 0)[0][0]
     out = (tab[a] + a * np.log(lam_arr)
            - (r + a) * np.log1p(alpha * lam_arr) - gammaln(a + 1.0))
     if np.isscalar(counts) and np.isscalar(lam):
@@ -72,54 +79,72 @@ def nb_logpmf(counts, lam, alpha: float):
 
 def _eta_draws(theta, design: DesignMatrix,
                draws: DrawMatrix | None) -> np.ndarray:
-    """Log-mean per draw, shape (N, R), or (N, 1) without draws; scale
-    slots hold logs."""
-    n_draws = 1 if draws is None else draws.n_draws
-    eta = np.repeat((design.x @ theta[design.loc_pos])[:, None], n_draws, axis=1)
+    """Log-mean per draw, shape (..., N, R) for ``theta`` of shape
+    (..., P); R = 1 without draws.  Scale slots hold logs."""
+    eta = (theta[..., design.loc_pos] @ design.x.T)[..., None]
     for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        eta += design.x[:, j, None] * (scale * draws.std[dim])
+        scale = np.exp(theta[..., design.scale_pos[j], None, None])
+        eta = eta + design.x[:, j, None] * (scale * draws.std[dim])
     return eta
 
 
 def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
-    """Likelihood kernel ``theta -> (ll (N,), scores (N, P))``.
-
-    ``theta`` packs the design's parameters (log mixing scales in the
-    scale slots) followed by log(alpha).  With draws the likelihood is
-    the draw average of NB probabilities, the dispersion common to all
-    draws; without draws it is the plain NB, as if with one draw.
-    ``counts`` overrides the design's counts.  Count-dependent
-    quantities are cached, so repeated evaluations only rebuild the
-    O(max count) dispersion tables.
-    """
-    a = np.asarray(design.counts if counts is None else counts).astype(np.int64)
-    amax = int(a.max()) if a.size else 0
-    af = a.astype(np.float64)[:, None]  # (N, 1)
+    """Stacked likelihood kernel (see :mod:`crashmle.families`): ``theta``
+    rows pack the design's parameters and log(alpha); ``counts`` (B, N),
+    or (N,) for B = 1, overrides the design's counts.  With draws the
+    likelihood is the draw average of NB probabilities, with no Hessian;
+    without draws it is the plain NB, as if with one draw."""
+    a = np.atleast_2d(design.counts if counts is None else counts).astype(np.int64)
+    af = a.astype(np.float64)[..., None]  # (B, N, 1)
     gamln_a1 = gammaln(af + 1.0)
+    amax_row = a.max(axis=1, initial=0)
+    x = design.x
     p = design.n_params + 1
 
-    def kernel(theta):
+    def kernel(theta, rows, hessian=False):
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != p:
-            raise ValueError(f"expected {p} parameters, got {theta.size}")
+        if theta.shape[-1] != p:
+            raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
+        k = theta.shape[0]
+        afk = af[rows]
+        amax = int(amax_row[rows].max(initial=0))
+        # position of count a of row k in the flattened tables
+        at = a[rows] + (amax + 1) * np.arange(k)[:, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            alpha = np.exp(theta[-1])
-            r = np.exp(-theta[-1])
-            tab, dtab = _poch_tables(r, amax)
-            eta = _eta_draws(theta, design, draws)
+            alpha = np.exp(theta[:, -1, None, None])  # (K, 1, 1)
+            r = np.exp(-theta[:, -1, None, None])
+            tab, dtab, *h2tab = [np.take(t, at)
+                                 for t in _poch_tables(r[:, 0], amax, hessian)]
+            eta = _eta_draws(theta, design, draws)  # (K, N, R)
             lam = np.exp(eta)
             l1p = np.log1p(alpha * lam)
-            lpmf = (tab[a][:, None] - gamln_a1) + af * eta - (r + af) * l1p
+            lpmf = (tab[..., None] - gamln_a1[rows]) + afk * eta - (r + afk) * l1p
             ll, w = draw_mean(lpmf)
-            q = lam * (r + af) / (r + lam)
-            wd = w * (af - q)
-            scores = np.empty((p, design.n_obs))
-            scores[design.loc_pos] = design.x.T * wd.sum(axis=1)
-            for j in design.random_terms:
-                scores[design.scale_pos[j]] = scale_score(theta, design, draws, j, wd)
-            scores[-1] = -r * dtab[a] + (w * (r * l1p - q)).sum(axis=1)
-        return ll, scores.T
+            del at, tab, eta  # freed early: a lower peak per call faults fewer pages
+            q = lam * (r + afk) / (r + lam)
+            wd = w * (afk - q)
+            # (P, K, N), so that each parameter's scores stay contiguous
+            scores = np.empty((p, k, design.n_obs))
+            wd_sum = wd.sum(axis=-1)
+            for j in range(x.shape[1]):
+                scores[design.loc_pos[j]] = x[:, j] * wd_sum
+                if j in design.random_terms:
+                    scores[design.scale_pos[j]] = scale_score(theta, design, draws,
+                                                              j, wd)
+            del wd, wd_sum
+            scores[-1] = -r[..., 0] * dtab + (w * (r * l1p - q)).sum(axis=-1)
+            if not hessian:
+                return ll, scores.transpose(1, 2, 0)
+            # one draw, so w = 1; u = -d(a - q)/d eta
+            rs = r / (r + lam)
+            u = q * rs
+            xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+            hess = np.empty((k, p, p))
+            hess[:, :-1, :-1] = -(u[..., 0] @ xx).reshape(k, p - 1, p - 1)
+            cross = x.T @ (rs * (lam - q))  # (K, T, 1)
+            hess[:, :-1, -1:], hess[:, -1:, :-1] = cross, cross.transpose(0, 2, 1)
+            hess[:, -1, -1] = (h2tab[0] + (2.0 * lam * rs - r * l1p - u)[..., 0]).sum(1)
+        return ll, scores.transpose(1, 2, 0), hess
 
     return kernel
 
@@ -130,73 +155,14 @@ def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
     ``theta`` packs the coefficient vector followed by log(alpha);
     ``counts`` overrides the design's counts.
     """
-    return families.summed(_kernel(design, None, counts))
-
-
-def _batch_poch_tables(r: np.ndarray, amax: int):
-    """Row-wise :func:`_poch_tables` for a (K, 1) column of ``r``.
-
-    Returns ``tab`` and ``dtab`` as there, plus ``h2tab[a] = sum_{k<a}
-    k r / (r + k)^2``: the second log-alpha derivative of ``tab``, summed
-    term by term so that it does not cancel when alpha is small.  All
-    three are (K, amax + 1), flattened row after row.
-    """
-    k = np.arange(amax, dtype=np.float64)
-    rk = r + k
-    out = np.zeros((3, r.shape[0], amax + 1))
-    np.cumsum(np.log1p(k / r), axis=1, out=out[0, :, 1:])
-    np.cumsum(-k / (r * rk), axis=1, out=out[1, :, 1:])
-    np.cumsum(k * r / rk ** 2, axis=1, out=out[2, :, 1:])
-    return out.reshape(3, -1)
+    return families.summed(families.first_row(_kernel(design, None, counts)))
 
 
 def make_batch_objective(design: DesignMatrix, counts: np.ndarray):
-    """Batched log-likelihood, gradient and analytic Hessian.
-
-    ``counts`` is a (B, N) matrix of count vectors for the design's
-    covariates.  The closure maps ``(theta, rows)`` - a (K, T+1) stack
-    of parameter vectors and the K count rows they belong to - to (K,)
-    log-likelihoods, (K, T+1) gradients and (K, T+1, T+1) Hessians.
-    Each row agrees with :func:`make_objective` on its counts and uses
-    dispersion tables of its own, as wide as the largest count among
-    the rows evaluated.
-    """
-    x = design.x
-    a_all = np.asarray(counts).astype(np.int64)
-    af_all = a_all.astype(np.float64)
-    gamln_all = gammaln(af_all + 1.0)
-    amax_all = a_all.max(axis=1, initial=0)
-    t = x.shape[1]
-
-    def objective(theta, rows):
-        a, af = a_all[rows], af_all[rows]
-        amax = int(amax_all[rows].max(initial=0))
-        # position of count a of row k in the flattened tables
-        at = a + (amax + 1) * np.arange(len(rows))[:, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            alpha = np.exp(theta[:, -1:])
-            r = np.exp(-theta[:, -1:])
-            tab, dtab, h2tab = _batch_poch_tables(r, amax)[:, at]
-            eta = theta[:, :-1] @ x.T
-            lam = np.exp(eta)
-            l1p = np.log1p(alpha * lam)
-            ll = (tab + af * eta - (r + af) * l1p - gamln_all[rows]).sum(axis=1)
-            q = lam / (r + lam)
-            qq = q * (r / (r + lam))  # q (1 - q)
-            grad = np.empty((len(rows), t + 1))
-            grad[:, :-1] = (af - (r + af) * q) @ x
-            grad[:, -1] = (-r * dtab + r * l1p - (r + af) * q).sum(axis=1)
-            hess = np.empty((len(rows), t + 1, t + 1))
-            hess[:, :-1, :-1] = np.einsum("kn,nt,ns->kts", -(r + af) * qq, x, x)
-            cross = (qq * (lam - af)) @ x
-            hess[:, :-1, -1] = cross
-            hess[:, -1, :-1] = cross
-            hess[:, -1, -1] = (h2tab - r * l1p + 2.0 * r * q
-                               - (r + af) * qq).sum(axis=1)
-        ll[~np.isfinite(ll)] = -np.inf
-        return ll, grad, hess
-
-    return objective
+    """Batched Newton objective (:func:`crashmle.families.batched`) for
+    the (B, N) count vectors ``counts``; each row agrees with
+    :func:`make_objective` on its counts."""
+    return families.batched(_kernel(design, None, counts))
 
 
 def nb_loglik(theta, design: DesignMatrix):
@@ -206,7 +172,7 @@ def nb_loglik(theta, design: DesignMatrix):
 
 def nb_scores(theta, design: DesignMatrix) -> np.ndarray:
     """Per-observation score matrix (N, T+1)."""
-    return _kernel(design, None)(theta)[1]
+    return families.first_row(_kernel(design, None))(theta)[1]
 
 
 def _intercept_only_ll(design: DesignMatrix,
@@ -257,12 +223,12 @@ def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
-    return families.summed(_kernel(design, draws, counts))
+    return families.summed(families.first_row(_kernel(design, draws, counts)))
 
 
 def mixed_nb_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     """Per-observation simulated score matrix (N, P+1)."""
-    return _kernel(design, draws)(theta)[1]
+    return families.first_row(_kernel(design, draws))(theta)[1]
 
 
 def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
@@ -308,10 +274,12 @@ families.REGISTRY["nb"] = families.Family(
     start=_default_theta0,
     restricted_ll=_intercept_only_ll,
     needs_draws=False,
-    effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)})
+    effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)},
+    batch_objective=lambda design, counts: make_batch_objective(design, counts))
 families.REGISTRY["mixed_nb"] = replace(
     families.REGISTRY["nb"],
     objective=lambda design, draws, counts: make_mixed_objective(
         design, draws, counts=counts),
     scores=lambda theta, design, draws: mixed_nb_scores(theta, design, draws),
-    needs_draws=True)
+    needs_draws=True,
+    batch_objective=None)

@@ -257,12 +257,16 @@ class CovarianceResult:
 
 
 def _try_inverse_pd(a: np.ndarray) -> np.ndarray | None:
-    """Inverse of a symmetric matrix if positive definite, else None."""
+    """Inverse of a symmetric matrix if positive definite, else None; a
+    nearly singular matrix can pass Cholesky and still invert, in
+    rounding, to a non-positive variance, which is rejected."""
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.inv(a)
+    inv = np.linalg.inv(a)
+    var = np.diag(inv)
+    return inv if np.all(np.isfinite(var) & (var > 0.0)) else None
 
 
 def covariance(objective, theta_hat: np.ndarray,
@@ -322,6 +326,9 @@ class FitResult:
     message: str = ""
     n_draws: int | None = None
     seed: int | None = None
+    #: Halton burn-in and Cranley-Patterson shift of a simulated fit's draws
+    skip: int | None = None
+    shift: bool | None = None
 
     @property
     def n_params(self) -> int:
@@ -356,6 +363,7 @@ class FitResult:
             "message": self.message,
             "n_draws": self.n_draws,
             "seed": self.seed,
+            **({} if self.skip is None else {"skip": self.skip, "shift": self.shift}),
         }
 
     def to_json(self) -> str:
@@ -365,6 +373,7 @@ class FitResult:
     def from_dict(d: dict) -> "FitResult":
         arr = lambda key: np.array([serialize.none_to_nan(v) for v in d[key]])
         spec = ModelSpec.from_dict(d["spec"]) if d.get("spec") else None
+        simulated = d.get("n_draws") is not None  # older files: default draws
         return FitResult(
             param_names=tuple(d["param_names"]),
             theta_hat=arr("theta_hat"),
@@ -383,6 +392,8 @@ class FitResult:
             message=d.get("message", ""),
             n_draws=d.get("n_draws"),
             seed=d.get("seed"),
+            skip=d.get("skip", 10 if simulated else None),
+            shift=d.get("shift", False if simulated else None),
         )
 
 
@@ -390,7 +401,7 @@ def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,
               param_names, converged: bool, iterations: int, n_obs: int,
               family: str, theta_internal, se=None, spec=None,
               se_method: str = "hessian", message: str = "",
-              n_draws=None, seed=None) -> FitResult:
+              n_draws=None, seed=None, skip=None, shift=None) -> FitResult:
     """Assemble a :class:`FitResult`.
 
     McFadden rho-squared is ``1 - ll / ll_restricted``.  A fit whose
@@ -422,4 +433,4 @@ def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,
         converged=converged, iterations=iterations, n_obs=n_obs,
         family=family, theta_internal=np.asarray(theta_internal, dtype=np.float64),
         spec=spec, se_method=se_method, message=message,
-        n_draws=n_draws, seed=seed)
+        n_draws=n_draws, seed=seed, skip=skip, shift=shift)

@@ -2,9 +2,13 @@
 dispatcher of the pooling test, each checked against its serial oracle."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import nbinom
 
 from crashmle import lrtest, mnl, negbin
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
@@ -85,6 +89,69 @@ def test_batch_rows_equal_the_serial_objective():
         np.testing.assert_allclose(ll_sub, ll[rows], rtol=1e-13)
         np.testing.assert_allclose(grad_sub, grad[rows], rtol=1e-12, atol=1e-9)
         np.testing.assert_allclose(hess_sub, hess[rows], rtol=1e-12, atol=1e-9)
+
+
+def test_batch_rows_match_independent_likelihoods():
+    """Row log-likelihoods against formulas that share no code with the
+    kernels: scipy's NB pmf and a plain softmax."""
+    for alpha in (1e-6, 0.8, 50.0):
+        design, counts, theta = nb_batch_case(alpha)
+        rows = np.array([2, 0, 3])
+        ll, _, _ = negbin.make_batch_objective(design, counts)(theta[rows], rows)
+        for k, row in enumerate(rows):
+            lam = np.exp(design.x @ theta[row, :-1])
+            r = np.exp(-theta[row, -1])
+            want = nbinom.logpmf(counts[row], r, r / (r + lam)).sum()
+            assert ll[k] == pytest.approx(want, rel=1e-8), alpha
+    design, ys, theta = mnl_batch_case()
+    ll, _, _ = mnl.make_batch_objective(design, ys)(theta, np.arange(len(ys)))
+    for k, y in enumerate(ys):
+        v = (design.x * theta[k]) @ design.incidence
+        prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
+        want = np.log(prob[np.arange(len(y)), y]).sum()
+        assert ll[k] == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def nb_problems(draw):
+    """A small NB design, count rows (some all zero), parameter rows and a
+    subset of the count rows in random order."""
+    n = draw(st.integers(1, 25))
+    b = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1.0, 1.0, n)
+    counts = rng.negative_binomial(1.0, 0.2, size=(b, n))
+    counts[draw(st.lists(st.integers(0, b - 1), max_size=b))] = 0
+    rows = np.array(draw(st.permutations(range(b)))[:draw(st.integers(1, b))])
+    alpha = draw(st.floats(1e-6, 1e2))
+    theta = np.column_stack([rng.uniform(-1.0, 1.0, (len(rows), 2)),
+                             np.full(len(rows), np.log(alpha))])
+    table = ObservationTable({"z1": z}, counts[0], "frequency")
+    return build_design(table, NB_SPEC), counts, rows, theta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nb_problems())
+def test_nb_batch_rows_are_consistent_on_random_problems(problem):
+    design, counts, rows, theta = problem
+    batch = negbin.make_batch_objective(design, counts)
+    _, grad, hess = batch(theta, rows)
+    for k, row in enumerate(rows):
+        # one row alone is the serial objective on its counts
+        ll_k, grad_k, _ = batch(theta[k:k + 1], rows[k:k + 1])
+        ll_s, grad_s = negbin.make_objective(design, counts=counts[row])(theta[k])
+        assert ll_k[0] == pytest.approx(ll_s, rel=1e-12, abs=0.0)
+        assert rel_err(grad_k[0], grad_s) <= 1e-12
+        # the Hessian is the derivative of the batched gradient
+        fd = np.empty((3, 3))
+        for j in range(3):
+            h = 1e-5 * max(1.0, abs(theta[k, j]))
+            pair = np.stack([theta[k], theta[k]])
+            pair[0, j] += h
+            pair[1, j] -= h
+            _, grad_pm, _ = batch(pair, np.array([row, row]))
+            fd[:, j] = (grad_pm[0] - grad_pm[1]) / (2.0 * h)
+        assert rel_err(hess[k], fd) <= 1e-6
 
 
 def test_batch_derivatives_match_finite_differences():
@@ -278,7 +345,8 @@ def test_an_outlier_count_sends_its_block_to_the_serial_fit(monkeypatch):
         batched_max.append(int(counts.max()))
         return negbin.make_batch_objective(design, counts)
 
-    monkeypatch.setitem(lrtest._BATCH_KERNELS, "nb", recording_kernel)
+    monkeypatch.setattr(pieces, "family",
+                        replace(pieces.family, batch_objective=recording_kernel))
     tracemalloc.start()
     try:
         lrtest._replicate_block(pieces, theta, outcomes)

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from crashmle.cli import main
-from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term
+from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
+                              build_design, load_csv)
+from crashmle.draws import DrawMatrix
+from crashmle.mixed import mixed_effects
+from crashmle.optimize import FitResult
 from crashmle.serialize import dumps
 from crashmle.simulate import CovariateRecipe, DgpConfig
 
@@ -163,6 +167,29 @@ def test_mixed_fit_requires_draws(workdir):
     assert fit["n_draws"] == 25
     manifest = json.loads((workdir / "mixedfit.manifest.json").read_text())
     assert manifest["n_draws"] == 25
+
+
+def test_effects_use_the_draws_the_fit_used(workdir):
+    """Effects of a fit with non-default Halton draws are simulated with
+    the same draws, as recorded in the fit file."""
+    assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
+                 "--spec", str(workdir / "mixed.ini"), "--draws", "25",
+                 "--skip", "500", "--out", str(workdir / "mixedfit")]) == 0
+    fit_dict = json.loads((workdir / "mixedfit.json").read_text())
+    assert fit_dict["skip"] == 500 and fit_dict["shift"] is False
+    assert main(["effects", "--fit", str(workdir / "mixedfit.json"),
+                 "--data", str(workdir / "mnl_data.csv"), "--type", "elasticity",
+                 "--vars", "x1", "--out", str(workdir / "elas")]) == 0
+    rows = json.loads((workdir / "elas.json").read_text())["rows"]
+
+    fit = FitResult.from_dict(fit_dict)
+    table = load_csv(workdir / "mnl_data.csv", "severity", "outcome",
+                     fit.spec.outcomes)
+    draws = DrawMatrix.for_design(build_design(table, fit.spec), 25, skip=500)
+    want = mixed_effects(fit, table, ["x1"], draws=draws).rows
+    assert [r["outcome"] for r in rows] == [r.outcome for r in want]
+    np.testing.assert_allclose([r["value"] for r in rows],
+                               [r.value for r in want], rtol=1e-12)
 
 
 def test_marginal_effects_for_count_fit(workdir):

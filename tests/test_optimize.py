@@ -1,5 +1,7 @@
 """Maximizer, covariance machinery, and fit-summary assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,38 @@ def test_covariance_undefined_when_all_routes_fail():
     assert np.all(np.isnan(res.se))
 
 
+def near_collinear_scores():
+    """Scores whose outer product passes Cholesky yet inverts, in rounding,
+    to a non-positive variance: two columns equal to within 1e-9."""
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(20, 1))
+        scores = np.hstack([v, v * (1.0 + 1e-9 * rng.normal(size=(20, 1))),
+                            rng.normal(size=(20, 1))])
+        opg = scores.T @ scores
+        try:
+            np.linalg.cholesky(opg)
+        except np.linalg.LinAlgError:
+            continue
+        if np.diag(np.linalg.inv(opg)).min() <= 0.0:
+            return scores
+    raise AssertionError("no such score matrix among the seeds tried")
+
+
+def test_covariance_rejects_an_inverse_with_a_non_positive_variance():
+    def objective(theta):  # flat: the Hessian route fails
+        return 0.0, np.zeros(3)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = covariance(objective, np.zeros(3), scores=near_collinear_scores())
+    assert res.method == "undefined"
+    assert np.all(np.isnan(res.se))
+    messages = [str(w.message) for w in caught]
+    assert any("undefined" in m for m in messages)
+    assert not any("sqrt" in m for m in messages), messages
+
+
 def test_summarize_computes_t_and_rho2():
     fit = summarize(np.array([2.0, -1.0]), np.diag([0.25, 4.0]),
                     ll=-100.0, ll_restricted=-200.0,
@@ -193,7 +227,7 @@ def test_fit_result_round_trip():
                     family="mixed_nb",
                     theta_internal=np.array([1.0, 0.5, np.log(2.0), np.log(0.8)]),
                     se=np.array([0.1, 0.2, np.nan, 0.3]), spec=spec,
-                    se_method="bhhh", n_draws=100, seed=4)
+                    se_method="bhhh", n_draws=100, seed=4, skip=500, shift=True)
     back = FitResult.from_dict(fit.to_dict())
     assert back.param_names == fit.param_names
     np.testing.assert_array_equal(back.theta_hat, fit.theta_hat)
@@ -201,6 +235,12 @@ def test_fit_result_round_trip():
     assert np.isnan(back.se("z:sd")) and back.se("constant") == 0.1
     assert back.spec == spec
     assert back.n_draws == 100 and back.seed == 4
+    assert back.skip == 500 and back.shift is True
+    # files written without draw settings used the default draws
+    old = fit.to_dict()
+    del old["skip"], old["shift"]
+    legacy = FitResult.from_dict(old)
+    assert (legacy.skip, legacy.shift) == (10, False)
     assert back.ll_converged == fit.ll_converged
     assert "-50.0" in fit.to_json() or "-50" in fit.to_json()
 

@@ -12,7 +12,7 @@ import pytest
 from crashmle import mixed, mnl, negbin
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.draws import DrawMatrix
-from crashmle.families import REGISTRY
+from crashmle.families import REGISTRY, first_row
 
 N = 40
 SEVERITY = ("a", "b", "base")
@@ -31,12 +31,15 @@ SPECS = {
         Term("x2", (), "random_uniform"))),
 }
 
-# kernel(design, draws) -> theta -> (per-observation ll, scores)
+# kernel(design, draws) -> theta -> (per-observation ll, scores); the mnl
+# and nb kernels take a stack of parameter rows, evaluated here at one
 KERNELS = {
-    "mnl": lambda design, draws: mnl._kernel(design, design.y_index),
+    "mnl": lambda design, draws: first_row(mnl._kernel(design, design.y_index)),
     "mixed_mnl": lambda design, draws: mixed._kernel(design, draws, design.y_index),
-    "nb": lambda design, draws: negbin._kernel(design, None, design.counts),
-    "mixed_nb": lambda design, draws: negbin._kernel(design, draws, design.counts),
+    "nb": lambda design, draws: first_row(
+        negbin._kernel(design, None, design.counts)),
+    "mixed_nb": lambda design, draws: first_row(
+        negbin._kernel(design, draws, design.counts)),
 }
 
 
