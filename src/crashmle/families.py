@@ -6,10 +6,13 @@ them, so the table is complete once ``crashmle`` is imported.  The fit
 pipeline, the CLI and the pooling test look a family up here instead of
 branching on its name.
 
-The MNL and NB likelihoods are stacked kernels: ``kernel(theta, rows,
-hessian=False)`` maps (K, P) parameter rows and the indices of the K
-outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
-scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
+Every likelihood is a stacked kernel, ``mnl._kernel`` or
+``negbin._kernel``: ``kernel(theta, rows, hessian=False)`` maps (K, P)
+parameter rows and the indices of the K outcome rows they belong to onto
+(K, N) log-likelihoods, (K, N, P) scores and, with ``hessian``, (K, P, P)
+Hessians of the summed rows.  Given a draw matrix a kernel is the mixed
+family's simulated likelihood; without one it is the plain family, as if
+with one draw, and only then returns Hessians.
 """
 
 from __future__ import annotations
@@ -80,14 +83,14 @@ def batched(kernel):
 
 
 def summed(kernel):
-    """Objective ``theta -> (ll, grad)`` from a likelihood kernel.
-
-    ``kernel(theta)`` returns the per-observation log-likelihoods (N,)
-    and scores (N, P); the objective sums both over observations.  A
-    non-finite log-likelihood comes back as -inf with a zero gradient.
+    """Objective ``theta -> (ll, grad)`` from a stacked kernel at one
+    ``theta``, summing its log-likelihoods and scores over observations.
+    A non-finite log-likelihood comes back as -inf with a zero gradient.
     """
+    single = first_row(kernel)
+
     def objective(theta):
-        ll_obs, scores = kernel(theta)
+        ll_obs, scores = single(theta)
         with np.errstate(over="ignore", invalid="ignore"):
             ll = float(ll_obs.sum())
             if not np.isfinite(ll):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mnl
 from .dataset import ModelSpec, ObservationTable, build_design
+from .families import REGISTRY
 from .optimize import OptimizationError, OptimSettings, maximize
 
 
@@ -84,7 +84,8 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
 
     Fits are warm-started along the grid, so once the cap exceeds the
     largest observed distance the capped variable, the fit, and the
-    log-likelihood stop changing exactly.
+    log-likelihood stop changing exactly.  A separated fit is reported not
+    converged, as by :func:`crashmle.families.fit`, and warm-starts nothing.
     """
     if spec.family != "mnl":
         raise ValueError("influence search expects a plain mnl spec")
@@ -101,6 +102,7 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
     if np.any(raw < 0):
         raise ValueError("distances must be non-negative")
 
+    family = REGISTRY["mnl"]
     lls = np.full(n_points, np.nan)
     converged = np.zeros(n_points, dtype=bool)
     theta_prev = None
@@ -111,12 +113,12 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
         design = build_design(capped, spec)
         start = np.zeros(design.n_params) if theta_prev is None else theta_prev
         try:
-            res = maximize(mnl.make_objective(design), start, settings)
+            res = maximize(family.objective(design, None, None), start, settings)
         except OptimizationError:
             continue
         lls[k] = res.ll
-        converged[k] = res.converged
-        if res.converged:
+        converged[k] = res.converged and family.boundary(design, res.theta) is None
+        if converged[k]:
             theta_prev = res.theta
 
     if not converged.any():

@@ -5,7 +5,8 @@ choice probability is the mixing-distribution average of the logit
 probability, approximated by the mean over R quasi-random draws per
 observation.  The draws come from the Halton draw matrix of
 :mod:`crashmle.draws`, fixed across evaluations, so the simulated
-likelihood is a deterministic function of the parameters.
+likelihood is a deterministic function of the parameters.  Likelihood,
+probabilities and effects are those of :mod:`crashmle.mnl` over the draws.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import families
+from . import families, mnl
 from .dataset import DesignMatrix, ModelSpec, ObservationTable
 # first_primes, halton, is_prime and natural_from_internal are re-exported
-from .draws import (DrawMatrix, draw_mean, first_primes, halton, is_prime,
-                    scale_score)
+from .draws import DrawMatrix, first_primes, halton, is_prime
 from .families import natural_from_internal
-from .mnl import (_log_softmax, _logit_effects, _predictor_draws,
-                  restricted_loglik)
+from .mnl import _logit_effects, restricted_loglik
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectsReport
 
@@ -66,8 +65,7 @@ def sign_share(mixing: Mixing) -> float:
 def simulated_probs(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     """Simulated outcome probabilities (N, I): mean over draws of the
     conditional logit probabilities."""
-    logp = _log_softmax(_predictor_draws(theta, design, draws))
-    return np.exp(logp).mean(axis=1)
+    return mnl._mean_probs(theta, design, draws)
 
 
 def simulated_prob(theta, design: DesignMatrix, row: int,
@@ -76,40 +74,7 @@ def simulated_prob(theta, design: DesignMatrix, row: int,
 
     Works row by row so very large draw counts stay affordable.
     """
-    if not 0 <= row < design.n_obs:
-        raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    v = _predictor_draws(theta, design, draws, rows=[row])[0]  # (R, I)
-    return np.exp(_log_softmax(v)).mean(axis=0)
-
-
-def _kernel(design: DesignMatrix, draws: DrawMatrix,
-            y_index: np.ndarray | None = None):
-    """Simulated likelihood kernel ``theta -> (ll (N,), scores (N, P))``.
-
-    ``y_index`` overrides the design's encoded outcomes.  Scores are
-    reduced over draws term by term, so no (N, R, P) array is built;
-    they fill a (P, N) matrix, returned transposed, so that each
-    parameter's scores stay contiguous for the objective's sum.
-    """
-    y = design.y_index if y_index is None else np.asarray(y_index, dtype=np.int64)
-    rows = np.arange(design.n_obs)
-    inc_y = design.incidence.T[y]  # (N, T)
-
-    def kernel(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        logp = _log_softmax(_predictor_draws(theta, design, draws))
-        ll, w = draw_mean(logp[rows, :, y])
-        p = np.exp(logp)
-        scores = np.empty((design.n_params, design.n_obs))
-        for j in range(len(design.spec.terms)):
-            cols = np.flatnonzero(design.incidence[j])
-            we = w * (inc_y[:, j, None] - p[:, :, cols].sum(axis=2))  # (N, R)
-            scores[design.loc_pos[j]] = design.x[:, j] * we.sum(axis=1)
-            if j in design.random_terms:
-                scores[design.scale_pos[j]] = scale_score(theta, design, draws, j, we)
-        return ll, scores.T
-
-    return kernel
+    return mnl._mean_probs(theta, design, draws, row)
 
 
 def make_objective(design: DesignMatrix, draws: DrawMatrix,
@@ -122,7 +87,7 @@ def make_objective(design: DesignMatrix, draws: DrawMatrix,
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
-    return families.summed(_kernel(design, draws, y_index))
+    return families.summed(mnl._kernel(design, draws, y_index))
 
 
 def mixed_loglik(theta, design: DesignMatrix, draws: DrawMatrix):
@@ -132,7 +97,7 @@ def mixed_loglik(theta, design: DesignMatrix, draws: DrawMatrix):
 
 def mixed_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     """Per-observation simulated score matrix (N, P)."""
-    return _kernel(design, draws)(theta)[1]
+    return families.first_row(mnl._kernel(design, draws))(theta)[1]
 
 
 def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,

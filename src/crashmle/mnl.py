@@ -5,8 +5,9 @@ from the design matrix; the base outcome's predictor is identically
 zero.  The log-likelihood is globally concave in the coefficients, so
 the quasi-Newton maximizer converges from a zero start unless the data
 are degenerate (perfect separation is flagged after the fit).  The
-predictor and effects helpers also take a draw matrix, so the mixed
-logit (:mod:`crashmle.mixed`) reports its effects through them.
+likelihood kernel, the predictor, probability and effects helpers all
+take an optional draw matrix: the mixed logit (:mod:`crashmle.mixed`)
+is this logit averaged over draws, and a plain logit is one draw.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .draws import coefficient_draws
+from .draws import DrawMatrix, coefficient_draws, draw_mean, scale_score
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
@@ -38,20 +39,25 @@ def mnl_probs(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     Only location parameters enter; on a mixed design this evaluates
     the logit at the mixing locations.
     """
-    return np.exp(_log_softmax(design.linear_predictors(theta)))
+    return _mean_probs(theta, design)
 
 
 def mnl_prob(theta: np.ndarray, design: DesignMatrix, row: int) -> np.ndarray:
     """Probability vector for one observation, ordered like spec outcomes."""
-    if not 0 <= row < design.n_obs:
-        raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    return mnl_probs(theta, design)[row]
+    return _mean_probs(theta, design, row=row)
 
 
-def _kernel(design: DesignMatrix, y_index: np.ndarray | None = None):
-    """Stacked likelihood kernel (see :mod:`crashmle.families`);
-    ``y_index`` (B, N), or (N,) for B = 1, overrides the design's encoded
-    outcomes."""
+def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
+            y_index: np.ndarray | None = None):
+    """Stacked logit likelihood kernel (see :mod:`crashmle.families`).
+
+    With ``draws`` it is the simulated likelihood of the mixed logit, the
+    draw average of logit probabilities, with no Hessian; without draws
+    it is the plain MNL, as if with one draw.  ``y_index`` (B, N), or
+    (N,) for B = 1, overrides the design's encoded outcomes.
+    """
+    if draws is None and design.random_terms:
+        raise ValueError("objective requires a design with fixed terms only")
     x = design.x
     inc = design.incidence
     y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
@@ -59,15 +65,28 @@ def _kernel(design: DesignMatrix, y_index: np.ndarray | None = None):
 
     def kernel(theta, rows, hessian=False):
         theta = np.asarray(theta, dtype=np.float64)
-        logp = _log_softmax((x * theta[:, None, :]) @ inc)  # (K, N, I)
-        ll = np.take_along_axis(logp, y[rows][..., None], axis=-1)[..., 0]
+        logp = _log_softmax(_predictor_draws(theta, design, draws))
+        k, n, r = logp.shape[:3]  # (K, N, R, I)
+        ll, w = draw_mean(np.take_along_axis(
+            logp, y[rows][..., None, None], axis=-1)[..., 0])
         p = np.exp(logp, out=logp)  # reuses the log-probabilities' memory
-        m = x * (p @ inc.T)
-        scores = xi[rows] - m
+        # probability mass of each term's outcome set, per draw
+        s = p.reshape(k, n * r, -1) @ inc.T  # (K, N*R, T)
+        if draws is None:
+            m = np.multiply(x, s.reshape(k, n, -1), out=s.reshape(k, n, -1))
+            scores = xi[rows] - m
+        else:
+            s = s.reshape(k, n, r, -1)
+            scores = np.empty((k, n, design.n_params))
+            scores[..., design.loc_pos] = xi[rows] - x * (w[..., None, :] @ s)[..., 0, :]
+            for j in design.random_terms:
+                we = w * (inc[j][y[rows]][..., None] - s[..., j])  # (K, N, R)
+                scores[..., design.scale_pos[j]] = scale_score(theta, design, draws, j, we)
         if not hessian:
             return ll, scores
         # d v_ni / d theta_t = x_nt inc_ti, paired per observation and outcome
-        k, t = theta.shape
+        t = theta.shape[1]
+        p = p.reshape(k, n, -1)
         xx = (x[:, :, None] * x[:, None, :]).reshape(-1, t * t)
         ii = (inc.T[:, :, None] * inc.T[:, None, :]).reshape(-1, t * t)
         pdd = (p.transpose(0, 2, 1) @ xx * ii).sum(axis=1).reshape(k, t, t)
@@ -82,18 +101,14 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
     ``y_index`` overrides the design's encoded outcomes; used when
     refitting the same covariates against simulated outcomes.
     """
-    if design.n_params != len(design.spec.terms):
-        raise ValueError("objective requires a design with fixed terms only")
-    return families.summed(families.first_row(_kernel(design, y_index)))
+    return families.summed(_kernel(design, None, y_index))
 
 
 def make_batch_objective(design: DesignMatrix, y_index: np.ndarray):
     """Batched Newton objective (:func:`crashmle.families.batched`) for
     the (B, N) outcome vectors ``y_index``; each row agrees with
     :func:`make_objective` on its outcomes."""
-    if design.n_params != len(design.spec.terms):
-        raise ValueError("objective requires a design with fixed terms only")
-    return families.batched(_kernel(design, y_index))
+    return families.batched(_kernel(design, None, y_index))
 
 
 def mnl_loglik(theta: np.ndarray, design: DesignMatrix):
@@ -179,18 +194,33 @@ def _require_continuous(values: np.ndarray, var: str):
 def _predictor_draws(theta, design: DesignMatrix, draws=None,
                      rows=slice(None)) -> np.ndarray:
     """Linear predictors per draw of the observations ``rows`` selects,
-    shape (N, R, I); R = 1 without draws."""
+    shape (..., N, R, I) for ``theta`` of shape (..., P); R = 1 without
+    draws."""
     theta = np.asarray(theta, dtype=np.float64)
-    n_draws = 1 if draws is None else draws.n_draws
     x = design.x[rows]
-    v = np.repeat(((x * theta[design.loc_pos]) @ design.incidence)[:, None, :],
-                  n_draws, axis=1)
+    v = ((x * theta[..., None, design.loc_pos]) @ design.incidence)[..., None, :]
+    if draws is None:
+        return v
+    v = np.repeat(v, draws.n_draws, axis=-2)
     for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[design.scale_pos[j]])
-        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (N, R)
+        scale = np.exp(theta[..., design.scale_pos[j], None, None])
+        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (..., N, R)
         for col in np.flatnonzero(design.incidence[j]):
-            v[:, :, col] += contrib
+            v[..., col] += contrib
     return v
+
+
+def _mean_probs(theta, design: DesignMatrix, draws=None,
+                row: int | None = None) -> np.ndarray:
+    """Outcome probabilities averaged over draws: (N, I), or (I,) for
+    observation ``row`` alone."""
+    if row is None:
+        v = _predictor_draws(theta, design, draws)
+    elif 0 <= row < design.n_obs:
+        v = _predictor_draws(theta, design, draws, rows=[row])[0]
+    else:
+        raise IndexError(f"row {row} out of range for {design.n_obs} observations")
+    return np.exp(_log_softmax(v)).mean(axis=-2)
 
 
 def _logit_effects(fit: FitResult, table: ObservationTable, variables,

@@ -155,7 +155,7 @@ def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
     ``theta`` packs the coefficient vector followed by log(alpha);
     ``counts`` overrides the design's counts.
     """
-    return families.summed(families.first_row(_kernel(design, None, counts)))
+    return families.summed(_kernel(design, None, counts))
 
 
 def make_batch_objective(design: DesignMatrix, counts: np.ndarray):
@@ -223,7 +223,7 @@ def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
-    return families.summed(families.first_row(_kernel(design, draws, counts)))
+    return families.summed(_kernel(design, draws, counts))
 
 
 def mixed_nb_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:

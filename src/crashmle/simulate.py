@@ -18,6 +18,7 @@ from scipy.special import ndtri
 
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       build_design, scale_param_name, term_param_name)
+from .mnl import _log_softmax
 
 RECIPE_KINDS = ("normal", "uniform", "bernoulli", "constant")
 
@@ -211,10 +212,7 @@ def draw_severity_outcomes(design: DesignMatrix, coef: np.ndarray,
                            x: np.ndarray | None = None) -> np.ndarray:
     """Outcome indices from per-row coefficients (one uniform per row)."""
     xm = design.x if x is None else x
-    v = (xm * coef) @ design.incidence
-    m = v.max(axis=1, keepdims=True)
-    e = np.exp(v - m)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = np.exp(_log_softmax((xm * coef) @ design.incidence))
     cum = np.cumsum(probs, axis=1)
     u = out_rng.random(design.n_obs)
     idx = (cum < u[:, None]).sum(axis=1)

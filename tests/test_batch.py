@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from crashmle import lrtest, mnl, negbin
+from crashmle import lrtest, mixed, mnl, negbin
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
                               build_design, split_by_flag)
+from crashmle.draws import DrawMatrix
 from crashmle.optimize import (OptimSettings, OptimizationError, hessian_fd,
                                maximize, maximize_batch)
 from crashmle.simulate import (CovariateRecipe, DgpConfig, gen_mnl, gen_nb,
@@ -23,6 +24,10 @@ MNL_SPEC = ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
                              Term("x1", ("a",)), Term("x1", ("b",)),
                              Term("x2", ("a", "b"))),
                      ("a", "b", "base"), "base")
+MIXED_SPEC = ModelSpec("mixed_mnl", (
+    Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
+    Term("x1", ("a",), "random_normal"), Term("x2", ("b",), "random_uniform")),
+    ("a", "b", "base"), "base")
 FLAG = {"flag": CovariateRecipe("bernoulli", p=0.4)}
 
 
@@ -110,6 +115,34 @@ def test_batch_rows_match_independent_likelihoods():
         prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
         want = np.log(prob[np.arange(len(y)), y]).sum()
         assert ll[k] == pytest.approx(want, rel=1e-12)
+
+
+def test_mixed_logit_rows_equal_the_serial_objective():
+    design = build_design(mnl_table(), MIXED_SPEC)
+    ys = np.stack([build_design(mnl_table(seed=s), MNL_SPEC).y_index
+                   for s in range(3)])
+    draws = DrawMatrix.for_design(design, 30)
+    theta = 0.3 * np.random.default_rng(3).normal(size=(3, design.n_params))
+    theta[:, design.scale_pos[list(design.random_terms)]] = np.log([0.6, 1.5])
+    rows = np.array([2, 0, 1])
+    ll, scores = mnl._kernel(design, draws, ys)(theta, rows)
+    assert scores.shape == (3, design.n_obs, design.n_params)
+    for k, row in enumerate(rows):
+        ll_k, grad_k = mixed.make_objective(design, draws, y_index=ys[row])(theta[k])
+        assert ll[k].sum() == pytest.approx(ll_k, rel=1e-12, abs=0.0)
+        assert rel_err(scores[k].sum(axis=0), grad_k) <= 1e-12
+
+
+def test_logit_kernel_without_draws_is_the_mnl_closed_form():
+    design, ys, theta = mnl_batch_case()
+    y = ys[1]
+    ll, scores = mnl._kernel(design, None, y)(theta[:1], slice(0, 1))
+    v = (design.x * theta[0]) @ design.incidence
+    prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(ll[0], np.log(prob[np.arange(len(y)), y]), rtol=1e-12)
+    inc = design.incidence
+    want = design.x * (inc[:, y].T - prob @ inc.T)
+    np.testing.assert_allclose(scores[0], want, rtol=1e-12, atol=1e-12)
 
 
 @st.composite

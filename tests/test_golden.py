@@ -11,7 +11,11 @@ A change that alters results on purpose regenerates the goldens with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  Regeneration keeps every stored number that
+still agrees with the fresh run within the tolerance, so rounding-level
+drift does not re-anchor the fixture; it writes only the values that
+moved beyond it and the keys or files added or removed, and prints each
+file and path it changed.
 """
 
 import json
@@ -160,6 +164,43 @@ def mismatches(got, want, path="$"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
+def merge(stored, fresh, path="$"):
+    """``fresh`` with every value that agrees with ``stored`` (numbers to
+    RTOL) kept as stored, and the paths that moved, were added or were
+    removed; the result has no :func:`mismatches` against ``fresh``."""
+    if isinstance(stored, float) and type(fresh) in (int, float):
+        if math.isclose(fresh, stored, rel_tol=RTOL, abs_tol=0.0):
+            return stored, []
+        return fresh, [path]
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        out, changed = {}, [f"{path}.{k}" for k in stored if k not in fresh]
+        for k, v in fresh.items():
+            if k in stored:
+                out[k], sub = merge(stored[k], v, f"{path}.{k}")
+                changed += sub
+            else:
+                out[k] = v
+                changed.append(f"{path}.{k}")
+        return out, changed
+    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+        pairs = [merge(s, f, f"{path}[{i}]") for i, (s, f) in enumerate(zip(stored, fresh))]
+        return [v for v, _ in pairs], [p for _, sub in pairs for p in sub]
+    if type(stored) is type(fresh) and stored == fresh:
+        return stored, []
+    return fresh, [path]
+
+
+def test_regeneration_keeps_the_stored_numbers_within_tolerance():
+    stored = {"ll": -100.0, "se": [0.5, 0.25], "name": "mnl", "gone": 1}
+    fresh = {"ll": -100.0 * (1.0 + 1e-12), "se": [0.5, 0.3], "name": "mnl",
+             "new": 2.0}
+    value, changed = merge(stored, fresh)
+    assert value == {"ll": -100.0, "se": [0.5, 0.3], "name": "mnl", "new": 2.0}
+    assert sorted(changed) == ["$.gone", "$.new", "$.se[1]"]
+    assert mismatches(value, fresh) == []
+    assert merge(fresh, fresh) == (fresh, [])
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden_run")
@@ -179,14 +220,21 @@ def test_result_matches_golden(outputs, name):
 
 
 if __name__ == "__main__":
-    import shutil
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         run_pipeline(Path(tmp))
         GOLDEN.mkdir(exist_ok=True)
-        for old in result_files(GOLDEN):
-            (GOLDEN / old).unlink()
-        for name in result_files(Path(tmp)):
-            shutil.copy(Path(tmp) / name, GOLDEN / name)
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        names = result_files(Path(tmp))
+        for name in sorted(set(result_files(GOLDEN)) - set(names)):
+            (GOLDEN / name).unlink()
+            print(f"removed {GOLDEN / name}", file=sys.stderr)
+        for name in names:
+            target = GOLDEN / name
+            fresh = json.loads((Path(tmp) / name).read_text())
+            value, changed = (merge(json.loads(target.read_text()), fresh)
+                              if target.exists() else (fresh, ["$"]))
+            if changed:
+                target.write_text(dumps(value))
+                for path in changed:
+                    print(f"wrote {target}: {path}", file=sys.stderr)

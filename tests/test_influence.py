@@ -103,3 +103,18 @@ def test_profile_to_csv_and_dict(tmp_path):
     assert d["distance_column"] == "d"
     assert d["d_star"] == profile.d_star
     assert len(d["grid"]) == len(d["ll"]) == len(d["converged"]) == 3
+
+
+def test_separated_caps_are_not_converged_and_never_chosen():
+    # outcome a exactly when d < 0.3: every cap >= 0.3 separates the
+    # outcomes perfectly and its log-likelihood runs to zero, above the
+    # interior caps 0.1 and 0.2, where no distance lies below the cap
+    spec = ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term("d", ("a",))),
+                     ("a", "b"), "b")
+    d = np.random.default_rng(0).uniform(0.2, 1.0, size=300)
+    table = ObservationTable({"d": d}, np.where(d < 0.3, "a", "b"), "severity")
+    with pytest.warns(RuntimeWarning, match="flat"):
+        profile = search_influence(table, spec, "d", 0.1, 0.5, 0.1)
+    np.testing.assert_array_equal(profile.converged, [True, True, False, False, False])
+    assert profile.ll[2:].min() > profile.ll[:2].max()
+    assert profile.d_star == pytest.approx(0.1)
