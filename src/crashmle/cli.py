@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,19 +25,15 @@ from .reporting import VERSION, RunManifest, fit_table_text
 from .simulate import DgpConfig, generate
 
 
-def _load_settings(path) -> OptimSettings:
-    with open(path, "r", encoding="utf-8") as fh:
+def _settings(args) -> OptimSettings | None:
+    if not args.settings:
+        return None
+    with open(args.settings, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    allowed = {"max_iterations", "gradient_tolerance", "step_tolerance",
-               "hessian_fd_step"}
-    unknown = set(d) - allowed
+    unknown = set(d) - {f.name for f in fields(OptimSettings)}
     if unknown:
         raise ValueError(f"unknown optimizer settings {sorted(unknown)}")
     return OptimSettings(**d)
-
-
-def _settings(args) -> OptimSettings | None:
-    return _load_settings(args.settings) if args.settings else None
 
 
 def _manifest(args, input_paths, seed=None, n_draws=None) -> RunManifest:

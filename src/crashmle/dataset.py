@@ -423,15 +423,6 @@ def load_spec(path) -> ModelSpec:
         return parse_spec(fh.read())
 
 
-@dataclass(frozen=True)
-class ParamInfo:
-    """Position of one estimated parameter in the packed vector."""
-
-    name: str
-    term_index: int  # -1 for the dispersion parameter
-    role: str        # "location", "scale", or "dispersion"
-
-
 def term_param_name(term: Term, severity: bool) -> str:
     if severity:
         return f"{term.variable}[{'+'.join(term.outcomes)}]"
@@ -458,8 +449,8 @@ class DesignMatrix:
     incidence : (T, I) ndarray or None
         Term-to-outcome indicator for severity models; the base column
         is identically zero.
-    params : tuple[ParamInfo, ...]
-        Location/scale entries in packed order (dispersion excluded).
+    param_names : tuple[str, ...]
+        Location/scale names in packed order (dispersion excluded).
     """
 
     def __init__(self, table: ObservationTable, spec: ModelSpec):
@@ -483,18 +474,17 @@ class DesignMatrix:
                 raise ValueError(f"variable {t.variable!r} not in table")
         self.x = _readonly(x)
 
-        params: list[ParamInfo] = []
+        names: list[str] = []
         loc_pos = np.empty(n_terms, dtype=np.int64)
         scale_pos = np.full(n_terms, -1, dtype=np.int64)
         for j, t in enumerate(spec.terms):
-            loc_pos[j] = len(params)
-            params.append(ParamInfo(term_param_name(t, spec.is_severity), j, "location"))
+            loc_pos[j] = len(names)
+            names.append(term_param_name(t, spec.is_severity))
             if t.is_random:
-                scale_pos[j] = len(params)
-                params.append(ParamInfo(scale_param_name(t, spec.is_severity), j, "scale"))
-        self.params = tuple(params)
-        self.param_names = tuple(p.name for p in params)
-        self.n_params = len(params)
+                scale_pos[j] = len(names)
+                names.append(scale_param_name(t, spec.is_severity))
+        self.param_names = tuple(names)
+        self.n_params = len(names)
         self.loc_pos = _readonly(loc_pos)
         self.scale_pos = _readonly(scale_pos)
         self.random_terms = tuple(j for j, t in enumerate(spec.terms) if t.is_random)
@@ -550,7 +540,7 @@ class DesignMatrix:
         return self.x @ locs
 
     def index_map(self) -> dict[str, int]:
-        return {p.name: i for i, p in enumerate(self.params)}
+        return {name: i for i, name in enumerate(self.param_names)}
 
 
 def build_design(table: ObservationTable, spec: ModelSpec) -> DesignMatrix:

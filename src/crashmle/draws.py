@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .dataset import DesignMatrix
+from .dataset import _KIND_TO_DIST, DesignMatrix
 
 MIN_DRAWS = 25
 
@@ -63,9 +63,6 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
         out += f * (idx % base)
         idx //= base
     return out
-
-
-_KIND_TO_DIST = {"random_normal": "normal", "random_uniform": "uniform"}
 
 
 class DrawMatrix:

@@ -13,19 +13,29 @@ parameter rows and the indices of the K outcome rows they belong to onto
 Hessians of the summed rows.  Given a draw matrix a kernel is the mixed
 family's simulated likelihood; without one it is the plain family, as if
 with one draw, and only then returns Hessians.
+
+Every fit, refit and grid point is maximized by :func:`maximize_rows`:
+batched Newton on the analytic Hessians first for the families with a
+``batch_objective`` (plain MNL and NB, concave in the coefficients),
+serial BFGS from the same start for every other row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix
-from .optimize import (FitResult, OptimSettings, covariance, maximize,
-                       summarize)
+from .optimize import (FitResult, OptimizationError, OptimSettings, covariance,
+                       maximize, maximize_batch, summarize)
+
+#: largest count maximized by batched Newton: rows of a count family with
+#: a larger count go to the serial maximizer, so the per-row dispersion
+#: tables of the Hessian stay small
+BATCH_COUNT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,85 @@ class Family:
 
 
 REGISTRY: dict[str, Family] = {}
+
+
+class RowFit(NamedTuple):
+    """One row of a :class:`RowFits`."""
+
+    theta: np.ndarray
+    ll: float
+    converged: bool
+    iterations: int
+    message: str
+
+
+@dataclass
+class RowFits:
+    """Per-row outcome of :func:`maximize_rows`: a (B, P) ``theta`` and
+    (B,) arrays.  A row is ``converged`` when it passed the gradient test
+    at a point ``Family.boundary`` accepts; an ``error`` row met an
+    OptimizationError, whose text is its ``message``, and has a NaN
+    ``ll``.  ``handed`` counts the rows that batched Newton left to BFGS.
+    """
+
+    theta: np.ndarray
+    ll: np.ndarray
+    converged: np.ndarray
+    error: np.ndarray
+    iterations: np.ndarray
+    message: list
+    handed: int
+
+    def row(self, i: int = 0) -> RowFit:
+        """Row ``i``; raises the OptimizationError it met."""
+        if self.error[i]:
+            raise OptimizationError(self.message[i])
+        return RowFit(self.theta[i], float(self.ll[i]), bool(self.converged[i]),
+                      int(self.iterations[i]), self.message[i])
+
+
+def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None,
+                  starts: np.ndarray, outcomes: np.ndarray | None = None,
+                  settings: OptimSettings | None = None) -> RowFits:
+    """Maximize ``family``'s likelihood on ``design`` once per row of ``starts``.
+
+    Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
+    counts, (B, N)); without ``outcomes`` the one start row fits the
+    design's own outcomes.  A family with a ``batch_objective`` goes
+    through batched Newton unless a count exceeds ``BATCH_COUNT_CAP``;
+    every row Newton does not converge, and every row of the other
+    families, goes to BFGS :func:`~crashmle.optimize.maximize` from the
+    same start.  A converged row that ``family.boundary`` rejects is
+    reported not converged with the boundary message.
+    """
+    b = len(starts)
+    theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
+    converged, error = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+    iterations, message, handed = np.zeros(b, dtype=np.int64), [""] * b, 0
+    counts = design.counts if outcomes is None else outcomes
+    if b and family.batch_objective is not None and not (
+            design.spec.is_frequency and counts.max() > BATCH_COUNT_CAP):
+        res = maximize_batch(family.batch_objective(design, outcomes), starts, settings)
+        theta, ll, converged, iterations = (res.theta, res.ll, res.converged,
+                                            res.iterations)
+        message = ["gradient tolerance reached" if n else "converged at start"
+                   for n in iterations]
+        handed = b - int(converged.sum())
+    for i in np.flatnonzero(~converged):
+        objective = family.objective(design, draws,
+                                     None if outcomes is None else outcomes[i])
+        try:
+            res = maximize(objective, starts[i], settings)
+        except OptimizationError as exc:
+            ll[i], error[i], message[i] = np.nan, True, str(exc)
+            continue
+        theta[i], ll[i], converged[i] = res.theta, res.ll, res.converged
+        iterations[i], message[i] = res.iterations, res.message
+    for i in np.flatnonzero(converged):
+        boundary = family.boundary(design, theta[i])
+        if boundary is not None:
+            converged[i], message[i] = False, boundary
+    return RowFits(theta, ll, converged, error, iterations, message, handed)
 
 
 def first_row(kernel):
@@ -137,10 +226,12 @@ def fit(table: ObservationTable, spec: ModelSpec,
         skip: int = 10, shift: bool = False) -> FitResult:
     """Estimate a model of any family by (simulated) maximum likelihood.
 
-    Maximizes from ``theta0`` (default: the family's start vector),
-    takes the covariance from the inverse negative Hessian with the
-    outer product of scores as fallback, and reports mixing scales and
-    alpha on their natural scale with delta-method standard errors.
+    Maximizes from ``theta0`` (default: the family's start vector) with
+    :func:`maximize_rows`, takes the covariance from the inverse negative
+    Hessian (the kernel's analytic one for families with a
+    ``batch_objective``, central differences otherwise) with the outer
+    product of scores as fallback, and reports mixing scales and alpha
+    on their natural scale with delta-method standard errors.
     ``n_draws``, ``seed``, ``skip`` and ``shift`` set the Halton draw
     matrix of the mixed families and are ignored by the others.
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` are
@@ -152,21 +243,17 @@ def fit(table: ObservationTable, spec: ModelSpec,
     draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
                      if family.needs_draws else {})
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
-    objective = family.objective(design, draws, None)
     start = family.start(design) if theta0 is None else np.asarray(theta0, float)
-    res = maximize(objective, start, settings)
-
-    converged, message = res.converged, res.message
-    boundary = family.boundary(design, res.theta)
-    if boundary is not None:
-        converged, message = False, boundary
-    cov = covariance(objective, res.theta, settings,
-                     scores=family.scores(res.theta, design, draws))
+    res = maximize_rows(family, design, draws, start[None], settings=settings).row()
+    hessian = None if family.batch_objective is None else family.batch_objective(
+        design, None)(res.theta[None], np.arange(1))[2][0]
+    cov = covariance(family.objective(design, draws, None), res.theta, settings,
+                     scores=family.scores(res.theta, design, draws), hessian=hessian)
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
     alpha = ("alpha",) if spec.is_frequency else ()
     return summarize(
         nat, cov_nat, res.ll, ll_restricted,
-        param_names=design.param_names + alpha, converged=converged,
+        param_names=design.param_names + alpha, converged=res.converged,
         iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
         theta_internal=res.theta, spec=spec, se_method=cov.method,
-        message=message, **draw_settings)
+        message=res.message, **draw_settings)

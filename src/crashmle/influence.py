@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ModelSpec, ObservationTable, build_design
-from .families import REGISTRY
-from .optimize import OptimizationError, OptimSettings, maximize
+from .families import REGISTRY, maximize_rows
+from .optimize import OptimSettings
 
 
 def influence_variable(d, cap: float) -> np.ndarray:
@@ -82,10 +82,12 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
         smallest cap; a profile whose total range is below it is
         reported flat with a warning.
 
-    Fits are warm-started along the grid, so once the cap exceeds the
-    largest observed distance the capped variable, the fit, and the
-    log-likelihood stop changing exactly.  A separated fit is reported not
-    converged, as by :func:`crashmle.families.fit`, and warm-starts nothing.
+    Every cap is fitted from a zero start by
+    :func:`crashmle.families.maximize_rows`.  Once the cap exceeds the
+    largest observed distance the capped variable stops changing, so the
+    fit and the log-likelihood are bitwise identical from cap to cap.  A
+    cap whose fit raises is skipped, and a separated fit is reported not
+    converged, as by :func:`crashmle.families.fit`.
     """
     if spec.family != "mnl":
         raise ValueError("influence search expects a plain mnl spec")
@@ -99,27 +101,18 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
     n_points = int(np.floor((d_max - d_min) / step + 1e-9)) + 1
     grid = d_min + step * np.arange(n_points)
     raw = table.columns[distance_column]
-    if np.any(raw < 0):
-        raise ValueError("distances must be non-negative")
 
     family = REGISTRY["mnl"]
     lls = np.full(n_points, np.nan)
     converged = np.zeros(n_points, dtype=bool)
-    theta_prev = None
     for k, cap in enumerate(grid):
         columns = dict(table.columns)
         columns[distance_column] = influence_variable(raw, float(cap))
-        capped = ObservationTable(columns, table.outcome, table.mode)
-        design = build_design(capped, spec)
-        start = np.zeros(design.n_params) if theta_prev is None else theta_prev
-        try:
-            res = maximize(family.objective(design, None, None), start, settings)
-        except OptimizationError:
-            continue
-        lls[k] = res.ll
-        converged[k] = res.converged and family.boundary(design, res.theta) is None
-        if converged[k]:
-            theta_prev = res.theta
+        design = build_design(ObservationTable(columns, table.outcome, table.mode),
+                              spec)
+        res = maximize_rows(family, design, None, np.zeros((1, design.n_params)),
+                            settings=settings)
+        lls[k], converged[k] = res.ll[0], res.converged[0]
 
     if not converged.any():
         raise RuntimeError("no grid point converged; profile is unusable")

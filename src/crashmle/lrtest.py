@@ -12,25 +12,20 @@ as the finite-sample p-value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammaincinv
 
 from . import simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
 from .draws import DrawMatrix
-from .families import REGISTRY
-from .optimize import (FitResult, OptimizationError, OptimSettings, maximize,
-                       maximize_batch)
+from .families import BATCH_COUNT_CAP, REGISTRY, maximize_rows  # noqa: F401 (re-export)
+from .optimize import FitResult, OptimSettings
 
 #: Monte Carlo replicates refitted together; bounds the batched arrays
 BLOCK_ROWS = 64
-#: largest simulated count refitted in a batch: a count block above it is
-#: refitted serially, so the per-row dispersion tables stay small
-BATCH_COUNT_CAP = 4096
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
 
@@ -47,21 +42,13 @@ def chi2_sf(x, dof) -> float:
 
 
 def chi2_quantile(p: float, dof: float) -> float:
-    """Quantile of the chi-squared distribution by bracketed root finding."""
+    """Quantile of the chi-squared distribution, through the inverse of
+    the regularized lower incomplete gamma function."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if dof <= 0:
         raise ValueError("dof must be positive")
-    target = 1.0 - p
-    hi = dof + 10.0
-    for _ in range(200):
-        if chi2_sf(hi, dof) < target:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the quantile")
-    return float(brentq(lambda x: chi2_sf(x, dof) - target, 0.0, hi,
-                        xtol=1e-12, rtol=8.9e-16))
+    return float(2.0 * gammaincinv(dof / 2.0, p))
 
 
 def lr_statistic(ll_all: float, ll_a: float, ll_b: float,
@@ -100,8 +87,7 @@ class ModelPiece:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {"label": self.label, "ll": self.ll, "n_params": self.n_params,
-                "n_obs": self.n_obs, "converged": self.converged}
+        return asdict(self)
 
 
 @dataclass
@@ -146,7 +132,7 @@ class LrTestResult:
              "subset_b": self.subset_b.to_dict(),
              "flag_column": self.flag_column,
              "family": self.family,
-             "p_mc": serialize.nan_to_none(self.p_mc) if self.p_mc is not None else None,
+             "p_mc": serialize.nan_to_none(self.p_mc),
              "replicates_requested": self.replicates_requested,
              "replicates_kept": self.replicates_kept,
              "replicates_dropped": self.replicates_dropped,
@@ -175,23 +161,19 @@ class LrTestResult:
 
 
 class _Pieces:
-    """Cached designs, draw matrices, and observed fits for one test."""
+    """Cached designs and draw matrices for one test."""
 
     def __init__(self, table: ObservationTable, spec: ModelSpec,
                  flag_column: str, settings: OptimSettings | None,
-                 n_draws: int | None, draw_seed: int = 0):
+                 n_draws: int | None):
         self.spec = spec
         self.family = REGISTRY[spec.family]
         self.settings = settings
         self.flag_column = flag_column
-        self.table = table
-        flag = table.columns.get(flag_column)
-        if flag is None:
-            raise ValueError(f"flag column {flag_column!r} not in table")
         part_a, part_b = split_by_flag(table, flag_column)
         if part_a.n_rows == 0 or part_b.n_rows == 0:
             raise ValueError(f"flag column {flag_column!r} does not split the data")
-        self.mask_a = flag == 1.0
+        self.mask_a = table.columns[flag_column] == 1.0
         self.designs = {"all": build_design(table, spec),
                         "a": build_design(part_a, spec),
                         "b": build_design(part_b, spec)}
@@ -199,39 +181,35 @@ class _Pieces:
         if self.family.needs_draws:
             for key, design in self.designs.items():
                 self.draws[key] = DrawMatrix.for_design(
-                    design, 200 if n_draws is None else n_draws, seed=draw_seed)
-
-    def fit(self, key: str, theta0=None, outcomes=None):
-        """Maximize model ``key``; ``outcomes`` replaces its outcomes."""
-        design = self.designs[key]
-        objective = self.family.objective(design, self.draws.get(key), outcomes)
-        start = self.family.start(design) if theta0 is None else theta0
-        return maximize(objective, start, self.settings)
+                    design, 200 if n_draws is None else n_draws)
 
 
 def _observed(pieces: _Pieces):
-    res_all = pieces.fit("all")
-    res_a = pieces.fit("a", theta0=res_all.theta)
-    res_b = pieces.fit("b", theta0=res_all.theta)
-    return res_all, res_a, res_b
+    """The pooled fit, then each subset's from the pooled solution; raises
+    the OptimizationError a fit meets."""
+    start = pieces.family.start(pieces.designs["all"])
+    fits = []
+    for key in ("all", "a", "b"):
+        fits.append(maximize_rows(pieces.family, pieces.designs[key],
+                                  pieces.draws.get(key), start[None],
+                                  settings=pieces.settings).row())
+        start = fits[0].theta  # each subset starts from the pooled solution
+    return fits
 
 
-def _build_result(pieces: _Pieces, res_all, res_a, res_b) -> LrTestResult:
-    p_all = res_all.theta.size
-    x2, dof = lr_statistic(res_all.ll, res_a.ll, res_b.ll, p_all, p_all, p_all)
-    for label, res in (("pooled", res_all), ("subset A", res_a), ("subset B", res_b)):
+def _build_result(pieces: _Pieces, fits) -> LrTestResult:
+    p_all = fits[0].theta.size
+    x2, dof = lr_statistic(*(res.ll for res in fits), p_all, p_all, p_all)
+    models = {}
+    labels = ("pooled", "subset_a", "subset_b")
+    for label, design, res in zip(labels, pieces.designs.values(), fits):
         if not res.converged:
             warnings.warn(f"{label} fit did not converge: {res.message}",
                           RuntimeWarning)
+        models[label] = ModelPiece(label, res.ll, p_all, design.n_obs, res.converged)
     return LrTestResult(
         x2=x2, dof=dof, p_asymptotic=chi2_sf(x2, dof),
-        critical_value_05=chi2_quantile(0.95, dof),
-        pooled=ModelPiece("pooled", res_all.ll, p_all,
-                          pieces.designs["all"].n_obs, res_all.converged),
-        subset_a=ModelPiece("subset_a", res_a.ll, p_all,
-                            pieces.designs["a"].n_obs, res_a.converged),
-        subset_b=ModelPiece("subset_b", res_b.ll, p_all,
-                            pieces.designs["b"].n_obs, res_b.converged),
+        critical_value_05=chi2_quantile(0.95, dof), **models,
         flag_column=pieces.flag_column, family=pieces.spec.family)
 
 
@@ -243,10 +221,12 @@ def lr_test(table: ObservationTable, spec: ModelSpec, flag_column: str,
     Fits the pooled sample, then each subset warm-started from the
     pooled solution (which guarantees a non-negative statistic), and
     refers the statistic to chi-squared with ``p_a + p_b - p_all``
-    degrees of freedom.
+    degrees of freedom.  Every fit goes through
+    :func:`crashmle.families.maximize_rows`, so a separated MNL fit is
+    reported not converged, as by :func:`crashmle.families.fit`.
     """
     pieces = _Pieces(table, spec, flag_column, settings, n_draws)
-    return _build_result(pieces, *_observed(pieces))
+    return _build_result(pieces, _observed(pieces))
 
 
 def simulate_under_null(fit: FitResult, table: ObservationTable,
@@ -277,42 +257,6 @@ def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
         for i in range(start, stop)])
 
 
-def _refit_stage(pieces: _Pieces, key: str, starts: np.ndarray,
-                 outcomes: np.ndarray):
-    """Refit model ``key`` to every row of ``outcomes`` from ``starts``.
-
-    Rows of a family with a batch objective (plain MNL and NB) go
-    through batched Newton; a row that Newton does not converge is
-    refitted by :func:`maximize` from the same start, as is every row of
-    the other families and of a count block above ``BATCH_COUNT_CAP``.  Returns the thetas, log-likelihoods,
-    converged flags, OptimizationError flags, and the number of rows
-    that Newton handed to :func:`maximize`.
-    """
-    b = len(outcomes)
-    theta = starts.copy()
-    ll = np.full(b, np.nan)
-    converged = np.zeros(b, dtype=bool)
-    error = np.zeros(b, dtype=bool)
-    serial = np.ones(b, dtype=bool)
-    handed = 0
-    batch_objective = pieces.family.batch_objective
-    if b and batch_objective is not None and not (
-            pieces.spec.is_frequency and outcomes.max() > BATCH_COUNT_CAP):
-        res = maximize_batch(batch_objective(pieces.designs[key], outcomes),
-                             starts, pieces.settings)
-        theta, ll, converged = res.theta, res.ll, res.converged
-        serial = ~converged
-        handed = int(serial.sum())
-    for i in np.flatnonzero(serial):
-        try:
-            rep = pieces.fit(key, theta0=starts[i], outcomes=outcomes[i])
-        except OptimizationError:
-            error[i] = True
-            continue
-        theta[i], ll[i], converged[i] = rep.theta, rep.ll, rep.converged
-    return theta, ll, converged, error, handed
-
-
 def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
                      outcomes: np.ndarray):
     """Null statistics of a block of replicates.
@@ -332,15 +276,15 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
     for key, cols in (("all", slice(None)), ("a", pieces.mask_a),
                       ("b", ~pieces.mask_a)):
         rows = np.flatnonzero(~error)
-        theta, ll, conv, err, n = _refit_stage(pieces, key, starts[rows],
-                                               outcomes[rows][:, cols])
+        res = maximize_rows(pieces.family, pieces.designs[key], pieces.draws.get(key),
+                            starts[rows], outcomes[rows][:, cols], pieces.settings)
         lls[key] = np.full(b, np.nan)
-        lls[key][rows] = ll
-        converged[rows] &= conv
-        error[rows] = err
-        handed += n
+        lls[key][rows] = res.ll
+        converged[rows] &= res.converged
+        error[rows] = res.error
+        handed += res.handed
         if key == "all":
-            starts[rows] = theta
+            starts[rows] = res.theta
     x2 = -2.0 * (lls["all"] - lls["a"] - lls["b"])
     reason = np.select([error, ~converged, x2 < -1e-4], list(DROP_REASONS), "")
     x2 = np.where(reason == "", np.maximum(x2, 0.0), np.nan)
@@ -367,10 +311,10 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
 
     Replicates are processed in blocks of ``BLOCK_ROWS``: the block's
     outcomes are drawn first, then the pooled, subset A and subset B
-    models are refitted stage by stage.  MNL and NB refits run as one
-    batched Newton problem per stage (analytic Hessians); any refit it
-    does not converge is redone by the serial BFGS maximizer from the
-    same start, and mixed families are refitted serially throughout.
+    models are refitted stage by stage, each stage one call of
+    :func:`crashmle.families.maximize_rows`: batched Newton for MNL and
+    NB, serial BFGS for the rows Newton leaves and for the mixed
+    families.  A separated MNL refit counts as not converged.
     Statistics agree with one serial refit per replicate to within
     1e-6.  Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone,
     so outcomes do not depend on execution order.
@@ -378,16 +322,16 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     if replicates < 1:
         raise ValueError("replicates must be positive")
     pieces = _Pieces(table, spec, flag_column, settings, n_draws)
-    res_all, res_a, res_b = _observed(pieces)
-    result = _build_result(pieces, res_all, res_a, res_b)
+    fits = _observed(pieces)
+    result = _build_result(pieces, fits)
 
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
     handed = 0
     for start in range(0, replicates, BLOCK_ROWS):
-        outcomes = replicate_outcomes(pieces.designs["all"], res_all.theta, seed,
+        outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
                                       start, min(start + BLOCK_ROWS, replicates))
-        x2, reason, n = _replicate_block(pieces, res_all.theta, outcomes)
+        x2, reason, n = _replicate_block(pieces, fits[0].theta, outcomes)
         null_stats.extend(x2[reason == ""])
         for r in reason[reason != ""]:
             by_reason[r] += 1
@@ -401,24 +345,15 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     null_stats = np.asarray(null_stats)
     kept = null_stats.size
     exceed = int((null_stats >= result.x2).sum())
-    if plus_one:
-        p_mc = (exceed + 1) / (kept + 1)
-    else:
-        p_mc = exceed / kept
+    p_mc = (exceed + plus_one) / (kept + plus_one)
     hi = float(max(null_stats.max() if kept else 0.0, result.x2))
     if hi <= 0.0:
         hi = 1.0
     counts, edges = np.histogram(null_stats, bins=bins, range=(0.0, hi))
 
-    result.p_mc = float(p_mc)
-    result.replicates_requested = replicates
-    result.replicates_kept = kept
-    result.replicates_dropped = dropped
-    result.replicates_dropped_by_reason = by_reason
-    result.replicates_serial_fallback = handed
-    result.seed = seed
-    result.plus_one = plus_one
-    result.histogram_edges = edges
-    result.histogram_counts = counts
-    result.null_stats = null_stats
-    return result
+    return replace(result, p_mc=float(p_mc), replicates_requested=replicates,
+                   replicates_kept=kept, replicates_dropped=dropped,
+                   replicates_dropped_by_reason=by_reason,
+                   replicates_serial_fallback=handed, seed=seed, plus_one=plus_one,
+                   histogram_edges=edges, histogram_counts=counts,
+                   null_stats=null_stats)

@@ -3,8 +3,9 @@
 Outcome probabilities are softmax functions of linear predictors built
 from the design matrix; the base outcome's predictor is identically
 zero.  The log-likelihood is globally concave in the coefficients, so
-the quasi-Newton maximizer converges from a zero start unless the data
-are degenerate (perfect separation is flagged after the fit).  The
+Newton's method on the kernel's analytic Hessian converges from a zero
+start unless the data are degenerate (perfect separation is flagged
+after the fit).  The
 likelihood kernel, the predictor, probability and effects helpers all
 take an optional draw matrix: the mixed logit (:mod:`crashmle.mixed`)
 is this logit averaged over draws, and a plain logit is one draw.
@@ -173,24 +174,6 @@ def _term_targets(design: DesignMatrix, variables):
     return triples
 
 
-def _variable_values(design: DesignMatrix, var: str) -> np.ndarray:
-    if var not in design.table.columns:
-        raise ValueError(f"variable {var!r} not in table")
-    return design.table.columns[var]
-
-
-def _require_indicator(values: np.ndarray, var: str):
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise ValueError(f"variable {var!r} is not a 0/1 indicator; "
-                         f"use elasticities for continuous variables")
-
-
-def _require_continuous(values: np.ndarray, var: str):
-    if np.all((values == 0.0) | (values == 1.0)):
-        raise ValueError(f"variable {var!r} is a 0/1 indicator; "
-                         f"use pseudo-elasticities")
-
-
 def _predictor_draws(theta, design: DesignMatrix, draws=None,
                      rows=slice(None)) -> np.ndarray:
     """Linear predictors per draw of the observations ``rows`` selects,
@@ -241,11 +224,14 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
     labels = design.outcome_labels
     rows = []
     for var, j, target in _term_targets(design, variables):
-        x = _variable_values(design, var)
+        x = design.x[:, j]
+        if pseudo != bool(np.all((x == 0.0) | (x == 1.0))):
+            raise ValueError(
+                f"variable {var!r} is not a 0/1 indicator; use elasticities" if pseudo
+                else f"variable {var!r} is a 0/1 indicator; use pseudo-elasticities")
         col = labels.index(target)
         beta_draws = coefficient_draws(theta, design, draws, j)
         if pseudo:
-            _require_indicator(x, var)
             v_on = v.copy()
             v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
             v_off = v.copy()
@@ -253,7 +239,6 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             delta = (np.exp(_log_softmax(v_on)) - np.exp(_log_softmax(v_off))).mean(axis=1)
             values = (delta / p_bar).mean(axis=0)
         else:
-            _require_continuous(x, var)
             pj = p[:, :, col]
             values = np.empty(len(labels))
             for i in range(len(labels)):

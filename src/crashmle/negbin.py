@@ -20,7 +20,7 @@ from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, build_design)
 from .draws import DrawMatrix, coefficient_draws, draw_mean, scale_score
 from .mnl import _term_targets
-from .optimize import FitResult, OptimSettings, maximize
+from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
 
@@ -183,8 +183,9 @@ def _intercept_only_ll(design: DesignMatrix,
         raise ValueError("all counts are zero; overdispersion is not identified")
     spec = ModelSpec("nb", (Term(CONSTANT),))
     intercept = build_design(design.table, spec)
-    theta0 = np.array([np.log(max(float(design.counts.mean()), 0.05)), 0.0])
-    return maximize(make_objective(intercept), theta0, settings).ll
+    theta0 = np.array([[np.log(max(float(design.counts.mean()), 0.05)), 0.0]])
+    return families.maximize_rows(families.REGISTRY["nb"], intercept, None, theta0,
+                                  settings=settings).row().ll
 
 
 def _default_theta0(design: DesignMatrix) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Quasi-Newton maximization and post-fit summary machinery.
+"""Maximizers and post-fit summary machinery.
 
-The maximizer is BFGS with Armijo backtracking on objectives that
-return the log-likelihood and its analytic gradient together.
-Convergence is declared when the gradient infinity norm, scaled by
-max(1, |ll|), drops below ``gradient_tolerance``.  Standard errors come
-from the inverse negative Hessian (central finite differences of the
-gradient), with an outer-product-of-scores fallback when that matrix is
-not positive definite.
+:func:`maximize` is BFGS with Armijo backtracking on objectives that
+return the log-likelihood and its analytic gradient together;
+:func:`maximize_batch` is Newton on B independent problems whose
+objective also returns analytic Hessians.  Both declare convergence when
+the gradient infinity norm, scaled by max(1, |ll|), drops below
+``gradient_tolerance``.  Which of them fits what is decided in one place,
+:func:`crashmle.families.maximize_rows`.  Standard errors come from the
+inverse negative Hessian (analytic when given, else central finite
+differences of the gradient), with an outer-product-of-scores fallback
+when that matrix is not positive definite.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ import numpy as np
 
 from . import serialize
 from .dataset import ModelSpec
+
+#: smallest reciprocal condition number of an outer product of scores
+#: that is inverted for BHHH standard errors.  Below it the inverse has
+#: lost 12 of double precision's 16 digits and its variances are rounding
+#: noise (standard errors of 1e13 and more on a fit stopped on a flat
+#: region), so the covariance is reported undefined instead.
+BHHH_MIN_RCOND = 1e-12
 
 
 class OptimizationError(RuntimeError):
@@ -172,9 +182,10 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
     (K, P) gradients and (K, P, P) Hessians.  Every row takes Newton
     steps with its own Armijo backtracking and stops under the gradient
     test of :func:`maximize`.  A row stops unconverged, to be refitted
-    by :func:`maximize`, when it starts non-finite, meets a Hessian that
-    is not negative definite, finds no ascent step, moves less than
-    ``step_tolerance`` or runs out of iterations.
+    by :func:`maximize` (see :func:`crashmle.families.maximize_rows`),
+    when it starts non-finite, meets a Hessian that is not negative
+    definite, finds no ascent step, moves less than ``step_tolerance``
+    or runs out of iterations.
     """
     s = settings or OptimSettings()
     theta = np.array(theta0, dtype=np.float64)
@@ -256,13 +267,16 @@ class CovarianceResult:
     method: str  # "hessian", "bhhh", or "undefined"
 
 
-def _try_inverse_pd(a: np.ndarray) -> np.ndarray | None:
+def _try_inverse_pd(a: np.ndarray, min_rcond: float = 0.0) -> np.ndarray | None:
     """Inverse of a symmetric matrix if positive definite, else None; a
     nearly singular matrix can pass Cholesky and still invert, in
-    rounding, to a non-positive variance, which is rejected."""
+    rounding, to a non-positive variance, which is rejected, as is one
+    whose reciprocal condition number is below ``min_rcond``."""
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
+        return None
+    if 1.0 / np.linalg.cond(a) < min_rcond:
         return None
     inv = np.linalg.inv(a)
     var = np.diag(inv)
@@ -271,25 +285,30 @@ def _try_inverse_pd(a: np.ndarray) -> np.ndarray | None:
 
 def covariance(objective, theta_hat: np.ndarray,
                settings: OptimSettings | None = None,
-               scores: np.ndarray | None = None) -> CovarianceResult:
+               scores: np.ndarray | None = None,
+               hessian: np.ndarray | None = None) -> CovarianceResult:
     """Parameter covariance at the optimum.
 
-    Tries the inverse negative Hessian first.  If that is not positive
-    definite and per-observation ``scores`` (N, P) are supplied, falls
-    back to the inverse outer product of scores.  When both fail the
-    standard errors are NaN and the method is ``"undefined"``.
+    Tries the inverse negative Hessian first: ``hessian`` if given,
+    else central differences of ``objective``'s gradient.  If that is
+    not positive definite and per-observation ``scores`` (N, P) are
+    supplied, falls back to the inverse outer product of scores, unless
+    its reciprocal condition number is below ``BHHH_MIN_RCOND``.  When
+    both fail the standard errors are NaN and the method is
+    ``"undefined"``.
     """
     s = settings or OptimSettings()
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     p = theta_hat.size
-    hess = hessian_fd(objective, theta_hat, s.hessian_fd_step)
-    cov = _try_inverse_pd(-hess)
+    if hessian is None:
+        hessian = hessian_fd(objective, theta_hat, s.hessian_fd_step)
+    cov = _try_inverse_pd(-np.asarray(hessian, dtype=np.float64))
     if cov is not None:
         return CovarianceResult(cov, np.sqrt(np.diag(cov)), "hessian")
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         opg = scores.T @ scores
-        cov = _try_inverse_pd(opg)
+        cov = _try_inverse_pd(opg, BHHH_MIN_RCOND)
         if cov is not None:
             warnings.warn("negative Hessian not positive definite; standard errors "
                           "use the outer product of scores", RuntimeWarning)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import serialize
@@ -175,12 +175,7 @@ class RunManifest:
             self.created_utc = datetime.now(timezone.utc).isoformat()
 
     def to_dict(self) -> dict:
-        return {"command": list(self.command),
-                "inputs": dict(self.inputs),
-                "seed": self.seed,
-                "n_draws": self.n_draws,
-                "version": self.version,
-                "created_utc": self.created_utc}
+        return asdict(self)
 
     def write(self, path) -> None:
         serialize.write_json(path, self.to_dict())

@@ -339,6 +339,26 @@ def test_mc_matches_a_serial_refit_loop(family):
     np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
 
 
+def test_mc_drops_separated_mnl_replicates_as_not_converged():
+    # xr is non-zero only on the few rows of a rare indicator; a replicate
+    # whose outcomes on those rows line up with the sign of xr separates,
+    # its xr coefficient runs off and its predictors pass the bound of 30
+    gen = ModelSpec("mnl", MNL_SPEC.terms[:4], MNL_SPEC.outcomes, "base")
+    table = gen_mnl(DgpConfig(
+        gen, {"constant[a]": 0.3, "constant[b]": -0.2, "x1[a]": 0.7, "x1[b]": -0.4},
+        {"x1": CovariateRecipe("normal"), "ind": CovariateRecipe("bernoulli", p=0.05),
+         **FLAG}, n=300, seed=0))
+    columns = dict(table.columns, xr=table.columns["ind"] * table.columns["x1"])
+    table = ObservationTable(columns, table.outcome, "severity")
+    spec = ModelSpec("mnl", gen.terms + (Term("xr", ("a",)),), gen.outcomes, "base")
+    result = lrtest.mc_null_distribution(table, spec, "flag", replicates=100, seed=1)
+    assert result.all_converged
+    dropped = result.replicates_dropped_by_reason
+    assert dropped["not_converged"] > 0
+    assert dropped["optimization_error"] == dropped["negative_statistic"] == 0
+    assert result.replicates_kept == 100 - dropped["not_converged"]
+
+
 def forced_block():
     table = nb_table(122, seed=3)
     pieces = lrtest._Pieces(table, NB_SPEC, "flag", None, None)

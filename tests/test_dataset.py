@@ -1,7 +1,12 @@
 """Tables, CSV ingestion, model specs, and design-matrix packing."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashmle.dataset import (
     CONSTANT,
@@ -166,6 +171,44 @@ def test_load_csv_accepts_unknown_labels_without_declared_set(tmp_path):
     assert list(t.outcome) == ["anything"]
 
 
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+
+
+@st.composite
+def tables(draw):
+    """A table of any finite doubles (signed zeros and subnormals included)
+    and labels or counts; labels may hold commas, quotes and inner spaces,
+    which the CSV writer has to quote."""
+    names = draw(st.lists(NAMES.filter(lambda v: v != "outcome"), max_size=4,
+                          unique=True))
+    n = draw(st.integers(1, 12))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    cols = {name: np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+            for name in names}
+    if draw(st.booleans()):
+        edge = r"[A-Za-z0-9,\"';.]"
+        label = st.from_regex(rf"{edge}([A-Za-z0-9,\"'; .]*{edge})?", fullmatch=True)
+        outcome = np.array(draw(st.lists(label, min_size=n, max_size=n)))
+        return ObservationTable(cols, outcome, "severity")
+    # counts pass through a float in load_csv: exact up to 2**53
+    counts = draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n))
+    return ObservationTable(cols, np.array(counts, dtype=np.int64), "frequency")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tables())
+def test_csv_round_trip_is_bit_exact(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        table.to_csv(path)
+        back = load_csv(path, table.mode, "outcome")
+    assert back.n_dropped == 0
+    assert back.column_names == table.column_names
+    for name, values in table.columns.items():
+        assert back.columns[name].tobytes() == values.tobytes(), name
+    assert back.outcome.tolist() == table.outcome.tolist()
+
+
 # ----------------------------------------------------------- terms/specs
 
 def test_term_validation():
@@ -309,6 +352,52 @@ def test_load_spec_file(tmp_path):
     p = tmp_path / "model.ini"
     p.write_text(SEVERITY_SPEC_TEXT)
     assert load_spec(p) == parse_spec(SEVERITY_SPEC_TEXT)
+
+
+@st.composite
+def specs(draw):
+    """Any valid spec: severity specs tie terms to non-empty outcome sets,
+    plain families keep their terms fixed."""
+    family = draw(st.sampled_from(("mnl", "mixed_mnl", "nb", "mixed_nb")))
+    kinds = (("fixed",) if family in ("mnl", "nb")
+             else ("fixed", "random_normal", "random_uniform"))
+    variables = st.one_of(st.just(CONSTANT), NAMES)
+    if family in ("nb", "mixed_nb"):
+        names = draw(st.lists(variables, min_size=1, max_size=4, unique=True))
+        return ModelSpec(family, tuple(Term(v, (), draw(st.sampled_from(kinds)))
+                                       for v in names))
+    outcomes = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
+    base = draw(st.sampled_from(outcomes))
+    nonbase = [o for o in outcomes if o != base]
+    keys = draw(st.lists(
+        st.tuples(variables, st.lists(st.sampled_from(nonbase), min_size=1,
+                                      unique=True)),
+        min_size=1, max_size=4, unique_by=lambda k: (k[0], frozenset(k[1]))))
+    terms = tuple(Term(v, tuple(outs), draw(st.sampled_from(kinds)))
+                  for v, outs in keys)
+    return ModelSpec(family, terms, tuple(outcomes), base)
+
+
+_DIST = {"fixed": "fixed", "random_normal": "normal", "random_uniform": "uniform"}
+
+
+def spec_ini(spec: ModelSpec) -> str:
+    lines = ["[model]", f"family = {spec.family}"]
+    if spec.is_severity:
+        lines += [f"outcomes = {', '.join(spec.outcomes)}",
+                  f"base = {spec.base_outcome}"]
+    for t in spec.terms:
+        lines += ["[term]", f"var = {t.variable}", f"dist = {_DIST[t.kind]}"]
+        if t.outcomes:
+            lines.append(f"outcomes = {','.join(t.outcomes)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(specs())
+def test_spec_round_trips_through_dict_and_ini(spec):
+    assert ModelSpec.from_dict(spec.to_dict()) == spec
+    assert parse_spec(spec_ini(spec)) == spec
 
 
 # ---------------------------------------------------------------- design

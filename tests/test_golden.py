@@ -23,10 +23,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crashmle.cli import main
-from crashmle.dataset import CONSTANT, ModelSpec, Term
+from crashmle.dataset import CONSTANT, ModelSpec, Term, build_design, load_csv
+from crashmle.families import REGISTRY, natural_from_internal
+from crashmle.optimize import FitResult, OptimSettings, covariance
 from crashmle.serialize import dumps
 from crashmle.simulate import CovariateRecipe, DgpConfig
 
@@ -217,6 +220,28 @@ def test_result_matches_golden(outputs, name):
     got = json.loads((outputs / name).read_text())
     want = json.loads((GOLDEN / name).read_text())
     assert mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("name, data", [("fit_mnl", "sev"), ("fit_nb", "cnt")])
+def test_golden_newton_fits_are_optima_with_analytic_covariance(outputs, name, data):
+    """The stored plain fits pass the gradient test at their stored
+    estimates, and their standard errors, taken from the kernels'
+    analytic Hessians, agree with central differences of the gradient."""
+    fit = FitResult.from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
+    spec = fit.spec
+    labels = spec.outcomes if spec.is_severity else None
+    mode = "severity" if spec.is_severity else "frequency"
+    table = load_csv(outputs / f"{data}.csv", mode, "outcome", labels)
+    design = build_design(table, spec)
+    objective = REGISTRY[spec.family].objective(design, None, None)
+    ll, grad = objective(fit.theta_internal)
+    assert ll == pytest.approx(fit.ll_converged, rel=1e-12)
+    assert np.max(np.abs(grad)) / max(1.0, abs(ll)) <= OptimSettings().gradient_tolerance
+    cov = covariance(objective, fit.theta_internal)  # finite differences
+    assert cov.method == "hessian"
+    _, cov_nat = natural_from_internal(fit.theta_internal, design, cov.cov)
+    np.testing.assert_allclose(fit.standard_errors, np.sqrt(np.diag(cov_nat)),
+                               rtol=1e-5, atol=0.0)
 
 
 if __name__ == "__main__":

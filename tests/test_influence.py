@@ -51,8 +51,8 @@ def test_grid_is_inclusive_of_both_ends():
 
 
 def test_lls_are_exactly_flat_beyond_the_largest_distance():
-    # min(d, D) == d for every D >= max(d): identical models, and the
-    # warm-started refit must return bit-identical log-likelihoods
+    # min(d, D) == d for every D >= max(d): identical models, and their
+    # fits from the same zero start must return bit-identical log-likelihoods
     table = influence_table(n=500, seed=3)
     with pytest.warns(RuntimeWarning, match="flat"):
         profile = search_influence(table, SPEC, "d", 2.0, 3.0, 0.5)

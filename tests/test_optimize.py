@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crashmle.optimize import (
+    BHHH_MIN_RCOND,
     CovarianceResult,
     FitResult,
     OptimSettings,
@@ -184,6 +185,27 @@ def test_covariance_rejects_an_inverse_with_a_non_positive_variance():
     messages = [str(w.message) for w in caught]
     assert any("undefined" in m for m in messages)
     assert not any("sqrt" in m for m in messages), messages
+
+
+def test_covariance_rejects_an_ill_conditioned_outer_product():
+    def objective(theta):  # flat: the Hessian route fails
+        return 0.0, np.zeros(2)
+
+    scores = np.random.default_rng(0).normal(size=(50, 2))
+    with pytest.warns(RuntimeWarning, match="outer product"):
+        res = covariance(objective, np.zeros(2), scores=scores)
+    assert res.method == "bhhh"
+    # positive definite, but with a condition number of about 1e20 its
+    # inverse is rounding noise: variances near 1e20
+    ill = scores * np.array([1.0, 1e-10])
+    opg = ill.T @ ill
+    np.linalg.cholesky(opg)
+    assert 1e19 < np.linalg.cond(opg) < 1e21
+    assert 1.0 / np.linalg.cond(opg) < BHHH_MIN_RCOND
+    with pytest.warns(RuntimeWarning, match="undefined"):
+        res = covariance(objective, np.zeros(2), scores=ill)
+    assert res.method == "undefined"
+    assert np.all(np.isnan(res.se))
 
 
 def test_summarize_computes_t_and_rho2():
