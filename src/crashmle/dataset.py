@@ -116,6 +116,27 @@ class ObservationTable:
                 writer.writerow(row)
 
 
+def _parse_count(cell: str, where: str) -> int:
+    """A count cell: integer text, read exactly up to the int64 limit, or
+    float text such as ``"3.0"`` within 1e-9 of an integer."""
+    try:
+        value = int(cell)
+    except ValueError:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric count {cell!r}") from None
+    if value < 0:
+        raise ValueError(f"{where}: negative count {cell!r}")
+    if isinstance(value, float):
+        if not (np.isfinite(value) and abs(value - round(value)) <= 1e-9):
+            raise ValueError(f"{where}: non-integer count {cell!r}")
+        value = int(round(value))
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"{where}: count {cell!r} exceeds the int64 range")
+    return value
+
+
 def load_csv(path, mode: str, outcome_column: str,
              outcome_labels=None) -> ObservationTable:
     """Read a CSV file into an :class:`ObservationTable`.
@@ -171,16 +192,7 @@ def load_csv(path, mode: str, outcome_column: str,
                         f"{path}:{lineno}: unknown outcome label {out_cell!r}")
                 outcomes.append(out_cell)
             else:
-                try:
-                    value = float(out_cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric count {out_cell!r}") from None
-                if value < 0:
-                    raise ValueError(f"{path}:{lineno}: negative count {out_cell!r}")
-                if abs(value - round(value)) > 1e-9:
-                    raise ValueError(f"{path}:{lineno}: non-integer count {out_cell!r}")
-                outcomes.append(int(round(value)))
+                outcomes.append(_parse_count(out_cell, f"{path}:{lineno}"))
             row_vals = []
             for pos in cov_pos:
                 try:

@@ -117,13 +117,14 @@ class DrawMatrix:
 
 
 def coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
-                      j: int):
-    """Coefficient draws (N, R) for term j; the location if it is fixed."""
+                      j: int, rows=slice(None)):
+    """Coefficient draws (N, R) for term j of the observations ``rows``
+    selects; the location if the term is fixed."""
     loc = theta[design.loc_pos[j]]
     if j in design.random_terms:
         dim = design.random_terms.index(j)
         scale = np.exp(theta[design.scale_pos[j]])
-        return loc + scale * draws.std[dim]
+        return loc + scale * draws.std[dim][rows]
     return loc
 
 
@@ -138,19 +139,20 @@ def draw_mean(log_lik: np.ndarray):
         return log_lik[..., 0], np.broadcast_to(1.0, log_lik.shape)
     m = log_lik.max(axis=-1, keepdims=True)
     with np.errstate(under="ignore"):
-        lse = m + np.log(np.exp(log_lik - m).sum(axis=-1, keepdims=True))
-    return lse[..., 0] - np.log(log_lik.shape[-1]), np.exp(log_lik - lse)
+        e = np.exp(log_lik - m)
+    total = e.sum(axis=-1, keepdims=True)
+    return (m + np.log(total))[..., 0] - np.log(log_lik.shape[-1]), e / total
 
 
 def scale_score(theta, design: DesignMatrix, draws: DrawMatrix, j: int,
-                we: np.ndarray) -> np.ndarray:
+                we: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Per-observation score (..., N) of random term ``j``'s log-scale.
 
     ``we`` (..., N, R) is the posterior-weighted derivative of each
     draw's log-likelihood with respect to the term's coefficient draw
-    (of ``theta``, one vector or (K, P) rows); summed over draws it gives
-    the location score.
+    (of ``theta``, one vector or (K, P) rows) for the observations
+    ``rows`` selects; summed over draws it gives the location score.
     """
     dim = design.random_terms.index(j)
     scale = np.exp(theta[..., design.scale_pos[j], None])
-    return design.x[:, j] * (we * draws.std[dim]).sum(axis=-1) * scale
+    return design.x[rows, j] * (we * draws.std[dim][rows]).sum(axis=-1) * scale

@@ -12,12 +12,17 @@ parameter rows and the indices of the K outcome rows they belong to onto
 (K, N) log-likelihoods, (K, N, P) scores and, with ``hessian``, (K, P, P)
 Hessians of the summed rows.  Given a draw matrix a kernel is the mixed
 family's simulated likelihood; without one it is the plain family, as if
-with one draw, and only then returns Hessians.
+with one draw, and only then returns Hessians.  The logit kernel works
+through the observations in fixed blocks of ``mnl.BLOCK_ELEMENTS``
+elements per outcome, a constant that does not depend on the machine,
+so its working memory scales with the block, not with N * R.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`:
 batched Newton on the analytic Hessians first for the families with a
 ``batch_objective`` (plain MNL and NB, concave in the coefficients),
-serial BFGS from the same start for every other row.
+serial BFGS from the same start for every other row.  A design column
+that is zero on every row leaves its coefficient unidentified; such a
+design is not maximized at all.
 """
 
 from __future__ import annotations
@@ -115,12 +120,23 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
     every row Newton does not converge, and every row of the other
     families, goes to BFGS :func:`~crashmle.optimize.maximize` from the
     same start.  A converged row that ``family.boundary`` rejects is
-    reported not converged with the boundary message.
+    reported not converged with the boundary message.  When a design
+    column is zero on every row, no row is maximized: each is reported
+    not converged at its start, with a message naming the term.
     """
     b = len(starts)
     theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
     converged, error = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
     iterations, message, handed = np.zeros(b, dtype=np.int64), [""] * b, 0
+    idle = np.flatnonzero(~design.x.any(axis=0))
+    if idle.size:
+        names = ", ".join(design.param_names[design.loc_pos[j]] for j in idle)
+        message = [f"not maximized: term {names} is zero on every row, so its "
+                   f"coefficient is not identified"] * b
+        for i in range(b):
+            ll[i] = family.objective(design, draws, None if outcomes is None
+                                     else outcomes[i])(theta[i])[0]
+        return RowFits(theta, ll, converged, error, iterations, message, handed)
     counts = design.counts if outcomes is None else outcomes
     if b and family.batch_objective is not None and not (
             design.spec.is_frequency and counts.max() > BATCH_COUNT_CAP):

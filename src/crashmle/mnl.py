@@ -25,13 +25,44 @@ from .reporting import EffectRow, EffectsReport
 SEPARATION_BOUND = 30.0
 
 
-def _log_softmax(v: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last (outcome) axis."""
-    m = v.max(axis=-1, keepdims=True)
-    z = v - m
+#: elements (K * rows * R) of one outcome slice in an observation block;
+#: the logit kernel works through the observations block by block, so a
+#: block's slices stay in cache and its memory does not grow with N * R
+BLOCK_ELEMENTS = 1 << 14
+
+
+def _blocks(n: int, per_row: int):
+    """Consecutive slices over ``n`` observations, each of at most
+    ``BLOCK_ELEMENTS // per_row`` of them (at least one)."""
+    step = max(1, BLOCK_ELEMENTS // per_row)
+    for a in range(0, n, step):
+        yield slice(a, min(a + step, n))
+
+
+def _softmax_slices(v: list):
+    """Reduce per-outcome predictor slices over the outcomes, one slice at
+    a time: the shifted slices ``v_i - max_i v_i``, their exponentials and
+    the sum of those (``>= 1``).  The slices broadcast against each other.
+    """
+    m = v[0]
+    for vi in v[1:]:
+        m = np.maximum(m, vi)
+    z = [vi - m for vi in v]
     with np.errstate(under="ignore"):
-        lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z - lse
+        e = [np.exp(zi) for zi in z]
+    s = e[0].copy()
+    for ei in e[1:]:
+        s += ei
+    return z, e, s
+
+
+def _log_softmax(v: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last (outcome) axis, reduced over explicit
+    outcome slices; with fewer than eight outcomes it equals bit for bit
+    ``v - max`` less the log of the exponentials summed along the axis."""
+    z, _, s = _softmax_slices([v[..., i] for i in range(v.shape[-1])])
+    lse = np.log(s)
+    return np.stack([zi - lse for zi in z], axis=-1)
 
 
 def mnl_probs(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:
@@ -56,6 +87,13 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     draw average of logit probabilities, with no Hessian; without draws
     it is the plain MNL, as if with one draw.  ``y_index`` (B, N), or
     (N,) for B = 1, overrides the design's encoded outcomes.
+
+    The observations are evaluated in consecutive blocks of about
+    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, each outcome's
+    predictors kept as their own (K, rows, R) slice.  The block size is a
+    constant, so results do not depend on the machine, and the kernel's
+    working memory scales with the block, not with N * R; its outputs
+    are (K, N) and (K, N, P) as always.
     """
     if draws is None and design.random_terms:
         raise ValueError("objective requires a design with fixed terms only")
@@ -63,35 +101,52 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     inc = design.incidence
     y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
     xi = x * inc.T[y]  # data part of the score: x where y is in term t's set
+    # outcomes some term enters; only their probabilities reach the scores
+    scored = np.flatnonzero(inc.any(axis=0))
+    to_terms = inc[:, scored].T  # (S, T): the terms entering each
+    ii = (to_terms[:, :, None] * to_terms[:, None, :]).reshape(len(scored), -1)
+    # positions in ``scored`` of the outcomes each random term enters
+    sets = {j: np.flatnonzero(inc[j, scored]) for j in design.random_terms}
+    n_draws = 1 if draws is None else draws.n_draws
 
     def kernel(theta, rows, hessian=False):
+        if hessian and draws is not None:
+            raise ValueError("the simulated likelihood has no analytic Hessian")
         theta = np.asarray(theta, dtype=np.float64)
-        logp = _log_softmax(_predictor_draws(theta, design, draws))
-        k, n, r = logp.shape[:3]  # (K, N, R, I)
-        ll, w = draw_mean(np.take_along_axis(
-            logp, y[rows][..., None, None], axis=-1)[..., 0])
-        p = np.exp(logp, out=logp)  # reuses the log-probabilities' memory
-        # probability mass of each term's outcome set, per draw
-        s = p.reshape(k, n * r, -1) @ inc.T  # (K, N*R, T)
-        if draws is None:
-            m = np.multiply(x, s.reshape(k, n, -1), out=s.reshape(k, n, -1))
-            scores = xi[rows] - m
-        else:
-            s = s.reshape(k, n, r, -1)
-            scores = np.empty((k, n, design.n_params))
-            scores[..., design.loc_pos] = xi[rows] - x * (w[..., None, :] @ s)[..., 0, :]
+        k, t = theta.shape[0], x.shape[1]
+        ll = np.empty((k, design.n_obs))
+        scores = np.empty((k, design.n_obs, design.n_params))
+        hess = np.zeros((k, t, t)) if hessian else None
+        for b in _blocks(design.n_obs, k * n_draws):
+            yb = y[rows, b]  # (K, nb)
+            z, e, s = _softmax_slices(_predictor_slices(theta, design, draws, b))
+            # the observed outcome's log-probability, per draw
+            logl = z[0].copy()
+            for i in range(1, len(z)):
+                np.copyto(logl, z[i], where=(yb == i)[..., None])
+            logl -= np.log(s)
+            p = [e[i] / s for i in scored]  # (K, nb, R) each
+            if draws is None:
+                ll[:, b] = logl[..., 0]
+                ps = np.concatenate(p, axis=-1)
+            else:
+                ll[:, b], w = draw_mean(logl)
+                ps = np.stack([(w[..., None, :] @ pi[..., None])[..., 0, 0]
+                               for pi in p], axis=-1)
+            # probability mass of each term's outcome set, draw-weighted
+            m = x[b] * (ps @ to_terms)  # (K, nb, T)
+            scores[:, b, design.loc_pos] = xi[rows, b] - m
             for j in design.random_terms:
-                we = w * (inc[j][y[rows]][..., None] - s[..., j])  # (K, N, R)
-                scores[..., design.scale_pos[j]] = scale_score(theta, design, draws, j, we)
-        if not hessian:
-            return ll, scores
-        # d v_ni / d theta_t = x_nt inc_ti, paired per observation and outcome
-        t = theta.shape[1]
-        p = p.reshape(k, n, -1)
-        xx = (x[:, :, None] * x[:, None, :]).reshape(-1, t * t)
-        ii = (inc.T[:, :, None] * inc.T[:, None, :]).reshape(-1, t * t)
-        pdd = (p.transpose(0, 2, 1) @ xx * ii).sum(axis=1).reshape(k, t, t)
-        return ll, scores, m.transpose(0, 2, 1) @ m - pdd
+                mass = sum(p[i] for i in sets[j])
+                we = w * (inc[j][yb][..., None] - mass)  # (K, nb, R)
+                scores[:, b, design.scale_pos[j]] = scale_score(
+                    theta, design, draws, j, we, rows=b)
+            if hessian:
+                # d v_ni / d theta_t = x_nt inc_ti, paired per outcome
+                xx = (x[b, :, None] * x[b, None, :]).reshape(-1, t * t)
+                pdd = ((ps.transpose(0, 2, 1) @ xx) * ii).sum(axis=1)
+                hess += m.transpose(0, 2, 1) @ m - pdd.reshape(k, t, t)
+        return (ll, scores, hess) if hessian else (ll, scores)
 
     return kernel
 
@@ -174,36 +229,48 @@ def _term_targets(design: DesignMatrix, variables):
     return triples
 
 
+def _predictor_slices(theta, design: DesignMatrix, draws=None,
+                      rows=slice(None)) -> list:
+    """Linear predictors per draw of the observations ``rows`` selects,
+    one slice per outcome for ``theta`` of shape (..., P): (..., N, R)
+    where a random term enters the outcome, (..., N, 1) otherwise."""
+    theta = np.asarray(theta, dtype=np.float64)
+    x = design.x[rows]
+    v = (x * theta[..., None, design.loc_pos]) @ design.incidence
+    v = [v[..., i, None] for i in range(v.shape[-1])]
+    for dim, j in enumerate(design.random_terms if draws is not None else ()):
+        scale = np.exp(theta[..., design.scale_pos[j], None, None])
+        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (..., N, R)
+        for col in np.flatnonzero(design.incidence[j]):
+            v[col] = v[col] + contrib
+    return v
+
+
 def _predictor_draws(theta, design: DesignMatrix, draws=None,
                      rows=slice(None)) -> np.ndarray:
     """Linear predictors per draw of the observations ``rows`` selects,
     shape (..., N, R, I) for ``theta`` of shape (..., P); R = 1 without
     draws."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x = design.x[rows]
-    v = ((x * theta[..., None, design.loc_pos]) @ design.incidence)[..., None, :]
-    if draws is None:
-        return v
-    v = np.repeat(v, draws.n_draws, axis=-2)
-    for dim, j in enumerate(design.random_terms):
-        scale = np.exp(theta[..., design.scale_pos[j], None, None])
-        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (..., N, R)
-        for col in np.flatnonzero(design.incidence[j]):
-            v[..., col] += contrib
-    return v
+    return np.stack(np.broadcast_arrays(
+        *_predictor_slices(theta, design, draws, rows)), axis=-1)
 
 
 def _mean_probs(theta, design: DesignMatrix, draws=None,
                 row: int | None = None) -> np.ndarray:
     """Outcome probabilities averaged over draws: (N, I), or (I,) for
-    observation ``row`` alone."""
+    observation ``row`` alone; evaluated in observation blocks."""
     if row is None:
-        v = _predictor_draws(theta, design, draws)
+        first, n = 0, design.n_obs
     elif 0 <= row < design.n_obs:
-        v = _predictor_draws(theta, design, draws, rows=[row])[0]
+        first, n = row, 1
     else:
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    return np.exp(_log_softmax(v)).mean(axis=-2)
+    out = np.empty((n, design.n_outcomes))
+    for b in _blocks(n, 1 if draws is None else draws.n_draws):
+        v = _predictor_draws(theta, design, draws,
+                             slice(first + b.start, first + b.stop))
+        out[b] = np.exp(_log_softmax(v)).mean(axis=-2)
+    return out if row is None else out[0]
 
 
 def _logit_effects(fit: FitResult, table: ObservationTable, variables,
@@ -212,45 +279,55 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
 
     Probabilities and their derivatives are averaged over the fit's
     draws (a plain logit has one draw), so coefficient heterogeneity
-    propagates into the averaged effects.
+    propagates into the averaged effects.  Each observation's effects
+    are evaluated in observation blocks, as in the likelihood kernel,
+    and averaged over all observations at the end.
     """
     design = build_design(table, fit.spec)
     if draws is None:
         draws = families.fit_draws(fit, design)
     theta = fit.theta_internal
-    v = _predictor_draws(theta, design, draws)
-    p = np.exp(_log_softmax(v))  # (N, R, I)
-    p_bar = p.mean(axis=1)
     labels = design.outcome_labels
-    rows = []
-    for var, j, target in _term_targets(design, variables):
+    triples = _term_targets(design, variables)
+    for var, j, _ in triples:
         x = design.x[:, j]
         if pseudo != bool(np.all((x == 0.0) | (x == 1.0))):
             raise ValueError(
                 f"variable {var!r} is not a 0/1 indicator; use elasticities" if pseudo
                 else f"variable {var!r} is a 0/1 indicator; use pseudo-elasticities")
-        col = labels.index(target)
-        beta_draws = coefficient_draws(theta, design, draws, j)
-        if pseudo:
-            v_on = v.copy()
-            v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
-            v_off = v.copy()
-            v_off[:, :, col] -= beta_draws * x[:, None]
-            delta = (np.exp(_log_softmax(v_on)) - np.exp(_log_softmax(v_off))).mean(axis=1)
-            values = (delta / p_bar).mean(axis=0)
-        else:
+    # per-observation effects: (triple, outcome, observation)
+    each = np.empty((len(triples), len(labels), design.n_obs))
+    for b in _blocks(design.n_obs, 1 if draws is None else draws.n_draws):
+        v = _predictor_draws(theta, design, draws, b)
+        p = np.exp(_log_softmax(v))  # (nb, R, I)
+        p_bar = p.mean(axis=1)
+        for t, (var, j, target) in enumerate(triples):
+            x = design.x[b, j]
+            col = labels.index(target)
+            beta_draws = coefficient_draws(theta, design, draws, j, rows=b)
+            if pseudo:
+                v_on = v.copy()
+                v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
+                v_off = v.copy()
+                v_off[:, :, col] -= beta_draws * x[:, None]
+                delta = (np.exp(_log_softmax(v_on))
+                         - np.exp(_log_softmax(v_off))).mean(axis=1)
+                each[t, :, b] = (delta / p_bar).T
+                continue
             pj = p[:, :, col]
-            values = np.empty(len(labels))
             for i in range(len(labels)):
                 kron = 1.0 if i == col else 0.0
                 dp = (p[:, :, i] * beta_draws * (kron - pj)).mean(axis=1)
-                values[i] = float(np.mean(x * dp / p_bar[:, i]))
-        rows.append(EffectRow(var, target, target,
-                              "direct", float(values[col])))
+                each[t, i, b] = x * dp / p_bar[:, i]
+    values = each.mean(axis=-1)
+    rows = []
+    for (var, j, target), vals in zip(triples, values):
+        col = labels.index(target)
+        rows.append(EffectRow(var, target, target, "direct", float(vals[col])))
         for i, label in enumerate(labels):
             if i == col:
                 continue
-            rows.append(EffectRow(var, target, label, "cross", float(values[i])))
+            rows.append(EffectRow(var, target, label, "cross", float(vals[i])))
     kind = "pseudo_elasticity" if pseudo else "elasticity"
     return EffectsReport(kind, tuple(rows), design.n_obs)
 

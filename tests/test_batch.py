@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from crashmle import lrtest, mixed, mnl, negbin
+import crashmle
+from crashmle import families, lrtest, mixed, mnl, negbin
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
                               build_design, split_by_flag)
 from crashmle.draws import DrawMatrix
@@ -357,6 +358,34 @@ def test_mc_drops_separated_mnl_replicates_as_not_converged():
     assert dropped["not_converged"] > 0
     assert dropped["optimization_error"] == dropped["negative_statistic"] == 0
     assert result.replicates_kept == 100 - dropped["not_converged"]
+
+
+def test_a_term_that_is_zero_on_every_row_is_not_maximized(monkeypatch):
+    # a 150-row table whose indicator never fires: its coefficient does not
+    # enter the likelihood, so no maximizer may report it converged
+    table = mnl_table(n=150)
+    columns = dict(table.columns, ind=np.zeros(table.n_rows))
+    table = ObservationTable(columns, table.outcome, "severity")
+    spec = ModelSpec("mnl", MNL_SPEC.terms + (Term("ind", ("b",)),),
+                     MNL_SPEC.outcomes, "base")
+    design = build_design(table, spec)
+
+    def no_maximizer(*args, **kwargs):
+        raise AssertionError("an unidentified design was maximized")
+    monkeypatch.setattr(families, "maximize", no_maximizer)
+    monkeypatch.setattr(families, "maximize_batch", no_maximizer)
+    starts = np.zeros((3, design.n_params))
+    ys = np.stack([design.y_index, np.roll(design.y_index, 1), design.y_index[::-1]])
+    res = families.maximize_rows(families.REGISTRY["mnl"], design, None, starts, ys)
+    assert not res.converged.any() and not res.error.any() and res.handed == 0
+    assert all("ind[b]" in m and "not identified" in m for m in res.message)
+    np.testing.assert_array_equal(res.theta, starts)
+    for y, ll in zip(ys, res.ll):
+        assert ll == mnl.make_objective(design, y)(starts[0])[0]
+
+    with pytest.warns(RuntimeWarning, match="covariance matrix is undefined"):
+        fit = crashmle.fit(table, spec)
+    assert not fit.converged and "ind[b]" in fit.message
 
 
 def forced_block():

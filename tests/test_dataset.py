@@ -111,6 +111,13 @@ def test_csv_round_trip_preserves_floats_exactly(tmp_path):
     assert list(back.outcome) == list(t.outcome)
 
 
+def test_load_csv_reads_counts_above_2_53_exactly(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,outcome\n1.0,9007199254740993\n2.0,3.0\n3.0,7\n")
+    back = load_csv(path, "frequency", "outcome")
+    assert back.outcome.tolist() == [2**53 + 1, 3, 7]
+
+
 def test_csv_round_trip_frequency(tmp_path):
     t = ObservationTable({"x": [0.1, 0.2]}, np.array([4, 0]), "frequency")
     path = tmp_path / "counts.csv"
@@ -160,6 +167,10 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(write("x,outcome\n1,2.5\n"), "frequency", "outcome")
     with pytest.raises(ValueError, match="non-numeric count"):
         load_csv(write("x,outcome\n1,many\n"), "frequency", "outcome")
+    with pytest.raises(ValueError, match="non-integer count"):
+        load_csv(write("x,outcome\n1,inf\n"), "frequency", "outcome")
+    with pytest.raises(ValueError, match="int64 range"):
+        load_csv(write(f"x,outcome\n1,{2**63}\n"), "frequency", "outcome")
     with pytest.raises(ValueError, match="mode"):
         load_csv(write("x,outcome\n1,a\n"), "oops", "outcome")
 
@@ -190,8 +201,8 @@ def tables(draw):
         label = st.from_regex(rf"{edge}([A-Za-z0-9,\"'; .]*{edge})?", fullmatch=True)
         outcome = np.array(draw(st.lists(label, min_size=n, max_size=n)))
         return ObservationTable(cols, outcome, "severity")
-    # counts pass through a float in load_csv: exact up to 2**53
-    counts = draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n))
+    # integer count text is read exactly over the whole int64 range
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
     return ObservationTable(cols, np.array(counts, dtype=np.int64), "frequency")
 
 

@@ -1,5 +1,8 @@
 """Mixed logit: Halton draws, mixing transforms, simulated likelihood."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.special
@@ -23,6 +26,7 @@ from crashmle.mixed import (
     simulated_probs,
     transform_draws,
 )
+from crashmle import mnl
 from crashmle.mnl import elasticities, fit_mnl, mnl_probs
 
 
@@ -324,3 +328,117 @@ def test_mixed_effects_requires_mixed_fit():
     fit = fit_mnl(table, plain_spec)
     with pytest.raises(ValueError, match="mixed"):
         mixed_effects(fit, table)
+
+
+# ------------------------------------------------- blocked logit kernel
+
+def dense_logit(design, draws, y, theta):
+    """(K, N) log-likelihoods and (K, N, P) scores from whole (K, N, R, I)
+    arrays; R = 1 without draws."""
+    x, inc = design.x, design.incidence
+    k, n = theta.shape[0], design.n_obs
+    r = 1 if draws is None else draws.n_draws
+    v = np.repeat(((x * theta[:, None, design.loc_pos]) @ inc)[:, :, None, :], r, axis=2)
+    for dim, j in enumerate(design.random_terms):
+        beta = np.exp(theta[:, design.scale_pos[j], None, None]) * draws.std[dim]
+        v += (x[:, j, None] * beta)[..., None] * inc[j]
+    v -= v.max(axis=-1, keepdims=True)
+    logp = v - np.log(np.exp(v).sum(axis=-1, keepdims=True))
+    logl = np.take_along_axis(logp, y[:, :, None, None], axis=-1)[..., 0]  # (K, N, R)
+    top = logl.max(axis=-1, keepdims=True)
+    lik = np.exp(logl - top)
+    ll = top[..., 0] + np.log(lik.mean(axis=-1))
+    w = lik / lik.sum(axis=-1, keepdims=True)
+    # d logl / d v_t: 1 if y is in term t's set, less the set's probability
+    d = inc.T[y][:, :, None, :] - np.exp(logp) @ inc.T  # (K, N, R, T)
+    scores = np.empty((k, n, design.n_params))
+    scores[..., design.loc_pos] = x * (w[..., None] * d).sum(axis=2)
+    for dim, j in enumerate(design.random_terms):
+        scale = np.exp(theta[:, design.scale_pos[j], None])
+        scores[..., design.scale_pos[j]] = x[:, j] * scale * (
+            w * d[..., j] * draws.std[dim]).sum(axis=-1)
+    return ll, scores
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+SHARED_SPEC = ModelSpec("mixed_mnl", (
+    Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
+    Term("x1", ("a",), "random_normal"), Term("x2", ("a", "b"), "random_uniform"),
+    Term("x2", ("c",))), ("a", "b", "c", "base"), "base")
+
+
+def shared_case(n, n_draws, k=3, seed=0):
+    """A design whose normal and uniform random terms share outcome a, K
+    parameter rows around a point and K distinct outcome rows."""
+    rng = np.random.default_rng(seed)
+    labels = np.array(["a", "b", "c", "base"])
+    table = ObservationTable({"x1": rng.normal(size=n), "x2": rng.normal(size=n)},
+                             labels[rng.integers(0, 4, size=n)], "severity")
+    design = build_design(table, SHARED_SPEC)
+    draws = DrawMatrix.for_design(design, n_draws)
+    theta = np.array([0.3, -0.2, 0.8, np.log(1.5), -0.5, np.log(0.7), 0.4])
+    theta = theta + 0.2 * rng.normal(size=(k, theta.size))
+    y = rng.integers(0, 4, size=(k + 1, n))
+    return design, draws, y, theta
+
+
+@pytest.mark.parametrize("rows_of", [lambda step: 1, lambda step: step // 2,
+                                     lambda step: 2 * step, lambda step: 2 * step + 1])
+def test_blocked_kernel_matches_a_dense_evaluation(rows_of):
+    # K = 3 rows evaluated against outcome rows 3, 0 and 2
+    n_draws, pick = 40, np.array([3, 0, 2])
+    n = rows_of(mnl.BLOCK_ELEMENTS // (len(pick) * n_draws))
+    design, draws, y, theta = shared_case(n, n_draws, k=len(pick))
+    ll, scores = mnl._kernel(design, draws, y)(theta, pick)
+    want_ll, want_scores = dense_logit(design, draws, y[pick], theta)
+    assert ll.shape == (3, n) and scores.shape == (3, n, design.n_params)
+    assert_close(ll, want_ll)
+    assert_close(scores, want_scores)
+
+
+def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
+    spec = ModelSpec("mnl", tuple(replace(t, kind="fixed") for t in SHARED_SPEC.terms),
+                     SHARED_SPEC.outcomes, "base")
+    for n in (1, 2 * (mnl.BLOCK_ELEMENTS // 3) + 1):
+        case, _, y, theta = shared_case(n, 25)
+        design = build_design(case.table, spec)
+        theta = theta[:, [0, 1, 2, 4, 6]]
+        ll, scores, hess = mnl._kernel(design, None, y)(theta, slice(1, 4), hessian=True)
+        want_ll, want_scores = dense_logit(design, None, y[1:4], theta)
+        assert_close(ll, want_ll)
+        assert_close(scores, want_scores)
+        # the Hessian as the whole-array formula: x x' paired per outcome
+        x, inc, t = design.x, design.incidence, design.x.shape[1]
+        p = np.stack([mnl.mnl_probs(row, design) for row in theta])
+        m = x * (p @ inc.T)
+        xx = (x[:, :, None] * x[:, None, :]).reshape(-1, t * t)
+        ii = (inc.T[:, :, None] * inc.T[:, None, :]).reshape(-1, t * t)
+        pdd = (p.transpose(0, 2, 1) @ xx * ii).sum(axis=1).reshape(3, t, t)
+        assert_close(hess, m.transpose(0, 2, 1) @ m - pdd)
+
+
+def evaluation_peak(n, n_draws=500):
+    """tracemalloc peak of one evaluation, and the bytes of its outputs."""
+    design, draws, y, theta = shared_case(n, n_draws, k=1)
+    kernel = mnl._kernel(design, draws, y[0])
+    tracemalloc.start()
+    try:
+        ll, scores = kernel(theta, slice(0, 1))
+        return tracemalloc.get_traced_memory()[1], ll.nbytes + scores.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_scales_with_the_block_not_with_n_times_r():
+    # a C07-sized evaluation (N = 3000, R = 500): one whole (N, R) slice
+    # per outcome would take 12 MB
+    peak, outputs = evaluation_peak(3000)
+    assert peak < 16e6
+    # beyond the (K, N) and (K, N, P) outputs, doubling N adds nothing
+    # (4 kB allow for the interpreter's own allocations)
+    peak_2n, outputs_2n = evaluation_peak(6000)
+    assert peak_2n - outputs_2n <= peak - outputs + 4096
