@@ -16,9 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
+
 SEVERITY = "severity"
 FREQUENCY = "frequency"
 MODES = (SEVERITY, FREQUENCY)
+#: rows ``ObservationTable.to_csv`` converts to text at a time, column by
+#: column; the chunks bound the Python objects it holds
+_CSV_CHUNK_ROWS = 1 << 12
 
 FAMILIES = ("mnl", "mixed_mnl", "nb", "mixed_nb")
 SEVERITY_FAMILIES = ("mnl", "mixed_mnl")
@@ -103,17 +108,14 @@ class ObservationTable:
         """Write the table as RFC-4180 CSV; floats use shortest round-trip form."""
         if outcome_column in self.columns:
             raise ValueError(f"outcome column name {outcome_column!r} clashes with a covariate")
-        names = list(self.columns)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(names + [outcome_column])
-            for i in range(self.n_rows):
-                row = [repr(float(self.columns[c][i])) for c in names]
-                if self.mode == FREQUENCY:
-                    row.append(str(int(self.outcome[i])))
-                else:
-                    row.append(str(self.outcome[i]))
-                writer.writerow(row)
+            writer.writerow(list(self.columns) + [outcome_column])
+            for a in range(0, self.n_rows, _CSV_CHUNK_ROWS):
+                part = slice(a, a + _CSV_CHUNK_ROWS)
+                cells = [map(repr, col[part].tolist()) for col in self.columns.values()]
+                cells.append(map(str, self.outcome[part].tolist()))
+                writer.writerows(zip(*cells))
 
 
 def _parse_count(cell: str, where: str) -> int:
@@ -337,11 +339,15 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        terms = tuple(
-            Term(t["var"], tuple(t.get("outcomes", ())),
-                 _DIST_TO_KIND[t.get("dist", "fixed")])
-            for t in d["terms"])
-        return ModelSpec(d["family"], terms,
+        terms = []
+        for t in serialize.require(d, ("family", "terms"), "model spec")["terms"]:
+            var = serialize.require(t, ("var",), "model spec term")["var"]
+            dist = t.get("dist", "fixed")
+            if dist not in _DIST_TO_KIND:
+                raise ValueError(f"term {var!r}: dist must be one of "
+                                 f"{sorted(_DIST_TO_KIND)}, got {dist!r}")
+            terms.append(Term(var, tuple(t.get("outcomes", ())), _DIST_TO_KIND[dist]))
+        return ModelSpec(d["family"], tuple(terms),
                          tuple(d.get("outcomes", ())), d.get("base"))
 
 

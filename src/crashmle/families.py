@@ -141,10 +141,8 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
     if b and family.batch_objective is not None and not (
             design.spec.is_frequency and counts.max() > BATCH_COUNT_CAP):
         res = maximize_batch(family.batch_objective(design, outcomes), starts, settings)
-        theta, ll, converged, iterations = (res.theta, res.ll, res.converged,
-                                            res.iterations)
-        message = ["gradient tolerance reached" if n else "converged at start"
-                   for n in iterations]
+        theta, ll, converged, iterations, message = (
+            res.theta, res.ll, res.converged, res.iterations, list(res.message))
         handed = b - int(converged.sum())
     for i in np.flatnonzero(~converged):
         objective = family.objective(design, draws,

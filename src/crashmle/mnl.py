@@ -56,11 +56,15 @@ def _softmax_slices(v: list):
     return z, e, s
 
 
-def _log_softmax(v: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last (outcome) axis, reduced over explicit
-    outcome slices; with fewer than eight outcomes it equals bit for bit
-    ``v - max`` less the log of the exponentials summed along the axis."""
-    z, _, s = _softmax_slices([v[..., i] for i in range(v.shape[-1])])
+def _log_softmax(v) -> np.ndarray:
+    """Log-softmax of predictors ``v``, an array with the outcomes on its
+    last axis or a list of per-outcome slices, reduced over the outcome
+    slices and stacked on a last axis; with fewer than eight outcomes it
+    equals bit for bit ``v - max`` less the log of the exponentials
+    summed along the axis."""
+    if isinstance(v, np.ndarray):
+        v = [v[..., i] for i in range(v.shape[-1])]
+    z, _, s = _softmax_slices(v)
     lse = np.log(s)
     return np.stack([zi - lse for zi in z], axis=-1)
 
@@ -246,15 +250,6 @@ def _predictor_slices(theta, design: DesignMatrix, draws=None,
     return v
 
 
-def _predictor_draws(theta, design: DesignMatrix, draws=None,
-                     rows=slice(None)) -> np.ndarray:
-    """Linear predictors per draw of the observations ``rows`` selects,
-    shape (..., N, R, I) for ``theta`` of shape (..., P); R = 1 without
-    draws."""
-    return np.stack(np.broadcast_arrays(
-        *_predictor_slices(theta, design, draws, rows)), axis=-1)
-
-
 def _mean_probs(theta, design: DesignMatrix, draws=None,
                 row: int | None = None) -> np.ndarray:
     """Outcome probabilities averaged over draws: (N, I), or (I,) for
@@ -267,8 +262,8 @@ def _mean_probs(theta, design: DesignMatrix, draws=None,
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
     out = np.empty((n, design.n_outcomes))
     for b in _blocks(n, 1 if draws is None else draws.n_draws):
-        v = _predictor_draws(theta, design, draws,
-                             slice(first + b.start, first + b.stop))
+        v = _predictor_slices(theta, design, draws,
+                              slice(first + b.start, first + b.stop))
         out[b] = np.exp(_log_softmax(v)).mean(axis=-2)
     return out if row is None else out[0]
 
@@ -298,7 +293,7 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
     # per-observation effects: (triple, outcome, observation)
     each = np.empty((len(triples), len(labels), design.n_obs))
     for b in _blocks(design.n_obs, 1 if draws is None else draws.n_draws):
-        v = _predictor_draws(theta, design, draws, b)
+        v = _predictor_slices(theta, design, draws, b)
         p = np.exp(_log_softmax(v))  # (nb, R, I)
         p_bar = p.mean(axis=1)
         for t, (var, j, target) in enumerate(triples):
@@ -306,10 +301,9 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             col = labels.index(target)
             beta_draws = coefficient_draws(theta, design, draws, j, rows=b)
             if pseudo:
-                v_on = v.copy()
-                v_on[:, :, col] += beta_draws * (1.0 - x[:, None])
-                v_off = v.copy()
-                v_off[:, :, col] -= beta_draws * x[:, None]
+                v_on, v_off = list(v), list(v)  # the target's slice switched
+                v_on[col] = v[col] + beta_draws * (1.0 - x[:, None])
+                v_off[col] = v[col] - beta_draws * x[:, None]
                 delta = (np.exp(_log_softmax(v_on))
                          - np.exp(_log_softmax(v_off))).mean(axis=1)
                 each[t, :, b] = (delta / p_bar).T

@@ -1,21 +1,23 @@
 """Maximizers and post-fit summary machinery.
 
-:func:`maximize` is BFGS with Armijo backtracking on objectives that
-return the log-likelihood and its analytic gradient together;
-:func:`maximize_batch` is Newton on B independent problems whose
-objective also returns analytic Hessians.  Both declare convergence when
-the gradient infinity norm, scaled by max(1, |ll|), drops below
-``gradient_tolerance``.  Which of them fits what is decided in one place,
-:func:`crashmle.families.maximize_rows`.  Standard errors come from the
-inverse negative Hessian (analytic when given, else central finite
-differences of the gradient), with an outer-product-of-scores fallback
-when that matrix is not positive definite.
+Every maximization runs one ascent loop over B independent problems, one
+per row.  A row takes Newton steps on the Hessians its objective returns
+(:func:`maximize_batch`) or BFGS steps on its own inverse-Hessian
+estimate (:func:`maximize`, the one-row case); the start check, Armijo
+backtracking, the convergence test (the gradient infinity norm, scaled
+by max(1, |ll|), at most ``gradient_tolerance``), the step-tolerance
+stop, the iteration limit and the rows' stop messages are shared.  Which
+maximizer fits what is decided in :func:`crashmle.families.maximize_rows`.
+Standard errors come from the inverse negative Hessian (analytic when
+given, else central finite differences of the gradient), with an
+outer-product-of-scores fallback when that matrix is not positive
+definite.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .dataset import ModelSpec
 #: noise (standard errors of 1e13 and more on a fit stopped on a flat
 #: region), so the covariance is reported undefined instead.
 BHHH_MIN_RCOND = 1e-12
+
+_NOT_FINITE = "objective is not finite at the starting point"
 
 
 class OptimizationError(RuntimeError):
@@ -64,179 +68,162 @@ class MaximizeResult:
     ll_path: list[float]
 
 
-def _scaled_gnorm(grad: np.ndarray, ll: float) -> float:
-    return float(np.max(np.abs(grad))) / max(1.0, abs(ll))
-
-
-def maximize(objective, theta0, settings: OptimSettings | None = None) -> MaximizeResult:
-    """Maximize ``objective(theta) -> (ll, grad)`` from ``theta0``.
-
-    Accepted iterates are monotone in ``ll`` (Armijo condition), so the
-    final point is also the best one seen.  Non-finite trial points are
-    handled by shrinking the step.
-    """
-    s = settings or OptimSettings()
-    theta = np.array(theta0, dtype=np.float64).copy()
-    p = theta.size
-    ll, grad = objective(theta)
-    ll = float(ll)
-    grad = np.asarray(grad, dtype=np.float64)
-    n_evals = 1
-    if not np.isfinite(ll) or not np.all(np.isfinite(grad)):
-        raise OptimizationError("objective is not finite at the starting point")
-    ll_path = [ll]
-
-    if _scaled_gnorm(grad, ll) <= s.gradient_tolerance:
-        return MaximizeResult(theta, ll, True, 0, n_evals,
-                              _scaled_gnorm(grad, ll), "converged at start", ll_path)
-
-    h_inv = np.eye(p)  # approximate inverse of the negative Hessian
-    first_update = True
-    c1 = 1e-4
-    message = "iteration limit reached"
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, s.max_iterations + 1):
-        direction = h_inv @ grad
-        slope = float(direction @ grad)
-        if slope <= 0.0:
-            h_inv = np.eye(p)
-            first_update = True
-            direction = grad.copy()
-            slope = float(grad @ grad)
-            if slope == 0.0:
-                converged = True
-                message = "zero gradient"
-                break
-
-        step = 1.0
-        accepted = False
-        while step >= 1e-14:
-            trial = theta + step * direction
-            ll_t, grad_t = objective(trial)
-            n_evals += 1
-            ll_t = float(ll_t)
-            if np.isfinite(ll_t) and np.all(np.isfinite(grad_t)) \
-                    and ll_t >= ll + c1 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            message = "line search failed to find an ascent step"
-            break
-
-        delta = step * direction
-        gdiff = np.asarray(grad_t, dtype=np.float64) - grad
-        theta = trial
-        ll = ll_t
-        grad = np.asarray(grad_t, dtype=np.float64)
-        ll_path.append(ll)
-
-        gnorm = _scaled_gnorm(grad, ll)
-        if gnorm <= s.gradient_tolerance:
-            converged = True
-            message = "gradient tolerance reached"
-            break
-
-        # BFGS update on the negated problem: curvature pair (delta, -gdiff)
-        y = -gdiff
-        sy = float(delta @ y)
-        if sy > 1e-12 * float(np.linalg.norm(delta)) * float(np.linalg.norm(y)):
-            if first_update:
-                h_inv *= sy / float(y @ y)
-                first_update = False
-            rho = 1.0 / sy
-            hy = h_inv @ y
-            h_inv -= rho * (np.outer(delta, hy) + np.outer(hy, delta))
-            h_inv += rho * rho * float(y @ hy) * np.outer(delta, delta) \
-                + rho * np.outer(delta, delta)
-
-        if float(np.max(np.abs(delta))) <= s.step_tolerance * (1.0 + float(np.max(np.abs(theta)))):
-            message = "step size below tolerance"
-            break
-
-    return MaximizeResult(theta, ll, converged, iterations, n_evals,
-                          _scaled_gnorm(grad, ll), message, ll_path)
-
-
 @dataclass
 class BatchResult:
-    """Row-wise outcome of :func:`maximize_batch`.
+    """Row-wise outcome of the ascent loop.  A row with ``converged``
+    False stopped before the gradient test passed, at its last accepted
+    iterate; ``iterations`` counts its accepted steps, so its entries of
+    ``ll_path`` (the (B,) log-likelihoods at the start and after every
+    iteration) are the first ``iterations + 1``."""
 
-    Rows with ``converged`` False stopped before the gradient test
-    passed; their ``theta`` and ``ll`` are the last accepted iterate.
-    """
-
-    theta: np.ndarray      # (B, P)
-    ll: np.ndarray         # (B,)
-    converged: np.ndarray  # (B,) bool
+    theta: np.ndarray       # (B, P)
+    ll: np.ndarray          # (B,)
+    converged: np.ndarray   # (B,) bool
     iterations: np.ndarray  # (B,) int
+    message: np.ndarray     # (B,) str
+    grad: np.ndarray        # (B, P)
+    ll_path: list
+    n_evals: int
 
 
-def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
-    """Newton maximization of B independent problems at once.
+def _scaled_gnorm(grad: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """Each row's gradient infinity norm over max(1, |ll|)."""
+    return np.abs(grad).max(axis=1) / np.maximum(1.0, np.abs(ll))
+
+
+def _ascend(objective, theta0, settings: OptimSettings | None, bfgs: bool) -> BatchResult:
+    """The ascent loop over B independent problems, one per row of ``theta0``.
 
     ``objective(theta, rows)`` maps a (K, P) stack of iterates and the
     indices of the K problems they belong to onto (K,) log-likelihoods,
-    (K, P) gradients and (K, P, P) Hessians.  Every row takes Newton
-    steps with its own Armijo backtracking and stops under the gradient
-    test of :func:`maximize`.  A row stops unconverged, to be refitted
-    by :func:`maximize` (see :func:`crashmle.families.maximize_rows`),
-    when it starts non-finite, meets a Hessian that is not negative
-    definite, finds no ascent step, moves less than ``step_tolerance``
-    or runs out of iterations.
+    (K, P) gradients and (K, P, P) Hessians (None with ``bfgs``).  A row
+    stops when it starts non-finite, passes the gradient test, meets a
+    Hessian that is not negative definite (Newton) or a zero gradient
+    (BFGS), finds no ascent step, moves less than ``step_tolerance`` or
+    runs out of iterations.
     """
     s = settings or OptimSettings()
     theta = np.array(theta0, dtype=np.float64)
-    b = theta.shape[0]
-    all_rows = np.arange(b)
-    ll, grad, hess = objective(theta, all_rows)
-    gnorm = lambda g, f: np.max(np.abs(g), axis=1) / np.maximum(1.0, np.abs(f))
+    b, p = theta.shape
+    ll, grad, hess = objective(theta, np.arange(b))
+    n_evals = 1
     finite = np.isfinite(ll) & np.isfinite(grad).all(axis=1)
     converged = np.zeros(b, dtype=bool)
-    converged[finite] = gnorm(grad[finite], ll[finite]) <= s.gradient_tolerance
+    converged[finite] = _scaled_gnorm(grad[finite], ll[finite]) <= s.gradient_tolerance
     active = finite & ~converged
+    message = np.full(b, _NOT_FINITE, dtype=object)
+    message[converged] = "converged at start"
+    message[active] = "iteration limit reached"
     iterations = np.zeros(b, dtype=np.int64)
-    c1 = 1e-4
+    # BFGS inverse negative Hessians, and which are the identity still
+    h_inv, fresh = np.tile(np.eye(p), (b, 1, 1)), np.ones(b, dtype=bool)
+    ll_path = [ll.copy()]
 
     for it in range(1, s.max_iterations + 1):
-        rows = all_rows[active]
+        rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        neg_h = -hess[rows]
-        ok = np.isfinite(neg_h).all(axis=(1, 2))
-        ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
-        active[rows[~ok]] = False
-        rows, neg_h = rows[ok], neg_h[ok]
         g = grad[rows]
-        direction = np.linalg.solve(neg_h, g[:, :, None])[:, :, 0]
-        slope = np.einsum("kp,kp->k", direction, g)
+        if bfgs:
+            direction, slope = np.empty_like(g), np.empty(rows.size)
+            for j, k in enumerate(rows):
+                direction[j] = h_inv[k] @ g[j]
+                slope[j] = direction[j] @ g[j]
+                if slope[j] <= 0.0:  # not an ascent direction: restart
+                    h_inv[k], fresh[k] = np.eye(p), True
+                    direction[j], slope[j] = g[j], g[j] @ g[j]
+            ok, why = slope != 0.0, "zero gradient"
+        else:
+            neg_h = -hess[rows]
+            ok = np.isfinite(neg_h).all(axis=(1, 2))
+            ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
+            direction = np.zeros_like(g)
+            direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
+            slope = np.einsum("kp,kp->k", direction, g)
+            why = "Hessian not negative definite"
+        if not ok.all():
+            converged[rows[~ok]] = bfgs  # a zero gradient is a stationary point
+            message[rows[~ok]] = why
+            active[rows[~ok]] = False
+            rows, g, direction, slope = rows[ok], g[ok], direction[ok], slope[ok]
 
-        step = np.ones(rows.size)
-        pending = np.arange(rows.size)
+        # Armijo backtracking: halve a row's step until accepted or below 1e-14
+        step, pending = np.ones(rows.size), np.arange(rows.size)
         while pending.size:
             idx = rows[pending]
             trial = theta[idx] + step[pending, None] * direction[pending]
             ll_t, grad_t, hess_t = objective(trial, idx)
+            n_evals += 1
             good = (np.isfinite(ll_t) & np.isfinite(grad_t).all(axis=1)
-                    & (ll_t >= ll[idx] + c1 * step[pending] * slope[pending]))
+                    & (ll_t >= ll[idx] + 1e-4 * step[pending] * slope[pending]))
             acc = idx[good]
-            delta = step[pending[good], None] * direction[pending[good]]
-            theta[acc], ll[acc] = trial[good], ll_t[good]
-            grad[acc], hess[acc] = grad_t[good], hess_t[good]
-            iterations[acc] = it
-            done = gnorm(grad[acc], ll[acc]) <= s.gradient_tolerance
-            converged[acc[done]] = True
-            stalled = (np.max(np.abs(delta), axis=1)
-                       <= s.step_tolerance * (1.0 + np.max(np.abs(theta[acc]), axis=1)))
-            active[acc[done | stalled]] = False
+            theta[acc], ll[acc], grad[acc] = trial[good], ll_t[good], grad_t[good]
+            if not bfgs:
+                hess[acc] = hess_t[good]
             step[pending[~good]] *= 0.5
-            failed = ~good & (step[pending] < 1e-14)
-            active[idx[failed]] = False
-            pending = pending[~good & ~failed]
+            pending = pending[~good & (step[pending] >= 1e-14)]
+        moved = step >= 1e-14
+        if not moved.all():
+            message[rows[~moved]] = "line search failed to find an ascent step"
+            active[rows[~moved]] = False
+            rows, g, direction, step = rows[moved], g[moved], direction[moved], step[moved]
+        delta = step[:, None] * direction
+        iterations[rows] = it
 
-    return BatchResult(theta, ll, converged, iterations)
+        done = _scaled_gnorm(grad[rows], ll[rows]) <= s.gradient_tolerance
+        stalled = ~done & (np.abs(delta).max(axis=1) <= s.step_tolerance
+                           * (1.0 + np.abs(theta[rows]).max(axis=1)))
+        stop = done | stalled
+        if stop.any():
+            converged[rows[done]] = True
+            message[rows[done]] = "gradient tolerance reached"
+            message[rows[stalled]] = "step size below tolerance"
+            active[rows[stop]] = False
+        if bfgs:  # update on the negated problem: curvature pairs (delta, -gdiff)
+            for k, d, y in zip(rows, delta, -(grad[rows] - g)):
+                sy = float(d @ y)
+                if sy > 1e-12 * float(np.linalg.norm(d)) * float(np.linalg.norm(y)):
+                    h = h_inv[k]
+                    if fresh[k]:
+                        h *= sy / float(y @ y)
+                        fresh[k] = False
+                    rho = 1.0 / sy
+                    hy = h @ y
+                    h -= rho * (np.outer(d, hy) + np.outer(hy, d))
+                    h += rho * rho * float(y @ hy) * np.outer(d, d) + rho * np.outer(d, d)
+        ll_path.append(ll.copy())
+
+    return BatchResult(theta, ll, converged, iterations, message, grad, ll_path, n_evals)
+
+
+def maximize(objective, theta0, settings: OptimSettings | None = None) -> MaximizeResult:
+    """Maximize ``objective(theta) -> (ll, grad)`` from ``theta0`` by BFGS,
+    the one-row case of the ascent loop.
+
+    Accepted iterates are monotone in ``ll`` (Armijo condition), so the
+    final point is also the best one seen.  Non-finite trial points are
+    handled by shrinking the step.  ``iterations`` counts the iterations
+    begun, the one in which the fit stopped included.
+    """
+    def one_row(theta, rows):
+        ll, grad = objective(theta[0])
+        return np.array([float(ll)]), np.array(grad, dtype=np.float64, ndmin=2), None
+
+    res = _ascend(one_row, np.array(theta0, dtype=np.float64)[None], settings, bfgs=True)
+    if res.message[0] == _NOT_FINITE:
+        raise OptimizationError(_NOT_FINITE)
+    return MaximizeResult(res.theta[0], float(res.ll[0]), bool(res.converged[0]),
+                          len(res.ll_path) - 1, res.n_evals,
+                          float(_scaled_gnorm(res.grad, res.ll)[0]), res.message[0],
+                          [float(v[0]) for v in res.ll_path[:res.iterations[0] + 1]])
+
+
+def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
+    """Newton maximization of B independent problems at once: the ascent
+    loop on the (K, P, P) Hessians ``objective(theta, rows)`` returns with
+    its log-likelihoods and gradients.  ``iterations`` counts each row's
+    accepted steps."""
+    return _ascend(objective, theta0, settings, bfgs=False)
 
 
 def hessian_fd(objective, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -390,6 +377,8 @@ class FitResult:
 
     @staticmethod
     def from_dict(d: dict) -> "FitResult":
+        # every field without a default must be in the file
+        serialize.require(d, [f.name for f in fields(FitResult) if f.default is MISSING], "fit")
         arr = lambda key: np.array([serialize.none_to_nan(v) for v in d[key]])
         spec = ModelSpec.from_dict(d["spec"]) if d.get("spec") else None
         simulated = d.get("n_draws") is not None  # older files: default draws

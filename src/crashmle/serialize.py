@@ -37,6 +37,15 @@ def write_json(path, obj) -> None:
         fh.write(dumps(obj))
 
 
+def require(d: dict, keys, what: str) -> dict:
+    """Return ``d``; raise a ValueError naming ``what`` and the missing
+    keys if it lacks any of ``keys``."""
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    return d
+
+
 def nan_to_none(x: float):
     return None if x is None or not math.isfinite(x) else float(x)
 

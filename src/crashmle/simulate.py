@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from . import serialize
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       build_design, scale_param_name, term_param_name)
 from .mnl import _log_softmax
@@ -165,9 +166,11 @@ class DgpConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "DgpConfig":
+        serialize.require(d, ("spec", "params", "covariates", "n"), "dgp config")
         influence = None
         if d.get("influence") is not None:
-            influence = (d["influence"]["distance"], float(d["influence"]["cap"]))
+            inf = serialize.require(d["influence"], ("distance", "cap"), "dgp influence")
+            influence = (inf["distance"], float(inf["cap"]))
         return DgpConfig(
             spec=ModelSpec.from_dict(d["spec"]),
             params={k: float(v) for k, v in d["params"].items()},

@@ -263,6 +263,61 @@ def test_maximize_batch_stops_rows_it_cannot_solve():
     np.testing.assert_allclose(res.theta[[0, 3]], centers[[0, 3]], atol=1e-12)
     np.testing.assert_array_equal(res.theta[1], start[1])
     assert res.iterations[1] == 0 and res.iterations[2] == 0
+    assert list(res.message) == ["gradient tolerance reached",
+                                 "Hessian not negative definite",
+                                 "objective is not finite at the starting point",
+                                 "gradient tolerance reached"]
+
+
+def test_maximize_batch_stops_rows_whose_line_search_fails():
+    # row 1's gradient points uphill while its values fall along it
+    def objective(theta, rows):
+        sign = np.where(rows == 1, -1.0, 1.0)[:, None]
+        ll = -np.einsum("kp,kp->k", theta, theta)
+        hess = np.broadcast_to(-2.0 * np.eye(2), (len(rows), 2, 2))
+        return ll, -2.0 * sign * theta, hess.copy()
+
+    start = np.ones((2, 2))
+    res = maximize_batch(objective, start)
+    np.testing.assert_array_equal(res.converged, [True, False])
+    np.testing.assert_array_equal(res.iterations, [1, 0])
+    np.testing.assert_array_equal(res.theta, [[0.0, 0.0], [1.0, 1.0]])
+    assert list(res.message) == ["gradient tolerance reached",
+                                 "line search failed to find an ascent step"]
+
+
+def quartic_batch(theta, rows):
+    """Rows of -(t - 1)**4, maximized by Newton a third of the way at a time."""
+    d = theta - 1.0
+    return -np.sum(d ** 4, axis=1), -4.0 * d ** 3, (-12.0 * d ** 2)[:, :, None]
+
+
+def test_maximize_batch_stops_rows_on_a_short_step():
+    res = maximize_batch(quartic_batch, np.array([[0.0], [0.5]]),
+                         OptimSettings(step_tolerance=1.0))
+    np.testing.assert_array_equal(res.converged, [False, False])
+    np.testing.assert_array_equal(res.iterations, [1, 1])
+    np.testing.assert_allclose(res.theta[:, 0], [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+    assert list(res.message) == ["step size below tolerance"] * 2
+
+
+def test_maximize_batch_rows_are_independent():
+    """Each row of a batch run is, bit for bit, that row run alone, given
+    an objective whose rows are computed independently of each other (the
+    logit kernel on one observation block)."""
+    design, ys, theta = mnl_batch_case()
+    quartic_starts = np.array([[0.0], [0.9], [-3.0], [1.0]])
+    # the quartic rows stop at different iterations, one at its start
+    np.testing.assert_array_equal(
+        maximize_batch(quartic_batch, quartic_starts).iterations, [13, 7, 16, 0])
+    for make, start in (
+            (lambda rows: quartic_batch, quartic_starts),
+            (lambda rows: mnl.make_batch_objective(design, ys[rows]), theta)):
+        res = maximize_batch(make(slice(None)), start)
+        for k in range(len(start)):
+            alone = maximize_batch(make(slice(k, k + 1)), start[k:k + 1])
+            np.testing.assert_array_equal(alone.theta[0], res.theta[k])
+            assert (alone.ll[0], alone.iterations[0]) == (res.ll[k], res.iterations[k])
 
 
 def test_maximize_batch_respects_the_iteration_limit():
@@ -272,6 +327,9 @@ def test_maximize_batch_respects_the_iteration_limit():
                          OptimSettings(max_iterations=1))
     assert not res.converged.any()
     assert np.all(res.iterations <= 1)
+    res = maximize_batch(quartic_batch, np.zeros((1, 1)), OptimSettings(max_iterations=3))
+    assert (res.converged[0], res.iterations[0]) == (False, 3)
+    assert res.message[0] == "iteration limit reached"
 
 
 # ---------------------------------------------------------- outcome streams

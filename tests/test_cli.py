@@ -286,6 +286,41 @@ def test_errors_exit_two(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_unknown_term_dist(workdir, capsys):
+    d = mnl_dgp().to_dict()
+    d["spec"]["terms"][1]["dist"] = "gamma"
+    (workdir / "bad_dgp.json").write_text(dumps(d))
+    assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
+                 "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'gamma'" in err
+
+
+def test_simulate_names_a_missing_dgp_key(workdir, capsys):
+    d = mnl_dgp().to_dict()
+    del d["n"]
+    (workdir / "bad_dgp.json").write_text(dumps(d))
+    assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
+                 "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n'" in err
+
+
+def test_effects_names_a_missing_fit_key(workdir, capsys):
+    assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
+                 "--spec", str(workdir / "mnl.ini"),
+                 "--out", str(workdir / "fit")]) == 0
+    d = json.loads((workdir / "fit.json").read_text())
+    del d["theta_hat"]
+    (workdir / "bad_fit.json").write_text(dumps(d))
+    capsys.readouterr()
+    assert main(["effects", "--fit", str(workdir / "bad_fit.json"),
+                 "--data", str(workdir / "mnl_data.csv"), "--type", "elasticity",
+                 "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'theta_hat'" in err
+
+
 def test_argparse_rejects_missing_required_options():
     with pytest.raises(SystemExit):
         main(["fit", "--data", "x.csv"])

@@ -108,6 +108,62 @@ def test_maximize_rejects_non_finite_start():
         maximize(objective, np.zeros(1))
 
 
+def test_maximize_stops_on_a_zero_gradient():
+    # g @ g underflows to zero while the scaled gradient is above a tiny
+    # tolerance: the iteration restarts from the gradient and stops there
+    def objective(theta):
+        return 0.0, np.full(2, 1e-200)
+
+    res = maximize(objective, np.zeros(2), OptimSettings(gradient_tolerance=1e-300))
+    assert (res.converged, res.iterations, res.message, res.n_evals) == \
+        (True, 1, "zero gradient", 1)
+    assert res.ll_path == [0.0]
+
+
+def test_maximize_stops_when_the_line_search_fails():
+    # the gradient points uphill, the values fall along it: every trial
+    # step from 1 down to 2**-46 is rejected
+    def objective(theta):
+        return -float(theta @ theta), 2.0 * theta
+
+    res = maximize(objective, np.ones(1))
+    assert (res.converged, res.iterations, res.message, res.n_evals) == \
+        (False, 1, "line search failed to find an ascent step", 48)
+    np.testing.assert_array_equal(res.theta, [1.0])
+    assert res.ll_path == [-1.0]
+
+
+def test_maximize_stops_on_a_short_step():
+    def objective(theta):
+        return -float((theta[0] - 1.0) ** 4), -4.0 * (theta - 1.0) ** 3
+
+    res = maximize(objective, np.array([0.3]), OptimSettings(step_tolerance=1.0))
+    assert (res.converged, res.iterations, res.message, res.n_evals) == \
+        (False, 1, "step size below tolerance", 2)
+    assert len(res.ll_path) == 2 and res.ll_path[1] > res.ll_path[0]
+
+
+def test_maximize_restarts_bfgs_after_a_non_ascent_direction():
+    # values rise to the right while the gradients shrink and then flip to
+    # -2**100; the second BFGS update cancels to a non-positive inverse
+    # Hessian, so the third direction is not an ascent direction and the
+    # iteration restarts from the raw gradient, along which the values
+    # fall: the restarted line search fails
+    def objective(theta):
+        t = theta[0]
+        if t < 0.5:
+            return 0.0, np.array([1.0])
+        if t < 2.0:
+            return 1.0, np.array([1.0 - 2.0 ** -40])
+        return 2.0 ** 40, np.array([-2.0 ** 100])
+
+    res = maximize(objective, np.zeros(1))
+    assert (res.converged, res.iterations, res.message, res.n_evals) == \
+        (False, 3, "line search failed to find an ascent step", 50)
+    np.testing.assert_array_equal(res.theta, [2.0 ** 40])
+    assert res.ll_path == [0.0, 1.0, 2.0 ** 40]
+
+
 def test_hessian_fd_matches_analytic():
     def objective(theta):
         x, y = theta
