@@ -151,7 +151,7 @@ def cmd_influence(args) -> int:
 
 def cmd_simulate(args) -> int:
     with open(args.dgp, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+        d = serialize.require(json.load(fh), (), "dgp config")
     if args.n is not None:
         d["n"] = args.n
     if args.seed is not None:

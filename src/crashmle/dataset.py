@@ -12,6 +12,7 @@ packing used by every estimator in the package.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +140,33 @@ def _parse_count(cell: str, where: str) -> int:
     return value
 
 
+def _read_header(reader, path, outcome_column: str) -> list[str]:
+    """The stripped header row; it must name each column once and hold
+    the outcome column."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+    if outcome_column not in header:
+        raise ValueError(f"{path}: outcome column {outcome_column!r} not in header")
+    return header
+
+
 def load_csv(path, mode: str, outcome_column: str,
              outcome_labels=None) -> ObservationTable:
     """Read a CSV file into an :class:`ObservationTable`.
 
-    Rows with one or more empty cells are dropped and counted in
-    ``n_dropped``.  Non-numeric covariate cells, unknown severity labels
-    (when ``outcome_labels`` is given), and negative or fractional
-    counts raise ``ValueError``.
+    Blank lines are skipped.  Rows with one or more empty cells are
+    dropped and counted in ``n_dropped``.  Non-numeric covariate cells,
+    unknown severity labels (when ``outcome_labels`` is given), and
+    negative or fractional counts raise ``ValueError``.
+
+    The rows are parsed in one typed ``np.loadtxt`` pass; a file that
+    pass cannot take as it stands (a row to drop or an error to report)
+    is read again by the row loop :func:`_load_rows`, which gives the
+    same table for every file both accept.
 
     Parameters
     ----------
@@ -162,15 +182,60 @@ def load_csv(path, mode: str, outcome_column: str,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        header = _read_header(csv.reader(fh), path, outcome_column)
+        table = _load_typed(fh, header, header.index(outcome_column), mode,
+                            outcome_labels)
+    if table is None:
+        table = _load_rows(path, mode, outcome_column, outcome_labels)
+    return table
+
+
+def _load_typed(fh, header, out_pos, mode, outcome_labels):
+    """The rows after the header, parsed by one ``np.loadtxt`` call, as a
+    table; None when the file needs the row loop: an empty cell, a field
+    too many or too few, no rows, a cell loadtxt does not parse (``3.0``
+    as a count, ``1_0``, non-ASCII digits), an unknown label or a
+    negative count.
+
+    The structured dtype (no ``usecols``, which would switch off the
+    field-count check) gives float64 covariates, int64 counts and
+    string labels; its fields are named by position because numpy
+    renames an empty name.  ``comments=None`` keeps a ``#`` in a label.
+    """
+    out_type = object if mode == SEVERITY else np.int64
+    dtype = np.dtype([(str(i), out_type if i == out_pos else np.float64)
+                      for i in range(len(header))])
+    with warnings.catch_warnings():
+        # "input contained no data", and numpy 1.x's deprecated reading
+        # of "3.0" as an integer, go to the row loop too
+        warnings.simplefilter("error")
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
-        if outcome_column not in header:
-            raise ValueError(f"{path}: outcome column {outcome_column!r} not in header")
+            data = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    outcome = data[str(out_pos)]
+    if mode == SEVERITY:
+        labels = [label.strip() for label in outcome.tolist()]
+        seen = set(labels)
+        if "" in seen or (outcome_labels is not None
+                          and not seen <= set(outcome_labels)):
+            return None
+        outcome = np.asarray(labels)
+    elif np.any(outcome < 0):
+        return None
+    columns = {name: np.ascontiguousarray(data[str(i)])
+               for i, name in enumerate(header) if i != out_pos}
+    return ObservationTable(columns, outcome, mode, 0)
+
+
+def _load_rows(path, mode: str, outcome_column: str,
+               outcome_labels=None) -> ObservationTable:
+    """:func:`load_csv` one record at a time: drops and counts rows with
+    an empty cell and names the line of the first bad one."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path, outcome_column)
         out_pos = header.index(outcome_column)
         cov_names = [h for h in header if h != outcome_column]
         cov_pos = [i for i, h in enumerate(header) if h != outcome_column]
@@ -180,11 +245,13 @@ def load_csv(path, mode: str, outcome_column: str,
         outcomes: list = []
         n_dropped = 0
         for lineno, raw in enumerate(reader, start=2):
+            if not raw:  # a blank line
+                continue
             if len(raw) != len(header):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
-            cells = [c.strip() for c in raw]
-            if any(c == "" for c in cells):
+            cells = list(map(str.strip, raw))
+            if "" in cells:
                 n_dropped += 1
                 continue
             out_cell = cells[out_pos]

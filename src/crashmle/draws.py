@@ -55,13 +55,16 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
         raise ValueError("count must be positive")
     if skip < 0:
         raise ValueError("skip must be non-negative")
-    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
+    top = skip + count
+    idx = np.arange(skip + 1, top + 1, dtype=np.int32 if top < 2**31 else np.int64)
+    digit = np.empty_like(idx)
     out = np.zeros(count)
     f = 1.0
-    while idx.any():
+    while top:  # one pass per base-`base` digit of the largest index
+        top //= base
         f /= base
-        out += f * (idx % base)
-        idx //= base
+        np.divmod(idx, base, out=(idx, digit))
+        out += f * digit
     return out
 
 

@@ -38,8 +38,10 @@ def write_json(path, obj) -> None:
 
 
 def require(d: dict, keys, what: str) -> dict:
-    """Return ``d``; raise a ValueError naming ``what`` and the missing
-    keys if it lacks any of ``keys``."""
+    """Return ``d``; raise a ValueError naming ``what`` if it is not a
+    dict, or naming the missing keys if it lacks any of ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")

@@ -88,7 +88,7 @@ class CovariateRecipe:
 
     @staticmethod
     def from_dict(d: dict) -> "CovariateRecipe":
-        if "kind" not in d:
+        if "kind" not in serialize.require(d, (), "covariate recipe"):
             raise ValueError("covariate recipe needs a kind")
         kind = d["kind"]
         allowed = {"normal": {"mean", "sd"}, "uniform": {"low", "high"},
@@ -171,11 +171,12 @@ class DgpConfig:
         if d.get("influence") is not None:
             inf = serialize.require(d["influence"], ("distance", "cap"), "dgp influence")
             influence = (inf["distance"], float(inf["cap"]))
+        params = serialize.require(d["params"], (), "dgp params")
+        covariates = serialize.require(d["covariates"], (), "dgp covariates")
         return DgpConfig(
             spec=ModelSpec.from_dict(d["spec"]),
-            params={k: float(v) for k, v in d["params"].items()},
-            covariates={k: CovariateRecipe.from_dict(v)
-                        for k, v in d["covariates"].items()},
+            params={k: float(v) for k, v in params.items()},
+            covariates={k: CovariateRecipe.from_dict(v) for k, v in covariates.items()},
             n=int(d["n"]), seed=int(d.get("seed", 0)), influence=influence)
 
 

@@ -306,6 +306,46 @@ def test_simulate_names_a_missing_dgp_key(workdir, capsys):
     assert err.startswith("error:") and "'n'" in err
 
 
+def _params_as_list(d):
+    d["params"] = [1, 2]
+    return d
+
+
+def _covariates_as_list(d):
+    d["covariates"] = []
+    return d
+
+
+def _recipe_as_number(d):
+    d["covariates"]["x1"] = 5
+    return d
+
+
+def _config_as_list(d):
+    return list(d)
+
+
+def _spec_as_family_name(d):
+    d["spec"] = "nb"
+    return d
+
+
+@pytest.mark.parametrize("mistype, extra, message", [
+    (_params_as_list, [], "dgp params must be a JSON object"),
+    (_covariates_as_list, [], "dgp covariates must be a JSON object"),
+    (_recipe_as_number, [], "covariate recipe must be a JSON object"),
+    (_config_as_list, ["--n", "5"], "dgp config must be a JSON object"),
+    (_spec_as_family_name, [], "model spec must be a JSON object"),
+], ids=["params_list", "covariates_list", "recipe_number", "config_list_with_n",
+        "spec_string"])
+def test_simulate_names_a_mistyped_dgp_value(workdir, capsys, mistype, extra, message):
+    (workdir / "bad_dgp.json").write_text(json.dumps(mistype(mnl_dgp().to_dict())))
+    assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
+                 "--out", str(workdir / "x"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_effects_names_a_missing_fit_key(workdir, capsys):
     assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
                  "--spec", str(workdir / "mnl.ini"),

@@ -14,6 +14,7 @@ from crashmle.dataset import (
     ModelSpec,
     ObservationTable,
     Term,
+    _load_rows,
     build_design,
     load_csv,
     load_spec,
@@ -156,6 +157,8 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(write("x,y\n1,2\n"), "severity", "outcome")
     with pytest.raises(ValueError, match="expected 2 fields"):
         load_csv(write("x,outcome\n1,a,extra\n"), "severity", "outcome")
+    with pytest.raises(ValueError, match="bad.csv:3: expected 2 fields, got 3"):
+        load_csv(write("x,outcome\n1,a\n2,b,3\n"), "severity", "outcome")
     with pytest.raises(ValueError, match="non-numeric value"):
         load_csv(write("x,outcome\noops,a\n"), "severity", "outcome")
     with pytest.raises(ValueError, match="unknown outcome label"):
@@ -218,6 +221,117 @@ def test_csv_round_trip_is_bit_exact(table):
     for name, values in table.columns.items():
         assert back.columns[name].tobytes() == values.tobytes(), name
     assert back.outcome.tolist() == table.outcome.tolist()
+
+
+def test_load_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"x,outcome\r\n\r\n1.5,a\r\n\r\n\r\n2.5,b\r\n\r\n")
+    for load in (load_csv, _load_rows):
+        t = load(path, "severity", "outcome")
+        assert t.columns["x"].tolist() == [1.5, 2.5]
+        assert t.outcome.tolist() == ["a", "b"]
+        assert t.n_dropped == 0
+
+
+def test_load_csv_header_only_gives_no_rows_and_no_warning(tmp_path, recwarn):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,outcome\n")
+    t = load_csv(path, "frequency", "outcome")
+    assert t.n_rows == 0 and t.n_dropped == 0
+    assert t.column_names == ("x",) and t.outcome.dtype == np.int64
+    assert len(recwarn) == 0
+
+
+def test_load_csv_drops_a_gap_in_the_last_row(tmp_path):
+    path = tmp_path / "last.csv"
+    path.write_text("x,y,outcome\n1,2,3\n4,5,6\n7,,9")
+    t = load_csv(path, "frequency", "outcome")
+    assert t.n_rows == 2 and t.n_dropped == 1
+    assert t.columns["y"].tolist() == [2.0, 5.0]
+    assert t.outcome.tolist() == [3, 6]
+
+
+_FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_LABELS = ("a", "b", "base", "x, y", 'say "hi"', "two\nlines", "#3")
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+#: cells both loaders read, one kind of column each
+_CELLS = {
+    "covariate": st.one_of(_FLOAT_TEXT, _FLOAT_TEXT.map(lambda v: f" {v}\t"),
+                           _FLOAT_TEXT.map(_quoted), st.just("3.0")),
+    "severity": st.one_of(st.sampled_from(_LABELS).map(_quoted),
+                          st.sampled_from(["a", " base ", "zzz"])),
+    "frequency": st.one_of(st.integers(0, 2**63 - 1).map(str),
+                           st.integers(0, 50).map(lambda v: f" {v} "),
+                           st.sampled_from(["+4", "-0", "007"])),
+}
+#: cells that make a row dropped, an error, or text only the row loop reads
+_ODD_CELLS = {
+    "covariate": ["", " ", '""', "1_0", "٣.٥", "７", "inf", "nan", "1e400",
+                  "oops", "1#2", "0x1p0"],
+    "severity": ["", " ", '""', "a#"],
+    "frequency": ["", " ", "3.0", "2.5", "1_0", "-2", "٣", str(2**63), "1e3",
+                  "inf", "many"],
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with a header, in any of the line-ending conventions:
+    readable cells with at most a few odd ones, and now and then a blank
+    line or a row with a field too many or too few."""
+    mode = draw(st.sampled_from(["severity", "frequency"]))
+    n_cov = draw(st.integers(0, 3))
+    kinds = ["covariate"] * n_cov
+    kinds.insert(draw(st.integers(0, n_cov)), mode)
+    header = [f"c{j}" for j in range(n_cov)]
+    header.insert(kinds.index(mode), "outcome")
+    rows = [[draw(_CELLS[k]) for k in kinds]
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(rows) - 1))
+            # the outcome column, which takes both loaders' own checks, twice as often
+            j = draw(st.sampled_from([kinds.index(mode), *range(len(kinds))]))
+            rows[i][j] = draw(st.sampled_from(_ODD_CELLS[kinds[j]]))
+        i = draw(st.integers(0, len(rows) - 1))
+        shape = draw(st.sampled_from(["keep"] * 8 + ["extra", "short"]))
+        if shape == "extra":
+            rows[i].append("1")
+        elif shape == "short" and len(kinds) > 1:
+            rows[i].pop()
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    labels = draw(st.sampled_from([None, _LABELS]))
+    return text, mode, labels
+
+
+def _load_result(load, path, mode, labels):
+    """The table a loader returns, as plain values, or its error message."""
+    try:
+        t = load(path, mode, "outcome", labels)
+    except ValueError as exc:
+        return "error", str(exc)
+    return ("table", {n: c.tobytes() for n, c in t.columns.items()},
+            t.outcome.tolist(), t.outcome.dtype, t.n_dropped)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_texts())
+def test_typed_pass_and_row_loop_agree(case):
+    text, mode, labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_result(load_csv, path, mode, labels) == \
+            _load_result(_load_rows, path, mode, labels)
 
 
 # ----------------------------------------------------------- terms/specs

@@ -61,6 +61,29 @@ def test_halton_skip_matches_slicing():
     np.testing.assert_array_equal(halton(5, 7, skip=3), halton(5, 10)[3:])
 
 
+def halton_reference(base, count, skip=0):
+    """The radical inverse digit by digit on int64 indices until every
+    index is zero, as first written."""
+    idx = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
+    out = np.zeros(count)
+    f = 1.0
+    while idx.any():
+        f /= base
+        out += f * (idx % base)
+        idx //= base
+    return out
+
+
+@pytest.mark.parametrize("base, count, skip", [
+    (2, 1, 0), (3, 1, 0), (5, 2, 0), (2, 7, 1), (3, 26, 0), (5, 125, 0),
+    (2, 150_000, 10), (3, 150_000, 10), (5, 150_000, 10), (7, 1000, 12345),
+    (2, 16, 2**31 - 8), (3, 16, 2**31 - 8), (5, 4, 2**40),
+])
+def test_halton_is_bit_identical_to_the_reference(base, count, skip):
+    assert halton(base, count, skip).tobytes() == \
+        halton_reference(base, count, skip).tobytes()
+
+
 def test_halton_values_strictly_inside_unit_interval():
     for base in (2, 3, 5):
         u = halton(base, 2000)
