@@ -136,10 +136,12 @@ def draw_mean(log_lik: np.ndarray):
 
     ``log_lik`` is (..., N, R).  Returns the log of the draw-mean
     likelihood (..., N) and each draw's posterior share of it (..., N,
-    R), which weights the draws in the scores; one draw has share one.
+    R), which weights the draws in the scores.  One draw has share one,
+    and None is returned for the shares, so that callers skip the
+    weighting.
     """
     if log_lik.shape[-1] == 1:
-        return log_lik[..., 0], np.broadcast_to(1.0, log_lik.shape)
+        return log_lik[..., 0], None
     m = log_lik.max(axis=-1, keepdims=True)
     with np.errstate(under="ignore"):
         e = np.exp(log_lik - m)

@@ -12,7 +12,12 @@ parameter rows and the indices of the K outcome rows they belong to onto
 (K, N) log-likelihoods, (K, N, P) scores and, with ``hessian``, (K, P, P)
 Hessians of the summed rows.  Given a draw matrix a kernel is the mixed
 family's simulated likelihood; without one it is the plain family, as if
-with one draw, and only then returns Hessians.  The logit kernel works
+with one draw, and only then returns Hessians.  Only :func:`batched`
+asks for Hessians, and it sums the rows at once, so the per-observation
+outputs of a call with ``hessian`` may be work arrays that the kernel's
+next call overwrites (the NB kernel's are); every other call returns
+fresh arrays, which :func:`first_row` hands on to callers that keep
+them.  The logit kernel works
 through the observations in fixed blocks of ``mnl.BLOCK_ELEMENTS``
 elements per outcome, a constant that does not depend on the machine,
 so its working memory scales with the block, not with N * R.

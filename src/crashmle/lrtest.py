@@ -7,6 +7,15 @@ chi-squared reference can be optimistic in small samples, the Monte
 Carlo variant re-simulates outcomes from the pooled fit, refits all
 three models per replicate, and reports the plain exceedance fraction
 as the finite-sample p-value.
+
+The Monte Carlo replicates are refitted in blocks of
+``clamp(BLOCK_ELEMENTS // n_obs, 1, BLOCK_ROWS)`` rows: 128 on small
+tables, fewer on large ones, so that a block's work arrays stay within
+a fixed number of elements.  Both are constants of the code.  A batched
+NB refit does not depend on the rows fitted with it, so NB statistics
+are the same, bit for bit, for every block size; MNL statistics agree
+to 1e-6 (the logit kernel's observation blocks depend on the number of
+rows per call).
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ from .draws import DrawMatrix
 from .families import BATCH_COUNT_CAP, REGISTRY, maximize_rows  # noqa: F401 (re-export)
 from .optimize import FitResult, OptimSettings
 
-#: Monte Carlo replicates refitted together; bounds the batched arrays
-BLOCK_ROWS = 64
+#: most Monte Carlo replicates refitted together
+BLOCK_ROWS = 128
+#: most (replicate, observation) elements in a block of refits: on large
+#: tables a block has fewer rows, so its work arrays stay bounded
+BLOCK_ELEMENTS = 1 << 18
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
 
@@ -249,11 +261,14 @@ def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
     """Simulated outcome vectors of replicates ``start..stop-1``, one per row.
 
     Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so a
-    row does not depend on which block it is drawn in.
+    row does not depend on which block it is drawn in.  Without random
+    terms the coefficients take no draws, and the means or outcome
+    probabilities they give are computed once for the block.
     """
+    law = None if design.random_terms else simulate.outcome_law(design, theta_internal)
     return np.stack([
         simulate.draw_outcomes(design, theta_internal, np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, i)))))
+            np.random.PCG64(np.random.SeedSequence((seed, i)))), law)
         for i in range(start, stop)])
 
 
@@ -309,15 +324,18 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     statistic below -1e-4 are dropped and counted by reason; more than
     ``max_failure_rate`` of them, or all of them, abort the test.
 
-    Replicates are processed in blocks of ``BLOCK_ROWS``: the block's
-    outcomes are drawn first, then the pooled, subset A and subset B
-    models are refitted stage by stage, each stage one call of
+    Replicates are processed in blocks of at most ``BLOCK_ROWS`` rows
+    and ``BLOCK_ELEMENTS`` (replicate, observation) elements: the
+    block's outcomes are drawn first, then the pooled, subset A and
+    subset B models are refitted stage by stage, each stage one call of
     :func:`crashmle.families.maximize_rows`: batched Newton for MNL and
     NB, serial BFGS for the rows Newton leaves and for the mixed
     families.  A separated MNL refit counts as not converged.
     Statistics agree with one serial refit per replicate to within
     1e-6.  Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone,
-    so outcomes do not depend on execution order.
+    so outcomes do not depend on execution order.  NB statistics and
+    drop counts do not depend on the block size at all; MNL statistics
+    agree across block sizes to 1e-6.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
@@ -328,9 +346,10 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
     handed = 0
-    for start in range(0, replicates, BLOCK_ROWS):
+    step = min(max(BLOCK_ELEMENTS // table.n_rows, 1), BLOCK_ROWS)
+    for start in range(0, replicates, step):
         outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
-                                      start, min(start + BLOCK_ROWS, replicates))
+                                      start, min(start + step, replicates))
         x2, reason, n = _replicate_block(pieces, fits[0].theta, outcomes)
         null_stats.extend(x2[reason == ""])
         for r in reason[reason != ""]:

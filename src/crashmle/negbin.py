@@ -10,6 +10,7 @@ values, which stays accurate for arbitrarily small ``alpha``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,24 +25,28 @@ from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
 
-def _poch_tables(r: np.ndarray, amax: int, hessian: bool = False):
-    """Tables ``tab``, ``dtab`` (and ``h2tab`` with ``hessian``), each
-    (K, amax + 1) for the (K, 1) column ``r`` and indexed by count a.
+def _poch_tables(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (2 or 3, K, amax + 1) with the tables ``tab``,
+    ``dtab`` (and ``h2tab``) for the (K, 1) column ``r``, indexed by
+    count a, and return it.
 
     ``tab[a] = sum_{k=0}^{a-1} log1p(k / r)`` equals
     ``lnGamma(a + r) - lnGamma(r) - a * ln(r)`` without cancellation;
     ``dtab`` is its derivative in ``r``; ``h2tab[a] = sum_{k<a} k r /
     (r + k)^2`` is the second log-alpha derivative of ``tab``, summed
-    term by term so that it does not cancel when alpha is small.
+    term by term so that it does not cancel when alpha is small.  The
+    terms are written in place and summed by one ``cumsum``.
     """
-    k = np.arange(amax, dtype=np.float64)
-    terms = [np.log1p(k / r), -k / (r * (r + k))]
-    if hessian:
-        terms.append(k * r / (r + k) ** 2)
-    tables = [np.zeros((r.shape[0], amax + 1)) for _ in terms]
-    for term, table in zip(terms, tables):
-        np.cumsum(term, axis=1, out=table[:, 1:])
-    return tables
+    k = np.arange(out.shape[2] - 1, dtype=np.float64)
+    logs, derivs = out[0, :, 1:], out[1, :, 1:]
+    out[:, :, 0] = 0.0
+    np.add(r, k, out=logs)  # r + k, until the logs overwrite it
+    if len(out) == 3:
+        np.square(logs, out=out[2, :, 1:])
+        np.divide(np.multiply(k, r, out=derivs), out[2, :, 1:], out=out[2, :, 1:])
+    np.divide(-k, np.multiply(r, logs, out=derivs), out=derivs)
+    np.log1p(np.divide(k, r, out=logs), out=logs)
+    return np.cumsum(out, axis=2, out=out)
 
 
 def nb_logpmf(counts, lam, alpha: float):
@@ -69,7 +74,8 @@ def nb_logpmf(counts, lam, alpha: float):
     if np.any(lam_arr <= 0):
         raise ValueError("lam must be positive")
     r = 1.0 / alpha
-    tab = _poch_tables(np.array([[r]]), int(a.max()) if a.size else 0)[0][0]
+    amax = int(a.max()) if a.size else 0
+    tab = _poch_tables(np.array([[r]]), np.empty((2, 1, amax + 1)))[0, 0]
     out = (tab[a] + a * np.log(lam_arr)
            - (r + a) * np.log1p(alpha * lam_arr) - gammaln(a + 1.0))
     if np.isscalar(counts) and np.isscalar(lam):
@@ -77,15 +83,29 @@ def nb_logpmf(counts, lam, alpha: float):
     return out
 
 
-def _eta_draws(theta, design: DesignMatrix,
-               draws: DrawMatrix | None) -> np.ndarray:
+def _eta_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Log-mean per draw, shape (..., N, R) for ``theta`` of shape
-    (..., P); R = 1 without draws.  Scale slots hold logs."""
-    eta = (theta[..., design.loc_pos] @ design.x.T)[..., None]
+    (..., P); R = 1 without draws.  Scale slots hold logs.  Each row's
+    predictor is a matrix product of its own, (1, T) by (T, N), so it
+    does not depend on the rows evaluated with it; ``out`` (..., 1, N)
+    receives that product."""
+    eta = np.swapaxes(np.matmul(theta[..., None, design.loc_pos], design.x.T, out=out),
+                      -1, -2)
     for dim, j in enumerate(design.random_terms):
         scale = np.exp(theta[..., design.scale_pos[j], None, None])
         eta = eta + design.x[:, j, None] * (scale * draws.std[dim])
     return eta
+
+
+def _carve(flat: np.ndarray, *shapes):
+    """Consecutive C-contiguous views of ``flat``, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
 
 
 def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
@@ -93,57 +113,92 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     rows pack the design's parameters and log(alpha); ``counts`` (B, N),
     or (N,) for B = 1, overrides the design's counts.  With draws the
     likelihood is the draw average of NB probabilities, with no Hessian;
-    without draws it is the plain NB, as if with one draw."""
+    without draws it is the plain NB, as if with one draw.
+
+    The closure owns its work arrays, sized by the largest call so far,
+    so that repeated calls do not allocate (K, N) arrays.  With
+    ``hessian`` the per-observation outputs are work arrays too, valid
+    until the next call (see :mod:`crashmle.families`); without, they
+    are fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer
+    table as a per-count table, so one ``take`` gathers every count's
+    table entries.
+    """
     a = np.atleast_2d(design.counts if counts is None else counts).astype(np.int64)
+    b, n = a.shape
     af = a.astype(np.float64)[..., None]  # (B, N, 1)
-    gamln_a1 = gammaln(af + 1.0)
     amax_row = a.max(axis=1, initial=0)
+    lgam = gammaln(np.arange(amax_row.max(initial=0) + 1) + 1.0)
     x = design.x
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, -1)
     p = design.n_params + 1
+    n_draws = 1 if draws is None else draws.n_draws
+    index = np.arange(b)
+    floats = ints = None
 
     def kernel(theta, rows, hessian=False):
+        nonlocal floats, ints
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape[-1] != p:
             raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
         k = theta.shape[0]
-        afk = af[rows]
-        amax = int(amax_row[rows].max(initial=0))
+        rows = index[rows]
+        width = int(amax_row[rows].max(initial=0)) + 1
+        nt = 3 if hessian else 2
+        per_draw = (k, n, n_draws)
+        shapes = [per_draw] * 8 + [(k, n, 1)] * 2 + [(p, k, n), (nt, k, n), (nt, k, width)]
+        if ints is None or len(ints) < k:
+            floats = np.empty(k * (n * (8 * n_draws + p + 5) + 3 * len(lgam)))
+            ints = np.empty((k, n), dtype=np.int64)
+        (lam, l1p, ra, lpmf, q, rl, wd, tmp, eta, afk, scores, tabs,
+         tables) = _carve(floats, *shapes)
+        if not hessian:  # outputs the caller may keep
+            lpmf, scores = np.empty(per_draw), np.empty((p, k, n))
         # position of count a of row k in the flattened tables
-        at = a[rows] + (amax + 1) * np.arange(k)[:, None]
+        at = np.take(a, rows, axis=0, out=ints[:k], mode="clip")
+        at += width * np.arange(k)[:, None]
+        np.take(af, rows, axis=0, out=afk, mode="clip")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             alpha = np.exp(theta[:, -1, None, None])  # (K, 1, 1)
             r = np.exp(-theta[:, -1, None, None])
-            tab, dtab, *h2tab = [np.take(t, at)
-                                 for t in _poch_tables(r[:, 0], amax, hessian)]
-            eta = _eta_draws(theta, design, draws)  # (K, N, R)
-            lam = np.exp(eta)
-            l1p = np.log1p(alpha * lam)
-            lpmf = (tab[..., None] - gamln_a1[rows]) + afk * eta - (r + afk) * l1p
+            _poch_tables(r[:, 0], tables)[0] -= lgam[:width]
+            np.take(tables.reshape(nt, -1), at, axis=1, out=tabs, mode="clip")
+            eta = _eta_draws(theta, design, draws, out=eta.reshape(k, 1, n))
+            np.exp(eta, out=lam)
+            np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
+            np.add(r, afk, out=ra)
+            np.add(tabs[0][..., None], np.multiply(afk, eta, out=lpmf), out=lpmf)
+            lpmf -= np.multiply(ra, l1p, out=tmp)
             ll, w = draw_mean(lpmf)
-            del at, tab, eta  # freed early: a lower peak per call faults fewer pages
-            q = lam * (r + afk) / (r + lam)
-            wd = w * (afk - q)
+            np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
+            np.subtract(afk, q, out=wd)
+            np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
+            if w is None:  # one draw: its share is one
+                wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
+            else:
+                wd *= w
+                tmp *= w
+                wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
             # (P, K, N), so that each parameter's scores stay contiguous
-            scores = np.empty((p, k, design.n_obs))
-            wd_sum = wd.sum(axis=-1)
             for j in range(x.shape[1]):
-                scores[design.loc_pos[j]] = x[:, j] * wd_sum
+                np.multiply(x[:, j], wd_sum, out=scores[design.loc_pos[j]])
                 if j in design.random_terms:
                     scores[design.scale_pos[j]] = scale_score(theta, design, draws,
                                                               j, wd)
-            del wd, wd_sum
-            scores[-1] = -r[..., 0] * dtab + (w * (r * l1p - q)).sum(axis=-1)
+            np.multiply(-r[..., 0], tabs[1], out=scores[-1])
+            scores[-1] += tmp_sum
             if not hessian:
                 return ll, scores.transpose(1, 2, 0)
             # one draw, so w = 1; u = -d(a - q)/d eta
-            rs = r / (r + lam)
-            u = q * rs
-            xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+            rs = np.divide(r, rl, out=rl)
+            u = np.multiply(q, rs, out=ra)
             hess = np.empty((k, p, p))
-            hess[:, :-1, :-1] = -(u[..., 0] @ xx).reshape(k, p - 1, p - 1)
-            cross = x.T @ (rs * (lam - q))  # (K, T, 1)
+            hess[:, :-1, :-1] = -(u.reshape(k, 1, n) @ xx).reshape(k, p - 1, p - 1)
+            cross = x.T @ np.multiply(np.subtract(lam, q, out=tmp), rs, out=tmp)
             hess[:, :-1, -1:], hess[:, -1:, :-1] = cross, cross.transpose(0, 2, 1)
-            hess[:, -1, -1] = (h2tab[0] + (2.0 * lam * rs - r * l1p - u)[..., 0]).sum(1)
+            np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
+            tmp -= np.multiply(r, l1p, out=wd)
+            tmp -= u
+            hess[:, -1, -1] = np.add(tabs[2], tmp[..., 0], out=tabs[2]).sum(axis=1)
         return ll, scores.transpose(1, 2, 0), hess
 
     return kernel

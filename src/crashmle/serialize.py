@@ -48,6 +48,24 @@ def require(d: dict, keys, what: str) -> dict:
     return d
 
 
+def number(value, what: str) -> float:
+    """``value`` as a float; raise a ValueError naming ``what`` unless it
+    is a finite JSON number (a boolean is not; Python's ``json`` also
+    reads ``NaN`` and ``Infinity``, which are not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def integer(value, what: str) -> int:
+    """``value``; raise a ValueError naming ``what`` unless it is a JSON
+    integer (a boolean is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def nan_to_none(x: float):
     return None if x is None or not math.isfinite(x) else float(x)
 

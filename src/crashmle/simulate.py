@@ -93,12 +93,14 @@ class CovariateRecipe:
         kind = d["kind"]
         allowed = {"normal": {"mean", "sd"}, "uniform": {"low", "high"},
                    "bernoulli": {"p"}, "constant": {"value"}}
-        if kind not in allowed:
+        if not isinstance(kind, str) or kind not in allowed:
             raise ValueError(f"recipe kind must be one of {RECIPE_KINDS}, got {kind!r}")
         extra = set(d) - {"kind"} - allowed[kind]
         if extra:
             raise ValueError(f"unknown keys {sorted(extra)} for {kind!r} recipe")
-        return CovariateRecipe(kind, **{k: v for k, v in d.items() if k != "kind"})
+        return CovariateRecipe(kind, **{
+            k: serialize.number(v, f"covariate recipe {k!r}")
+            for k, v in d.items() if k != "kind"})
 
 
 def expected_param_names(spec: ModelSpec) -> tuple[str, ...]:
@@ -170,14 +172,17 @@ class DgpConfig:
         influence = None
         if d.get("influence") is not None:
             inf = serialize.require(d["influence"], ("distance", "cap"), "dgp influence")
-            influence = (inf["distance"], float(inf["cap"]))
+            if not isinstance(inf["distance"], str):
+                raise ValueError("dgp influence distance must be a column name")
+            influence = (inf["distance"], serialize.number(inf["cap"], "dgp influence cap"))
         params = serialize.require(d["params"], (), "dgp params")
         covariates = serialize.require(d["covariates"], (), "dgp covariates")
         return DgpConfig(
             spec=ModelSpec.from_dict(d["spec"]),
-            params={k: float(v) for k, v in params.items()},
+            params={k: serialize.number(v, f"dgp param {k!r}") for k, v in params.items()},
             covariates={k: CovariateRecipe.from_dict(v) for k, v in covariates.items()},
-            n=int(d["n"]), seed=int(d.get("seed", 0)), influence=influence)
+            n=serialize.integer(d["n"], "dgp n"),
+            seed=serialize.integer(d.get("seed", 0), "dgp seed"), influence=influence)
 
 
 def true_theta(config: DgpConfig) -> tuple[np.ndarray, np.ndarray, float | None]:
@@ -211,26 +216,30 @@ def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarra
     return coef
 
 
-def draw_severity_outcomes(design: DesignMatrix, coef: np.ndarray,
-                           out_rng: np.random.Generator,
-                           x: np.ndarray | None = None) -> np.ndarray:
-    """Outcome indices from per-row coefficients (one uniform per row)."""
+def _outcome_law(design: DesignMatrix, coef: np.ndarray,
+                 x: np.ndarray | None = None) -> np.ndarray:
+    """What the outcome draws take from per-row coefficients: the (N,)
+    NB means of a count design, the (N, I) cumulative outcome
+    probabilities of a severity design."""
     xm = design.x if x is None else x
-    probs = np.exp(_log_softmax((xm * coef) @ design.incidence))
-    cum = np.cumsum(probs, axis=1)
-    u = out_rng.random(design.n_obs)
-    idx = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(idx, design.n_outcomes - 1)
+    if design.spec.is_severity:
+        return np.cumsum(np.exp(_log_softmax((xm * coef) @ design.incidence)), axis=1)
+    return np.exp((xm * coef).sum(axis=1))
 
 
-def draw_counts(design: DesignMatrix, coef: np.ndarray, alpha: float,
-                out_rng: np.random.Generator,
-                x: np.ndarray | None = None) -> np.ndarray:
-    """NB counts by gamma-Poisson mixture at per-row coefficients."""
-    xm = design.x if x is None else x
-    lam = np.exp((xm * coef).sum(axis=1))
+def draw_severity_outcomes(cdf: np.ndarray, out_rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices from (N, I) cumulative probabilities (one uniform
+    per row)."""
+    u = out_rng.random(len(cdf))
+    idx = (cdf < u[:, None]).sum(axis=1)
+    return np.minimum(idx, cdf.shape[1] - 1)
+
+
+def draw_counts(lam: np.ndarray, alpha: float,
+                out_rng: np.random.Generator) -> np.ndarray:
+    """NB counts by gamma-Poisson mixture around the means ``lam``."""
     r = 1.0 / alpha
-    g = out_rng.gamma(shape=r, scale=alpha, size=design.n_obs)
+    g = out_rng.gamma(shape=r, scale=alpha, size=lam.size)
     return out_rng.poisson(lam * g).astype(np.int64)
 
 
@@ -254,12 +263,11 @@ def _generate(config: DgpConfig) -> ObservationTable:
                 x[:, j] = np.minimum(x[:, j], cap)
 
     locs, scales, alpha = true_theta(config)
-    coef = coefficient_matrix(design, locs, scales, mix_rng)
+    law = _outcome_law(design, coefficient_matrix(design, locs, scales, mix_rng), x)
     if spec.is_severity:
-        idx = draw_severity_outcomes(design, coef, out_rng, x=x)
-        outcome = np.asarray(spec.outcomes)[idx]
+        outcome = np.asarray(spec.outcomes)[draw_severity_outcomes(law, out_rng)]
     else:
-        outcome = draw_counts(design, coef, alpha, out_rng, x=x)
+        outcome = draw_counts(law, alpha, out_rng)
     return ObservationTable(columns, outcome, mode)
 
 
@@ -311,22 +319,34 @@ def generate(config: DgpConfig) -> ObservationTable:
     return _generate(config)
 
 
+def outcome_law(design: DesignMatrix, theta_internal: np.ndarray,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+    """The part of :func:`draw_outcomes` before the outcome draws: the
+    (N,) NB means of a count design, or the (N, I) cumulative outcome
+    probabilities of a severity design, at per-row coefficients whose
+    mixing draws come from ``rng``.  A design without random terms takes
+    no draws, and ``rng`` may be None."""
+    theta = np.asarray(theta_internal, dtype=np.float64)
+    locs, scales = design.unpack(theta[:-1] if design.spec.is_frequency else theta)
+    return _outcome_law(design, coefficient_matrix(design, locs, scales, rng))
+
+
 def draw_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator, law: np.ndarray | None = None) -> np.ndarray:
     """Outcome indices (severity) or counts (frequency) for ``design``.
 
     ``theta_internal`` is the packed optimizer vector of a fit of the
     design's spec (scales and alpha as logs).  Mixing draws, the gamma
     stage, and the outcome draws all come from ``rng`` in a fixed order.
+    ``law``, the :func:`outcome_law` of a design without random terms,
+    may be passed in when many outcome vectors are drawn from it.
     """
     theta = np.asarray(theta_internal, dtype=np.float64)
-    spec = design.spec
-    theta_terms = theta[:-1] if spec.is_frequency else theta
-    locs, scales = design.unpack(theta_terms)
-    coef = coefficient_matrix(design, locs, scales, rng)
-    if spec.is_severity:
-        return draw_severity_outcomes(design, coef, rng)
-    return draw_counts(design, coef, float(np.exp(theta[-1])), rng)
+    if law is None:
+        law = outcome_law(design, theta, rng)
+    if design.spec.is_severity:
+        return draw_severity_outcomes(law, rng)
+    return draw_counts(law, float(np.exp(theta[-1])), rng)
 
 
 def redraw_outcomes(spec: ModelSpec, theta_internal: np.ndarray,

@@ -211,6 +211,35 @@ def test_batch_derivatives_match_finite_differences():
             np.testing.assert_array_equal(hess[k], hess[k].T)
 
 
+def test_nb_kernel_rows_do_not_depend_on_the_batch():
+    """Each row of a 4-row NB kernel call is, bit for bit, its 1-row call:
+    log-likelihoods, scores and Hessian."""
+    for alpha in (1e-6, 0.8, 50.0):
+        design, counts, theta = nb_batch_case(alpha)
+        kernel = negbin._kernel(design, None, counts)
+        rows = np.arange(len(theta))
+        together = [out.copy() for out in kernel(theta, rows, hessian=True)]
+        for k in rows:
+            alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
+            for got, want in zip(alone, together):
+                np.testing.assert_array_equal(got[0], want[k])
+
+
+def test_arrays_a_caller_keeps_survive_the_next_kernel_call():
+    """The NB kernel reuses its work arrays; what its wrappers return is
+    the caller's own."""
+    design, counts, theta = nb_batch_case(0.8)
+    kernel = negbin._kernel(design, None, counts)
+    for call in (lambda t: families.first_row(kernel)(t[0]),
+                 lambda t: families.batched(kernel)(t, np.arange(len(t))),
+                 lambda t: families.summed(kernel)(t[0])):
+        first = call(theta)
+        kept = [np.copy(out) for out in first]
+        call(theta[::-1] + 0.5)
+        for got, want in zip(first, kept):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_nb_batch_objective_is_minus_infinity_where_undefined():
     design, counts, theta = nb_batch_case(0.8)
     theta[1, 0] = 800.0  # exp overflows: the serial objective returns -inf too
@@ -304,15 +333,19 @@ def test_maximize_batch_stops_rows_on_a_short_step():
 def test_maximize_batch_rows_are_independent():
     """Each row of a batch run is, bit for bit, that row run alone, given
     an objective whose rows are computed independently of each other (the
-    logit kernel on one observation block)."""
+    logit kernel on one observation block, the NB kernel)."""
     design, ys, theta = mnl_batch_case()
     quartic_starts = np.array([[0.0], [0.9], [-3.0], [1.0]])
     # the quartic rows stop at different iterations, one at its start
     np.testing.assert_array_equal(
         maximize_batch(quartic_batch, quartic_starts).iterations, [13, 7, 16, 0])
+    nb_cases = [
+        (lambda rows, d=d, c=c: negbin.make_batch_objective(d, c[rows]), t)
+        for d, c, t in map(nb_batch_case, (1e-6, 0.8, 50.0))]
     for make, start in (
             (lambda rows: quartic_batch, quartic_starts),
-            (lambda rows: mnl.make_batch_objective(design, ys[rows]), theta)):
+            (lambda rows: mnl.make_batch_objective(design, ys[rows]), theta),
+            *nb_cases):
         res = maximize_batch(make(slice(None)), start)
         for k in range(len(start)):
             alone = maximize_batch(make(slice(k, k + 1)), start[k:k + 1])
@@ -396,6 +429,50 @@ def test_mc_matches_a_serial_refit_loop(family):
         assert result.replicates_dropped_by_reason[reason] == \
             sum(why == reason for _, why in reference)
     np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
+
+
+def mc_in_blocks_of(block_rows, *args):
+    """``lrtest.mc_null_distribution`` with at most ``block_rows``
+    replicates per block (None: the default)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(lrtest, "BLOCK_ROWS", block_rows)
+        return lrtest.mc_null_distribution(*args)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.integers(0, 2**16))
+def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):
+    """NB replicate statistics and drop counts are bit-identical in blocks
+    of 7, 64 and the default rows; MNL statistics agree to 1e-6, because
+    the logit kernel's observation blocks depend on the rows per call."""
+    for table, spec in ((nb_table(122, seed=table_seed), NB_SPEC),
+                        (mnl_table(300, seed=table_seed), MNL_SPEC)):
+        args = (table, spec, "flag", 150, seed)
+        default = mc_in_blocks_of(None, *args)
+        for block_rows in (7, 64):
+            res = mc_in_blocks_of(block_rows, *args)
+            assert res.replicates_dropped_by_reason == \
+                default.replicates_dropped_by_reason
+            if spec.is_frequency:
+                np.testing.assert_array_equal(res.null_stats, default.null_stats)
+            else:
+                np.testing.assert_allclose(res.null_stats, default.null_stats,
+                                           rtol=0.0, atol=1e-6)
+
+
+def test_mc_memory_on_a_large_table_is_bounded_by_the_block():
+    # 20,000 rows: a block has BLOCK_ELEMENTS // 20,000 = 13 replicates,
+    # not BLOCK_ROWS, and its work arrays stay within tens of MB
+    table = nb_table(20_000, seed=1)
+    tracemalloc.start()
+    try:
+        res = lrtest.mc_null_distribution(table, NB_SPEC, "flag", replicates=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.replicates_kept == 64
+    assert peak < 80e6
 
 
 def test_mc_drops_separated_mnl_replicates_as_not_converged():

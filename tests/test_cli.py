@@ -330,14 +330,43 @@ def _spec_as_family_name(d):
     return d
 
 
+def _setting(path, value):
+    """A dgp mistype that sets the entry the keys ``path`` lead to."""
+    def mistype(d):
+        inner = d
+        for name in path[:-1]:
+            inner = inner[name]
+        inner[path[-1]] = value
+        return d
+    return mistype
+
+
 @pytest.mark.parametrize("mistype, extra, message", [
     (_params_as_list, [], "dgp params must be a JSON object"),
     (_covariates_as_list, [], "dgp covariates must be a JSON object"),
     (_recipe_as_number, [], "covariate recipe must be a JSON object"),
     (_config_as_list, ["--n", "5"], "dgp config must be a JSON object"),
     (_spec_as_family_name, [], "model spec must be a JSON object"),
+    (_setting(("params", "x1[a]"), None), [],
+     "dgp param 'x1[a]' must be a finite number, got null"),
+    (_setting(("params", "x1[a]"), [1, 2]), [],
+     "dgp param 'x1[a]' must be a finite number, got [1, 2]"),
+    (_setting(("params", "x1[a]"), True), [],
+     "dgp param 'x1[a]' must be a finite number, got true"),
+    (_setting(("params", "x1[a]"), float("nan")), [],
+     "dgp param 'x1[a]' must be a finite number, got NaN"),
+    (_setting(("n",), None), [], "dgp n must be an integer, got null"),
+    (_setting(("seed",), [1]), [], "dgp seed must be an integer, got [1]"),
+    (_setting(("influence",), {"distance": "x1", "cap": None}), [],
+     "dgp influence cap must be a finite number, got null"),
+    (_setting(("covariates", "x1", "sd"), None), [],
+     "covariate recipe 'sd' must be a finite number, got null"),
+    (_setting(("covariates", "x1", "kind"), ["normal"]), [],
+     "recipe kind must be one of ('normal', 'uniform', 'bernoulli', 'constant'), "
+     "got ['normal']"),
 ], ids=["params_list", "covariates_list", "recipe_number", "config_list_with_n",
-        "spec_string"])
+        "spec_string", "param_null", "param_list", "param_bool", "param_nan", "n_null",
+        "seed_list", "influence_cap_null", "recipe_value_null", "recipe_kind_list"])
 def test_simulate_names_a_mistyped_dgp_value(workdir, capsys, mistype, extra, message):
     (workdir / "bad_dgp.json").write_text(json.dumps(mistype(mnl_dgp().to_dict())))
     assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
