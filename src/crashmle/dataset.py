@@ -407,15 +407,17 @@ class ModelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         terms = []
-        for t in serialize.require(d, ("family", "terms"), "model spec")["terms"]:
+        serialize.require(d, ("family", "terms"), "model spec")
+        for t in serialize.array(d["terms"], "model spec terms"):
             var = serialize.require(t, ("var",), "model spec term")["var"]
             dist = t.get("dist", "fixed")
             if dist not in _DIST_TO_KIND:
                 raise ValueError(f"term {var!r}: dist must be one of "
                                  f"{sorted(_DIST_TO_KIND)}, got {dist!r}")
-            terms.append(Term(var, tuple(t.get("outcomes", ())), _DIST_TO_KIND[dist]))
-        return ModelSpec(d["family"], tuple(terms),
-                         tuple(d.get("outcomes", ())), d.get("base"))
+            outcomes = serialize.array(t.get("outcomes", ()), f"term {var!r} outcomes")
+            terms.append(Term(var, tuple(outcomes), _DIST_TO_KIND[dist]))
+        outcomes = serialize.array(d.get("outcomes", ()), "model spec outcomes")
+        return ModelSpec(d["family"], tuple(terms), tuple(outcomes), d.get("base"))
 
 
 _DIST_TO_KIND = {"fixed": "fixed", "normal": "random_normal", "uniform": "random_uniform"}

@@ -4,8 +4,9 @@ Each random term gets a Halton sequence in its own prime base, with an
 initial burn-in skipped; observation ``n`` owns a disjoint block of the
 sequence, so repeated evaluations and reruns see exactly the same draws.
 The mixed logit and the mixed negative binomial share these matrices and
-the helpers below, which turn per-draw values into coefficient draws,
-simulated log-likelihoods and scores.
+the coefficient draws below; the mixed negative binomial also uses the
+helpers that turn per-draw log-likelihoods into simulated ones and
+scores (the logit kernel weighs its draws by probabilities directly).
 """
 
 from __future__ import annotations
@@ -58,9 +59,18 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
     top = skip + count
     idx = np.arange(skip + 1, top + 1, dtype=np.int32 if top < 2**31 else np.int64)
     digit = np.empty_like(idx)
-    out = np.zeros(count)
+    # the partial sums of the lowest k digits, for every value of them
+    # (base**k <= 2**16), built in the digit loop's own order, so that one
+    # gather gives bit for bit what k passes of that loop would
+    table = np.zeros(1)
     f = 1.0
-    while top:  # one pass per base-`base` digit of the largest index
+    while top and table.size * base <= 1 << 16:
+        top //= base
+        f /= base
+        table = (table[None, :] + (f * np.arange(base))[:, None]).ravel()
+    np.divmod(idx, table.size, out=(idx, digit))
+    out = table[digit]
+    while top:  # one pass per higher base-`base` digit of the largest index
         top //= base
         f /= base
         np.divmod(idx, base, out=(idx, digit))

@@ -82,8 +82,9 @@ def make_objective(design: DesignMatrix, draws: DrawMatrix,
     """Simulated log-likelihood closure ``theta -> (ll, grad)``.
 
     The per-observation likelihood is the draw average of conditional
-    logit probabilities, accumulated in log space; gradients weight
-    each draw by its posterior share of the observation's likelihood.
+    logit probabilities (recomputed in log space where the observed
+    outcome underflows at every draw); gradients weight each draw by its
+    posterior share of the observation's likelihood.
     """
     if draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")

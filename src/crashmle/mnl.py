@@ -17,7 +17,7 @@ import numpy as np
 
 from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .draws import DrawMatrix, coefficient_draws, draw_mean, scale_score
+from .draws import DrawMatrix, coefficient_draws
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
@@ -41,8 +41,9 @@ def _blocks(n: int, per_row: int):
 
 def _softmax_slices(v: list):
     """Reduce per-outcome predictor slices over the outcomes, one slice at
-    a time: the shifted slices ``v_i - max_i v_i``, their exponentials and
-    the sum of those (``>= 1``).  The slices broadcast against each other.
+    a time: the maximum ``m = max_i v_i``, the shifted slices ``v_i - m``,
+    their exponentials and the sum of those (``>= 1``).  The slices
+    broadcast against each other.
     """
     m = v[0]
     for vi in v[1:]:
@@ -53,7 +54,7 @@ def _softmax_slices(v: list):
     s = e[0].copy()
     for ei in e[1:]:
         s += ei
-    return z, e, s
+    return m, z, e, s
 
 
 def _log_softmax(v) -> np.ndarray:
@@ -64,7 +65,7 @@ def _log_softmax(v) -> np.ndarray:
     summed along the axis."""
     if isinstance(v, np.ndarray):
         v = [v[..., i] for i in range(v.shape[-1])]
-    z, _, s = _softmax_slices(v)
+    _, z, _, s = _softmax_slices(v)
     lse = np.log(s)
     return np.stack([zi - lse for zi in z], axis=-1)
 
@@ -89,12 +90,25 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
 
     With ``draws`` it is the simulated likelihood of the mixed logit, the
     draw average of logit probabilities, with no Hessian; without draws
-    it is the plain MNL, as if with one draw.  ``y_index`` (B, N), or
-    (N,) for B = 1, overrides the design's encoded outcomes.
+    it is the plain MNL.  ``y_index`` (B, N), or (N,) for B = 1,
+    overrides the design's encoded outcomes.
+
+    Only the outcomes some random term enters have predictors that vary
+    across draws.  The others, the base among them, form the fixed group:
+    they are softmaxed once per observation, to their log-sum-exp ``c``
+    and their shares ``q_i`` within the group, and enter each draw's
+    softmax as one slice ``c``.  A fixed outcome's probability at draw r
+    is then ``P_F,r q_i``.  The draws' posterior weights are the observed
+    outcome's probabilities ``p_y,r`` normalized over the draws, and
+    ``ll = log(mean_r p_y,r)`` (plus ``log q_y`` for a fixed outcome).  An
+    observation whose ``p_y,r`` underflow at every draw is recomputed in
+    the log domain, so its ``ll`` stays finite.  A plain MNL has no
+    varying outcomes: its arithmetic is the fixed group's alone.
 
     The observations are evaluated in consecutive blocks of about
-    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, each outcome's
-    predictors kept as their own (K, rows, R) slice.  The block size is a
+    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, each varying
+    outcome's per-draw values kept as their own (K, rows, R) slice of a
+    work array that is reused block after block.  The block size is a
     constant, so results do not depend on the machine, and the kernel's
     working memory scales with the block, not with N * R; its outputs
     are (K, N) and (K, N, P) as always.
@@ -109,9 +123,24 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     scored = np.flatnonzero(inc.any(axis=0))
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
     ii = (to_terms[:, :, None] * to_terms[:, None, :]).reshape(len(scored), -1)
-    # positions in ``scored`` of the outcomes each random term enters
-    sets = {j: np.flatnonzero(inc[j, scored]) for j in design.random_terms}
     n_draws = 1 if draws is None else draws.n_draws
+    random = design.random_terms if draws is not None else ()
+    # each outcome's slot in the per-draw softmax: 0 for the fixed group,
+    # 1, 2, ... for the outcomes whose predictors vary across draws
+    slot = np.zeros(inc.shape[1], dtype=np.int64)
+    varying = np.flatnonzero(inc[list(random)].any(axis=0)) if random else []
+    slot[varying] = np.arange(1, len(varying) + 1)
+    fixed = np.flatnonzero(slot == 0)
+    # (position in the fixed group, outcome) of the scored fixed outcomes
+    shares = [(f, i) for f, i in enumerate(fixed) if i in scored]
+    n_slots = len(varying) + 1
+    # the varying slots each random term enters, and its draws
+    enters = {j: slot[np.flatnonzero(inc[j])] for j in random}
+    std = {j: draws.std[dim] for dim, j in enumerate(random)}
+    # below this draw sum of p_y,r, draws whose probability underflowed
+    # would no longer weigh nothing against the others
+    tiny = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+    gys = slot[y] if random else None  # the observed outcomes' slots
 
     def kernel(theta, rows, hessian=False):
         if hessian and draws is not None:
@@ -121,35 +150,107 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         ll = np.empty((k, design.n_obs))
         scores = np.empty((k, design.n_obs, design.n_params))
         hess = np.zeros((k, t, t)) if hessian else None
+        loc = theta[:, None, design.loc_pos]
+        sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
+        work = None
         for b in _blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
-            z, e, s = _softmax_slices(_predictor_slices(theta, design, draws, b))
-            # the observed outcome's log-probability, per draw
-            logl = z[0].copy()
-            for i in range(1, len(z)):
-                np.copyto(logl, z[i], where=(yb == i)[..., None])
-            logl -= np.log(s)
-            p = [e[i] / s for i in scored]  # (K, nb, R) each
-            if draws is None:
-                ll[:, b] = logl[..., 0]
-                ps = np.concatenate(p, axis=-1)
+            v = (x[b] * loc) @ inc  # (K, nb, I)
+            m, z, e, s = _softmax_slices([v[..., i, None] for i in fixed])
+            # log q_y: the observed outcome's log-share in the fixed group
+            logq = z[0].copy()
+            for f in range(1, len(z)):
+                np.copyto(logq, z[f], where=(yb == fixed[f])[..., None])
+            lse = np.log(s)
+            logq -= lse
+            q = {i: e[f] / s for f, i in shares}  # (K, nb, 1) each
+            if not random:
+                ll[:, b] = logq[..., 0]
+                ps = np.concatenate([q[i] for i in scored], axis=-1)
             else:
-                ll[:, b], w = draw_mean(logl)
-                ps = np.stack([(w[..., None, :] @ pi[..., None])[..., 0, 0]
-                               for pi in p], axis=-1)
+                nb = b.stop - b.start
+                size = k * nb * n_draws
+                if work is None:  # the first block is the largest
+                    work = np.empty((n_slots + 3) * size)
+                    rows_at = np.arange(k * nb)
+                buf = work[:(n_slots + 3) * size].reshape(n_slots + 3, k, nb, n_draws)
+                sl, top, tot, w = buf[:n_slots], buf[n_slots], buf[n_slots + 1], buf[-1]
+                coef = {j: x[b, j, None] * sd[j] for j in random}  # (K, nb, 1)
+                # the varying predictors less the fixed group's log-sum-exp
+                # c: the location part plus each random term's coefficient
+                # draws (``top`` holds the draws)
+                c = m + lse  # (K, nb, 1)
+                built = set()
+                for j in random:
+                    np.multiply(std[j][b], coef[j], out=top)
+                    for si in enters[j]:
+                        if si in built:
+                            sl[si] += top
+                        else:
+                            np.add(v[..., varying[si - 1], None] - c, top, out=sl[si])
+                            built.add(si)
+                # softmax per draw over the fixed group's slot, which is 0
+                # after the shift, and the varying slots, in place; ``top``
+                # keeps each draw's maximum and ``tot`` its sum of exponentials
+                np.maximum(sl[1], 0.0, out=top)
+                for si in range(2, n_slots):
+                    np.maximum(top, sl[si], out=top)
+                np.negative(top, out=sl[0])
+                sl[1:] -= top
+                with np.errstate(under="ignore"):
+                    np.exp(sl, out=sl)
+                np.add(sl[0], sl[1], out=tot)
+                for si in range(2, n_slots):
+                    tot += sl[si]
+                sl /= tot
+                # p_y,r: the rows of the observed outcome's slot
+                gy = gys[rows, b]
+                np.take(sl.reshape(-1, n_draws), gy.ravel() * (k * nb) + rows_at[:k * nb],
+                        axis=0, out=w.reshape(-1, n_draws), mode="clip")
+                total = w.sum(axis=-1)
+                low = np.nonzero(total < tiny)
+                if low[0].size:
+                    # underflow at every draw: log p_y,r from the predictor,
+                    # less each draw's log-sum-exp ``top + log(tot)``
+                    kk, nn = low
+                    yl = yb[low]
+                    lp = np.where(gy[low] == 0, 0.0, v[kk, nn, yl] - c[low][:, 0])[:, None]
+                    for j in random:
+                        lp = lp + (inc[j, yl] * coef[j][low][:, 0])[:, None] * std[j][b][nn]
+                    lp -= top[low] + np.log(tot[low])
+                    shift = lp.max(axis=-1)
+                    w[low] = np.exp(lp - shift[:, None])
+                    total[low] = w[low].sum(axis=-1)
+                # ``w / total`` are the draws' posterior weights
+                lb = np.log(total)
+                if low[0].size:
+                    lb[low] += shift
+                lb -= np.log(n_draws)
+                ll[:, b] = np.where(gy == 0, lb + logq[..., 0], lb)
+                # draw-weighted mean probability of each slot, and of each
+                # scored outcome: a fixed outcome's is its share of slot 0's
+                pw = (w[..., None, :] @ sl[..., None])[..., 0, 0] / total  # (n_slots, K, nb)
+                ps = np.stack([pw[slot[i]] if slot[i] else q[i][..., 0] * pw[0]
+                               for i in scored], axis=-1)
             # probability mass of each term's outcome set, draw-weighted
-            m = x[b] * (ps @ to_terms)  # (K, nb, T)
-            scores[:, b, design.loc_pos] = xi[rows, b] - m
-            for j in design.random_terms:
-                mass = sum(p[i] for i in sets[j])
-                we = w * (inc[j][yb][..., None] - mass)  # (K, nb, R)
-                scores[:, b, design.scale_pos[j]] = scale_score(
-                    theta, design, draws, j, we, rows=b)
+            mass = x[b] * (ps @ to_terms)  # (K, nb, T)
+            scores[:, b, design.loc_pos] = xi[rows, b] - mass
+            for j in random:
+                # sum_r w_r (1[y in set_j] - P_set_j,r) x_j sd_j std_j,r; the
+                # products go to ``top``, so ``w`` stays intact for the next
+                # term
+                np.subtract(inc[j][yb][..., None], sl[enters[j][0]], out=top)
+                for si in enters[j][1:]:
+                    top -= sl[si]
+                top *= w
+                top *= std[j][b]
+                scores[:, b, design.scale_pos[j]] = (
+                    x[b, j] * (top.sum(axis=-1) / total) * sd[j][..., 0])
             if hessian:
                 # d v_ni / d theta_t = x_nt inc_ti, paired per outcome
                 xx = (x[b, :, None] * x[b, None, :]).reshape(-1, t * t)
                 pdd = ((ps.transpose(0, 2, 1) @ xx) * ii).sum(axis=1)
-                hess += m.transpose(0, 2, 1) @ m - pdd.reshape(k, t, t)
+                hess += mass.transpose(0, 2, 1) @ mass - pdd.reshape(k, t, t)
         return (ll, scores, hess) if hessian else (ll, scores)
 
     return kernel

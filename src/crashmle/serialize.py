@@ -66,6 +66,14 @@ def integer(value, what: str) -> int:
     return value
 
 
+def array(value, what: str) -> list:
+    """``value``; raise a ValueError naming ``what`` unless it is a JSON
+    array."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def nan_to_none(x: float):
     return None if x is None or not math.isfinite(x) else float(x)
 

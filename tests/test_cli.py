@@ -364,9 +364,16 @@ def _setting(path, value):
     (_setting(("covariates", "x1", "kind"), ["normal"]), [],
      "recipe kind must be one of ('normal', 'uniform', 'bernoulli', 'constant'), "
      "got ['normal']"),
+    (_setting(("spec", "terms"), None), [],
+     "model spec terms must be a JSON array, got null"),
+    (_setting(("spec", "outcomes"), None), [],
+     "model spec outcomes must be a JSON array, got null"),
+    (_setting(("spec", "terms", 1, "outcomes"), None), [],
+     "term 'x1' outcomes must be a JSON array, got null"),
 ], ids=["params_list", "covariates_list", "recipe_number", "config_list_with_n",
         "spec_string", "param_null", "param_list", "param_bool", "param_nan", "n_null",
-        "seed_list", "influence_cap_null", "recipe_value_null", "recipe_kind_list"])
+        "seed_list", "influence_cap_null", "recipe_value_null", "recipe_kind_list",
+        "spec_terms_null", "spec_outcomes_null", "term_outcomes_null"])
 def test_simulate_names_a_mistyped_dgp_value(workdir, capsys, mistype, extra, message):
     (workdir / "bad_dgp.json").write_text(json.dumps(mistype(mnl_dgp().to_dict())))
     assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),

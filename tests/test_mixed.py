@@ -78,6 +78,12 @@ def halton_reference(base, count, skip=0):
     (2, 1, 0), (3, 1, 0), (5, 2, 0), (2, 7, 1), (3, 26, 0), (5, 125, 0),
     (2, 150_000, 10), (3, 150_000, 10), (5, 150_000, 10), (7, 1000, 12345),
     (2, 16, 2**31 - 8), (3, 16, 2**31 - 8), (5, 4, 2**40),
+    # counts at the edges of the digit tables (2**16, 3**10, 5**6, 7**5)
+    (2, 2**16 - 1, 0), (2, 2**16, 0), (2, 2**16 + 1, 0),
+    (3, 3**10 - 1, 0), (3, 3**10, 0), (3, 3**10 + 1, 0),
+    (5, 5**6 + 1, 0), (7, 7**5 - 1, 0), (7, 7**5 + 1, 3),
+    # bases with a table of one digit, and of none
+    (257, 257**2 + 1, 5), (65537, 1000, 65530),
 ])
 def test_halton_is_bit_identical_to_the_reference(base, count, skip):
     assert halton(base, count, skip).tobytes() == \
@@ -246,6 +252,17 @@ def test_simulated_prob_matches_gauss_hermite_oracle():
     np.testing.assert_allclose(p, expected, atol=2e-4)
 
 
+def assert_gradient_matches_central_differences(objective, theta, h=1e-6):
+    _, grad = objective(theta)
+    fd = np.empty_like(grad)
+    for k in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
+        up[k] += h
+        dn[k] -= h
+        fd[k] = (objective(up)[0] - objective(dn)[0]) / (2.0 * h)
+    np.testing.assert_allclose(grad, fd, rtol=2e-6, atol=1e-8)
+
+
 def test_mixed_gradient_matches_central_differences():
     design = build_design(mixed_table(30), MIXED_SPEC)
     draws = DrawMatrix.for_design(design, 40)
@@ -253,15 +270,7 @@ def test_mixed_gradient_matches_central_differences():
     rng = np.random.default_rng(4)
     for _ in range(3):
         theta = theta_mixed(*rng.uniform(0.3, 1.2, size=4))
-        _, grad = objective(theta)
-        h = 1e-6
-        fd = np.empty_like(grad)
-        for k in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[k] += h
-            dn[k] -= h
-            fd[k] = (objective(up)[0] - objective(dn)[0]) / (2.0 * h)
-        np.testing.assert_allclose(grad, fd, rtol=2e-6, atol=1e-8)
+        assert_gradient_matches_central_differences(objective, theta)
 
 
 def test_mixed_loglik_wrapper_returns_objective_value():
@@ -442,6 +451,40 @@ def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
         ii = (inc.T[:, :, None] * inc.T[:, None, :]).reshape(-1, t * t)
         pdd = (p.transpose(0, 2, 1) @ xx * ii).sum(axis=1).reshape(3, t, t)
         assert_close(hess, m.transpose(0, 2, 1) @ m - pdd)
+
+
+def test_kernel_rescues_observations_improbable_at_every_draw():
+    # a constant of 800 on outcome a leaves every other outcome a
+    # probability of about e^-800 at every draw, far below the smallest
+    # double; each outcome, fixed (c, base) and varying (a, b), is observed
+    design, draws, _, theta = shared_case(12, 30, k=1)
+    theta[0, 0] = 800.0
+    y = np.arange(12) % 4
+    ll, scores = mnl._kernel(design, draws, y)(theta, slice(0, 1))
+    want_ll, want_scores = dense_logit(design, draws, y[None], theta)
+    assert np.all(want_ll[0, y != 0] < np.log(1e-300))
+    assert np.all(np.isfinite(ll)) and np.all(np.isfinite(scores))
+    assert_close(ll, want_ll)
+    assert_close(scores, want_scores)
+
+
+def test_kernel_at_a_plateau_scale_matches_a_dense_evaluation():
+    # mixing scales of 1e11, where the 2k-row benchmark fits stop: at
+    # nearly every draw one outcome takes all the probability
+    design, draws, y, theta = shared_case(50, 30, k=2)
+    theta[:, [3, 5]] = np.log(1e11)
+    ll, scores = mnl._kernel(design, draws, y)(theta, [2, 0])
+    want_ll, want_scores = dense_logit(design, draws, y[[2, 0]], theta)
+    assert np.all(np.isfinite(ll))
+    assert_close(ll, want_ll)
+    assert_close(scores, want_scores)
+
+
+def test_shared_outcome_gradient_matches_central_differences():
+    # two random terms enter outcome a, and the uniform one also enters b
+    design, draws, y, theta = shared_case(40, 30, k=1)
+    assert_gradient_matches_central_differences(
+        make_objective(design, draws, y[1]), theta[0])
 
 
 def evaluation_peak(n, n_draws=500):
