@@ -354,6 +354,78 @@ def test_mixed_effects_match_plain_elasticities_at_tiny_scale():
             r.value, abs=1e-9)
 
 
+EFFECTS_SPEC = ModelSpec("mixed_mnl", (
+    Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
+    Term("x1", ("a",), "random_normal"), Term("d1", ("a", "b"), "random_uniform"),
+    Term("x2", ("c",)), Term("d2", ("c",))), ("a", "b", "c", "base"), "base")
+
+
+def dense_effects(design, draws, theta, variables, pseudo):
+    """{(variable, target, outcome): effect} from whole (N, R, I) arrays:
+    each draw's logit probabilities over every outcome; a pseudo switch
+    adds the term's coefficient draws to the target's predictor alone."""
+    x, inc, labels = design.x, design.incidence, design.outcome_labels
+    beta = [np.full((design.n_obs, draws.n_draws), theta[pos])
+            for pos in design.loc_pos]
+    for dim, j in enumerate(design.random_terms):
+        beta[j] = beta[j] + np.exp(theta[design.scale_pos[j]]) * draws.std[dim]
+    v = sum((x[:, j, None] * beta[j])[..., None] * inc[j] for j in range(len(beta)))
+
+    def softmax(v):
+        e = np.exp(v - v.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    p = softmax(v)
+    p_bar = p.mean(axis=1)
+    out = {}
+    for j, term in enumerate(design.spec.terms):
+        if term.variable not in variables:
+            continue
+        for target in term.outcomes:
+            col = labels.index(target)
+            if pseudo:
+                v_on, v_off = v.copy(), v.copy()
+                v_on[..., col] += beta[j] * (1.0 - x[:, j, None])
+                v_off[..., col] -= beta[j] * x[:, j, None]
+                each = (softmax(v_on) - softmax(v_off)).mean(axis=1) / p_bar
+            else:
+                kron = np.arange(len(labels)) == col
+                dp = (p * (beta[j] * x[:, j, None])[..., None]
+                      * (kron - p[..., col, None])).mean(axis=1)
+                each = dp / p_bar
+            for i, label in enumerate(labels):
+                out[(term.variable, target, label)] = each[:, i].mean()
+    return out
+
+
+@pytest.mark.parametrize("pseudo, variables", [(False, ["x1", "x2"]),
+                                                (True, ["d1", "d2"])])
+def test_mixed_effects_match_a_dense_evaluation(pseudo, variables):
+    # a normal random x1 on a, a uniform random indicator d1 tied across a
+    # and b, a fixed x2 and a fixed indicator d2 on the fixed outcome c
+    rng = np.random.default_rng(21)
+    n = 70
+    table = ObservationTable(
+        {"x1": rng.normal(size=n), "x2": rng.normal(size=n),
+         "d1": rng.integers(0, 2, n).astype(float),
+         "d2": rng.integers(0, 2, n).astype(float)},
+        np.array(["a", "b", "c", "base"])[rng.integers(0, 4, n)], "severity")
+    design = build_design(table, EFFECTS_SPEC)
+    theta = np.array([0.3, -0.2, 0.8, np.log(1.2), -0.6, np.log(0.9), 0.5, 0.7])
+    natural, _ = natural_from_internal(theta, design)
+    from crashmle.optimize import summarize
+    fit = summarize(natural, None, -1.0, -2.0, param_names=design.param_names,
+                    converged=True, iterations=0, n_obs=n, family="mixed_mnl",
+                    theta_internal=theta, spec=EFFECTS_SPEC, n_draws=40, seed=0)
+    draws = DrawMatrix.for_design(design, 40)
+    report = mixed_effects(fit, table, variables, pseudo=pseudo, draws=draws)
+    want = dense_effects(design, draws, theta, variables, pseudo)
+    got = {(r.variable, r.target, r.outcome): r.value for r in report.rows}
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
 def test_mixed_effects_requires_mixed_fit():
     table = mixed_table(40)
     plain_spec = ModelSpec("mnl", (Term("x1", ("a",)),), ("a", "b", "base"), "base")
