@@ -409,15 +409,20 @@ class ModelSpec:
         terms = []
         serialize.require(d, ("family", "terms"), "model spec")
         for t in serialize.array(d["terms"], "model spec terms"):
-            var = serialize.require(t, ("var",), "model spec term")["var"]
-            dist = t.get("dist", "fixed")
+            var = serialize.string(serialize.require(t, ("var",), "model spec term")["var"],
+                                   "model spec term var")
+            dist = serialize.string(t.get("dist", "fixed"), f"term {var!r} dist")
             if dist not in _DIST_TO_KIND:
                 raise ValueError(f"term {var!r}: dist must be one of "
                                  f"{sorted(_DIST_TO_KIND)}, got {dist!r}")
             outcomes = serialize.array(t.get("outcomes", ()), f"term {var!r} outcomes")
-            terms.append(Term(var, tuple(outcomes), _DIST_TO_KIND[dist]))
+            terms.append(Term(var, tuple(serialize.string(o, f"term {var!r} outcome")
+                                         for o in outcomes), _DIST_TO_KIND[dist]))
         outcomes = serialize.array(d.get("outcomes", ()), "model spec outcomes")
-        return ModelSpec(d["family"], tuple(terms), tuple(outcomes), d.get("base"))
+        base = d.get("base")
+        return ModelSpec(serialize.string(d["family"], "model spec family"), tuple(terms),
+                         tuple(serialize.string(o, "model spec outcome") for o in outcomes),
+                         None if base is None else serialize.string(base, "model spec base"))
 
 
 _DIST_TO_KIND = {"fixed": "fixed", "normal": "random_normal", "uniform": "random_uniform"}
@@ -521,6 +526,18 @@ def scale_param_name(term: Term, severity: bool) -> str:
     return f"{term_param_name(term, severity)}:{suffix}"
 
 
+def expected_param_names(spec: ModelSpec) -> tuple[str, ...]:
+    """Reporting-order parameter names implied by a spec."""
+    names = []
+    for t in spec.terms:
+        names.append(term_param_name(t, spec.is_severity))
+        if t.is_random:
+            names.append(scale_param_name(t, spec.is_severity))
+    if spec.is_frequency:
+        names.append("alpha")
+    return tuple(names)
+
+
 class DesignMatrix:
     """Compiled (table, spec) pair with a fixed parameter packing.
 
@@ -561,19 +578,11 @@ class DesignMatrix:
                 raise ValueError(f"variable {t.variable!r} not in table")
         self.x = _readonly(x)
 
-        names: list[str] = []
-        loc_pos = np.empty(n_terms, dtype=np.int64)
-        scale_pos = np.full(n_terms, -1, dtype=np.int64)
-        for j, t in enumerate(spec.terms):
-            loc_pos[j] = len(names)
-            names.append(term_param_name(t, spec.is_severity))
-            if t.is_random:
-                scale_pos[j] = len(names)
-                names.append(scale_param_name(t, spec.is_severity))
-        self.param_names = tuple(names)
-        self.n_params = len(names)
-        self.loc_pos = _readonly(loc_pos)
-        self.scale_pos = _readonly(scale_pos)
+        width = np.array([t.n_params for t in spec.terms], dtype=np.int64)
+        self.n_params = int(width.sum())
+        self.param_names = expected_param_names(spec)[:self.n_params]
+        self.loc_pos = _readonly(np.cumsum(width) - width)
+        self.scale_pos = _readonly(np.where(width == 2, self.loc_pos + 1, -1))
         self.random_terms = tuple(j for j, t in enumerate(spec.terms) if t.is_random)
 
         if spec.is_severity:

@@ -17,14 +17,11 @@ asks for Hessians, and it sums the rows at once, so the per-observation
 outputs of a call with ``hessian`` may be work arrays that the kernel's
 next call overwrites (the NB kernel's are); every other call returns
 fresh arrays, which :func:`first_row` hands on to callers that keep
-them.  The logit kernel works
-through the observations in fixed blocks of ``mnl.BLOCK_ELEMENTS``
-elements per outcome, a constant that does not depend on the machine,
-so its working memory scales with the block, not with N * R.  Its
-simulated likelihood softmaxes the outcomes no random term enters once
-per observation, as the plain MNL does, and runs each draw's softmax
-over that group's log-sum-exp and the outcomes whose predictors vary
-across draws only.
+them.  The logit kernel works through the observations in fixed blocks
+of ``mnl.BLOCK_ELEMENTS`` elements per outcome, so its working memory
+scales with the block, not with N * R.  Its per-block softmax
+(``mnl._block_softmax``) also gives the logit's simulated probabilities
+and effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`:
 batched Newton on the analytic Hessians first for the families with a

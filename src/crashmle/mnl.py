@@ -5,13 +5,16 @@ from the design matrix; the base outcome's predictor is identically
 zero.  The log-likelihood is globally concave in the coefficients, so
 Newton's method on the kernel's analytic Hessian converges from a zero
 start unless the data are degenerate (perfect separation is flagged
-after the fit).  The
-likelihood kernel, the predictor, probability and effects helpers all
-take an optional draw matrix: the mixed logit (:mod:`crashmle.mixed`)
-is this logit averaged over draws, and a plain logit is one draw.
+after the fit).  The likelihood kernel, the probabilities and the
+effects all take an optional draw matrix and compute the logit by one
+per-block softmax, :func:`_block_softmax`: the mixed logit
+(:mod:`crashmle.mixed`) is this logit averaged over draws, and a plain
+logit is one draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,17 +60,116 @@ def _softmax_slices(v: list):
     return m, z, e, s
 
 
-def _log_softmax(v) -> np.ndarray:
-    """Log-softmax of predictors ``v``, an array with the outcomes on its
-    last axis or a list of per-outcome slices, reduced over the outcome
-    slices and stacked on a last axis; with fewer than eight outcomes it
+def _log_softmax(v: np.ndarray) -> np.ndarray:
+    """Log-softmax of predictors ``v`` over their last axis, reduced over
+    the outcome slices one at a time; with fewer than eight outcomes it
     equals bit for bit ``v - max`` less the log of the exponentials
     summed along the axis."""
-    if isinstance(v, np.ndarray):
-        v = [v[..., i] for i in range(v.shape[-1])]
-    _, z, _, s = _softmax_slices(v)
+    _, z, _, s = _softmax_slices([v[..., i] for i in range(v.shape[-1])])
     lse = np.log(s)
     return np.stack([zi - lse for zi in z], axis=-1)
+
+
+def _slots(design: DesignMatrix, draws: DrawMatrix | None):
+    """Each outcome's slot (I,) in the per-draw softmax, and each random
+    term's slots and (N, R) draws.  The outcomes some random term enters
+    vary across draws and take slots 1, 2, ...; the others, the base among
+    them, form the fixed group, slot 0.  Without draws all are fixed."""
+    inc = design.incidence
+    random = design.random_terms if draws is not None else ()
+    slot = np.zeros(inc.shape[1], dtype=np.int64)
+    varying = inc[list(random)].any(axis=0)
+    slot[varying] = np.arange(1, varying.sum() + 1)
+    return (slot, {j: slot[inc[j] > 0] for j in random},
+            {j: draws.std[dim] for dim, j in enumerate(random)})
+
+
+def _block_softmax(theta, design: DesignMatrix, slots):
+    """``block(b, switch=None)``: the logit at parameter rows ``theta``,
+    (K, P) or (P,), on the observations ``b`` (a slice) with the slots of
+    :func:`_slots`; it returns ``v, coef, z, lse, q, c, buf``.
+
+    ``v`` are the location predictors, ``coef[j]`` random term j's
+    covariate times its mixing scale.  The fixed group is softmaxed once
+    per observation with the plain MNL's arithmetic: its shifted slices
+    ``z``, their log-sum-exp ``lse`` and each member's share ``q_i``.
+    With draws (else ``c`` and ``buf`` are None), each draw's softmax over
+    slot 0, the group's log-sum-exp ``c``, and the varying slots runs in
+    place on ``buf``, a work array that each call reuses, so the first
+    must be for the largest block: ``buf[s]`` holds slot s's
+    probabilities, ``buf[n_slots]`` each draw's maximum less ``c``,
+    ``buf[n_slots + 1]`` its sum of exponentials, and ``buf[n_slots + 2]``
+    is free.  A fixed outcome's probability is slot 0's times its
+    ``q_i``.  A ``switch`` (j, col, dx) adds term j's coefficient draws
+    times ``dx`` to outcome col's predictor alone.
+    """
+    slot, enters, std = slots
+    fixed, varying = np.flatnonzero(slot == 0), np.flatnonzero(slot)
+    n_slots = len(varying) + 1
+    theta = np.asarray(theta, dtype=np.float64)
+    loc = theta[..., None, design.loc_pos]
+    sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
+    work = None
+
+    def block(b, switch=None):
+        nonlocal work
+        x = design.x[b]
+        v = (x * loc) @ design.incidence
+        coef = {j: x[:, j, None] * sd[j] for j in enters}
+        parts = [(std[j][b], coef[j], enters[j]) for j in enters]
+        if switch is not None:
+            j, col, dx = switch
+            v[..., col] += loc[..., j] * dx
+            if j in sd:
+                parts.append((std[j][b], dx[:, None] * sd[j], [slot[col]]))
+        m, z, e, s = _softmax_slices([v[..., i, None] for i in fixed])
+        lse = np.log(s)
+        q = {i: ei / s for i, ei in zip(fixed, e)}
+        if not parts:
+            return v, coef, z, lse, q, None, None
+        c = m + lse
+        shape = (n_slots + 3, *v.shape[:-1], parts[0][0].shape[-1])
+        size = math.prod(shape)
+        if work is None:
+            work = np.empty(size)
+        buf = work[:size].reshape(shape)
+        sl, top, tot = buf[:n_slots], buf[n_slots], buf[n_slots + 1]
+        # the varying predictors less c: the location part plus each
+        # term's draws (``top`` holds the draws)
+        built = set()
+        for draws, coef_j, enters_j in parts:
+            np.multiply(draws, coef_j, out=top)
+            for si in enters_j:
+                if si in built:
+                    sl[si] += top
+                else:
+                    np.add(v[..., varying[si - 1], None] - c, top, out=sl[si])
+                    built.add(si)
+        np.maximum(sl[1], 0.0, out=top)
+        for si in range(2, n_slots):
+            np.maximum(top, sl[si], out=top)
+        np.negative(top, out=sl[0])
+        sl[1:] -= top
+        with np.errstate(under="ignore"):
+            np.exp(sl, out=sl)
+        np.add(sl[0], sl[1], out=tot)
+        for si in range(2, n_slots):
+            tot += sl[si]
+        sl /= tot
+        return v, coef, z, lse, q, c, buf
+
+    return block
+
+
+def _draw_means(block, slot, b, switch=None):
+    """``block(b, switch)``'s slot probabilities at each draw (n_slots,
+    nb, R), ones without draws, fixed shares and outcome probabilities
+    averaged over the draws (nb, I)."""
+    *_, lse, q, _, buf = block(b, switch)
+    p = np.ones((1, *lse.shape)) if buf is None else buf[:np.count_nonzero(slot) + 1]
+    p_slot = p.mean(axis=-1)
+    return p, q, np.stack([p_slot[s] if s else q[i][..., 0] * p_slot[0]
+                           for i, s in enumerate(slot)], axis=-1)
 
 
 def mnl_probs(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:
@@ -93,25 +195,15 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     it is the plain MNL.  ``y_index`` (B, N), or (N,) for B = 1,
     overrides the design's encoded outcomes.
 
-    Only the outcomes some random term enters have predictors that vary
-    across draws.  The others, the base among them, form the fixed group:
-    they are softmaxed once per observation, to their log-sum-exp ``c``
-    and their shares ``q_i`` within the group, and enter each draw's
-    softmax as one slice ``c``.  A fixed outcome's probability at draw r
-    is then ``P_F,r q_i``.  The draws' posterior weights are the observed
+    The observations are evaluated in consecutive blocks of about
+    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, a constant, so
+    results do not depend on the machine and working memory scales with
+    the block, not with N * R.  Each block's probabilities come from
+    :func:`_block_softmax`.  The draws' posterior weights are the observed
     outcome's probabilities ``p_y,r`` normalized over the draws, and
     ``ll = log(mean_r p_y,r)`` (plus ``log q_y`` for a fixed outcome).  An
     observation whose ``p_y,r`` underflow at every draw is recomputed in
-    the log domain, so its ``ll`` stays finite.  A plain MNL has no
-    varying outcomes: its arithmetic is the fixed group's alone.
-
-    The observations are evaluated in consecutive blocks of about
-    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, each varying
-    outcome's per-draw values kept as their own (K, rows, R) slice of a
-    work array that is reused block after block.  The block size is a
-    constant, so results do not depend on the machine, and the kernel's
-    working memory scales with the block, not with N * R; its outputs
-    are (K, N) and (K, N, P) as always.
+    the log domain, so its ``ll`` stays finite.
     """
     if draws is None and design.random_terms:
         raise ValueError("objective requires a design with fixed terms only")
@@ -124,19 +216,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
     ii = (to_terms[:, :, None] * to_terms[:, None, :]).reshape(len(scored), -1)
     n_draws = 1 if draws is None else draws.n_draws
-    random = design.random_terms if draws is not None else ()
-    # each outcome's slot in the per-draw softmax: 0 for the fixed group,
-    # 1, 2, ... for the outcomes whose predictors vary across draws
-    slot = np.zeros(inc.shape[1], dtype=np.int64)
-    varying = np.flatnonzero(inc[list(random)].any(axis=0)) if random else []
-    slot[varying] = np.arange(1, len(varying) + 1)
-    fixed = np.flatnonzero(slot == 0)
-    # (position in the fixed group, outcome) of the scored fixed outcomes
-    shares = [(f, i) for f, i in enumerate(fixed) if i in scored]
-    n_slots = len(varying) + 1
-    # the varying slots each random term enters, and its draws
-    enters = {j: slot[np.flatnonzero(inc[j])] for j in random}
-    std = {j: draws.std[dim] for dim, j in enumerate(random)}
+    slots = slot, enters, std = _slots(design, draws)
+    fixed, random, n_slots = np.flatnonzero(slot == 0), tuple(enters), np.count_nonzero(slot) + 1
     # below this draw sum of p_y,r, draws whose probability underflowed
     # would no longer weigh nothing against the others
     tiny = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
@@ -150,59 +231,24 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         ll = np.empty((k, design.n_obs))
         scores = np.empty((k, design.n_obs, design.n_params))
         hess = np.zeros((k, t, t)) if hessian else None
-        loc = theta[:, None, design.loc_pos]
         sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
-        work = None
+        block, rows_at = _block_softmax(theta, design, slots), None
         for b in _blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
-            v = (x[b] * loc) @ inc  # (K, nb, I)
-            m, z, e, s = _softmax_slices([v[..., i, None] for i in fixed])
+            v, coef, z, lse, q, c, buf = block(b)
             # log q_y: the observed outcome's log-share in the fixed group
             logq = z[0].copy()
             for f in range(1, len(z)):
                 np.copyto(logq, z[f], where=(yb == fixed[f])[..., None])
-            lse = np.log(s)
             logq -= lse
-            q = {i: e[f] / s for f, i in shares}  # (K, nb, 1) each
             if not random:
                 ll[:, b] = logq[..., 0]
                 ps = np.concatenate([q[i] for i in scored], axis=-1)
             else:
                 nb = b.stop - b.start
-                size = k * nb * n_draws
-                if work is None:  # the first block is the largest
-                    work = np.empty((n_slots + 3) * size)
+                if rows_at is None:  # the first block is the largest
                     rows_at = np.arange(k * nb)
-                buf = work[:(n_slots + 3) * size].reshape(n_slots + 3, k, nb, n_draws)
                 sl, top, tot, w = buf[:n_slots], buf[n_slots], buf[n_slots + 1], buf[-1]
-                coef = {j: x[b, j, None] * sd[j] for j in random}  # (K, nb, 1)
-                # the varying predictors less the fixed group's log-sum-exp
-                # c: the location part plus each random term's coefficient
-                # draws (``top`` holds the draws)
-                c = m + lse  # (K, nb, 1)
-                built = set()
-                for j in random:
-                    np.multiply(std[j][b], coef[j], out=top)
-                    for si in enters[j]:
-                        if si in built:
-                            sl[si] += top
-                        else:
-                            np.add(v[..., varying[si - 1], None] - c, top, out=sl[si])
-                            built.add(si)
-                # softmax per draw over the fixed group's slot, which is 0
-                # after the shift, and the varying slots, in place; ``top``
-                # keeps each draw's maximum and ``tot`` its sum of exponentials
-                np.maximum(sl[1], 0.0, out=top)
-                for si in range(2, n_slots):
-                    np.maximum(top, sl[si], out=top)
-                np.negative(top, out=sl[0])
-                sl[1:] -= top
-                with np.errstate(under="ignore"):
-                    np.exp(sl, out=sl)
-                np.add(sl[0], sl[1], out=tot)
-                for si in range(2, n_slots):
-                    tot += sl[si]
-                sl /= tot
                 # p_y,r: the rows of the observed outcome's slot
                 gy = gys[rows, b]
                 np.take(sl.reshape(-1, n_draws), gy.ravel() * (k * nb) + rows_at[:k * nb],
@@ -334,38 +380,17 @@ def _term_targets(design: DesignMatrix, variables):
     return triples
 
 
-def _predictor_slices(theta, design: DesignMatrix, draws=None,
-                      rows=slice(None)) -> list:
-    """Linear predictors per draw of the observations ``rows`` selects,
-    one slice per outcome for ``theta`` of shape (..., P): (..., N, R)
-    where a random term enters the outcome, (..., N, 1) otherwise."""
-    theta = np.asarray(theta, dtype=np.float64)
-    x = design.x[rows]
-    v = (x * theta[..., None, design.loc_pos]) @ design.incidence
-    v = [v[..., i, None] for i in range(v.shape[-1])]
-    for dim, j in enumerate(design.random_terms if draws is not None else ()):
-        scale = np.exp(theta[..., design.scale_pos[j], None, None])
-        contrib = x[:, j, None] * (scale * draws.std[dim][rows])  # (..., N, R)
-        for col in np.flatnonzero(design.incidence[j]):
-            v[col] = v[col] + contrib
-    return v
-
-
 def _mean_probs(theta, design: DesignMatrix, draws=None,
                 row: int | None = None) -> np.ndarray:
     """Outcome probabilities averaged over draws: (N, I), or (I,) for
     observation ``row`` alone; evaluated in observation blocks."""
-    if row is None:
-        first, n = 0, design.n_obs
-    elif 0 <= row < design.n_obs:
-        first, n = row, 1
-    else:
+    if row is not None and not 0 <= row < design.n_obs:
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    out = np.empty((n, design.n_outcomes))
-    for b in _blocks(n, 1 if draws is None else draws.n_draws):
-        v = _predictor_slices(theta, design, draws,
-                              slice(first + b.start, first + b.stop))
-        out[b] = np.exp(_log_softmax(v)).mean(axis=-2)
+    slots = _slots(design, draws)
+    block = _block_softmax(theta, design, slots)
+    rows = ([slice(row, row + 1)] if row is not None
+            else _blocks(design.n_obs, 1 if draws is None else draws.n_draws))
+    out = np.concatenate([_draw_means(block, slots[0], b)[2] for b in rows])
     return out if row is None else out[0]
 
 
@@ -376,8 +401,9 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
     Probabilities and their derivatives are averaged over the fit's
     draws (a plain logit has one draw), so coefficient heterogeneity
     propagates into the averaged effects.  Each observation's effects
-    are evaluated in observation blocks, as in the likelihood kernel,
-    and averaged over all observations at the end.
+    are evaluated in observation blocks, on the likelihood kernel's
+    probabilities (:func:`_block_softmax`), and averaged over all
+    observations at the end.
     """
     design = build_design(table, fit.spec)
     if draws is None:
@@ -391,29 +417,31 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             raise ValueError(
                 f"variable {var!r} is not a 0/1 indicator; use elasticities" if pseudo
                 else f"variable {var!r} is a 0/1 indicator; use pseudo-elasticities")
+    slots = _slots(design, draws)
+    slot, block = slots[0], _block_softmax(theta, design, slots)
     # per-observation effects: (triple, outcome, observation)
     each = np.empty((len(triples), len(labels), design.n_obs))
     for b in _blocks(design.n_obs, 1 if draws is None else draws.n_draws):
-        v = _predictor_slices(theta, design, draws, b)
-        p = np.exp(_log_softmax(v))  # (nb, R, I)
-        p_bar = p.mean(axis=1)
+        p, q, p_bar = _draw_means(block, slot, b)
+        p_sum = p.sum(axis=-1)  # (n_slots, nb)
         for t, (var, j, target) in enumerate(triples):
             x = design.x[b, j]
             col = labels.index(target)
-            beta_draws = coefficient_draws(theta, design, draws, j, rows=b)
             if pseudo:
-                v_on, v_off = list(v), list(v)  # the target's slice switched
-                v_on[col] = v[col] + beta_draws * (1.0 - x[:, None])
-                v_off[col] = v[col] - beta_draws * x[:, None]
-                delta = (np.exp(_log_softmax(v_on))
-                         - np.exp(_log_softmax(v_off))).mean(axis=1)
-                each[t, :, b] = (delta / p_bar).T
+                # switched in the target's predictor alone; this
+                # overwrites ``p``
+                on = _draw_means(block, slot, b, (j, col, 1.0 - x))[2]
+                off = _draw_means(block, slot, b, (j, col, -x))[2]
+                each[t, :, b] = ((on - off) / p_bar).T
                 continue
-            pj = p[:, :, col]
-            for i in range(len(labels)):
-                kron = 1.0 if i == col else 0.0
-                dp = (p[:, :, i] * beta_draws * (kron - pj)).mean(axis=1)
-                each[t, i, b] = x * dp / p_bar[:, i]
+            # p_col,r, and the coefficient draws times it
+            pc = p[slot[col]] if slot[col] else q[col] * p[0]
+            bp = coefficient_draws(theta, design, draws, j, rows=b) * pc
+            # cross: -x mean_r(p_i,r b_r p_col,r) / p_bar_i, the same for
+            # every outcome of a slot (a fixed outcome's share cancels)
+            cross = (p[:, :, None, :] @ bp[:, :, None])[..., 0, 0] / p_sum
+            each[t, :, b] = -x * cross[slot]
+            each[t, col, b] = x * (bp * (1.0 - pc)).mean(axis=-1) / p_bar[:, col]
     values = each.mean(axis=-1)
     rows = []
     for (var, j, target), vals in zip(triples, values):

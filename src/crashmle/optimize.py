@@ -16,13 +16,14 @@ definite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import serialize
-from .dataset import ModelSpec
+from .dataset import ModelSpec, expected_param_names
 
 #: smallest reciprocal condition number of an outer product of scores
 #: that is inverted for BHHH standard errors.  Below it the inverse has
@@ -379,30 +380,35 @@ class FitResult:
     def from_dict(d: dict) -> "FitResult":
         # every field without a default must be in the file
         serialize.require(d, [f.name for f in fields(FitResult) if f.default is MISSING], "fit")
-        arr = lambda key: np.array([serialize.none_to_nan(v) for v in d[key]])
+        names = tuple(serialize.string(v, "fit param name")
+                      for v in serialize.array(d["param_names"], "fit param_names"))
         spec = ModelSpec.from_dict(d["spec"]) if d.get("spec") else None
+        if spec is not None and names != expected_param_names(spec):
+            raise ValueError(f"fit param_names {list(names)} are not the spec's "
+                             f"{list(expected_param_names(spec))}")
+        num = lambda key, v: math.nan if v is None else serialize.number(v, f"fit {key}")
+        arrays = {}
+        for key in ("theta_hat", "standard_errors", "t_ratios", "theta_internal"):
+            values = serialize.array(d[key], f"fit {key}")
+            if len(values) != len(names):
+                raise ValueError(f"fit {key} has {len(values)} values for "
+                                 f"{len(names)} parameters")
+            arrays[key] = np.array([num(key, v) for v in values])
         simulated = d.get("n_draws") is not None  # older files: default draws
+        draw_settings = {"n_draws": d.get("n_draws"), "seed": d.get("seed"),
+                         "skip": d.get("skip", 10 if simulated else None)}
         return FitResult(
-            param_names=tuple(d["param_names"]),
-            theta_hat=arr("theta_hat"),
-            standard_errors=arr("standard_errors"),
-            t_ratios=arr("t_ratios"),
-            ll_converged=serialize.none_to_nan(d["ll_converged"]),
-            ll_restricted=serialize.none_to_nan(d["ll_restricted"]),
-            mcfadden_rho2=serialize.none_to_nan(d["mcfadden_rho2"]),
+            param_names=names, spec=spec, **arrays,
+            **{k: num(k, d[k]) for k in ("ll_converged", "ll_restricted", "mcfadden_rho2")},
             converged=d["converged"],
-            iterations=d["iterations"],
-            n_obs=d["n_obs"],
-            family=d["family"],
-            theta_internal=arr("theta_internal"),
-            spec=spec,
+            iterations=serialize.integer(d["iterations"], "fit iterations"),
+            n_obs=serialize.integer(d["n_obs"], "fit n_obs"),
+            family=serialize.string(d["family"], "fit family"),
             se_method=d.get("se_method", "hessian"),
             message=d.get("message", ""),
-            n_draws=d.get("n_draws"),
-            seed=d.get("seed"),
-            skip=d.get("skip", 10 if simulated else None),
             shift=d.get("shift", False if simulated else None),
-        )
+            **{k: None if v is None else serialize.integer(v, f"fit {k}")
+               for k, v in draw_settings.items()})
 
 
 def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,

@@ -66,6 +66,14 @@ def integer(value, what: str) -> int:
     return value
 
 
+def string(value, what: str) -> str:
+    """``value``; raise a ValueError naming ``what`` unless it is a JSON
+    string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def array(value, what: str) -> list:
     """``value``; raise a ValueError naming ``what`` unless it is a JSON
     array."""
@@ -76,10 +84,6 @@ def array(value, what: str) -> list:
 
 def nan_to_none(x: float):
     return None if x is None or not math.isfinite(x) else float(x)
-
-
-def none_to_nan(x):
-    return math.nan if x is None else float(x)
 
 
 def sha256_file(path) -> str:

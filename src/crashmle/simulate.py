@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import serialize
-from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
-                      build_design, scale_param_name, term_param_name)
+from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable, build_design,
+                      expected_param_names, scale_param_name, term_param_name)
 from .mnl import _log_softmax
 
 RECIPE_KINDS = ("normal", "uniform", "bernoulli", "constant")
@@ -103,18 +103,6 @@ class CovariateRecipe:
             for k, v in d.items() if k != "kind"})
 
 
-def expected_param_names(spec: ModelSpec) -> tuple[str, ...]:
-    """Reporting-order parameter names implied by a spec."""
-    names = []
-    for t in spec.terms:
-        names.append(term_param_name(t, spec.is_severity))
-        if t.is_random:
-            names.append(scale_param_name(t, spec.is_severity))
-    if spec.is_frequency:
-        names.append("alpha")
-    return tuple(names)
-
-
 @dataclass(frozen=True)
 class DgpConfig:
     """Complete description of a synthetic data set.
@@ -172,9 +160,8 @@ class DgpConfig:
         influence = None
         if d.get("influence") is not None:
             inf = serialize.require(d["influence"], ("distance", "cap"), "dgp influence")
-            if not isinstance(inf["distance"], str):
-                raise ValueError("dgp influence distance must be a column name")
-            influence = (inf["distance"], serialize.number(inf["cap"], "dgp influence cap"))
+            influence = (serialize.string(inf["distance"], "dgp influence distance"),
+                         serialize.number(inf["cap"], "dgp influence cap"))
         params = serialize.require(d["params"], (), "dgp params")
         covariates = serialize.require(d["covariates"], (), "dgp covariates")
         return DgpConfig(

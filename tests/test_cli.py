@@ -370,10 +370,21 @@ def _setting(path, value):
      "model spec outcomes must be a JSON array, got null"),
     (_setting(("spec", "terms", 1, "outcomes"), None), [],
      "term 'x1' outcomes must be a JSON array, got null"),
+    (_setting(("spec", "terms", 1, "dist"), ["normal"]), [],
+     'term \'x1\' dist must be a string, got ["normal"]'),
+    (_setting(("spec", "terms", 1, "dist"), {}), [],
+     "term 'x1' dist must be a string, got {}"),
+    (_setting(("spec", "terms", 1, "var"), ["x1"]), [],
+     'model spec term var must be a string, got ["x1"]'),
+    (_setting(("spec", "outcomes", 0), ["a"]), [],
+     'model spec outcome must be a string, got ["a"]'),
+    (_setting(("spec", "terms", 1, "outcomes", 0), ["a"]), [],
+     'term \'x1\' outcome must be a string, got ["a"]'),
 ], ids=["params_list", "covariates_list", "recipe_number", "config_list_with_n",
         "spec_string", "param_null", "param_list", "param_bool", "param_nan", "n_null",
         "seed_list", "influence_cap_null", "recipe_value_null", "recipe_kind_list",
-        "spec_terms_null", "spec_outcomes_null", "term_outcomes_null"])
+        "spec_terms_null", "spec_outcomes_null", "term_outcomes_null", "term_dist_list",
+        "term_dist_object", "term_var_list", "spec_outcome_list", "term_outcome_list"])
 def test_simulate_names_a_mistyped_dgp_value(workdir, capsys, mistype, extra, message):
     (workdir / "bad_dgp.json").write_text(json.dumps(mistype(mnl_dgp().to_dict())))
     assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
@@ -395,6 +406,42 @@ def test_effects_names_a_missing_fit_key(workdir, capsys):
                  "--out", str(workdir / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'theta_hat'" in err
+
+
+@pytest.fixture(scope="module")
+def mixed_fit(tmp_path_factory):
+    """A directory holding mnl_data.csv, and the dict of a mixed fit to it."""
+    root = tmp_path_factory.mktemp("mixed_fit")
+    write_dgp(root / "mnl_dgp.json", mnl_dgp())
+    (root / "mixed.ini").write_text(MIXED_SPEC_TEXT)
+    assert main(["simulate", "--dgp", str(root / "mnl_dgp.json"),
+                 "--out", str(root / "mnl_data")]) == 0
+    assert main(["fit", "--data", str(root / "mnl_data.csv"),
+                 "--spec", str(root / "mixed.ini"), "--draws", "25",
+                 "--out", str(root / "fit")]) == 0
+    return root, json.loads((root / "fit.json").read_text())
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("theta_internal", 5, "fit theta_internal must be a JSON array, got 5"),
+    ("theta_internal", [0.5], "fit theta_internal has 1 values for 3 parameters"),
+    ("param_names", 3, "fit param_names must be a JSON array, got 3"),
+    ("param_names", ["x1[a]", "x1[a]:sd", "constant[a]"],
+     "fit param_names ['x1[a]', 'x1[a]:sd', 'constant[a]'] are not the spec's "
+     "['constant[a]', 'x1[a]', 'x1[a]:sd']"),
+    ("n_draws", "30", 'fit n_draws must be an integer, got "30"'),
+    ("n_draws", 30.0, "fit n_draws must be an integer, got 30.0"),
+    ("skip", "10", 'fit skip must be an integer, got "10"'),
+], ids=["theta_number", "theta_short", "names_number", "names_reordered",
+        "draws_string", "draws_float", "skip_string"])
+def test_effects_names_a_mistyped_fit_value(mixed_fit, capsys, key, value, message):
+    root, d = mixed_fit
+    (root / "bad_fit.json").write_text(dumps({**d, key: value}))
+    capsys.readouterr()
+    assert main(["effects", "--fit", str(root / "bad_fit.json"),
+                 "--data", str(root / "mnl_data.csv"), "--type", "elasticity",
+                 "--out", str(root / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_argparse_rejects_missing_required_options():
