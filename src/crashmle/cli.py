@@ -29,11 +29,14 @@ def _settings(args) -> OptimSettings | None:
     if not args.settings:
         return None
     with open(args.settings, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    unknown = set(d) - {f.name for f in fields(OptimSettings)}
+        d = serialize.require(json.load(fh), (), "optimizer settings")
+    # max_iterations is an integer, every other setting a finite number
+    typed = {f.name: serialize.integer if f.type == "int" else serialize.number
+             for f in fields(OptimSettings)}
+    unknown = set(d) - set(typed)
     if unknown:
         raise ValueError(f"unknown optimizer settings {sorted(unknown)}")
-    return OptimSettings(**d)
+    return OptimSettings(**{k: typed[k](v, f"optimizer setting {k}") for k, v in d.items()})
 
 
 def _manifest(args, input_paths, seed=None, n_draws=None) -> RunManifest:
@@ -54,7 +57,7 @@ def _load_table(args, spec):
 def cmd_fit(args) -> int:
     spec = load_spec(args.spec)
     table = _load_table(args, spec)
-    if families.REGISTRY[spec.family].needs_draws and args.draws is None:
+    if spec.is_mixed and args.draws is None:
         raise ValueError("mixed families require --draws")
     fit = families.fit(table, spec, _settings(args), n_draws=args.draws,
                        seed=args.seed, skip=args.skip, shift=args.shift)

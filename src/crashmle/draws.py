@@ -1,12 +1,12 @@
-"""Quasi-random draw matrices and the per-draw algebra of simulated likelihood.
+"""Quasi-random draw matrices for simulated likelihood.
 
 Each random term gets a Halton sequence in its own prime base, with an
 initial burn-in skipped; observation ``n`` owns a disjoint block of the
 sequence, so repeated evaluations and reruns see exactly the same draws.
 The mixed logit and the mixed negative binomial share these matrices and
-the coefficient draws below; the mixed negative binomial also uses the
-helpers that turn per-draw log-likelihoods into simulated ones and
-scores (the logit kernel weighs its draws by probabilities directly).
+the coefficient draws below.  Each family's kernel averages its own
+draws: the logit kernel weighs them by probabilities, the NB kernel
+turns per-draw log probabilities into posterior shares in place.
 """
 
 from __future__ import annotations
@@ -139,35 +139,3 @@ def coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
         scale = np.exp(theta[design.scale_pos[j]])
         return loc + scale * draws.std[dim][rows]
     return loc
-
-
-def draw_mean(log_lik: np.ndarray):
-    """Simulated log-likelihood per observation from per-draw values.
-
-    ``log_lik`` is (..., N, R).  Returns the log of the draw-mean
-    likelihood (..., N) and each draw's posterior share of it (..., N,
-    R), which weights the draws in the scores.  One draw has share one,
-    and None is returned for the shares, so that callers skip the
-    weighting.
-    """
-    if log_lik.shape[-1] == 1:
-        return log_lik[..., 0], None
-    m = log_lik.max(axis=-1, keepdims=True)
-    with np.errstate(under="ignore"):
-        e = np.exp(log_lik - m)
-    total = e.sum(axis=-1, keepdims=True)
-    return (m + np.log(total))[..., 0] - np.log(log_lik.shape[-1]), e / total
-
-
-def scale_score(theta, design: DesignMatrix, draws: DrawMatrix, j: int,
-                we: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Per-observation score (..., N) of random term ``j``'s log-scale.
-
-    ``we`` (..., N, R) is the posterior-weighted derivative of each
-    draw's log-likelihood with respect to the term's coefficient draw
-    (of ``theta``, one vector or (K, P) rows) for the observations
-    ``rows`` selects; summed over draws it gives the location score.
-    """
-    dim = design.random_terms.index(j)
-    scale = np.exp(theta[..., design.scale_pos[j], None])
-    return design.x[rows, j] * (we * draws.std[dim][rows]).sum(axis=-1) * scale

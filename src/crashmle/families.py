@@ -6,29 +6,30 @@ them, so the table is complete once ``crashmle`` is imported.  The fit
 pipeline, the CLI and the pooling test look a family up here instead of
 branching on its name.
 
-Every likelihood is a stacked kernel, ``mnl._kernel`` or
-``negbin._kernel``: ``kernel(theta, rows, hessian=False)`` maps (K, P)
-parameter rows and the indices of the K outcome rows they belong to onto
-(K, N) log-likelihoods, (K, N, P) scores and, with ``hessian``, (K, P, P)
-Hessians of the summed rows.  Given a draw matrix a kernel is the mixed
-family's simulated likelihood; without one it is the plain family, as if
-with one draw, and only then returns Hessians.  Only :func:`batched`
-asks for Hessians, and it sums the rows at once, so the per-observation
-outputs of a call with ``hessian`` may be work arrays that the kernel's
-next call overwrites (the NB kernel's are); every other call returns
-fresh arrays, which :func:`first_row` hands on to callers that keep
-them.  The logit kernel works through the observations in fixed blocks
-of ``mnl.BLOCK_ELEMENTS`` elements per outcome, so its working memory
-scales with the block, not with N * R.  Its per-block softmax
-(``mnl._block_softmax``) also gives the logit's simulated probabilities
-and effects.
+A family's likelihood is one stacked kernel, ``Family.kernel``
+(``mnl._kernel`` or ``negbin._kernel``): ``kernel(theta, rows,
+hessian=False)`` maps (K, P) parameter rows and the indices of the K
+outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
+scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
+Given a draw matrix a kernel is the mixed family's simulated likelihood,
+which has no Hessian; without one it is the plain family, as if with
+one draw.  Every other view derives from the kernel.  Only
+:func:`batched` and :func:`fit` ask for Hessians, and both use the
+outputs at once, so the per-observation outputs of such a call may be
+work arrays that the kernel's next call overwrites (the NB kernel's
+are); every other call returns fresh arrays, which :func:`first_row`
+hands on to callers that keep them.  The logit kernel works through the
+observations in fixed blocks of ``mnl.BLOCK_ELEMENTS`` elements per
+outcome, so its working memory scales with the block, not with N * R.
+Its per-block softmax (``mnl._block_softmax``) also gives the logit's
+simulated probabilities and effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`:
-batched Newton on the analytic Hessians first for the families with a
-``batch_objective`` (plain MNL and NB, concave in the coefficients),
-serial BFGS from the same start for every other row.  A design column
-that is zero on every row leaves its coefficient unidentified; such a
-design is not maximized at all.
+batched Newton on the kernel's analytic Hessians first when there are
+no draws (plain MNL and NB, concave in the coefficients), serial BFGS
+from the same start for every other row.  A design column that is zero
+on every row leaves its coefficient unidentified; such a design is not
+maximized at all.
 """
 
 from __future__ import annotations
@@ -53,27 +54,23 @@ BATCH_COUNT_CAP = 4096
 class Family:
     """What the shared machinery needs to know about one model family.
 
-    The callables look their targets up as module attributes when they
-    run, so a wrapper installed on a module attribute (as
+    ``objective`` looks its factory up as a module attribute when it
+    runs, so a wrapper installed on that attribute (as
     ``perfbench/tracer.py`` does) also sees the calls made from here.
     """
 
-    #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)``
+    #: (design, draws or None, outcomes or None) -> stacked kernel
+    kernel: Callable
+    #: (design, draws, outcomes or None) -> BFGS objective ``theta -> (ll, grad)``
     objective: Callable
-    #: (theta, design, draws) -> (N, P) per-observation scores
-    scores: Callable
     #: design -> default start vector
     start: Callable
     #: (design, settings) -> restricted log-likelihood for rho-squared
     restricted_ll: Callable
-    #: simulated-likelihood families evaluate over a draw matrix
-    needs_draws: bool
     #: effect type -> (fit, table, variables) -> EffectsReport
     effects: dict
     #: (design, theta) -> message when the estimates are not interior
     boundary: Callable = lambda design, theta: None
-    #: (design, (B, N) outcomes) -> batched Newton objective, or None
-    batch_objective: Callable | None = None
 
 
 REGISTRY: dict[str, Family] = {}
@@ -121,12 +118,12 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
 
     Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
     counts, (B, N)); without ``outcomes`` the one start row fits the
-    design's own outcomes.  A family with a ``batch_objective`` goes
-    through batched Newton unless a count exceeds ``BATCH_COUNT_CAP``;
-    every row Newton does not converge, and every row of the other
-    families, goes to BFGS :func:`~crashmle.optimize.maximize` from the
-    same start.  A converged row that ``family.boundary`` rejects is
-    reported not converged with the boundary message.  When a design
+    design's own outcomes.  Without ``draws`` the rows go through
+    batched Newton on the kernel's Hessians unless a count exceeds
+    ``BATCH_COUNT_CAP``; every row Newton does not converge, and every
+    row with draws, goes to BFGS :func:`~crashmle.optimize.maximize`
+    from the same start.  A converged row that ``family.boundary``
+    rejects is reported not converged with the boundary message.  When a design
     column is zero on every row, no row is maximized: each is reported
     not converged at its start, with a message naming the term.
     """
@@ -144,9 +141,10 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
                                      else outcomes[i])(theta[i])[0]
         return RowFits(theta, ll, converged, error, iterations, message, handed)
     counts = design.counts if outcomes is None else outcomes
-    if b and family.batch_objective is not None and not (
+    if b and draws is None and not (
             design.spec.is_frequency and counts.max() > BATCH_COUNT_CAP):
-        res = maximize_batch(family.batch_objective(design, outcomes), starts, settings)
+        res = maximize_batch(batched(family.kernel(design, None, outcomes)), starts,
+                             settings)
         theta, ll, converged, iterations, message = (
             res.theta, res.ll, res.converged, res.iterations, list(res.message))
         handed = b - int(converged.sum())
@@ -231,7 +229,7 @@ def natural_from_internal(theta, design: DesignMatrix, cov=None):
 def fit_draws(fit: FitResult, design: DesignMatrix) -> DrawMatrix | None:
     """The draw matrix ``fit`` was estimated with (None without draws);
     draw settings the fit does not record take their defaults."""
-    if not REGISTRY[fit.spec.family].needs_draws:
+    if not fit.spec.is_mixed:
         return None
     if fit.n_draws is None:
         raise ValueError("fit carries no draw count; was it a mixed fit?")
@@ -248,10 +246,11 @@ def fit(table: ObservationTable, spec: ModelSpec,
 
     Maximizes from ``theta0`` (default: the family's start vector) with
     :func:`maximize_rows`, takes the covariance from the inverse negative
-    Hessian (the kernel's analytic one for families with a
-    ``batch_objective``, central differences otherwise) with the outer
-    product of scores as fallback, and reports mixing scales and alpha
-    on their natural scale with delta-method standard errors.
+    Hessian (the kernel's analytic one without draws, central
+    differences of ``family.objective`` with them) with the outer
+    product of the kernel's scores as fallback, and reports mixing
+    scales and alpha on their natural scale with delta-method standard
+    errors.
     ``n_draws``, ``seed``, ``skip`` and ``shift`` set the Halton draw
     matrix of the mixed families and are ignored by the others.
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` are
@@ -261,14 +260,16 @@ def fit(table: ObservationTable, spec: ModelSpec,
     design = build_design(table, spec)
     ll_restricted = family.restricted_ll(design, settings)
     draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
-                     if family.needs_draws else {})
+                     if spec.is_mixed else {})
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
     start = family.start(design) if theta0 is None else np.asarray(theta0, float)
     res = maximize_rows(family, design, draws, start[None], settings=settings).row()
-    hessian = None if family.batch_objective is None else family.batch_objective(
-        design, None)(res.theta[None], np.arange(1))[2][0]
-    cov = covariance(family.objective(design, draws, None), res.theta, settings,
-                     scores=family.scores(res.theta, design, draws), hessian=hessian)
+    # the scores and, without draws, the analytic Hessian at the solution
+    at = family.kernel(design, draws, None)(res.theta[None], slice(0, 1),
+                                            hessian=draws is None)
+    objective = None if draws is None else family.objective(design, draws, None)
+    cov = covariance(objective, res.theta, settings, scores=at[1][0],
+                     hessian=at[2][0] if draws is None else None)
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
     alpha = ("alpha",) if spec.is_frequency else ()
     return summarize(

@@ -190,7 +190,7 @@ class _Pieces:
                         "a": build_design(part_a, spec),
                         "b": build_design(part_b, spec)}
         self.draws = {}
-        if self.family.needs_draws:
+        if spec.is_mixed:
             for key, design in self.designs.items():
                 self.draws[key] = DrawMatrix.for_design(
                     design, 200 if n_draws is None else n_draws)

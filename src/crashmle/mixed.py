@@ -134,10 +134,9 @@ def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
 
 families.REGISTRY["mixed_mnl"] = families.Family(
     objective=lambda design, draws, y: make_objective(design, draws, y_index=y),
-    scores=lambda theta, design, draws: mixed_scores(theta, design, draws),
+    kernel=mnl._kernel,
     start=lambda design: np.zeros(design.n_params),
     restricted_ll=lambda design, settings: restricted_loglik(design),
-    needs_draws=True,
     effects={"elasticity": lambda fit, table, v: mixed_effects(fit, table, v),
              "pseudo": lambda fit, table, v: mixed_effects(fit, table, v,
                                                            pseudo=True)})

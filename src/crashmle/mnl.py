@@ -488,11 +488,9 @@ def pseudo_elasticities(fit: FitResult, table: ObservationTable,
 
 families.REGISTRY["mnl"] = families.Family(
     objective=lambda design, draws, y: make_objective(design, y),
-    scores=lambda theta, design, draws: mnl_scores(theta, design),
+    kernel=_kernel,
     start=lambda design: np.zeros(design.n_params),
     restricted_ll=lambda design, settings: restricted_loglik(design),
-    needs_draws=False,
     effects={"elasticity": lambda fit, table, v: elasticities(fit, table, v),
              "pseudo": lambda fit, table, v: pseudo_elasticities(fit, table, v)},
-    boundary=_separation,
-    batch_objective=lambda design, y: make_batch_objective(design, y))
+    boundary=_separation)

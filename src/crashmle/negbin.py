@@ -5,7 +5,8 @@ The mean is log-linear in the covariates and the variance is
 The dispersion parameter is estimated on the log scale.  The log
 probability is computed through the scaled log-Pochhammer sum
 ``sum_{k<A} log1p(k * alpha)`` rather than a difference of log-gamma
-values, which stays accurate for arbitrarily small ``alpha``.
+values, which stays accurate for arbitrarily small ``alpha``.  One
+kernel serves both families; it averages the mixed model's draws itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.special import gammaln
 from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, build_design)
-from .draws import DrawMatrix, coefficient_draws, draw_mean, scale_score
+from .draws import DrawMatrix, coefficient_draws
 from .mnl import _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
@@ -84,17 +85,21 @@ def nb_logpmf(counts, lam, alpha: float):
 
 
 def _eta_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out=(None, None, None)) -> np.ndarray:
     """Log-mean per draw, shape (..., N, R) for ``theta`` of shape
     (..., P); R = 1 without draws.  Scale slots hold logs.  Each row's
     predictor is a matrix product of its own, (1, T) by (T, N), so it
-    does not depend on the rows evaluated with it; ``out`` (..., 1, N)
-    receives that product."""
-    eta = np.swapaxes(np.matmul(theta[..., None, design.loc_pos], design.x.T, out=out),
-                      -1, -2)
+    does not depend on the rows evaluated with it.  ``out`` receives that
+    product (..., 1, N), the sum and one term's draws (..., N, R), where
+    not None."""
+    product, total, term = out
+    eta = np.swapaxes(np.matmul(theta[..., None, design.loc_pos], design.x.T,
+                                out=product), -1, -2)
     for dim, j in enumerate(design.random_terms):
         scale = np.exp(theta[..., design.scale_pos[j], None, None])
-        eta = eta + design.x[:, j, None] * (scale * draws.std[dim])
+        term = np.multiply(scale, draws.std[dim], out=term)
+        term *= design.x[:, j, None]
+        eta = np.add(eta, term, out=total)
     return eta
 
 
@@ -116,12 +121,13 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     without draws it is the plain NB, as if with one draw.
 
     The closure owns its work arrays, sized by the largest call so far,
-    so that repeated calls do not allocate (K, N) arrays.  With
-    ``hessian`` the per-observation outputs are work arrays too, valid
-    until the next call (see :mod:`crashmle.families`); without, they
-    are fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer
-    table as a per-count table, so one ``take`` gathers every count's
-    table entries.
+    so that repeated calls do not allocate (K, N) or (K, N, R) arrays:
+    each draw's log probability becomes its posterior share in place.
+    With ``hessian`` the per-observation outputs are work arrays too,
+    valid until the next call (see :mod:`crashmle.families`); without,
+    they are fresh.  ``lnGamma(a + 1)`` is folded into the
+    log-Pochhammer table as a per-count table, so one ``take`` gathers
+    every count's table entries.
     """
     a = np.atleast_2d(design.counts if counts is None else counts).astype(np.int64)
     b, n = a.shape
@@ -137,6 +143,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
 
     def kernel(theta, rows, hessian=False):
         nonlocal floats, ints
+        if hessian and draws is not None:
+            raise ValueError("the simulated likelihood has no analytic Hessian")
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape[-1] != p:
             raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
@@ -145,45 +153,55 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         width = int(amax_row[rows].max(initial=0)) + 1
         nt = 3 if hessian else 2
         per_draw = (k, n, n_draws)
-        shapes = [per_draw] * 8 + [(k, n, 1)] * 2 + [(p, k, n), (nt, k, n), (nt, k, width)]
-        if ints is None or len(ints) < k:
-            floats = np.empty(k * (n * (8 * n_draws + p + 5) + 3 * len(lgam)))
-            ints = np.empty((k, n), dtype=np.int64)
-        (lam, l1p, ra, lpmf, q, rl, wd, tmp, eta, afk, scores, tabs,
+        shapes = ([per_draw] * 8 + [(k, 1, n)] + [(k, n, 1)] * 3
+                  + [(p, k, n), (nt, k, n), (nt, k, width)])
+        size = sum(map(math.prod, shapes))
+        if floats is None or len(floats) < size or len(ints) < k:
+            floats, ints = np.empty(size), np.empty((k, n), dtype=np.int64)
+        (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, scores, tabs,
          tables) = _carve(floats, *shapes)
         if not hessian:  # outputs the caller may keep
-            lpmf, scores = np.empty(per_draw), np.empty((p, k, n))
+            scores = np.empty((p, k, n))
+            if draws is None:
+                lpmf = np.empty(per_draw)
         # position of count a of row k in the flattened tables
         at = np.take(a, rows, axis=0, out=ints[:k], mode="clip")
         at += width * np.arange(k)[:, None]
         np.take(af, rows, axis=0, out=afk, mode="clip")
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             alpha = np.exp(theta[:, -1, None, None])  # (K, 1, 1)
             r = np.exp(-theta[:, -1, None, None])
             _poch_tables(r[:, 0], tables)[0] -= lgam[:width]
             np.take(tables.reshape(nt, -1), at, axis=1, out=tabs, mode="clip")
-            eta = _eta_draws(theta, design, draws, out=eta.reshape(k, 1, n))
+            # wd and tmp are free until the log probabilities are done
+            eta = _eta_draws(theta, design, draws, out=(product, wd, tmp))
             np.exp(eta, out=lam)
             np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
             np.add(r, afk, out=ra)
             np.add(tabs[0][..., None], np.multiply(afk, eta, out=lpmf), out=lpmf)
             lpmf -= np.multiply(ra, l1p, out=tmp)
-            ll, w = draw_mean(lpmf)
             np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
             np.subtract(afk, q, out=wd)
             np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
-            if w is None:  # one draw: its share is one
-                wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
-            else:
-                wd *= w
-                tmp *= w
+            if draws is None:  # one draw: its share is one
+                ll, wd_sum, tmp_sum = lpmf[..., 0], wd[..., 0], tmp[..., 0]
+            else:  # the log of the draw mean; the draws' shares overwrite lpmf
+                np.max(lpmf, axis=-1, keepdims=True, out=top)
+                lpmf -= top
+                np.exp(lpmf, out=lpmf)
+                np.sum(lpmf, axis=-1, keepdims=True, out=total)
+                lpmf /= total
+                ll = (top + np.log(total))[..., 0] - np.log(n_draws)
+                wd *= lpmf
+                tmp *= lpmf
                 wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
             # (P, K, N), so that each parameter's scores stay contiguous
             for j in range(x.shape[1]):
                 np.multiply(x[:, j], wd_sum, out=scores[design.loc_pos[j]])
-                if j in design.random_terms:
-                    scores[design.scale_pos[j]] = scale_score(theta, design, draws,
-                                                              j, wd)
+            for dim, j in enumerate(design.random_terms):  # the log-scales
+                drawn = np.multiply(wd, draws.std[dim], out=rl).sum(axis=-1)
+                scores[design.scale_pos[j]] = (
+                    x[:, j] * drawn * np.exp(theta[:, design.scale_pos[j], None]))
             np.multiply(-r[..., 0], tabs[1], out=scores[-1])
             scores[-1] += tmp_sum
             if not hessian:
@@ -326,16 +344,11 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
 
 families.REGISTRY["nb"] = families.Family(
     objective=lambda design, draws, counts: make_objective(design, counts=counts),
-    scores=lambda theta, design, draws: nb_scores(theta, design),
+    kernel=_kernel,
     start=_default_theta0,
     restricted_ll=_intercept_only_ll,
-    needs_draws=False,
-    effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)},
-    batch_objective=lambda design, counts: make_batch_objective(design, counts))
+    effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)})
 families.REGISTRY["mixed_nb"] = replace(
     families.REGISTRY["nb"],
     objective=lambda design, draws, counts: make_mixed_objective(
-        design, draws, counts=counts),
-    scores=lambda theta, design, draws: mixed_nb_scores(theta, design, draws),
-    needs_draws=True,
-    batch_objective=None)
+        design, draws, counts=counts))

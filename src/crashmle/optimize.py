@@ -397,16 +397,21 @@ class FitResult:
         simulated = d.get("n_draws") is not None  # older files: default draws
         draw_settings = {"n_draws": d.get("n_draws"), "seed": d.get("seed"),
                          "skip": d.get("skip", 10 if simulated else None)}
+        se_method = serialize.string(d.get("se_method", "hessian"), "fit se_method")
+        if se_method not in ("hessian", "bhhh", "undefined"):
+            raise ValueError(f"fit se_method must be hessian, bhhh or undefined, "
+                             f"got {se_method!r}")
         return FitResult(
             param_names=names, spec=spec, **arrays,
             **{k: num(k, d[k]) for k in ("ll_converged", "ll_restricted", "mcfadden_rho2")},
-            converged=d["converged"],
+            converged=serialize.boolean(d["converged"], "fit converged"),
             iterations=serialize.integer(d["iterations"], "fit iterations"),
             n_obs=serialize.integer(d["n_obs"], "fit n_obs"),
             family=serialize.string(d["family"], "fit family"),
-            se_method=d.get("se_method", "hessian"),
-            message=d.get("message", ""),
-            shift=d.get("shift", False if simulated else None),
+            se_method=se_method,
+            message=serialize.string(d.get("message", ""), "fit message"),
+            shift=(serialize.boolean(d["shift"], "fit shift") if "shift" in d
+                   else False if simulated else None),
             **{k: None if v is None else serialize.integer(v, f"fit {k}")
                for k, v in draw_settings.items()})
 

@@ -66,6 +66,13 @@ def integer(value, what: str) -> int:
     return value
 
 
+def boolean(value, what: str) -> bool:
+    """``value``; raise a ValueError naming ``what`` unless it is a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a boolean, got {json.dumps(value)}")
+    return value
+
+
 def string(value, what: str) -> str:
     """``value``; raise a ValueError naming ``what`` unless it is a JSON
     string."""

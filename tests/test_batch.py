@@ -552,18 +552,52 @@ def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
     assert handed > 0
 
 
+@pytest.mark.parametrize("spec, table", [(NB_SPEC, nb_table), (MNL_SPEC, mnl_table)],
+                         ids=["nb", "mnl"])
+def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spec, table):
+    """One kernel call at the solution gives the Hessian and the scores;
+    the objective is not built at all."""
+    want = families.fit(table(), spec)
+    family, maximize_rows, log = families.REGISTRY[spec.family], families.maximize_rows, []
+
+    def recording_kernel(design, draws, outcomes):
+        kernel = family.kernel(design, draws, outcomes)
+
+        def recorded(theta, rows, hessian=False):
+            log.append(hessian)
+            return kernel(theta, rows, hessian)
+        return recorded
+
+    def recording_maximize(*args, **kwargs):
+        res = maximize_rows(*args, **kwargs)
+        log.append("maximized")
+        return res
+
+    def no_objective(*args):
+        raise AssertionError("a plain fit builds no objective")
+
+    monkeypatch.setitem(families.REGISTRY, spec.family,
+                        replace(family, kernel=recording_kernel, objective=no_objective))
+    monkeypatch.setattr(families, "maximize_rows", recording_maximize)
+    got = families.fit(table(), spec)
+    after = log[len(log) - log[::-1].index("maximized"):]
+    assert after == [True]
+    np.testing.assert_array_equal(got.standard_errors, want.standard_errors)
+    np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_outlier_count_sends_its_block_to_the_serial_fit(monkeypatch):
     table, pieces, theta, outcomes = forced_block()
     outcomes[3, 5] = 100_000
     batched_max = []
 
-    def recording_kernel(design, counts):
+    def recording_kernel(design, draws, counts):
         batched_max.append(int(counts.max()))
-        return negbin.make_batch_objective(design, counts)
+        return negbin._kernel(design, draws, counts)
 
     monkeypatch.setattr(pieces, "family",
-                        replace(pieces.family, batch_objective=recording_kernel))
+                        replace(pieces.family, kernel=recording_kernel))
     tracemalloc.start()
     try:
         lrtest._replicate_block(pieces, theta, outcomes)

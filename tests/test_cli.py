@@ -432,14 +432,45 @@ def mixed_fit(tmp_path_factory):
     ("n_draws", "30", 'fit n_draws must be an integer, got "30"'),
     ("n_draws", 30.0, "fit n_draws must be an integer, got 30.0"),
     ("skip", "10", 'fit skip must be an integer, got "10"'),
+    ("converged", "yes", 'fit converged must be a boolean, got "yes"'),
+    ("converged", None, "fit converged must be a boolean, got null"),
+    ("se_method", 5, "fit se_method must be a string, got 5"),
+    ("se_method", "opg", "fit se_method must be hessian, bhhh or undefined, got 'opg'"),
+    ("message", [1], "fit message must be a string, got [1]"),
+    ("shift", "false", 'fit shift must be a boolean, got "false"'),
 ], ids=["theta_number", "theta_short", "names_number", "names_reordered",
-        "draws_string", "draws_float", "skip_string"])
+        "draws_string", "draws_float", "skip_string", "converged_string",
+        "converged_null", "se_method_number", "se_method_unknown", "message_list",
+        "shift_string"])
 def test_effects_names_a_mistyped_fit_value(mixed_fit, capsys, key, value, message):
     root, d = mixed_fit
     (root / "bad_fit.json").write_text(dumps({**d, key: value}))
     capsys.readouterr()
     assert main(["effects", "--fit", str(root / "bad_fit.json"),
                  "--data", str(root / "mnl_data.csv"), "--type", "elasticity",
+                 "--out", str(root / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"max_iterations": "5"}, 'optimizer setting max_iterations must be an integer, got "5"'),
+    ({"gradient_tolerance": "1e-6"},
+     'optimizer setting gradient_tolerance must be a finite number, got "1e-6"'),
+    ({"max_iterations": 5.5}, "optimizer setting max_iterations must be an integer, got 5.5"),
+    ({"max_iterations": None}, "optimizer setting max_iterations must be an integer, got null"),
+    ({"max_iterations": True}, "optimizer setting max_iterations must be an integer, got true"),
+    ({"step_tolerance": float("nan")},
+     "optimizer setting step_tolerance must be a finite number, got NaN"),
+    ([1, 2], "optimizer settings must be a JSON object"),
+], ids=["iterations_string", "tolerance_string", "iterations_float", "iterations_null",
+        "iterations_bool", "step_nan", "list"])
+def test_fit_names_a_mistyped_setting(mixed_fit, capsys, settings, message):
+    root, _ = mixed_fit
+    (root / "bad_settings.json").write_text(json.dumps(settings))
+    capsys.readouterr()
+    assert main(["fit", "--data", str(root / "mnl_data.csv"),
+                 "--spec", str(root / "mixed.ini"), "--draws", "25",
+                 "--settings", str(root / "bad_settings.json"),
                  "--out", str(root / "x")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

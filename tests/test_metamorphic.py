@@ -1,0 +1,112 @@
+"""Metamorphic properties of the plain MNL and NB fits.
+
+A fit must not depend on the order of the rows, on how often the whole
+sample is repeated, on the order of the outcome labels or on the units
+of a covariate.  Each property compares two fits of small seeded
+tables, so it needs no stored reference.  The hypothesis runs are
+derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crashmle import families
+from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term
+
+N = 300
+LABELS = ("a", "b", "base")
+SPECS = {
+    "mnl": ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
+                             Term("x1", ("a",)), Term("x1", ("b",)),
+                             Term("x2", ("a",))), LABELS, "base"),
+    "nb": ModelSpec("nb", (Term(CONSTANT), Term("x1"), Term("x2"))),
+}
+
+examples = settings(derandomize=True, max_examples=8, deadline=None)
+seeds = st.integers(0, 10_000)
+
+
+def sample(family: str, seed: int) -> ObservationTable:
+    """N rows of ``family``'s spec at fixed coefficients."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.normal(size=N), rng.uniform(0.0, 2.0, size=N)
+    columns = {"x1": x1, "x2": x2}
+    if family == "nb":
+        lam = np.exp(1.0 + 0.4 * x1 - 0.3 * x2)
+        return ObservationTable(columns, rng.poisson(rng.gamma(1.25, 0.8 * lam)),
+                                "frequency")
+    v = np.stack([0.3 + 0.7 * x1 + 0.5 * x2, -0.2 - 0.4 * x1, np.zeros(N)], axis=1)
+    p = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
+    picks = (rng.uniform(size=(N, 1)) > p.cumsum(axis=1)).sum(axis=1)
+    return ObservationTable(columns, np.array(LABELS)[picks], "severity")
+
+
+def rows(table: ObservationTable, index) -> ObservationTable:
+    """The rows ``index`` selects, in its order."""
+    return ObservationTable({k: v[index] for k, v in table.columns.items()},
+                            table.outcome[index], table.mode)
+
+
+def fit(table: ObservationTable, spec: ModelSpec):
+    res = families.fit(table, spec)
+    assert res.converged, res.message
+    return res
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+@examples
+@given(seed=seeds)
+def test_row_order_does_not_move_the_fit(family, seed):
+    table = sample(family, seed)
+    perm = np.random.default_rng(seed + 1).permutation(N)
+    want, got = fit(table, SPECS[family]), fit(rows(table, perm), SPECS[family])
+    assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-10)
+    np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+@examples
+@given(seed=seeds)
+def test_duplicated_rows_double_the_loglik(family, seed):
+    table = sample(family, seed)
+    want = fit(table, SPECS[family])
+    got = fit(rows(table, np.tile(np.arange(N), 2)), SPECS[family])
+    assert got.ll_converged == pytest.approx(2.0 * want.ll_converged, rel=1e-10)
+    np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=1e-6, atol=1e-8)
+    # the standard errors shrink by sqrt(2)
+    np.testing.assert_allclose(got.standard_errors * np.sqrt(2.0),
+                               want.standard_errors, rtol=1e-6)
+
+
+@examples
+@given(seed=seeds, order=st.permutations(LABELS))
+def test_outcome_label_order_does_not_move_the_fit(seed, order):
+    table = sample("mnl", seed)
+    spec = SPECS["mnl"]
+    reordered = ModelSpec(spec.family, spec.terms, tuple(order), spec.base_outcome)
+    want, got = fit(table, spec), fit(table, reordered)
+    assert got.param_names == want.param_names
+    assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-10)
+    np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+@examples
+@given(seed=seeds, power=st.floats(-3.0, 3.0))
+def test_covariate_units_scale_only_its_coefficients(family, seed, power):
+    """Newton is invariant to a linear change of units: ``x1`` times c
+    divides its coefficients by c and leaves everything else alone."""
+    c = 10.0 ** power
+    table = sample(family, seed)
+    spec = SPECS[family]
+    scaled = ObservationTable({**table.columns, "x1": table.columns["x1"] * c},
+                              table.outcome, table.mode)
+    want, got = fit(table, spec), fit(scaled, spec)
+    on_x1 = np.array([name.startswith("x1") for name in want.param_names])
+    assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-6)
+    np.testing.assert_allclose(got.theta_hat * np.where(on_x1, c, 1.0), want.theta_hat,
+                               rtol=1e-5, atol=1e-8)
+    assert got.iterations <= 2 * max(want.iterations, 1)
+    assert want.iterations <= 2 * max(got.iterations, 1)

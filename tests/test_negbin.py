@@ -1,5 +1,7 @@
 """Negative binomial (plain and mixed) likelihoods, fitting, marginal effects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +10,7 @@ from scipy.special import gammaln
 
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.mixed import DrawMatrix
+from crashmle import negbin
 from crashmle.negbin import (
     fit_mixed_nb,
     fit_nb,
@@ -184,6 +187,37 @@ def test_mixed_gradient_matches_central_differences():
             dn[k] -= h
             fd[k] = (objective(up)[0] - objective(dn)[0]) / (2.0 * h)
         np.testing.assert_allclose(grad, fd, rtol=2e-6, atol=1e-7)
+
+
+def c09_kernel():
+    """The mixed-NB kernel at the C09 shape (N=1500, R=200) and a
+    parameter row."""
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    design = build_design(count_table(1500, seed=9), spec)
+    kernel = negbin._kernel(design, DrawMatrix.for_design(design, 200))
+    return kernel, np.array([[1.0, 0.4, np.log(0.3), np.log(0.8)]])
+
+
+def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
+    kernel, theta = c09_kernel()
+    first = kernel(theta, slice(0, 1))
+    tracemalloc.start()
+    try:
+        again = kernel(theta, slice(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (N, R) array takes 2.4 MB; the outputs take 0.06 MB
+    assert peak < 1e6
+    for out, repeated in zip(first, again):
+        np.testing.assert_array_equal(out, repeated)
+        assert not np.shares_memory(out, repeated)  # the outputs are fresh
+
+
+def test_mixed_kernel_has_no_hessian():
+    kernel, theta = c09_kernel()
+    with pytest.raises(ValueError, match="no analytic Hessian"):
+        kernel(theta, slice(0, 1), hessian=True)
 
 
 def test_fit_mixed_nb_reports_natural_parameters():

@@ -9,7 +9,7 @@ objective's gradient.
 import numpy as np
 import pytest
 
-from crashmle import mnl, negbin
+from crashmle import mixed, mnl, negbin
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.draws import DrawMatrix
 from crashmle.families import REGISTRY, first_row
@@ -43,6 +43,14 @@ KERNELS = {
         negbin._kernel(design, draws, design.counts)),
 }
 
+# the public per-observation score functions
+SCORES = {
+    "mnl": lambda theta, design, draws: mnl.mnl_scores(theta, design),
+    "mixed_mnl": mixed.mixed_scores,
+    "nb": lambda theta, design, draws: negbin.nb_scores(theta, design),
+    "mixed_nb": negbin.mixed_nb_scores,
+}
+
 
 def case(family):
     """Design, draws (or None) and an off-optimum parameter vector."""
@@ -56,8 +64,7 @@ def case(family):
         counts[:3] = (0, 17, 40)
         table = ObservationTable(columns, counts, "frequency")
     design = build_design(table, spec)
-    draws = (DrawMatrix.for_design(design, 30)
-             if REGISTRY[family].needs_draws else None)
+    draws = DrawMatrix.for_design(design, 30) if spec.is_mixed else None
     theta = rng.normal(scale=0.3, size=design.n_params + spec.is_frequency)
     for j in design.random_terms:
         theta[design.scale_pos[j]] = np.log(0.6)
@@ -90,5 +97,5 @@ def test_scores_sum_to_the_objective_gradient(family):
     assert ll == pytest.approx(ll_obs.sum(), rel=1e-12)
     np.testing.assert_allclose(scores.sum(axis=0), grad, rtol=1e-12, atol=1e-12)
     # the public score functions are the kernel's scores
-    np.testing.assert_array_equal(REGISTRY[family].scores(theta, design, draws),
+    np.testing.assert_array_equal(SCORES[family](theta, design, draws),
                                   scores)
