@@ -103,6 +103,8 @@ def cmd_effects(args) -> int:
 def cmd_lrtest(args) -> int:
     spec = load_spec(args.spec)
     table = _load_table(args, spec)
+    if spec.is_mixed and args.draws is None:
+        raise ValueError("mixed families require --draws")
     settings = _settings(args)
     if args.mc:
         result = mc_null_distribution(

@@ -11,6 +11,8 @@ turns per-draw log probabilities into posterior shares in place.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -127,6 +129,15 @@ class DrawMatrix:
         if not dists:
             raise ValueError("design has no random terms")
         return cls(design.n_obs, n_draws, dists, seed=seed, skip=skip, shift=shift)
+
+    def subset(self, index: np.ndarray) -> "DrawMatrix":
+        """Row subset (slice, boolean mask or integer index array), in order:
+        each observation it selects keeps its own draws, so the simulated
+        likelihoods of complementary subsets sum to the full one."""
+        out = copy.copy(self)
+        out.std = tuple(std[index] for std in self.std)
+        out.n_obs = len(out.std[0])
+        return out
 
 
 def coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,

@@ -8,6 +8,13 @@ Carlo variant re-simulates outcomes from the pooled fit, refits all
 three models per replicate, and reports the plain exceedance fraction
 as the finite-sample p-value.
 
+The observed fits and the replicate refits share one staged refit,
+:func:`_stages`: the pooled model, then each subset from its row's
+pooled solution.  The mixed families simulate all three fits on one
+pooled Halton matrix, each subset on its own observations' rows, so the
+subsets start at the pooled log-likelihood and the statistic is
+non-negative by construction for every family.
+
 The Monte Carlo replicates are refitted in blocks of
 ``clamp(BLOCK_ELEMENTS // n_obs, 1, BLOCK_ROWS)`` rows: 128 on small
 tables, fewer on large ones, so that a block's work arrays stay within
@@ -40,6 +47,8 @@ BLOCK_ROWS = 128
 BLOCK_ELEMENTS = 1 << 18
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
+#: how far below zero a statistic is clamped to zero as optimizer noise
+CLAMP_TOL = 1e-4
 
 
 def chi2_sf(x, dof) -> float:
@@ -65,7 +74,7 @@ def chi2_quantile(p: float, dof: float) -> float:
 
 def lr_statistic(ll_all: float, ll_a: float, ll_b: float,
                  params_all: int, params_a: int, params_b: int,
-                 clamp_tol: float = 1e-4):
+                 clamp_tol: float = CLAMP_TOL):
     """Pooling statistic and degrees of freedom.
 
     The statistic is non-negative whenever the subset fits are at least
@@ -136,26 +145,12 @@ class LrTestResult:
 
     def to_dict(self) -> dict:
         from . import serialize
-        d = {"x2": self.x2, "dof": self.dof,
-             "p_asymptotic": self.p_asymptotic,
-             "critical_value_05": self.critical_value_05,
-             "pooled": self.pooled.to_dict(),
-             "subset_a": self.subset_a.to_dict(),
-             "subset_b": self.subset_b.to_dict(),
-             "flag_column": self.flag_column,
-             "family": self.family,
-             "p_mc": serialize.nan_to_none(self.p_mc),
-             "replicates_requested": self.replicates_requested,
-             "replicates_kept": self.replicates_kept,
-             "replicates_dropped": self.replicates_dropped,
-             "replicates_dropped_by_reason": dict(self.replicates_dropped_by_reason),
-             "replicates_serial_fallback": self.replicates_serial_fallback,
-             "seed": self.seed,
-             "plus_one": self.plus_one,
-             "histogram": None}
-        if self.histogram_edges is not None:
-            d["histogram"] = {"edges": list(map(float, self.histogram_edges)),
-                              "counts": list(map(int, self.histogram_counts))}
+        d = asdict(self)
+        edges, counts = d.pop("histogram_edges"), d.pop("histogram_counts")
+        del d["null_stats"]
+        d["p_mc"] = serialize.nan_to_none(self.p_mc)
+        d["histogram"] = None if edges is None else {
+            "edges": list(map(float, edges)), "counts": list(map(int, counts))}
         return d
 
     def write_histogram_csv(self, path) -> None:
@@ -182,31 +177,40 @@ class _Pieces:
         self.family = REGISTRY[spec.family]
         self.settings = settings
         self.flag_column = flag_column
-        part_a, part_b = split_by_flag(table, flag_column)
-        if part_a.n_rows == 0 or part_b.n_rows == 0:
+        parts = split_by_flag(table, flag_column)
+        if min(part.n_rows for part in parts) == 0:
             raise ValueError(f"flag column {flag_column!r} does not split the data")
         self.mask_a = table.columns[flag_column] == 1.0
-        self.designs = {"all": build_design(table, spec),
-                        "a": build_design(part_a, spec),
-                        "b": build_design(part_b, spec)}
+        #: each fit's rows of the pooled data: pooled, subset A, subset B
+        self.rows = {"all": slice(None), "a": self.mask_a, "b": ~self.mask_a}
+        self.designs = {key: build_design(part, spec)
+                        for key, part in zip(self.rows, (table, *parts))}
         self.draws = {}
-        if spec.is_mixed:
-            for key, design in self.designs.items():
-                self.draws[key] = DrawMatrix.for_design(
-                    design, 200 if n_draws is None else n_draws)
+        if spec.is_mixed:  # the subsets' draws are the pooled draws' rows
+            pooled = DrawMatrix.for_design(self.designs["all"], n_draws)
+            self.draws = {key: pooled.subset(rows) for key, rows in self.rows.items()}
+
+
+def _stages(pieces: _Pieces, starts: np.ndarray, outcomes: np.ndarray | None = None):
+    """The pooled fit from every row of ``starts``, then each subset's from
+    its row's pooled solution: the pooled, A and B ``RowFits``.  Row b fits
+    the pooled outcomes ``outcomes[b]``; without them the one start row
+    fits the data's own."""
+    fits = []
+    for key, rows in pieces.rows.items():
+        fits.append(maximize_rows(pieces.family, pieces.designs[key],
+                                  pieces.draws.get(key), starts,
+                                  None if outcomes is None else outcomes[:, rows],
+                                  pieces.settings))
+        starts = fits[0].theta
+    return fits
 
 
 def _observed(pieces: _Pieces):
     """The pooled fit, then each subset's from the pooled solution; raises
-    the OptimizationError a fit meets."""
+    the first OptimizationError met, in pooled, A, B order."""
     start = pieces.family.start(pieces.designs["all"])
-    fits = []
-    for key in ("all", "a", "b"):
-        fits.append(maximize_rows(pieces.family, pieces.designs[key],
-                                  pieces.draws.get(key), start[None],
-                                  settings=pieces.settings).row())
-        start = fits[0].theta  # each subset starts from the pooled solution
-    return fits
+    return [res.row() for res in _stages(pieces, start[None])]
 
 
 def _build_result(pieces: _Pieces, fits) -> LrTestResult:
@@ -227,15 +231,16 @@ def _build_result(pieces: _Pieces, fits) -> LrTestResult:
 
 def lr_test(table: ObservationTable, spec: ModelSpec, flag_column: str,
             settings: OptimSettings | None = None,
-            n_draws: int | None = None) -> LrTestResult:
+            n_draws: int = 200) -> LrTestResult:
     """Asymptotic pooling test of one spec across a 0/1 split.
 
     Fits the pooled sample, then each subset warm-started from the
-    pooled solution (which guarantees a non-negative statistic), and
-    refers the statistic to chi-squared with ``p_a + p_b - p_all``
-    degrees of freedom.  Every fit goes through
-    :func:`crashmle.families.maximize_rows`, so a separated MNL fit is
-    reported not converged, as by :func:`crashmle.families.fit`.
+    pooled solution on the pooled draws' rows (mixed families, ``n_draws``
+    Halton draws), which guarantees a non-negative statistic, and refers
+    it to chi-squared with ``p_a + p_b - p_all`` degrees of freedom.
+    Every fit goes through :func:`crashmle.families.maximize_rows`, so a
+    separated MNL fit is reported not converged, as by
+    :func:`crashmle.families.fit`.
     """
     pieces = _Pieces(table, spec, flag_column, settings, n_draws)
     return _build_result(pieces, _observed(pieces))
@@ -277,65 +282,50 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
     """Null statistics of a block of replicates.
 
     ``outcomes`` holds one simulated outcome vector of the pooled data
-    per row.  The pooled model is refitted from ``theta_observed``, then
-    each subset from its row's pooled solution.  Returns the statistics
-    (NaN where dropped), each row's drop reason ("" if kept) and the
-    number of refits handed to the serial fallback.
+    per row, refitted by :func:`_stages` from ``theta_observed``.
+    Returns the statistics (NaN where dropped), each row's drop reason
+    ("" if kept) and the number of refits handed to the serial fallback.
     """
-    b = len(outcomes)
-    starts = np.tile(theta_observed, (b, 1))
-    lls = {}
-    error = np.zeros(b, dtype=bool)
-    converged = np.ones(b, dtype=bool)
-    handed = 0
-    for key, cols in (("all", slice(None)), ("a", pieces.mask_a),
-                      ("b", ~pieces.mask_a)):
-        rows = np.flatnonzero(~error)
-        res = maximize_rows(pieces.family, pieces.designs[key], pieces.draws.get(key),
-                            starts[rows], outcomes[rows][:, cols], pieces.settings)
-        lls[key] = np.full(b, np.nan)
-        lls[key][rows] = res.ll
-        converged[rows] &= res.converged
-        error[rows] = res.error
-        handed += res.handed
-        if key == "all":
-            starts[rows] = res.theta
-    x2 = -2.0 * (lls["all"] - lls["a"] - lls["b"])
-    reason = np.select([error, ~converged, x2 < -1e-4], list(DROP_REASONS), "")
+    fits = _stages(pieces, np.tile(theta_observed, (len(outcomes), 1)), outcomes)
+    error = np.any([res.error for res in fits], axis=0)
+    converged = np.all([res.converged for res in fits], axis=0)
+    x2 = -2.0 * (fits[0].ll - fits[1].ll - fits[2].ll)
+    reason = np.select([error, ~converged, x2 < -CLAMP_TOL], list(DROP_REASONS), "")
     x2 = np.where(reason == "", np.maximum(x2, 0.0), np.nan)
-    return x2, reason, handed
+    return x2, reason, sum(res.handed for res in fits)
 
 
 def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
                          flag_column: str, replicates: int = 1000,
                          seed: int = 0, bins: int = 50,
                          settings: OptimSettings | None = None,
-                         n_draws: int | None = None,
+                         n_draws: int = 200,
                          plus_one: bool = False,
                          max_failure_rate: float = 0.2) -> LrTestResult:
     """Parametric-bootstrap pooling test.
 
-    Each replicate redraws outcomes from the observed pooled fit,
-    refits pooled and subset models (warm-started so every replicate
-    statistic is non-negative by construction), and the Monte Carlo
-    p-value is the fraction of replicate statistics at or above the
+    Each replicate redraws outcomes from the observed pooled fit and
+    refits pooled and subset models as :func:`lr_test` does, so every
+    replicate statistic is non-negative by construction, and the Monte
+    Carlo p-value is the fraction of replicate statistics at or above the
     observed one.  ``plus_one`` switches to the (k+1)/(n+1) estimate.
-    Replicates whose refits raise, fail to converge or give a
-    statistic below -1e-4 are dropped and counted by reason; more than
-    ``max_failure_rate`` of them, or all of them, abort the test.
+    Replicates whose refits raise, fail to converge or give a statistic
+    below ``-CLAMP_TOL`` (a safety check) are dropped and counted by
+    reason; more than ``max_failure_rate`` of them, or all of them,
+    abort the test.
 
     Replicates are processed in blocks of at most ``BLOCK_ROWS`` rows
     and ``BLOCK_ELEMENTS`` (replicate, observation) elements: the
     block's outcomes are drawn first, then the pooled, subset A and
-    subset B models are refitted stage by stage, each stage one call of
-    :func:`crashmle.families.maximize_rows`: batched Newton for MNL and
-    NB, serial BFGS for the rows Newton leaves and for the mixed
-    families.  A separated MNL refit counts as not converged.
-    Statistics agree with one serial refit per replicate to within
-    1e-6.  Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone,
-    so outcomes do not depend on execution order.  NB statistics and
-    drop counts do not depend on the block size at all; MNL statistics
-    agree across block sizes to 1e-6.
+    subset B models are refitted stage by stage, like the observed fits,
+    each stage one call of :func:`crashmle.families.maximize_rows`:
+    batched Newton for MNL and NB, serial BFGS for the rows Newton leaves
+    and for the mixed families.  A separated MNL refit counts as not
+    converged.  Statistics of every family agree with one serial refit
+    per replicate to within 1e-6.  Replicate ``i`` draws from
+    ``SeedSequence((seed, i))`` alone, so outcomes do not depend on
+    execution order.  NB statistics and drop counts do not depend on the
+    block size at all; MNL statistics agree across block sizes to 1e-6.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
@@ -343,25 +333,21 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     fits = _observed(pieces)
     result = _build_result(pieces, fits)
 
-    null_stats = []
-    by_reason = dict.fromkeys(DROP_REASONS, 0)
-    handed = 0
+    theta = fits[0].theta
     step = min(max(BLOCK_ELEMENTS // table.n_rows, 1), BLOCK_ROWS)
-    for start in range(0, replicates, step):
-        outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
-                                      start, min(start + step, replicates))
-        x2, reason, n = _replicate_block(pieces, fits[0].theta, outcomes)
-        null_stats.extend(x2[reason == ""])
-        for r in reason[reason != ""]:
-            by_reason[r] += 1
-        handed += n
+    x2, reason, handed = zip(*(
+        _replicate_block(pieces, theta, replicate_outcomes(
+            pieces.designs["all"], theta, seed, start, min(start + step, replicates)))
+        for start in range(0, replicates, step)))
+    reason = np.concatenate(reason)
+    by_reason = {r: int(np.count_nonzero(reason == r)) for r in DROP_REASONS}
     dropped = sum(by_reason.values())
 
     if dropped > max_failure_rate * replicates or dropped == replicates:
         raise RuntimeError(
             f"{dropped} of {replicates} null replicates failed to converge; "
             f"the null distribution is unreliable")
-    null_stats = np.asarray(null_stats)
+    null_stats = np.concatenate(x2)[reason == ""]
     kept = null_stats.size
     exceed = int((null_stats >= result.x2).sum())
     p_mc = (exceed + plus_one) / (kept + plus_one)
@@ -373,6 +359,6 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     return replace(result, p_mc=float(p_mc), replicates_requested=replicates,
                    replicates_kept=kept, replicates_dropped=dropped,
                    replicates_dropped_by_reason=by_reason,
-                   replicates_serial_fallback=handed, seed=seed, plus_one=plus_one,
+                   replicates_serial_fallback=sum(handed), seed=seed, plus_one=plus_one,
                    histogram_edges=edges, histogram_counts=counts,
                    null_stats=null_stats)

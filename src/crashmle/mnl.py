@@ -108,9 +108,14 @@ def _block_softmax(theta, design: DesignMatrix, slots):
     n_slots = len(varying) + 1
     theta = np.asarray(theta, dtype=np.float64)
     loc = theta[..., None, design.loc_pos]
-    sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
+    with np.errstate(over="ignore"):
+        sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
     work = None
 
+    # a mixing scale beyond the float range makes its draws' predictors
+    # infinite and their probabilities NaN: the likelihood is not finite
+    # there, which the objectives read as -inf
+    @np.errstate(over="ignore", invalid="ignore")
     def block(b, switch=None):
         nonlocal work
         x = design.x[b]
@@ -231,7 +236,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         ll = np.empty((k, design.n_obs))
         scores = np.empty((k, design.n_obs, design.n_params))
         hess = np.zeros((k, t, t)) if hessian else None
-        sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
+        with np.errstate(over="ignore"):
+            sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
         block, rows_at = _block_softmax(theta, design, slots), None
         for b in _blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
@@ -309,13 +315,6 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
     refitting the same covariates against simulated outcomes.
     """
     return families.summed(_kernel(design, None, y_index))
-
-
-def make_batch_objective(design: DesignMatrix, y_index: np.ndarray):
-    """Batched Newton objective (:func:`crashmle.families.batched`) for
-    the (B, N) outcome vectors ``y_index``; each row agrees with
-    :func:`make_objective` on its outcomes."""
-    return families.batched(_kernel(design, None, y_index))
 
 
 def mnl_loglik(theta: np.ndarray, design: DesignMatrix):

@@ -135,7 +135,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     amax_row = a.max(axis=1, initial=0)
     lgam = gammaln(np.arange(amax_row.max(initial=0) + 1) + 1.0)
     x = design.x
-    xx = (x[:, :, None] * x[:, None, :]).reshape(n, -1)
+    # the Hessian's covariate products, (N, T * T); with draws there is no Hessian
+    xx = None if draws is not None else (x[:, :, None] * x[:, None, :]).reshape(n, -1)
     p = design.n_params + 1
     n_draws = 1 if draws is None else draws.n_draws
     index = np.arange(b)
@@ -229,13 +230,6 @@ def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):
     ``counts`` overrides the design's counts.
     """
     return families.summed(_kernel(design, None, counts))
-
-
-def make_batch_objective(design: DesignMatrix, counts: np.ndarray):
-    """Batched Newton objective (:func:`crashmle.families.batched`) for
-    the (B, N) count vectors ``counts``; each row agrees with
-    :func:`make_objective` on its counts."""
-    return families.batched(_kernel(design, None, counts))
 
 
 def nb_loglik(theta, design: DesignMatrix):

@@ -25,6 +25,7 @@ MNL_SPEC = ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
                              Term("x1", ("a",)), Term("x1", ("b",)),
                              Term("x2", ("a", "b"))),
                      ("a", "b", "base"), "base")
+MIXED_NB_SPEC = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
 MIXED_SPEC = ModelSpec("mixed_mnl", (
     Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
     Term("x1", ("a",), "random_normal"), Term("x2", ("b",), "random_uniform")),
@@ -72,10 +73,11 @@ def mnl_batch_case():
 def batch_cases():
     for alpha in (1e-6, 0.8, 50.0):
         design, counts, theta = nb_batch_case(alpha)
-        yield (f"nb alpha={alpha}", negbin.make_batch_objective(design, counts),
+        yield (f"nb alpha={alpha}",
+               families.batched(negbin._kernel(design, None, counts)),
                [negbin.make_objective(design, counts=c) for c in counts], theta)
     design, ys, theta = mnl_batch_case()
-    yield ("mnl", mnl.make_batch_objective(design, ys),
+    yield ("mnl", families.batched(mnl._kernel(design, None, ys)),
            [mnl.make_objective(design, y_index=y) for y in ys], theta)
 
 
@@ -103,14 +105,15 @@ def test_batch_rows_match_independent_likelihoods():
     for alpha in (1e-6, 0.8, 50.0):
         design, counts, theta = nb_batch_case(alpha)
         rows = np.array([2, 0, 3])
-        ll, _, _ = negbin.make_batch_objective(design, counts)(theta[rows], rows)
+        batch = families.batched(negbin._kernel(design, None, counts))
+        ll, _, _ = batch(theta[rows], rows)
         for k, row in enumerate(rows):
             lam = np.exp(design.x @ theta[row, :-1])
             r = np.exp(-theta[row, -1])
             want = nbinom.logpmf(counts[row], r, r / (r + lam)).sum()
             assert ll[k] == pytest.approx(want, rel=1e-8), alpha
     design, ys, theta = mnl_batch_case()
-    ll, _, _ = mnl.make_batch_objective(design, ys)(theta, np.arange(len(ys)))
+    ll, _, _ = families.batched(mnl._kernel(design, None, ys))(theta, np.arange(len(ys)))
     for k, y in enumerate(ys):
         v = (design.x * theta[k]) @ design.incidence
         prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
@@ -168,7 +171,7 @@ def nb_problems(draw):
 @given(nb_problems())
 def test_nb_batch_rows_are_consistent_on_random_problems(problem):
     design, counts, rows, theta = problem
-    batch = negbin.make_batch_objective(design, counts)
+    batch = families.batched(negbin._kernel(design, None, counts))
     _, grad, hess = batch(theta, rows)
     for k, row in enumerate(rows):
         # one row alone is the serial objective on its counts
@@ -243,7 +246,7 @@ def test_arrays_a_caller_keeps_survive_the_next_kernel_call():
 def test_nb_batch_objective_is_minus_infinity_where_undefined():
     design, counts, theta = nb_batch_case(0.8)
     theta[1, 0] = 800.0  # exp overflows: the serial objective returns -inf too
-    ll, _, _ = negbin.make_batch_objective(design, counts)(theta, np.arange(4))
+    ll, _, _ = families.batched(negbin._kernel(design, None, counts))(theta, np.arange(4))
     assert ll[1] == -np.inf and np.all(np.isfinite(ll[[0, 2, 3]]))
 
 
@@ -340,11 +343,11 @@ def test_maximize_batch_rows_are_independent():
     np.testing.assert_array_equal(
         maximize_batch(quartic_batch, quartic_starts).iterations, [13, 7, 16, 0])
     nb_cases = [
-        (lambda rows, d=d, c=c: negbin.make_batch_objective(d, c[rows]), t)
+        (lambda rows, d=d, c=c: families.batched(negbin._kernel(d, None, c[rows])), t)
         for d, c, t in map(nb_batch_case, (1e-6, 0.8, 50.0))]
     for make, start in (
             (lambda rows: quartic_batch, quartic_starts),
-            (lambda rows: mnl.make_batch_objective(design, ys[rows]), theta),
+            (lambda rows: families.batched(mnl._kernel(design, None, ys[rows])), theta),
             *nb_cases):
         res = maximize_batch(make(slice(None)), start)
         for k in range(len(start)):
@@ -356,7 +359,7 @@ def test_maximize_batch_rows_are_independent():
 def test_maximize_batch_respects_the_iteration_limit():
     design, counts, theta = nb_batch_case(0.8)
     theta += 1.0
-    res = maximize_batch(negbin.make_batch_objective(design, counts), theta,
+    res = maximize_batch(families.batched(negbin._kernel(design, None, counts)), theta,
                          OptimSettings(max_iterations=1))
     assert not res.converged.any()
     assert np.all(res.iterations <= 1)
@@ -383,48 +386,60 @@ def test_replicate_outcomes_follow_the_per_replicate_streams():
 
 # ---------------------------------------------------- the Monte Carlo loop
 
-def serial_replicate(table, spec, theta_observed, outcome):
-    """One replicate as a plain serial refit loop: (statistic, drop reason)."""
+def serial_replicate(table, spec, theta_observed, outcome, draws=None):
+    """One replicate as a plain serial refit loop: (statistic, drop reason).
+    A mixed spec's pooled model is fitted on ``draws``, and each subset's
+    on the rows of ``draws`` it owns."""
     labels = np.asarray(spec.outcomes)[outcome] if spec.is_severity else outcome
     fit_table = ObservationTable(dict(table.columns), labels, table.mode)
-    make = negbin.make_objective if spec.is_frequency else mnl.make_objective
+    make = families.REGISTRY[spec.family].objective
+    flagged = table.columns["flag"] == 1.0
+    # split_by_flag returns the flag == 1 part first, like subset A
+    parts = zip(split_by_flag(fit_table, "flag"), (flagged, ~flagged))
     try:
-        rep_all = maximize(make(build_design(fit_table, spec)), theta_observed)
-        reps = [maximize(make(build_design(part, spec)), rep_all.theta)
-                for part in split_by_flag(fit_table, "flag")]
+        rep_all = maximize(make(build_design(fit_table, spec), draws, None),
+                           theta_observed)
+        reps = [maximize(make(build_design(part, spec),
+                              None if draws is None else draws.subset(rows), None),
+                         rep_all.theta)
+                for part, rows in parts]
     except OptimizationError:
         return np.nan, "optimization_error"
     if not (rep_all.converged and all(r.converged for r in reps)):
         return np.nan, "not_converged"
-    # split_by_flag returns the flag == 1 part first, like subset A
     x2 = -2.0 * (rep_all.ll - reps[0].ll - reps[1].ll)
     if x2 < -1e-4:
         return np.nan, "negative_statistic"
     return max(x2, 0.0), ""
 
 
-def serial_null(table, spec, replicates, seed):
-    pieces = lrtest._Pieces(table, spec, "flag", None, None)
+def serial_null(table, spec, replicates, seed, n_draws=None):
+    pieces = lrtest._Pieces(table, spec, "flag", None, n_draws)
     theta = lrtest._observed(pieces)[0].theta
+    draws = (DrawMatrix.for_design(build_design(table, spec), n_draws)
+             if spec.is_mixed else None)
     out = []
     for i in range(replicates):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
         sim = redraw_outcomes(spec, theta, table, rng)
         y = build_design(sim, spec).y_index if spec.is_severity else sim.outcome
-        out.append(serial_replicate(table, spec, theta, y))
+        out.append(serial_replicate(table, spec, theta, y, draws))
     return out
 
 
-@pytest.mark.parametrize("family", ["nb", "mnl"])
+@pytest.mark.parametrize("family", ["nb", "mnl", "mixed_nb", "mixed_mnl"])
 def test_mc_matches_a_serial_refit_loop(family):
-    table, spec = (nb_table(122, seed=5), NB_SPEC) if family == "nb" \
-        else (mnl_table(300, seed=5), MNL_SPEC)
-    result = lrtest.mc_null_distribution(table, spec, "flag", replicates=150,
-                                         seed=4)
-    reference = serial_null(table, spec, 150, 4)
+    spec = {"nb": NB_SPEC, "mnl": MNL_SPEC, "mixed_nb": MIXED_NB_SPEC,
+            "mixed_mnl": MIXED_SPEC}[family]
+    table = nb_table(122, seed=5) if spec.is_frequency else mnl_table(300, seed=5)
+    # the mixed families refit serially: fewer replicates, on 25 draws
+    replicates, n_draws = (20, 25) if spec.is_mixed else (150, None)
+    result = lrtest.mc_null_distribution(table, spec, "flag", replicates=replicates,
+                                         seed=4, n_draws=n_draws)
+    reference = serial_null(table, spec, replicates, 4, n_draws)
     kept = np.array([x2 for x2, why in reference if why == ""])
     assert result.replicates_kept == kept.size
-    assert result.replicates_dropped == 150 - kept.size
+    assert result.replicates_dropped == replicates - kept.size
     for reason in lrtest.DROP_REASONS:
         assert result.replicates_dropped_by_reason[reason] == \
             sum(why == reason for _, why in reference)

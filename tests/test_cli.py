@@ -169,6 +169,18 @@ def test_mixed_fit_requires_draws(workdir):
     assert manifest["n_draws"] == 25
 
 
+def test_mixed_lrtest_requires_draws(workdir, capsys):
+    args = ["lrtest", "--data", str(workdir / "mnl_data.csv"),
+            "--spec", str(workdir / "mixed.ini"), "--flag", "flag",
+            "--out", str(workdir / "mixedlr")]
+    assert main(args) == 2  # no hidden default draw count
+    assert "error: mixed families require --draws" in capsys.readouterr().err
+    assert not (workdir / "mixedlr.json").exists()
+    assert main(args + ["--draws", "25"]) == 0
+    manifest = json.loads((workdir / "mixedlr.manifest.json").read_text())
+    assert manifest["n_draws"] == 25
+
+
 def test_effects_use_the_draws_the_fit_used(workdir):
     """Effects of a fit with non-default Halton draws are simulated with
     the same draws, as recorded in the fit file."""

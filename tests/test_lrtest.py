@@ -1,11 +1,14 @@
 """Chi-squared helpers, pooling test, and the Monte Carlo null."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
+from test_golden import DGPS
 
+from crashmle import lrtest
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, split_by_flag
 from crashmle.lrtest import (
     chi2_quantile,
@@ -18,7 +21,7 @@ from crashmle.lrtest import (
 from crashmle.mnl import fit_mnl
 from crashmle.negbin import fit_nb
 from crashmle.optimize import OptimSettings
-from crashmle.simulate import CovariateRecipe, DgpConfig, gen_mnl, gen_nb
+from crashmle.simulate import CovariateRecipe, DgpConfig, gen_mnl, gen_nb, generate
 
 NB_SPEC = ModelSpec("nb", (Term(CONSTANT), Term("z1")))
 
@@ -156,6 +159,18 @@ def test_lr_test_flag_validation():
         lr_test(ones, NB_SPEC, "flag")
 
 
+@pytest.mark.parametrize("dgp", ["sev", "cnt"], ids=["mixed_mnl", "mixed_nb"])
+def test_mixed_subset_likelihoods_sum_to_the_pooled_one(dgp):
+    """The subsets simulate on the pooled draw matrix's rows, so at the
+    pooled solution their log-likelihoods add up to the pooled one."""
+    config = replace(DGPS[dgp], seed=7)
+    pieces = lrtest._Pieces(generate(config), config.spec, "flag", None, 50)
+    pooled = lrtest._observed(pieces)[0]
+    subsets = [pieces.family.objective(pieces.designs[key], pieces.draws[key],
+                                       None)(pooled.theta)[0] for key in "ab"]
+    assert sum(subsets) == pytest.approx(pooled.ll, rel=1e-9, abs=0.0)
+
+
 # ------------------------------------------------------------ simulate null
 
 def test_simulate_under_null_redraws_outcomes_only():
@@ -226,6 +241,16 @@ def test_mc_histogram_csv(tmp_path):
     plain = lr_test(table, NB_SPEC, "flag")
     with pytest.raises(ValueError, match="no Monte Carlo"):
         plain.write_histogram_csv(tmp_path / "x.csv")
+
+
+def test_mixed_nb_null_statistics_are_non_negative():
+    """Warm starts and shared draws keep every mixed replicate's statistic
+    non-negative, so none is dropped as negative."""
+    config = replace(DGPS["cnt"], seed=7)
+    result = mc_null_distribution(generate(config), config.spec, "flag",
+                                  replicates=40, seed=1, n_draws=50)
+    assert result.replicates_dropped == 0
+    assert result.null_stats.size == 40 and result.null_stats.min() >= 0.0
 
 
 def test_mc_aborts_when_replicates_cannot_converge():

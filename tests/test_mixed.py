@@ -184,6 +184,17 @@ def test_draw_matrix_shift_is_seeded_and_deterministic():
     assert not np.array_equal(a.std[0], plain.std[0])
 
 
+def test_draw_matrix_subset_keeps_each_observations_draws():
+    dm = DrawMatrix(n_obs=10, n_draws=25, dists=("normal", "uniform"))
+    flagged = np.arange(10) % 3 == 0
+    for index, n in ((flagged, 4), (np.flatnonzero(~flagged), 6)):
+        sub = dm.subset(index)
+        assert (sub.n_obs, sub.n_draws, sub.dists) == (n, 25, dm.dists)
+        for got, full in zip(sub.std, dm.std):
+            np.testing.assert_array_equal(got, full[index])
+    assert dm.n_obs == 10 and dm.std[0].shape == (10, 25)
+
+
 def test_draw_matrix_for_design():
     table = mixed_table(10)
     design = build_design(table, MIXED_SPEC)
@@ -550,6 +561,15 @@ def test_kernel_at_a_plateau_scale_matches_a_dense_evaluation():
     assert np.all(np.isfinite(ll))
     assert_close(ll, want_ll)
     assert_close(scores, want_scores)
+
+
+def test_an_overflowing_mixing_scale_gives_minus_infinity():
+    # exp(720) overflows: a line search that tries such a log-scale gets
+    # -inf back, without an overflow or invalid-value warning
+    design, draws, y, theta = shared_case(50, 30, k=1)
+    theta[0, 3] = 720.0
+    ll, grad = make_objective(design, draws, y[0])(theta[0])
+    assert ll == -np.inf and not grad.any()
 
 
 def test_shared_outcome_gradient_matches_central_differences():

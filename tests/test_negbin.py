@@ -220,6 +220,28 @@ def test_mixed_kernel_has_no_hessian():
         kernel(theta, slice(0, 1), hessian=True)
 
 
+def test_mixed_kernel_holds_no_hessian_products():
+    # five terms at N = 20,000: the Hessian's covariate products would
+    # take 4 MB (N * 5 * 5 doubles), for a Hessian the kernel refuses
+    table = count_table(20_000, seed=2)
+    z1, z2 = table.columns["z1"], table.columns["z2"]
+    table = ObservationTable(dict(table.columns, z3=z1 * z2, z4=z1 ** 2),
+                             table.outcome, "frequency")
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
+                                  Term("z2"), Term("z3"), Term("z4")))
+    design = build_design(table, spec)
+    draws = DrawMatrix.for_design(design, 25)
+    tracemalloc.start()
+    try:
+        kernel = negbin._kernel(design, draws)  # alive, with what it holds
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kernel
+    # the counts, as integers and as floats, take 0.32 MB
+    assert held < 1e6
+
+
 def test_fit_mixed_nb_reports_natural_parameters():
     table = count_table(250, seed=13)
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
