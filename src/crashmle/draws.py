@@ -88,7 +88,10 @@ class DrawMatrix:
     Observation ``n`` owns the post-skip Halton elements
     ``[n*R, (n+1)*R)`` of the dimension's base sequence.  An optional
     Cranley-Patterson shift rotates each dimension by a seeded uniform
-    offset before transforming.
+    offset before transforming.  A matrix made by :meth:`subset` keeps
+    its source rows' draws, so its row ``n`` owns those of the source
+    row it took; its ``seed``, ``skip`` and ``shift`` describe the
+    source matrix.
     """
 
     def __init__(self, n_obs: int, n_draws: int, dists: tuple[str, ...],

@@ -145,12 +145,26 @@ class LrTestResult:
 
     def to_dict(self) -> dict:
         from . import serialize
-        d = asdict(self)
-        edges, counts = d.pop("histogram_edges"), d.pop("histogram_counts")
-        del d["null_stats"]
-        d["p_mc"] = serialize.nan_to_none(self.p_mc)
-        d["histogram"] = None if edges is None else {
-            "edges": list(map(float, edges)), "counts": list(map(int, counts))}
+        d = {"x2": self.x2, "dof": self.dof,
+             "p_asymptotic": self.p_asymptotic,
+             "critical_value_05": self.critical_value_05,
+             "pooled": self.pooled.to_dict(),
+             "subset_a": self.subset_a.to_dict(),
+             "subset_b": self.subset_b.to_dict(),
+             "flag_column": self.flag_column,
+             "family": self.family,
+             "p_mc": serialize.nan_to_none(self.p_mc),
+             "replicates_requested": self.replicates_requested,
+             "replicates_kept": self.replicates_kept,
+             "replicates_dropped": self.replicates_dropped,
+             "replicates_dropped_by_reason": dict(self.replicates_dropped_by_reason),
+             "replicates_serial_fallback": self.replicates_serial_fallback,
+             "seed": self.seed,
+             "plus_one": self.plus_one,
+             "histogram": None}
+        if self.histogram_edges is not None:
+            d["histogram"] = {"edges": list(map(float, self.histogram_edges)),
+                              "counts": list(map(int, self.histogram_counts))}
         return d
 
     def write_histogram_csv(self, path) -> None:
@@ -177,16 +191,18 @@ class _Pieces:
         self.family = REGISTRY[spec.family]
         self.settings = settings
         self.flag_column = flag_column
-        parts = split_by_flag(table, flag_column)
-        if min(part.n_rows for part in parts) == 0:
+        part_a, part_b = split_by_flag(table, flag_column)
+        if part_a.n_rows == 0 or part_b.n_rows == 0:
             raise ValueError(f"flag column {flag_column!r} does not split the data")
         self.mask_a = table.columns[flag_column] == 1.0
         #: each fit's rows of the pooled data: pooled, subset A, subset B
         self.rows = {"all": slice(None), "a": self.mask_a, "b": ~self.mask_a}
         self.designs = {key: build_design(part, spec)
-                        for key, part in zip(self.rows, (table, *parts))}
+                        for key, part in zip(self.rows, (table, part_a, part_b))}
         self.draws = {}
         if spec.is_mixed:  # the subsets' draws are the pooled draws' rows
+            if n_draws is None:
+                raise ValueError("mixed families require n_draws")
             pooled = DrawMatrix.for_design(self.designs["all"], n_draws)
             self.draws = {key: pooled.subset(rows) for key, rows in self.rows.items()}
 
@@ -333,21 +349,25 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     fits = _observed(pieces)
     result = _build_result(pieces, fits)
 
-    theta = fits[0].theta
+    null_stats = []
+    by_reason = dict.fromkeys(DROP_REASONS, 0)
+    handed = 0
     step = min(max(BLOCK_ELEMENTS // table.n_rows, 1), BLOCK_ROWS)
-    x2, reason, handed = zip(*(
-        _replicate_block(pieces, theta, replicate_outcomes(
-            pieces.designs["all"], theta, seed, start, min(start + step, replicates)))
-        for start in range(0, replicates, step)))
-    reason = np.concatenate(reason)
-    by_reason = {r: int(np.count_nonzero(reason == r)) for r in DROP_REASONS}
+    for start in range(0, replicates, step):
+        outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
+                                      start, min(start + step, replicates))
+        x2, reason, n = _replicate_block(pieces, fits[0].theta, outcomes)
+        null_stats.extend(x2[reason == ""])
+        for r in reason[reason != ""]:
+            by_reason[r] += 1
+        handed += n
     dropped = sum(by_reason.values())
 
     if dropped > max_failure_rate * replicates or dropped == replicates:
         raise RuntimeError(
             f"{dropped} of {replicates} null replicates failed to converge; "
             f"the null distribution is unreliable")
-    null_stats = np.concatenate(x2)[reason == ""]
+    null_stats = np.asarray(null_stats)
     kept = null_stats.size
     exceed = int((null_stats >= result.x2).sum())
     p_mc = (exceed + plus_one) / (kept + plus_one)
@@ -359,6 +379,6 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     return replace(result, p_mc=float(p_mc), replicates_requested=replicates,
                    replicates_kept=kept, replicates_dropped=dropped,
                    replicates_dropped_by_reason=by_reason,
-                   replicates_serial_fallback=sum(handed), seed=seed, plus_one=plus_one,
+                   replicates_serial_fallback=handed, seed=seed, plus_one=plus_one,
                    histogram_edges=edges, histogram_counts=counts,
                    null_stats=null_stats)

@@ -108,14 +108,9 @@ def _block_softmax(theta, design: DesignMatrix, slots):
     n_slots = len(varying) + 1
     theta = np.asarray(theta, dtype=np.float64)
     loc = theta[..., None, design.loc_pos]
-    with np.errstate(over="ignore"):
-        sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
+    sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
     work = None
 
-    # a mixing scale beyond the float range makes its draws' predictors
-    # infinite and their probabilities NaN: the likelihood is not finite
-    # there, which the objectives read as -inf
-    @np.errstate(over="ignore", invalid="ignore")
     def block(b, switch=None):
         nonlocal work
         x = design.x[b]
@@ -236,8 +231,14 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         ll = np.empty((k, design.n_obs))
         scores = np.empty((k, design.n_obs, design.n_params))
         hess = np.zeros((k, t, t)) if hessian else None
+        # a row whose mixing scale overflows has no finite simulated
+        # likelihood: it is evaluated at zero instead and returned as -inf
         with np.errstate(over="ignore"):
-            sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
+            over = np.any([np.isinf(np.exp(theta[:, design.scale_pos[j]]))
+                           for j in random], axis=0)
+        if np.any(over):
+            theta = np.where(over[:, None], 0.0, theta)
+        sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
         block, rows_at = _block_softmax(theta, design, slots), None
         for b in _blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
@@ -303,6 +304,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                 xx = (x[b, :, None] * x[b, None, :]).reshape(-1, t * t)
                 pdd = ((ps.transpose(0, 2, 1) @ xx) * ii).sum(axis=1)
                 hess += mass.transpose(0, 2, 1) @ mass - pdd.reshape(k, t, t)
+        ll[over], scores[over] = -np.inf, 0.0
         return (ll, scores, hess) if hessian else (ll, scores)
 
     return kernel

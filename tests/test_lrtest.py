@@ -157,6 +157,9 @@ def test_lr_test_flag_validation():
                             np.array([1, 2]), "frequency")
     with pytest.raises(ValueError, match="does not split"):
         lr_test(ones, NB_SPEC, "flag")
+    mixed = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    with pytest.raises(ValueError, match="mixed families require n_draws"):
+        lr_test(table, mixed, "flag", n_draws=None)
 
 
 @pytest.mark.parametrize("dgp", ["sev", "cnt"], ids=["mixed_mnl", "mixed_nb"])

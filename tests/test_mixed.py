@@ -566,10 +566,17 @@ def test_kernel_at_a_plateau_scale_matches_a_dense_evaluation():
 def test_an_overflowing_mixing_scale_gives_minus_infinity():
     # exp(720) overflows: a line search that tries such a log-scale gets
     # -inf back, without an overflow or invalid-value warning
-    design, draws, y, theta = shared_case(50, 30, k=1)
+    design, draws, y, theta = shared_case(50, 30, k=2)
     theta[0, 3] = 720.0
     ll, grad = make_objective(design, draws, y[0])(theta[0])
     assert ll == -np.inf and not grad.any()
+    # in a stack of rows only that row is -inf; the other is as if alone
+    kernel = mnl._kernel(design, draws, y)
+    ll, scores = kernel(theta, np.array([0, 2]))
+    alone = kernel(theta[1:], np.array([2]))
+    assert np.all(ll[0] == -np.inf) and not scores[0].any()
+    np.testing.assert_array_equal(ll[1:], alone[0])
+    np.testing.assert_array_equal(scores[1:], alone[1])
 
 
 def test_shared_outcome_gradient_matches_central_differences():
