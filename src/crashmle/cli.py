@@ -106,7 +106,7 @@ def cmd_lrtest(args) -> int:
     if spec.is_mixed and args.draws is None:
         raise ValueError("mixed families require --draws")
     settings = _settings(args)
-    if args.mc:
+    if args.mc is not None:
         result = mc_null_distribution(
             table, spec, args.flag, replicates=args.mc, seed=args.seed,
             bins=args.bins, settings=settings, n_draws=args.draws,
@@ -118,7 +118,7 @@ def cmd_lrtest(args) -> int:
     if result.histogram_edges is not None:
         result.write_histogram_csv(f"{args.out}.hist.csv")
     _manifest(args, [args.data, args.spec],
-              seed=args.seed if args.mc else None,
+              seed=args.seed if args.mc is not None else None,
               n_draws=args.draws).write(f"{args.out}.manifest.json")
 
     print(f"pooling test on {result.flag_column!r} ({result.family})")

@@ -18,15 +18,19 @@ one draw.  Every other view derives from the kernel.  Only
 outputs at once, so the per-observation outputs of such a call may be
 work arrays that the kernel's next call overwrites (the NB kernel's
 are); every other call returns fresh arrays, which :func:`first_row`
-hands on to callers that keep them.  The logit kernel works through the
-observations in fixed blocks of ``mnl.BLOCK_ELEMENTS`` elements per
-outcome, so its working memory scales with the block, not with N * R.
-Its per-block softmax (``mnl._block_softmax``) also gives the logit's
-simulated probabilities and effects.
+hands on to callers that keep them.  Both kernels bound their working
+memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with a
+block, not with K * N * R: the logit kernel works through the
+observations in blocks of that many elements per outcome, the NB kernel
+through its K rows in tiles of that many (row, observation, draw)
+elements, never splitting a row.  The logit's per-block softmax
+(``mnl._block_softmax``) also gives its simulated probabilities and
+effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`:
-batched Newton on the kernel's analytic Hessians first when there are
-no draws (plain MNL and NB, concave in the coefficients), serial BFGS
+one batched Newton loop on the kernel's analytic Hessians first when
+there are no draws (plain MNL and NB, concave in the coefficients),
+except for rows with a count above ``BATCH_COUNT_CAP``; serial BFGS
 from the same start for every other row.  A design column that is zero
 on every row leaves its coefficient unidentified; such a design is not
 maximized at all.
@@ -44,8 +48,8 @@ from .draws import DrawMatrix
 from .optimize import (FitResult, OptimizationError, OptimSettings, covariance,
                        maximize, maximize_batch, summarize)
 
-#: largest count maximized by batched Newton: rows of a count family with
-#: a larger count go to the serial maximizer, so the per-row dispersion
+#: largest count maximized by batched Newton: a row of a count family with
+#: a larger count goes to the serial maximizer, so the per-row dispersion
 #: tables of the Hessian stay small
 BATCH_COUNT_CAP = 4096
 
@@ -92,7 +96,8 @@ class RowFits:
     (B,) arrays.  A row is ``converged`` when it passed the gradient test
     at a point ``Family.boundary`` accepts; an ``error`` row met an
     OptimizationError, whose text is its ``message``, and has a NaN
-    ``ll``.  ``handed`` counts the rows that batched Newton left to BFGS.
+    ``ll``.  ``handed`` counts the rows without draws that went to BFGS:
+    those Newton did not converge and those above the count cap.
     """
 
     theta: np.ndarray
@@ -118,14 +123,15 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
 
     Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
     counts, (B, N)); without ``outcomes`` the one start row fits the
-    design's own outcomes.  Without ``draws`` the rows go through
-    batched Newton on the kernel's Hessians unless a count exceeds
-    ``BATCH_COUNT_CAP``; every row Newton does not converge, and every
-    row with draws, goes to BFGS :func:`~crashmle.optimize.maximize`
-    from the same start.  A converged row that ``family.boundary``
-    rejects is reported not converged with the boundary message.  When a design
-    column is zero on every row, no row is maximized: each is reported
-    not converged at its start, with a message naming the term.
+    design's own outcomes.  Without ``draws`` the rows go through one
+    batched Newton loop on the kernel's Hessians, except a row with a
+    count above ``BATCH_COUNT_CAP``; every row Newton leaves or does not
+    converge, and every row with draws, goes to BFGS
+    :func:`~crashmle.optimize.maximize` from the same start.  A converged
+    row that ``family.boundary`` rejects is reported not converged with
+    the boundary message.  When a design column is zero on every row, no
+    row is maximized: each is reported not converged at its start, with
+    a message naming the term.
     """
     b = len(starts)
     theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
@@ -140,14 +146,20 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
             ll[i] = family.objective(design, draws, None if outcomes is None
                                      else outcomes[i])(theta[i])[0]
         return RowFits(theta, ll, converged, error, iterations, message, handed)
-    counts = design.counts if outcomes is None else outcomes
-    if b and draws is None and not (
-            design.spec.is_frequency and counts.max() > BATCH_COUNT_CAP):
-        res = maximize_batch(batched(family.kernel(design, None, outcomes)), starts,
+    newton = np.full(b, draws is None)
+    if design.spec.is_frequency:  # a row with a huge count goes to BFGS
+        counts = np.atleast_2d(design.counts if outcomes is None else outcomes)
+        newton &= counts.max(axis=1, initial=0) <= BATCH_COUNT_CAP
+    rows = np.flatnonzero(newton)
+    if rows.size:  # the Newton rows' outcomes, copied only when some rows are not
+        subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
+        res = maximize_batch(batched(family.kernel(design, None, subset)), starts[rows],
                              settings)
-        theta, ll, converged, iterations, message = (
-            res.theta, res.ll, res.converged, res.iterations, list(res.message))
-        handed = b - int(converged.sum())
+        theta[rows], ll[rows], converged[rows], iterations[rows] = (
+            res.theta, res.ll, res.converged, res.iterations)
+        for i, why in zip(rows, res.message):
+            message[i] = why
+    handed = 0 if draws is not None else b - int(converged.sum())
     for i in np.flatnonzero(~converged):
         objective = family.objective(design, draws,
                                      None if outcomes is None else outcomes[i])
@@ -256,6 +268,8 @@ def fit(table: ObservationTable, spec: ModelSpec,
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` are
     this function for one family each.
     """
+    if spec.is_mixed and n_draws is None:
+        raise ValueError("mixed families require n_draws")
     family = REGISTRY[spec.family]
     design = build_design(table, spec)
     ll_restricted = family.restricted_ll(design, settings)

@@ -16,13 +16,15 @@ subsets start at the pooled log-likelihood and the statistic is
 non-negative by construction for every family.
 
 The Monte Carlo replicates are refitted in blocks of
-``clamp(BLOCK_ELEMENTS // n_obs, 1, BLOCK_ROWS)`` rows: 128 on small
-tables, fewer on large ones, so that a block's work arrays stay within
-a fixed number of elements.  Both are constants of the code.  A batched
-NB refit does not depend on the rows fitted with it, so NB statistics
-are the same, bit for bit, for every block size; MNL statistics agree
-to 1e-6 (the logit kernel's observation blocks depend on the number of
-rows per call).
+``max(BLOCK_ELEMENTS // n_obs, 1)`` rows, a constant of the code: 2,148
+on a 122-site table, so that 500 replicates take one block and each
+stage one batched Newton loop; fewer on large tables, so that a block's
+outcomes and per-observation outputs stay within a fixed number of
+elements.  The kernels bound their own working memory (the NB kernel in
+row tiles, the logit kernel in observation blocks).  A batched NB refit does not depend
+on the rows fitted with it, so NB statistics are the same, bit for bit,
+for every block size; MNL statistics agree to 1e-6 (the logit kernel's
+observation blocks depend on the number of rows per call).
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from .draws import DrawMatrix
 from .families import BATCH_COUNT_CAP, REGISTRY, maximize_rows  # noqa: F401 (re-export)
 from .optimize import FitResult, OptimSettings
 
-#: most Monte Carlo replicates refitted together
-BLOCK_ROWS = 128
 #: most (replicate, observation) elements in a block of refits: on large
-#: tables a block has fewer rows, so its work arrays stay bounded
+#: tables a block has fewer rows, so its outcomes and outputs stay bounded
 BLOCK_ELEMENTS = 1 << 18
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
@@ -129,7 +129,8 @@ class LrTestResult:
     #: drops per DROP_REASONS key; the values sum to replicates_dropped
     replicates_dropped_by_reason: dict = field(
         default_factory=lambda: dict.fromkeys(DROP_REASONS, 0))
-    #: refits that batched Newton handed to the serial maximizer
+    #: refits handed to the serial maximizer: those batched Newton did not
+    #: converge and those with a count above BATCH_COUNT_CAP
     replicates_serial_fallback: int = 0
     seed: int | None = None
     plus_one: bool = False
@@ -330,13 +331,14 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     reason; more than ``max_failure_rate`` of them, or all of them,
     abort the test.
 
-    Replicates are processed in blocks of at most ``BLOCK_ROWS`` rows
-    and ``BLOCK_ELEMENTS`` (replicate, observation) elements: the
-    block's outcomes are drawn first, then the pooled, subset A and
-    subset B models are refitted stage by stage, like the observed fits,
-    each stage one call of :func:`crashmle.families.maximize_rows`:
-    batched Newton for MNL and NB, serial BFGS for the rows Newton leaves
-    and for the mixed families.  A separated MNL refit counts as not
+    Replicates are processed in blocks of at most ``BLOCK_ELEMENTS``
+    (replicate, observation) elements, all of them in one block on small
+    tables: the block's outcomes are drawn first, then the pooled, subset
+    A and subset B models are refitted stage by stage, like the observed
+    fits, each stage one call of :func:`crashmle.families.maximize_rows`:
+    one batched Newton loop for MNL and NB, serial BFGS for the rows
+    Newton leaves or whose counts exceed ``BATCH_COUNT_CAP``, and for the
+    mixed families.  A separated MNL refit counts as not
     converged.  Statistics of every family agree with one serial refit
     per replicate to within 1e-6.  Replicate ``i`` draws from
     ``SeedSequence((seed, i))`` alone, so outcomes do not depend on
@@ -352,7 +354,7 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
     handed = 0
-    step = min(max(BLOCK_ELEMENTS // table.n_rows, 1), BLOCK_ROWS)
+    step = max(BLOCK_ELEMENTS // table.n_rows, 1)
     for start in range(0, replicates, step):
         outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
                                       start, min(start + step, replicates))

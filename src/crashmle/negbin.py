@@ -21,32 +21,33 @@ from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, build_design)
 from .draws import DrawMatrix, coefficient_draws
-from .mnl import _term_targets
+from .mnl import BLOCK_ELEMENTS, _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
 
-def _poch_tables(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _poch_tables(alpha: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (2 or 3, K, amax + 1) with the tables ``tab``,
-    ``dtab`` (and ``h2tab``) for the (K, 1) column ``r``, indexed by
+    ``dtab`` (and ``h2tab``) for the (K, 1) column ``alpha``, indexed by
     count a, and return it.
 
-    ``tab[a] = sum_{k=0}^{a-1} log1p(k / r)`` equals
-    ``lnGamma(a + r) - lnGamma(r) - a * ln(r)`` without cancellation;
-    ``dtab`` is its derivative in ``r``; ``h2tab[a] = sum_{k<a} k r /
-    (r + k)^2`` is the second log-alpha derivative of ``tab``, summed
-    term by term so that it does not cancel when alpha is small.  The
-    terms are written in place and summed by one ``cumsum``.
+    ``tab[a] = sum_{k=0}^{a-1} log1p(k * alpha)`` equals
+    ``lnGamma(a + r) - lnGamma(r) - a * ln(r)`` (r = 1 / alpha) without
+    cancellation; ``dtab[a] = sum_{k<a} t s`` and ``h2tab[a] = sum_{k<a}
+    t s^2``, with ``t = k * alpha`` and ``s = 1 / (1 + t)``, are its first
+    and second log-alpha derivatives, summed term by term so that they do
+    not cancel when alpha is small.  The terms are written in place, with
+    one reciprocal each, and summed by one ``cumsum``.
     """
     k = np.arange(out.shape[2] - 1, dtype=np.float64)
-    logs, derivs = out[0, :, 1:], out[1, :, 1:]
-    out[:, :, 0] = 0.0
-    np.add(r, k, out=logs)  # r + k, until the logs overwrite it
+    t = np.multiply(alpha, k, out=out[0, :, 1:])
+    s = np.add(t, 1.0, out=out[-1, :, 1:])  # the last table is free until its turn
+    np.reciprocal(s, out=s)
+    np.multiply(t, s, out=out[1, :, 1:])
     if len(out) == 3:
-        np.square(logs, out=out[2, :, 1:])
-        np.divide(np.multiply(k, r, out=derivs), out[2, :, 1:], out=out[2, :, 1:])
-    np.divide(-k, np.multiply(r, logs, out=derivs), out=derivs)
-    np.log1p(np.divide(k, r, out=logs), out=logs)
+        s *= out[1, :, 1:]
+    np.log1p(t, out=t)
+    out[:, :, 0] = 0.0
     return np.cumsum(out, axis=2, out=out)
 
 
@@ -76,7 +77,7 @@ def nb_logpmf(counts, lam, alpha: float):
         raise ValueError("lam must be positive")
     r = 1.0 / alpha
     amax = int(a.max()) if a.size else 0
-    tab = _poch_tables(np.array([[r]]), np.empty((2, 1, amax + 1)))[0, 0]
+    tab = _poch_tables(np.array([[alpha]]), np.empty((2, 1, amax + 1)))[0, 0]
     out = (tab[a] + a * np.log(lam_arr)
            - (r + a) * np.log1p(alpha * lam_arr) - gammaln(a + 1.0))
     if np.isscalar(counts) and np.isscalar(lam):
@@ -120,18 +121,22 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     likelihood is the draw average of NB probabilities, with no Hessian;
     without draws it is the plain NB, as if with one draw.
 
-    The closure owns its work arrays, sized by the largest call so far,
-    so that repeated calls do not allocate (K, N) or (K, N, R) arrays:
-    each draw's log probability becomes its posterior share in place.
-    With ``hessian`` the per-observation outputs are work arrays too,
-    valid until the next call (see :mod:`crashmle.families`); without,
-    they are fresh.  ``lnGamma(a + 1)`` is folded into the
-    log-Pochhammer table as a per-count table, so one ``take`` gathers
-    every count's table entries.
+    The K rows are evaluated in tiles of at most ``BLOCK_ELEMENTS``
+    (row, observation, draw) elements and at least one row, so that
+    working memory scales with the tile, not with K * N * R; a row's
+    arithmetic does not depend on the rows evaluated with it, so every
+    tiling gives the same outputs bit for bit.  The closure owns one
+    tile's work arrays, sized by the largest tile so far, so that
+    repeated calls do not allocate them: each draw's log probability
+    becomes its posterior share in place.  With ``hessian`` the
+    per-observation outputs are work arrays too, valid until the next
+    call (see :mod:`crashmle.families`); without, they are fresh.
+    ``lnGamma(a + 1)`` is folded into the log-Pochhammer table as a
+    per-count table, so one ``take`` gathers every count's table entries.
     """
-    a = np.atleast_2d(design.counts if counts is None else counts).astype(np.int64)
+    a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
+                                 dtype=np.int64))
     b, n = a.shape
-    af = a.astype(np.float64)[..., None]  # (B, N, 1)
     amax_row = a.max(axis=1, initial=0)
     lgam = gammaln(np.arange(amax_row.max(initial=0) + 1) + 1.0)
     x = design.x
@@ -140,10 +145,10 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     p = design.n_params + 1
     n_draws = 1 if draws is None else draws.n_draws
     index = np.arange(b)
-    floats = ints = None
+    floats = ints = outputs = None
 
     def kernel(theta, rows, hessian=False):
-        nonlocal floats, ints
+        nonlocal floats, ints, outputs
         if hessian and draws is not None:
             raise ValueError("the simulated likelihood has no analytic Hessian")
         theta = np.asarray(theta, dtype=np.float64)
@@ -153,71 +158,83 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         rows = index[rows]
         width = int(amax_row[rows].max(initial=0)) + 1
         nt = 3 if hessian else 2
-        per_draw = (k, n, n_draws)
-        shapes = ([per_draw] * 8 + [(k, 1, n)] + [(k, n, 1)] * 3
-                  + [(p, k, n), (nt, k, n), (nt, k, width)])
-        size = sum(map(math.prod, shapes))
-        if floats is None or len(floats) < size or len(ints) < k:
-            floats, ints = np.empty(size), np.empty((k, n), dtype=np.int64)
-        (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, scores, tabs,
-         tables) = _carve(floats, *shapes)
-        if not hessian:  # outputs the caller may keep
-            scores = np.empty((p, k, n))
-            if draws is None:
-                lpmf = np.empty(per_draw)
-        # position of count a of row k in the flattened tables
-        at = np.take(a, rows, axis=0, out=ints[:k], mode="clip")
-        at += width * np.arange(k)[:, None]
-        np.take(af, rows, axis=0, out=afk, mode="clip")
+        tile = min(k, max(1, BLOCK_ELEMENTS // (n * n_draws)))
+
+        def shapes(kt):  # the work arrays of a kt-row tile
+            return ([(kt, n, n_draws)] * 8 + [(kt, 1, n)] + [(kt, n, 1)] * 3
+                    + [(nt, kt, n), (nt, kt, width)])
+        size = sum(map(math.prod, shapes(tile)))
+        if floats is None or len(floats) < size or len(ints) < tile * n:
+            floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
+        if hessian:  # outputs the caller uses at once, reused like the work arrays
+            if outputs is None or len(outputs) < k * n * (p + 1):
+                outputs = np.empty(k * n * (p + 1))
+            ll, scores = _carve(outputs, (k, n), (p, k, n))
+        else:
+            ll, scores = np.empty((k, n)), np.empty((p, k, n))
+        hess = np.empty((k, p, p)) if hessian else None
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            alpha = np.exp(theta[:, -1, None, None])  # (K, 1, 1)
-            r = np.exp(-theta[:, -1, None, None])
-            _poch_tables(r[:, 0], tables)[0] -= lgam[:width]
-            np.take(tables.reshape(nt, -1), at, axis=1, out=tabs, mode="clip")
-            # wd and tmp are free until the log probabilities are done
-            eta = _eta_draws(theta, design, draws, out=(product, wd, tmp))
-            np.exp(eta, out=lam)
-            np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
-            np.add(r, afk, out=ra)
-            np.add(tabs[0][..., None], np.multiply(afk, eta, out=lpmf), out=lpmf)
-            lpmf -= np.multiply(ra, l1p, out=tmp)
-            np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
-            np.subtract(afk, q, out=wd)
-            np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
-            if draws is None:  # one draw: its share is one
-                ll, wd_sum, tmp_sum = lpmf[..., 0], wd[..., 0], tmp[..., 0]
-            else:  # the log of the draw mean; the draws' shares overwrite lpmf
-                np.max(lpmf, axis=-1, keepdims=True, out=top)
-                lpmf -= top
-                np.exp(lpmf, out=lpmf)
-                np.sum(lpmf, axis=-1, keepdims=True, out=total)
-                lpmf /= total
-                ll = (top + np.log(total))[..., 0] - np.log(n_draws)
-                wd *= lpmf
-                tmp *= lpmf
-                wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
-            # (P, K, N), so that each parameter's scores stay contiguous
-            for j in range(x.shape[1]):
-                np.multiply(x[:, j], wd_sum, out=scores[design.loc_pos[j]])
-            for dim, j in enumerate(design.random_terms):  # the log-scales
-                drawn = np.multiply(wd, draws.std[dim], out=rl).sum(axis=-1)
-                scores[design.scale_pos[j]] = (
-                    x[:, j] * drawn * np.exp(theta[:, design.scale_pos[j], None]))
-            np.multiply(-r[..., 0], tabs[1], out=scores[-1])
-            scores[-1] += tmp_sum
-            if not hessian:
-                return ll, scores.transpose(1, 2, 0)
-            # one draw, so w = 1; u = -d(a - q)/d eta
-            rs = np.divide(r, rl, out=rl)
-            u = np.multiply(q, rs, out=ra)
-            hess = np.empty((k, p, p))
-            hess[:, :-1, :-1] = -(u.reshape(k, 1, n) @ xx).reshape(k, p - 1, p - 1)
-            cross = x.T @ np.multiply(np.subtract(lam, q, out=tmp), rs, out=tmp)
-            hess[:, :-1, -1:], hess[:, -1:, :-1] = cross, cross.transpose(0, 2, 1)
-            np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
-            tmp -= np.multiply(r, l1p, out=wd)
-            tmp -= u
-            hess[:, -1, -1] = np.add(tabs[2], tmp[..., 0], out=tabs[2]).sum(axis=1)
+            for start in range(0, k, tile):
+                kt = min(tile, k - start)
+                at_tile = slice(start, start + kt)
+                th = theta[at_tile]
+                (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, tabs,
+                 tables) = _carve(floats, *shapes(kt))
+                at = np.take(a, rows[at_tile], axis=0, mode="clip",
+                             out=ints[:kt * n].reshape(kt, n))
+                np.copyto(afk[..., 0], at)
+                # position of count a of row k in the flattened tables
+                at += width * np.arange(kt)[:, None]
+                alpha = np.exp(th[:, -1, None, None])  # (kt, 1, 1)
+                r = np.exp(-th[:, -1, None, None])
+                _poch_tables(alpha[:, 0], tables)[0] -= lgam[:width]
+                np.take(tables.reshape(nt, -1), at, axis=1, out=tabs, mode="clip")
+                # wd and tmp are free until the log probabilities are done
+                eta = _eta_draws(th, design, draws, out=(product, wd, tmp))
+                np.exp(eta, out=lam)
+                np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
+                np.add(r, afk, out=ra)
+                np.add(tabs[0][..., None], np.multiply(afk, eta, out=lpmf), out=lpmf)
+                lpmf -= np.multiply(ra, l1p, out=tmp)
+                np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
+                np.subtract(afk, q, out=wd)
+                np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
+                if draws is None:  # one draw: its share is one
+                    ll[at_tile] = lpmf[..., 0]
+                    wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
+                else:  # the log of the draw mean; the draws' shares overwrite lpmf
+                    np.max(lpmf, axis=-1, keepdims=True, out=top)
+                    lpmf -= top
+                    np.exp(lpmf, out=lpmf)
+                    np.sum(lpmf, axis=-1, keepdims=True, out=total)
+                    lpmf /= total
+                    ll[at_tile] = (top + np.log(total))[..., 0] - np.log(n_draws)
+                    wd *= lpmf
+                    tmp *= lpmf
+                    wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
+                # (P, K, N), so that each parameter's scores stay contiguous
+                for j in range(x.shape[1]):
+                    np.multiply(x[:, j], wd_sum, out=scores[design.loc_pos[j], at_tile])
+                for dim, j in enumerate(design.random_terms):  # the log-scales
+                    drawn = np.multiply(wd, draws.std[dim], out=rl).sum(axis=-1)
+                    scores[design.scale_pos[j], at_tile] = (
+                        x[:, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
+                np.add(tabs[1], tmp_sum, out=scores[-1, at_tile])
+                if not hessian:
+                    continue
+                # one draw, so w = 1; u = -d(a - q)/d eta
+                h = hess[at_tile]
+                rs = np.divide(r, rl, out=rl)
+                u = np.multiply(q, rs, out=ra)
+                h[:, :-1, :-1] = -(u.reshape(kt, 1, n) @ xx).reshape(kt, p - 1, p - 1)
+                cross = x.T @ np.multiply(np.subtract(lam, q, out=tmp), rs, out=tmp)
+                h[:, :-1, -1:], h[:, -1:, :-1] = cross, cross.transpose(0, 2, 1)
+                np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
+                tmp -= np.multiply(r, l1p, out=wd)
+                tmp -= u
+                h[:, -1, -1] = np.add(tabs[2], tmp[..., 0], out=tabs[2]).sum(axis=1)
+        if not hessian:
+            return ll, scores.transpose(1, 2, 0)
         return ll, scores.transpose(1, 2, 0), hess
 
     return kernel

@@ -137,7 +137,10 @@ def _ascend(objective, theta0, settings: OptimSettings | None, bfgs: bool) -> Ba
         else:
             neg_h = -hess[rows]
             ok = np.isfinite(neg_h).all(axis=(1, 2))
-            ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
+            try:  # one Cholesky of the stack; per-row eigenvalues if some row fails
+                np.linalg.cholesky(neg_h[ok])
+            except np.linalg.LinAlgError:
+                ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
             direction = np.zeros_like(g)
             direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
             slope = np.einsum("kp,kp->k", direction, g)

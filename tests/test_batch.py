@@ -446,27 +446,31 @@ def test_mc_matches_a_serial_refit_loop(family):
     np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
 
 
-def mc_in_blocks_of(block_rows, *args):
-    """``lrtest.mc_null_distribution`` with at most ``block_rows``
-    replicates per block (None: the default)."""
+def mc_in_blocks_of(block_rows, table, *args, tile_rows=None):
+    """``lrtest.mc_null_distribution`` with ``block_rows`` replicates per
+    block (None: the default, every replicate in one block) and NB kernel
+    tiles of ``tile_rows`` rows (None: the default)."""
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(lrtest, "BLOCK_ROWS", block_rows)
-        return lrtest.mc_null_distribution(*args)
+            mp.setattr(lrtest, "BLOCK_ELEMENTS", block_rows * table.n_rows)
+        if tile_rows is not None:
+            mp.setattr(negbin, "BLOCK_ELEMENTS", tile_rows * table.n_rows)
+        return lrtest.mc_null_distribution(table, *args)
 
 
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(st.integers(0, 2**16), st.integers(0, 2**16))
 def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):
     """NB replicate statistics and drop counts are bit-identical in blocks
-    of 7, 64 and the default rows; MNL statistics agree to 1e-6, because
-    the logit kernel's observation blocks depend on the rows per call."""
+    of 7, 64 and the default rows, and in NB kernel tiles of 5 rows; MNL
+    statistics agree to 1e-6, because the logit kernel's observation
+    blocks depend on the rows per call."""
     for table, spec in ((nb_table(122, seed=table_seed), NB_SPEC),
                         (mnl_table(300, seed=table_seed), MNL_SPEC)):
         args = (table, spec, "flag", 150, seed)
         default = mc_in_blocks_of(None, *args)
-        for block_rows in (7, 64):
-            res = mc_in_blocks_of(block_rows, *args)
+        for block_rows, tile_rows in ((7, None), (64, None), (None, 5)):
+            res = mc_in_blocks_of(block_rows, *args, tile_rows=tile_rows)
             assert res.replicates_dropped_by_reason == \
                 default.replicates_dropped_by_reason
             if spec.is_frequency:
@@ -478,7 +482,7 @@ def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):
 
 def test_mc_memory_on_a_large_table_is_bounded_by_the_block():
     # 20,000 rows: a block has BLOCK_ELEMENTS // 20,000 = 13 replicates,
-    # not BLOCK_ROWS, and its work arrays stay within tens of MB
+    # not all 64, and its work arrays stay within tens of MB
     table = nb_table(20_000, seed=1)
     tracemalloc.start()
     try:
@@ -602,24 +606,27 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_an_outlier_count_sends_its_block_to_the_serial_fit(monkeypatch):
+def test_an_outlier_count_sends_only_its_row_to_the_serial_fit(monkeypatch):
     table, pieces, theta, outcomes = forced_block()
     outcomes[3, 5] = 100_000
-    batched_max = []
+    batched_counts = []
 
     def recording_kernel(design, draws, counts):
-        batched_max.append(int(counts.max()))
+        batched_counts.append(np.atleast_2d(counts))
         return negbin._kernel(design, draws, counts)
 
     monkeypatch.setattr(pieces, "family",
                         replace(pieces.family, kernel=recording_kernel))
     tracemalloc.start()
     try:
-        lrtest._replicate_block(pieces, theta, outcomes)
+        _, _, handed = lrtest._replicate_block(pieces, theta, outcomes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20e6
-    # the subset without the outlier still goes through Newton
-    assert batched_max and max(batched_max) <= lrtest.BATCH_COUNT_CAP
+    # the five other rows stay batched in the pooled stage and in the
+    # outlier's subset, and all six in the other subset
+    assert all(counts.max() <= lrtest.BATCH_COUNT_CAP for counts in batched_counts)
+    assert sorted(len(counts) for counts in batched_counts) == [5, 5, 6]
+    assert handed >= 2  # the outlier's row, in two stages
     assert_block_matches_serial(table, pieces, theta, outcomes)

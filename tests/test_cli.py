@@ -247,6 +247,16 @@ def test_lrtest_asymptotic_and_mc(workdir, capsys):
         (workdir / "lrmc2.hist.csv").read_bytes()
 
 
+def test_lrtest_rejects_a_replicate_count_below_one(workdir, capsys):
+    # --mc 0 used to run the asymptotic test alone and exit 0
+    for replicates in ("0", "-3"):
+        assert main(["lrtest", "--data", str(workdir / "nb_data.csv"),
+                     "--spec", str(workdir / "nb.ini"), "--flag", "flag",
+                     "--mc", replicates, "--out", str(workdir / "lr0")]) == 2
+        assert "error: replicates must be positive" in capsys.readouterr().err
+        assert not (workdir / "lr0.json").exists()
+
+
 def test_influence_command(workdir):
     spec = ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term("d", ("a",))),
                      ("a", "b"), "b")

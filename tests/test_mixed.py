@@ -329,6 +329,11 @@ def test_fit_mixed_requires_mixed_family():
         fit_mixed_mnl(table, plain, n_draws=25)
 
 
+def test_a_mixed_fit_without_a_draw_count_names_it():
+    with pytest.raises(ValueError, match="mixed families require n_draws"):
+        fit_mixed_mnl(mixed_table(), MIXED_SPEC, n_draws=None)
+
+
 # ----------------------------------------------------------------- effects
 
 def test_mixed_effects_match_plain_elasticities_at_tiny_scale():

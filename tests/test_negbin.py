@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -35,6 +36,28 @@ def count_table(n=300, seed=6, alpha=0.8, beta=(1.0, 0.4, -0.3)):
 
 
 # ------------------------------------------------------------------- pmf
+
+def pochhammer_reference(alpha, a):
+    """tab, dtab and h2tab at count ``a`` from log-gamma and polygamma
+    values at 60 digits: ``tab = lnGamma(a + r) - lnGamma(r) - a ln r``
+    (r = 1 / alpha) and its first two log-alpha derivatives."""
+    with mpmath.workdps(60):
+        r = 1 / mpmath.mpf(alpha)
+        dpsi = mpmath.digamma(a + r) - mpmath.digamma(r)
+        tab = mpmath.loggamma(a + r) - mpmath.loggamma(r) - a * mpmath.log(r)
+        dtab = a - r * dpsi
+        h2tab = r * dpsi + r * r * (mpmath.psi(1, a + r) - mpmath.psi(1, r))
+        return [float(v) for v in (tab, dtab, h2tab)]
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.05, 0.8, 7.0, 1e3])
+def test_pochhammer_tables_match_mpmath(alpha):
+    tables = negbin._poch_tables(np.array([[alpha]]), np.empty((3, 1, 1001)))[:, 0]
+    np.testing.assert_array_equal(tables[:, :2], 0.0)
+    for a in (2, 3, 10, 100, 1000):
+        np.testing.assert_allclose(tables[:, a], pochhammer_reference(alpha, a),
+                                   rtol=1e-12, atol=0.0)
+
 
 def test_logpmf_matches_scipy_parameterization():
     for alpha in (0.3, 0.8, 1.37, 2.5):
@@ -240,6 +263,71 @@ def test_mixed_kernel_holds_no_hessian_products():
     del kernel
     # the counts, as integers and as floats, take 0.32 MB
     assert held < 1e6
+
+
+def tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian):
+    """Copies of a kernel call's outputs with a tile budget of
+    ``budget_rows`` rows of ``n_elements`` (N * R) elements each."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(negbin, "BLOCK_ELEMENTS", budget_rows * n_elements)
+        return [np.copy(out) for out in kernel(theta, rows, hessian=hessian)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["nb", "mixed_nb"])
+def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
+    table = count_table(150, seed=4)
+    spec = (ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
+                                   Term("z2"))) if mixed else NB_SPEC)
+    design = build_design(table, spec)
+    draws = DrawMatrix.for_design(design, 25) if mixed else None
+    counts = np.stack([np.roll(table.outcome, s) for s in range(5)])
+    counts[2, 7] = 60  # a wider dispersion table for one row
+    kernel = negbin._kernel(design, draws, counts)
+    rng = np.random.default_rng(3)
+    theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(20, 4))
+    if mixed:
+        theta = np.insert(theta, 2, np.log(0.3), axis=1)
+    rows = rng.integers(0, len(counts), size=len(theta))
+    n_elements = design.n_obs * (draws.n_draws if mixed else 1)
+    for hessian in ([False] if mixed else [False, True]):
+        untiled = tiled_calls(len(theta), kernel, theta, rows, n_elements, hessian)
+        for budget_rows in (1, 7):
+            tiled = tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian)
+            for got, want in zip(tiled, untiled, strict=True):
+                np.testing.assert_array_equal(got, want)
+
+
+def hessian_call_peak(k, n=122):
+    """tracemalloc peak of one K-row Hessian call of the plain NB kernel,
+    and the bytes of its outputs."""
+    design = build_design(count_table(n, seed=1), NB_SPEC)
+    kernel = negbin._kernel(design, None)
+    theta = np.tile([1.0, 0.4, -0.3, np.log(0.8)], (k, 1))
+    rows = np.zeros(k, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        ll, scores, hess = kernel(theta, rows, hessian=True)
+        return tracemalloc.get_traced_memory()[1], ll.nbytes + scores.nbytes + hess.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
+    # 2,048 rows of 122 observations: the outputs take 8 MB; work arrays
+    # for every row at once would take another 30 MB
+    peak, outputs = hessian_call_peak(2048)
+    tile_bytes = 8 * negbin.BLOCK_ELEMENTS
+    assert peak - outputs < 20 * tile_bytes
+    # beyond the outputs, doubling K adds only the K row indices (4 kB
+    # allow for the interpreter's own allocations)
+    peak_half, outputs_half = hessian_call_peak(1024)
+    assert peak - outputs <= peak_half - outputs_half + 8 * 1024 + 4096
+
+
+def test_a_mixed_fit_without_a_draw_count_names_it():
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    with pytest.raises(ValueError, match="mixed families require n_draws"):
+        fit_mixed_nb(count_table(80), spec, n_draws=None)
 
 
 def test_fit_mixed_nb_reports_natural_parameters():
