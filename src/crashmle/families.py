@@ -27,13 +27,13 @@ elements, never splitting a row.  The logit's per-block softmax
 (``mnl._block_softmax``) also gives its simulated probabilities and
 effects.
 
-Every fit, refit and grid point is maximized by :func:`maximize_rows`:
-one batched Newton loop on the kernel's analytic Hessians first when
-there are no draws (plain MNL and NB, concave in the coefficients),
-except for rows with a count above ``BATCH_COUNT_CAP``; serial BFGS
-from the same start for every other row.  A design column that is zero
-on every row leaves its coefficient unidentified; such a design is not
-maximized at all.
+Every fit, refit and grid point is maximized by :func:`maximize_rows`
+in at most two stacked ascents on the kernel: Newton on its analytic
+Hessians first when there are no draws (plain MNL and NB, concave in
+the coefficients), except for rows with a count above
+``BATCH_COUNT_CAP``; then BFGS from the same starts for every row still
+not converged.  A design column that is zero on every row leaves its
+coefficient unidentified; such a design is not maximized at all.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ import numpy as np
 
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix
-from .optimize import (FitResult, OptimizationError, OptimSettings, covariance,
-                       maximize, maximize_batch, summarize)
+from .optimize import (_NOT_FINITE, FitResult, OptimizationError, OptimSettings,
+                       _ascend, covariance, summarize)
 
-#: largest count maximized by batched Newton: a row of a count family with
-#: a larger count goes to the serial maximizer, so the per-row dispersion
-#: tables of the Hessian stay small
+#: largest count maximized by Newton: a row of a count family with a larger
+#: count goes to the BFGS stage, so the per-row dispersion tables of the
+#: Hessian stay small; the NB kernel gives such a row a tile of its own
 BATCH_COUNT_CAP = 4096
 
 
@@ -65,7 +65,7 @@ class Family:
 
     #: (design, draws or None, outcomes or None) -> stacked kernel
     kernel: Callable
-    #: (design, draws, outcomes or None) -> BFGS objective ``theta -> (ll, grad)``
+    #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)``, for fit's FD Hessian
     objective: Callable
     #: design -> default start vector
     start: Callable
@@ -94,10 +94,10 @@ class RowFit(NamedTuple):
 class RowFits:
     """Per-row outcome of :func:`maximize_rows`: a (B, P) ``theta`` and
     (B,) arrays.  A row is ``converged`` when it passed the gradient test
-    at a point ``Family.boundary`` accepts; an ``error`` row met an
-    OptimizationError, whose text is its ``message``, and has a NaN
-    ``ll``.  ``handed`` counts the rows without draws that went to BFGS:
-    those Newton did not converge and those above the count cap.
+    at a point ``Family.boundary`` accepts; an ``error`` row was not
+    finite at its start and has a NaN ``ll``.  ``iterations`` counts
+    accepted steps.  ``handed`` counts the rows without draws that went
+    to BFGS: those Newton did not converge and those above the count cap.
     """
 
     theta: np.ndarray
@@ -105,7 +105,7 @@ class RowFits:
     converged: np.ndarray
     error: np.ndarray
     iterations: np.ndarray
-    message: list
+    message: np.ndarray
     handed: int
 
     def row(self, i: int = 0) -> RowFit:
@@ -123,53 +123,42 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
 
     Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
     counts, (B, N)); without ``outcomes`` the one start row fits the
-    design's own outcomes.  Without ``draws`` the rows go through one
-    batched Newton loop on the kernel's Hessians, except a row with a
-    count above ``BATCH_COUNT_CAP``; every row Newton leaves or does not
-    converge, and every row with draws, goes to BFGS
-    :func:`~crashmle.optimize.maximize` from the same start.  A converged
-    row that ``family.boundary`` rejects is reported not converged with
-    the boundary message.  When a design column is zero on every row, no
-    row is maximized: each is reported not converged at its start, with
-    a message naming the term.
+    design's own outcomes.  Two stacked ascents on the family's kernel
+    fit the rows: Newton on its Hessians for the rows without draws and
+    without a count above ``BATCH_COUNT_CAP``, then BFGS from the same
+    starts for every row still not converged.  A row not finite at its
+    start is an ``error`` row.  A converged row that ``family.boundary``
+    rejects is reported not converged with the boundary message.  When a
+    design column is zero on every row, no row is maximized: each is
+    reported not converged at its start, with a message naming the term.
     """
     b = len(starts)
     theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
-    converged, error = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
-    iterations, message, handed = np.zeros(b, dtype=np.int64), [""] * b, 0
+    converged, iterations = np.zeros(b, dtype=bool), np.zeros(b, dtype=np.int64)
+    message = np.full(b, "", dtype=object)
     idle = np.flatnonzero(~design.x.any(axis=0))
     if idle.size:
         names = ", ".join(design.param_names[design.loc_pos[j]] for j in idle)
-        message = [f"not maximized: term {names} is zero on every row, so its "
-                   f"coefficient is not identified"] * b
-        for i in range(b):
-            ll[i] = family.objective(design, draws, None if outcomes is None
-                                     else outcomes[i])(theta[i])[0]
-        return RowFits(theta, ll, converged, error, iterations, message, handed)
+        message[:] = (f"not maximized: term {names} is zero on every row, so its "
+                      f"coefficient is not identified")
+        ll = batched(family.kernel(design, draws, outcomes), hessian=False)(
+            theta, np.arange(b))[0]
+        return RowFits(theta, ll, converged, np.zeros(b, dtype=bool), iterations, message, 0)
     newton = np.full(b, draws is None)
     if design.spec.is_frequency:  # a row with a huge count goes to BFGS
         counts = np.atleast_2d(design.counts if outcomes is None else outcomes)
         newton &= counts.max(axis=1, initial=0) <= BATCH_COUNT_CAP
-    rows = np.flatnonzero(newton)
-    if rows.size:  # the Newton rows' outcomes, copied only when some rows are not
-        subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
-        res = maximize_batch(batched(family.kernel(design, None, subset)), starts[rows],
-                             settings)
-        theta[rows], ll[rows], converged[rows], iterations[rows] = (
-            res.theta, res.ll, res.converged, res.iterations)
-        for i, why in zip(rows, res.message):
-            message[i] = why
-    handed = 0 if draws is not None else b - int(converged.sum())
-    for i in np.flatnonzero(~converged):
-        objective = family.objective(design, draws,
-                                     None if outcomes is None else outcomes[i])
-        try:
-            res = maximize(objective, starts[i], settings)
-        except OptimizationError as exc:
-            ll[i], error[i], message[i] = np.nan, True, str(exc)
-            continue
-        theta[i], ll[i], converged[i] = res.theta, res.ll, res.converged
-        iterations[i], message[i] = res.iterations, res.message
+    for hessian in (True, False):  # Newton, then BFGS for every row not converged
+        rows = np.flatnonzero(newton if hessian else ~converged)
+        if rows.size:  # the rows' outcomes, copied only when some rows are not
+            subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
+            res = _ascend(batched(family.kernel(design, draws, subset), hessian),
+                          starts[rows], settings, bfgs=not hessian)
+            theta[rows], ll[rows], converged[rows], iterations[rows], message[rows] = (
+                res.theta, res.ll, res.converged, res.iterations, res.message)
+    handed = 0 if draws is not None else rows.size  # the plain rows that went to BFGS
+    error = message == _NOT_FINITE
+    ll[error] = np.nan
     for i in np.flatnonzero(converged):
         boundary = family.boundary(design, theta[i])
         if boundary is not None:
@@ -187,36 +176,33 @@ def first_row(kernel):
     return single
 
 
-def batched(kernel):
-    """Newton objective ``(theta, rows) -> (ll (K,), grad (K, P), hess)``
-    summing a stacked kernel's rows; a non-finite row log-likelihood comes
-    back as -inf."""
+def batched(kernel, hessian=True):
+    """Ascent objective ``(theta, rows) -> (ll (K,), grad (K, P), hess)``
+    summing a stacked kernel's rows: ``hess`` is the kernel's (K, P, P)
+    Hessians with ``hessian`` (Newton) and None without (BFGS).  A
+    non-finite row log-likelihood comes back as -inf with a zero
+    gradient."""
     def objective(theta, rows):
-        ll_obs, scores, hess = kernel(theta, rows, hessian=True)
+        ll_obs, scores, *hess = kernel(theta, rows, hessian=hessian)
         with np.errstate(over="ignore", invalid="ignore"):
-            ll = ll_obs.sum(axis=1)
-        ll[~np.isfinite(ll)] = -np.inf
-        return ll, scores.sum(axis=1), hess
+            ll, grad = ll_obs.sum(axis=1), scores.sum(axis=1)
+        bad = ~np.isfinite(ll)
+        ll[bad], grad[bad] = -np.inf, 0.0
+        return ll, grad, hess[0] if hessian else None
 
     return objective
 
 
 def summed(kernel):
     """Objective ``theta -> (ll, grad)`` from a stacked kernel at one
-    ``theta``, summing its log-likelihoods and scores over observations.
-    A non-finite log-likelihood comes back as -inf with a zero gradient.
-    """
-    single = first_row(kernel)
+    ``theta``, :func:`batched` on its first outcome row."""
+    objective = batched(kernel, hessian=False)
 
-    def objective(theta):
-        ll_obs, scores = single(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ll = float(ll_obs.sum())
-            if not np.isfinite(ll):
-                return -np.inf, np.zeros(scores.shape[1])
-            return ll, scores.sum(axis=0)
+    def single(theta):
+        ll, grad, _ = objective(np.asarray(theta, dtype=np.float64)[None], slice(0, 1))
+        return float(ll[0]), grad[0]
 
-    return objective
+    return single
 
 
 def natural_from_internal(theta, design: DesignMatrix, cov=None):

@@ -20,6 +20,8 @@ from .dataset import ModelSpec, ObservationTable, build_design
 from .families import REGISTRY, maximize_rows
 from .optimize import OptimSettings
 
+MAX_GRID_POINTS = 10_000  # most caps in a grid; a larger one is refused unbuilt
+
 
 def influence_variable(d, cap: float) -> np.ndarray:
     """Capped distance min(d, cap) used as the model covariate."""
@@ -76,7 +78,8 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
         ``distance_column`` must appear in the spec; at every grid
         point its values are replaced by min(d, D) before fitting.
     d_min, d_max, step : floats
-        Inclusive grid ``d_min, d_min + step, ...`` up to ``d_max``.
+        Inclusive grid ``d_min, d_min + step, ...`` up to ``d_max``, all
+        finite, of at most ``MAX_GRID_POINTS`` caps.
     tie_tol : float
         Log-likelihood ties within this tolerance resolve to the
         smallest cap; a profile whose total range is below it is
@@ -95,16 +98,21 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
         raise ValueError(f"distance column {distance_column!r} not in table")
     if not any(t.variable == distance_column for t in spec.terms):
         raise ValueError(f"spec has no term on {distance_column!r}")
+    for name, value in (("d_min", d_min), ("d_max", d_max), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if d_min <= 0 or step <= 0 or d_max < d_min:
         raise ValueError("need 0 < d_min <= d_max and step > 0")
+    span = (d_max - d_min) / step + 1e-9  # inf if the quotient overflows
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"more than {MAX_GRID_POINTS} caps from {d_min} to {d_max} by {step}")
 
-    n_points = int(np.floor((d_max - d_min) / step + 1e-9)) + 1
-    grid = d_min + step * np.arange(n_points)
+    grid = d_min + step * np.arange(int(span) + 1)
     raw = table.columns[distance_column]
 
     family = REGISTRY["mnl"]
-    lls = np.full(n_points, np.nan)
-    converged = np.zeros(n_points, dtype=bool)
+    lls = np.full(len(grid), np.nan)
+    converged = np.zeros(len(grid), dtype=bool)
     for k, cap in enumerate(grid):
         columns = dict(table.columns)
         columns[distance_column] = influence_variable(raw, float(cap))

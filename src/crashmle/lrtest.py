@@ -16,15 +16,14 @@ subsets start at the pooled log-likelihood and the statistic is
 non-negative by construction for every family.
 
 The Monte Carlo replicates are refitted in blocks of
-``max(BLOCK_ELEMENTS // n_obs, 1)`` rows, a constant of the code: 2,148
-on a 122-site table, so that 500 replicates take one block and each
-stage one batched Newton loop; fewer on large tables, so that a block's
-outcomes and per-observation outputs stay within a fixed number of
-elements.  The kernels bound their own working memory (the NB kernel in
-row tiles, the logit kernel in observation blocks).  A batched NB refit does not depend
-on the rows fitted with it, so NB statistics are the same, bit for bit,
-for every block size; MNL statistics agree to 1e-6 (the logit kernel's
-observation blocks depend on the number of rows per call).
+``max(BLOCK_ELEMENTS // (n_obs * R), 1)`` rows, R being a mixed spec's
+draws and 1 otherwise: 2,148 on a 122-site plain table, so that 500
+replicates take one block; fewer on large tables and with many draws, so
+that a block's outcomes and outputs stay within a fixed number of
+elements.  The kernels bound their own working memory.  A stacked NB
+refit does not depend on the rows fitted with it, so NB statistics are
+the same, bit for bit, for every block size; logit statistics agree to
+1e-6 (the logit kernel's observation blocks depend on the rows per call).
 """
 
 from __future__ import annotations
@@ -129,8 +128,8 @@ class LrTestResult:
     #: drops per DROP_REASONS key; the values sum to replicates_dropped
     replicates_dropped_by_reason: dict = field(
         default_factory=lambda: dict.fromkeys(DROP_REASONS, 0))
-    #: refits handed to the serial maximizer: those batched Newton did not
-    #: converge and those with a count above BATCH_COUNT_CAP
+    #: refits without draws handed from Newton to the BFGS stage: those
+    #: Newton did not converge and those with a count above BATCH_COUNT_CAP
     replicates_serial_fallback: int = 0
     seed: int | None = None
     plus_one: bool = False
@@ -301,7 +300,7 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
     ``outcomes`` holds one simulated outcome vector of the pooled data
     per row, refitted by :func:`_stages` from ``theta_observed``.
     Returns the statistics (NaN where dropped), each row's drop reason
-    ("" if kept) and the number of refits handed to the serial fallback.
+    ("" if kept) and the number of refits Newton handed to BFGS.
     """
     fits = _stages(pieces, np.tile(theta_observed, (len(outcomes), 1)), outcomes)
     error = np.any([res.error for res in fits], axis=0)
@@ -332,18 +331,14 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     abort the test.
 
     Replicates are processed in blocks of at most ``BLOCK_ELEMENTS``
-    (replicate, observation) elements, all of them in one block on small
-    tables: the block's outcomes are drawn first, then the pooled, subset
-    A and subset B models are refitted stage by stage, like the observed
-    fits, each stage one call of :func:`crashmle.families.maximize_rows`:
-    one batched Newton loop for MNL and NB, serial BFGS for the rows
-    Newton leaves or whose counts exceed ``BATCH_COUNT_CAP``, and for the
-    mixed families.  A separated MNL refit counts as not
-    converged.  Statistics of every family agree with one serial refit
-    per replicate to within 1e-6.  Replicate ``i`` draws from
-    ``SeedSequence((seed, i))`` alone, so outcomes do not depend on
-    execution order.  NB statistics and drop counts do not depend on the
-    block size at all; MNL statistics agree across block sizes to 1e-6.
+    (replicate, observation, draw) elements (see the module docstring):
+    the block's outcomes are drawn first, then the pooled, subset A and
+    subset B models are refitted stage by stage, like the observed fits,
+    each stage one call of :func:`crashmle.families.maximize_rows`.  A
+    separated MNL refit counts as not converged.  Statistics of every
+    family agree with one serial refit per replicate to within 1e-6.
+    Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so
+    outcomes do not depend on execution order.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
@@ -354,7 +349,7 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
     handed = 0
-    step = max(BLOCK_ELEMENTS // table.n_rows, 1)
+    step = max(BLOCK_ELEMENTS // (table.n_rows * (n_draws if spec.is_mixed else 1)), 1)
     for start in range(0, replicates, step):
         outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
                                       start, min(start + step, replicates))

@@ -125,12 +125,15 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     (row, observation, draw) elements and at least one row, so that
     working memory scales with the tile, not with K * N * R; a row's
     arithmetic does not depend on the rows evaluated with it, so every
-    tiling gives the same outputs bit for bit.  The closure owns one
-    tile's work arrays, sized by the largest tile so far, so that
-    repeated calls do not allocate them: each draw's log probability
-    becomes its posterior share in place.  With ``hessian`` the
-    per-observation outputs are work arrays too, valid until the next
-    call (see :mod:`crashmle.families`); without, they are fresh.
+    tiling gives the same outputs bit for bit.  A tile's dispersion tables
+    reach its own largest count; a row with a count above
+    ``families.BATCH_COUNT_CAP`` is a tile of its own.  The closure owns
+    one tile's work arrays, sized for a full tile of its widest row within
+    the cap, so that repeated calls do not allocate them (an outlier's
+    tile may grow them): each draw's log probability becomes its
+    posterior share in place.  With ``hessian`` the per-observation
+    outputs are work arrays too, valid until the next call (see
+    :mod:`crashmle.families`); without, they are fresh.
     ``lnGamma(a + 1)`` is folded into the log-Pochhammer table as a
     per-count table, so one ``take`` gathers every count's table entries.
     """
@@ -138,6 +141,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                                  dtype=np.int64))
     b, n = a.shape
     amax_row = a.max(axis=1, initial=0)
+    narrow = int(amax_row[amax_row <= families.BATCH_COUNT_CAP].max(initial=0)) + 1
     lgam = gammaln(np.arange(amax_row.max(initial=0) + 1) + 1.0)
     x = design.x
     # the Hessian's covariate products, (N, T * T); with draws there is no Hessian
@@ -156,14 +160,13 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
             raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
         k = theta.shape[0]
         rows = index[rows]
-        width = int(amax_row[rows].max(initial=0)) + 1
         nt = 3 if hessian else 2
         tile = min(k, max(1, BLOCK_ELEMENTS // (n * n_draws)))
 
-        def shapes(kt):  # the work arrays of a kt-row tile
+        def shapes(kt, width):  # the work arrays of a kt-row tile
             return ([(kt, n, n_draws)] * 8 + [(kt, 1, n)] + [(kt, n, 1)] * 3
                     + [(nt, kt, n), (nt, kt, width)])
-        size = sum(map(math.prod, shapes(tile)))
+        size = sum(map(math.prod, shapes(tile, narrow)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
         if hessian:  # outputs the caller uses at once, reused like the work arrays
@@ -174,12 +177,19 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
             ll, scores = np.empty((k, n)), np.empty((p, k, n))
         hess = np.empty((k, p, p)) if hessian else None
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            for start in range(0, k, tile):
-                kt = min(tile, k - start)
-                at_tile = slice(start, start + kt)
+            start = 0
+            while start < k:  # a row with a count above the cap is a tile of its own
+                widths = amax_row[rows[start:start + tile]]
+                wide = np.flatnonzero(widths > families.BATCH_COUNT_CAP)
+                kt = max(wide[0], 1) if wide.size else len(widths)
+                width = int(widths[:kt].max()) + 1
+                at_tile, start = slice(start, start + kt), start + kt
                 th = theta[at_tile]
+                need = sum(map(math.prod, shapes(kt, width)))
+                if len(floats) < need:  # only an outlier's tile outgrows them
+                    floats = np.empty(need)
                 (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, tabs,
-                 tables) = _carve(floats, *shapes(kt))
+                 tables) = _carve(floats, *shapes(kt, width))
                 at = np.take(a, rows[at_tile], axis=0, mode="clip",
                              out=ints[:kt * n].reshape(kt, n))
                 np.copyto(afk[..., 0], at)

@@ -1,13 +1,14 @@
 """Maximizers and post-fit summary machinery.
 
-Every maximization runs one ascent loop over B independent problems, one
-per row.  A row takes Newton steps on the Hessians its objective returns
-(:func:`maximize_batch`) or BFGS steps on its own inverse-Hessian
-estimate (:func:`maximize`, the one-row case); the start check, Armijo
-backtracking, the convergence test (the gradient infinity norm, scaled
-by max(1, |ll|), at most ``gradient_tolerance``), the step-tolerance
-stop, the iteration limit and the rows' stop messages are shared.  Which
-maximizer fits what is decided in :func:`crashmle.families.maximize_rows`.
+Every maximization runs one ascent loop, :func:`_ascend`, over B
+independent problems, one per row, each taking Newton steps on the
+Hessians its objective returns or BFGS steps on its own inverse-Hessian
+estimate; the start check, Armijo backtracking, the convergence test
+(the gradient infinity norm, scaled by max(1, |ll|), at most
+``gradient_tolerance``), the step-tolerance stop, the iteration limit
+and the rows' stop messages are shared.  Fits run it through
+:func:`crashmle.families.maximize_rows`; no fit calls its public
+wrappers :func:`maximize_batch` (Newton) or :func:`maximize` (BFGS).
 Standard errors come from the inverse negative Hessian (analytic when
 given, else central finite differences of the gradient), with an
 outer-product-of-scores fallback when that matrix is not positive

@@ -1,6 +1,7 @@
 """Batched Monte Carlo refits: kernels, the Newton solver, and the block
 dispatcher of the pooling test, each checked against its serial oracle."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -446,6 +447,50 @@ def test_mc_matches_a_serial_refit_loop(family):
     np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("family", ["mixed_nb", "mixed_mnl"])
+def test_stacked_mixed_refits_equal_each_row_fitted_alone(family):
+    """Six replicate rows in one stacked BFGS ascent give each row's own
+    fit: bit for bit for the NB kernel, whose rows do not depend on each
+    other, and to 1e-6 for the logit kernel, whose observation blocks
+    depend on the rows per call."""
+    spec, table = ((MIXED_NB_SPEC, nb_table(122, seed=5)) if family == "mixed_nb"
+                   else (MIXED_SPEC, mnl_table(300, seed=5)))
+    pieces = lrtest._Pieces(table, spec, "flag", None, 25)
+    design, draws = pieces.designs["all"], pieces.draws["all"]
+    theta = lrtest._observed(pieces)[0].theta
+    outcomes = lrtest.replicate_outcomes(design, theta, 4, 0, 6)
+    family = families.REGISTRY[spec.family]
+    stacked = families.maximize_rows(family, design, draws, np.tile(theta, (6, 1)),
+                                     outcomes)
+    assert stacked.converged.all()
+    for k in range(6):
+        alone = families.maximize_rows(family, design, draws, theta[None],
+                                       outcomes[k:k + 1])
+        assert alone.iterations[0] == stacked.iterations[k]
+        if spec.is_frequency:
+            np.testing.assert_array_equal(alone.theta[0], stacked.theta[k])
+            assert alone.ll[0] == stacked.ll[k]
+        else:
+            np.testing.assert_allclose(alone.theta[0], stacked.theta[k], rtol=0, atol=1e-6)
+            assert alone.ll[0] == pytest.approx(stacked.ll[k], rel=0, abs=1e-6)
+
+
+def test_mixed_fits_and_pooling_tests_do_not_call_the_one_row_maximizer(monkeypatch):
+    def no_maximize(*args, **kwargs):
+        raise AssertionError("optimize.maximize was called")
+    # every crashmle module that holds the function, under any name
+    for name, module in list(sys.modules.items()):
+        if name == "crashmle" or name.startswith("crashmle."):
+            for attr, value in list(vars(module).items()):
+                if value is maximize:
+                    monkeypatch.setattr(module, attr, no_maximize)
+    table = nb_table(122, seed=5)
+    fit = crashmle.fit(table, MIXED_NB_SPEC, n_draws=25)
+    assert fit.converged
+    result = lrtest.lr_test(table, MIXED_NB_SPEC, "flag", n_draws=25)
+    assert result.all_converged and result.x2 >= 0.0
+
+
 def mc_in_blocks_of(block_rows, table, *args, tile_rows=None):
     """``lrtest.mc_null_distribution`` with ``block_rows`` replicates per
     block (None: the default, every replicate in one block) and NB kernel
@@ -526,8 +571,7 @@ def test_a_term_that_is_zero_on_every_row_is_not_maximized(monkeypatch):
 
     def no_maximizer(*args, **kwargs):
         raise AssertionError("an unidentified design was maximized")
-    monkeypatch.setattr(families, "maximize", no_maximizer)
-    monkeypatch.setattr(families, "maximize_batch", no_maximizer)
+    monkeypatch.setattr(families, "_ascend", no_maximizer)
     starts = np.zeros((3, design.n_params))
     ys = np.stack([design.y_index, np.roll(design.y_index, 1), design.y_index[::-1]])
     res = families.maximize_rows(families.REGISTRY["mnl"], design, None, starts, ys)
@@ -606,14 +650,21 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_an_outlier_count_sends_only_its_row_to_the_serial_fit(monkeypatch):
+def test_an_outlier_count_sends_only_its_row_to_bfgs(monkeypatch):
     table, pieces, theta, outcomes = forced_block()
     outcomes[3, 5] = 100_000
-    batched_counts = []
+    kernels, calls = [], []  # each kernel's counts and Hessian flags; each call's
 
     def recording_kernel(design, draws, counts):
-        batched_counts.append(np.atleast_2d(counts))
-        return negbin._kernel(design, draws, counts)
+        counts, flags = np.atleast_2d(counts), set()
+        kernel = negbin._kernel(design, draws, counts)
+        kernels.append((counts, flags))
+
+        def recorded(theta, rows, hessian=False):
+            flags.add(hessian)
+            calls.append((hessian, counts[rows].max()))
+            return kernel(theta, rows, hessian)
+        return recorded
 
     monkeypatch.setattr(pieces, "family",
                         replace(pieces.family, kernel=recording_kernel))
@@ -624,9 +675,12 @@ def test_an_outlier_count_sends_only_its_row_to_the_serial_fit(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
-    # the five other rows stay batched in the pooled stage and in the
+    assert all(top <= lrtest.BATCH_COUNT_CAP for hessian, top in calls if hessian)
+    # the five other rows take Newton in the pooled stage and in the
     # outlier's subset, and all six in the other subset
-    assert all(counts.max() <= lrtest.BATCH_COUNT_CAP for counts in batched_counts)
-    assert sorted(len(counts) for counts in batched_counts) == [5, 5, 6]
+    newton = [counts for counts, flags in kernels if True in flags]
+    assert sorted(len(counts) for counts in newton) == [5, 5, 6]
+    assert any(counts.max() > lrtest.BATCH_COUNT_CAP
+               for counts, flags in kernels if False in flags)
     assert handed >= 2  # the outlier's row, in two stages
     assert_block_matches_serial(table, pieces, theta, outcomes)

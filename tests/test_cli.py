@@ -257,12 +257,14 @@ def test_lrtest_rejects_a_replicate_count_below_one(workdir, capsys):
         assert not (workdir / "lr0.json").exists()
 
 
-def test_influence_command(workdir):
+def influence_args(workdir, n):
+    """Data and spec of a feature whose influence ends at d = 0.5: the
+    ``influence`` options that name them."""
     spec = ModelSpec("mnl", (Term(CONSTANT, ("a",)), Term("d", ("a",))),
                      ("a", "b"), "b")
     cfg = DgpConfig(spec, {"constant[a]": 0.8, "d[a]": -3.0},
                     {"d": CovariateRecipe("uniform", low=0.0, high=2.0)},
-                    n=2000, seed=3, influence=("d", 0.5))
+                    n=n, seed=3, influence=("d", 0.5))
     write_dgp(workdir / "inf_dgp.json", cfg)
     (workdir / "inf.ini").write_text(
         "[model]\nfamily = mnl\noutcomes = a, b\nbase = b\n"
@@ -270,14 +272,36 @@ def test_influence_command(workdir):
         "[term]\nvar = d\noutcomes = a\n")
     assert main(["simulate", "--dgp", str(workdir / "inf_dgp.json"),
                  "--out", str(workdir / "inf_data")]) == 0
-    assert main(["influence", "--data", str(workdir / "inf_data.csv"),
-                 "--spec", str(workdir / "inf.ini"), "--distance", "d",
-                 "--dmin", "0.3", "--dmax", "0.7", "--step", "0.1",
-                 "--out", str(workdir / "prof")]) == 0
+    return ["influence", "--data", str(workdir / "inf_data.csv"),
+            "--spec", str(workdir / "inf.ini"), "--distance", "d",
+            "--out", str(workdir / "prof")]
+
+
+def test_influence_command(workdir):
+    assert main(influence_args(workdir, 2000)
+                + ["--dmin", "0.3", "--dmax", "0.7", "--step", "0.1"]) == 0
     prof = json.loads((workdir / "prof.json").read_text())
     assert abs(prof["d_star"] - 0.5) <= 0.1 + 1e-9
     lines = (workdir / "prof.csv").read_text().strip().splitlines()
     assert lines[0] == "D,ll,converged" and len(lines) == 6
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dmax", "inf", "d_max must be finite, got inf"),
+    ("--dmin", "nan", "d_min must be finite, got nan"),
+    ("--dmax", "nan", "d_max must be finite, got nan"),
+    ("--step", "nan", "step must be finite, got nan"),
+    ("--step", "inf", "step must be finite, got inf"),
+    # 6.5e11 caps: refused before the grid is built
+    ("--step", "1e-12", "more than 10000 caps from 0.25 to 0.9 by 1e-12"),
+])
+def test_influence_rejects_a_grid_it_cannot_build(workdir, capsys, flag, value, message):
+    grid = {"--dmin": "0.25", "--dmax": "0.9", "--step": "0.05", flag: value}
+    argv = influence_args(workdir, 200) + [v for item in grid.items() for v in item]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "prof.json").exists()
 
 
 def test_nonconverged_fit_exits_one(workdir):

@@ -324,6 +324,30 @@ def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
     assert peak - outputs <= peak_half - outputs_half + 8 * 1024 + 4096
 
 
+def test_an_outlier_count_widens_only_its_own_tile():
+    # one count of 20,000 among 200 rows of 122: tables as wide as that for
+    # a whole tile of 134 rows would take 64 MB; the row takes a tile of its
+    # own, whose tables take 0.5 MB
+    design = build_design(count_table(122, seed=1), NB_SPEC)
+    counts = np.tile(design.counts, (200, 1))
+    counts[77, 5] = 20_000
+    kernel = negbin._kernel(design, None, counts)
+    rng = np.random.default_rng(4)
+    theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(200, 4))
+    rows = np.arange(200)
+    tracemalloc.start()
+    try:
+        together = [out.copy() for out in kernel(theta, rows, hessian=True)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    for k in rows:
+        alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
+        for got, want in zip(alone, together, strict=True):
+            np.testing.assert_array_equal(got[0], want[k])
+
+
 def test_a_mixed_fit_without_a_draw_count_names_it():
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
     with pytest.raises(ValueError, match="mixed families require n_draws"):
