@@ -134,7 +134,7 @@ def cmd_lrtest(args) -> int:
         print(f"  Monte Carlo p = {result.p_mc:.4f} "
               f"({result.replicates_kept} replicates kept, "
               f"{result.replicates_dropped} dropped: {reasons}; "
-              f"{result.replicates_serial_fallback} refits by serial fallback)")
+              f"{result.replicates_serial_fallback} refits handed to BFGS)")
     return 0 if result.all_converged else 1
 
 

@@ -23,15 +23,14 @@ memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with a
 block, not with K * N * R: the logit kernel works through the
 observations in blocks of that many elements per outcome, the NB kernel
 through its K rows in tiles of that many (row, observation, draw)
-elements, never splitting a row.  The logit's per-block softmax
-(``mnl._block_softmax``) also gives its simulated probabilities and
-effects.
+elements and dispersion-table entries, never splitting a row.  The
+logit's per-block softmax (``mnl._block_softmax``) also gives its
+simulated probabilities and effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in at most two stacked ascents on the kernel: Newton on its analytic
 Hessians first when there are no draws (plain MNL and NB, concave in
-the coefficients), except for rows with a count above
-``BATCH_COUNT_CAP``; then BFGS from the same starts for every row still
+the coefficients), then BFGS from the same starts for every row still
 not converged.  A design column that is zero on every row leaves its
 coefficient unidentified; such a design is not maximized at all.
 """
@@ -47,12 +46,6 @@ from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix
 from .optimize import (_NOT_FINITE, FitResult, OptimizationError, OptimSettings,
                        _ascend, covariance, summarize)
-
-#: largest count maximized by Newton: a row of a count family with a larger
-#: count goes to the BFGS stage, so the per-row dispersion tables of the
-#: Hessian stay small; the NB kernel gives such a row a tile of its own
-BATCH_COUNT_CAP = 4096
-
 
 @dataclass(frozen=True)
 class Family:
@@ -96,8 +89,8 @@ class RowFits:
     (B,) arrays.  A row is ``converged`` when it passed the gradient test
     at a point ``Family.boundary`` accepts; an ``error`` row was not
     finite at its start and has a NaN ``ll``.  ``iterations`` counts
-    accepted steps.  ``handed`` counts the rows without draws that went
-    to BFGS: those Newton did not converge and those above the count cap.
+    accepted steps.  ``handed`` counts the rows without draws that
+    Newton did not converge, which went on to BFGS.
     """
 
     theta: np.ndarray
@@ -124,13 +117,13 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
     Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
     counts, (B, N)); without ``outcomes`` the one start row fits the
     design's own outcomes.  Two stacked ascents on the family's kernel
-    fit the rows: Newton on its Hessians for the rows without draws and
-    without a count above ``BATCH_COUNT_CAP``, then BFGS from the same
-    starts for every row still not converged.  A row not finite at its
-    start is an ``error`` row.  A converged row that ``family.boundary``
-    rejects is reported not converged with the boundary message.  When a
-    design column is zero on every row, no row is maximized: each is
-    reported not converged at its start, with a message naming the term.
+    fit the rows: Newton on its Hessians for the rows without draws, then
+    BFGS from the same starts for every row still not converged.  A row
+    not finite at its start is an ``error`` row.  A converged row that
+    ``family.boundary`` rejects is reported not converged with the
+    boundary message.  When a design column is zero on every row, no row
+    is maximized: each is reported not converged at its start, with a
+    message naming the term.
     """
     b = len(starts)
     theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
@@ -144,12 +137,8 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
         ll = batched(family.kernel(design, draws, outcomes), hessian=False)(
             theta, np.arange(b))[0]
         return RowFits(theta, ll, converged, np.zeros(b, dtype=bool), iterations, message, 0)
-    newton = np.full(b, draws is None)
-    if design.spec.is_frequency:  # a row with a huge count goes to BFGS
-        counts = np.atleast_2d(design.counts if outcomes is None else outcomes)
-        newton &= counts.max(axis=1, initial=0) <= BATCH_COUNT_CAP
-    for hessian in (True, False):  # Newton, then BFGS for every row not converged
-        rows = np.flatnonzero(newton if hessian else ~converged)
+    for hessian in (True, False)[draws is not None:]:  # Newton without draws, then BFGS
+        rows = np.flatnonzero(~converged)
         if rows.size:  # the rows' outcomes, copied only when some rows are not
             subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
             res = _ascend(batched(family.kernel(design, draws, subset), hessian),

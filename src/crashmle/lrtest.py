@@ -38,7 +38,7 @@ from . import simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
 from .draws import DrawMatrix
-from .families import BATCH_COUNT_CAP, REGISTRY, maximize_rows  # noqa: F401 (re-export)
+from .families import REGISTRY, maximize_rows
 from .optimize import FitResult, OptimSettings
 
 #: most (replicate, observation) elements in a block of refits: on large
@@ -128,8 +128,7 @@ class LrTestResult:
     #: drops per DROP_REASONS key; the values sum to replicates_dropped
     replicates_dropped_by_reason: dict = field(
         default_factory=lambda: dict.fromkeys(DROP_REASONS, 0))
-    #: refits without draws handed from Newton to the BFGS stage: those
-    #: Newton did not converge and those with a count above BATCH_COUNT_CAP
+    #: refits without draws that Newton did not converge, handed to BFGS
     replicates_serial_fallback: int = 0
     seed: int | None = None
     plus_one: bool = False

@@ -5,8 +5,9 @@ The mean is log-linear in the covariates and the variance is
 The dispersion parameter is estimated on the log scale.  The log
 probability is computed through the scaled log-Pochhammer sum
 ``sum_{k<A} log1p(k * alpha)`` rather than a difference of log-gamma
-values, which stays accurate for arbitrarily small ``alpha``.  One
-kernel serves both families; it averages the mixed model's draws itself.
+values, which stays accurate for arbitrarily small ``alpha`` (above
+``TABLE_CAP``, in closed form).  One kernel serves both families; it
+averages the mixed model's draws itself.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .draws import DrawMatrix, coefficient_draws
 from .mnl import BLOCK_ELEMENTS, _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
+
+#: largest count whose dispersion tables are summed term by term; a larger
+#: count continues from the entries at TAIL_START in closed form (:func:`_poch_tail`)
+TABLE_CAP, TAIL_START = 4096, 1024
 
 
 def _poch_tables(alpha: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -51,6 +56,31 @@ def _poch_tables(alpha: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.cumsum(out, axis=2, out=out)
 
 
+def _poch_tail(alpha, a, nt):
+    """The first ``nt`` increments of ``tab``, ``dtab`` and ``h2tab`` (see
+    :func:`_poch_tables`) from c = ``TAIL_START`` to counts ``a > c``:
+    Euler-Maclaurin sums over k = c .. a-1 (integral, endpoint halves, one
+    Bernoulli term; remainder below 1e-14 of the sum at c = 1024).  With s_x
+    = 1 / (1 + x alpha) and y = (a - c) alpha s_c, no integral cancels."""
+    c = float(TAIL_START)
+    r, u, d, sc = 1.0 / alpha, alpha * c, a - c, 1.0 / (1.0 + alpha * c)
+    q = alpha * sc
+    y, ly, y1 = q * d, np.log1p(q * d), 1.0 + q * d
+    z, sa, gap, small = y / y1, sc / y1, y - ly, y < 0.1
+    if small.any():  # y - log1p(y) cancels: the series of log1p(y) = 2 atanh(w)
+        w = y / (1.0 + y1)
+        w2 = w * w
+        gap = np.where(small, w * (y - 2.0 * w2 * (1 / 3 + w2 * (1 / 5 + w2 * (1 / 7 + w2 * (
+            1 / 9 + w2 * (1 / 11 + w2 / 13)))))), gap)
+    tab = d * np.log1p(u) + (r + c) * (y * ly - gap) - ly / 2 - q * z / 12
+    dtab = d * u * sc + r * gap - sc * z * (0.5 + alpha * (sa + sc) / 12)
+    if nt < 3:
+        return np.stack([tab, dtab][:nt])
+    h2tab = (r * (np.where(small, y * z - gap, ly - z) + z * u * sc) + sc * z * (1 - sc - sa) / 2
+             + alpha * (sa * sa * (2 * sa - 1) - sc * sc * (2 * sc - 1)) / 12)
+    return np.stack([tab, dtab, h2tab])
+
+
 def nb_logpmf(counts, lam, alpha: float):
     """Negative binomial log probability mass.
 
@@ -75,11 +105,13 @@ def nb_logpmf(counts, lam, alpha: float):
     lam_arr = np.asarray(lam, dtype=np.float64)
     if np.any(lam_arr <= 0):
         raise ValueError("lam must be positive")
-    r = 1.0 / alpha
-    amax = int(a.max()) if a.size else 0
-    tab = _poch_tables(np.array([[alpha]]), np.empty((2, 1, amax + 1)))[0, 0]
-    out = (tab[a] + a * np.log(lam_arr)
-           - (r + a) * np.log1p(alpha * lam_arr) - gammaln(a + 1.0))
+    width = min(int(a.max()) if a.size else 0, TABLE_CAP) + 1
+    tab = _poch_tables(np.array([[alpha]]), np.empty((2, 1, width)))[0, 0]
+    wide = a > TABLE_CAP
+    head = np.array(tab[np.where(wide, TAIL_START, a)])
+    head[wide] += _poch_tail(alpha, a[wide], 1)[0]
+    out = (head + a * np.log(lam_arr)
+           - (1.0 / alpha + a) * np.log1p(alpha * lam_arr) - gammaln(a + 1.0))
     if np.isscalar(counts) and np.isscalar(lam):
         return float(out)
     return out
@@ -121,28 +153,27 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     likelihood is the draw average of NB probabilities, with no Hessian;
     without draws it is the plain NB, as if with one draw.
 
-    The K rows are evaluated in tiles of at most ``BLOCK_ELEMENTS``
-    (row, observation, draw) elements and at least one row, so that
-    working memory scales with the tile, not with K * N * R; a row's
-    arithmetic does not depend on the rows evaluated with it, so every
-    tiling gives the same outputs bit for bit.  A tile's dispersion tables
-    reach its own largest count; a row with a count above
-    ``families.BATCH_COUNT_CAP`` is a tile of its own.  The closure owns
-    one tile's work arrays, sized for a full tile of its widest row within
-    the cap, so that repeated calls do not allocate them (an outlier's
-    tile may grow them): each draw's log probability becomes its
-    posterior share in place.  With ``hessian`` the per-observation
-    outputs are work arrays too, valid until the next call (see
-    :mod:`crashmle.families`); without, they are fresh.
-    ``lnGamma(a + 1)`` is folded into the log-Pochhammer table as a
-    per-count table, so one ``take`` gathers every count's table entries.
+    The K rows are evaluated in tiles of at least one row and at most
+    ``BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
+    entries, so that working memory scales with the tile, not with K * N *
+    R or the largest count; a row's arithmetic does not depend on the rows
+    evaluated with it, so every tiling gives the same outputs bit for bit.
+    Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
+    adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
+    closure owns one tile's work arrays, sized for a full tile of its
+    widest row, so that repeated calls do not allocate them: each draw's
+    log probability becomes its posterior share in place.  With
+    ``hessian`` the per-observation outputs are work arrays too, valid
+    until the next call (see :mod:`crashmle.families`); without, they are
+    fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so
+    one ``take`` gathers every count's table entries.
     """
     a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
                                  dtype=np.int64))
     b, n = a.shape
     amax_row = a.max(axis=1, initial=0)
-    narrow = int(amax_row[amax_row <= families.BATCH_COUNT_CAP].max(initial=0)) + 1
-    lgam = gammaln(np.arange(amax_row.max(initial=0) + 1) + 1.0)
+    widest = min(int(amax_row.max(initial=0)), TABLE_CAP) + 1
+    lgam = gammaln(np.arange(widest) + 1.0)
     x = design.x
     # the Hessian's covariate products, (N, T * T); with draws there is no Hessian
     xx = None if draws is not None else (x[:, :, None] * x[:, None, :]).reshape(n, -1)
@@ -161,12 +192,12 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         k = theta.shape[0]
         rows = index[rows]
         nt = 3 if hessian else 2
-        tile = min(k, max(1, BLOCK_ELEMENTS // (n * n_draws)))
+        tile = min(k, max(1, BLOCK_ELEMENTS // max(n * n_draws, widest)))
 
         def shapes(kt, width):  # the work arrays of a kt-row tile
             return ([(kt, n, n_draws)] * 8 + [(kt, 1, n)] + [(kt, n, 1)] * 3
                     + [(nt, kt, n), (nt, kt, width)])
-        size = sum(map(math.prod, shapes(tile, narrow)))
+        size = sum(map(math.prod, shapes(tile, widest)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
         if hessian:  # outputs the caller uses at once, reused like the work arrays
@@ -177,21 +208,18 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
             ll, scores = np.empty((k, n)), np.empty((p, k, n))
         hess = np.empty((k, p, p)) if hessian else None
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            start = 0
-            while start < k:  # a row with a count above the cap is a tile of its own
-                widths = amax_row[rows[start:start + tile]]
-                wide = np.flatnonzero(widths > families.BATCH_COUNT_CAP)
-                kt = max(wide[0], 1) if wide.size else len(widths)
-                width = int(widths[:kt].max()) + 1
-                at_tile, start = slice(start, start + kt), start + kt
+            for start in range(0, k, tile):
+                at_tile = slice(start, start + tile)
                 th = theta[at_tile]
-                need = sum(map(math.prod, shapes(kt, width)))
-                if len(floats) < need:  # only an outlier's tile outgrows them
-                    floats = np.empty(need)
-                (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, tabs,
-                 tables) = _carve(floats, *shapes(kt, width))
+                kt, most = len(th), int(amax_row[rows[at_tile]].max())
                 at = np.take(a, rows[at_tile], axis=0, mode="clip",
                              out=ints[:kt * n].reshape(kt, n))
+                if most > TABLE_CAP:  # larger counts read the entries at TAIL_START
+                    wide = np.nonzero(at > TABLE_CAP)
+                    big, at[wide] = at[wide].astype(np.float64), TAIL_START
+                width = (int(at.max()) if most > TABLE_CAP else most) + 1
+                (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, tabs,
+                 tables) = _carve(floats, *shapes(kt, width))
                 np.copyto(afk[..., 0], at)
                 # position of count a of row k in the flattened tables
                 at += width * np.arange(kt)[:, None]
@@ -199,6 +227,10 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                 r = np.exp(-th[:, -1, None, None])
                 _poch_tables(alpha[:, 0], tables)[0] -= lgam[:width]
                 np.take(tables.reshape(nt, -1), at, axis=1, out=tabs, mode="clip")
+                if most > TABLE_CAP:  # ... and add their tails
+                    afk[wide[0], wide[1], 0] = big
+                    tabs[:, wide[0], wide[1]] += _poch_tail(alpha[wide[0], 0, 0], big, nt)
+                    tabs[0][wide] += lgam[TAIL_START] - gammaln(big + 1.0)
                 # wd and tmp are free until the log probabilities are done
                 eta = _eta_draws(th, design, draws, out=(product, wd, tmp))
                 np.exp(eta, out=lam)

@@ -650,10 +650,10 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_an_outlier_count_sends_only_its_row_to_bfgs(monkeypatch):
+def test_an_outlier_count_takes_newton_in_every_stage(monkeypatch):
     table, pieces, theta, outcomes = forced_block()
-    outcomes[3, 5] = 100_000
-    kernels, calls = [], []  # each kernel's counts and Hessian flags; each call's
+    outcomes[3, 5] = 100_000  # an observation of subset B
+    kernels = []  # each kernel's counts and Hessian flags
 
     def recording_kernel(design, draws, counts):
         counts, flags = np.atleast_2d(counts), set()
@@ -662,7 +662,6 @@ def test_an_outlier_count_sends_only_its_row_to_bfgs(monkeypatch):
 
         def recorded(theta, rows, hessian=False):
             flags.add(hessian)
-            calls.append((hessian, counts[rows].max()))
             return kernel(theta, rows, hessian)
         return recorded
 
@@ -670,17 +669,30 @@ def test_an_outlier_count_sends_only_its_row_to_bfgs(monkeypatch):
                         replace(pieces.family, kernel=recording_kernel))
     tracemalloc.start()
     try:
-        _, _, handed = lrtest._replicate_block(pieces, theta, outcomes)
+        x2, reason, handed = lrtest._replicate_block(pieces, theta, outcomes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20e6
-    assert all(top <= lrtest.BATCH_COUNT_CAP for hessian, top in calls if hessian)
-    # the five other rows take Newton in the pooled stage and in the
-    # outlier's subset, and all six in the other subset
+    # all six rows take Newton in each stage, the outlier's in the pooled
+    # stage and in subset B
     newton = [counts for counts, flags in kernels if True in flags]
-    assert sorted(len(counts) for counts in newton) == [5, 5, 6]
-    assert any(counts.max() > lrtest.BATCH_COUNT_CAP
-               for counts, flags in kernels if False in flags)
-    assert handed >= 2  # the outlier's row, in two stages
-    assert_block_matches_serial(table, pieces, theta, outcomes)
+    assert [len(counts) for counts in newton] == [6, 6, 6]
+    assert [counts.max() > negbin.TABLE_CAP for counts in newton] == [True, False, True]
+    # no count hands a row to BFGS: the one hand-off is the outlier's row in
+    # subset A, whose counts are small, at a start (the pooled solution)
+    # where the Hessian is not negative definite
+    bfgs = [counts for counts, flags in kernels if flags == {False}]
+    assert handed == 1 and [len(counts) for counts in bfgs] == [1]
+    np.testing.assert_array_equal(bfgs[0][0], outcomes[3, pieces.mask_a])
+    # the outlier's replicate is kept, and its pooled fit is the one-row
+    # Newton fit; whether a BFGS refit from the same start gets there turns
+    # on its first steps to extreme parameters, so no BFGS reference is used
+    assert reason[3] == "" and np.isfinite(x2[3])
+    design = pieces.designs["all"]
+    alone = families.maximize_rows(pieces.family, design, None, theta[None], outcomes[3:4])
+    assert alone.handed == 0 and alone.ll[0] == pytest.approx(-498.11, abs=0.01)
+    pooled = families.maximize_rows(pieces.family, design, None,
+                                    np.tile(theta, (6, 1)), outcomes)
+    assert pooled.ll[3] == pytest.approx(alone.ll[0], abs=1e-6)
+    assert_block_matches_serial(table, pieces, theta, outcomes[np.arange(6) != 3])

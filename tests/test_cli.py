@@ -234,7 +234,7 @@ def test_lrtest_asymptotic_and_mc(workdir, capsys):
     assert result["replicates_kept"] > 0
     assert sum(result["replicates_dropped_by_reason"].values()) == \
         result["replicates_dropped"]
-    assert "refits by serial fallback" in capsys.readouterr().out
+    assert "refits handed to BFGS" in capsys.readouterr().out
     assert 0.0 <= result["p_mc"] <= 1.0
     assert (workdir / "lrmc.hist.csv").exists()
 
@@ -318,6 +318,17 @@ def test_nonconverged_fit_exits_one(workdir):
                  "--out", str(workdir / "sepfit")]) == 1
     fit = json.loads((workdir / "sepfit.json").read_text())
     assert fit["converged"] is False
+
+
+def test_fit_of_a_count_of_a_trillion_writes_its_result(workdir):
+    lines = (workdir / "nb_data.csv").read_text().splitlines()
+    lines[8] = lines[8].rsplit(",", 1)[0] + ",1000000000000"  # the count is the last column
+    (workdir / "huge.csv").write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(workdir / "huge.csv"),
+                 "--spec", str(workdir / "nb.ini"),
+                 "--out", str(workdir / "hugefit")]) in (0, 1)
+    fit = json.loads((workdir / "hugefit.json").read_text())
+    assert np.isfinite(fit["ll_converged"])
 
 
 def test_errors_exit_two(workdir, capsys):

@@ -52,11 +52,30 @@ def pochhammer_reference(alpha, a):
 
 @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.05, 0.8, 7.0, 1e3])
 def test_pochhammer_tables_match_mpmath(alpha):
-    tables = negbin._poch_tables(np.array([[alpha]]), np.empty((3, 1, 1001)))[:, 0]
+    cap = negbin.TABLE_CAP
+    tables = negbin._poch_tables(np.array([[alpha]]), np.empty((3, 1, cap + 1)))[:, 0]
     np.testing.assert_array_equal(tables[:, :2], 0.0)
     for a in (2, 3, 10, 100, 1000):
         np.testing.assert_allclose(tables[:, a], pochhammer_reference(alpha, a),
                                    rtol=1e-12, atol=0.0)
+    # above the cap the tables continue in closed form
+    counts = np.array([cap + 1, 10**5, 10**7, 10**9])
+    tails = tables[:, negbin.TAIL_START, None] + negbin._poch_tail(alpha, counts, 3)
+    for a, tail in zip(counts, tails.T):
+        np.testing.assert_allclose(tail, pochhammer_reference(alpha, int(a)),
+                                   rtol=1e-12, atol=0.0)
+    # and so does the pmf; its terms are of order a * log(a), so the sum
+    # keeps their rounding
+    a = 10**12
+    for lam in (3.0, 1e6, 1e12):
+        with mpmath.workdps(60):
+            r, mp_lam = 1 / mpmath.mpf(alpha), mpmath.mpf(lam)
+            terms = (mpmath.loggamma(a + r) - mpmath.loggamma(r) - mpmath.loggamma(a + 1),
+                     r * mpmath.log(r / (r + mp_lam)), a * mpmath.log(mp_lam / (r + mp_lam)))
+            want = float(sum(terms))
+            scale = float(max(mpmath.loggamma(a + 1), abs(a * mpmath.log(mp_lam)),
+                              (r + a) * mpmath.log1p(alpha * mp_lam)))
+        assert abs(nb_logpmf(a, lam, alpha) - want) <= 4 * np.finfo(float).eps * scale
 
 
 def test_logpmf_matches_scipy_parameterization():
@@ -326,8 +345,8 @@ def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
 
 def test_an_outlier_count_widens_only_its_own_tile():
     # one count of 20,000 among 200 rows of 122: tables as wide as that for
-    # a whole tile of 134 rows would take 64 MB; the row takes a tile of its
-    # own, whose tables take 0.5 MB
+    # a whole tile of 134 rows would take 64 MB; tables stop at the cap, and
+    # a tile holds no more table entries than BLOCK_ELEMENTS
     design = build_design(count_table(122, seed=1), NB_SPEC)
     counts = np.tile(design.counts, (200, 1))
     counts[77, 5] = 20_000
@@ -346,6 +365,26 @@ def test_an_outlier_count_widens_only_its_own_tile():
         alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
         for got, want in zip(alone, together, strict=True):
             np.testing.assert_array_equal(got[0], want[k])
+
+
+@pytest.mark.parametrize("hessian", [False, True])
+def test_kernel_memory_does_not_grow_with_the_largest_count(hessian):
+    # one count of a trillion reads the capped tables and adds its tail; one
+    # table as wide as that count would take 8 TB
+    design = build_design(count_table(122, seed=1), NB_SPEC)
+    theta = np.tile([1.0, 0.4, -0.3, np.log(0.8)], (4, 1))
+    peaks = []
+    for count in (10, 10**12):
+        counts = np.tile(design.counts, (4, 1))
+        counts[2, 9] = count
+        tracemalloc.start()
+        try:
+            ll = negbin._kernel(design, None, counts)(theta, np.arange(4), hessian)[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(ll).all()
+    assert peaks[1] < peaks[0] + 1e6
 
 
 def test_a_mixed_fit_without_a_draw_count_names_it():
