@@ -33,9 +33,7 @@ def _settings(args) -> OptimSettings | None:
     # max_iterations is an integer, every other setting a finite number
     typed = {f.name: serialize.integer if f.type == "int" else serialize.number
              for f in fields(OptimSettings)}
-    unknown = set(d) - set(typed)
-    if unknown:
-        raise ValueError(f"unknown optimizer settings {sorted(unknown)}")
+    serialize.known(d, typed, "unknown optimizer settings {}")
     return OptimSettings(**{k: typed[k](v, f"optimizer setting {k}") for k, v in d.items()})
 
 

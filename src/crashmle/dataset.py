@@ -346,9 +346,11 @@ class ModelSpec:
             raise ValueError("model spec has no terms")
         if self.is_severity:
             if len(self.outcomes) < 2:
-                raise ValueError("severity models need at least two outcomes")
+                raise ValueError("severity models need a list of at least two outcomes")
             if len(set(self.outcomes)) != len(self.outcomes):
                 raise ValueError("duplicate outcome labels")
+            if self.base_outcome is None:
+                raise ValueError("severity models need a base outcome")
             if self.base_outcome not in self.outcomes:
                 raise ValueError(
                     f"base outcome {self.base_outcome!r} not in {self.outcomes}")
@@ -362,8 +364,10 @@ class ModelSpec:
                         f"term {t.variable!r} enters {sorted(bad)}; severity terms "
                         f"may only enter non-base outcomes")
         else:
-            if self.outcomes or self.base_outcome is not None:
+            if self.outcomes:
                 raise ValueError("frequency models do not declare outcomes")
+            if self.base_outcome is not None:
+                raise ValueError("frequency models do not declare a base outcome")
             for t in self.terms:
                 if t.outcomes:
                     raise ValueError(
@@ -406,11 +410,18 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        terms = []
+        """The spec a fit or dgp file's ``spec`` object describes, the one
+        validator of both spec formats (:func:`parse_spec` builds that
+        object from INI); an unknown key is an error."""
+        # unknown keys first: a mistyped key is named, not the one it misses
+        serialize.known(serialize.require(d, (), "model spec"), (*_MODEL_KEYS, "terms"),
+                        "unknown keys {} in model spec")
         serialize.require(d, ("family", "terms"), "model spec")
+        terms = []
         for t in serialize.array(d["terms"], "model spec terms"):
             var = serialize.string(serialize.require(t, ("var",), "model spec term")["var"],
                                    "model spec term var")
+            serialize.known(t, _TERM_KEYS, "unknown keys {} in term {!r}", var)
             dist = serialize.string(t.get("dist", "fixed"), f"term {var!r} dist")
             if dist not in _DIST_TO_KIND:
                 raise ValueError(f"term {var!r}: dist must be one of "
@@ -427,6 +438,8 @@ class ModelSpec:
 
 _DIST_TO_KIND = {"fixed": "fixed", "normal": "random_normal", "uniform": "random_uniform"}
 _KIND_TO_DIST = {v: k for k, v in _DIST_TO_KIND.items()}
+#: the keys of a spec object besides ``terms`` (INI's ``[term]`` sections), and of a term
+_MODEL_KEYS, _TERM_KEYS = ("family", "outcomes", "base"), ("var", "outcomes", "dist")
 
 
 def parse_spec(text: str) -> ModelSpec:
@@ -436,11 +449,13 @@ def parse_spec(text: str) -> ModelSpec:
     ``outcomes`` and ``base``) followed by one ``[term]`` section per
     term (keys ``var``, ``outcomes``, ``dist``).  Full-line comments
     start with ``#`` or ``;``.  Unknown sections or keys are errors.
+    ``family`` and ``dist`` are case-insensitive and outcome lists are
+    comma-separated; the sections then make the dict of a fit or dgp
+    file's ``spec`` object, which :meth:`ModelSpec.from_dict` validates.
     """
-    model: dict[str, str] = {}
-    term_dicts: list[dict[str, str]] = []
-    current: dict[str, str] | None = None
-    section = None
+    model: dict | None = None
+    terms: list[dict] = []
+    current = section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -448,12 +463,12 @@ def parse_spec(text: str) -> ModelSpec:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section == "model":
-                if model:
+                if model is not None:
                     raise ValueError(f"line {lineno}: repeated [model] section")
-                current = model
+                current = model = {}
             elif section == "term":
                 current = {}
-                term_dicts.append(current)
+                terms.append(current)
             else:
                 raise ValueError(f"line {lineno}: unknown section [{section}]")
             continue
@@ -462,52 +477,15 @@ def parse_spec(text: str) -> ModelSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        allowed = ("family", "outcomes", "base") if current is model else \
-                  ("var", "outcomes", "dist")
-        if key not in allowed:
+        key, value = key.strip().lower(), value.strip()
+        if key not in (_MODEL_KEYS if current is model else _TERM_KEYS):
             raise ValueError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if key in current:
             raise ValueError(f"line {lineno}: repeated key {key!r}")
-        current[key] = value
-
-    if "family" not in model:
-        raise ValueError("spec is missing family")
-    family = model["family"].strip().lower()
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    severity = family in SEVERITY_FAMILIES
-    if severity:
-        if "outcomes" not in model or "base" not in model:
-            raise ValueError("severity specs must declare outcomes and base")
-        outcomes = tuple(s.strip() for s in model["outcomes"].split(","))
-        base = model["base"]
-    else:
-        for key in ("outcomes", "base"):
-            if key in model:
-                raise ValueError(f"frequency specs must not declare {key!r}")
-        outcomes, base = (), None
-
-    terms = []
-    for i, td in enumerate(term_dicts, start=1):
-        if "var" not in td:
-            raise ValueError(f"term {i} is missing var")
-        dist = td.get("dist", "fixed").strip().lower()
-        if dist not in _DIST_TO_KIND:
-            raise ValueError(
-                f"term {i}: dist must be one of {tuple(_DIST_TO_KIND)}, got {dist!r}")
-        if severity:
-            if "outcomes" not in td:
-                raise ValueError(f"term {i} ({td['var']!r}) is missing outcomes")
-            t_out = tuple(s.strip() for s in td["outcomes"].split(","))
-        else:
-            if "outcomes" in td:
-                raise ValueError(
-                    f"term {i} ({td['var']!r}) lists outcomes in a frequency spec")
-            t_out = ()
-        terms.append(Term(td["var"], t_out, _DIST_TO_KIND[dist]))
-    return ModelSpec(family, tuple(terms), outcomes, base)
+        if key == "outcomes":
+            value = [s.strip() for s in value.split(",")]
+        current[key] = value.lower() if key in ("family", "dist") else value
+    return ModelSpec.from_dict({**(model or {}), "terms": terms})
 
 
 def load_spec(path) -> ModelSpec:

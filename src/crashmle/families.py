@@ -142,7 +142,7 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
         if rows.size:  # the rows' outcomes, copied only when some rows are not
             subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
             res = _ascend(batched(family.kernel(design, draws, subset), hessian),
-                          starts[rows], settings, bfgs=not hessian)
+                          starts[rows], settings)
             theta[rows], ll[rows], converged[rows], iterations[rows], message[rows] = (
                 res.theta, res.ll, res.converged, res.iterations, res.message)
     handed = 0 if draws is not None else rows.size  # the plain rows that went to BFGS

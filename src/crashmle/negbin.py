@@ -161,7 +161,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
     adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
     closure owns one tile's work arrays, sized for a full tile of its
-    widest row, so that repeated calls do not allocate them: each draw's
+    widest tables, so that repeated calls do not allocate them: each draw's
     log probability becomes its posterior share in place.  With
     ``hessian`` the per-observation outputs are work arrays too, valid
     until the next call (see :mod:`crashmle.families`); without, they are
@@ -172,7 +172,10 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                                  dtype=np.int64))
     b, n = a.shape
     amax_row = a.max(axis=1, initial=0)
-    widest = min(int(amax_row.max(initial=0)), TABLE_CAP) + 1
+    widest = int(amax_row.max(initial=0))
+    if widest > TABLE_CAP:  # as a tile's tables: larger counts read the entries at TAIL_START
+        widest = max(int(a.max(initial=0, where=a <= TABLE_CAP)), TAIL_START)
+    widest += 1
     lgam = gammaln(np.arange(widest) + 1.0)
     x = design.x
     # the Hessian's covariate products, (N, T * T); with draws there is no Hessian

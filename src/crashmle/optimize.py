@@ -2,11 +2,11 @@
 
 Every maximization runs one ascent loop, :func:`_ascend`, over B
 independent problems, one per row, each taking Newton steps on the
-Hessians its objective returns or BFGS steps on its own inverse-Hessian
-estimate; the start check, Armijo backtracking, the convergence test
-(the gradient infinity norm, scaled by max(1, |ll|), at most
-``gradient_tolerance``), the step-tolerance stop, the iteration limit
-and the rows' stop messages are shared.  Fits run it through
+Hessians its objective returns or, when it returns None for them, BFGS
+steps on its own inverse-Hessian estimate; the start check, Armijo
+backtracking, the convergence test (the gradient infinity norm, scaled
+by max(1, |ll|), at most ``gradient_tolerance``), the step-tolerance
+stop, the iteration limit and the rows' stop messages are shared.  Fits run it through
 :func:`crashmle.families.maximize_rows`; no fit calls its public
 wrappers :func:`maximize_batch` (Newton) or :func:`maximize` (BFGS).
 Standard errors come from the inverse negative Hessian (analytic when
@@ -93,22 +93,22 @@ def _scaled_gnorm(grad: np.ndarray, ll: np.ndarray) -> np.ndarray:
     return np.abs(grad).max(axis=1) / np.maximum(1.0, np.abs(ll))
 
 
-def _ascend(objective, theta0, settings: OptimSettings | None, bfgs: bool) -> BatchResult:
+def _ascend(objective, theta0, settings: OptimSettings | None) -> BatchResult:
     """The ascent loop over B independent problems, one per row of ``theta0``.
 
     ``objective(theta, rows)`` maps a (K, P) stack of iterates and the
     indices of the K problems they belong to onto (K,) log-likelihoods,
-    (K, P) gradients and (K, P, P) Hessians (None with ``bfgs``).  A row
-    stops when it starts non-finite, passes the gradient test, meets a
-    Hessian that is not negative definite (Newton) or a zero gradient
-    (BFGS), finds no ascent step, moves less than ``step_tolerance`` or
-    runs out of iterations.
+    (K, P) gradients and (K, P, P) Hessians for Newton steps, or None for
+    BFGS steps, as its first evaluation shows.  A row stops when it starts
+    non-finite, passes the gradient test, meets a Hessian that is not
+    negative definite (Newton) or a zero gradient (BFGS), finds no ascent
+    step, moves less than ``step_tolerance`` or runs out of iterations.
     """
     s = settings or OptimSettings()
     theta = np.array(theta0, dtype=np.float64)
     b, p = theta.shape
     ll, grad, hess = objective(theta, np.arange(b))
-    n_evals = 1
+    n_evals, bfgs = 1, hess is None
     finite = np.isfinite(ll) & np.isfinite(grad).all(axis=1)
     converged = np.zeros(b, dtype=bool)
     converged[finite] = _scaled_gnorm(grad[finite], ll[finite]) <= s.gradient_tolerance
@@ -214,7 +214,7 @@ def maximize(objective, theta0, settings: OptimSettings | None = None) -> Maximi
         ll, grad = objective(theta[0])
         return np.array([float(ll)]), np.array(grad, dtype=np.float64, ndmin=2), None
 
-    res = _ascend(one_row, np.array(theta0, dtype=np.float64)[None], settings, bfgs=True)
+    res = _ascend(one_row, np.array(theta0, dtype=np.float64)[None], settings)
     if res.message[0] == _NOT_FINITE:
         raise OptimizationError(_NOT_FINITE)
     return MaximizeResult(res.theta[0], float(res.ll[0]), bool(res.converged[0]),
@@ -224,11 +224,12 @@ def maximize(objective, theta0, settings: OptimSettings | None = None) -> Maximi
 
 
 def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
-    """Newton maximization of B independent problems at once: the ascent
-    loop on the (K, P, P) Hessians ``objective(theta, rows)`` returns with
-    its log-likelihoods and gradients.  ``iterations`` counts each row's
-    accepted steps."""
-    return _ascend(objective, theta0, settings, bfgs=False)
+    """Maximization of B independent problems at once: the ascent loop on
+    the log-likelihoods, gradients and (K, P, P) Hessians that
+    ``objective(theta, rows)`` returns, by Newton steps (BFGS steps when
+    its Hessians are None).  ``iterations`` counts each row's accepted
+    steps."""
+    return _ascend(objective, theta0, settings)
 
 
 def hessian_fd(objective, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:

@@ -48,6 +48,15 @@ def require(d: dict, keys, what: str) -> dict:
     return d
 
 
+def known(d: dict, keys, message: str, *args) -> dict:
+    """Return ``d``; raise a ValueError with ``message.format(extra, *args)``
+    if ``d`` has keys not among ``keys``, ``extra`` being their sorted list."""
+    extra = sorted(set(d) - set(keys))
+    if extra:
+        raise ValueError(message.format(extra, *args))
+    return d
+
+
 def number(value, what: str) -> float:
     """``value`` as a float; raise a ValueError naming ``what`` unless it
     is a finite JSON number (a boolean is not; Python's ``json`` also

@@ -95,9 +95,7 @@ class CovariateRecipe:
                    "bernoulli": {"p"}, "constant": {"value"}}
         if not isinstance(kind, str) or kind not in allowed:
             raise ValueError(f"recipe kind must be one of {RECIPE_KINDS}, got {kind!r}")
-        extra = set(d) - {"kind"} - allowed[kind]
-        if extra:
-            raise ValueError(f"unknown keys {sorted(extra)} for {kind!r} recipe")
+        serialize.known(d, {"kind", *allowed[kind]}, "unknown keys {} for {!r} recipe", kind)
         return CovariateRecipe(kind, **{
             k: serialize.number(v, f"covariate recipe {k!r}")
             for k, v in d.items() if k != "kind"})
@@ -156,10 +154,14 @@ class DgpConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "DgpConfig":
-        serialize.require(d, ("spec", "params", "covariates", "n"), "dgp config")
+        keys = ("spec", "params", "covariates", "n")
+        serialize.known(serialize.require(d, (), "dgp config"), (*keys, "seed", "influence"),
+                        "unknown keys {} in dgp config")
+        serialize.require(d, keys, "dgp config")
         influence = None
         if d.get("influence") is not None:
             inf = serialize.require(d["influence"], ("distance", "cap"), "dgp influence")
+            serialize.known(inf, ("distance", "cap"), "unknown keys {} in dgp influence")
             influence = (serialize.string(inf["distance"], "dgp influence distance"),
                          serialize.number(inf["cap"], "dgp influence cap"))
         params = serialize.require(d["params"], (), "dgp params")

@@ -353,6 +353,22 @@ def test_simulate_rejects_an_unknown_term_dist(workdir, capsys):
     assert err.startswith("error:") and "'gamma'" in err
 
 
+@pytest.mark.parametrize("mistype, key", [
+    (lambda d: d["spec"]["terms"][1].update(distribution="normal"), "distribution"),
+    (lambda d: d.update(sed=7), "sed"),
+], ids=["term_key", "config_key"])
+def test_simulate_names_an_unknown_dgp_key(workdir, capsys, mistype, key):
+    # a mistyped key must not fall back to its default (x1 fixed, seed 0)
+    d = mnl_dgp().to_dict()
+    mistype(d)
+    (workdir / "bad_dgp.json").write_text(dumps(d))
+    assert main(["simulate", "--dgp", str(workdir / "bad_dgp.json"),
+                 "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown keys") and f"'{key}'" in err
+    assert not (workdir / "x.csv").exists()
+
+
 def test_simulate_names_a_missing_dgp_key(workdir, capsys):
     d = mnl_dgp().to_dict()
     del d["n"]

@@ -444,12 +444,14 @@ def test_parse_spec_frequency():
 
 
 def test_parse_spec_errors():
-    with pytest.raises(ValueError, match="missing family"):
+    with pytest.raises(ValueError, match="missing 'family'"):
         parse_spec("[term]\nvar = x\n")
     with pytest.raises(ValueError, match="unknown section"):
         parse_spec("[model]\nfamily = nb\n[weird]\n")
     with pytest.raises(ValueError, match="repeated \\[model\\]"):
         parse_spec("[model]\nfamily = nb\n[model]\n")
+    with pytest.raises(ValueError, match="line 4: repeated \\[model\\]"):
+        parse_spec("[model]\n[term]\nvar = x\n[model]\nfamily = nb\n")
     with pytest.raises(ValueError, match="unknown key"):
         parse_spec("[model]\nfamily = nb\ncolor = red\n")
     with pytest.raises(ValueError, match="repeated key"):
@@ -460,17 +462,46 @@ def test_parse_spec_errors():
         parse_spec("[model]\nfamily nb\n")
     with pytest.raises(ValueError, match="family must be one of"):
         parse_spec("[model]\nfamily = probit\n")
-    with pytest.raises(ValueError, match="declare outcomes and base"):
+    with pytest.raises(ValueError, match="list of at least two outcomes"):
         parse_spec("[model]\nfamily = mnl\n[term]\nvar = x\noutcomes = a\n")
-    with pytest.raises(ValueError, match="must not declare"):
+    with pytest.raises(ValueError, match="do not declare a base outcome"):
         parse_spec("[model]\nfamily = nb\nbase = a\n[term]\nvar = x\n")
-    with pytest.raises(ValueError, match="missing var"):
+    with pytest.raises(ValueError, match="missing 'var'"):
         parse_spec("[model]\nfamily = nb\n[term]\ndist = normal\n")
-    with pytest.raises(ValueError, match="missing outcomes"):
+    with pytest.raises(ValueError, match="has no outcomes"):
         parse_spec("[model]\nfamily = mnl\noutcomes = a, b\nbase = b\n"
                    "[term]\nvar = x\n")
     with pytest.raises(ValueError, match="dist must be one of"):
         parse_spec("[model]\nfamily = mixed_nb\n[term]\nvar = x\ndist = cauchy\n")
+    with pytest.raises(ValueError, match="need a base outcome"):
+        parse_spec("[model]\nfamily = mnl\noutcomes = a, b\n[term]\nvar = x\noutcomes = a\n")
+    with pytest.raises(ValueError, match="unknown key 'distribution' in \\[term\\]"):
+        parse_spec("[model]\nfamily = nb\n[term]\nvar = x\ndistribution = normal\n")
+
+
+def test_the_readme_spec_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    spec = parse_spec(readme.split("```ini\n")[1].split("```")[0])
+    assert spec.terms[-1] == Term("x1", ("a", "b"), "random_normal")
+
+
+def test_parse_spec_folds_the_case_of_family_and_dist():
+    assert parse_spec("[MODEL]\nFamily = Mixed_NB\n[term]\nvar = x\nDist = Normal\n") == \
+        ModelSpec("mixed_nb", (Term("x", (), "random_normal"),))
+
+
+@pytest.mark.parametrize("mistype, key", [
+    (lambda d: d.update(colour="red"), "colour"),
+    (lambda d: d.update(famly=d.pop("family")), "famly"),
+    (lambda d: d["terms"][1].update(distribution="normal"), "distribution"),
+], ids=["model_key", "mistyped_family", "term_key"])
+def test_spec_from_dict_refuses_an_unknown_key(mistype, key):
+    # a mistyped key is named: a mistyped "dist" must not quietly leave the
+    # coefficient fixed, and "famly" is named rather than the missing "family"
+    d = mnl_spec().to_dict()
+    mistype(d)
+    with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+        ModelSpec.from_dict(d)
 
 
 def test_load_spec_file(tmp_path):

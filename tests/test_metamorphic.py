@@ -1,8 +1,9 @@
 """Metamorphic properties of the plain MNL and NB fits.
 
 A fit must not depend on the order of the rows, on how often the whole
-sample is repeated, on the order of the outcome labels or on the units
-of a covariate.  Each property compares two fits of small seeded
+sample is repeated, on the order or the names of the outcome labels or on
+the units of a covariate, and a logit's choice of base outcome only
+shifts its coefficients.  Each property compares two fits of small seeded
 tables, so it needs no stored reference.  The hypothesis runs are
 derandomized, so every run draws the same examples.
 """
@@ -90,6 +91,54 @@ def test_outcome_label_order_does_not_move_the_fit(seed, order):
     assert got.param_names == want.param_names
     assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-10)
     np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=1e-6, atol=1e-8)
+
+
+def relabel(name: str, new: dict) -> str:
+    """``"x1[a+b]"`` with its outcome labels mapped through ``new``."""
+    var, _, outcomes = name[:-1].partition("[")
+    return f"{var}[{'+'.join(new[o] for o in outcomes.split('+'))}]"
+
+
+@examples
+@given(seed=seeds, names=st.lists(st.text("abcxyz_", min_size=1, max_size=4),
+                                  min_size=3, max_size=3, unique=True))
+def test_renamed_outcome_labels_rename_only_the_parameters(seed, names):
+    new = dict(zip(LABELS, names))
+    table, spec = sample("mnl", seed), SPECS["mnl"]
+    renamed = ModelSpec(spec.family, tuple(Term(t.variable, tuple(new[o] for o in t.outcomes),
+                                                t.kind) for t in spec.terms),
+                        tuple(new[o] for o in spec.outcomes), new[spec.base_outcome])
+    relabelled = ObservationTable(table.columns, np.array([new[o] for o in table.outcome]),
+                                  table.mode)
+    want, got = fit(table, spec), fit(relabelled, renamed)
+    assert got.param_names == tuple(relabel(name, new) for name in want.param_names)
+    assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-10)
+    np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=1e-6, atol=1e-8)
+
+
+def full_mnl(base: str) -> ModelSpec:
+    """Constant and ``x1`` in every outcome but ``base``, each with its own
+    coefficient."""
+    return ModelSpec("mnl", tuple(Term(var, (o,)) for var in (CONSTANT, "x1")
+                                  for o in LABELS if o != base), LABELS, base)
+
+
+@pytest.mark.parametrize("base", ["a", "b"])
+@examples
+@given(seed=seeds)
+def test_a_new_base_outcome_shifts_the_coefficients(base, seed):
+    """Every outcome's utility moves by the new base's, so each new
+    coefficient is the old one minus the old base-``base`` one.  Newton
+    steps map exactly under this linear change of parameters, but the
+    gradient test does not, so one fit may stop an iteration earlier: the
+    tolerances are those of the change of units."""
+    table = sample("mnl", seed)
+    want, got = fit(table, full_mnl("base")), fit(table, full_mnl(base))
+    old = dict(zip(want.param_names, want.theta_hat))
+    shifted = [old.get(f"{var}[{o}]", 0.0) - old[f"{var}[{base}]"]
+               for var, o in (name[:-1].split("[") for name in got.param_names)]
+    assert got.ll_converged == pytest.approx(want.ll_converged, rel=1e-6)
+    np.testing.assert_allclose(got.theta_hat, shifted, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("family", sorted(SPECS))

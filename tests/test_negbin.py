@@ -367,6 +367,26 @@ def test_an_outlier_count_widens_only_its_own_tile():
             np.testing.assert_array_equal(got[0], want[k])
 
 
+def test_a_count_above_the_cap_sizes_tiles_by_the_tables_they_build(monkeypatch):
+    # one count of 1e7 among 500 rows of 122: every tile's tables stop at
+    # TAIL_START + 1 = 1,025 entries, so a tile holds 16,384 // 1,025 = 15
+    # rows (34 tiles), not the 3 that 4,097-wide tables would allow (167 tiles)
+    design = build_design(count_table(122, seed=1), NB_SPEC)
+    counts = np.tile(design.counts, (500, 1))
+    counts[77, 5] = 10**7
+    assert counts.max(where=counts <= negbin.TABLE_CAP, initial=0) < negbin.TAIL_START
+    kernel = negbin._kernel(design, None, counts)
+    theta = np.tile([1.0, 0.4, -0.3, np.log(0.8)], (500, 1))
+    tables = []
+    real = negbin._poch_tables
+    monkeypatch.setattr(negbin, "_poch_tables",
+                        lambda alpha, out: tables.append(out.shape) or real(alpha, out))
+    assert np.isfinite(kernel(theta, np.arange(500), hessian=True)[0]).all()
+    rows = negbin.BLOCK_ELEMENTS // (negbin.TAIL_START + 1)
+    assert len(tables) == -(-500 // rows)  # one call per tile
+    assert {shape[1] for shape in tables[:-1]} == {rows}
+
+
 @pytest.mark.parametrize("hessian", [False, True])
 def test_kernel_memory_does_not_grow_with_the_largest_count(hessian):
     # one count of a trillion reads the capped tables and adds its tail; one

@@ -134,6 +134,19 @@ def test_config_dict_round_trip():
     assert DgpConfig.from_dict(nb_config(n=20).to_dict()) == nb_config(n=20)
 
 
+@pytest.mark.parametrize("where, key, message", [
+    (None, "sed", "unknown keys \\['sed'\\] in dgp config"),
+    ("influence", "capp", "unknown keys \\['capp'\\] in dgp influence"),
+], ids=["config", "influence"])
+def test_config_from_dict_refuses_an_unknown_key(where, key, message):
+    # a mistyped key must not quietly fall back to its default; the spec's
+    # own keys are checked by ModelSpec.from_dict
+    d = mnl_config(n=50, seed=3, influence=("x1", 0.7)).to_dict()
+    (d if where is None else d[where])[key] = 7
+    with pytest.raises(ValueError, match=message):
+        DgpConfig.from_dict(d)
+
+
 def test_true_theta_layout():
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z", (), "random_normal")))
     cfg = DgpConfig(spec, {"constant": 1.0, "z": 0.2, "z:sd": 0.5, "alpha": 0.8},
