@@ -131,8 +131,7 @@ def cmd_lrtest(args) -> int:
                             result.replicates_dropped_by_reason.items())
         print(f"  Monte Carlo p = {result.p_mc:.4f} "
               f"({result.replicates_kept} replicates kept, "
-              f"{result.replicates_dropped} dropped: {reasons}; "
-              f"{result.replicates_serial_fallback} refits handed to BFGS)")
+              f"{result.replicates_dropped} dropped: {reasons})")
     return 0 if result.all_converged else 1
 
 

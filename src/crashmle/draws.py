@@ -100,6 +100,8 @@ class DrawMatrix:
             raise ValueError(f"need at least {MIN_DRAWS} draws, got {n_draws}")
         if n_obs < 1:
             raise ValueError("n_obs must be positive")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
         self.n_obs = n_obs
         self.n_draws = n_draws
         self.dists = tuple(dists)

@@ -28,24 +28,25 @@ logit's per-block softmax (``mnl._block_softmax``) also gives its
 simulated probabilities and effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
-in at most two stacked ascents on the kernel: Newton on its analytic
-Hessians first when there are no draws (plain MNL and NB, concave in
-the coefficients), then BFGS from the same starts for every row still
-not converged.  A design column that is zero on every row leaves its
-coefficient unidentified; such a design is not maximized at all.
+in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:
+Newton on its analytic Hessians when there are no draws (plain MNL and
+NB), each shifted by ``optimize.SHIFT``'s rule where it is not negative
+definite, and BFGS with draws.  A design column that is zero on every
+row leaves its coefficient unidentified; such a design is not maximized
+at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix
-from .optimize import (_NOT_FINITE, FitResult, OptimizationError, OptimSettings,
-                       _ascend, covariance, summarize)
+from .optimize import (BatchResult, FitResult, OptimSettings, covariance,
+                       maximize_batch, summarize)
 
 @dataclass(frozen=True)
 class Family:
@@ -73,86 +74,36 @@ class Family:
 REGISTRY: dict[str, Family] = {}
 
 
-class RowFit(NamedTuple):
-    """One row of a :class:`RowFits`."""
-
-    theta: np.ndarray
-    ll: float
-    converged: bool
-    iterations: int
-    message: str
-
-
-@dataclass
-class RowFits:
-    """Per-row outcome of :func:`maximize_rows`: a (B, P) ``theta`` and
-    (B,) arrays.  A row is ``converged`` when it passed the gradient test
-    at a point ``Family.boundary`` accepts; an ``error`` row was not
-    finite at its start and has a NaN ``ll``.  ``iterations`` counts
-    accepted steps.  ``handed`` counts the rows without draws that
-    Newton did not converge, which went on to BFGS.
-    """
-
-    theta: np.ndarray
-    ll: np.ndarray
-    converged: np.ndarray
-    error: np.ndarray
-    iterations: np.ndarray
-    message: np.ndarray
-    handed: int
-
-    def row(self, i: int = 0) -> RowFit:
-        """Row ``i``; raises the OptimizationError it met."""
-        if self.error[i]:
-            raise OptimizationError(self.message[i])
-        return RowFit(self.theta[i], float(self.ll[i]), bool(self.converged[i]),
-                      int(self.iterations[i]), self.message[i])
-
-
 def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None,
                   starts: np.ndarray, outcomes: np.ndarray | None = None,
-                  settings: OptimSettings | None = None) -> RowFits:
+                  settings: OptimSettings | None = None) -> BatchResult:
     """Maximize ``family``'s likelihood on ``design`` once per row of ``starts``.
 
     Row b fits the outcomes ``outcomes[b]`` (encoded outcome indices or
     counts, (B, N)); without ``outcomes`` the one start row fits the
-    design's own outcomes.  Two stacked ascents on the family's kernel
-    fit the rows: Newton on its Hessians for the rows without draws, then
-    BFGS from the same starts for every row still not converged.  A row
-    not finite at its start is an ``error`` row.  A converged row that
-    ``family.boundary`` rejects is reported not converged with the
-    boundary message.  When a design column is zero on every row, no row
-    is maximized: each is reported not converged at its start, with a
-    message naming the term.
+    design's own outcomes.  One stacked ascent on the family's kernel
+    fits the rows: Newton on its Hessians without draws, BFGS with them.
+    A converged row that ``family.boundary`` rejects is reported not
+    converged with the boundary message.  When a design column is zero
+    on every row, no row is maximized: each is reported not converged at
+    its start, with a message naming the term.
     """
-    b = len(starts)
-    theta, ll = np.array(starts, dtype=np.float64), np.full(b, np.nan)
-    converged, iterations = np.zeros(b, dtype=bool), np.zeros(b, dtype=np.int64)
-    message = np.full(b, "", dtype=object)
+    objective = batched(family.kernel(design, draws, outcomes), hessian=draws is None)
     idle = np.flatnonzero(~design.x.any(axis=0))
     if idle.size:
         names = ", ".join(design.param_names[design.loc_pos[j]] for j in idle)
-        message[:] = (f"not maximized: term {names} is zero on every row, so its "
-                      f"coefficient is not identified")
-        ll = batched(family.kernel(design, draws, outcomes), hessian=False)(
-            theta, np.arange(b))[0]
-        return RowFits(theta, ll, converged, np.zeros(b, dtype=bool), iterations, message, 0)
-    for hessian in (True, False)[draws is not None:]:  # Newton without draws, then BFGS
-        rows = np.flatnonzero(~converged)
-        if rows.size:  # the rows' outcomes, copied only when some rows are not
-            subset = outcomes if outcomes is None or rows.size == b else outcomes[rows]
-            res = _ascend(batched(family.kernel(design, draws, subset), hessian),
-                          starts[rows], settings)
-            theta[rows], ll[rows], converged[rows], iterations[rows], message[rows] = (
-                res.theta, res.ll, res.converged, res.iterations, res.message)
-    handed = 0 if draws is not None else rows.size  # the plain rows that went to BFGS
-    error = message == _NOT_FINITE
-    ll[error] = np.nan
-    for i in np.flatnonzero(converged):
-        boundary = family.boundary(design, theta[i])
+        b, theta = len(starts), np.array(starts, dtype=np.float64)
+        ll, grad, _ = objective(theta, np.arange(b))
+        message = np.full(b, f"not maximized: term {names} is zero on every row, so "
+                             f"its coefficient is not identified", dtype=object)
+        return BatchResult(theta, ll, np.zeros(b, dtype=bool), np.zeros(b, dtype=np.int64),
+                           message, grad, [ll.copy()], 1)
+    res = maximize_batch(objective, starts, settings)
+    for i in np.flatnonzero(res.converged):
+        boundary = family.boundary(design, res.theta[i])
         if boundary is not None:
-            converged[i], message[i] = False, boundary
-    return RowFits(theta, ll, converged, error, iterations, message, handed)
+            res.converged[i], res.message[i] = False, boundary
+    return res
 
 
 def first_row(kernel):
@@ -257,7 +208,7 @@ def fit(table: ObservationTable, spec: ModelSpec,
     at = family.kernel(design, draws, None)(res.theta[None], slice(0, 1),
                                             hessian=draws is None)
     objective = None if draws is None else family.objective(design, draws, None)
-    cov = covariance(objective, res.theta, settings, scores=at[1][0],
+    cov = covariance(objective, res.theta, scores=at[1][0],
                      hessian=at[2][0] if draws is None else None)
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
     alpha = ("alpha",) if spec.is_frequency else ()

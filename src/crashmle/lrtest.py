@@ -128,8 +128,6 @@ class LrTestResult:
     #: drops per DROP_REASONS key; the values sum to replicates_dropped
     replicates_dropped_by_reason: dict = field(
         default_factory=lambda: dict.fromkeys(DROP_REASONS, 0))
-    #: refits without draws that Newton did not converge, handed to BFGS
-    replicates_serial_fallback: int = 0
     seed: int | None = None
     plus_one: bool = False
     histogram_edges: np.ndarray | None = None
@@ -157,7 +155,6 @@ class LrTestResult:
              "replicates_kept": self.replicates_kept,
              "replicates_dropped": self.replicates_dropped,
              "replicates_dropped_by_reason": dict(self.replicates_dropped_by_reason),
-             "replicates_serial_fallback": self.replicates_serial_fallback,
              "seed": self.seed,
              "plus_one": self.plus_one,
              "histogram": None}
@@ -208,7 +205,7 @@ class _Pieces:
 
 def _stages(pieces: _Pieces, starts: np.ndarray, outcomes: np.ndarray | None = None):
     """The pooled fit from every row of ``starts``, then each subset's from
-    its row's pooled solution: the pooled, A and B ``RowFits``.  Row b fits
+    its row's pooled solution: the pooled, A and B ``BatchResult``.  Row b fits
     the pooled outcomes ``outcomes[b]``; without them the one start row
     fits the data's own."""
     fits = []
@@ -298,8 +295,8 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
 
     ``outcomes`` holds one simulated outcome vector of the pooled data
     per row, refitted by :func:`_stages` from ``theta_observed``.
-    Returns the statistics (NaN where dropped), each row's drop reason
-    ("" if kept) and the number of refits Newton handed to BFGS.
+    Returns the statistics (NaN where dropped) and each row's drop reason
+    ("" if kept).
     """
     fits = _stages(pieces, np.tile(theta_observed, (len(outcomes), 1)), outcomes)
     error = np.any([res.error for res in fits], axis=0)
@@ -307,7 +304,7 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
     x2 = -2.0 * (fits[0].ll - fits[1].ll - fits[2].ll)
     reason = np.select([error, ~converged, x2 < -CLAMP_TOL], list(DROP_REASONS), "")
     x2 = np.where(reason == "", np.maximum(x2, 0.0), np.nan)
-    return x2, reason, sum(res.handed for res in fits)
+    return x2, reason
 
 
 def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
@@ -341,22 +338,24 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     pieces = _Pieces(table, spec, flag_column, settings, n_draws)
     fits = _observed(pieces)
     result = _build_result(pieces, fits)
 
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
-    handed = 0
     step = max(BLOCK_ELEMENTS // (table.n_rows * (n_draws if spec.is_mixed else 1)), 1)
     for start in range(0, replicates, step):
         outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
                                       start, min(start + step, replicates))
-        x2, reason, n = _replicate_block(pieces, fits[0].theta, outcomes)
+        x2, reason = _replicate_block(pieces, fits[0].theta, outcomes)
         null_stats.extend(x2[reason == ""])
         for r in reason[reason != ""]:
             by_reason[r] += 1
-        handed += n
     dropped = sum(by_reason.values())
 
     if dropped > max_failure_rate * replicates or dropped == replicates:
@@ -374,7 +373,6 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
 
     return replace(result, p_mc=float(p_mc), replicates_requested=replicates,
                    replicates_kept=kept, replicates_dropped=dropped,
-                   replicates_dropped_by_reason=by_reason,
-                   replicates_serial_fallback=handed, seed=seed, plus_one=plus_one,
+                   replicates_dropped_by_reason=by_reason, seed=seed, plus_one=plus_one,
                    histogram_edges=edges, histogram_counts=counts,
                    null_stats=null_stats)

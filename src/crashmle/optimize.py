@@ -1,25 +1,26 @@
 """Maximizers and post-fit summary machinery.
 
-Every maximization runs one ascent loop, :func:`_ascend`, over B
+Every maximization runs one ascent loop, :func:`maximize_batch`, over B
 independent problems, one per row, each taking Newton steps on the
 Hessians its objective returns or, when it returns None for them, BFGS
-steps on its own inverse-Hessian estimate; the start check, Armijo
+steps on its own inverse-Hessian estimate.  A Newton row whose negative
+Hessian is not positive definite steps on that matrix shifted by a
+multiple of the identity (``SHIFT``); the start check, Armijo
 backtracking, the convergence test (the gradient infinity norm, scaled
 by max(1, |ll|), at most ``gradient_tolerance``), the step-tolerance
-stop, the iteration limit and the rows' stop messages are shared.  Fits run it through
-:func:`crashmle.families.maximize_rows`; no fit calls its public
-wrappers :func:`maximize_batch` (Newton) or :func:`maximize` (BFGS).
-Standard errors come from the inverse negative Hessian (analytic when
-given, else central finite differences of the gradient), with an
-outer-product-of-scores fallback when that matrix is not positive
-definite.
+stop, the iteration limit and the rows' stop messages are shared.  Fits
+run it through :func:`crashmle.families.maximize_rows`; :func:`maximize`
+is its one-row BFGS case, which no fit calls.  Standard errors come
+from the inverse negative Hessian (analytic when given, else central
+finite differences of the gradient), with an outer-product-of-scores
+fallback when that matrix is not positive definite.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +33,13 @@ from .dataset import ModelSpec, expected_param_names
 #: noise (standard errors of 1e13 and more on a fit stopped on a flat
 #: region), so the covariance is reported undefined instead.
 BHHH_MIN_RCOND = 1e-12
+
+#: a Newton row whose negative Hessian (eigenvalues lambda) is not
+#: positive definite steps on it plus ``tau * I``, with ``tau = SHIFT *
+#: max(1, max|lambda|) - min(lambda)``, so that its smallest eigenvalue
+#: becomes SHIFT times its largest magnitude (Nocedal & Wright, Numerical
+#: Optimization, 2nd ed., section 3.4, eq. 3.43)
+SHIFT = 1e-3
 
 _NOT_FINITE = "objective is not finite at the starting point"
 
@@ -48,12 +56,11 @@ class OptimSettings:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-6
     step_tolerance: float = 1e-10
-    hessian_fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("gradient_tolerance", "step_tolerance", "hessian_fd_step"):
+        for name in ("gradient_tolerance", "step_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -76,7 +83,8 @@ class BatchResult:
     False stopped before the gradient test passed, at its last accepted
     iterate; ``iterations`` counts its accepted steps, so its entries of
     ``ll_path`` (the (B,) log-likelihoods at the start and after every
-    iteration) are the first ``iterations + 1``."""
+    iteration) are the first ``iterations + 1``.  An ``error`` row was
+    not finite at its start and has a NaN ``ll``."""
 
     theta: np.ndarray       # (B, P)
     ll: np.ndarray          # (B,)
@@ -87,21 +95,39 @@ class BatchResult:
     ll_path: list
     n_evals: int
 
+    @property
+    def error(self) -> np.ndarray:
+        return self.message == _NOT_FINITE
+
+    def row(self, i: int = 0) -> MaximizeResult:
+        """Row ``i`` (``n_evals`` is the whole batch's); raises the
+        OptimizationError it met."""
+        if self.error[i]:
+            raise OptimizationError(self.message[i])
+        return MaximizeResult(
+            self.theta[i], float(self.ll[i]), bool(self.converged[i]),
+            int(self.iterations[i]), self.n_evals,
+            float(_scaled_gnorm(self.grad[i:i + 1], self.ll[i:i + 1])[0]), self.message[i],
+            [float(v[i]) for v in self.ll_path[:self.iterations[i] + 1]])
+
 
 def _scaled_gnorm(grad: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """Each row's gradient infinity norm over max(1, |ll|)."""
     return np.abs(grad).max(axis=1) / np.maximum(1.0, np.abs(ll))
 
 
-def _ascend(objective, theta0, settings: OptimSettings | None) -> BatchResult:
+def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
     """The ascent loop over B independent problems, one per row of ``theta0``.
 
     ``objective(theta, rows)`` maps a (K, P) stack of iterates and the
     indices of the K problems they belong to onto (K,) log-likelihoods,
     (K, P) gradients and (K, P, P) Hessians for Newton steps, or None for
-    BFGS steps, as its first evaluation shows.  A row stops when it starts
-    non-finite, passes the gradient test, meets a Hessian that is not
-    negative definite (Newton) or a zero gradient (BFGS), finds no ascent
+    BFGS steps, as its first evaluation shows.  Newton tests the stack's
+    negative Hessians with one Cholesky factorization, and per row by
+    eigenvalues only when that fails; a row whose smallest eigenvalue is
+    not positive steps on its matrix shifted by ``SHIFT``'s rule.  A row
+    stops when it starts non-finite, passes the gradient test, meets a
+    non-finite Hessian (Newton) or a zero gradient (BFGS), finds no ascent
     step, moves less than ``step_tolerance`` or runs out of iterations.
     """
     s = settings or OptimSettings()
@@ -110,6 +136,7 @@ def _ascend(objective, theta0, settings: OptimSettings | None) -> BatchResult:
     ll, grad, hess = objective(theta, np.arange(b))
     n_evals, bfgs = 1, hess is None
     finite = np.isfinite(ll) & np.isfinite(grad).all(axis=1)
+    ll[~finite] = np.nan
     converged = np.zeros(b, dtype=bool)
     converged[finite] = _scaled_gnorm(grad[finite], ll[finite]) <= s.gradient_tolerance
     active = finite & ~converged
@@ -141,11 +168,15 @@ def _ascend(objective, theta0, settings: OptimSettings | None) -> BatchResult:
             try:  # one Cholesky of the stack; per-row eigenvalues if some row fails
                 np.linalg.cholesky(neg_h[ok])
             except np.linalg.LinAlgError:
-                ok[ok] = np.linalg.eigvalsh(neg_h[ok])[:, 0] > 0.0
+                lam = np.linalg.eigvalsh(neg_h[ok])
+                low = lam[:, 0] <= 0.0  # these rows step on the shifted matrix
+                lam = lam[low]
+                tau = SHIFT * np.maximum(1.0, np.abs(lam).max(axis=1)) - lam[:, 0]
+                neg_h[np.flatnonzero(ok)[low]] += tau[:, None, None] * np.eye(p)
             direction = np.zeros_like(g)
             direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
             slope = np.einsum("kp,kp->k", direction, g)
-            why = "Hessian not negative definite"
+            why = "Hessian not finite"
         if not ok.all():
             converged[rows[~ok]] = bfgs  # a zero gradient is a stationary point
             message[rows[~ok]] = why
@@ -214,22 +245,8 @@ def maximize(objective, theta0, settings: OptimSettings | None = None) -> Maximi
         ll, grad = objective(theta[0])
         return np.array([float(ll)]), np.array(grad, dtype=np.float64, ndmin=2), None
 
-    res = _ascend(one_row, np.array(theta0, dtype=np.float64)[None], settings)
-    if res.message[0] == _NOT_FINITE:
-        raise OptimizationError(_NOT_FINITE)
-    return MaximizeResult(res.theta[0], float(res.ll[0]), bool(res.converged[0]),
-                          len(res.ll_path) - 1, res.n_evals,
-                          float(_scaled_gnorm(res.grad, res.ll)[0]), res.message[0],
-                          [float(v[0]) for v in res.ll_path[:res.iterations[0] + 1]])
-
-
-def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> BatchResult:
-    """Maximization of B independent problems at once: the ascent loop on
-    the log-likelihoods, gradients and (K, P, P) Hessians that
-    ``objective(theta, rows)`` returns, by Newton steps (BFGS steps when
-    its Hessians are None).  ``iterations`` counts each row's accepted
-    steps."""
-    return _ascend(objective, theta0, settings)
+    res = maximize_batch(one_row, np.array(theta0, dtype=np.float64)[None], settings)
+    return replace(res.row(), iterations=len(res.ll_path) - 1)
 
 
 def hessian_fd(objective, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -277,7 +294,6 @@ def _try_inverse_pd(a: np.ndarray, min_rcond: float = 0.0) -> np.ndarray | None:
 
 
 def covariance(objective, theta_hat: np.ndarray,
-               settings: OptimSettings | None = None,
                scores: np.ndarray | None = None,
                hessian: np.ndarray | None = None) -> CovarianceResult:
     """Parameter covariance at the optimum.
@@ -290,11 +306,10 @@ def covariance(objective, theta_hat: np.ndarray,
     both fail the standard errors are NaN and the method is
     ``"undefined"``.
     """
-    s = settings or OptimSettings()
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     p = theta_hat.size
     if hessian is None:
-        hessian = hessian_fd(objective, theta_hat, s.hessian_fd_step)
+        hessian = hessian_fd(objective, theta_hat)
     cov = _try_inverse_pd(-np.asarray(hessian, dtype=np.float64))
     if cov is not None:
         return CovarianceResult(cov, np.sqrt(np.diag(cov)), "hessian")

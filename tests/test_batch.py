@@ -278,28 +278,59 @@ def test_maximize_batch_solves_each_row():
 
 
 def test_maximize_batch_stops_rows_it_cannot_solve():
-    centers = np.array([[1.0, -2.0], [0.5, 0.5], [0.0, 0.0], [3.0, 1.0]])
-    hessians = np.stack([np.diag([2.0, 1.0]), np.diag([1.0, -1.0]),
-                         np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+    centers = np.array([[1.0, -2.0], [0.5, 0.5], [0.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
+    hessians = np.stack([np.diag([2.0, 1.0]), np.eye(2), np.eye(2),
+                         np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2)])
     objective = quadratic_batch(centers, hessians)
 
-    def with_bad_start(theta, rows):
+    def with_bad_rows(theta, rows):
         ll, grad, hess = objective(theta, rows)
+        # row 1: -(d0**2) / 2 - (d1**2 - 1)**2 / 4, a saddle at its start
+        d = theta[rows == 1] - centers[1]
+        ll[rows == 1] = -0.5 * d[:, 0] ** 2 - 0.25 * (d[:, 1] ** 2 - 1.0) ** 2
+        grad[rows == 1] = np.stack([-d[:, 0], -(d[:, 1] ** 3 - d[:, 1])], axis=1)
+        hess[rows == 1] = [np.diag([-1.0, 1.0 - 3.0 * v ** 2]) for v in d[:, 1]]
         ll[(rows == 2) & np.all(theta == 0.0, axis=1)] = np.nan
+        hess[rows == 4] = np.nan
         return ll, grad, hess
 
-    start = np.full((4, 2), 5.0)
+    start = np.full((5, 2), 5.0)
+    start[1] = centers[1] + [4.5, 0.1]
     start[2] = 0.0
-    res = maximize_batch(with_bad_start, start)
-    # row 1 is a saddle (Hessian not negative definite), row 2 starts NaN
-    np.testing.assert_array_equal(res.converged, [True, False, False, True])
+    res = maximize_batch(with_bad_rows, start)
+    # the saddle row climbs to a maximum on shifted Hessians; row 2 starts
+    # NaN, and row 4's Hessian is not finite
+    np.testing.assert_array_equal(res.converged, [True, True, False, True, False])
     np.testing.assert_allclose(res.theta[[0, 3]], centers[[0, 3]], atol=1e-12)
-    np.testing.assert_array_equal(res.theta[1], start[1])
-    assert res.iterations[1] == 0 and res.iterations[2] == 0
+    np.testing.assert_allclose(np.abs(res.theta[1] - centers[1]), [0.0, 1.0], atol=1e-6)
+    np.testing.assert_array_equal(res.theta[[2, 4]], start[[2, 4]])
+    np.testing.assert_array_equal(res.iterations[[2, 4]], [0, 0])
+    assert np.isnan(res.ll[2]) and list(res.error) == [False, False, True, False, False]
     assert list(res.message) == ["gradient tolerance reached",
-                                 "Hessian not negative definite",
+                                 "gradient tolerance reached",
                                  "objective is not finite at the starting point",
-                                 "gradient tolerance reached"]
+                                 "gradient tolerance reached",
+                                 "Hessian not finite"]
+
+
+def double_well_batch(theta, rows):
+    """Rows of -(t**2 - 1)**2, whose Hessian is not negative definite
+    for |t| < 1/sqrt(3)."""
+    return (-np.sum((theta ** 2 - 1.0) ** 2, axis=1), -4.0 * theta * (theta ** 2 - 1.0),
+            (4.0 - 12.0 * theta ** 2)[:, :, None])
+
+
+def test_maximize_batch_shifts_an_indefinite_hessian_to_reach_a_maximum():
+    start = np.array([[0.1], [-0.3], [0.5], [2.0]])
+    assert np.all(double_well_batch(start, np.arange(4))[2][:3] > 0.0)
+    res = maximize_batch(double_well_batch, start)
+    assert res.converged.all()
+    np.testing.assert_allclose(res.theta[:, 0], [1.0, -1.0, 1.0, 1.0], atol=1e-6)
+    np.testing.assert_allclose(res.ll, 0.0, atol=1e-12)
+    # a row whose start is concave takes the plain Newton steps it takes alone
+    alone = maximize_batch(double_well_batch, start[3:])
+    np.testing.assert_array_equal(alone.theta[0], res.theta[3])
+    assert alone.iterations[0] == res.iterations[3]
 
 
 def test_maximize_batch_stops_rows_whose_line_search_fails():
@@ -571,11 +602,11 @@ def test_a_term_that_is_zero_on_every_row_is_not_maximized(monkeypatch):
 
     def no_maximizer(*args, **kwargs):
         raise AssertionError("an unidentified design was maximized")
-    monkeypatch.setattr(families, "_ascend", no_maximizer)
+    monkeypatch.setattr(families, "maximize_batch", no_maximizer)
     starts = np.zeros((3, design.n_params))
     ys = np.stack([design.y_index, np.roll(design.y_index, 1), design.y_index[::-1]])
     res = families.maximize_rows(families.REGISTRY["mnl"], design, None, starts, ys)
-    assert not res.converged.any() and not res.error.any() and res.handed == 0
+    assert not res.converged.any() and not res.error.any()
     assert all("ind[b]" in m and "not identified" in m for m in res.message)
     np.testing.assert_array_equal(res.theta, starts)
     for y, ll in zip(ys, res.ll):
@@ -595,7 +626,7 @@ def forced_block():
 
 
 def assert_block_matches_serial(table, pieces, theta, outcomes):
-    x2, reason, handed = lrtest._replicate_block(pieces, theta, outcomes)
+    x2, reason = lrtest._replicate_block(pieces, theta, outcomes)
     for k, y in enumerate(outcomes):
         want_x2, want_reason = serial_replicate(table, NB_SPEC, theta, y)
         assert reason[k] == want_reason
@@ -603,7 +634,6 @@ def assert_block_matches_serial(table, pieces, theta, outcomes):
             assert x2[k] == pytest.approx(want_x2, abs=1e-6)
         else:
             assert np.isnan(x2[k])
-    return handed
 
 
 def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
@@ -611,8 +641,7 @@ def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
     outcomes[0, pieces.mask_a] = 0    # all-zero counts in subset A
     outcomes[1, ~pieces.mask_a] = 0   # ... in subset B
     outcomes[2] = 0                   # ... everywhere
-    handed = assert_block_matches_serial(table, pieces, theta, outcomes)
-    assert handed > 0
+    assert_block_matches_serial(table, pieces, theta, outcomes)
 
 
 @pytest.mark.parametrize("spec, table", [(NB_SPEC, nb_table), (MNL_SPEC, mnl_table)],
@@ -669,7 +698,7 @@ def test_an_outlier_count_takes_newton_in_every_stage(monkeypatch):
                         replace(pieces.family, kernel=recording_kernel))
     tracemalloc.start()
     try:
-        x2, reason, handed = lrtest._replicate_block(pieces, theta, outcomes)
+        x2, reason = lrtest._replicate_block(pieces, theta, outcomes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -679,19 +708,16 @@ def test_an_outlier_count_takes_newton_in_every_stage(monkeypatch):
     newton = [counts for counts, flags in kernels if True in flags]
     assert [len(counts) for counts in newton] == [6, 6, 6]
     assert [counts.max() > negbin.TABLE_CAP for counts in newton] == [True, False, True]
-    # no count hands a row to BFGS: the one hand-off is the outlier's row in
-    # subset A, whose counts are small, at a start (the pooled solution)
-    # where the Hessian is not negative definite
-    bfgs = [counts for counts, flags in kernels if flags == {False}]
-    assert handed == 1 and [len(counts) for counts in bfgs] == [1]
-    np.testing.assert_array_equal(bfgs[0][0], outcomes[3, pieces.mask_a])
+    # no stage leaves Newton, not even the outlier's row in subset A, whose
+    # start (the pooled solution) has a Hessian that is not negative definite
+    assert all(flags == {True} for _, flags in kernels)
     # the outlier's replicate is kept, and its pooled fit is the one-row
     # Newton fit; whether a BFGS refit from the same start gets there turns
     # on its first steps to extreme parameters, so no BFGS reference is used
     assert reason[3] == "" and np.isfinite(x2[3])
     design = pieces.designs["all"]
     alone = families.maximize_rows(pieces.family, design, None, theta[None], outcomes[3:4])
-    assert alone.handed == 0 and alone.ll[0] == pytest.approx(-498.11, abs=0.01)
+    assert alone.ll[0] == pytest.approx(-498.11, abs=0.01)
     pooled = families.maximize_rows(pieces.family, design, None,
                                     np.tile(theta, (6, 1)), outcomes)
     assert pooled.ll[3] == pytest.approx(alone.ll[0], abs=1e-6)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from crashmle import lrtest
 from crashmle.cli import main
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
                               build_design, load_csv)
@@ -234,7 +235,7 @@ def test_lrtest_asymptotic_and_mc(workdir, capsys):
     assert result["replicates_kept"] > 0
     assert sum(result["replicates_dropped_by_reason"].values()) == \
         result["replicates_dropped"]
-    assert "refits handed to BFGS" in capsys.readouterr().out
+    assert "replicates kept" in capsys.readouterr().out
     assert 0.0 <= result["p_mc"] <= 1.0
     assert (workdir / "lrmc.hist.csv").exists()
 
@@ -255,6 +256,23 @@ def test_lrtest_rejects_a_replicate_count_below_one(workdir, capsys):
                      "--mc", replicates, "--out", str(workdir / "lr0")]) == 2
         assert "error: replicates must be positive" in capsys.readouterr().err
         assert not (workdir / "lr0.json").exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--bins", "-1"], "bins must be positive"), (["--bins", "0"], "bins must be positive"),
+    (["--seed", "-1"], "seed must be non-negative")], ids=["bins_negative", "bins_zero",
+                                                           "seed_negative"])
+def test_lrtest_refuses_bad_bins_or_seed_before_fitting(workdir, capsys, monkeypatch,
+                                                        option, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+    monkeypatch.setattr(lrtest, "maximize_rows", no_fit)
+    capsys.readouterr()
+    assert main(["lrtest", "--data", str(workdir / "nb_data.csv"),
+                 "--spec", str(workdir / "nb.ini"), "--flag", "flag", "--mc", "30",
+                 *option, "--out", str(workdir / "lr0")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "lr0.json").exists()
 
 
 def influence_args(workdir, n):
@@ -535,8 +553,9 @@ def test_effects_names_a_mistyped_fit_value(mixed_fit, capsys, key, value, messa
     ({"step_tolerance": float("nan")},
      "optimizer setting step_tolerance must be a finite number, got NaN"),
     ([1, 2], "optimizer settings must be a JSON object"),
+    ({"hessian_fd_step": 1e308}, "unknown optimizer settings ['hessian_fd_step']"),
 ], ids=["iterations_string", "tolerance_string", "iterations_float", "iterations_null",
-        "iterations_bool", "step_nan", "list"])
+        "iterations_bool", "step_nan", "list", "retired_fd_step"])
 def test_fit_names_a_mistyped_setting(mixed_fit, capsys, settings, message):
     root, _ = mixed_fit
     (root / "bad_settings.json").write_text(json.dumps(settings))

@@ -200,7 +200,6 @@ def test_mc_null_distribution_properties():
     assert sum(result.replicates_dropped_by_reason.values()) == \
         result.replicates_dropped
     assert isinstance(result.replicates_dropped, int)
-    assert result.replicates_serial_fallback >= 0
     assert result.null_stats.shape == (result.replicates_kept,)
     assert result.null_stats.min() >= 0.0
     exceed = int((result.null_stats >= result.x2).sum())
@@ -283,4 +282,3 @@ def test_mc_result_serialization_excludes_raw_statistics(tmp_path):
     assert d["p_mc"] == result.p_mc
     assert d["pooled"]["label"] == "pooled"
     assert d["replicates_dropped_by_reason"] == result.replicates_dropped_by_reason
-    assert d["replicates_serial_fallback"] == result.replicates_serial_fallback

@@ -184,6 +184,12 @@ def test_draw_matrix_shift_is_seeded_and_deterministic():
     assert not np.array_equal(a.std[0], plain.std[0])
 
 
+@pytest.mark.parametrize("shift", [False, True])
+def test_draw_matrix_refuses_a_negative_seed(shift):
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        DrawMatrix(4, 25, ("normal",), seed=-1, shift=shift)
+
+
 def test_draw_matrix_subset_keeps_each_observations_draws():
     dm = DrawMatrix(n_obs=10, n_draws=25, dists=("normal", "uniform"))
     flagged = np.arange(10) % 3 == 0

@@ -194,21 +194,6 @@ def test_fit_requires_nb_family():
 
 # ----------------------------------------------------------------- mixed
 
-def test_mixed_loglik_collapses_to_plain_at_tiny_scale():
-    table = count_table(80)
-    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
-                                  Term("z2")))
-    design = build_design(table, spec)
-    draws = DrawMatrix.for_design(design, 40)
-    objective = make_mixed_objective(design, draws)
-    theta = np.array([0.8, 0.3, -30.0, -0.2, np.log(0.9)])
-
-    plain = build_design(table, NB_SPEC)
-    ll_plain, _ = nb_loglik(np.array([0.8, 0.3, -0.2, np.log(0.9)]), plain)
-    ll_mixed, _ = objective(theta)
-    assert ll_mixed == pytest.approx(ll_plain, rel=1e-12)
-
-
 def test_mixed_gradient_matches_central_differences():
     table = count_table(60)
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),

@@ -40,8 +40,6 @@ def test_settings_validation():
         OptimSettings(gradient_tolerance=-1.0)
     with pytest.raises(ValueError):
         OptimSettings(step_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimSettings(hessian_fd_step=0.0)
 
 
 def test_maximize_quadratic_exact():

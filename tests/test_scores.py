@@ -6,6 +6,9 @@ the derivatives of those log-likelihoods, and summed they must give the
 objective's gradient.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,39 @@ def test_scores_sum_to_the_objective_gradient(family):
     # the public score functions are the kernel's scores
     np.testing.assert_array_equal(SCORES[family](theta, design, draws),
                                   scores)
+
+
+@pytest.mark.parametrize("family", ["mixed_mnl", "mixed_nb"])
+def test_mixed_loglik_collapses_to_plain_at_tiny_scale(family):
+    """With every mixing log-scale at -60 a mixed kernel is the plain
+    family's kernel at the same locations, and its scale scores vanish."""
+    design, draws, theta = case(family)
+    spec = design.spec
+    plain_spec = replace(spec, family=spec.family.removeprefix("mixed_"),
+                         terms=tuple(replace(t, kind="fixed") for t in spec.terms))
+    scale = [design.scale_pos[j] for j in design.random_terms]
+    theta[scale] = -60.0
+    ll, scores = KERNELS[family](design, draws)(theta)
+    ll_plain, scores_plain = KERNELS[plain_spec.family](
+        build_design(design.table, plain_spec), None)(np.delete(theta, scale))
+    np.testing.assert_allclose(ll, ll_plain, rtol=1e-14, atol=0.0)
+    assert ll.sum() == pytest.approx(ll_plain.sum(), rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(np.delete(scores, scale, axis=1), scores_plain,
+                               rtol=0.0, atol=1e-12)
+    assert np.abs(scores[:, scale]).max() < 1e-20
+
+
+@pytest.mark.parametrize("family", ["mixed_mnl", "mixed_nb"])
+def test_permuted_draw_columns_change_only_the_summation_order(family):
+    """The simulated likelihood averages over its draws, so the same
+    permutation of the draw columns in every random dimension leaves the
+    per-observation log-likelihoods and scores as they were, to rounding."""
+    design, draws, theta = case(family)
+    shuffled = copy.copy(draws)
+    perm = np.random.default_rng(3).permutation(draws.n_draws)
+    shuffled.std = tuple(std[:, perm] for std in draws.std)
+    ll, scores = KERNELS[family](design, draws)(theta)
+    ll_perm, scores_perm = KERNELS[family](design, shuffled)(theta)
+    np.testing.assert_allclose(ll_perm, ll, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scores_perm, scores, rtol=1e-12,
+                               atol=1e-12 * np.abs(scores).max())
