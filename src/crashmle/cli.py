@@ -28,7 +28,7 @@ from .simulate import DgpConfig, generate
 def _settings(args) -> OptimSettings | None:
     if not args.settings:
         return None
-    with open(args.settings, "r", encoding="utf-8") as fh:
+    with open(args.settings, "r", encoding="utf-8-sig") as fh:
         d = serialize.require(json.load(fh), (), "optimizer settings")
     # max_iterations is an integer, every other setting a finite number
     typed = {f.name: serialize.integer if f.type == "int" else serialize.number
@@ -70,7 +70,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_effects(args) -> int:
-    with open(args.fit, "r", encoding="utf-8") as fh:
+    with open(args.fit, "r", encoding="utf-8-sig") as fh:
         fit = FitResult.from_dict(json.load(fh))
     if fit.spec is None:
         raise ValueError("fit file carries no model spec")
@@ -152,7 +152,7 @@ def cmd_influence(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.dgp, "r", encoding="utf-8") as fh:
+    with open(args.dgp, "r", encoding="utf-8-sig") as fh:
         d = serialize.require(json.load(fh), (), "dgp config")
     if args.n is not None:
         d["n"] = args.n

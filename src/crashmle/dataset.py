@@ -181,7 +181,7 @@ def load_csv(path, mode: str, outcome_column: str,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         header = _read_header(csv.reader(fh), path, outcome_column)
         table = _load_typed(fh, header, header.index(outcome_column), mode,
                             outcome_labels)
@@ -233,7 +233,7 @@ def _load_rows(path, mode: str, outcome_column: str,
                outcome_labels=None) -> ObservationTable:
     """:func:`load_csv` one record at a time: drops and counts rows with
     an empty cell and names the line of the first bad one."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, outcome_column)
         out_pos = header.index(outcome_column)
@@ -489,7 +489,7 @@ def parse_spec(text: str) -> ModelSpec:
 
 
 def load_spec(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_spec(fh.read())
 
 

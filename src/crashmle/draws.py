@@ -127,13 +127,12 @@ class DrawMatrix:
         self.std = tuple(std)
 
     @classmethod
-    def for_design(cls, design: DesignMatrix, n_draws: int, seed: int = 0,
-                   skip: int = 10, shift: bool = False) -> "DrawMatrix":
+    def for_design(cls, design: DesignMatrix, n_draws: int, **options) -> "DrawMatrix":
         dists = tuple(_KIND_TO_DIST[design.spec.terms[j].kind]
                       for j in design.random_terms)
         if not dists:
             raise ValueError("design has no random terms")
-        return cls(design.n_obs, n_draws, dists, seed=seed, skip=skip, shift=shift)
+        return cls(design.n_obs, n_draws, dists, **options)
 
     def subset(self, index: np.ndarray) -> "DrawMatrix":
         """Row subset (slice, boolean mask or integer index array), in order:

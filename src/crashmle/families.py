@@ -177,22 +177,20 @@ def fit_draws(fit: FitResult, design: DesignMatrix) -> DrawMatrix | None:
 
 
 def fit(table: ObservationTable, spec: ModelSpec,
-        settings: OptimSettings | None = None,
-        theta0: np.ndarray | None = None, n_draws: int = 200, seed: int = 0,
+        settings: OptimSettings | None = None, n_draws: int = 200, seed: int = 0,
         skip: int = 10, shift: bool = False) -> FitResult:
     """Estimate a model of any family by (simulated) maximum likelihood.
 
-    Maximizes from ``theta0`` (default: the family's start vector) with
-    :func:`maximize_rows`, takes the covariance from the inverse negative
-    Hessian (the kernel's analytic one without draws, central
-    differences of ``family.objective`` with them) with the outer
-    product of the kernel's scores as fallback, and reports mixing
-    scales and alpha on their natural scale with delta-method standard
-    errors.
+    Maximizes from the family's start vector with :func:`maximize_rows`,
+    takes the covariance from the inverse negative Hessian (the kernel's
+    analytic one without draws, central differences of
+    ``family.objective`` with them) with the outer product of the
+    kernel's scores as fallback, and reports mixing scales and alpha on
+    their natural scale with delta-method standard errors.
     ``n_draws``, ``seed``, ``skip`` and ``shift`` set the Halton draw
     matrix of the mixed families and are ignored by the others.
-    ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` are
-    this function for one family each.
+    ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` check
+    the family and forward their options here.
     """
     if spec.is_mixed and n_draws is None:
         raise ValueError("mixed families require n_draws")
@@ -202,8 +200,8 @@ def fit(table: ObservationTable, spec: ModelSpec,
     draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
                      if spec.is_mixed else {})
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
-    start = family.start(design) if theta0 is None else np.asarray(theta0, float)
-    res = maximize_rows(family, design, draws, start[None], settings=settings).row()
+    res = maximize_rows(family, design, draws, family.start(design)[None],
+                        settings=settings).row()
     # the scores and, without draws, the analytic Hessian at the solution
     at = family.kernel(design, draws, None)(res.theta[None], slice(0, 1),
                                             hessian=draws is None)

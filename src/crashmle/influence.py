@@ -21,6 +21,7 @@ from .families import REGISTRY, maximize_rows
 from .optimize import OptimSettings
 
 MAX_GRID_POINTS = 10_000  # most caps in a grid; a larger one is refused unbuilt
+TIE_TOL = 1e-6  # log-likelihoods this close are tied
 
 
 def influence_variable(d, cap: float) -> np.ndarray:
@@ -68,8 +69,8 @@ class InfluenceProfile:
 
 def search_influence(table: ObservationTable, spec: ModelSpec,
                      distance_column: str, d_min: float, d_max: float,
-                     step: float, settings: OptimSettings | None = None,
-                     tie_tol: float = 1e-6) -> InfluenceProfile:
+                     step: float,
+                     settings: OptimSettings | None = None) -> InfluenceProfile:
     """Profile the severity log-likelihood over candidate caps.
 
     Parameters
@@ -80,17 +81,15 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
     d_min, d_max, step : floats
         Inclusive grid ``d_min, d_min + step, ...`` up to ``d_max``, all
         finite, of at most ``MAX_GRID_POINTS`` caps.
-    tie_tol : float
-        Log-likelihood ties within this tolerance resolve to the
-        smallest cap; a profile whose total range is below it is
-        reported flat with a warning.
 
     Every cap is fitted from a zero start by
     :func:`crashmle.families.maximize_rows`.  Once the cap exceeds the
     largest observed distance the capped variable stops changing, so the
     fit and the log-likelihood are bitwise identical from cap to cap.  A
     cap whose fit raises is skipped, and a separated fit is reported not
-    converged, as by :func:`crashmle.families.fit`.
+    converged, as by :func:`crashmle.families.fit`.  Log-likelihood ties
+    within ``TIE_TOL`` resolve to the smallest cap; a profile whose total
+    range is below it is reported flat with a warning.
     """
     if spec.family != "mnl":
         raise ValueError("influence search expects a plain mnl spec")
@@ -126,9 +125,9 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
         raise RuntimeError("no grid point converged; profile is unusable")
     ok = np.where(converged)[0]
     ll_max = lls[ok].max()
-    best = ok[lls[ok] >= ll_max - tie_tol]
+    best = ok[lls[ok] >= ll_max - TIE_TOL]
     d_star = float(grid[best[0]])
-    flat = bool(lls[ok].max() - lls[ok].min() < tie_tol)
+    flat = bool(lls[ok].max() - lls[ok].min() < TIE_TOL)
     if flat:
         warnings.warn("log-likelihood profile is flat over the whole grid; "
                       "the influence distance is not identified", RuntimeWarning)

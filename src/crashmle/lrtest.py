@@ -48,6 +48,8 @@ BLOCK_ELEMENTS = 1 << 18
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
 #: how far below zero a statistic is clamped to zero as optimizer noise
 CLAMP_TOL = 1e-4
+#: largest share of Monte Carlo replicates that may be dropped
+MAX_FAILURE_RATE = 0.2
 
 
 def chi2_sf(x, dof) -> float:
@@ -72,20 +74,19 @@ def chi2_quantile(p: float, dof: float) -> float:
 
 
 def lr_statistic(ll_all: float, ll_a: float, ll_b: float,
-                 params_all: int, params_a: int, params_b: int,
-                 clamp_tol: float = CLAMP_TOL):
+                 params_all: int, params_a: int, params_b: int):
     """Pooling statistic and degrees of freedom.
 
     The statistic is non-negative whenever the subset fits are at least
     as good as the pooled fit restricted to each subset; values inside
-    ``-clamp_tol`` are attributed to optimizer noise and clamped to
+    ``-CLAMP_TOL`` are attributed to optimizer noise and clamped to
     zero with a warning, anything lower is an error.
     """
     dof = params_a + params_b - params_all
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     x2 = -2.0 * (ll_all - ll_a - ll_b)
-    if x2 < -clamp_tol:
+    if x2 < -CLAMP_TOL:
         raise ValueError(
             f"pooled log-likelihood exceeds the subset total by {-x2 / 2:.6g}; "
             f"subset fits did not reach their optima")
@@ -312,8 +313,7 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
                          seed: int = 0, bins: int = 50,
                          settings: OptimSettings | None = None,
                          n_draws: int = 200,
-                         plus_one: bool = False,
-                         max_failure_rate: float = 0.2) -> LrTestResult:
+                         plus_one: bool = False) -> LrTestResult:
     """Parametric-bootstrap pooling test.
 
     Each replicate redraws outcomes from the observed pooled fit and
@@ -323,7 +323,7 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     observed one.  ``plus_one`` switches to the (k+1)/(n+1) estimate.
     Replicates whose refits raise, fail to converge or give a statistic
     below ``-CLAMP_TOL`` (a safety check) are dropped and counted by
-    reason; more than ``max_failure_rate`` of them, or all of them,
+    reason; more than ``MAX_FAILURE_RATE`` of them, or all of them,
     abort the test.
 
     Replicates are processed in blocks of at most ``BLOCK_ELEMENTS``
@@ -358,7 +358,7 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
             by_reason[r] += 1
     dropped = sum(by_reason.values())
 
-    if dropped > max_failure_rate * replicates or dropped == replicates:
+    if dropped > MAX_FAILURE_RATE * replicates or dropped == replicates:
         raise RuntimeError(
             f"{dropped} of {replicates} null replicates failed to converge; "
             f"the null distribution is unreliable")

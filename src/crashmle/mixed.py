@@ -22,7 +22,7 @@ from .dataset import DesignMatrix, ModelSpec, ObservationTable
 from .draws import DrawMatrix, first_primes, halton, is_prime
 from .families import natural_from_internal
 from .mnl import _logit_effects, restricted_loglik
-from .optimize import FitResult, OptimSettings
+from .optimize import FitResult
 from .reporting import EffectsReport
 
 
@@ -101,12 +101,9 @@ def mixed_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
     return families.first_row(mnl._kernel(design, draws))(theta)[1]
 
 
-def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,
-                  settings: OptimSettings | None = None,
-                  n_draws: int = 200, seed: int = 0, skip: int = 10,
-                  shift: bool = False,
-                  theta0: np.ndarray | None = None) -> FitResult:
-    """:func:`crashmle.families.fit` for family ``"mixed_mnl"``.
+def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec, **options) -> FitResult:
+    """:func:`crashmle.families.fit` for family ``"mixed_mnl"``, with the
+    same keyword options (the Halton draws among them).
 
     Mixing scales are estimated as logs and reported as positive
     scales (normal: sd, uniform: half-width spread) with delta-method
@@ -114,8 +111,7 @@ def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mixed_mnl":
         raise ValueError(f"fit_mixed_mnl expects family 'mixed_mnl', got {spec.family!r}")
-    return families.fit(table, spec, settings, theta0, n_draws=n_draws, seed=seed,
-                        skip=skip, shift=shift)
+    return families.fit(table, spec, **options)
 
 
 def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,

@@ -21,7 +21,7 @@ import numpy as np
 from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix, coefficient_draws
-from .optimize import FitResult, OptimSettings
+from .optimize import FitResult
 from .reporting import EffectRow, EffectsReport
 
 #: predictor magnitude beyond which a fit is flagged as separated
@@ -342,10 +342,9 @@ def _separation(design: DesignMatrix, theta: np.ndarray) -> str | None:
     return None
 
 
-def fit_mnl(table: ObservationTable, spec: ModelSpec,
-            settings: OptimSettings | None = None,
-            theta0: np.ndarray | None = None) -> FitResult:
-    """:func:`crashmle.families.fit` for family ``"mnl"`` (all terms fixed).
+def fit_mnl(table: ObservationTable, spec: ModelSpec, **options) -> FitResult:
+    """:func:`crashmle.families.fit` for family ``"mnl"`` (all terms fixed),
+    with the same keyword options.
 
     A solution whose linear predictors exceed 30 in magnitude is
     reported as non-converged with a perfect-separation message: the
@@ -354,7 +353,7 @@ def fit_mnl(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mnl":
         raise ValueError(f"fit_mnl expects family 'mnl', got {spec.family!r}")
-    return families.fit(table, spec, settings, theta0)
+    return families.fit(table, spec, **options)
 
 
 def _term_targets(design: DesignMatrix, variables):

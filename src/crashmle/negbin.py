@@ -329,10 +329,9 @@ def _default_theta0(design: DesignMatrix) -> np.ndarray:
     return theta0
 
 
-def fit_nb(table: ObservationTable, spec: ModelSpec,
-           settings: OptimSettings | None = None,
-           theta0: np.ndarray | None = None) -> FitResult:
-    """:func:`crashmle.families.fit` for family ``"nb"``.
+def fit_nb(table: ObservationTable, spec: ModelSpec, **options) -> FitResult:
+    """:func:`crashmle.families.fit` for family ``"nb"``, with the same
+    keyword options.
 
     The restricted log-likelihood comes from an intercept-only fit of
     the same family, so McFadden's rho-squared measures the covariates'
@@ -341,7 +340,7 @@ def fit_nb(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "nb":
         raise ValueError(f"fit_nb expects family 'nb', got {spec.family!r}")
-    return families.fit(table, spec, settings, theta0)
+    return families.fit(table, spec, **options)
 
 
 def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
@@ -361,12 +360,9 @@ def mixed_nb_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarra
     return families.first_row(_kernel(design, draws))(theta)[1]
 
 
-def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
-                 settings: OptimSettings | None = None,
-                 n_draws: int = 200, seed: int = 0, skip: int = 10,
-                 shift: bool = False,
-                 theta0: np.ndarray | None = None) -> FitResult:
-    """:func:`crashmle.families.fit` for family ``"mixed_nb"``.
+def fit_mixed_nb(table: ObservationTable, spec: ModelSpec, **options) -> FitResult:
+    """:func:`crashmle.families.fit` for family ``"mixed_nb"``, with the
+    same keyword options (the Halton draws among them).
 
     Mixing applies to the coefficients only; alpha is shared across
     draws.  The restricted log-likelihood is the plain intercept-only
@@ -374,8 +370,7 @@ def fit_mixed_nb(table: ObservationTable, spec: ModelSpec,
     """
     if spec.family != "mixed_nb":
         raise ValueError(f"fit_mixed_nb expects family 'mixed_nb', got {spec.family!r}")
-    return families.fit(table, spec, settings, theta0, n_draws=n_draws, seed=seed,
-                        skip=skip, shift=shift)
+    return families.fit(table, spec, **options)
 
 
 def marginal_effects(fit: FitResult, table: ObservationTable,

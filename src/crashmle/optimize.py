@@ -40,6 +40,8 @@ BHHH_MIN_RCOND = 1e-12
 #: becomes SHIFT times its largest magnitude (Nocedal & Wright, Numerical
 #: Optimization, 2nd ed., section 3.4, eq. 3.43)
 SHIFT = 1e-3
+#: relative step of :func:`hessian_fd`'s central differences
+FD_STEP = 1e-5
 
 _NOT_FINITE = "objective is not finite at the starting point"
 
@@ -249,17 +251,17 @@ def maximize(objective, theta0, settings: OptimSettings | None = None) -> Maximi
     return replace(res.row(), iterations=len(res.ll_path) - 1)
 
 
-def hessian_fd(objective, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
+def hessian_fd(objective, theta: np.ndarray) -> np.ndarray:
     """Hessian of the log-likelihood by central differences of the gradient.
 
-    Step for coordinate k is ``rel_step * max(1, |theta_k|)``; the result
+    Step for coordinate k is ``FD_STEP * max(1, |theta_k|)``; the result
     is symmetrized.
     """
     theta = np.asarray(theta, dtype=np.float64)
     p = theta.size
     hess = np.empty((p, p))
     for k in range(p):
-        h = rel_step * max(1.0, abs(theta[k]))
+        h = FD_STEP * max(1.0, abs(theta[k]))
         up = theta.copy()
         up[k] += h
         down = theta.copy()
@@ -438,23 +440,20 @@ class FitResult:
 
 def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,
               param_names, converged: bool, iterations: int, n_obs: int,
-              family: str, theta_internal, se=None, spec=None,
+              family: str, theta_internal, spec=None,
               se_method: str = "hessian", message: str = "",
               n_draws=None, seed=None, skip=None, shift=None) -> FitResult:
     """Assemble a :class:`FitResult`.
 
-    McFadden rho-squared is ``1 - ll / ll_restricted``.  A fit whose
-    converged log-likelihood falls below the restricted one triggers a
-    RuntimeWarning: with a shared optimum that ordering can only come
-    from swapped arguments or a failed maximization.
+    Standard errors are the square roots of ``cov``'s diagonal (NaN
+    without ``cov``); McFadden rho-squared is ``1 - ll / ll_restricted``.
+    A fit whose converged log-likelihood falls below the restricted one
+    triggers a RuntimeWarning: with a shared optimum that ordering can
+    only come from swapped arguments or a failed maximization.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if se is None:
-        if cov is None:
-            se = np.full(theta_hat.size, np.nan)
-        else:
-            se = np.sqrt(np.diag(np.asarray(cov, dtype=np.float64)))
-    se = np.asarray(se, dtype=np.float64)
+    se = (np.full(theta_hat.size, np.nan) if cov is None
+          else np.sqrt(np.diag(np.asarray(cov, dtype=np.float64))))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_ratios = np.where(se > 0, theta_hat / se, np.nan)
     if ll < ll_restricted - 1e-8 * max(1.0, abs(ll_restricted)):

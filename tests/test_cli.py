@@ -1,16 +1,21 @@
 """End-to-end command-line workflows in a temporary directory."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashmle import lrtest
 from crashmle.cli import main
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
-                              build_design, load_csv)
+                              build_design, load_csv, load_spec)
 from crashmle.draws import DrawMatrix
 from crashmle.mixed import mixed_effects
 from crashmle.optimize import FitResult
@@ -155,6 +160,32 @@ def test_fit_json_is_byte_identical_across_reruns(workdir):
     assert main(args + ["--out", str(workdir / "r2")]) == 0
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
     assert (workdir / "r1.txt").read_bytes() == (workdir / "r2.txt").read_bytes()
+
+
+def test_inputs_with_a_utf8_byte_order_mark_read_as_without(workdir):
+    """Spreadsheet tools often start a file with a byte-order mark."""
+    (workdir / "settings.json").write_text('{"max_iterations": 150}')
+    for name in ("mnl_data.csv", "mnl.ini", "settings.json", "mnl_dgp.json"):
+        (workdir / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (workdir / name).read_bytes())
+    for prefix in ("", "bom_"):
+        assert main(["fit", "--data", str(workdir / f"{prefix}mnl_data.csv"),
+                     "--spec", str(workdir / f"{prefix}mnl.ini"),
+                     "--settings", str(workdir / f"{prefix}settings.json"),
+                     "--out", str(workdir / f"{prefix}fit")]) == 0
+        assert main(["simulate", "--dgp", str(workdir / f"{prefix}mnl_dgp.json"),
+                     "--out", str(workdir / f"{prefix}sim")]) == 0
+    assert load_spec(workdir / "bom_mnl.ini") == load_spec(workdir / "mnl.ini")
+    want, got = (load_csv(workdir / f"{prefix}mnl_data.csv", "severity", "outcome")
+                 for prefix in ("", "bom_"))
+    assert list(got.columns) == list(want.columns) == ["flag", "x1"]
+    assert all(np.array_equal(got.columns[k], want.columns[k]) for k in want.columns)
+    assert np.array_equal(got.outcome, want.outcome)
+    assert (workdir / "bom_fit.json").read_bytes() == (workdir / "fit.json").read_bytes()
+    assert (workdir / "bom_sim.csv").read_bytes() == (workdir / "sim.csv").read_bytes()
+    (workdir / "bom_fit.json").write_bytes(b"\xef\xbb\xbf" + (workdir / "fit.json").read_bytes())
+    assert main(["effects", "--fit", str(workdir / "bom_fit.json"),
+                 "--data", str(workdir / "bom_mnl_data.csv"), "--type", "elasticity",
+                 "--vars", "x1", "--out", str(workdir / "bom_elas")]) == 0
 
 
 def test_mixed_fit_requires_draws(workdir):
@@ -579,3 +610,97 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "crashmle" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """Small inputs for every subcommand: the files and, for each command,
+    its argv, its numeric flags and the JSON input it reads (or None)."""
+    root = tmp_path_factory.mktemp("small_inputs")
+    write_dgp(root / "mnl_dgp.json", mnl_dgp(n=120))
+    write_dgp(root / "nb_dgp.json", nb_dgp(n=120))
+    (root / "mnl.ini").write_text(MNL_SPEC_TEXT)
+    (root / "nb.ini").write_text(NB_SPEC_TEXT)
+    (root / "mixed.ini").write_text(MIXED_SPEC_TEXT)
+    (root / "settings.json").write_text('{"max_iterations": 100, "gradient_tolerance": 1e-6}')
+    for name in ("mnl", "nb"):
+        assert main(["simulate", "--dgp", str(root / f"{name}_dgp.json"),
+                     "--out", str(root / f"{name}_data")]) == 0
+    assert main(["fit", "--data", str(root / "mnl_data.csv"), "--spec", str(root / "mnl.ini"),
+                 "--out", str(root / "mnl_fit")]) == 0
+    out = str(root / "out")
+    nb_data = ["--data", str(root / "nb_data.csv"), "--spec", str(root / "nb.ini")]
+    settings_file = ["--settings", str(root / "settings.json")]
+    commands = {
+        "simulate": (["simulate", "--dgp", str(root / "mnl_dgp.json"), "--n", "40",
+                      "--seed", "3"], ("--n", "--seed"), root / "mnl_dgp.json"),
+        "fit": (["fit", *nb_data, *settings_file], (), root / "settings.json"),
+        "fit_mixed": (["fit", "--data", str(root / "mnl_data.csv"),
+                       "--spec", str(root / "mixed.ini"), "--draws", "25", "--seed", "1",
+                       "--skip", "10", "--shift"], ("--draws", "--seed", "--skip"), None),
+        "effects": (["effects", "--fit", str(root / "mnl_fit.json"),
+                     "--data", str(root / "mnl_data.csv"), "--type", "elasticity",
+                     "--vars", "x1"], (), root / "mnl_fit.json"),
+        "lrtest": (["lrtest", *nb_data, "--flag", "flag", "--mc", "5", "--seed", "2",
+                    "--bins", "10", "--draws", "25", *settings_file],
+                   ("--mc", "--seed", "--bins", "--draws"), root / "settings.json"),
+        "influence": ([*influence_args(root, 200)[:-2], "--dmin", "0.3", "--dmax", "0.7",
+                       "--step", "0.2"], ("--dmin", "--dmax", "--step"), None),
+    }
+    for argv, _, _ in commands.values():
+        assert main([*argv, "--out", out]) == 0, argv
+    return root, out, commands
+
+
+def json_paths(doc, path=()):
+    """Every path into a JSON document, the root's included."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def json_type(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+OTHER_VALUES = (None, True, "x", 0.5, 3, [], {})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_cli_exits_cleanly_on_a_bad_flag_or_json_value(small_inputs, data):
+    """A numeric flag set to 0, -1, NaN or +-inf, or one JSON value
+    replaced by one of another type, ends in exit 0, 1 or 2 (argparse's
+    included), with an ``error:`` line on exit 2, no other exception and
+    no numpy floating-point warning."""
+    root, out, commands = small_inputs
+    argv, flags, json_input = commands[data.draw(st.sampled_from(sorted(commands)))]
+    argv = [*argv, "--out", out]
+    if flags and (json_input is None or data.draw(st.booleans())):
+        flag = data.draw(st.sampled_from(flags))
+        argv[argv.index(flag) + 1] = data.draw(st.sampled_from(
+            ["0", "-1", "nan", "inf", "-inf"]))
+    else:
+        holder = [json.loads(json_input.read_text())]  # so that the root has a parent
+        path = data.draw(st.sampled_from(list(json_paths(holder[0], (0,)))))
+        parent = holder
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from(
+            [v for v in OTHER_VALUES if json_type(v) != json_type(parent[path[-1]])]))
+        (root / "mutated.json").write_text(json.dumps(holder[0]))
+        argv[argv.index(str(json_input))] = str(root / "mutated.json")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "error:" in stderr.getvalue(), (argv, stderr.getvalue())
+    assert not [w for w in caught if "encountered in" in str(w.message)], argv

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crashmle import influence
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term
 from crashmle.influence import InfluenceProfile, influence_variable, search_influence
 from crashmle.simulate import CovariateRecipe, DgpConfig, gen_influence
@@ -61,11 +62,11 @@ def test_lls_are_exactly_flat_beyond_the_largest_distance():
     assert profile.d_star == 2.0  # smallest tied cap wins
 
 
-def test_ties_resolve_to_the_smallest_cap():
+def test_ties_resolve_to_the_smallest_cap(monkeypatch):
+    monkeypatch.setattr(influence, "TIE_TOL", np.inf)
     table = influence_table(n=500, seed=4)
     with pytest.warns(RuntimeWarning, match="flat"):
-        profile = search_influence(table, SPEC, "d", 0.25, 3.0, 0.25,
-                                   tie_tol=np.inf)
+        profile = search_influence(table, SPEC, "d", 0.25, 3.0, 0.25)
     assert profile.d_star == 0.25
 
 

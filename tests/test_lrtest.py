@@ -264,13 +264,13 @@ def test_mc_aborts_when_replicates_cannot_converge():
                                  settings=strangled)
 
 
-def test_mc_aborts_when_every_replicate_is_dropped():
+def test_mc_aborts_when_every_replicate_is_dropped(monkeypatch):
+    monkeypatch.setattr(lrtest, "MAX_FAILURE_RATE", 1.0)
     table = nb_table_with_flag(150, seed=4)
     with pytest.warns(RuntimeWarning, match="did not converge"):
         with pytest.raises(RuntimeError, match="10 of 10"):
             mc_null_distribution(table, NB_SPEC, "flag", replicates=10, seed=0,
-                                 settings=OptimSettings(max_iterations=1),
-                                 max_failure_rate=1.0)
+                                 settings=OptimSettings(max_iterations=1))
 
 
 def test_mc_result_serialization_excludes_raw_statistics(tmp_path):

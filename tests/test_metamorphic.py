@@ -1,11 +1,14 @@
-"""Metamorphic properties of the plain MNL and NB fits.
+"""Metamorphic properties of the plain MNL and NB fits and of the mixed
+likelihoods.
 
 A fit must not depend on the order of the rows, on how often the whole
 sample is repeated, on the order or the names of the outcome labels or on
 the units of a covariate, and a logit's choice of base outcome only
-shifts its coefficients.  Each property compares two fits of small seeded
-tables, so it needs no stored reference.  The hypothesis runs are
-derandomized, so every run draws the same examples.
+shifts its coefficients.  A mixed kernel evaluated on permuted rows, each
+with its own draws, gives the permuted per-observation outputs.  Each
+property compares two evaluations on small seeded tables, so it needs no
+stored reference.  The hypothesis runs are derandomized, so every run
+draws the same examples.
 """
 
 import numpy as np
@@ -14,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashmle import families
-from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term
+from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
+from crashmle.draws import DrawMatrix
 
 N = 300
 LABELS = ("a", "b", "base")
@@ -23,6 +27,13 @@ SPECS = {
                              Term("x1", ("a",)), Term("x1", ("b",)),
                              Term("x2", ("a",))), LABELS, "base"),
     "nb": ModelSpec("nb", (Term(CONSTANT), Term("x1"), Term("x2"))),
+}
+MIXED_SPECS = {
+    "mnl": ModelSpec("mixed_mnl", (Term(CONSTANT, ("a",)), Term(CONSTANT, ("b",)),
+                                   Term("x1", ("a",), "random_normal"),
+                                   Term("x2", ("b",), "random_uniform")), LABELS, "base"),
+    "nb": ModelSpec("mixed_nb", (Term(CONSTANT), Term("x1", (), "random_normal"),
+                                 Term("x2", (), "random_uniform"))),
 }
 
 examples = settings(derandomize=True, max_examples=8, deadline=None)
@@ -159,3 +170,25 @@ def test_covariate_units_scale_only_its_coefficients(family, seed, power):
                                rtol=1e-5, atol=1e-8)
     assert got.iterations <= 2 * max(want.iterations, 1)
     assert want.iterations <= 2 * max(got.iterations, 1)
+
+
+@pytest.mark.parametrize("family", sorted(MIXED_SPECS))
+@examples
+@given(seed=seeds)
+def test_mixed_rows_permuted_with_their_draws_permute_the_kernel(family, seed):
+    """The simulated likelihood of a row depends on that row and its own
+    draws alone, so permuting both permutes each observation's
+    log-likelihood and scores."""
+    table, spec = sample(family, seed), MIXED_SPECS[family]
+    rng = np.random.default_rng(seed + 1)
+    perm = rng.permutation(N)
+    design = build_design(table, spec)
+    draws = DrawMatrix.for_design(design, 50)
+    theta = rng.normal(0.0, 0.5, design.n_params + spec.is_frequency)
+    kernel = families.REGISTRY[spec.family].kernel
+    ll, scores = families.first_row(kernel(design, draws))(theta)
+    ll_p, scores_p = families.first_row(kernel(build_design(table.subset(perm), spec),
+                                               draws.subset(perm)))(theta)
+    np.testing.assert_allclose(ll_p, ll[perm], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scores_p, scores[perm], rtol=1e-12,
+                               atol=1e-12 * np.abs(scores).max())

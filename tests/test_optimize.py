@@ -296,13 +296,15 @@ def test_fit_result_round_trip():
     from crashmle.dataset import ModelSpec, Term
 
     spec = ModelSpec("mixed_nb", (Term("constant"), Term("z", (), "random_normal")))
+    # a correctly rounded square root undoes a square: the errors are 0.1, 0.2, NaN, 0.3
     fit = summarize(np.array([1.0, 0.5, 2.0, 0.8]),
-                    None, ll=-50.0, ll_restricted=-80.0,
+                    np.diag(np.square([0.1, 0.2, np.nan, 0.3])),
+                    ll=-50.0, ll_restricted=-80.0,
                     param_names=("constant", "z", "z:sd", "alpha"),
                     converged=True, iterations=12, n_obs=100,
                     family="mixed_nb",
                     theta_internal=np.array([1.0, 0.5, np.log(2.0), np.log(0.8)]),
-                    se=np.array([0.1, 0.2, np.nan, 0.3]), spec=spec,
+                    spec=spec,
                     se_method="bhhh", n_draws=100, seed=4, skip=500, shift=True)
     back = FitResult.from_dict(fit.to_dict())
     assert back.param_names == fit.param_names
