@@ -22,8 +22,8 @@ from . import serialize
 SEVERITY = "severity"
 FREQUENCY = "frequency"
 MODES = (SEVERITY, FREQUENCY)
-#: rows ``ObservationTable.to_csv`` converts to text at a time, column by
-#: column; the chunks bound the Python objects it holds
+#: rows ``ObservationTable.to_csv`` joins into one string at a time, column
+#: by column; the chunks bound the Python objects and the text it holds
 _CSV_CHUNK_ROWS = 1 << 12
 
 FAMILIES = ("mnl", "mixed_mnl", "nb", "mixed_nb")
@@ -106,17 +106,27 @@ class ObservationTable:
         return ObservationTable(cols, self.outcome[index].copy(), self.mode, 0)
 
     def to_csv(self, path, outcome_column: str = "outcome") -> None:
-        """Write the table as RFC-4180 CSV; floats use shortest round-trip form."""
+        """Write the table as RFC-4180 CSV, floats in shortest round-trip form:
+        ``csv.writer``'s bytes, written a joined chunk of rows at a time."""
         if outcome_column in self.columns:
             raise ValueError(f"outcome column name {outcome_column!r} clashes with a covariate")
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.columns) + [outcome_column])
+            csv.writer(fh).writerow(list(self.columns) + [outcome_column])
             for a in range(0, self.n_rows, _CSV_CHUNK_ROWS):
                 part = slice(a, a + _CSV_CHUNK_ROWS)
                 cells = [map(repr, col[part].tolist()) for col in self.columns.values()]
-                cells.append(map(str, self.outcome[part].tolist()))
-                writer.writerows(zip(*cells))
+                outcome = self.outcome[part].tolist()
+                field = str if self.mode == FREQUENCY else {
+                    v: _csv_field(str(v), bool(cells)) for v in set(outcome)}.__getitem__
+                cells.append(map(field, outcome))
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_field(cell: str, in_row: bool) -> str:
+    """``cell`` as ``csv.writer`` writes it: quoted, its quotes doubled, when
+    it holds a comma, a quote, CR or LF, or is empty and its row's only cell."""
+    quote = any(c in cell for c in ',"\r\n') or not (cell or in_row)
+    return '"' + cell.replace('"', '""') + '"' if quote else cell
 
 
 def _parse_count(cell: str, where: str) -> int:
@@ -216,12 +226,12 @@ def _load_typed(fh, header, out_pos, mode, outcome_labels):
             return None
     outcome = data[str(out_pos)]
     if mode == SEVERITY:
-        labels = [label.strip() for label in outcome.tolist()]
-        seen = set(labels)
-        if "" in seen or (outcome_labels is not None
-                          and not seen <= set(outcome_labels)):
+        outcome = np.strings.strip(outcome.astype(str))
+        width = np.strings.str_len(outcome)  # the row loop's: the longest label's
+        if not width.all() or (outcome_labels is not None
+                               and not np.isin(outcome, outcome_labels).all()):
             return None
-        outcome = np.asarray(labels)
+        outcome = outcome.astype(f"U{width.max()}")
     elif np.any(outcome < 0):
         return None
     columns = {name: np.ascontiguousarray(data[str(i)])
@@ -572,15 +582,16 @@ class DesignMatrix:
                 for label in t.outcomes:
                     inc[j, spec.outcomes.index(label)] = 1.0
             self.incidence = _readonly(inc)
-            lookup = {label: i for i, label in enumerate(spec.outcomes)}
-            try:
-                y = np.fromiter((lookup[label] for label in table.outcome),
-                                dtype=np.int64, count=self.n_obs)
-            except KeyError as exc:
+            # each label's place among the sorted outcomes, then its index
+            order = np.argsort(spec.outcomes)
+            ranked = np.asarray(spec.outcomes)[order]
+            at = np.searchsorted(ranked, table.outcome.astype(str, copy=False)).clip(max=n_out - 1)
+            unknown = np.flatnonzero(ranked[at] != table.outcome)
+            if unknown.size:
                 raise ValueError(
-                    f"outcome label {exc.args[0]!r} not in spec outcomes "
-                    f"{spec.outcomes}") from None
-            self.y_index = _readonly(y)
+                    f"outcome label {table.outcome[unknown[0]]!r} not in spec outcomes "
+                    f"{spec.outcomes}")
+            self.y_index = _readonly(order[at])
             self.counts = None
         else:
             self.outcome_labels = ()

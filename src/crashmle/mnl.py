@@ -214,7 +214,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     # outcomes some term enters; only their probabilities reach the scores
     scored = np.flatnonzero(inc.any(axis=0))
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
-    ii = (to_terms[:, :, None] * to_terms[:, None, :]).reshape(len(scored), -1)
+    term_sets = [np.flatnonzero(row) for row in to_terms]
     n_draws = 1 if draws is None else draws.n_draws
     slots = slot, enters, std = _slots(design, draws)
     fixed, random, n_slots = np.flatnonzero(slot == 0), tuple(enters), np.count_nonzero(slot) + 1
@@ -300,11 +300,16 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                 scores[:, b, design.scale_pos[j]] = (
                     x[b, j] * (top.sum(axis=-1) / total) * sd[j][..., 0])
             if hessian:
-                # d v_ni / d theta_t = x_nt inc_ti, paired per outcome
-                xx = (x[b, :, None] * x[b, None, :]).reshape(-1, t * t)
-                pdd = ((ps.transpose(0, 2, 1) @ xx) * ii).sum(axis=1)
-                hess += mass.transpose(0, 2, 1) @ mass - pdd.reshape(k, t, t)
+                # d v_ni / d theta_t = x_nt inc_ti: the mass products, less
+                # x_S' diag(p_i) x_S on the terms S entering each outcome i
+                hess += mass.transpose(0, 2, 1) @ mass
+                for i, terms in enumerate(term_sets):
+                    xs = x[b, terms]
+                    hess[:, terms[:, None], terms] -= (
+                        (ps[..., i, None] * xs).transpose(0, 2, 1) @ xs)
         ll[over], scores[over] = -np.inf, 0.0
+        if hessian:  # the matmuls' rounding leaves it a few ulps from symmetric
+            hess = 0.5 * (hess + hess.transpose(0, 2, 1))
         return (ll, scores, hess) if hessian else (ll, scores)
 
     return kernel

@@ -122,6 +122,8 @@ class DgpConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"dgp seed must be non-negative, got {self.seed}")
         expected = set(expected_param_names(self.spec))
         got = set(self.params)
         if expected != got:

@@ -428,6 +428,22 @@ def test_simulate_names_a_missing_dgp_key(workdir, capsys):
     assert err.startswith("error:") and "'n'" in err
 
 
+@pytest.mark.parametrize("where", ["flag", "dgp_file"])
+def test_simulate_names_a_negative_seed(workdir, capsys, where):
+    d = mnl_dgp().to_dict()
+    extra = []
+    if where == "flag":
+        extra = ["--seed", "-1"]
+    else:
+        d["seed"] = -1
+    (workdir / "seed_dgp.json").write_text(dumps(d))
+    assert main(["simulate", "--dgp", str(workdir / "seed_dgp.json"),
+                 "--out", str(workdir / "x"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dgp seed" in err and "-1" in err
+    assert not (workdir / "x.csv").exists()
+
+
 def _params_as_list(d):
     d["params"] = [1, 2]
     return d

@@ -1,13 +1,16 @@
 """Tables, CSV ingestion, model specs, and design-matrix packing."""
 
+import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crashmle import dataset
 from crashmle.dataset import (
     CONSTANT,
     DesignMatrix,
@@ -221,6 +224,53 @@ def test_csv_round_trip_is_bit_exact(table):
     for name, values in table.columns.items():
         assert back.columns[name].tobytes() == values.tobytes(), name
     assert back.outcome.tolist() == table.outcome.tolist()
+
+
+def _csv_writer_bytes(table, path, outcome_column="outcome"):
+    """The reference file: the header and the ``repr`` and ``str`` cells of
+    every row passed to ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.columns) + [outcome_column])
+        cells = [map(repr, col.tolist()) for col in table.columns.values()]
+        cells.append(map(str, table.outcome.tolist()))
+        writer.writerows(zip(*cells))
+    return Path(path).read_bytes()
+
+
+#: labels with every character ``csv.writer`` quotes, padding spaces,
+#: non-ASCII text and the empty label
+_WRITER_LABELS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "#", "a",
+                                          "b", "é", "事"]), max_size=6)
+
+
+@st.composite
+def writer_tables(draw):
+    """A table with no to four covariates, of severity labels (as a string
+    or an object array) or of counts up to 2**63 - 1."""
+    names = draw(st.lists(NAMES.filter(lambda v: v != "outcome"), max_size=4,
+                          unique=True))
+    n = draw(st.integers(0, 9))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    cols = {name: np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+            for name in names}
+    if draw(st.booleans()):
+        labels = draw(st.lists(_WRITER_LABELS, min_size=n, max_size=n))
+        dtype = draw(st.sampled_from([str, object]))
+        return ObservationTable(cols, np.array(labels, dtype=dtype), "severity")
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+    return ObservationTable(cols, np.array(counts, dtype=np.int64), "frequency")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(writer_tables(), st.integers(1, 4))
+def test_to_csv_writes_the_bytes_of_csv_writer(table, chunk_rows):
+    # chunks of a few rows put chunk boundaries inside the small tables
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_CSV_CHUNK_ROWS", chunk_rows):
+        table.to_csv(Path(tmp) / "data.csv")
+        written = (Path(tmp) / "data.csv").read_bytes()
+        assert written == _csv_writer_bytes(table, Path(tmp) / "reference.csv")
 
 
 def test_load_csv_skips_blank_lines(tmp_path):
@@ -574,6 +624,29 @@ def test_design_layout_severity():
     assert list(d.y_index) == [0, 1, 2, 0, 1, 2]
     assert d.counts is None
     assert d.n_outcomes == 3
+
+
+@pytest.mark.parametrize("dtype", [str, object])
+def test_design_encodes_prefix_labels_against_an_unsorted_outcome_order(dtype):
+    labels = ["ab", "a", "base", "b", "ab", "a", "b"]
+    outcomes = ("b", "ab", "base", "a")
+    spec = ModelSpec("mnl", (Term("x", ("ab", "a")), Term("x", ("b",))), outcomes, "base")
+    table = ObservationTable({"x": np.arange(7.0)}, np.array(labels, dtype=dtype),
+                             "severity")
+    d = build_design(table, spec)
+    assert d.y_index.tolist() == [outcomes.index(v) for v in labels]
+    assert d.y_index.dtype == np.int64
+
+
+@pytest.mark.parametrize("dtype, shown", [(str, "np.str_('zz')"), (object, "'zz'")])
+def test_design_names_the_first_unknown_label_in_row_order(dtype, shown):
+    # "ab" and "c" sort before "zz", and "ab" extends a known label
+    spec = ModelSpec("mnl", (Term("x", ("a",)),), ("a", "b"), "b")
+    table = ObservationTable({"x": np.zeros(5)},
+                             np.array(["a", "zz", "b", "ab", "c"], dtype=dtype), "severity")
+    with pytest.raises(ValueError) as info:
+        build_design(table, spec)
+    assert str(info.value) == f"outcome label {shown} not in spec outcomes ('a', 'b')"
 
 
 def test_design_layout_frequency_with_random_term():

@@ -1,5 +1,7 @@
 """Multinomial logit: probabilities, likelihood, fitting, elasticities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -118,6 +120,50 @@ def test_gradient_matches_central_differences():
             dn[k] -= h
             fd[k] = (objective(up)[0] - objective(dn)[0]) / (2.0 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+def twelve_term_design(n, seed=4):
+    """A 12-term design over four outcomes whose terms enter different
+    outcome sets: one, two or three of the non-base outcomes."""
+    rng = np.random.default_rng(seed)
+    cols = {f"x{j}": rng.normal(size=n) for j in range(12)}
+    labels = np.array(["a", "b", "c", "base"])[rng.integers(0, 4, n)]
+    sets = [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "b", "c")]
+    terms = tuple(Term(f"x{j}", sets[j % len(sets)]) for j in range(12))
+    return build_design(ObservationTable(cols, labels, "severity"),
+                        ModelSpec("mnl", terms, ("a", "b", "c", "base"), "base"))
+
+
+def test_stacked_hessians_match_the_covariate_product_formula():
+    design = twelve_term_design(500)
+    theta = np.random.default_rng(6).normal(scale=0.3, size=(3, design.n_params))
+    _, _, hess = mnl._kernel(design)(theta, np.zeros(3, dtype=np.int64), hessian=True)
+    # sum over observations of m m' - sum_i p_i (x * inc_i)(x * inc_i)', with
+    # m = x * (inc @ p) the probability mass of each term's outcome set
+    x, inc = design.x, design.incidence
+    p = np.stack([softmax_rows(design.linear_predictors(th)) for th in theta])
+    mass = x * (p @ inc.T)
+    xi = x[:, None, :] * inc.T[None]  # (N, I, T)
+    expected = (mass.transpose(0, 2, 1) @ mass
+                - np.einsum("kni,nit,niu->ktu", p, xi, xi))
+    for h, ref in zip(hess, expected):
+        np.testing.assert_allclose(h, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+def test_the_hessian_needs_no_covariate_product_array():
+    # a (rows, T^2) temporary would be 12x the (rows, T) arrays of a call
+    # without the Hessian
+    design = twelve_term_design(40_000)
+    kernel = mnl._kernel(design)
+    theta, rows = np.full((1, design.n_params), 0.05), np.zeros(1, dtype=np.int64)
+    peaks = {}
+    for hessian in (False, True):
+        tracemalloc.start()
+        kernel(theta, rows, hessian=hessian)
+        peaks[hessian] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[True] <= 1.5 * peaks[False], peaks
 
 
 def test_restricted_loglik_equal_shares():
