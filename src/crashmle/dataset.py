@@ -107,11 +107,12 @@ class ObservationTable:
 
     def to_csv(self, path, outcome_column: str = "outcome") -> None:
         """Write the table as RFC-4180 CSV, floats in shortest round-trip form:
-        ``csv.writer``'s bytes, written a joined chunk of rows at a time."""
+        ``csv.writer``'s bytes, joined a chunk of rows at a time."""
         if outcome_column in self.columns:
             raise ValueError(f"outcome column name {outcome_column!r} clashes with a covariate")
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(list(self.columns) + [outcome_column])
+            header = list(self.columns) + [outcome_column]
+            fh.write(",".join(_csv_field(c, len(header) > 1) for c in header) + "\r\n")
             for a in range(0, self.n_rows, _CSV_CHUNK_ROWS):
                 part = slice(a, a + _CSV_CHUNK_ROWS)
                 cells = [map(repr, col[part].tolist()) for col in self.columns.values()]
@@ -226,12 +227,12 @@ def _load_typed(fh, header, out_pos, mode, outcome_labels):
             return None
     outcome = data[str(out_pos)]
     if mode == SEVERITY:
-        outcome = np.strings.strip(outcome.astype(str))
-        width = np.strings.str_len(outcome)  # the row loop's: the longest label's
-        if not width.all() or (outcome_labels is not None
-                               and not np.isin(outcome, outcome_labels).all()):
+        labels = [label.strip() for label in outcome.tolist()]
+        seen = set(labels)
+        if "" in seen or (outcome_labels is not None
+                          and not seen <= set(outcome_labels)):
             return None
-        outcome = outcome.astype(f"U{width.max()}")
+        outcome = np.asarray(labels)
     elif np.any(outcome < 0):
         return None
     columns = {name: np.ascontiguousarray(data[str(i)])
