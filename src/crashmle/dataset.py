@@ -22,9 +22,6 @@ from . import serialize
 SEVERITY = "severity"
 FREQUENCY = "frequency"
 MODES = (SEVERITY, FREQUENCY)
-#: rows ``ObservationTable.to_csv`` joins into one string at a time, column
-#: by column; the chunks bound the Python objects and the text it holds
-_CSV_CHUNK_ROWS = 1 << 12
 
 FAMILIES = ("mnl", "mixed_mnl", "nb", "mixed_nb")
 SEVERITY_FAMILIES = ("mnl", "mixed_mnl")
@@ -106,28 +103,11 @@ class ObservationTable:
         return ObservationTable(cols, self.outcome[index].copy(), self.mode, 0)
 
     def to_csv(self, path, outcome_column: str = "outcome") -> None:
-        """Write the table as RFC-4180 CSV, floats in shortest round-trip form:
-        ``csv.writer``'s bytes, joined a chunk of rows at a time."""
+        """Write the table as CSV by :func:`crashmle.serialize.write_csv`,
+        the outcome column last."""
         if outcome_column in self.columns:
             raise ValueError(f"outcome column name {outcome_column!r} clashes with a covariate")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            header = list(self.columns) + [outcome_column]
-            fh.write(",".join(_csv_field(c, len(header) > 1) for c in header) + "\r\n")
-            for a in range(0, self.n_rows, _CSV_CHUNK_ROWS):
-                part = slice(a, a + _CSV_CHUNK_ROWS)
-                cells = [map(repr, col[part].tolist()) for col in self.columns.values()]
-                outcome = self.outcome[part].tolist()
-                field = str if self.mode == FREQUENCY else {
-                    v: _csv_field(str(v), bool(cells)) for v in set(outcome)}.__getitem__
-                cells.append(map(field, outcome))
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-
-
-def _csv_field(cell: str, in_row: bool) -> str:
-    """``cell`` as ``csv.writer`` writes it: quoted, its quotes doubled, when
-    it holds a comma, a quote, CR or LF, or is empty and its row's only cell."""
-    quote = any(c in cell for c in ',"\r\n') or not (cell or in_row)
-    return '"' + cell.replace('"', '""') + '"' if quote else cell
+        serialize.write_csv(path, {**self.columns, outcome_column: self.outcome})
 
 
 def _parse_count(cell: str, where: str) -> int:
@@ -590,7 +570,7 @@ class DesignMatrix:
             unknown = np.flatnonzero(ranked[at] != table.outcome)
             if unknown.size:
                 raise ValueError(
-                    f"outcome label {table.outcome[unknown[0]]!r} not in spec outcomes "
+                    f"outcome label {str(table.outcome[unknown[0]])!r} not in spec outcomes "
                     f"{spec.outcomes}")
             self.y_index = _readonly(order[at])
             self.counts = None

@@ -11,14 +11,14 @@ A family's likelihood is one stacked kernel, ``Family.kernel``
 hessian=False)`` maps (K, P) parameter rows and the indices of the K
 outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
 scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
-Given a draw matrix a kernel is the mixed family's simulated likelihood,
-which has no Hessian; without one it is the plain family, as if with
-one draw.  Every other view derives from the kernel.  Only
-:func:`batched` and :func:`fit` ask for Hessians, and both use the
-outputs at once, so the per-observation outputs of such a call may be
-work arrays that the kernel's next call overwrites (the NB kernel's
-are); every other call returns fresh arrays, which :func:`first_row`
-hands on to callers that keep them.  Both kernels bound their working
+Given a draw matrix, which must have the design's rows, a kernel is the
+mixed family's simulated likelihood, which has no Hessian; without one
+it is the plain family, as if with one draw.  Every other view derives
+from the kernel.  Only :func:`batched` and :func:`fit` ask for
+Hessians, and both use the outputs at once, so the per-observation
+outputs of such a call may be work arrays that the kernel's next call
+overwrites (the NB kernel's are); every other call returns fresh
+arrays, which :func:`first_row` hands on to callers that keep them.  Both kernels bound their working
 memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with a
 block, not with K * N * R: the logit kernel works through the
 observations in blocks of that many elements per outcome, the NB kernel
@@ -30,10 +30,11 @@ simulated probabilities and effects.
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:
 Newton on its analytic Hessians when there are no draws (plain MNL and
-NB), each shifted by ``optimize.SHIFT``'s rule where it is not negative
-definite, and BFGS with draws.  A design column that is zero on every
-row leaves its coefficient unidentified; such a design is not maximized
-at all.
+NB), each shifted by ``optimize.SHIFT``'s rule where it is not
+numerically negative definite (an exactly singular one, from a repeated
+column, included), and BFGS with draws.  A design column that is zero
+on every row leaves its coefficient unidentified; such a design is not
+maximized at all.
 """
 
 from __future__ import annotations

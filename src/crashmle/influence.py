@@ -10,12 +10,12 @@ the feature's influence segment is then 2 * D_star (both directions).
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import serialize
 from .dataset import ModelSpec, ObservationTable, build_design
 from .families import REGISTRY, maximize_rows
 from .optimize import OptimSettings
@@ -47,24 +47,11 @@ class InfluenceProfile:
     flat: bool
 
     def to_dict(self) -> dict:
-        from . import serialize
-        return {"distance_column": self.distance_column,
-                "grid": [float(v) for v in self.grid],
-                "ll": [serialize.nan_to_none(float(v)) for v in self.ll],
-                "converged": [bool(v) for v in self.converged],
-                "d_star": self.d_star,
-                "segment_length": self.segment_length,
-                "flat": self.flat}
+        return serialize.sanitize(asdict(self))
 
     def to_csv(self, path) -> None:
         """Profile rows as D,ll,converged."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["D", "ll", "converged"])
-            for i in range(len(self.grid)):
-                writer.writerow([repr(float(self.grid[i])),
-                                 repr(float(self.ll[i])),
-                                 int(self.converged[i])])
+        serialize.write_csv(path, {"D": self.grid, "ll": self.ll, "converged": self.converged})
 
 
 def search_influence(table: ObservationTable, spec: ModelSpec,

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy.special import gammaincc, gammaincinv
 
-from . import simulate
+from . import serialize, simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
 from .draws import DrawMatrix
@@ -107,9 +107,6 @@ class ModelPiece:
     n_obs: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class LrTestResult:
@@ -142,40 +139,19 @@ class LrTestResult:
                 and self.subset_b.converged)
 
     def to_dict(self) -> dict:
-        from . import serialize
-        d = {"x2": self.x2, "dof": self.dof,
-             "p_asymptotic": self.p_asymptotic,
-             "critical_value_05": self.critical_value_05,
-             "pooled": self.pooled.to_dict(),
-             "subset_a": self.subset_a.to_dict(),
-             "subset_b": self.subset_b.to_dict(),
-             "flag_column": self.flag_column,
-             "family": self.family,
-             "p_mc": serialize.nan_to_none(self.p_mc),
-             "replicates_requested": self.replicates_requested,
-             "replicates_kept": self.replicates_kept,
-             "replicates_dropped": self.replicates_dropped,
-             "replicates_dropped_by_reason": dict(self.replicates_dropped_by_reason),
-             "seed": self.seed,
-             "plus_one": self.plus_one,
-             "histogram": None}
-        if self.histogram_edges is not None:
-            d["histogram"] = {"edges": list(map(float, self.histogram_edges)),
-                              "counts": list(map(int, self.histogram_counts))}
-        return d
+        d = asdict(self)
+        edges, counts = d.pop("histogram_edges"), d.pop("histogram_counts")
+        del d["null_stats"]
+        d["histogram"] = None if edges is None else {"edges": edges, "counts": counts}
+        return serialize.sanitize(d)
 
     def write_histogram_csv(self, path) -> None:
         """Null-distribution histogram as bin_left,bin_right,count rows."""
         if self.histogram_edges is None:
             raise ValueError("no Monte Carlo histogram in this result")
-        import csv
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            edges = self.histogram_edges
-            for i, count in enumerate(self.histogram_counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                 int(count)])
+        edges = self.histogram_edges
+        serialize.write_csv(path, {"bin_left": edges[:-1], "bin_right": edges[1:],
+                                   "count": self.histogram_counts})
 
 
 class _Pieces:

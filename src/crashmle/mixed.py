@@ -86,8 +86,6 @@ def make_objective(design: DesignMatrix, draws: DrawMatrix,
     outcome underflows at every draw); gradients weight each draw by its
     posterior share of the observation's likelihood.
     """
-    if draws.n_obs != design.n_obs:
-        raise ValueError("draw matrix and design disagree on the number of rows")
     return families.summed(mnl._kernel(design, draws, y_index))
 
 

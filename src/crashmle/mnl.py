@@ -74,7 +74,11 @@ def _slots(design: DesignMatrix, draws: DrawMatrix | None):
     """Each outcome's slot (I,) in the per-draw softmax, and each random
     term's slots and (N, R) draws.  The outcomes some random term enters
     vary across draws and take slots 1, 2, ...; the others, the base among
-    them, form the fixed group, slot 0.  Without draws all are fixed."""
+    them, form the fixed group, slot 0.  Without draws all are fixed.  The
+    draws must have the design's rows: the kernel, the probabilities and
+    the effects all set theirs up here."""
+    if draws is not None and draws.n_obs != design.n_obs:
+        raise ValueError("draw matrix and design disagree on the number of rows")
     inc = design.incidence
     random = design.random_terms if draws is not None else ()
     slot = np.zeros(inc.shape[1], dtype=np.int64)

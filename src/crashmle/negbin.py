@@ -151,7 +151,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     rows pack the design's parameters and log(alpha); ``counts`` (B, N),
     or (N,) for B = 1, overrides the design's counts.  With draws the
     likelihood is the draw average of NB probabilities, with no Hessian;
-    without draws it is the plain NB, as if with one draw.
+    without draws it is the plain NB, as if with one draw.  The draws must
+    have the design's rows.
 
     The K rows are evaluated in tiles of at least one row and at most
     ``BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
@@ -168,6 +169,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so
     one ``take`` gathers every count's table entries.
     """
+    if draws is not None and draws.n_obs != design.n_obs:
+        raise ValueError("draw matrix and design disagree on the number of rows")
     a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
                                  dtype=np.int64))
     b, n = a.shape
@@ -350,8 +353,6 @@ def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
     Coefficients mix across draws; the dispersion is common to all
     draws and estimated as log(alpha) in the last slot.
     """
-    if draws.n_obs != design.n_obs:
-        raise ValueError("draw matrix and design disagree on the number of rows")
     return families.summed(_kernel(design, draws, counts))
 
 

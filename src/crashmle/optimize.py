@@ -4,16 +4,17 @@ Every maximization runs one ascent loop, :func:`maximize_batch`, over B
 independent problems, one per row, each taking Newton steps on the
 Hessians its objective returns or, when it returns None for them, BFGS
 steps on its own inverse-Hessian estimate.  A Newton row whose negative
-Hessian is not positive definite steps on that matrix shifted by a
-multiple of the identity (``SHIFT``); the start check, Armijo
-backtracking, the convergence test (the gradient infinity norm, scaled
-by max(1, |ll|), at most ``gradient_tolerance``), the step-tolerance
-stop, the iteration limit and the rows' stop messages are shared.  Fits
-run it through :func:`crashmle.families.maximize_rows`; :func:`maximize`
-is its one-row BFGS case, which no fit calls.  Standard errors come
-from the inverse negative Hessian (analytic when given, else central
-finite differences of the gradient), with an outer-product-of-scores
-fallback when that matrix is not positive definite.
+Hessian is not numerically positive definite, an exactly singular one
+included, steps on that matrix shifted by a multiple of the identity
+(``SHIFT``); the start check, Armijo backtracking, the convergence test
+(the gradient infinity norm, scaled by max(1, |ll|), at most
+``gradient_tolerance``), the step-tolerance stop, the iteration limit
+and the rows' stop messages are shared.  Fits run it through
+:func:`crashmle.families.maximize_rows`; :func:`maximize` is its one-row
+BFGS case, which no fit calls.  Standard errors come from the inverse
+negative Hessian (analytic when given, else central finite differences
+of the gradient), with an outer-product-of-scores fallback when that
+matrix is not positive definite or does not invert.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .dataset import ModelSpec, expected_param_names
 #: region), so the covariance is reported undefined instead.
 BHHH_MIN_RCOND = 1e-12
 
-#: a Newton row whose negative Hessian (eigenvalues lambda) is not
-#: positive definite steps on it plus ``tau * I``, with ``tau = SHIFT *
-#: max(1, max|lambda|) - min(lambda)``, so that its smallest eigenvalue
-#: becomes SHIFT times its largest magnitude (Nocedal & Wright, Numerical
-#: Optimization, 2nd ed., section 3.4, eq. 3.43)
+#: a Newton row whose negative Hessian (P eigenvalues lambda) is not
+#: numerically positive definite, its smallest eigenvalue at most ``P * eps
+#: * max(1, max|lambda|)`` (exactly singular included), steps on it plus
+#: ``tau * I``, with ``tau = SHIFT * max(1, max|lambda|) - min(lambda)``, so
+#: that its smallest eigenvalue becomes SHIFT times its largest magnitude
+#: (Nocedal & Wright, Numerical Optimization, 2nd ed., section 3.4, eq. 3.43)
 SHIFT = 1e-3
 #: relative step of :func:`hessian_fd`'s central differences
 FD_STEP = 1e-5
@@ -124,13 +126,14 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
     ``objective(theta, rows)`` maps a (K, P) stack of iterates and the
     indices of the K problems they belong to onto (K,) log-likelihoods,
     (K, P) gradients and (K, P, P) Hessians for Newton steps, or None for
-    BFGS steps, as its first evaluation shows.  Newton tests the stack's
-    negative Hessians with one Cholesky factorization, and per row by
-    eigenvalues only when that fails; a row whose smallest eigenvalue is
-    not positive steps on its matrix shifted by ``SHIFT``'s rule.  A row
-    stops when it starts non-finite, passes the gradient test, meets a
-    non-finite Hessian (Newton) or a zero gradient (BFGS), finds no ascent
-    step, moves less than ``step_tolerance`` or runs out of iterations.
+    BFGS steps, as its first evaluation shows.  Newton solves the stack's
+    negative Hessians after one Cholesky factorization, and tests them
+    per row by eigenvalues only when the factorization or the solve
+    fails; a row that is not numerically positive definite steps on its
+    matrix shifted by ``SHIFT``'s rule.  A row stops when it starts
+    non-finite, passes the gradient test, meets a non-finite Hessian
+    (Newton) or a zero gradient (BFGS), finds no ascent step, moves less
+    than ``step_tolerance`` or runs out of iterations.
     """
     s = settings or OptimSettings()
     theta = np.array(theta0, dtype=np.float64)
@@ -167,16 +170,18 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
         else:
             neg_h = -hess[rows]
             ok = np.isfinite(neg_h).all(axis=(1, 2))
-            try:  # one Cholesky of the stack; per-row eigenvalues if some row fails
+            direction = np.zeros_like(g)
+            try:  # one Cholesky and solve of the stack; per-row eigenvalues if one fails
                 np.linalg.cholesky(neg_h[ok])
+                direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 lam = np.linalg.eigvalsh(neg_h[ok])
-                low = lam[:, 0] <= 0.0  # these rows step on the shifted matrix
-                lam = lam[low]
-                tau = SHIFT * np.maximum(1.0, np.abs(lam).max(axis=1)) - lam[:, 0]
+                top = np.maximum(1.0, np.abs(lam).max(axis=1))
+                # rows not numerically positive definite step on the shifted matrix
+                low = lam[:, 0] <= p * np.finfo(np.float64).eps * top
+                tau = SHIFT * top[low] - lam[low, 0]
                 neg_h[np.flatnonzero(ok)[low]] += tau[:, None, None] * np.eye(p)
-            direction = np.zeros_like(g)
-            direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
+                direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
             slope = np.einsum("kp,kp->k", direction, g)
             why = "Hessian not finite"
         if not ok.all():
@@ -281,16 +286,16 @@ class CovarianceResult:
 
 def _try_inverse_pd(a: np.ndarray, min_rcond: float = 0.0) -> np.ndarray | None:
     """Inverse of a symmetric matrix if positive definite, else None; a
-    nearly singular matrix can pass Cholesky and still invert, in
-    rounding, to a non-positive variance, which is rejected, as is one
-    whose reciprocal condition number is below ``min_rcond``."""
+    nearly singular matrix can pass Cholesky and still fail to invert, or
+    invert, in rounding, to a non-positive variance, which is rejected,
+    as is one whose reciprocal condition number is below ``min_rcond``."""
     try:
         np.linalg.cholesky(a)
+        if 1.0 / np.linalg.cond(a) < min_rcond:
+            return None
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None
-    if 1.0 / np.linalg.cond(a) < min_rcond:
-        return None
-    inv = np.linalg.inv(a)
     var = np.diag(inv)
     return inv if np.all(np.isfinite(var) & (var > 0.0)) else None
 
@@ -373,27 +378,27 @@ class FitResult:
         return float(self.t_ratios[self.param_names.index(name)])
 
     def to_dict(self) -> dict:
-        return {
+        return serialize.sanitize({
             "param_names": list(self.param_names),
-            "theta_hat": [serialize.nan_to_none(v) for v in self.theta_hat],
-            "standard_errors": [serialize.nan_to_none(v) for v in self.standard_errors],
-            "t_ratios": [serialize.nan_to_none(v) for v in self.t_ratios],
-            "ll_converged": serialize.nan_to_none(self.ll_converged),
-            "ll_restricted": serialize.nan_to_none(self.ll_restricted),
-            "mcfadden_rho2": serialize.nan_to_none(self.mcfadden_rho2),
+            "theta_hat": self.theta_hat,
+            "standard_errors": self.standard_errors,
+            "t_ratios": self.t_ratios,
+            "ll_converged": self.ll_converged,
+            "ll_restricted": self.ll_restricted,
+            "mcfadden_rho2": self.mcfadden_rho2,
             "converged": self.converged,
             "iterations": self.iterations,
             "n_obs": self.n_obs,
             "n_params": self.n_params,
             "family": self.family,
-            "theta_internal": [serialize.nan_to_none(v) for v in self.theta_internal],
+            "theta_internal": self.theta_internal,
             "spec": self.spec.to_dict() if self.spec is not None else None,
             "se_method": self.se_method,
             "message": self.message,
             "n_draws": self.n_draws,
             "seed": self.seed,
             **({} if self.skip is None else {"skip": self.skip, "shift": self.shift}),
-        }
+        })
 
     def to_json(self) -> str:
         return serialize.dumps(self.to_dict())

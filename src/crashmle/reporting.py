@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import serialize
 from .optimize import FitResult
@@ -43,22 +44,20 @@ class EffectsReport:
     n_obs: int
 
     def to_dict(self) -> dict:
-        return {
+        return serialize.sanitize({
             "effect_type": self.effect_type,
             "n_obs": self.n_obs,
             "rows": [{"variable": r.variable, "target": r.target,
                       "outcome": r.outcome, "kind": r.kind,
-                      "value": serialize.nan_to_none(r.value),
-                      "elastic": r.elastic} for r in self.rows],
-        }
+                      "value": r.value, "elastic": r.elastic} for r in self.rows],
+        })
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variable", "target", "outcome", "kind", "value", "elastic"])
-            for r in self.rows:
-                writer.writerow([r.variable, r.target, r.outcome, r.kind,
-                                 repr(float(r.value)), int(r.elastic)])
+        text = ("variable", "target", "outcome", "kind")
+        serialize.write_csv(path, {
+            **{k: np.array([getattr(r, k) for r in self.rows], dtype=object) for k in text},
+            "value": np.array([r.value for r in self.rows], dtype=np.float64),
+            "elastic": np.array([r.elastic for r in self.rows], dtype=bool)})
 
 
 def fmt_est(v: float) -> str:

@@ -1,4 +1,6 @@
-"""Deterministic JSON helpers shared by result containers and the CLI."""
+"""The bytes of every result file, byte-stable across runs: JSON through
+:func:`sanitize`, the one mapping of NaN and infinities to null, and CSV
+through :func:`_csv_field`, the one quoting rule; and the readers' checks."""
 
 from __future__ import annotations
 
@@ -7,6 +9,10 @@ import json
 import math
 
 import numpy as np
+
+#: rows :func:`write_csv` joins into one string at a time, column by
+#: column; the chunks bound the Python objects and the text it holds
+CSV_CHUNK_ROWS = 1 << 12
 
 
 def sanitize(obj):
@@ -35,6 +41,39 @@ def dumps(obj) -> str:
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write ``columns``, header name to 1-D array, as RFC-4180 CSV:
+    ``csv.writer``'s bytes, joined a chunk of rows at a time.  Floats are
+    written in shortest round-trip form, integers and booleans as
+    integers, and text through :func:`_csv_field`."""
+    in_row = len(columns) > 1
+    arrays = [np.asarray(v) for v in columns.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_csv_field(str(c), in_row) for c in columns) + "\r\n")
+        for a in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+            cells = [_csv_cells(col[a:a + CSV_CHUNK_ROWS], in_row) for col in arrays]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_cells(values: np.ndarray, in_row: bool):
+    """One chunk of a column as its CSV cells; each distinct text value is
+    quoted once."""
+    kind = values.dtype.kind
+    values = (values.astype(np.int64) if kind == "b" else values).tolist()
+    if kind == "f":
+        return map(repr, values)
+    if kind in "biu":
+        return map(str, values)
+    return map({v: _csv_field(str(v), in_row) for v in set(values)}.__getitem__, values)
+
+
+def _csv_field(cell: str, in_row: bool) -> str:
+    """``cell`` as ``csv.writer`` writes it: quoted, its quotes doubled, when
+    it holds a comma, a quote, CR or LF, or is empty and its row's only cell."""
+    quote = any(c in cell for c in ',"\r\n') or not (cell or in_row)
+    return '"' + cell.replace('"', '""') + '"' if quote else cell
 
 
 def require(d: dict, keys, what: str) -> dict:
@@ -96,10 +135,6 @@ def array(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a JSON array, got {json.dumps(value)}")
     return value
-
-
-def nan_to_none(x: float):
-    return None if x is None or not math.isfinite(x) else float(x)
 
 
 def sha256_file(path) -> str:

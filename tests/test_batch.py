@@ -17,7 +17,7 @@ from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
                               build_design, split_by_flag)
 from crashmle.draws import DrawMatrix
 from crashmle.optimize import (OptimSettings, OptimizationError, hessian_fd,
-                               maximize, maximize_batch)
+                               maximize, maximize_batch, summarize)
 from crashmle.simulate import (CovariateRecipe, DgpConfig, gen_mnl, gen_nb,
                                redraw_outcomes)
 
@@ -136,6 +136,40 @@ def test_mixed_logit_rows_equal_the_serial_objective():
         ll_k, grad_k = mixed.make_objective(design, draws, y_index=ys[row])(theta[k])
         assert ll[k].sum() == pytest.approx(ll_k, rel=1e-12, abs=0.0)
         assert rel_err(scores[k].sum(axis=0), grad_k) <= 1e-12
+
+
+def draw_entry_points(n_rows):
+    """Each entry point that takes a draw matrix, called on a 300-row
+    design with a matrix of ``n_rows`` rows."""
+    table = mnl_table(n=300)
+    logit = build_design(table, MIXED_SPEC)
+    logit_draws = DrawMatrix(n_rows, 25, ("normal", "uniform"))
+    theta = np.zeros(logit.n_params)
+    fit = summarize(theta, None, -1.0, -2.0, param_names=logit.param_names, converged=True,
+                    iterations=0, n_obs=300, family="mixed_mnl", theta_internal=theta,
+                    spec=MIXED_SPEC, n_draws=25, seed=0)
+    nb = build_design(nb_table(n=300), MIXED_NB_SPEC)
+    nb_draws = DrawMatrix(n_rows, 25, ("normal",))
+    nb_theta = np.zeros(nb.n_params + 1)
+    return {
+        "mnl_kernel": lambda: mnl._kernel(logit, logit_draws)(theta[None], [0]),
+        "mixed_objective": lambda: mixed.make_objective(logit, logit_draws)(theta),
+        "mixed_scores": lambda: mixed.mixed_scores(theta, logit, logit_draws),
+        "simulated_probs": lambda: mixed.simulated_probs(theta, logit, logit_draws),
+        "simulated_prob": lambda: mixed.simulated_prob(theta, logit, 0, logit_draws),
+        "mixed_effects": lambda: mixed.mixed_effects(fit, table, draws=logit_draws),
+        "nb_kernel": lambda: negbin._kernel(nb, nb_draws)(nb_theta[None], [0]),
+        "mixed_nb_objective": lambda: negbin.make_mixed_objective(nb, nb_draws)(nb_theta),
+        "mixed_nb_scores": lambda: negbin.mixed_nb_scores(nb_theta, nb, nb_draws),
+    }
+
+
+@pytest.mark.parametrize("n_rows", [100, 600])
+@pytest.mark.parametrize("entry", list(draw_entry_points(300)))
+def test_every_draw_entry_point_checks_the_matrix_rows(entry, n_rows):
+    call = draw_entry_points(n_rows)[entry]
+    with pytest.raises(ValueError, match="draw matrix and design disagree on the number of rows"):
+        call()
 
 
 def test_logit_kernel_without_draws_is_the_mnl_closed_form():
@@ -331,6 +365,57 @@ def test_maximize_batch_shifts_an_indefinite_hessian_to_reach_a_maximum():
     alone = maximize_batch(double_well_batch, start[3:])
     np.testing.assert_array_equal(alone.theta[0], res.theta[3])
     assert alone.iterations[0] == res.iterations[3]
+
+
+def test_maximize_batch_shifts_an_exactly_singular_hessian():
+    # -(d0 + d1)**2 has the singular Hessian -2 * ones, which passes
+    # Cholesky in rounding and then meets an exact zero pivot in the solve
+    singular = 2.0 * np.ones((2, 2))
+    np.linalg.cholesky(singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, np.ones(2))
+    centers = np.array([[1.0, -2.0], [0.5, 0.5], [3.0, 1.0]])
+    hessians = np.stack([np.diag([2.0, 1.0]), singular, np.array([[2.0, 0.5], [0.5, 1.0]])])
+    objective = quadratic_batch(centers, hessians)
+    start = np.array([[5.0, 4.0], [2.0, 3.0], [-1.0, 0.0]])
+    res = maximize_batch(objective, start)
+    assert res.converged.all()
+    assert np.sum(res.theta[1] - centers[1]) == pytest.approx(0.0, abs=1e-6)
+    # the other rows take the plain Newton steps they take alone
+    for k in (0, 2):
+        alone = maximize_batch(quadratic_batch(centers[k:k + 1], hessians[k:k + 1]),
+                               start[k:k + 1])
+        np.testing.assert_array_equal(alone.theta[0], res.theta[k])
+        assert (alone.ll[0], alone.iterations[0]) == (res.ll[k], res.iterations[k])
+
+
+def singular_mnl():
+    """A 500-row logit whose x3 duplicates x1, and its spec without x3."""
+    table = mnl_table(n=500)
+    table = ObservationTable(dict(table.columns, x3=table.columns["x1"]), table.outcome,
+                             "severity")
+    spec = ModelSpec("mnl", MNL_SPEC.terms + (Term("x3", ("a",)),), MNL_SPEC.outcomes, "base")
+    return table, spec, MNL_SPEC
+
+
+def singular_nb():
+    """A 500-row NB table whose covariate is 1 on every row, like the
+    constant, and its spec without the covariate."""
+    table = nb_table(n=500)
+    table = ObservationTable(dict(table.columns, z1=np.ones(table.n_rows)), table.outcome,
+                             "frequency")
+    return table, NB_SPEC, ModelSpec("nb", (Term(CONSTANT),))
+
+
+@pytest.mark.parametrize("case", [singular_mnl, singular_nb], ids=["mnl", "nb"])
+def test_a_fit_with_an_exactly_singular_hessian_converges(case):
+    table, spec, reduced = case()
+    with pytest.warns(RuntimeWarning, match="covariance matrix is undefined"):
+        fit = crashmle.fit(table, spec)
+    assert fit.converged and fit.se_method == "undefined"
+    # the repeated column adds no freedom: the model without it has the same maximum
+    assert fit.ll_converged == pytest.approx(crashmle.fit(table, reduced).ll_converged,
+                                             rel=1e-9)
 
 
 def test_maximize_batch_stops_rows_whose_line_search_fails():

@@ -369,6 +369,18 @@ def test_nonconverged_fit_exits_one(workdir):
     assert fit["converged"] is False
 
 
+def test_lrtest_split_on_a_model_term_exits_one(workdir):
+    # flag is also a term: on subset A it repeats the constant, which makes
+    # that fit's Hessian exactly singular, and on subset B it is zero
+    with pytest.warns(RuntimeWarning, match=r"subset_b fit did not converge: not "
+                      r"maximized: term flag\[a\] is zero on every row"):
+        assert main(["lrtest", "--data", str(workdir / "mnl_data.csv"),
+                     "--spec", str(workdir / "mnl.ini"), "--flag", "flag",
+                     "--out", str(workdir / "lr")]) == 1
+    result = json.loads((workdir / "lr.json").read_text())
+    assert result["subset_a"]["converged"] and not result["subset_b"]["converged"]
+
+
 def test_fit_of_a_count_of_a_trillion_writes_its_result(workdir):
     lines = (workdir / "nb_data.csv").read_text().splitlines()
     lines[8] = lines[8].rsplit(",", 1)[0] + ",1000000000000"  # the count is the last column
