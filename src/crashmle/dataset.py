@@ -2,11 +2,11 @@
 
 Observations arrive as RFC-4180 CSV files with a header row.  Severity
 tables carry a string outcome label per row (one of a declared outcome
-set); frequency tables carry a non-negative integer count.  All other
-columns are numeric covariates.  A :class:`ModelSpec` lists the terms of
-a model (variable, outcome set, coefficient kind) and is compiled
+set); frequency tables carry a non-negative integer count (:func:`as_counts`).
+All other columns are numeric covariates.  A :class:`ModelSpec` lists the
+terms of a model (variable, outcome set, coefficient kind) and is compiled
 against a table into a :class:`DesignMatrix`, which fixes the parameter
-packing used by every estimator in the package.
+packing used by every estimator in the package: every slot, alpha too.
 """
 
 from __future__ import annotations
@@ -73,15 +73,7 @@ class ObservationTable:
                 raise ValueError(f"column {name!r} contains non-finite values")
             cols[name] = _readonly(arr)
         if self.mode == FREQUENCY:
-            out = np.asarray(self.outcome)
-            if out.dtype.kind == "f":
-                rounded = np.rint(out)
-                if not np.all(np.abs(out - rounded) < 1e-9):
-                    raise ValueError("frequency outcomes must be integers")
-                out = rounded.astype(np.int64)
-            out = out.astype(np.int64)
-            if np.any(out < 0):
-                raise ValueError("frequency outcomes must be non-negative")
+            out = as_counts(self.outcome, "frequency outcomes")
         else:
             out = np.asarray(self.outcome)
             if out.dtype.kind not in ("U", "O"):
@@ -108,6 +100,24 @@ class ObservationTable:
         if outcome_column in self.columns:
             raise ValueError(f"outcome column name {outcome_column!r} clashes with a covariate")
         serialize.write_csv(path, {**self.columns, outcome_column: self.outcome})
+
+
+def as_counts(values, what: str) -> np.ndarray:
+    """``values`` as int64 counts: integers, or floats inside the int64
+    range (checked before the cast; infinities too) within 1e-9 of an
+    integer, none negative; ``what`` names them in an error."""
+    out = np.asarray(values)
+    if out.dtype.kind == "f":
+        rounded = np.rint(out)
+        if np.any(np.abs(rounded) >= 2.0 ** 63):
+            raise ValueError(f"{what} must lie within the int64 range")
+        if not np.all(np.abs(out - rounded) < 1e-9):
+            raise ValueError(f"{what} must be integers")
+        out = rounded
+    out = out.astype(np.int64)
+    if np.any(out < 0):
+        raise ValueError(f"{what} must be non-negative")
+    return out
 
 
 def _parse_count(cell: str, where: str) -> int:
@@ -511,9 +521,10 @@ class DesignMatrix:
     """Compiled (table, spec) pair with a fixed parameter packing.
 
     Parameters are packed in spec term order, each location immediately
-    followed by its log-scale when the term is random.  Scale slots and
-    the negative-binomial dispersion slot hold logs internally so the
-    optimizer works unconstrained; estimators report natural values.
+    followed by its log-scale when the term is random, and a count
+    model's dispersion ``alpha`` last.  Scale slots and the dispersion
+    slot hold logs internally so the optimizer works unconstrained;
+    estimators report natural values.
 
     Attributes
     ----------
@@ -523,7 +534,9 @@ class DesignMatrix:
         Term-to-outcome indicator for severity models; the base column
         is identically zero.
     param_names : tuple[str, ...]
-        Location/scale names in packed order (dispersion excluded).
+        Every slot's name in packed order, ``alpha`` last in a count model.
+    log_pos : (L,) int ndarray
+        The slots estimated as logs: the random terms' scales, then alpha.
     """
 
     def __init__(self, table: ObservationTable, spec: ModelSpec):
@@ -548,11 +561,15 @@ class DesignMatrix:
         self.x = _readonly(x)
 
         width = np.array([t.n_params for t in spec.terms], dtype=np.int64)
-        self.n_params = int(width.sum())
-        self.param_names = expected_param_names(spec)[:self.n_params]
+        self.param_names = expected_param_names(spec)
+        self.n_params = len(self.param_names)
         self.loc_pos = _readonly(np.cumsum(width) - width)
         self.scale_pos = _readonly(np.where(width == 2, self.loc_pos + 1, -1))
         self.random_terms = tuple(j for j, t in enumerate(spec.terms) if t.is_random)
+        logs = [self.scale_pos[j] for j in self.random_terms]
+        if spec.is_frequency:
+            logs.append(self.n_params - 1)
+        self.log_pos = _readonly(np.array(logs, dtype=np.int64))
 
         if spec.is_severity:
             self.outcome_labels = spec.outcomes

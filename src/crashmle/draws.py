@@ -1,4 +1,5 @@
-"""Quasi-random draw matrices for simulated likelihood.
+"""Mixing distributions, with their one inverse-CDF map :func:`standard_draws`,
+and the quasi-random draw matrices of simulated likelihood.
 
 Each random term gets a Halton sequence in its own prime base, with an
 initial burn-in skipped; observation ``n`` owns a disjoint block of the
@@ -12,9 +13,10 @@ turns per-draw log probabilities into posterior shares in place.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .dataset import _KIND_TO_DIST, DesignMatrix
 
@@ -44,6 +46,46 @@ def first_primes(count: int) -> tuple[int, ...]:
             primes.append(n)
         n += 1
     return tuple(primes)
+
+
+@dataclass(frozen=True)
+class Mixing:
+    """One mixing distribution: normal(location, sd) or uniform with
+    support [location - scale, location + scale]."""
+
+    dist: str
+    location: float
+    scale: float
+
+    def __post_init__(self):
+        if self.dist not in ("normal", "uniform"):
+            raise ValueError(f"dist must be 'normal' or 'uniform', got {self.dist!r}")
+        if self.scale < 0:
+            raise ValueError("mixing scale must be non-negative")
+
+
+def standard_draws(u: np.ndarray, dist: str) -> np.ndarray:
+    """Standardized draws of mixing distribution ``dist`` by inverse CDF at
+    uniforms ``u`` in (0, 1): standard normal, or uniform on [-1, 1]."""
+    return ndtri(u) if dist == "normal" else 2.0 * u - 1.0
+
+
+def transform_draws(uniforms: np.ndarray, mixing: Mixing) -> np.ndarray:
+    """Map uniform (0,1) draws to coefficient draws by inverse CDF."""
+    u = np.asarray(uniforms, dtype=np.float64)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ValueError("uniform draws must lie strictly inside (0, 1)")
+    return mixing.location + mixing.scale * standard_draws(u, mixing.dist)
+
+
+def sign_share(mixing: Mixing) -> float:
+    """Probability mass of the mixing distribution below zero."""
+    b, s = mixing.location, mixing.scale
+    if s == 0.0:
+        return 1.0 if b < 0 else (0.5 if b == 0 else 0.0)
+    if mixing.dist == "normal":
+        return float(ndtr(-b / s))
+    return float(np.clip((s - b) / (2.0 * s), 0.0, 1.0))
 
 
 def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
@@ -83,8 +125,8 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
 class DrawMatrix:
     """Standardized quasi-random draws for every random term.
 
-    ``std[d]`` is an (N, R) array for dimension ``d``: inverse-normal
-    transforms for normal terms, ``2u - 1`` for uniform terms.
+    ``std[d]`` is an (N, R) array for dimension ``d``: the
+    :func:`standard_draws` of its term's mixing distribution.
     Observation ``n`` owns the post-skip Halton elements
     ``[n*R, (n+1)*R)`` of the dimension's base sequence.  An optional
     Cranley-Patterson shift rotates each dimension by a seeded uniform
@@ -119,11 +161,7 @@ class DrawMatrix:
             if offsets is not None:
                 u = np.mod(u + offsets[d], 1.0)
                 u = np.clip(u, 1e-12, 1.0 - 1e-12)
-            u = u.reshape(n_obs, n_draws)
-            if dist == "normal":
-                std.append(ndtri(u))
-            else:
-                std.append(2.0 * u - 1.0)
+            std.append(standard_draws(u.reshape(n_obs, n_draws), dist))
         self.std = tuple(std)
 
     @classmethod

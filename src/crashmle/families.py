@@ -149,19 +149,16 @@ def summed(kernel):
 def natural_from_internal(theta, design: DesignMatrix, cov=None):
     """Map internal estimates to the reported scale.
 
-    Mixing scales, and alpha in the last slot of a count model, are
-    estimated as logs.  Returns (theta_natural, cov_natural); the
-    covariance uses the delta method with the diagonal Jacobian of the
-    transform.
+    The slots ``design.log_pos`` (mixing scales, and a count model's
+    alpha) are estimated as logs.  Returns (theta_natural, cov_natural);
+    the covariance uses the delta method with the diagonal Jacobian of
+    the transform.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    logs = [design.scale_pos[j] for j in design.random_terms]
-    if design.spec.is_frequency:
-        logs.append(theta.size - 1)
     nat = theta.copy()
-    nat[logs] = np.exp(theta[logs])
+    nat[design.log_pos] = np.exp(theta[design.log_pos])
     jac = np.ones(theta.size)
-    jac[logs] = nat[logs]
+    jac[design.log_pos] = nat[design.log_pos]
     return nat, None if cov is None else cov * np.outer(jac, jac)
 
 
@@ -210,10 +207,9 @@ def fit(table: ObservationTable, spec: ModelSpec,
     cov = covariance(objective, res.theta, scores=at[1][0],
                      hessian=at[2][0] if draws is None else None)
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
-    alpha = ("alpha",) if spec.is_frequency else ()
     return summarize(
         nat, cov_nat, res.ll, ll_restricted,
-        param_names=design.param_names + alpha, converged=res.converged,
+        param_names=design.param_names, converged=res.converged,
         iterations=res.iterations, n_obs=design.n_obs, family=spec.family,
         theta_internal=res.theta, spec=spec, se_method=cov.method,
         message=res.message, **draw_settings)

@@ -1,6 +1,7 @@
 """Mixed (random-parameters) multinomial logit via simulated likelihood.
 
-Random coefficients follow normal or uniform mixing distributions.  The
+Random coefficients follow normal or uniform mixing distributions
+(:class:`crashmle.draws.Mixing`, re-exported here).  The
 choice probability is the mixing-distribution average of the logit
 probability, approximated by the mean over R quasi-random draws per
 observation.  The draws come from the Halton draw matrix of
@@ -11,55 +12,18 @@ probabilities and effects are those of :mod:`crashmle.mnl` over the draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import families, mnl
 from .dataset import DesignMatrix, ModelSpec, ObservationTable
-# first_primes, halton, is_prime and natural_from_internal are re-exported
-from .draws import DrawMatrix, first_primes, halton, is_prime
+# re-exported: the mixing distributions (Mixing, sign_share, transform_draws),
+# first_primes, halton and is_prime from draws, natural_from_internal from families
+from .draws import (DrawMatrix, Mixing, first_primes, halton, is_prime, sign_share,
+                    transform_draws)
 from .families import natural_from_internal
 from .mnl import _logit_effects, restricted_loglik
 from .optimize import FitResult
 from .reporting import EffectsReport
-
-
-@dataclass(frozen=True)
-class Mixing:
-    """One mixing distribution: normal(location, sd) or uniform with
-    support [location - scale, location + scale]."""
-
-    dist: str
-    location: float
-    scale: float
-
-    def __post_init__(self):
-        if self.dist not in ("normal", "uniform"):
-            raise ValueError(f"dist must be 'normal' or 'uniform', got {self.dist!r}")
-        if self.scale < 0:
-            raise ValueError("mixing scale must be non-negative")
-
-
-def transform_draws(uniforms: np.ndarray, mixing: Mixing) -> np.ndarray:
-    """Map uniform (0,1) draws to coefficient draws by inverse CDF."""
-    u = np.asarray(uniforms, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    if mixing.dist == "normal":
-        return mixing.location + mixing.scale * ndtri(u)
-    return mixing.location + mixing.scale * (2.0 * u - 1.0)
-
-
-def sign_share(mixing: Mixing) -> float:
-    """Probability mass of the mixing distribution below zero."""
-    b, s = mixing.location, mixing.scale
-    if s == 0.0:
-        return 1.0 if b < 0 else (0.5 if b == 0 else 0.0)
-    if mixing.dist == "normal":
-        return float(ndtr(-b / s))
-    return float(np.clip((s - b) / (2.0 * s), 0.0, 1.0))
 
 
 def simulated_probs(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
@@ -113,17 +77,16 @@ def fit_mixed_mnl(table: ObservationTable, spec: ModelSpec, **options) -> FitRes
 
 
 def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
-                  pseudo: bool = False,
-                  draws: DrawMatrix | None = None) -> EffectsReport:
+                  pseudo: bool = False) -> EffectsReport:
     """Elasticities (or indicator pseudo-elasticities) for a mixed fit.
 
-    Probabilities and their derivatives are simulated with the same
-    draw matrix the fit used, so coefficient heterogeneity propagates
-    into the averaged effects.
+    Probabilities and their derivatives are simulated with the draw
+    matrix the fit records (:func:`crashmle.families.fit_draws`), so
+    coefficient heterogeneity propagates into the averaged effects.
     """
     if fit.spec is None or fit.spec.family != "mixed_mnl":
         raise ValueError("mixed_effects requires a mixed_mnl fit")
-    return _logit_effects(fit, table, variables, pseudo, draws)
+    return _logit_effects(fit, table, variables, pseudo)
 
 
 families.REGISTRY["mixed_mnl"] = families.Family(

@@ -404,19 +404,19 @@ def _mean_probs(theta, design: DesignMatrix, draws=None,
 
 
 def _logit_effects(fit: FitResult, table: ObservationTable, variables,
-                   pseudo: bool, draws=None) -> EffectsReport:
+                   pseudo: bool) -> EffectsReport:
     """Elasticities or indicator pseudo-elasticities of a logit fit.
 
-    Probabilities and their derivatives are averaged over the fit's
-    draws (a plain logit has one draw), so coefficient heterogeneity
-    propagates into the averaged effects.  Each observation's effects
-    are evaluated in observation blocks, on the likelihood kernel's
-    probabilities (:func:`_block_softmax`), and averaged over all
-    observations at the end.
+    Probabilities and their derivatives are averaged over the draws the
+    fit records, :func:`crashmle.families.fit_draws` (a plain logit has
+    one draw), so coefficient heterogeneity propagates into the averaged
+    effects.  Each observation's effects are evaluated in observation
+    blocks, on the likelihood kernel's probabilities
+    (:func:`_block_softmax`), and averaged over all observations at the
+    end.
     """
     design = build_design(table, fit.spec)
-    if draws is None:
-        draws = families.fit_draws(fit, design)
+    draws = families.fit_draws(fit, design)
     theta = fit.theta_internal
     labels = design.outcome_labels
     triples = _term_targets(design, variables)

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
-                      Term, build_design)
+                      Term, as_counts, build_design)
 from .draws import DrawMatrix, coefficient_draws
 from .mnl import BLOCK_ELEMENTS, _term_targets
 from .optimize import FitResult, OptimSettings
@@ -94,14 +94,7 @@ def nb_logpmf(counts, lam, alpha: float):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    a = np.asarray(counts)
-    if a.dtype.kind == "f":
-        if not np.all(np.abs(a - np.rint(a)) < 1e-9):
-            raise ValueError("counts must be integers")
-        a = np.rint(a).astype(np.int64)
-    a = a.astype(np.int64)
-    if np.any(a < 0):
-        raise ValueError("counts must be non-negative")
+    a = as_counts(counts, "counts")
     lam_arr = np.asarray(lam, dtype=np.float64)
     if np.any(lam_arr <= 0):
         raise ValueError("lam must be positive")
@@ -148,7 +141,7 @@ def _carve(flat: np.ndarray, *shapes):
 
 def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     """Stacked likelihood kernel (see :mod:`crashmle.families`): ``theta``
-    rows pack the design's parameters and log(alpha); ``counts`` (B, N),
+    rows pack the design's parameters, log(alpha) last; ``counts`` (B, N),
     or (N,) for B = 1, overrides the design's counts.  With draws the
     likelihood is the draw average of NB probabilities, with no Hessian;
     without draws it is the plain NB, as if with one draw.  The draws must
@@ -183,7 +176,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     x = design.x
     # the Hessian's covariate products, (N, T * T); with draws there is no Hessian
     xx = None if draws is not None else (x[:, :, None] * x[:, None, :]).reshape(n, -1)
-    p = design.n_params + 1
+    p = design.n_params
     n_draws = 1 if draws is None else draws.n_draws
     index = np.arange(b)
     floats = ints = outputs = None
@@ -303,7 +296,7 @@ def nb_loglik(theta, design: DesignMatrix):
 
 
 def nb_scores(theta, design: DesignMatrix) -> np.ndarray:
-    """Per-observation score matrix (N, T+1)."""
+    """Per-observation score matrix (N, P)."""
     return families.first_row(_kernel(design, None))(theta)[1]
 
 
@@ -315,15 +308,14 @@ def _intercept_only_ll(design: DesignMatrix,
         raise ValueError("all counts are zero; overdispersion is not identified")
     spec = ModelSpec("nb", (Term(CONSTANT),))
     intercept = build_design(design.table, spec)
-    theta0 = np.array([[np.log(max(float(design.counts.mean()), 0.05)), 0.0]])
-    return families.maximize_rows(families.REGISTRY["nb"], intercept, None, theta0,
-                                  settings=settings).row().ll
+    return families.maximize_rows(families.REGISTRY["nb"], intercept, None,
+                                  _default_theta0(intercept)[None], settings=settings).row().ll
 
 
 def _default_theta0(design: DesignMatrix) -> np.ndarray:
     """Zeros, except the constant starts at the log mean count and the
     dispersion at log(1)."""
-    theta0 = np.zeros(design.n_params + 1)
+    theta0 = np.zeros(design.n_params)
     mean = float(design.counts.mean())
     for j, term in enumerate(design.spec.terms):
         if term.variable == CONSTANT:
@@ -357,7 +349,7 @@ def make_mixed_objective(design: DesignMatrix, draws: DrawMatrix,
 
 
 def mixed_nb_scores(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:
-    """Per-observation simulated score matrix (N, P+1)."""
+    """Per-observation simulated score matrix (N, P)."""
     return families.first_row(_kernel(design, draws))(theta)[1]
 
 

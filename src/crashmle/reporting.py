@@ -9,6 +9,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import serialize
+from .dataset import term_param_name
+from .draws import Mixing, sign_share
 from .optimize import FitResult
 
 #: package version recorded in manifests (kept in sync with pyproject)
@@ -126,10 +128,6 @@ def fit_table_text(fit: FitResult) -> str:
 
 
 def _random_coefficient_lines(fit: FitResult) -> list[str]:
-    # imported here to keep reporting free of model-module dependencies
-    from .mixed import Mixing, sign_share
-    from .dataset import term_param_name
-
     if fit.spec is None or not fit.spec.is_mixed:
         return []
     lines = []

@@ -5,8 +5,9 @@ seed is split with ``SeedSequence.spawn`` into three independent
 streams (covariates, coefficient mixing, outcomes), so a mixed-family
 generator run with all scales at zero consumes the covariate and
 outcome streams exactly like its plain counterpart and reproduces it
-bit for bit.  Normal variates are produced by inverse-CDF transform of
-uniforms, never by rejection, keeping the draw count per row fixed.
+bit for bit.  Normal and mixing variates are produced by the inverse-CDF
+transform of uniforms, :func:`crashmle.draws.standard_draws`, never by
+rejection, keeping the draw count per row fixed.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import serialize
-from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable, build_design,
-                      expected_param_names, scale_param_name, term_param_name)
+from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
+                      build_design, expected_param_names, scale_param_name, term_param_name)
+from .draws import standard_draws
 from .mnl import _log_softmax
 
 RECIPE_KINDS = ("normal", "uniform", "bernoulli", "constant")
@@ -32,10 +33,6 @@ def _streams(seed: int):
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniforms clipped into the open interval for inverse-CDF use."""
     return np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-
-
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    return ndtri(_uniform_open(rng, n))
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ class CovariateRecipe:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "normal":
-            return self.mean + self.sd * _standard_normal(rng, n)
+            return self.mean + self.sd * standard_draws(_uniform_open(rng, n), "normal")
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * rng.random(n)
         if self.kind == "bernoulli":
@@ -198,11 +195,7 @@ def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarra
     n = design.n_obs
     coef = np.broadcast_to(np.asarray(locs, float), (n, len(locs))).copy()
     for j in design.random_terms:
-        kind = design.spec.terms[j].kind
-        if kind == "random_normal":
-            z = _standard_normal(mix_rng, n)
-        else:
-            z = 2.0 * mix_rng.random(n) - 1.0
+        z = standard_draws(_uniform_open(mix_rng, n), _KIND_TO_DIST[design.spec.terms[j].kind])
         coef[:, j] = locs[j] + scales[j] * z
     return coef
 
@@ -317,8 +310,7 @@ def outcome_law(design: DesignMatrix, theta_internal: np.ndarray,
     probabilities of a severity design, at per-row coefficients whose
     mixing draws come from ``rng``.  A design without random terms takes
     no draws, and ``rng`` may be None."""
-    theta = np.asarray(theta_internal, dtype=np.float64)
-    locs, scales = design.unpack(theta[:-1] if design.spec.is_frequency else theta)
+    locs, scales = design.unpack(theta_internal)
     return _outcome_law(design, coefficient_matrix(design, locs, scales, rng))
 
 

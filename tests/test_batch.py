@@ -17,7 +17,7 @@ from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
                               build_design, split_by_flag)
 from crashmle.draws import DrawMatrix
 from crashmle.optimize import (OptimSettings, OptimizationError, hessian_fd,
-                               maximize, maximize_batch, summarize)
+                               maximize, maximize_batch)
 from crashmle.simulate import (CovariateRecipe, DgpConfig, gen_mnl, gen_nb,
                                redraw_outcomes)
 
@@ -141,23 +141,18 @@ def test_mixed_logit_rows_equal_the_serial_objective():
 def draw_entry_points(n_rows):
     """Each entry point that takes a draw matrix, called on a 300-row
     design with a matrix of ``n_rows`` rows."""
-    table = mnl_table(n=300)
-    logit = build_design(table, MIXED_SPEC)
+    logit = build_design(mnl_table(n=300), MIXED_SPEC)
     logit_draws = DrawMatrix(n_rows, 25, ("normal", "uniform"))
     theta = np.zeros(logit.n_params)
-    fit = summarize(theta, None, -1.0, -2.0, param_names=logit.param_names, converged=True,
-                    iterations=0, n_obs=300, family="mixed_mnl", theta_internal=theta,
-                    spec=MIXED_SPEC, n_draws=25, seed=0)
     nb = build_design(nb_table(n=300), MIXED_NB_SPEC)
     nb_draws = DrawMatrix(n_rows, 25, ("normal",))
-    nb_theta = np.zeros(nb.n_params + 1)
+    nb_theta = np.zeros(nb.n_params)
     return {
         "mnl_kernel": lambda: mnl._kernel(logit, logit_draws)(theta[None], [0]),
         "mixed_objective": lambda: mixed.make_objective(logit, logit_draws)(theta),
         "mixed_scores": lambda: mixed.mixed_scores(theta, logit, logit_draws),
         "simulated_probs": lambda: mixed.simulated_probs(theta, logit, logit_draws),
         "simulated_prob": lambda: mixed.simulated_prob(theta, logit, 0, logit_draws),
-        "mixed_effects": lambda: mixed.mixed_effects(fit, table, draws=logit_draws),
         "nb_kernel": lambda: negbin._kernel(nb, nb_draws)(nb_theta[None], [0]),
         "mixed_nb_objective": lambda: negbin.make_mixed_objective(nb, nb_draws)(nb_theta),
         "mixed_nb_scores": lambda: negbin.mixed_nb_scores(nb_theta, nb, nb_draws),
@@ -490,7 +485,7 @@ def test_maximize_batch_respects_the_iteration_limit():
 def test_replicate_outcomes_follow_the_per_replicate_streams():
     for table, spec in ((nb_table(), NB_SPEC), (mnl_table(), MNL_SPEC)):
         design = build_design(table, spec)
-        theta = np.linspace(0.1, 0.5, design.n_params + spec.is_frequency)
+        theta = np.linspace(0.1, 0.5, design.n_params)
         block = lrtest.replicate_outcomes(design, theta, 11, 3, 7)
         assert block.shape == (4, table.n_rows)
         for row, i in enumerate(range(3, 7)):

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from hypothesis import strategies as st
 
 from crashmle import lrtest
 from crashmle.cli import main
-from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
-                              build_design, load_csv, load_spec)
-from crashmle.draws import DrawMatrix
+from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term, load_csv,
+                              load_spec)
 from crashmle.mixed import mixed_effects
 from crashmle.optimize import FitResult
 from crashmle.serialize import dumps
@@ -229,11 +229,60 @@ def test_effects_use_the_draws_the_fit_used(workdir):
     fit = FitResult.from_dict(fit_dict)
     table = load_csv(workdir / "mnl_data.csv", "severity", "outcome",
                      fit.spec.outcomes)
-    draws = DrawMatrix.for_design(build_design(table, fit.spec), 25, skip=500)
-    want = mixed_effects(fit, table, ["x1"], draws=draws).rows
+    want = mixed_effects(fit, table, ["x1"]).rows
     assert [r["outcome"] for r in rows] == [r.outcome for r in want]
     np.testing.assert_allclose([r["value"] for r in rows],
                                [r.value for r in want], rtol=1e-12)
+    # the recorded burn-in reaches the effects: the default one gives others
+    default = mixed_effects(replace(fit, skip=10), table, ["x1"]).rows
+    assert [r.value for r in default] != [r.value for r in want]
+
+
+def test_mixed_pseudo_effects_command(workdir):
+    """``effects --type pseudo`` on a mixed logit fit with an indicator
+    term gives mixed_effects' pseudo-elasticities."""
+    (workdir / "mixed_flag.ini").write_text(MIXED_SPEC_TEXT + "\n[term]\nvar = flag\n"
+                                            "outcomes = a\n")
+    assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
+                 "--spec", str(workdir / "mixed_flag.ini"), "--draws", "25",
+                 "--out", str(workdir / "mixedflag")]) == 0
+    assert main(["effects", "--fit", str(workdir / "mixedflag.json"),
+                 "--data", str(workdir / "mnl_data.csv"), "--type", "pseudo",
+                 "--vars", "flag", "--out", str(workdir / "pseudo")]) == 0
+    report = json.loads((workdir / "pseudo.json").read_text())
+
+    fit = FitResult.from_dict(json.loads((workdir / "mixedflag.json").read_text()))
+    table = load_csv(workdir / "mnl_data.csv", "severity", "outcome", fit.spec.outcomes)
+    want = mixed_effects(fit, table, ["flag"], pseudo=True)
+    assert report["effect_type"] == want.effect_type == "pseudo_elasticity"
+    assert [(r["variable"], r["outcome"]) for r in report["rows"]] == [
+        (r.variable, r.outcome) for r in want.rows]
+    np.testing.assert_allclose([r["value"] for r in report["rows"]],
+                               [r.value for r in want.rows], rtol=1e-12)
+
+
+def test_effects_refuses_a_fit_file_without_a_spec(workdir, capsys):
+    assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
+                 "--spec", str(workdir / "mnl.ini"), "--out", str(workdir / "fit")]) == 0
+    fit = json.loads((workdir / "fit.json").read_text())
+    (workdir / "nospec.json").write_text(dumps({**fit, "spec": None}))
+    capsys.readouterr()
+    assert main(["effects", "--fit", str(workdir / "nospec.json"),
+                 "--data", str(workdir / "mnl_data.csv"), "--type", "elasticity",
+                 "--out", str(workdir / "eff")]) == 2
+    assert capsys.readouterr().err == "error: fit file carries no model spec\n"
+    assert not (workdir / "eff.json").exists()
+
+
+def test_fit_notes_the_rows_it_dropped(workdir, capsys):
+    header, first, *rest = (workdir / "mnl_data.csv").read_text().splitlines()
+    (workdir / "gap.csv").write_text("\n".join([header, "," + first.split(",", 1)[1],
+                                                 *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--data", str(workdir / "gap.csv"),
+                 "--spec", str(workdir / "mnl.ini"), "--out", str(workdir / "gapfit")]) == 0
+    assert capsys.readouterr().out.startswith("note: dropped 1 rows with missing fields\n")
+    assert json.loads((workdir / "gapfit.json").read_text())["n_obs"] == len(rest)
 
 
 def test_marginal_effects_for_count_fit(workdir):
@@ -333,6 +382,17 @@ def test_influence_command(workdir):
     assert abs(prof["d_star"] - 0.5) <= 0.1 + 1e-9
     lines = (workdir / "prof.csv").read_text().strip().splitlines()
     assert lines[0] == "D,ll,converged" and len(lines) == 6
+
+
+def test_influence_command_reports_a_flat_profile(workdir, capsys):
+    """Every cap above the largest distance leaves the covariate as it is,
+    so the profile is flat."""
+    argv = influence_args(workdir, 200) + ["--dmin", "3", "--dmax", "4", "--step", "0.5"]
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match="profile is flat"):
+        assert main(argv) == 0
+    assert "  WARNING: profile is flat; distance not identified\n" in capsys.readouterr().out
+    assert json.loads((workdir / "prof.json").read_text())["flat"] is True
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -3,6 +3,7 @@
 import csv
 import functools
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +30,7 @@ from crashmle.dataset import (
 )
 from crashmle.influence import InfluenceProfile
 from crashmle.lrtest import LrTestResult, ModelPiece
+from crashmle.negbin import nb_logpmf
 from crashmle.reporting import EffectRow, EffectsReport
 
 
@@ -81,6 +83,22 @@ def test_frequency_outcomes_coerced_and_validated():
         ObservationTable({"x": [1.0]}, np.array([1.5]), "frequency")
     with pytest.raises(ValueError, match="non-negative"):
         ObservationTable({"x": [1.0]}, np.array([-1]), "frequency")
+
+
+@pytest.mark.parametrize("value", [1e19, np.inf])
+@pytest.mark.parametrize("call, what", [
+    (lambda v: ObservationTable({"x": [1.0]}, np.array([v]), "frequency"),
+     "frequency outcomes"),
+    (lambda v: nb_logpmf(np.array([v]), 1.0, 0.5), "counts"),
+], ids=["table", "nb_logpmf"])
+def test_a_float_count_beyond_int64_is_refused_before_the_cast(call, what, value):
+    """Casting 1e19 to int64 warns and wraps to a negative number, which
+    was then refused as negative, and an infinite count warned before it
+    was refused; the range is checked first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{what} must lie within the int64 range$"):
+            call(value)
 
 
 def test_subset_with_mask_and_index():
@@ -709,9 +727,11 @@ def test_design_layout_frequency_with_random_term():
     t = ObservationTable({"z": [0.5, 1.5]}, np.array([2, 0]), "frequency")
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z", (), "random_normal")))
     d = build_design(t, spec)
-    assert d.param_names == ("constant", "z", "z:sd")
+    assert d.param_names == ("constant", "z", "z:sd", "alpha")
+    assert d.n_params == 4
     assert list(d.loc_pos) == [0, 1]
     assert list(d.scale_pos) == [-1, 2]
+    assert list(d.log_pos) == [2, 3]
     assert d.random_terms == (1,)
     assert d.incidence is None and d.y_index is None
     assert np.array_equal(d.counts, [2, 0])

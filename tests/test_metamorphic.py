@@ -184,7 +184,7 @@ def test_mixed_rows_permuted_with_their_draws_permute_the_kernel(family, seed):
     perm = rng.permutation(N)
     design = build_design(table, spec)
     draws = DrawMatrix.for_design(design, 50)
-    theta = rng.normal(0.0, 0.5, design.n_params + spec.is_frequency)
+    theta = rng.normal(0.0, 0.5, design.n_params)
     kernel = families.REGISTRY[spec.family].kernel
     ll, scores = families.first_row(kernel(design, draws))(theta)
     ll_p, scores_p = families.first_row(kernel(build_design(table.subset(perm), spec),

@@ -440,7 +440,7 @@ def test_mixed_effects_match_a_dense_evaluation(pseudo, variables):
                     converged=True, iterations=0, n_obs=n, family="mixed_mnl",
                     theta_internal=theta, spec=EFFECTS_SPEC, n_draws=40, seed=0)
     draws = DrawMatrix.for_design(design, 40)
-    report = mixed_effects(fit, table, variables, pseudo=pseudo, draws=draws)
+    report = mixed_effects(fit, table, variables, pseudo=pseudo)
     want = dense_effects(design, draws, theta, variables, pseudo)
     got = {(r.variable, r.target, r.outcome): r.value for r in report.rows}
     assert got.keys() == want.keys()

@@ -88,6 +88,19 @@ def test_logpmf_matches_scipy_parameterization():
             np.testing.assert_allclose(ours, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("counts, lam, alpha, message", [
+    (2, 1.5, 0.0, "alpha must be positive"),
+    (2, 1.5, -0.5, "alpha must be positive"),
+    (np.array([1.0, 2.5]), 1.5, 0.8, "counts must be integers"),
+    (np.array([1, -1]), 1.5, 0.8, "counts must be non-negative"),
+    (2, 0.0, 0.8, "lam must be positive"),
+    (np.array([2, 3]), np.array([1.0, -1.0]), 0.8, "lam must be positive"),
+])
+def test_logpmf_refuses_bad_arguments(counts, lam, alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nb_logpmf(counts, lam, alpha)
+
+
 def test_logpmf_hand_checked_value():
     # P(Y=2 | lam=1.5, alpha=0.8): r=1.25, p=1.25/2.75;
     # log [ C(2+r-1, 2) p^r (1-p)^2 ] evaluated by hand

@@ -15,7 +15,7 @@ import pytest
 from crashmle import mixed, mnl, negbin
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.draws import DrawMatrix
-from crashmle.families import REGISTRY, first_row
+from crashmle.families import REGISTRY, first_row, fit, natural_from_internal
 
 N = 40
 SEVERITY = ("a", "b", "base")
@@ -68,12 +68,30 @@ def case(family):
         table = ObservationTable(columns, counts, "frequency")
     design = build_design(table, spec)
     draws = DrawMatrix.for_design(design, 30) if spec.is_mixed else None
-    theta = rng.normal(scale=0.3, size=design.n_params + spec.is_frequency)
+    theta = rng.normal(scale=0.3, size=design.n_params)
     for j in design.random_terms:
         theta[design.scale_pos[j]] = np.log(0.6)
     if spec.is_frequency:
         theta[-1] = np.log(0.7)
     return design, draws, theta
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_the_design_packs_every_slot_and_knows_the_logs(family):
+    """One packing for every family: the design's names cover the whole
+    parameter vector, alpha too, and ``log_pos`` holds exactly the slots
+    that the reported scale exponentiates."""
+    design, _, theta = case(family)
+    result = fit(design.table, design.spec, n_draws=25)
+    names = design.param_names
+    assert design.n_params == len(names) == result.n_params == theta.size
+    assert result.param_names == names
+    assert [names[i] for i in design.log_pos] == [
+        name for name in names if name.endswith((":sd", ":spread")) or name == "alpha"]
+    natural, _ = natural_from_internal(theta, design)
+    np.testing.assert_array_equal(natural[design.log_pos], np.exp(theta[design.log_pos]))
+    np.testing.assert_array_equal(np.delete(natural, design.log_pos),
+                                  np.delete(theta, design.log_pos))
 
 
 @pytest.mark.parametrize("family", sorted(SPECS))
