@@ -14,8 +14,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import families, serialize
 from .dataset import load_csv, load_spec
 from .influence import search_influence

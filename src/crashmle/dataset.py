@@ -103,10 +103,12 @@ class ObservationTable:
 
 
 def as_counts(values, what: str) -> np.ndarray:
-    """``values`` as int64 counts: integers, or floats inside the int64
-    range (checked before the cast; infinities too) within 1e-9 of an
-    integer, none negative; ``what`` names them in an error."""
+    """``values`` as int64 counts: integers, or floats within 1e-9 of an
+    integer, none negative; unsigned and float values inside the int64
+    range (checked before the cast; infinities too).  ``what`` names them."""
     out = np.asarray(values)
+    if out.dtype.kind == "u" and np.any(out > np.iinfo(np.int64).max):
+        raise ValueError(f"{what} must lie within the int64 range")
     if out.dtype.kind == "f":
         rounded = np.rint(out)
         if np.any(np.abs(rounded) >= 2.0 ** 63):

@@ -11,18 +11,20 @@ A family's likelihood is one stacked kernel, ``Family.kernel``
 hessian=False)`` maps (K, P) parameter rows and the indices of the K
 outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
 scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
-Given a draw matrix, which must have the design's rows, a kernel is the
-mixed family's simulated likelihood, which has no Hessian; without one
-it is the plain family, as if with one draw.  Every other view derives
-from the kernel.  Only :func:`batched` and :func:`fit` ask for
-Hessians, and both use the outputs at once, so the per-observation
+Each row holds ``design.n_params`` parameters.  Given a draw matrix,
+which must have the design's rows, a kernel is the mixed family's
+simulated likelihood, which has no Hessian; without one it is the plain
+family, as if with one draw, and the design has fixed terms only.
+:func:`checked` enforces this contract for both kernels.  Every other
+view derives from the kernel.  Only :func:`batched` and :func:`fit` ask
+for Hessians, and both use the outputs at once, so the per-observation
 outputs of such a call may be work arrays that the kernel's next call
-overwrites (the NB kernel's are); every other call returns fresh
-arrays, which :func:`first_row` hands on to callers that keep them.  Both kernels bound their working
-memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with a
-block, not with K * N * R: the logit kernel works through the
-observations in blocks of that many elements per outcome, the NB kernel
-through its K rows in tiles of that many (row, observation, draw)
+overwrites (the NB kernel's are); every other call returns fresh arrays,
+which :func:`first_row` hands on to callers that keep them.  Both kernels
+bound their working memory by the constant ``mnl.BLOCK_ELEMENTS``, so it
+scales with a block, not with K * N * R: the logit kernel works through
+the observations in blocks of that many elements per outcome, the NB
+kernel through its K rows in tiles of that many (row, observation, draw)
 elements and dispersion-table entries, never splitting a row.  The
 logit's per-block softmax (``mnl._block_softmax``) also gives its
 simulated probabilities and effects.
@@ -105,6 +107,25 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
         if boundary is not None:
             res.converged[i], res.message[i] = False, boundary
     return res
+
+
+def checked(kernel, design: DesignMatrix, draws: DrawMatrix | None):
+    """Stacked ``kernel`` on ``design`` and ``draws`` behind the checks of
+    the kernel contract, ``theta`` cast to float64; both factories use it."""
+    if draws is None and design.random_terms:
+        raise ValueError("objective requires a design with fixed terms only")
+    if draws is not None and draws.n_obs != design.n_obs:
+        raise ValueError("draw matrix and design disagree on the number of rows")
+
+    def call(theta, rows, hessian=False):
+        if hessian and draws is not None:
+            raise ValueError("the simulated likelihood has no analytic Hessian")
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape[-1] != design.n_params:
+            raise ValueError(f"expected {design.n_params} parameters, got {theta.shape[-1]}")
+        return kernel(theta, rows, hessian)
+
+    return call
 
 
 def first_row(kernel):

@@ -16,14 +16,16 @@ import numpy as np
 
 from . import families, mnl
 from .dataset import DesignMatrix, ModelSpec, ObservationTable
-# re-exported: the mixing distributions (Mixing, sign_share, transform_draws),
-# first_primes, halton and is_prime from draws, natural_from_internal from families
 from .draws import (DrawMatrix, Mixing, first_primes, halton, is_prime, sign_share,
                     transform_draws)
 from .families import natural_from_internal
 from .mnl import _logit_effects, restricted_loglik
 from .optimize import FitResult
 from .reporting import EffectsReport
+
+#: importable from here: the mixing and Halton tools of draws, and the scale map
+REEXPORTED = (Mixing, sign_share, transform_draws, first_primes, halton, is_prime,
+              natural_from_internal)
 
 
 def simulated_probs(theta, design: DesignMatrix, draws: DrawMatrix) -> np.ndarray:

@@ -194,10 +194,9 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
             y_index: np.ndarray | None = None):
     """Stacked logit likelihood kernel (see :mod:`crashmle.families`).
 
-    With ``draws`` it is the simulated likelihood of the mixed logit, the
-    draw average of logit probabilities, with no Hessian; without draws
-    it is the plain MNL.  ``y_index`` (B, N), or (N,) for B = 1,
-    overrides the design's encoded outcomes.
+    With ``draws`` it is the mixed logit's simulated likelihood, the draw
+    average of logit probabilities; without, the plain MNL.  ``y_index``
+    (B, N), or (N,) for B = 1, overrides the design's encoded outcomes.
 
     The observations are evaluated in consecutive blocks of about
     ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, a constant, so
@@ -209,8 +208,6 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     observation whose ``p_y,r`` underflow at every draw is recomputed in
     the log domain, so its ``ll`` stays finite.
     """
-    if draws is None and design.random_terms:
-        raise ValueError("objective requires a design with fixed terms only")
     x = design.x
     inc = design.incidence
     y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
@@ -227,10 +224,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     tiny = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
     gys = slot[y] if random else None  # the observed outcomes' slots
 
-    def kernel(theta, rows, hessian=False):
-        if hessian and draws is not None:
-            raise ValueError("the simulated likelihood has no analytic Hessian")
-        theta = np.asarray(theta, dtype=np.float64)
+    def kernel(theta, rows, hessian):
         k, t = theta.shape[0], x.shape[1]
         ll = np.empty((k, design.n_obs))
         scores = np.empty((k, design.n_obs, design.n_params))
@@ -316,7 +310,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
             hess = 0.5 * (hess + hess.transpose(0, 2, 1))
         return (ll, scores, hess) if hessian else (ll, scores)
 
-    return kernel
+    return families.checked(kernel, design, draws)
 
 
 def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
@@ -330,7 +324,7 @@ def make_objective(design: DesignMatrix, y_index: np.ndarray | None = None):
 
 def mnl_loglik(theta: np.ndarray, design: DesignMatrix):
     """Log-likelihood and analytic gradient at ``theta``."""
-    return make_objective(design)(np.asarray(theta, dtype=np.float64))
+    return make_objective(design)(theta)
 
 
 def mnl_scores(theta: np.ndarray, design: DesignMatrix) -> np.ndarray:

@@ -143,9 +143,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     """Stacked likelihood kernel (see :mod:`crashmle.families`): ``theta``
     rows pack the design's parameters, log(alpha) last; ``counts`` (B, N),
     or (N,) for B = 1, overrides the design's counts.  With draws the
-    likelihood is the draw average of NB probabilities, with no Hessian;
-    without draws it is the plain NB, as if with one draw.  The draws must
-    have the design's rows.
+    likelihood is the draw average of NB probabilities; without, the plain NB.
 
     The K rows are evaluated in tiles of at least one row and at most
     ``BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
@@ -162,8 +160,6 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so
     one ``take`` gathers every count's table entries.
     """
-    if draws is not None and draws.n_obs != design.n_obs:
-        raise ValueError("draw matrix and design disagree on the number of rows")
     a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
                                  dtype=np.int64))
     b, n = a.shape
@@ -181,13 +177,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     index = np.arange(b)
     floats = ints = outputs = None
 
-    def kernel(theta, rows, hessian=False):
+    def kernel(theta, rows, hessian):
         nonlocal floats, ints, outputs
-        if hessian and draws is not None:
-            raise ValueError("the simulated likelihood has no analytic Hessian")
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape[-1] != p:
-            raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
         k = theta.shape[0]
         rows = index[rows]
         nt = 3 if hessian else 2
@@ -278,7 +269,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
             return ll, scores.transpose(1, 2, 0)
         return ll, scores.transpose(1, 2, 0), hess
 
-    return kernel
+    return families.checked(kernel, design, draws)
 
 
 def make_objective(design: DesignMatrix, counts: np.ndarray | None = None):

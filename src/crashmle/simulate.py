@@ -12,7 +12,7 @@ rejection, keeping the draw count per row fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,10 @@ from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, Observat
 from .draws import standard_draws
 from .mnl import _log_softmax
 
-RECIPE_KINDS = ("normal", "uniform", "bernoulli", "constant")
+#: each recipe kind's parameters, in the order ``to_dict`` writes them
+RECIPE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
+                 "bernoulli": ("p",), "constant": ("value",)}
+RECIPE_KINDS = tuple(RECIPE_PARAMS)
 
 
 def _streams(seed: int):
@@ -72,27 +75,16 @@ class CovariateRecipe:
         return np.full(n, float(self.value))
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "normal":
-            d.update(mean=self.mean, sd=self.sd)
-        elif self.kind == "uniform":
-            d.update(low=self.low, high=self.high)
-        elif self.kind == "bernoulli":
-            d.update(p=self.p)
-        else:
-            d.update(value=self.value)
-        return d
+        return {"kind": self.kind, **{k: getattr(self, k) for k in RECIPE_PARAMS[self.kind]}}
 
     @staticmethod
     def from_dict(d: dict) -> "CovariateRecipe":
         if "kind" not in serialize.require(d, (), "covariate recipe"):
             raise ValueError("covariate recipe needs a kind")
         kind = d["kind"]
-        allowed = {"normal": {"mean", "sd"}, "uniform": {"low", "high"},
-                   "bernoulli": {"p"}, "constant": {"value"}}
-        if not isinstance(kind, str) or kind not in allowed:
+        if not isinstance(kind, str) or kind not in RECIPE_PARAMS:
             raise ValueError(f"recipe kind must be one of {RECIPE_KINDS}, got {kind!r}")
-        serialize.known(d, {"kind", *allowed[kind]}, "unknown keys {} for {!r} recipe", kind)
+        serialize.known(d, {"kind", *RECIPE_PARAMS[kind]}, "unknown keys {} for {!r} recipe", kind)
         return CovariateRecipe(kind, **{
             k: serialize.number(v, f"covariate recipe {k!r}")
             for k, v in d.items() if k != "kind"})

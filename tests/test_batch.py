@@ -167,6 +167,71 @@ def test_every_draw_entry_point_checks_the_matrix_rows(entry, n_rows):
         call()
 
 
+def kernel_entry_points(case):
+    """Each entry point onto the two likelihood kernels, as (design,
+    ``call(theta)``) on a 300-row design: the plain families' on plain
+    designs (``"plain"``) or on designs with random terms (``"random"``),
+    or the mixed families' with a 25-draw matrix (``"mixed"``)."""
+    random = case != "plain"
+    logit = build_design(mnl_table(n=300), MIXED_SPEC if random else MNL_SPEC)
+    nb = build_design(nb_table(n=300), MIXED_NB_SPEC if random else NB_SPEC)
+    if case == "mixed":
+        ld, nd = DrawMatrix.for_design(logit, 25), DrawMatrix.for_design(nb, 25)
+        return {
+            "mnl_kernel": (logit, lambda t: mnl._kernel(logit, ld)(t[None], [0])),
+            "mixed_objective": (logit, lambda t: mixed.make_objective(logit, ld)(t)),
+            "mixed_loglik": (logit, lambda t: mixed.mixed_loglik(t, logit, ld)),
+            "mixed_scores": (logit, lambda t: mixed.mixed_scores(t, logit, ld)),
+            "nb_kernel": (nb, lambda t: negbin._kernel(nb, nd)(t[None], [0])),
+            "mixed_nb_objective": (nb, lambda t: negbin.make_mixed_objective(nb, nd)(t)),
+            "mixed_nb_scores": (nb, lambda t: negbin.mixed_nb_scores(t, nb, nd)),
+        }
+    return {
+        "mnl_kernel": (logit, lambda t: mnl._kernel(logit)(t[None], [0])),
+        "mnl_objective": (logit, lambda t: mnl.make_objective(logit)(t)),
+        "mnl_loglik": (logit, lambda t: mnl.mnl_loglik(t, logit)),
+        "mnl_scores": (logit, lambda t: mnl.mnl_scores(t, logit)),
+        "nb_kernel": (nb, lambda t: negbin._kernel(nb, None)(t[None], [0])),
+        "nb_objective": (nb, lambda t: negbin.make_objective(nb)(t)),
+        "nb_loglik": (nb, lambda t: negbin.nb_loglik(t, nb)),
+        "nb_scores": (nb, lambda t: negbin.nb_scores(t, nb)),
+    }
+
+
+def refused(call, message):
+    """``call()`` raises a ValueError matching ``message`` from
+    ``families.py``, where the one check of the kernel contract lives."""
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.traceback[-1].path.name == "families.py"
+
+
+@pytest.mark.parametrize("entry", list(kernel_entry_points("random")))
+def test_a_design_with_random_terms_needs_draws(entry):
+    design, call = kernel_entry_points("random")[entry]
+    refused(lambda: call(np.zeros(design.n_params)),
+            "^objective requires a design with fixed terms only$")
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("case, entry", [(case, entry) for case in ("plain", "mixed")
+                                         for entry in kernel_entry_points(case)])
+def test_each_parameter_row_has_the_design_width(case, entry, extra):
+    design, call = kernel_entry_points(case)[entry]
+    p = design.n_params
+    refused(lambda: call(np.zeros(p + extra)), f"^expected {p} parameters, got {p + extra}$")
+
+
+@pytest.mark.parametrize("kernel, table, spec", [(mnl._kernel, mnl_table, MIXED_SPEC),
+                                                 (negbin._kernel, nb_table, MIXED_NB_SPEC)],
+                         ids=["mnl", "nb"])
+def test_a_kernel_with_draws_has_no_hessian(kernel, table, spec):
+    design = build_design(table(n=300), spec)
+    call = kernel(design, DrawMatrix.for_design(design, 25))
+    refused(lambda: call(np.zeros((1, design.n_params)), [0], hessian=True),
+            "^the simulated likelihood has no analytic Hessian$")
+
+
 def test_logit_kernel_without_draws_is_the_mnl_closed_form():
     design, ys, theta = mnl_batch_case()
     y = ys[1]

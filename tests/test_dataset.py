@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from crashmle import serialize
 from crashmle.dataset import (
     CONSTANT,
-    DesignMatrix,
     ModelSpec,
     ObservationTable,
     Term,
@@ -76,25 +75,26 @@ def test_table_rejects_bad_mode_and_shapes():
 
 
 def test_frequency_outcomes_coerced_and_validated():
-    t = ObservationTable({"x": [1.0, 2.0]}, np.array([3.0, 0.0]), "frequency")
-    assert t.outcome.dtype == np.int64
-    assert list(t.outcome) == [3, 0]
+    for counts in (np.array([3.0, 0.0]), np.array([3, 0], dtype=np.uint64)):
+        t = ObservationTable({"x": [1.0, 2.0]}, counts, "frequency")
+        assert t.outcome.dtype == np.int64
+        assert list(t.outcome) == [3, 0]
     with pytest.raises(ValueError, match="integers"):
         ObservationTable({"x": [1.0]}, np.array([1.5]), "frequency")
     with pytest.raises(ValueError, match="non-negative"):
         ObservationTable({"x": [1.0]}, np.array([-1]), "frequency")
 
 
-@pytest.mark.parametrize("value", [1e19, np.inf])
+@pytest.mark.parametrize("value", [1e19, np.inf, np.uint64(2**63)])
 @pytest.mark.parametrize("call, what", [
     (lambda v: ObservationTable({"x": [1.0]}, np.array([v]), "frequency"),
      "frequency outcomes"),
     (lambda v: nb_logpmf(np.array([v]), 1.0, 0.5), "counts"),
 ], ids=["table", "nb_logpmf"])
-def test_a_float_count_beyond_int64_is_refused_before_the_cast(call, what, value):
-    """Casting 1e19 to int64 warns and wraps to a negative number, which
-    was then refused as negative, and an infinite count warned before it
-    was refused; the range is checked first."""
+def test_a_count_beyond_int64_is_refused_before_the_cast(call, what, value):
+    """Casting 1e19 or the unsigned 2**63 to int64 wraps to a negative
+    number, which was then refused as negative, and an infinite count
+    warned before it was refused; the range is checked first."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{what} must lie within the int64 range$"):

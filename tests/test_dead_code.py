@@ -1,0 +1,66 @@
+"""A dead-code gate over ``src/crashmle``, read with the standard ``ast``.
+
+Every module-level import must be read in its module or named in the
+module's ``__all__`` (a name re-exported on purpose is read by a tuple
+that holds it, as ``mixed.REEXPORTED`` does), and every private
+module-level function must be referenced somewhere in the package
+outside its own body.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "crashmle"
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def bound_imports(tree):
+    """The names the module's top-level imports bind, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def exported(tree):
+    """The strings of the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def references(tree, skip=None, attributes=True):
+    """The names ``tree`` reads outside the subtree ``skip``: bare names
+    and, with ``attributes``, attribute names."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif attributes and isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_import_is_used_or_exported(module):
+    tree = TREES[module]
+    used = set(references(tree, attributes=False)) | exported(tree)
+    assert [name for name in bound_imports(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_private_function_is_referenced(module):
+    private = [node for node in TREES[module].body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    unreferenced = [fn.name for fn in private
+                    if not any(fn.name in references(tree, fn if name == module else None)
+                               for name, tree in TREES.items())]
+    assert unreferenced == []
