@@ -117,14 +117,15 @@ def as_counts(values, what: str) -> np.ndarray:
             raise ValueError(f"{what} must be integers")
         out = rounded
     out = out.astype(np.int64)
-    if np.any(out < 0):
+    if out.min(initial=0) < 0:
         raise ValueError(f"{what} must be non-negative")
     return out
 
 
 def _parse_count(cell: str, where: str) -> int:
-    """A count cell: integer text, read exactly up to the int64 limit, or
-    float text such as ``"3.0"`` within 1e-9 of an integer."""
+    """A count cell: integer text, read exactly over the int64 range, or
+    float text such as ``"3.0"``, whose value :func:`as_counts` checks."""
+    what = f"{where}: count {cell!r}"
     try:
         value = int(cell)
     except ValueError:
@@ -132,15 +133,10 @@ def _parse_count(cell: str, where: str) -> int:
             value = float(cell)
         except ValueError:
             raise ValueError(f"{where}: non-numeric count {cell!r}") from None
-    if value < 0:
-        raise ValueError(f"{where}: negative count {cell!r}")
-    if isinstance(value, float):
-        if not (np.isfinite(value) and abs(value - round(value)) <= 1e-9):
-            raise ValueError(f"{where}: non-integer count {cell!r}")
-        value = int(round(value))
-    if value > np.iinfo(np.int64).max:
-        raise ValueError(f"{where}: count {cell!r} exceeds the int64 range")
-    return value
+    else:
+        if not -2 ** 63 <= value < 2 ** 63:  # numpy would not hold it as an int64
+            raise ValueError(f"{what} must lie within the int64 range")
+    return int(as_counts(value, what))
 
 
 def _read_header(reader, path, outcome_column: str) -> list[str]:
@@ -547,6 +543,8 @@ class DesignMatrix:
             raise ValueError(
                 f"family {spec.family!r} needs a {expected_mode} table, "
                 f"got {table.mode}")
+        if table.n_rows == 0:
+            raise ValueError("the table has no rows")
         self.spec = spec
         self.table = table
         self.n_obs = table.n_rows

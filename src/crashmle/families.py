@@ -16,18 +16,16 @@ which must have the design's rows, a kernel is the mixed family's
 simulated likelihood, which has no Hessian; without one it is the plain
 family, as if with one draw, and the design has fixed terms only.
 :func:`checked` enforces this contract for both kernels.  Every other
-view derives from the kernel.  Only :func:`batched` and :func:`fit` ask
-for Hessians, and both use the outputs at once, so the per-observation
-outputs of such a call may be work arrays that the kernel's next call
-overwrites (the NB kernel's are); every other call returns fresh arrays,
-which :func:`first_row` hands on to callers that keep them.  Both kernels
-bound their working memory by the constant ``mnl.BLOCK_ELEMENTS``, so it
-scales with a block, not with K * N * R: the logit kernel works through
-the observations in blocks of that many elements per outcome, the NB
-kernel through its K rows in tiles of that many (row, observation, draw)
-elements and dispersion-table entries, never splitting a row.  The
-logit's per-block softmax (``mnl._block_softmax``) also gives its
-simulated probabilities and effects.
+view derives from the kernel.  Every kernel call returns arrays that the
+caller owns: no later call touches them.  Both kernels bound their
+working memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with
+a block, not with K * N * R: the logit kernel works through the
+observations in blocks of that many elements per outcome, the NB kernel
+through its K rows in tiles of that many (row, observation, draw)
+elements and dispersion-table entries, never splitting a row, in a tile
+arena that never leaves the kernel.  The logit's per-block softmax
+(``mnl._block_softmax``) also gives its simulated probabilities and
+effects.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:

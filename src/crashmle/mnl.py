@@ -14,8 +14,6 @@ logit is one draw.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import families
@@ -99,8 +97,7 @@ def _block_softmax(theta, design: DesignMatrix, slots):
     ``z``, their log-sum-exp ``lse`` and each member's share ``q_i``.
     With draws (else ``c`` and ``buf`` are None), each draw's softmax over
     slot 0, the group's log-sum-exp ``c``, and the varying slots runs in
-    place on ``buf``, a work array that each call reuses, so the first
-    must be for the largest block: ``buf[s]`` holds slot s's
+    place on ``buf``, an array of the call's own: ``buf[s]`` holds slot s's
     probabilities, ``buf[n_slots]`` each draw's maximum less ``c``,
     ``buf[n_slots + 1]`` its sum of exponentials, and ``buf[n_slots + 2]``
     is free.  A fixed outcome's probability is slot 0's times its
@@ -113,10 +110,8 @@ def _block_softmax(theta, design: DesignMatrix, slots):
     theta = np.asarray(theta, dtype=np.float64)
     loc = theta[..., None, design.loc_pos]
     sd = {j: np.exp(theta[..., design.scale_pos[j], None, None]) for j in enters}
-    work = None
 
     def block(b, switch=None):
-        nonlocal work
         x = design.x[b]
         v = (x * loc) @ design.incidence
         coef = {j: x[:, j, None] * sd[j] for j in enters}
@@ -132,11 +127,7 @@ def _block_softmax(theta, design: DesignMatrix, slots):
         if not parts:
             return v, coef, z, lse, q, None, None
         c = m + lse
-        shape = (n_slots + 3, *v.shape[:-1], parts[0][0].shape[-1])
-        size = math.prod(shape)
-        if work is None:
-            work = np.empty(size)
-        buf = work[:size].reshape(shape)
+        buf = np.empty((n_slots + 3, *v.shape[:-1], parts[0][0].shape[-1]))
         sl, top, tot = buf[:n_slots], buf[n_slots], buf[n_slots + 1]
         # the varying predictors less c: the location part plus each
         # term's draws (``top`` holds the draws)
@@ -202,11 +193,12 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, a constant, so
     results do not depend on the machine and working memory scales with
     the block, not with N * R.  Each block's probabilities come from
-    :func:`_block_softmax`.  The draws' posterior weights are the observed
-    outcome's probabilities ``p_y,r`` normalized over the draws, and
-    ``ll = log(mean_r p_y,r)`` (plus ``log q_y`` for a fixed outcome).  An
-    observation whose ``p_y,r`` underflow at every draw is recomputed in
-    the log domain, so its ``ll`` stays finite.
+    :func:`_block_softmax`, and every call returns fresh outputs.  The
+    draws' posterior weights are the observed outcome's probabilities
+    ``p_y,r`` normalized over the draws, and ``ll = log(mean_r p_y,r)``
+    (plus ``log q_y`` for a fixed outcome).  An observation whose
+    ``p_y,r`` underflow at every draw is recomputed in the log domain, so
+    its ``ll`` stays finite.
     """
     x = design.x
     inc = design.incidence
@@ -237,7 +229,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         if np.any(over):
             theta = np.where(over[:, None], 0.0, theta)
         sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
-        block, rows_at = _block_softmax(theta, design, slots), None
+        block = _block_softmax(theta, design, slots)
         for b in _blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
             v, coef, z, lse, q, c, buf = block(b)
@@ -250,13 +242,11 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                 ll[:, b] = logq[..., 0]
                 ps = np.concatenate([q[i] for i in scored], axis=-1)
             else:
-                nb = b.stop - b.start
-                if rows_at is None:  # the first block is the largest
-                    rows_at = np.arange(k * nb)
+                kn = k * (b.stop - b.start)
                 sl, top, tot, w = buf[:n_slots], buf[n_slots], buf[n_slots + 1], buf[-1]
                 # p_y,r: the rows of the observed outcome's slot
                 gy = gys[rows, b]
-                np.take(sl.reshape(-1, n_draws), gy.ravel() * (k * nb) + rows_at[:k * nb],
+                np.take(sl.reshape(-1, n_draws), gy.ravel() * kn + np.arange(kn),
                         axis=0, out=w.reshape(-1, n_draws), mode="clip")
                 total = w.sum(axis=-1)
                 low = np.nonzero(total < tiny)
@@ -305,6 +295,9 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                     xs = x[b, terms]
                     hess[:, terms[:, None], terms] -= (
                         (ps[..., i, None] * xs).transpose(0, 2, 1) @ xs)
+            # freed before the next block allocates its own, so that the
+            # blocks take turns in one place in memory, which stays in cache
+            buf = sl = top = tot = w = None
         ll[over], scores[over] = -np.inf, 0.0
         if hessian:  # the matmuls' rounding leaves it a few ulps from symmetric
             hess = 0.5 * (hess + hess.transpose(0, 2, 1))
@@ -431,8 +424,7 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             x = design.x[b, j]
             col = labels.index(target)
             if pseudo:
-                # switched in the target's predictor alone; this
-                # overwrites ``p``
+                # switched in the target's predictor alone
                 on = _draw_means(block, slot, b, (j, col, 1.0 - x))[2]
                 off = _draw_means(block, slot, b, (j, col, -x))[2]
                 each[t, :, b] = ((on - off) / p_bar).T

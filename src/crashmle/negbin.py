@@ -152,13 +152,12 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     evaluated with it, so every tiling gives the same outputs bit for bit.
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
     adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
-    closure owns one tile's work arrays, sized for a full tile of its
-    widest tables, so that repeated calls do not allocate them: each draw's
-    log probability becomes its posterior share in place.  With
-    ``hessian`` the per-observation outputs are work arrays too, valid
-    until the next call (see :mod:`crashmle.families`); without, they are
-    fresh.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so
-    one ``take`` gathers every count's table entries.
+    closure owns one tile's work arrays, its tile arena, sized for a full
+    tile of its widest tables, so that repeated calls do not allocate
+    them: each draw's log probability becomes its posterior share in
+    place.  The arena never leaves the kernel; every call returns fresh
+    outputs.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table,
+    so one ``take`` gathers every count's table entries.
     """
     a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
                                  dtype=np.int64))
@@ -175,10 +174,10 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     p = design.n_params
     n_draws = 1 if draws is None else draws.n_draws
     index = np.arange(b)
-    floats = ints = outputs = None
+    floats = ints = None
 
     def kernel(theta, rows, hessian):
-        nonlocal floats, ints, outputs
+        nonlocal floats, ints
         k = theta.shape[0]
         rows = index[rows]
         nt = 3 if hessian else 2
@@ -190,12 +189,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         size = sum(map(math.prod, shapes(tile, widest)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
-        if hessian:  # outputs the caller uses at once, reused like the work arrays
-            if outputs is None or len(outputs) < k * n * (p + 1):
-                outputs = np.empty(k * n * (p + 1))
-            ll, scores = _carve(outputs, (k, n), (p, k, n))
-        else:
-            ll, scores = np.empty((k, n)), np.empty((p, k, n))
+        ll, scores = np.empty((k, n)), np.empty((p, k, n))
         hess = np.empty((k, p, p)) if hessian else None
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             for start in range(0, k, tile):

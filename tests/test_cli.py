@@ -452,6 +452,24 @@ def test_fit_of_a_count_of_a_trillion_writes_its_result(workdir):
     assert np.isfinite(fit["ll_converged"])
 
 
+MIXED_NB_SPEC_TEXT = NB_SPEC_TEXT.replace("family = nb", "family = mixed_nb") + "dist = normal\n"
+
+
+@pytest.mark.parametrize("rows", ["", "1,0.5,,a\n"], ids=["header_only", "all_dropped"])
+@pytest.mark.parametrize("family", ["mnl", "mixed_mnl", "nb", "mixed_nb"])
+def test_a_table_without_rows_is_refused_for_every_family(workdir, capsys, family, rows):
+    spec = {"mnl": MNL_SPEC_TEXT, "mixed_mnl": MIXED_SPEC_TEXT, "nb": NB_SPEC_TEXT,
+            "mixed_nb": MIXED_NB_SPEC_TEXT}[family]
+    (workdir / "spec.ini").write_text(spec)
+    (workdir / "empty.csv").write_text("flag,x1,z1,outcome\n" + rows)
+    draws = ["--draws", "25"] if family.startswith("mixed") else []
+    capsys.readouterr()
+    assert main(["fit", "--data", str(workdir / "empty.csv"), "--spec",
+                 str(workdir / "spec.ini"), "--out", str(workdir / "empty_fit")] + draws) == 2
+    assert capsys.readouterr().err == "error: the table has no rows\n"
+    assert not (workdir / "empty_fit.json").exists()
+
+
 def test_errors_exit_two(workdir, capsys):
     assert main(["fit", "--data", str(workdir / "missing.csv"),
                  "--spec", str(workdir / "mnl.ini"),

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -189,18 +190,41 @@ def test_load_csv_error_cases(tmp_path):
     with pytest.raises(ValueError, match="unknown outcome label"):
         load_csv(write("x,outcome\n1,zzz\n"), "severity", "outcome",
                  outcome_labels=("a", "b"))
-    with pytest.raises(ValueError, match="negative count"):
-        load_csv(write("x,outcome\n1,-2\n"), "frequency", "outcome")
-    with pytest.raises(ValueError, match="non-integer count"):
-        load_csv(write("x,outcome\n1,2.5\n"), "frequency", "outcome")
+    # a count's value: test_a_count_cell_loads_as_a_table_takes_its_value
     with pytest.raises(ValueError, match="non-numeric count"):
         load_csv(write("x,outcome\n1,many\n"), "frequency", "outcome")
-    with pytest.raises(ValueError, match="non-integer count"):
-        load_csv(write("x,outcome\n1,inf\n"), "frequency", "outcome")
-    with pytest.raises(ValueError, match="int64 range"):
-        load_csv(write(f"x,outcome\n1,{2**63}\n"), "frequency", "outcome")
+    with pytest.raises(ValueError, match=f"count '{-10**20}' must lie within the int64 range"):
+        load_csv(write(f"x,outcome\n1,{-10**20}\n"), "frequency", "outcome")
     with pytest.raises(ValueError, match="mode"):
         load_csv(write("x,outcome\n1,a\n"), "oops", "outcome")
+
+
+@pytest.mark.parametrize("cell, want", [
+    ("3.0", 3), ("-0.0000000001", 0), ("1e-9", "must be integers"),
+    ("2.5", "must be integers"), ("-2", "must be non-negative"),
+    ("inf", "must lie within the int64 range"), (str(2**63), "must lie within the int64 range"),
+])
+def test_a_count_cell_loads_as_a_table_takes_its_value(tmp_path, cell, want):
+    """The row loop reads a count cell's text and leaves its value to the
+    one count rule, so the CSV and ``ObservationTable`` agree."""
+    path = tmp_path / "counts.csv"
+    path.write_text(f"x,outcome\n1,{cell}\n")
+    try:
+        value = int(cell)
+    except ValueError:
+        value = float(cell)
+
+    def table():
+        return ObservationTable({"x": [1.0]}, np.array([value]), "frequency")
+
+    if isinstance(want, int):
+        assert load_csv(path, "frequency", "outcome").outcome.tolist() == [want]
+        assert table().outcome.tolist() == [want]
+        return
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: count {cell!r} {want}")):
+        load_csv(path, "frequency", "outcome")
+    with pytest.raises(ValueError, match=re.escape(f"frequency outcomes {want}")):
+        table()
 
 
 def test_load_csv_accepts_unknown_labels_without_declared_set(tmp_path):

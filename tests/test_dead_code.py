@@ -3,8 +3,8 @@
 Every module-level import must be read in its module or named in the
 module's ``__all__`` (a name re-exported on purpose is read by a tuple
 that holds it, as ``mixed.REEXPORTED`` does), and every private
-module-level function must be referenced somewhere in the package
-outside its own body.
+module-level function, class and assigned name must be referenced
+somewhere in the package outside its own definition.
 """
 
 import ast
@@ -55,12 +55,33 @@ def test_every_import_is_used_or_exported(module):
     assert [name for name in bound_imports(tree) if name not in used] == []
 
 
+def private_names(node):
+    """The private names a top-level statement defines: a function's or
+    a class's, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def unreferenced(module, kinds):
+    """The private names that top-level statements of ``kinds`` define in
+    ``module`` and that no module reads outside their definition."""
+    return [name for node in TREES[module].body if isinstance(node, kinds)
+            for name in private_names(node)
+            if not any(name in references(tree, node if other == module else None)
+                       for other, tree in TREES.items())]
+
+
 @pytest.mark.parametrize("module", list(TREES))
 def test_every_private_function_is_referenced(module):
-    private = [node for node in TREES[module].body
-               if isinstance(node, ast.FunctionDef)
-               and node.name.startswith("_") and not node.name.startswith("__")]
-    unreferenced = [fn.name for fn in private
-                    if not any(fn.name in references(tree, fn if name == module else None)
-                               for name, tree in TREES.items())]
-    assert unreferenced == []
+    assert unreferenced(module, ast.FunctionDef) == []
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_private_constant_and_class_is_referenced(module):
+    assert unreferenced(module, (ast.ClassDef, ast.Assign, ast.AnnAssign)) == []

@@ -547,6 +547,26 @@ def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
         assert_close(hess, m.transpose(0, 2, 1) @ m - pdd)
 
 
+def test_logit_blocks_may_come_in_any_order():
+    design, draws, _, theta = shared_case(2 * (mnl.BLOCK_ELEMENTS // 30), 30, k=1)
+    slots = mnl._slots(design, draws)
+    short, full = slice(5, 8), next(mnl._blocks(design.n_obs, draws.n_draws))
+    block = mnl._block_softmax(theta[0], design, slots)
+    p_short, _, short_first = mnl._draw_means(block, slots[0], short)
+    kept = p_short.copy()
+    p_full, _, full_second = mnl._draw_means(block, slots[0], full)
+    np.testing.assert_array_equal(p_short, kept)  # the full block has arrays of its own
+    assert not np.shares_memory(p_short, p_full)
+    block = mnl._block_softmax(theta[0], design, slots)
+    full_first = mnl._draw_means(block, slots[0], full)[2]
+    short_second = mnl._draw_means(block, slots[0], short)[2]
+    np.testing.assert_array_equal(short_first, short_second)
+    np.testing.assert_array_equal(full_first, full_second)
+    probs = mnl._mean_probs(theta[0], design, draws)
+    np.testing.assert_array_equal(full_first, probs[full])
+    np.testing.assert_array_equal(short_first, probs[short])
+
+
 def test_kernel_rescues_observations_improbable_at_every_draw():
     # a constant of 800 on outcome a leaves every other outcome a
     # probability of about e^-800 at every draw, far below the smallest

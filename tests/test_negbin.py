@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.mixed import DrawMatrix
-from crashmle import negbin
+from crashmle import mnl, negbin
 from crashmle.negbin import (
     fit_mixed_nb,
     fit_nb,
@@ -252,6 +252,23 @@ def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
     for out, repeated in zip(first, again):
         np.testing.assert_array_equal(out, repeated)
         assert not np.shares_memory(out, repeated)  # the outputs are fresh
+    # so are a Hessian call's, NB and logit alike: a second call at another
+    # point leaves the first call's outputs as they were
+    table = count_table(200, seed=3)
+    severity = ObservationTable(table.columns, np.where(table.outcome > 2, "many", "few"),
+                                "severity")
+    logit = ModelSpec("mnl", (Term(CONSTANT, ("many",)), Term("z1", ("many",))),
+                      ("many", "few"), "few")
+    for kernel, theta in [
+            (negbin._kernel(build_design(table, NB_SPEC), None),
+             np.array([[1.0, 0.4, -0.3, np.log(0.8)]])),
+            (mnl._kernel(build_design(severity, logit)), np.array([[0.2, 0.5]]))]:
+        first = kernel(theta, slice(0, 1), hessian=True)
+        kept = [np.copy(out) for out in first]
+        again = kernel(theta + 0.1, slice(0, 1), hessian=True)
+        for out, value, repeated in zip(first, kept, again):
+            assert not np.shares_memory(out, repeated)
+            np.testing.assert_array_equal(out, value)
 
 
 def test_mixed_kernel_has_no_hessian():
