@@ -104,9 +104,14 @@ class ObservationTable:
 
 def as_counts(values, what: str) -> np.ndarray:
     """``values`` as int64 counts: integers, or floats within 1e-9 of an
-    integer, none negative; unsigned and float values inside the int64
-    range (checked before the cast; infinities too).  ``what`` names them."""
+    integer, none negative; Python integers of any size, unsigned and
+    float values inside the int64 range (checked before the cast;
+    infinities too).  ``what`` names them."""
     out = np.asarray(values)
+    if out.dtype.kind == "O":  # numpy holds integers beyond 64 bits as objects
+        if np.any((out < -2 ** 63) | (out >= 2 ** 63)):
+            raise ValueError(f"{what} must lie within the int64 range")
+        out = np.asarray(out.tolist())
     if out.dtype.kind == "u" and np.any(out > np.iinfo(np.int64).max):
         raise ValueError(f"{what} must lie within the int64 range")
     if out.dtype.kind == "f":
@@ -124,7 +129,8 @@ def as_counts(values, what: str) -> np.ndarray:
 
 def _parse_count(cell: str, where: str) -> int:
     """A count cell: integer text, read exactly over the int64 range, or
-    float text such as ``"3.0"``, whose value :func:`as_counts` checks."""
+    float text such as ``"3.0"``, whose value :func:`as_counts` checks, as
+    it checks negative integers."""
     what = f"{where}: count {cell!r}"
     try:
         value = int(cell)
@@ -136,6 +142,8 @@ def _parse_count(cell: str, where: str) -> int:
     else:
         if not -2 ** 63 <= value < 2 ** 63:  # numpy would not hold it as an int64
             raise ValueError(f"{what} must lie within the int64 range")
+        if value >= 0:  # a count as it stands: no numpy call per row
+            return value
     return int(as_counts(value, what))
 
 

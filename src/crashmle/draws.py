@@ -22,6 +22,14 @@ from .dataset import _KIND_TO_DIST, DesignMatrix
 
 MIN_DRAWS = 25
 
+#: elements of one block of working memory.  A draw matrix is built this
+#: many Halton elements at a time; the logit kernel works through the
+#: observations in blocks of this many (K * rows * R) elements per
+#: outcome, and the NB kernel in tiles and observation blocks of this many
+#: (row, observation, draw) elements, so that working memory scales with
+#: the block, not with N * R, and a block's arrays stay in cache
+BLOCK_ELEMENTS = 1 << 14
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -64,10 +72,13 @@ class Mixing:
             raise ValueError("mixing scale must be non-negative")
 
 
-def standard_draws(u: np.ndarray, dist: str) -> np.ndarray:
+def standard_draws(u: np.ndarray, dist: str, out=None) -> np.ndarray:
     """Standardized draws of mixing distribution ``dist`` by inverse CDF at
-    uniforms ``u`` in (0, 1): standard normal, or uniform on [-1, 1]."""
-    return ndtri(u) if dist == "normal" else 2.0 * u - 1.0
+    uniforms ``u`` in (0, 1): standard normal, or uniform on [-1, 1];
+    written to ``out`` (which may be ``u``) when given."""
+    if dist == "normal":
+        return ndtri(u, out=out)
+    return np.subtract(np.multiply(u, 2.0, out=out), 1.0, out=out)
 
 
 def transform_draws(uniforms: np.ndarray, mixing: Mixing) -> np.ndarray:
@@ -101,8 +112,7 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
     if skip < 0:
         raise ValueError("skip must be non-negative")
     top = skip + count
-    idx = np.arange(skip + 1, top + 1, dtype=np.int32 if top < 2**31 else np.int64)
-    digit = np.empty_like(idx)
+    dtype = np.int32 if top < 2**31 else np.int64
     # the partial sums of the lowest k digits, for every value of them
     # (base**k <= 2**16), built in the digit loop's own order, so that one
     # gather gives bit for bit what k passes of that loop would
@@ -112,13 +122,21 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
         top //= base
         f /= base
         table = (table[None, :] + (f * np.arange(base))[:, None]).ravel()
-    np.divmod(idx, table.size, out=(idx, digit))
-    out = table[digit]
-    while top:  # one pass per higher base-`base` digit of the largest index
-        top //= base
-        f /= base
-        np.divmod(idx, base, out=(idx, digit))
-        out += f * digit
+    out = np.empty(count)
+    # BLOCK_ELEMENTS indices at a time, each chunk taking every pass the
+    # largest index needs (a missing digit adds zero), so that the index,
+    # digit and increment arrays stay within a block
+    for a in range(0, count, BLOCK_ELEMENTS):
+        idx = np.arange(skip + 1 + a, skip + 1 + min(a + BLOCK_ELEMENTS, count), dtype=dtype)
+        digit = np.empty_like(idx)
+        np.divmod(idx, table.size, out=(idx, digit))
+        chunk = np.take(table, digit, out=out[a:a + len(idx)])
+        g, rest = f, top
+        while rest:  # one pass per higher base-`base` digit of the largest index
+            rest //= base
+            g /= base
+            np.divmod(idx, base, out=(idx, digit))
+            chunk += g * digit
     return out
 
 
@@ -157,11 +175,13 @@ class DrawMatrix:
             offsets = rng.random(len(self.dists))
         std = []
         for d, dist in enumerate(self.dists):
-            u = halton(self.primes[d], n_obs * n_draws, skip=skip)
+            # shifted and transformed in place: the build holds no more
+            # than its output, the digit table and one chunk of indices
+            u = halton(self.primes[d], n_obs * n_draws, skip=skip).reshape(n_obs, n_draws)
             if offsets is not None:
-                u = np.mod(u + offsets[d], 1.0)
-                u = np.clip(u, 1e-12, 1.0 - 1e-12)
-            std.append(standard_draws(u.reshape(n_obs, n_draws), dist))
+                np.mod(np.add(u, offsets[d], out=u), 1.0, out=u)
+                np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+            std.append(standard_draws(u, dist, out=u))
         self.std = tuple(std)
 
     @classmethod

@@ -18,12 +18,15 @@ family, as if with one draw, and the design has fixed terms only.
 :func:`checked` enforces this contract for both kernels.  Every other
 view derives from the kernel.  Every kernel call returns arrays that the
 caller owns: no later call touches them.  Both kernels bound their
-working memory by the constant ``mnl.BLOCK_ELEMENTS``, so it scales with
-a block, not with K * N * R: the logit kernel works through the
+working memory by the constant ``draws.BLOCK_ELEMENTS``, so it scales
+with a block, not with K * N * R: the logit kernel works through the
 observations in blocks of that many elements per outcome, the NB kernel
 through its K rows in tiles of that many (row, observation, draw)
-elements and dispersion-table entries, never splitting a row, in a tile
-arena that never leaves the kernel.  The logit's per-block softmax
+elements and dispersion-table entries, a row with draws in observation
+blocks of that many elements, in a tile arena that never leaves the
+kernel.  The draw matrices they take are built that many Halton values
+at a time, and ``simulate`` draws its outcomes in the logit's
+observation blocks.  The logit's per-block softmax
 (``mnl._block_softmax``) also gives its simulated probabilities and
 effects.
 

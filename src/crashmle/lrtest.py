@@ -239,13 +239,15 @@ def simulate_under_null(fit: FitResult, table: ObservationTable,
                         rng: np.random.Generator | int = 0) -> ObservationTable:
     """Redraw outcomes for ``table`` from a fitted pooled model.
 
-    ``rng`` may be a Generator or a seed.  Under this resampling the
-    pooled spec is the true model, so refitted statistics trace the
-    null distribution of the pooling test.
+    ``rng`` may be a Generator or a non-negative seed.  Under this
+    resampling the pooled spec is the true model, so refitted statistics
+    trace the null distribution of the pooling test.
     """
     if fit.spec is None:
         raise ValueError("fit carries no model spec")
     if isinstance(rng, (int, np.integer)):
+        if rng < 0:
+            raise ValueError("seed must be non-negative")
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng))))
     return simulate.redraw_outcomes(fit.spec, fit.theta_internal, table, rng)
 

@@ -18,18 +18,12 @@ import numpy as np
 
 from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .draws import DrawMatrix, coefficient_draws
+from .draws import BLOCK_ELEMENTS, DrawMatrix, coefficient_draws
 from .optimize import FitResult
 from .reporting import EffectRow, EffectsReport
 
 #: predictor magnitude beyond which a fit is flagged as separated
 SEPARATION_BOUND = 30.0
-
-
-#: elements (K * rows * R) of one outcome slice in an observation block;
-#: the logit kernel works through the observations block by block, so a
-#: block's slices stay in cache and its memory does not grow with N * R
-BLOCK_ELEMENTS = 1 << 14
 
 
 def _blocks(n: int, per_row: int):
@@ -203,7 +197,6 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     x = design.x
     inc = design.incidence
     y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
-    xi = x * inc.T[y]  # data part of the score: x where y is in term t's set
     # outcomes some term enters; only their probabilities reach the scores
     scored = np.flatnonzero(inc.any(axis=0))
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
@@ -275,7 +268,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                                for i in scored], axis=-1)
             # probability mass of each term's outcome set, draw-weighted
             mass = x[b] * (ps @ to_terms)  # (K, nb, T)
-            scores[:, b, design.loc_pos] = xi[rows, b] - mass
+            # the data part (x where y is in term t's set) less that mass
+            scores[:, b, design.loc_pos] = x[b] * inc.T[yb] - mass
             for j in random:
                 # sum_r w_r (1[y in set_j] - P_set_j,r) x_j sd_j std_j,r; the
                 # products go to ``top``, so ``w`` stays intact for the next

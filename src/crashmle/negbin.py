@@ -21,8 +21,8 @@ from scipy.special import gammaln
 from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, as_counts, build_design)
-from .draws import DrawMatrix, coefficient_draws
-from .mnl import BLOCK_ELEMENTS, _term_targets
+from .draws import BLOCK_ELEMENTS, DrawMatrix, coefficient_draws
+from .mnl import _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
@@ -111,20 +111,24 @@ def nb_logpmf(counts, lam, alpha: float):
 
 
 def _eta_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
-               out=(None, None, None)) -> np.ndarray:
-    """Log-mean per draw, shape (..., N, R) for ``theta`` of shape
-    (..., P); R = 1 without draws.  Scale slots hold logs.  Each row's
-    predictor is a matrix product of its own, (1, T) by (T, N), so it
-    does not depend on the rows evaluated with it.  ``out`` receives that
-    product (..., 1, N), the sum and one term's draws (..., N, R), where
-    not None."""
-    product, total, term = out
-    eta = np.swapaxes(np.matmul(theta[..., None, design.loc_pos], design.x.T,
-                                out=product), -1, -2)
+               rows=slice(None), product=None, out=(None, None)) -> np.ndarray:
+    """Log-mean per draw, shape (..., n, R) for ``theta`` of shape
+    (..., P), on the n observations ``rows`` selects; R = 1 without
+    draws.  Scale slots hold logs.  ``product`` is the location predictor
+    (..., 1, N) of every observation, computed here when None: each row's
+    is a matrix product of its own, (1, T) by (T, N), so it does not
+    depend on the rows evaluated with it, and a block of observations
+    takes its columns, which a product over the block alone could round
+    differently.  ``out`` receives the sum and one term's draws (..., n,
+    R), where not None."""
+    if product is None:
+        product = np.matmul(theta[..., None, design.loc_pos], design.x.T)
+    eta = np.swapaxes(product[..., rows], -1, -2)
+    total, term = out
     for dim, j in enumerate(design.random_terms):
         scale = np.exp(theta[..., design.scale_pos[j], None, None])
-        term = np.multiply(scale, draws.std[dim], out=term)
-        term *= design.x[:, j, None]
+        term = np.multiply(scale, draws.std[dim][rows], out=term)
+        term *= design.x[rows, j, None]
         eta = np.add(eta, term, out=total)
     return eta
 
@@ -147,17 +151,23 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
 
     The K rows are evaluated in tiles of at least one row and at most
     ``BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
-    entries, so that working memory scales with the tile, not with K * N *
-    R or the largest count; a row's arithmetic does not depend on the rows
-    evaluated with it, so every tiling gives the same outputs bit for bit.
+    entries, and a tile of rows with draws in observation blocks of at
+    most ``BLOCK_ELEMENTS`` such elements (at least one observation), so
+    that working memory scales with the block, not with K * N * R or the
+    largest count.  Each row's dispersion tables, table entries and
+    location predictor are built once per tile, for all its
+    observations.  A row's arithmetic depends neither on the rows
+    evaluated with it nor on the blocking of its observations, so every
+    tiling gives the same outputs bit for bit.  A row without draws is
+    one block, so that its Hessian sums every observation at once.
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
     adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
-    closure owns one tile's work arrays, its tile arena, sized for a full
-    tile of its widest tables, so that repeated calls do not allocate
-    them: each draw's log probability becomes its posterior share in
-    place.  The arena never leaves the kernel; every call returns fresh
-    outputs.  ``lnGamma(a + 1)`` is folded into the log-Pochhammer table,
-    so one ``take`` gathers every count's table entries.
+    closure owns the work arrays of one full tile and block, its tile
+    arena, so that repeated calls do not allocate them: each draw's log
+    probability becomes its posterior share in place.  The arena never
+    leaves the kernel; every call returns fresh outputs.
+    ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so one
+    ``take`` gathers every count's table entries.
     """
     a = np.atleast_2d(np.asarray(design.counts if counts is None else counts,
                                  dtype=np.int64))
@@ -182,11 +192,16 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         rows = index[rows]
         nt = 3 if hessian else 2
         tile = min(k, max(1, BLOCK_ELEMENTS // max(n * n_draws, widest)))
+        span = n if draws is None else min(n, max(1, BLOCK_ELEMENTS // (tile * n_draws)))
+        blocks = [slice(at, min(at + span, n)) for at in range(0, n, span)]
 
-        def shapes(kt, width):  # the work arrays of a kt-row tile
-            return ([(kt, n, n_draws)] * 8 + [(kt, 1, n)] + [(kt, n, 1)] * 3
-                    + [(nt, kt, n), (nt, kt, width)])
-        size = sum(map(math.prod, shapes(tile, widest)))
+        def block_shapes(kt, nb):  # the work arrays of a block of a kt-row tile
+            return [(kt, nb, n_draws)] * 8 + [(kt, nb, 1)] * 2
+
+        def tile_shapes(kt, width):  # a kt-row tile's arrays over all its observations
+            return [(kt, 1, n), (kt, n, 1), (nt, kt, n), (nt, kt, width)]
+        per_block = sum(map(math.prod, block_shapes(tile, span)))
+        size = per_block + sum(map(math.prod, tile_shapes(tile, widest)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
         ll, scores = np.empty((k, n)), np.empty((p, k, n))
@@ -202,8 +217,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     wide = np.nonzero(at > TABLE_CAP)
                     big, at[wide] = at[wide].astype(np.float64), TAIL_START
                 width = (int(at.max()) if most > TABLE_CAP else most) + 1
-                (lam, l1p, ra, lpmf, q, rl, wd, tmp, product, afk, top, total, tabs,
-                 tables) = _carve(floats, *shapes(kt, width))
+                product, afk, tabs, tables = _carve(floats[per_block:], *tile_shapes(kt, width))
                 np.copyto(afk[..., 0], at)
                 # position of count a of row k in the flattened tables
                 at += width * np.arange(kt)[:, None]
@@ -215,40 +229,46 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     afk[wide[0], wide[1], 0] = big
                     tabs[:, wide[0], wide[1]] += _poch_tail(alpha[wide[0], 0, 0], big, nt)
                     tabs[0][wide] += lgam[TAIL_START] - gammaln(big + 1.0)
-                # wd and tmp are free until the log probabilities are done
-                eta = _eta_draws(th, design, draws, out=(product, wd, tmp))
-                np.exp(eta, out=lam)
-                np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
-                np.add(r, afk, out=ra)
-                np.add(tabs[0][..., None], np.multiply(afk, eta, out=lpmf), out=lpmf)
-                lpmf -= np.multiply(ra, l1p, out=tmp)
-                np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
-                np.subtract(afk, q, out=wd)
-                np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
-                if draws is None:  # one draw: its share is one
-                    ll[at_tile] = lpmf[..., 0]
-                    wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
-                else:  # the log of the draw mean; the draws' shares overwrite lpmf
-                    np.max(lpmf, axis=-1, keepdims=True, out=top)
-                    lpmf -= top
-                    np.exp(lpmf, out=lpmf)
-                    np.sum(lpmf, axis=-1, keepdims=True, out=total)
-                    lpmf /= total
-                    ll[at_tile] = (top + np.log(total))[..., 0] - np.log(n_draws)
-                    wd *= lpmf
-                    tmp *= lpmf
-                    wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
-                # (P, K, N), so that each parameter's scores stay contiguous
-                for j in range(x.shape[1]):
-                    np.multiply(x[:, j], wd_sum, out=scores[design.loc_pos[j], at_tile])
-                for dim, j in enumerate(design.random_terms):  # the log-scales
-                    drawn = np.multiply(wd, draws.std[dim], out=rl).sum(axis=-1)
-                    scores[design.scale_pos[j], at_tile] = (
-                        x[:, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
-                np.add(tabs[1], tmp_sum, out=scores[-1, at_tile])
+                np.matmul(th[:, None, design.loc_pos], x.T, out=product)
+                for ob in blocks:
+                    (lam, l1p, ra, lpmf, q, rl, wd, tmp, top,
+                     total) = _carve(floats, *block_shapes(kt, ob.stop - ob.start))
+                    # wd and tmp are free until the log probabilities are done
+                    eta = _eta_draws(th, design, draws, ob, product, out=(wd, tmp))
+                    fk = afk[:, ob]
+                    np.exp(eta, out=lam)
+                    np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
+                    np.add(r, fk, out=ra)
+                    np.add(tabs[0][:, ob, None], np.multiply(fk, eta, out=lpmf), out=lpmf)
+                    lpmf -= np.multiply(ra, l1p, out=tmp)
+                    np.divide(np.multiply(lam, ra, out=q), np.add(r, lam, out=rl), out=q)
+                    np.subtract(fk, q, out=wd)
+                    np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
+                    if draws is None:  # one draw: its share is one
+                        ll[at_tile, ob] = lpmf[..., 0]
+                        wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
+                    else:  # the log of the draw mean; the draws' shares overwrite lpmf
+                        np.max(lpmf, axis=-1, keepdims=True, out=top)
+                        lpmf -= top
+                        np.exp(lpmf, out=lpmf)
+                        np.sum(lpmf, axis=-1, keepdims=True, out=total)
+                        lpmf /= total
+                        ll[at_tile, ob] = (top + np.log(total))[..., 0] - np.log(n_draws)
+                        wd *= lpmf
+                        tmp *= lpmf
+                        wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
+                    # (P, K, N), so that each parameter's scores stay contiguous
+                    for j in range(x.shape[1]):
+                        np.multiply(x[ob, j], wd_sum, out=scores[design.loc_pos[j], at_tile, ob])
+                    for dim, j in enumerate(design.random_terms):  # the log-scales
+                        drawn = np.multiply(wd, draws.std[dim][ob], out=rl).sum(axis=-1)
+                        scores[design.scale_pos[j], at_tile, ob] = (
+                            x[ob, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
+                    np.add(tabs[1][:, ob], tmp_sum, out=scores[-1, at_tile, ob])
                 if not hessian:
                     continue
-                # one draw, so w = 1; u = -d(a - q)/d eta
+                # one draw, so w = 1, and one block of every observation;
+                # u = -d(a - q)/d eta
                 h = hess[at_tile]
                 rs = np.divide(r, rl, out=rl)
                 u = np.multiply(q, rs, out=ra)

@@ -20,7 +20,7 @@ from . import serialize
 from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       build_design, expected_param_names, scale_param_name, term_param_name)
 from .draws import standard_draws
-from .mnl import _log_softmax
+from .mnl import _blocks, _log_softmax
 
 #: each recipe kind's parameters, in the order ``to_dict`` writes them
 RECIPE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
@@ -177,6 +177,25 @@ def true_theta(config: DgpConfig) -> tuple[np.ndarray, np.ndarray, float | None]
     return locs, scales, alpha
 
 
+def _mixing_draws(design: DesignMatrix, locs, scales, mix_rng) -> dict:
+    """Each random term's per-row coefficients (N,), by term index.  One
+    whole-N stream draw per random term, in term order, regardless of
+    scale."""
+    return {j: locs[j] + scales[j] * standard_draws(
+        _uniform_open(mix_rng, design.n_obs), _KIND_TO_DIST[design.spec.terms[j].kind])
+        for j in design.random_terms}
+
+
+def _coefficients(locs, mixed: dict, rows: slice) -> np.ndarray:
+    """Coefficients (n, T) of the observations ``rows`` (a bounded slice):
+    each term's location, a random term's :func:`_mixing_draws` instead."""
+    n = rows.stop - rows.start
+    coef = np.broadcast_to(np.asarray(locs, float), (n, len(locs))).copy()
+    for j, column in mixed.items():
+        coef[:, j] = column[rows]
+    return coef
+
+
 def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarray:
     """Per-row coefficients (N, T): mixing draws for random terms.
 
@@ -185,22 +204,33 @@ def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarra
     in term order, regardless of scale.
     """
     n = design.n_obs
-    coef = np.broadcast_to(np.asarray(locs, float), (n, len(locs))).copy()
-    for j in design.random_terms:
-        z = standard_draws(_uniform_open(mix_rng, n), _KIND_TO_DIST[design.spec.terms[j].kind])
-        coef[:, j] = locs[j] + scales[j] * z
-    return coef
+    return _coefficients(locs, _mixing_draws(design, locs, scales, mix_rng), slice(0, n))
 
 
-def _outcome_law(design: DesignMatrix, coef: np.ndarray,
-                 x: np.ndarray | None = None) -> np.ndarray:
-    """What the outcome draws take from per-row coefficients: the (N,)
-    NB means of a count design, the (N, I) cumulative outcome
-    probabilities of a severity design."""
-    xm = design.x if x is None else x
-    if design.spec.is_severity:
-        return np.cumsum(np.exp(_log_softmax((xm * coef) @ design.incidence)), axis=1)
-    return np.exp((xm * coef).sum(axis=1))
+def _outcome_laws(design: DesignMatrix, locs, mixed: dict, cap=None):
+    """What the outcome draws take, block by block of observations: the
+    (nb,) NB means of a count design, the (nb, I) cumulative outcome
+    probabilities of a severity design, at the locations ``locs`` and the
+    random terms' :func:`_mixing_draws` ``mixed``.  ``cap`` (column,
+    value) caps that variable's covariate.  The blocks are those of
+    :func:`crashmle.mnl._blocks`, except that a last block of one row
+    joins the one before it: the matrix product of a single row may round
+    differently from the same row among others."""
+    blocks = list(_blocks(design.n_obs, 1))
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, design.n_obs)]
+    capped = [] if cap is None else [j for j, t in enumerate(design.spec.terms)
+                                     if t.variable == cap[0]]
+    for b in blocks:
+        x = design.x[b]
+        if capped:
+            x = x.copy()
+            x[:, capped] = np.minimum(x[:, capped], cap[1])
+        v = x * _coefficients(locs, mixed, b)
+        if design.spec.is_severity:
+            yield np.cumsum(np.exp(_log_softmax(v @ design.incidence)), axis=1)
+        else:
+            yield np.exp(v.sum(axis=1))
 
 
 def draw_severity_outcomes(cdf: np.ndarray, out_rng: np.random.Generator) -> np.ndarray:
@@ -230,20 +260,14 @@ def _generate(config: DgpConfig) -> ObservationTable:
     shell = ObservationTable(columns, placeholder, mode)
     design = build_design(shell, spec)
 
-    x = None
-    if config.influence is not None:
-        column, cap = config.influence
-        x = design.x.copy()
-        for j, t in enumerate(spec.terms):
-            if t.variable == column:
-                x[:, j] = np.minimum(x[:, j], cap)
-
     locs, scales, alpha = true_theta(config)
-    law = _outcome_law(design, coefficient_matrix(design, locs, scales, mix_rng), x)
-    if spec.is_severity:
-        outcome = np.asarray(spec.outcomes)[draw_severity_outcomes(law, out_rng)]
+    laws = _outcome_laws(design, locs, _mixing_draws(design, locs, scales, mix_rng),
+                         config.influence)
+    if spec.is_severity:  # one uniform per row, drawn block by block
+        index = np.concatenate([draw_severity_outcomes(cdf, out_rng) for cdf in laws])
+        outcome = np.asarray(spec.outcomes)[index]
     else:
-        outcome = draw_counts(law, alpha, out_rng)
+        outcome = draw_counts(np.concatenate(list(laws)), alpha, out_rng)
     return ObservationTable(columns, outcome, mode)
 
 
@@ -303,7 +327,8 @@ def outcome_law(design: DesignMatrix, theta_internal: np.ndarray,
     mixing draws come from ``rng``.  A design without random terms takes
     no draws, and ``rng`` may be None."""
     locs, scales = design.unpack(theta_internal)
-    return _outcome_law(design, coefficient_matrix(design, locs, scales, rng))
+    return np.concatenate(list(_outcome_laws(
+        design, locs, _mixing_draws(design, locs, scales, rng))))
 
 
 def draw_outcomes(design: DesignMatrix, theta_internal: np.ndarray,

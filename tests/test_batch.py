@@ -2,7 +2,6 @@
 dispatcher of the pooling test, each checked against its serial oracle."""
 
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
+from conftest import peak_beyond_outputs
 import crashmle
 from crashmle import families, lrtest, mixed, mnl, negbin
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term,
@@ -705,12 +705,8 @@ def test_mc_memory_on_a_large_table_is_bounded_by_the_block():
     # 20,000 rows: a block has BLOCK_ELEMENTS // 20,000 = 13 replicates,
     # not all 64, and its work arrays stay within tens of MB
     table = nb_table(20_000, seed=1)
-    tracemalloc.start()
-    try:
-        res = lrtest.mc_null_distribution(table, NB_SPEC, "flag", replicates=64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = peak_beyond_outputs(lrtest.mc_null_distribution, table, NB_SPEC, "flag",
+                                    replicates=64)
     assert res.replicates_kept == 64
     assert peak < 80e6
 
@@ -841,12 +837,7 @@ def test_an_outlier_count_takes_newton_in_every_stage(monkeypatch):
 
     monkeypatch.setattr(pieces, "family",
                         replace(pieces.family, kernel=recording_kernel))
-    tracemalloc.start()
-    try:
-        x2, reason = lrtest._replicate_block(pieces, theta, outcomes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (x2, reason), peak = peak_beyond_outputs(lrtest._replicate_block, pieces, theta, outcomes)
     assert peak < 20e6
     # all six rows take Newton in each stage, the outlier's in the pooled
     # stage and in subset B

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashmle import serialize
+from crashmle import dataset, serialize
 from crashmle.dataset import (
     CONSTANT,
     ModelSpec,
@@ -86,7 +86,7 @@ def test_frequency_outcomes_coerced_and_validated():
         ObservationTable({"x": [1.0]}, np.array([-1]), "frequency")
 
 
-@pytest.mark.parametrize("value", [1e19, np.inf, np.uint64(2**63)])
+@pytest.mark.parametrize("value", [1e19, np.inf, np.uint64(2**63), 10**20, -10**20])
 @pytest.mark.parametrize("call, what", [
     (lambda v: ObservationTable({"x": [1.0]}, np.array([v]), "frequency"),
      "frequency outcomes"),
@@ -94,8 +94,9 @@ def test_frequency_outcomes_coerced_and_validated():
 ], ids=["table", "nb_logpmf"])
 def test_a_count_beyond_int64_is_refused_before_the_cast(call, what, value):
     """Casting 1e19 or the unsigned 2**63 to int64 wraps to a negative
-    number, which was then refused as negative, and an infinite count
-    warned before it was refused; the range is checked first."""
+    number, which was then refused as negative, an infinite count warned
+    before it was refused, and numpy holds a Python integer beyond 64 bits
+    as an object, whose cast overflowed; the range is checked first."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{what} must lie within the int64 range$"):
@@ -225,6 +226,40 @@ def test_a_count_cell_loads_as_a_table_takes_its_value(tmp_path, cell, want):
         load_csv(path, "frequency", "outcome")
     with pytest.raises(ValueError, match=re.escape(f"frequency outcomes {want}")):
         table()
+
+
+def test_the_row_loop_checks_only_float_and_negative_count_text(tmp_path, monkeypatch):
+    # a dropped row sends the file to the row loop; integer text in range
+    # is a count as it stands, float text is checked cell by cell, and the
+    # table checks the whole column once
+    path = tmp_path / "counts.csv"
+    path.write_text("x,outcome\n" + "".join(f"{i},{i % 7}\n" for i in range(1000))
+                    + "1,\n2.0,3.0\n")
+    calls = []
+    real = dataset.as_counts
+    monkeypatch.setattr(dataset, "as_counts",
+                        lambda values, what: calls.append(what) or real(values, what))
+    table = load_csv(path, "frequency", "outcome")
+    assert table.n_rows == 1001 and table.n_dropped == 1
+    assert table.outcome[-1] == 3 and table.outcome.sum() == 2997 + 3
+    assert calls == [f"{path}:1003: count '3.0'", "frequency outcomes"]
+
+
+@pytest.mark.parametrize("later, first", [
+    ("x,outcome\n1,2\n1,-2\n1,3\noops,4\n", "bad.csv:3: count '-2' must be non-negative"),
+    ("x,outcome\n1,2\noops,3\n1,-2\n", "bad.csv:3: non-numeric value 'oops'"),
+    ("x,outcome\n1,2.5\n1,2\n1,2,3\n", "bad.csv:2: count '2.5' must be integers"),
+    ("x,outcome\n1,2\n1,many\n1,-1\n", "bad.csv:3: non-numeric count 'many'"),
+    ("x,outcome\n1,2\n1,1e-9\n1,-1\n", "bad.csv:3: count '1e-9' must be integers"),
+], ids=["count-then-covariate", "covariate-then-count", "count-then-fields",
+        "text-then-count", "float-then-count"])
+def test_the_first_bad_line_is_named_first(tmp_path, later, first):
+    """A refused count and every other error of the row loop are named in
+    line order."""
+    path = tmp_path / "bad.csv"
+    path.write_text(later)
+    with pytest.raises(ValueError, match=re.escape(first)):
+        load_csv(path, "frequency", "outcome")
 
 
 def test_load_csv_accepts_unknown_labels_without_declared_set(tmp_path):

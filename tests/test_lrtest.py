@@ -187,6 +187,15 @@ def test_simulate_under_null_redraws_outcomes_only():
     assert np.array_equal(sim.outcome, again.outcome)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_simulate_under_null_refuses_a_negative_seed_by_name(seed):
+    # as mc_null_distribution does, not with numpy's SeedSequence message
+    table = nb_table_with_flag(60, seed=2)
+    fit = fit_nb(table, NB_SPEC)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        simulate_under_null(fit, table, rng=seed)
+
+
 # -------------------------------------------------------------- Monte Carlo
 
 def test_mc_null_distribution_properties():

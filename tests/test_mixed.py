@@ -1,6 +1,5 @@
 """Mixed logit: Halton draws, mixing transforms, simulated likelihood."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +8,7 @@ import scipy.special
 import scipy.stats
 from numpy.polynomial.hermite import hermgauss
 
+from conftest import peak_beyond_outputs
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.mixed import (
     DrawMatrix,
@@ -27,6 +27,7 @@ from crashmle.mixed import (
     transform_draws,
 )
 from crashmle import mnl
+from crashmle.draws import BLOCK_ELEMENTS
 from crashmle.mnl import elasticities, fit_mnl, mnl_probs
 
 
@@ -167,6 +168,24 @@ def test_draw_matrix_blocks_come_from_the_dimension_sequence():
     np.testing.assert_allclose(dm.std[0], scipy.special.ndtri(u2), rtol=1e-12)
     np.testing.assert_allclose(dm.std[1], 2.0 * u3 - 1.0, rtol=1e-12)
     assert dm.primes == (2, 3)
+
+
+def test_a_draw_matrix_build_peaks_one_chunk_above_its_output():
+    # two C07-sized dimensions, 3000 x 500 draws each: the Halton indices,
+    # digits and increments of a whole dimension would take 24 MB, its
+    # uniforms and their transform 24 MB more; a build holds the digit
+    # table (at most 2**16 doubles) and those of one chunk, the shift and
+    # the inverse CDF work in place
+    dists = ("normal", "uniform")
+    dm, peak = peak_beyond_outputs(DrawMatrix, 3000, 500, dists, seed=3, shift=True)
+    assert peak <= 8 * (1 << 16) + 3 * 8 * BLOCK_ELEMENTS
+    # in place, every value is the one the whole-array arithmetic gives
+    offsets = np.random.Generator(np.random.PCG64(3)).random(2)
+    for d, (base, dist) in enumerate(zip((2, 3), dists)):
+        u = np.clip(np.mod(halton(base, 3000 * 500, skip=10) + offsets[d], 1.0),
+                    1e-12, 1.0 - 1e-12).reshape(3000, 500)
+        want = scipy.special.ndtri(u) if dist == "normal" else 2.0 * u - 1.0
+        assert dm.std[d].tobytes() == want.tobytes()
 
 
 def test_draw_matrix_minimum_draws_enforced():
@@ -517,7 +536,7 @@ def shared_case(n, n_draws, k=3, seed=0):
 def test_blocked_kernel_matches_a_dense_evaluation(rows_of):
     # K = 3 rows evaluated against outcome rows 3, 0 and 2
     n_draws, pick = 40, np.array([3, 0, 2])
-    n = rows_of(mnl.BLOCK_ELEMENTS // (len(pick) * n_draws))
+    n = rows_of(BLOCK_ELEMENTS // (len(pick) * n_draws))
     design, draws, y, theta = shared_case(n, n_draws, k=len(pick))
     ll, scores = mnl._kernel(design, draws, y)(theta, pick)
     want_ll, want_scores = dense_logit(design, draws, y[pick], theta)
@@ -529,7 +548,7 @@ def test_blocked_kernel_matches_a_dense_evaluation(rows_of):
 def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
     spec = ModelSpec("mnl", tuple(replace(t, kind="fixed") for t in SHARED_SPEC.terms),
                      SHARED_SPEC.outcomes, "base")
-    for n in (1, 2 * (mnl.BLOCK_ELEMENTS // 3) + 1):
+    for n in (1, 2 * (BLOCK_ELEMENTS // 3) + 1):
         case, _, y, theta = shared_case(n, 25)
         design = build_design(case.table, spec)
         theta = theta[:, [0, 1, 2, 4, 6]]
@@ -548,7 +567,7 @@ def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
 
 
 def test_logit_blocks_may_come_in_any_order():
-    design, draws, _, theta = shared_case(2 * (mnl.BLOCK_ELEMENTS // 30), 30, k=1)
+    design, draws, _, theta = shared_case(2 * (BLOCK_ELEMENTS // 30), 30, k=1)
     slots = mnl._slots(design, draws)
     short, full = slice(5, 8), next(mnl._blocks(design.n_obs, draws.n_draws))
     block = mnl._block_softmax(theta[0], design, slots)
@@ -618,23 +637,16 @@ def test_shared_outcome_gradient_matches_central_differences():
 
 
 def evaluation_peak(n, n_draws=500):
-    """tracemalloc peak of one evaluation, and the bytes of its outputs."""
+    """Memory peak of one evaluation beyond its outputs."""
     design, draws, y, theta = shared_case(n, n_draws, k=1)
-    kernel = mnl._kernel(design, draws, y[0])
-    tracemalloc.start()
-    try:
-        ll, scores = kernel(theta, slice(0, 1))
-        return tracemalloc.get_traced_memory()[1], ll.nbytes + scores.nbytes
-    finally:
-        tracemalloc.stop()
+    return peak_beyond_outputs(mnl._kernel(design, draws, y[0]), theta, slice(0, 1))[1]
 
 
 def test_kernel_memory_scales_with_the_block_not_with_n_times_r():
     # a C07-sized evaluation (N = 3000, R = 500): one whole (N, R) slice
     # per outcome would take 12 MB
-    peak, outputs = evaluation_peak(3000)
-    assert peak < 16e6
+    peak = evaluation_peak(3000)
+    assert peak < 12e6
     # beyond the (K, N) and (K, N, P) outputs, doubling N adds nothing
     # (4 kB allow for the interpreter's own allocations)
-    peak_2n, outputs_2n = evaluation_peak(6000)
-    assert peak_2n - outputs_2n <= peak - outputs + 4096
+    assert evaluation_peak(6000) <= peak + 4096

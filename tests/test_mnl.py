@@ -1,11 +1,11 @@
 """Multinomial logit: probabilities, likelihood, fitting, elasticities."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import peak_beyond_outputs
 from crashmle import mnl
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.mnl import (
@@ -157,13 +157,25 @@ def test_the_hessian_needs_no_covariate_product_array():
     design = twelve_term_design(40_000)
     kernel = mnl._kernel(design)
     theta, rows = np.full((1, design.n_params), 0.05), np.zeros(1, dtype=np.int64)
-    peaks = {}
-    for hessian in (False, True):
-        tracemalloc.start()
-        kernel(theta, rows, hessian=hessian)
-        peaks[hessian] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+    peaks = {hessian: peak_beyond_outputs(kernel, theta, rows, hessian=hessian)[1]
+             for hessian in (False, True)}
     assert peaks[True] <= 1.5 * peaks[False], peaks
+
+
+def test_building_the_kernel_allocates_no_rows_by_observations_by_terms_array():
+    # four outcome rows over 40,000 observations and twelve terms: the
+    # score's data part for all of them at once would take 15 MB, and as
+    # much again to build; a kernel holds the outcome rows and each block
+    # forms its own data part
+    design = twelve_term_design(40_000)
+    y = np.stack([np.roll(design.y_index, s) for s in range(4)])
+    kernel, peak = peak_beyond_outputs(mnl._kernel, design, None, y)
+    assert peak < 2 * y.nbytes
+    theta = np.full((2, design.n_params), 0.05)
+    ll, scores = kernel(theta, np.array([3, 1]))
+    for got, row in zip(scores, (3, 1)):
+        np.testing.assert_array_equal(got, mnl._kernel(design, None, y[row])(
+            theta[:1], slice(0, 1))[1][0])
 
 
 def test_restricted_loglik_equal_shares():

@@ -9,6 +9,7 @@ import scipy.optimize
 import scipy.stats
 from scipy.special import gammaln
 
+from conftest import peak_beyond_outputs
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.mixed import DrawMatrix
 from crashmle import mnl, negbin
@@ -241,14 +242,9 @@ def c09_kernel():
 def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
     kernel, theta = c09_kernel()
     first = kernel(theta, slice(0, 1))
-    tracemalloc.start()
-    try:
-        again = kernel(theta, slice(0, 1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    again, peak = peak_beyond_outputs(kernel, theta, slice(0, 1))
     # one (N, R) array takes 2.4 MB; the outputs take 0.06 MB
-    assert peak < 1e6
+    assert peak < 0.9e6
     for out, repeated in zip(first, again):
         np.testing.assert_array_equal(out, repeated)
         assert not np.shares_memory(out, repeated)  # the outputs are fresh
@@ -299,6 +295,47 @@ def test_mixed_kernel_holds_no_hessian_products():
     assert held < 1e6
 
 
+def test_a_first_c09_call_peaks_the_same_at_twice_the_observations():
+    # a row with draws is split into observation blocks: the tile arena
+    # holds one block's eight (rows, observations, draws) work arrays, not
+    # eight (N, R) arrays (19 MB at N = 1500); beyond that, an observation
+    # adds the tile's location predictor, its count as a float and as an
+    # index, and its two table entries (8 kB allow for the list of blocks
+    # and the interpreter's own allocations)
+    theta = np.array([[1.0, 0.4, np.log(0.3), np.log(0.8)]])
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    peaks = {}
+    for n in (1500, 3000):
+        design = build_design(count_table(n, seed=9), spec)
+        kernel = negbin._kernel(design, DrawMatrix.for_design(design, 200))
+        peaks[n] = peak_beyond_outputs(kernel, theta, slice(0, 1))[1]
+    assert peaks[1500] < 2e6
+    assert peaks[3000] <= peaks[1500] + 1500 * 5 * 8 + 8192
+
+
+def test_observation_blocks_give_the_whole_row_bit_for_bit():
+    # rows with draws split into blocks of 1, 7 or 40 observations, and
+    # one block of every observation, give the same outputs
+    table = count_table(150, seed=4)
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
+                                  Term("z2", (), "random_uniform")))
+    design = build_design(table, spec)
+    draws = DrawMatrix.for_design(design, 25)
+    counts = np.stack([np.roll(table.outcome, s) for s in range(3)])
+    kernel = negbin._kernel(design, draws, counts)
+    rng = np.random.default_rng(5)
+    theta = np.array([1.0, 0.4, np.log(0.3), -0.3, np.log(0.2), np.log(0.8)]) \
+        + 0.1 * rng.normal(size=(4, 6))
+    rows = np.array([2, 0, 1, 2])
+    whole = tiled_calls(len(theta), kernel, theta, rows, 150 * 25, hessian=False)
+    for span in (1, 7, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(negbin, "BLOCK_ELEMENTS", span * 25)
+            blocked = kernel(theta, rows)
+        for got, want in zip(blocked, whole, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 def tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian):
     """Copies of a kernel call's outputs with a tile budget of
     ``budget_rows`` rows of ``n_elements`` (N * R) elements each."""
@@ -332,30 +369,24 @@ def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
 
 
 def hessian_call_peak(k, n=122):
-    """tracemalloc peak of one K-row Hessian call of the plain NB kernel,
-    and the bytes of its outputs."""
+    """Memory peak of one K-row Hessian call of the plain NB kernel beyond
+    its outputs."""
     design = build_design(count_table(n, seed=1), NB_SPEC)
     kernel = negbin._kernel(design, None)
     theta = np.tile([1.0, 0.4, -0.3, np.log(0.8)], (k, 1))
     rows = np.zeros(k, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        ll, scores, hess = kernel(theta, rows, hessian=True)
-        return tracemalloc.get_traced_memory()[1], ll.nbytes + scores.nbytes + hess.nbytes
-    finally:
-        tracemalloc.stop()
+    return peak_beyond_outputs(kernel, theta, rows, hessian=True)[1]
 
 
 def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
     # 2,048 rows of 122 observations: the outputs take 8 MB; work arrays
     # for every row at once would take another 30 MB
-    peak, outputs = hessian_call_peak(2048)
+    peak = hessian_call_peak(2048)
     tile_bytes = 8 * negbin.BLOCK_ELEMENTS
-    assert peak - outputs < 20 * tile_bytes
+    assert peak < 20 * tile_bytes
     # beyond the outputs, doubling K adds only the K row indices (4 kB
     # allow for the interpreter's own allocations)
-    peak_half, outputs_half = hessian_call_peak(1024)
-    assert peak - outputs <= peak_half - outputs_half + 8 * 1024 + 4096
+    assert peak <= hessian_call_peak(1024) + 8 * 1024 + 4096
 
 
 def test_an_outlier_count_widens_only_its_own_tile():
@@ -369,13 +400,8 @@ def test_an_outlier_count_widens_only_its_own_tile():
     rng = np.random.default_rng(4)
     theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(200, 4))
     rows = np.arange(200)
-    tracemalloc.start()
-    try:
-        together = [out.copy() for out in kernel(theta, rows, hessian=True)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6
+    together, peak = peak_beyond_outputs(kernel, theta, rows, hessian=True)
+    assert peak < 9e6  # the outputs take 1 MB
     for k in rows:
         alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
         for got, want in zip(alone, together, strict=True):
@@ -412,12 +438,9 @@ def test_kernel_memory_does_not_grow_with_the_largest_count(hessian):
     for count in (10, 10**12):
         counts = np.tile(design.counts, (4, 1))
         counts[2, 9] = count
-        tracemalloc.start()
-        try:
-            ll = negbin._kernel(design, None, counts)(theta, np.arange(4), hessian)[0]
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        (ll, *_), peak = peak_beyond_outputs(
+            lambda: negbin._kernel(design, None, counts)(theta, np.arange(4), hessian))
+        peaks.append(peak)
         assert np.isfinite(ll).all()
     assert peaks[1] < peaks[0] + 1e6
 

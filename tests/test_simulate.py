@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, load_csv
+from conftest import peak_beyond_outputs
+from crashmle import simulate
+from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term, build_design,
+                              load_csv)
+from crashmle.draws import BLOCK_ELEMENTS
+from crashmle.mnl import _log_softmax
 from crashmle.simulate import (
     CovariateRecipe,
     DgpConfig,
@@ -207,6 +212,43 @@ def test_generate_dispatches_on_family_and_influence():
                     {"d": CovariateRecipe("uniform", low=0.0, high=2.0)},
                     n=300, seed=4, influence=("d", 0.5))
     assert tables_equal(generate(cfg), gen_influence(cfg))
+
+
+MIXED_MNL_SPEC = ModelSpec("mixed_mnl", (
+    Term(CONSTANT, ("a",)), Term("x1", ("a",), "random_normal"),
+    Term("x2", ("b",), "random_uniform")), ("a", "b", "base"), "base")
+MIXED_MNL_PARAMS = {"constant[a]": 0.4, "x1[a]": 0.8, "x1[a]:sd": 0.6,
+                    "x2[b]": -0.5, "x2[b]:spread": 0.3}
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK_ELEMENTS + 1, BLOCK_ELEMENTS + 2, 1])
+@pytest.mark.parametrize("mixed", [False, True], ids=["mnl", "mixed_mnl"])
+def test_severity_outcomes_drawn_by_block_equal_one_whole_draw(n, mixed):
+    """The outcome law and the outcome uniforms come block by block; the
+    table is the one a whole-N law and one whole uniform draw give."""
+    config = (DgpConfig(MIXED_MNL_SPEC, MIXED_MNL_PARAMS, MNL_RECIPES, n=n, seed=4)
+              if mixed else mnl_config(n=n, seed=4))
+    cov_rng, mix_rng, out_rng = simulate._streams(config.seed)
+    columns = {name: recipe.draw(cov_rng, n) for name, recipe in config.covariates.items()}
+    design = build_design(ObservationTable(columns, np.full(n, "a"), "severity"),
+                          config.spec)
+    locs, scales, _ = true_theta(config)
+    coef = coefficient_matrix(design, locs, scales, mix_rng)
+    cdf = np.cumsum(np.exp(_log_softmax((design.x * coef) @ design.incidence)), axis=1)
+    index = np.minimum((cdf < out_rng.random(n)[:, None]).sum(axis=1), 2)
+    want = np.asarray(config.spec.outcomes)[index]
+    assert np.array_equal(generate(config).outcome, want)
+
+
+def test_generate_needs_no_whole_n_temporaries_beyond_the_design():
+    # beyond its table, a row adds its design-matrix row (T doubles), its
+    # placeholder label and its outcome index (three more); the (N, T)
+    # coefficients, their product with x and the (N, I) softmax
+    # temporaries would add about twenty doubles
+    n, terms = 50_000, len(MNL_SPEC.terms)
+    peak = peak_beyond_outputs(generate, mnl_config(n=n))[1]
+    peak_2n = peak_beyond_outputs(generate, mnl_config(n=2 * n))[1]
+    assert peak_2n - peak <= n * 8 * (terms + 3)
 
 
 # ---------------------------------------------------------------- moments
