@@ -10,6 +10,7 @@ timestamps, so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import fields
@@ -21,6 +22,9 @@ from .lrtest import lr_test, mc_null_distribution
 from .optimize import FitResult, OptimizationError, OptimSettings
 from .reporting import VERSION, RunManifest, fit_table_text
 from .simulate import DgpConfig, generate
+
+# glibc's malloc_trim, None elsewhere
+_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
 
 
 def _settings(args) -> OptimSettings | None:
@@ -236,6 +240,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OptimizationError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if _TRIM is not None:  # freed blocks would stay in glibc's heap (README)
+            _TRIM(0)
 
 
 if __name__ == "__main__":

@@ -610,15 +610,6 @@ class DesignMatrix:
     def n_outcomes(self) -> int:
         return len(self.outcome_labels)
 
-    def unpack(self, theta: np.ndarray):
-        """Per-term (locations, natural scales); fixed terms get scale 0."""
-        theta = np.asarray(theta, dtype=np.float64)
-        locs = theta[self.loc_pos]
-        scales = np.zeros(len(self.spec.terms))
-        for j in self.random_terms:
-            scales[j] = np.exp(theta[self.scale_pos[j]])
-        return locs, scales
-
     def linear_predictors(self, theta: np.ndarray) -> np.ndarray:
         """Fixed-coefficient predictors: (N, I) for severity, (N,) for counts.
 

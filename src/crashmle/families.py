@@ -25,10 +25,11 @@ through its K rows in tiles of that many (row, observation, draw)
 elements and dispersion-table entries, a row with draws in observation
 blocks of that many elements, in a tile arena that never leaves the
 kernel.  The draw matrices they take are built that many Halton values
-at a time, and ``simulate`` draws its outcomes in the logit's
-observation blocks.  The logit's per-block softmax
-(``mnl._block_softmax``) also gives its simulated probabilities and
-effects.
+at a time.  The logit's per-block softmax (``mnl._block_softmax``) also
+gives its simulated probabilities and effects, and the NB's per-block
+log-means (``negbin._eta_draws``) its marginal effects, in the logit's
+observation blocks.  ``simulate`` draws its outcomes from the same
+per-block laws, at one draw per row.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import draws as _draws
 from . import families
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
-from .draws import BLOCK_ELEMENTS, DrawMatrix, coefficient_draws
+from .draws import DrawMatrix, coefficient_draws
 from .optimize import FitResult
 from .reporting import EffectRow, EffectsReport
 
@@ -28,8 +29,8 @@ SEPARATION_BOUND = 30.0
 
 def _blocks(n: int, per_row: int):
     """Consecutive slices over ``n`` observations, each of at most
-    ``BLOCK_ELEMENTS // per_row`` of them (at least one)."""
-    step = max(1, BLOCK_ELEMENTS // per_row)
+    ``draws.BLOCK_ELEMENTS // per_row`` of them (at least one)."""
+    step = max(1, _draws.BLOCK_ELEMENTS // per_row)
     for a in range(0, n, step):
         yield slice(a, min(a + step, n))
 
@@ -52,32 +53,22 @@ def _softmax_slices(v: list):
     return m, z, e, s
 
 
-def _log_softmax(v: np.ndarray) -> np.ndarray:
-    """Log-softmax of predictors ``v`` over their last axis, reduced over
-    the outcome slices one at a time; with fewer than eight outcomes it
-    equals bit for bit ``v - max`` less the log of the exponentials
-    summed along the axis."""
-    _, z, _, s = _softmax_slices([v[..., i] for i in range(v.shape[-1])])
-    lse = np.log(s)
-    return np.stack([zi - lse for zi in z], axis=-1)
-
-
-def _slots(design: DesignMatrix, draws: DrawMatrix | None):
+def _slots(design: DesignMatrix, std: tuple | None):
     """Each outcome's slot (I,) in the per-draw softmax, and each random
-    term's slots and (N, R) draws.  The outcomes some random term enters
-    vary across draws and take slots 1, 2, ...; the others, the base among
-    them, form the fixed group, slot 0.  Without draws all are fixed.  The
-    draws must have the design's rows: the kernel, the probabilities and
-    the effects all set theirs up here."""
-    if draws is not None and draws.n_obs != design.n_obs:
+    term's slots and (N, R) draws ``std``.  The outcomes some random term
+    enters vary across draws and take slots 1, 2, ...; the others, the
+    base among them, form the fixed group, slot 0.  Without draws (None)
+    all are fixed.  The draws must have the design's rows: the kernel, the
+    probabilities, the effects and ``simulate`` set theirs up here."""
+    if std is not None and any(len(d) != design.n_obs for d in std):
         raise ValueError("draw matrix and design disagree on the number of rows")
     inc = design.incidence
-    random = design.random_terms if draws is not None else ()
+    random = design.random_terms if std is not None else ()
     slot = np.zeros(inc.shape[1], dtype=np.int64)
     varying = inc[list(random)].any(axis=0)
     slot[varying] = np.arange(1, varying.sum() + 1)
     return (slot, {j: slot[inc[j] > 0] for j in random},
-            {j: draws.std[dim] for dim, j in enumerate(random)})
+            {j: std[dim] for dim, j in enumerate(random)})
 
 
 def _block_softmax(theta, design: DesignMatrix, slots):
@@ -184,7 +175,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     (B, N), or (N,) for B = 1, overrides the design's encoded outcomes.
 
     The observations are evaluated in consecutive blocks of about
-    ``BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, a constant, so
+    ``draws.BLOCK_ELEMENTS`` (K * rows * R) elements per outcome, a constant, so
     results do not depend on the machine and working memory scales with
     the block, not with N * R.  Each block's probabilities come from
     :func:`_block_softmax`, and every call returns fresh outputs.  The
@@ -202,7 +193,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
     term_sets = [np.flatnonzero(row) for row in to_terms]
     n_draws = 1 if draws is None else draws.n_draws
-    slots = slot, enters, std = _slots(design, draws)
+    slots = slot, enters, std = _slots(design, None if draws is None else draws.std)
     fixed, random, n_slots = np.flatnonzero(slot == 0), tuple(enters), np.count_nonzero(slot) + 1
     # below this draw sum of p_y,r, draws whose probability underflowed
     # would no longer weigh nothing against the others
@@ -376,7 +367,7 @@ def _mean_probs(theta, design: DesignMatrix, draws=None,
     observation ``row`` alone; evaluated in observation blocks."""
     if row is not None and not 0 <= row < design.n_obs:
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    slots = _slots(design, draws)
+    slots = _slots(design, None if draws is None else draws.std)
     block = _block_softmax(theta, design, slots)
     rows = ([slice(row, row + 1)] if row is not None
             else _blocks(design.n_obs, 1 if draws is None else draws.n_draws))
@@ -407,7 +398,7 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             raise ValueError(
                 f"variable {var!r} is not a 0/1 indicator; use elasticities" if pseudo
                 else f"variable {var!r} is a 0/1 indicator; use pseudo-elasticities")
-    slots = _slots(design, draws)
+    slots = _slots(design, None if draws is None else draws.std)
     slot, block = slots[0], _block_softmax(theta, design, slots)
     # per-observation effects: (triple, outcome, observation)
     each = np.empty((len(triples), len(labels), design.n_obs))

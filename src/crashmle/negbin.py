@@ -18,11 +18,12 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import gammaln
 
+from . import draws as _draws
 from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, as_counts, build_design)
-from .draws import BLOCK_ELEMENTS, DrawMatrix, coefficient_draws
-from .mnl import _term_targets
+from .draws import DrawMatrix, coefficient_draws
+from .mnl import _blocks, _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
@@ -110,24 +111,28 @@ def nb_logpmf(counts, lam, alpha: float):
     return out
 
 
-def _eta_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
+def _location(theta, design: DesignMatrix, out=None) -> np.ndarray:
+    """Location predictor (..., 1, N) of ``theta`` (..., P): each row's is a
+    (1, T) by (T, N) product of its own, whatever rows come with it."""
+    return np.matmul(theta[..., None, design.loc_pos], design.x.T, out=out)
+
+
+def _eta_draws(theta, design: DesignMatrix, std: tuple | None,
                rows=slice(None), product=None, out=(None, None)) -> np.ndarray:
     """Log-mean per draw, shape (..., n, R) for ``theta`` of shape
-    (..., P), on the n observations ``rows`` selects; R = 1 without
-    draws.  Scale slots hold logs.  ``product`` is the location predictor
-    (..., 1, N) of every observation, computed here when None: each row's
-    is a matrix product of its own, (1, T) by (T, N), so it does not
-    depend on the rows evaluated with it, and a block of observations
-    takes its columns, which a product over the block alone could round
-    differently.  ``out`` receives the sum and one term's draws (..., n,
-    R), where not None."""
+    (..., P), on the n observations ``rows`` selects, with each random
+    term's (N, R) draws ``std``; R = 1 without draws.  Scale slots hold
+    logs.  ``product`` is the :func:`_location` of every observation,
+    computed here when None; a block takes its columns, which a product
+    over the block alone could round differently.  ``out`` receives the
+    sum and one term's draws (..., n, R), where not None."""
     if product is None:
-        product = np.matmul(theta[..., None, design.loc_pos], design.x.T)
+        product = _location(theta, design)
     eta = np.swapaxes(product[..., rows], -1, -2)
     total, term = out
     for dim, j in enumerate(design.random_terms):
         scale = np.exp(theta[..., design.scale_pos[j], None, None])
-        term = np.multiply(scale, draws.std[dim][rows], out=term)
+        term = np.multiply(scale, std[dim][rows], out=term)
         term *= design.x[rows, j, None]
         eta = np.add(eta, term, out=total)
     return eta
@@ -150,7 +155,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     likelihood is the draw average of NB probabilities; without, the plain NB.
 
     The K rows are evaluated in tiles of at least one row and at most
-    ``BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
+    ``draws.BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
     entries, and a tile of rows with draws in observation blocks of at
     most ``BLOCK_ELEMENTS`` such elements (at least one observation), so
     that working memory scales with the block, not with K * N * R or the
@@ -182,7 +187,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     # the Hessian's covariate products, (N, T * T); with draws there is no Hessian
     xx = None if draws is not None else (x[:, :, None] * x[:, None, :]).reshape(n, -1)
     p = design.n_params
-    n_draws = 1 if draws is None else draws.n_draws
+    n_draws, std = (1, None) if draws is None else (draws.n_draws, draws.std)
     index = np.arange(b)
     floats = ints = None
 
@@ -191,8 +196,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         k = theta.shape[0]
         rows = index[rows]
         nt = 3 if hessian else 2
-        tile = min(k, max(1, BLOCK_ELEMENTS // max(n * n_draws, widest)))
-        span = n if draws is None else min(n, max(1, BLOCK_ELEMENTS // (tile * n_draws)))
+        tile = min(k, max(1, _draws.BLOCK_ELEMENTS // max(n * n_draws, widest)))
+        span = n if draws is None else min(n, max(1, _draws.BLOCK_ELEMENTS // (tile * n_draws)))
         blocks = [slice(at, min(at + span, n)) for at in range(0, n, span)]
 
         def block_shapes(kt, nb):  # the work arrays of a block of a kt-row tile
@@ -229,12 +234,12 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     afk[wide[0], wide[1], 0] = big
                     tabs[:, wide[0], wide[1]] += _poch_tail(alpha[wide[0], 0, 0], big, nt)
                     tabs[0][wide] += lgam[TAIL_START] - gammaln(big + 1.0)
-                np.matmul(th[:, None, design.loc_pos], x.T, out=product)
+                _location(th, design, out=product)
                 for ob in blocks:
                     (lam, l1p, ra, lpmf, q, rl, wd, tmp, top,
                      total) = _carve(floats, *block_shapes(kt, ob.stop - ob.start))
                     # wd and tmp are free until the log probabilities are done
-                    eta = _eta_draws(th, design, draws, ob, product, out=(wd, tmp))
+                    eta = _eta_draws(th, design, std, ob, product, out=(wd, tmp))
                     fk = afk[:, ob]
                     np.exp(eta, out=lam)
                     np.log1p(np.multiply(alpha, lam, out=l1p), out=l1p)
@@ -261,7 +266,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     for j in range(x.shape[1]):
                         np.multiply(x[ob, j], wd_sum, out=scores[design.loc_pos[j], at_tile, ob])
                     for dim, j in enumerate(design.random_terms):  # the log-scales
-                        drawn = np.multiply(wd, draws.std[dim][ob], out=rl).sum(axis=-1)
+                        drawn = np.multiply(wd, std[dim][ob], out=rl).sum(axis=-1)
                         scores[design.scale_pos[j], at_tile, ob] = (
                             x[ob, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
                     np.add(tabs[1][:, ob], tmp_sum, out=scores[-1, at_tile, ob])
@@ -376,18 +381,27 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
     """Average change in the expected count per unit of each variable.
 
     For the plain model this is ``mean(lam) * beta``; the mixed model
-    averages ``lam * beta`` over observations and coefficient draws.
+    averages ``lam * beta`` over observations and coefficient draws, in
+    observation blocks (a fit without draws in one, as in the kernel).
     """
     if fit.spec is None or not fit.spec.is_frequency:
         raise ValueError("marginal_effects requires an nb or mixed_nb fit")
     design = build_design(table, fit.spec)
     theta = fit.theta_internal
     draws = families.fit_draws(fit, design)
-    lam = np.exp(_eta_draws(theta, design, draws))  # (N, R)
-    rows = []
-    for var, j, _ in _term_targets(design, variables):
-        beta = coefficient_draws(theta, design, draws, j)
-        rows.append(EffectRow(var, "", "", "marginal", float((lam * beta).mean())))
+    triples, product = _term_targets(design, variables), _location(theta, design)
+    if draws is None:
+        blocks, std, n_draws = [slice(0, design.n_obs)], None, 1
+    else:
+        blocks, std, n_draws = _blocks(design.n_obs, draws.n_draws), draws.std, draws.n_draws
+    sums = []
+    for b in blocks:
+        lam = np.exp(_eta_draws(theta, design, std, b, product))  # (nb, R)
+        sums.append([(lam * coefficient_draws(theta, design, draws, j, rows=b)).sum()
+                     for _, j, _ in triples])
+    means = np.sum(sums, axis=0) / (design.n_obs * n_draws)
+    rows = [EffectRow(var, "", "", "marginal", float(mean))
+            for (var, _, _), mean in zip(triples, means)]
     return EffectsReport("marginal", tuple(rows), design.n_obs)
 
 

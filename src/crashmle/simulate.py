@@ -2,10 +2,12 @@
 
 All randomness flows from numpy's PCG64 bit generator.  A top-level
 seed is split with ``SeedSequence.spawn`` into three independent
-streams (covariates, coefficient mixing, outcomes), so a mixed-family
-generator run with all scales at zero consumes the covariate and
-outcome streams exactly like its plain counterpart and reproduces it
-bit for bit.  Normal and mixing variates are produced by the inverse-CDF
+streams (covariates, coefficient mixing, outcomes).  The outcome law is
+the likelihood kernels' own per-block law at one draw per row, each
+random term's mixing draw, so a mixed-family generator run with all
+scales at zero uses the covariate and outcome streams exactly like its
+plain counterpart, and its law agrees with the plain one to rounding.
+Normal and mixing variates are produced by the inverse-CDF
 transform of uniforms, :func:`crashmle.draws.standard_draws`, never by
 rejection, keeping the draw count per row fixed.
 """
@@ -20,7 +22,8 @@ from . import serialize
 from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       build_design, expected_param_names, scale_param_name, term_param_name)
 from .draws import standard_draws
-from .mnl import _blocks, _log_softmax
+from .mnl import _block_softmax, _blocks, _draw_means, _slots
+from .negbin import _eta_draws, _location
 
 #: each recipe kind's parameters, in the order ``to_dict`` writes them
 RECIPE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
@@ -98,7 +101,8 @@ class DgpConfig:
     scales on the natural scale, ``alpha`` for count families) to its
     true value.  ``covariates`` must cover every term variable except
     the constant; extra columns (for example a grouping flag) are
-    allowed and included in the output table.
+    allowed and included in the output table.  ``influence`` caps a
+    term's column in the outcome law alone.
     """
 
     spec: ModelSpec
@@ -131,6 +135,8 @@ class DgpConfig:
             column, cap = self.influence
             if column not in self.covariates:
                 raise ValueError(f"influence distance column {column!r} has no recipe")
+            if not any(t.variable == column for t in self.spec.terms):
+                raise ValueError(f"spec has no term on {column!r}")
             if cap <= 0:
                 raise ValueError("influence cap must be positive")
 
@@ -177,60 +183,43 @@ def true_theta(config: DgpConfig) -> tuple[np.ndarray, np.ndarray, float | None]
     return locs, scales, alpha
 
 
-def _mixing_draws(design: DesignMatrix, locs, scales, mix_rng) -> dict:
-    """Each random term's per-row coefficients (N,), by term index.  One
-    whole-N stream draw per random term, in term order, regardless of
-    scale."""
-    return {j: locs[j] + scales[j] * standard_draws(
-        _uniform_open(mix_rng, design.n_obs), _KIND_TO_DIST[design.spec.terms[j].kind])
-        for j in design.random_terms}
-
-
-def _coefficients(locs, mixed: dict, rows: slice) -> np.ndarray:
-    """Coefficients (n, T) of the observations ``rows`` (a bounded slice):
-    each term's location, a random term's :func:`_mixing_draws` instead."""
-    n = rows.stop - rows.start
-    coef = np.broadcast_to(np.asarray(locs, float), (n, len(locs))).copy()
-    for j, column in mixed.items():
-        coef[:, j] = column[rows]
-    return coef
+def _mixing_draws(design: DesignMatrix, mix_rng) -> tuple:
+    """Each random term's standardized mixing draws (N, 1), one per row:
+    one whole-N stream draw per random term, in term order."""
+    if design.random_terms and mix_rng is None:
+        raise ValueError("the mixing draws of a design with random terms need rng")
+    return tuple(standard_draws(_uniform_open(mix_rng, design.n_obs),
+                                _KIND_TO_DIST[design.spec.terms[j].kind])[:, None]
+                 for j in design.random_terms)
 
 
 def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarray:
-    """Per-row coefficients (N, T): mixing draws for random terms.
+    """Per-row coefficients (N, T): each term's location, plus a random
+    term's scale times its :func:`_mixing_draws`; a fixed term or a zero
+    scale reproduces the location exactly."""
+    coef = np.tile(np.asarray(locs, dtype=np.float64), (design.n_obs, 1))
+    for j, std in zip(design.random_terms, _mixing_draws(design, mix_rng)):
+        coef[:, j] += scales[j] * std[:, 0]
+    return coef
 
-    Every term contributes a column; fixed terms and zero scales
-    reproduce the location exactly.  One stream draw per random term,
-    in term order, regardless of scale.
-    """
-    n = design.n_obs
-    return _coefficients(locs, _mixing_draws(design, locs, scales, mix_rng), slice(0, n))
 
-
-def _outcome_laws(design: DesignMatrix, locs, mixed: dict, cap=None):
-    """What the outcome draws take, block by block of observations: the
-    (nb,) NB means of a count design, the (nb, I) cumulative outcome
-    probabilities of a severity design, at the locations ``locs`` and the
-    random terms' :func:`_mixing_draws` ``mixed``.  ``cap`` (column,
-    value) caps that variable's covariate.  The blocks are those of
-    :func:`crashmle.mnl._blocks`, except that a last block of one row
-    joins the one before it: the matrix product of a single row may round
-    differently from the same row among others."""
-    blocks = list(_blocks(design.n_obs, 1))
-    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
-        blocks[-2:] = [slice(blocks[-2].start, design.n_obs)]
-    capped = [] if cap is None else [j for j, t in enumerate(design.spec.terms)
-                                     if t.variable == cap[0]]
-    for b in blocks:
-        x = design.x[b]
-        if capped:
-            x = x.copy()
-            x[:, capped] = np.minimum(x[:, capped], cap[1])
-        v = x * _coefficients(locs, mixed, b)
-        if design.spec.is_severity:
-            yield np.cumsum(np.exp(_log_softmax(v @ design.incidence)), axis=1)
-        else:
-            yield np.exp(v.sum(axis=1))
+def _outcome_laws(design: DesignMatrix, theta: np.ndarray, std: tuple):
+    """What the outcome draws take, block by block of observations
+    (:func:`crashmle.mnl._blocks`): the (nb,) NB means of a count design,
+    the (nb, I) cumulative outcome probabilities of a severity design.
+    Each is the likelihood kernel's own law at one draw per row:
+    ``theta`` is packed like a fit's ``theta_internal``, and ``std`` holds
+    each random term's (N, 1) :func:`_mixing_draws`."""
+    blocks = _blocks(design.n_obs, 1)
+    if design.spec.is_severity:
+        slots = _slots(design, std)
+        block = _block_softmax(theta, design, slots)
+        for b in blocks:
+            yield np.cumsum(_draw_means(block, slots[0], b)[2], axis=1)
+    else:
+        product = _location(theta, design)
+        for b in blocks:
+            yield np.exp(_eta_draws(theta, design, std, b, product))[:, 0]
 
 
 def draw_severity_outcomes(cdf: np.ndarray, out_rng: np.random.Generator) -> np.ndarray:
@@ -257,17 +246,22 @@ def _generate(config: DgpConfig) -> ObservationTable:
     mode = "severity" if spec.is_severity else "frequency"
     placeholder = (np.zeros(config.n, dtype=np.int64) if mode == "frequency"
                    else np.full(config.n, spec.outcomes[0]))
-    shell = ObservationTable(columns, placeholder, mode)
-    design = build_design(shell, spec)
-
-    locs, scales, alpha = true_theta(config)
-    laws = _outcome_laws(design, locs, _mixing_draws(design, locs, scales, mix_rng),
-                         config.influence)
+    law_columns = dict(columns)
+    if config.influence is not None:  # the law takes the capped distance, the table the raw
+        column, cap = config.influence
+        law_columns[column] = np.minimum(columns[column], cap)
+    design = build_design(ObservationTable(law_columns, placeholder, mode), spec)
+    # the true parameters packed like a fit's: a zero scale's log is -inf,
+    # and its coefficient is exactly the location
+    theta = np.array([config.params[name] for name in design.param_names])
+    with np.errstate(divide="ignore"):
+        theta[design.log_pos] = np.log(theta[design.log_pos])
+    laws = _outcome_laws(design, theta, _mixing_draws(design, mix_rng))
     if spec.is_severity:  # one uniform per row, drawn block by block
         index = np.concatenate([draw_severity_outcomes(cdf, out_rng) for cdf in laws])
         outcome = np.asarray(spec.outcomes)[index]
     else:
-        outcome = draw_counts(np.concatenate(list(laws)), alpha, out_rng)
+        outcome = draw_counts(np.concatenate(list(laws)), config.params["alpha"], out_rng)
     return ObservationTable(columns, outcome, mode)
 
 
@@ -283,7 +277,8 @@ def gen_mnl(config: DgpConfig) -> ObservationTable:
 
 
 def gen_mixed_mnl(config: DgpConfig) -> ObservationTable:
-    """Mixed logit data; zero scales reproduce :func:`gen_mnl` exactly."""
+    """Mixed logit data, one mixing draw per row; zero scales take
+    :func:`gen_mnl`'s streams and its law, to rounding."""
     _require_family(config, "mixed_mnl")
     return _generate(config)
 
@@ -295,7 +290,8 @@ def gen_nb(config: DgpConfig) -> ObservationTable:
 
 
 def gen_mixed_nb(config: DgpConfig) -> ObservationTable:
-    """Random-coefficient NB counts; zero scales reproduce :func:`gen_nb`."""
+    """Random-coefficient NB counts, one mixing draw per row; zero scales
+    take :func:`gen_nb`'s streams and its means, to rounding."""
     _require_family(config, "mixed_nb")
     return _generate(config)
 
@@ -326,9 +322,8 @@ def outcome_law(design: DesignMatrix, theta_internal: np.ndarray,
     probabilities of a severity design, at per-row coefficients whose
     mixing draws come from ``rng``.  A design without random terms takes
     no draws, and ``rng`` may be None."""
-    locs, scales = design.unpack(theta_internal)
-    return np.concatenate(list(_outcome_laws(
-        design, locs, _mixing_draws(design, locs, scales, rng))))
+    theta = np.asarray(theta_internal, dtype=np.float64)
+    return np.concatenate(list(_outcome_laws(design, theta, _mixing_draws(design, rng))))
 
 
 def draw_outcomes(design: DesignMatrix, theta_internal: np.ndarray,

@@ -669,13 +669,15 @@ def test_mixed_fits_and_pooling_tests_do_not_call_the_one_row_maximizer(monkeypa
 
 def mc_in_blocks_of(block_rows, table, *args, tile_rows=None):
     """``lrtest.mc_null_distribution`` with ``block_rows`` replicates per
-    block (None: the default, every replicate in one block) and NB kernel
-    tiles of ``tile_rows`` rows (None: the default)."""
+    block (None: the default, every replicate in one block) and a kernel
+    block of ``tile_rows`` table rows' elements (None: the default),
+    which sets the NB kernel's tiles and the logit kernel's observation
+    blocks."""
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(lrtest, "BLOCK_ELEMENTS", block_rows * table.n_rows)
         if tile_rows is not None:
-            mp.setattr(negbin, "BLOCK_ELEMENTS", tile_rows * table.n_rows)
+            mp.setattr("crashmle.draws.BLOCK_ELEMENTS", tile_rows * table.n_rows)
         return lrtest.mc_null_distribution(table, *args)
 
 
@@ -685,7 +687,7 @@ def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):
     """NB replicate statistics and drop counts are bit-identical in blocks
     of 7, 64 and the default rows, and in NB kernel tiles of 5 rows; MNL
     statistics agree to 1e-6, because the logit kernel's observation
-    blocks depend on the rows per call."""
+    blocks depend on the rows per call and on the kernel block."""
     for table, spec in ((nb_table(122, seed=table_seed), NB_SPEC),
                         (mnl_table(300, seed=table_seed), MNL_SPEC)):
         args = (table, spec, "flag", 150, seed)

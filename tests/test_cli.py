@@ -3,16 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crashmle
 from crashmle import lrtest
 from crashmle.cli import main
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term, load_csv,
@@ -518,6 +521,18 @@ def test_simulate_names_a_missing_dgp_key(workdir, capsys):
     assert err.startswith("error:") and "'n'" in err
 
 
+def test_simulate_refuses_an_influence_cap_on_a_column_no_term_uses(workdir, capsys):
+    # the cap would change nothing: the table would be the uncapped DGP's
+    d = mnl_dgp().to_dict()
+    d["covariates"]["d"] = {"kind": "uniform", "low": 0.0, "high": 2.0}
+    d["influence"] = {"distance": "d", "cap": 0.5}
+    (workdir / "inf_dgp.json").write_text(dumps(d))
+    assert main(["simulate", "--dgp", str(workdir / "inf_dgp.json"),
+                 "--out", str(workdir / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: spec has no term on 'd'")
+    assert not (workdir / "x.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["flag", "dgp_file"])
 def test_simulate_names_a_negative_seed(workdir, capsys, where):
     d = mnl_dgp().to_dict()
@@ -716,6 +731,32 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "crashmle" in proc.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_a_command_hands_freed_heap_memory_back(tmp_path):
+    """An 8 MiB array freed after a 16 MiB one stays resident in glibc's
+    heap, whose mmap threshold the 16 MiB one raised; the next command
+    returns it to the system when it ends."""
+    code = """if True:
+        import os
+        import numpy as np
+        from crashmle.cli import main
+        def rss():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        a = np.ones(2 << 20); del a
+        before = rss()
+        b = np.ones(1 << 20); del b
+        assert main(["simulate", "--dgp", "missing.json", "--out", "x"]) == 2
+        print(rss() - before)
+    """
+    src = str(Path(crashmle.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, check=True)
+    assert int(proc.stdout) < 1 << 20
 
 
 @pytest.fixture(scope="module")

@@ -796,15 +796,6 @@ def test_design_layout_frequency_with_random_term():
     assert np.array_equal(d.counts, [2, 0])
 
 
-def test_design_unpack_exponentiates_scales():
-    t = ObservationTable({"z": [0.5]}, np.array([1]), "frequency")
-    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z", (), "random_normal")))
-    d = build_design(t, spec)
-    locs, scales = d.unpack(np.array([0.3, -0.7, np.log(2.0)]))
-    assert locs == pytest.approx([0.3, -0.7])
-    assert scales == pytest.approx([0.0, 2.0])
-
-
 def test_design_linear_predictors():
     t = severity_table()
     d = build_design(t, mnl_spec())

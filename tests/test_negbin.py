@@ -1,6 +1,7 @@
 """Negative binomial (plain and mixed) likelihoods, fitting, marginal effects."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import gammaln
 
 from conftest import peak_beyond_outputs
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
+from crashmle.draws import BLOCK_ELEMENTS
 from crashmle.mixed import DrawMatrix
 from crashmle import mnl, negbin
 from crashmle.negbin import (
@@ -313,6 +315,25 @@ def test_a_first_c09_call_peaks_the_same_at_twice_the_observations():
     assert peaks[3000] <= peaks[1500] + 1500 * 5 * 8 + 8192
 
 
+def test_c09_marginal_effects_peak_the_same_at_twice_the_observations(monkeypatch):
+    # lam * beta is averaged in observation blocks: beyond the design and
+    # the draws, built before the call here, an observation adds its
+    # location predictor, not three (N, R) arrays (7.2 MB at N = 1500)
+    spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    fit = SimpleNamespace(spec=spec, theta_internal=np.array([1.0, 0.4, np.log(0.3),
+                                                              np.log(0.8)]))
+    peaks = {}
+    for n in (1500, 3000):
+        table = count_table(n, seed=9)
+        design = build_design(table, spec)
+        draws = DrawMatrix.for_design(design, 200)
+        monkeypatch.setattr(negbin, "build_design", lambda *_, d=design: d)
+        monkeypatch.setattr(negbin.families, "fit_draws", lambda *_, d=draws: d)
+        peaks[n] = peak_beyond_outputs(marginal_effects, fit, table)[1]
+    assert peaks[1500] < 1e6
+    assert peaks[3000] <= peaks[1500] + 8 * BLOCK_ELEMENTS
+
+
 def test_observation_blocks_give_the_whole_row_bit_for_bit():
     # rows with draws split into blocks of 1, 7 or 40 observations, and
     # one block of every observation, give the same outputs
@@ -330,7 +351,7 @@ def test_observation_blocks_give_the_whole_row_bit_for_bit():
     whole = tiled_calls(len(theta), kernel, theta, rows, 150 * 25, hessian=False)
     for span in (1, 7, 40):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(negbin, "BLOCK_ELEMENTS", span * 25)
+            mp.setattr("crashmle.draws.BLOCK_ELEMENTS", span * 25)
             blocked = kernel(theta, rows)
         for got, want in zip(blocked, whole, strict=True):
             np.testing.assert_array_equal(got, want)
@@ -340,7 +361,7 @@ def tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian):
     """Copies of a kernel call's outputs with a tile budget of
     ``budget_rows`` rows of ``n_elements`` (N * R) elements each."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(negbin, "BLOCK_ELEMENTS", budget_rows * n_elements)
+        mp.setattr("crashmle.draws.BLOCK_ELEMENTS", budget_rows * n_elements)
         return [np.copy(out) for out in kernel(theta, rows, hessian=hessian)]
 
 
@@ -382,7 +403,7 @@ def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
     # 2,048 rows of 122 observations: the outputs take 8 MB; work arrays
     # for every row at once would take another 30 MB
     peak = hessian_call_peak(2048)
-    tile_bytes = 8 * negbin.BLOCK_ELEMENTS
+    tile_bytes = 8 * BLOCK_ELEMENTS
     assert peak < 20 * tile_bytes
     # beyond the outputs, doubling K adds only the K row indices (4 kB
     # allow for the interpreter's own allocations)
@@ -423,7 +444,7 @@ def test_a_count_above_the_cap_sizes_tiles_by_the_tables_they_build(monkeypatch)
     monkeypatch.setattr(negbin, "_poch_tables",
                         lambda alpha, out: tables.append(out.shape) or real(alpha, out))
     assert np.isfinite(kernel(theta, np.arange(500), hessian=True)[0]).all()
-    rows = negbin.BLOCK_ELEMENTS // (negbin.TAIL_START + 1)
+    rows = BLOCK_ELEMENTS // (negbin.TAIL_START + 1)
     assert len(tables) == -(-500 // rows)  # one call per tile
     assert {shape[1] for shape in tables[:-1]} == {rows}
 

@@ -5,11 +5,11 @@ import pytest
 import scipy.special
 
 from conftest import peak_beyond_outputs
-from crashmle import simulate
+from crashmle import draws, mnl, negbin, simulate
 from crashmle.dataset import (CONSTANT, ModelSpec, ObservationTable, Term, build_design,
                               load_csv)
-from crashmle.draws import BLOCK_ELEMENTS
-from crashmle.mnl import _log_softmax
+from crashmle.draws import BLOCK_ELEMENTS, DrawMatrix
+from crashmle.families import REGISTRY
 from crashmle.simulate import (
     CovariateRecipe,
     DgpConfig,
@@ -132,6 +132,13 @@ def test_config_validates_values_and_recipes():
         mnl_config(influence=("x1", 0.0))
 
 
+def test_config_refuses_an_influence_cap_on_a_column_no_term_uses():
+    # the cap would change nothing: the DGP would draw the uncapped outcomes
+    recipes = dict(MNL_RECIPES, d=CovariateRecipe("uniform", low=0.0, high=2.0))
+    with pytest.raises(ValueError, match="spec has no term on 'd'"):
+        DgpConfig(MNL_SPEC, MNL_PARAMS, recipes, n=2000, seed=4, influence=("d", 0.5))
+
+
 def test_config_dict_round_trip():
     cfg = mnl_config(n=50, seed=3, influence=("x1", 0.7))
     back = DgpConfig.from_dict(cfg.to_dict())
@@ -233,11 +240,84 @@ def test_severity_outcomes_drawn_by_block_equal_one_whole_draw(n, mixed):
     design = build_design(ObservationTable(columns, np.full(n, "a"), "severity"),
                           config.spec)
     locs, scales, _ = true_theta(config)
-    coef = coefficient_matrix(design, locs, scales, mix_rng)
-    cdf = np.cumsum(np.exp(_log_softmax((design.x * coef) @ design.incidence)), axis=1)
+    v = (design.x * coefficient_matrix(design, locs, scales, mix_rng)) @ design.incidence
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    cdf = np.cumsum(e / e.sum(axis=1, keepdims=True), axis=1)
     index = np.minimum((cdf < out_rng.random(n)[:, None]).sum(axis=1), 2)
     want = np.asarray(config.spec.outcomes)[index]
     assert np.array_equal(generate(config).outcome, want)
+
+
+def test_the_plain_logit_law_is_the_likelihoods_bit_for_bit():
+    table = gen_mnl(mnl_config(n=BLOCK_ELEMENTS + 5, seed=2))
+    design = build_design(table, MNL_SPEC)
+    theta = np.array([0.4, 0.8, -0.5])
+    np.testing.assert_array_equal(simulate.outcome_law(design, theta),
+                                  np.cumsum(mnl.mnl_probs(theta, design), axis=1))
+
+
+@pytest.mark.parametrize("family", ["mixed_mnl", "mixed_nb"])
+def test_zero_scales_give_the_plain_law_to_rounding(family):
+    # the mixed law runs the per-draw arithmetic at a coefficient draw of
+    # exactly the location, so it agrees with the plain law to rounding
+    if family == "mixed_mnl":
+        plain_spec, table = MNL_SPEC, gen_mnl(mnl_config(n=400, seed=3))
+        terms = [Term(t.variable, t.outcomes, "random_normal") for t in MNL_SPEC.terms]
+        spec = ModelSpec(family, tuple(terms), MNL_SPEC.outcomes, MNL_SPEC.base_outcome)
+        plain_theta = np.array([0.4, 0.8, -0.5])
+    else:
+        plain_spec, table = NB_SPEC, gen_nb(nb_config(n=400, seed=3))
+        spec = ModelSpec(family, (Term(CONSTANT, (), "random_uniform"),
+                                  Term("z1", (), "random_normal")))
+        plain_theta = np.array([1.0, 0.4, np.log(0.8)])
+    plain = simulate.outcome_law(build_design(table, plain_spec), plain_theta)
+    design = build_design(table, spec)
+    theta = np.full(design.n_params, -np.inf)  # every scale's log: zero scales
+    theta[np.setdiff1d(np.arange(design.n_params), design.scale_pos)] = plain_theta
+    mixed = simulate.outcome_law(design, theta, np.random.default_rng(0))
+    np.testing.assert_allclose(mixed, plain, rtol=1e-15, atol=0)
+
+
+def test_an_outcome_law_with_random_terms_needs_rng():
+    table = gen_mnl(mnl_config(n=20))
+    design = build_design(table, MIXED_MNL_SPEC)
+    with pytest.raises(ValueError, match="mixing draws .* need rng"):
+        simulate.outcome_law(design, np.zeros(design.n_params))
+
+
+def test_one_patch_of_the_block_size_reaches_both_kernels_and_simulate(monkeypatch):
+    # draws.BLOCK_ELEMENTS is read when a call runs: one patch sets the
+    # observation blocks of the logit kernel, of the NB kernel and of the
+    # simulated outcome laws
+    sizes = []
+
+    def recording(function, at):
+        def call(*args, **kwargs):
+            sizes.append(args[at].stop - args[at].start)
+            return function(*args, **kwargs)
+        return call
+
+    block_softmax, eta_draws = mnl._block_softmax, recording(negbin._eta_draws, 3)
+    for module in (mnl, negbin, simulate):
+        if hasattr(module, "_block_softmax"):
+            monkeypatch.setattr(module, "_block_softmax",
+                                lambda *a: recording(block_softmax(*a), 0))
+        if hasattr(module, "_eta_draws"):
+            monkeypatch.setattr(module, "_eta_draws", eta_draws)
+    monkeypatch.setattr(draws, "BLOCK_ELEMENTS", 100)
+    mixed_nb = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal")))
+    for spec, table in ((MIXED_MNL_SPEC, gen_mnl(mnl_config(n=30))),
+                        (mixed_nb, gen_nb(nb_config(n=30)))):
+        design = build_design(table, spec)
+        kernel = REGISTRY[spec.family].kernel(design, DrawMatrix.for_design(design, 25), None)
+        sizes.clear()
+        kernel(np.zeros((1, design.n_params)), slice(0, 1))
+        assert sizes == [4] * 7 + [2]  # 100 elements of 25 draws
+    for config in (DgpConfig(MIXED_MNL_SPEC, MIXED_MNL_PARAMS, MNL_RECIPES, n=250),
+                   nb_config(n=250)):
+        sizes.clear()
+        generate(config)
+        assert sizes == [100, 100, 50]
 
 
 def test_generate_needs_no_whole_n_temporaries_beyond_the_design():
