@@ -41,8 +41,7 @@ def _settings(args) -> OptimSettings | None:
 
 def _manifest(args, input_paths, seed=None, n_draws=None) -> RunManifest:
     inputs = {str(p): serialize.sha256_file(p) for p in input_paths}
-    return RunManifest(command=list(sys.argv[1:]) or [args.command],
-                       inputs=inputs, seed=seed, n_draws=n_draws)
+    return RunManifest(command=args.argv, inputs=inputs, seed=seed, n_draws=n_draws)
 
 
 def _load_table(args, spec):
@@ -66,7 +65,7 @@ def cmd_fit(args) -> int:
         fh.write(text)
     serialize.write_json(f"{args.out}.json", fit.to_dict())
     _manifest(args, [args.data, args.spec],
-              seed=fit.seed, n_draws=args.draws).write(f"{args.out}.manifest.json")
+              seed=fit.seed, n_draws=fit.n_draws).write(f"{args.out}.manifest.json")
     print(text, end="")
     return 0 if fit.converged else 1
 
@@ -119,7 +118,7 @@ def cmd_lrtest(args) -> int:
         result.write_histogram_csv(f"{args.out}.hist.csv")
     _manifest(args, [args.data, args.spec],
               seed=args.seed if args.mc is not None else None,
-              n_draws=args.draws).write(f"{args.out}.manifest.json")
+              n_draws=args.draws if spec.is_mixed else None).write(f"{args.out}.manifest.json")
 
     print(f"pooling test on {result.flag_column!r} ({result.family})")
     print(f"  ll pooled   {result.pooled.ll:.2f}  ({result.pooled.n_obs} obs)")
@@ -235,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)  # what the manifest records
     try:
         return args.func(args)
     except (ValueError, OSError, OptimizationError, RuntimeError) as exc:

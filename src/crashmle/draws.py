@@ -22,13 +22,21 @@ from .dataset import _KIND_TO_DIST, DesignMatrix
 
 MIN_DRAWS = 25
 
-#: elements of one block of working memory.  A draw matrix is built this
-#: many Halton elements at a time; the logit kernel works through the
-#: observations in blocks of this many (K * rows * R) elements per
-#: outcome, and the NB kernel in tiles and observation blocks of this many
-#: (row, observation, draw) elements, so that working memory scales with
-#: the block, not with N * R, and a block's arrays stay in cache
+#: elements of one block of working memory (:func:`blocks`).  A draw
+#: matrix is built this many Halton elements at a time; the logit kernel
+#: works through the observations in blocks of this many (K * rows * R)
+#: elements per outcome, and the NB kernel in tiles and observation blocks
+#: of this many (row, observation, draw) elements, so that working memory
+#: scales with the block, not with N * R, and a block's arrays stay in cache
 BLOCK_ELEMENTS = 1 << 14
+
+
+def blocks(n: int, per_row: int, budget: int | None = None):
+    """Consecutive slices over ``n`` rows of ``per_row`` elements, each of at
+    most ``budget`` (``BLOCK_ELEMENTS`` when it runs) elements or one row."""
+    step = max(1, (BLOCK_ELEMENTS if budget is None else budget) // per_row)
+    for a in range(0, n, step):
+        yield slice(a, min(a + step, n))
 
 
 def is_prime(n: int) -> bool:
@@ -123,14 +131,14 @@ def halton(base: int, count: int, skip: int = 0) -> np.ndarray:
         f /= base
         table = (table[None, :] + (f * np.arange(base))[:, None]).ravel()
     out = np.empty(count)
-    # BLOCK_ELEMENTS indices at a time, each chunk taking every pass the
+    # a block of indices at a time, each chunk taking every pass the
     # largest index needs (a missing digit adds zero), so that the index,
     # digit and increment arrays stay within a block
-    for a in range(0, count, BLOCK_ELEMENTS):
-        idx = np.arange(skip + 1 + a, skip + 1 + min(a + BLOCK_ELEMENTS, count), dtype=dtype)
+    for b in blocks(count, 1):
+        idx = np.arange(skip + 1 + b.start, skip + 1 + b.stop, dtype=dtype)
         digit = np.empty_like(idx)
         np.divmod(idx, table.size, out=(idx, digit))
-        chunk = np.take(table, digit, out=out[a:a + len(idx)])
+        chunk = np.take(table, digit, out=out[b])
         g, rest = f, top
         while rest:  # one pass per higher base-`base` digit of the largest index
             rest //= base

@@ -19,16 +19,17 @@ family, as if with one draw, and the design has fixed terms only.
 view derives from the kernel.  Every kernel call returns arrays that the
 caller owns: no later call touches them.  Both kernels bound their
 working memory by the constant ``draws.BLOCK_ELEMENTS``, so it scales
-with a block, not with K * N * R: the logit kernel works through the
-observations in blocks of that many elements per outcome, the NB kernel
-through its K rows in tiles of that many (row, observation, draw)
-elements and dispersion-table entries, a row with draws in observation
-blocks of that many elements, in a tile arena that never leaves the
-kernel.  The draw matrices they take are built that many Halton values
-at a time.  The logit's per-block softmax (``mnl._block_softmax``) also
-gives its simulated probabilities and effects, and the NB's per-block
-log-means (``negbin._eta_draws``) its marginal effects, in the logit's
-observation blocks.  ``simulate`` draws its outcomes from the same
+with a block, not with K * N * R; ``draws.blocks`` makes every cut.  The
+logit kernel works through the observations in blocks of that many
+elements per outcome, the NB kernel through its K rows in tiles of that
+many (row, observation, draw) elements and table entries, and every row
+(without draws, as one draw) in observation blocks of that many
+elements, in a tile arena that never leaves the kernel; both sum their
+Hessians block by block.  Draw matrices are built that many Halton
+values at a time.  The logit's per-block softmax (``mnl._block_softmax``)
+also gives its simulated probabilities and effects, and the NB's
+per-block log-means (``negbin._eta_draws``) its marginal effects, in the
+logit's observation blocks.  ``simulate`` draws its outcomes from the same
 per-block laws, at one draw per row.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`

@@ -15,8 +15,8 @@ pooled Halton matrix, each subset on its own observations' rows, so the
 subsets start at the pooled log-likelihood and the statistic is
 non-negative by construction for every family.
 
-The Monte Carlo replicates are refitted in blocks of
-``max(BLOCK_ELEMENTS // (n_obs * R), 1)`` rows, R being a mixed spec's
+The Monte Carlo replicates are refitted in :func:`crashmle.draws.blocks`
+of ``max(BLOCK_ELEMENTS // (n_obs * R), 1)`` rows, R being a mixed spec's
 draws and 1 otherwise: 2,148 on a 122-site plain table, so that 500
 replicates take one block; fewer on large tables and with many draws, so
 that a block's outcomes and outputs stay within a fixed number of
@@ -37,7 +37,7 @@ from scipy.special import gammaincc, gammaincinv
 from . import serialize, simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
-from .draws import DrawMatrix
+from .draws import DrawMatrix, blocks
 from .families import REGISTRY, maximize_rows
 from .optimize import FitResult, OptimSettings
 
@@ -326,10 +326,10 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
 
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
-    step = max(BLOCK_ELEMENTS // (table.n_rows * (n_draws if spec.is_mixed else 1)), 1)
-    for start in range(0, replicates, step):
+    for b in blocks(replicates, table.n_rows * (n_draws if spec.is_mixed else 1),
+                    BLOCK_ELEMENTS):
         outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
-                                      start, min(start + step, replicates))
+                                      b.start, b.stop)
         x2, reason = _replicate_block(pieces, fits[0].theta, outcomes)
         null_stats.extend(x2[reason == ""])
         for r in reason[reason != ""]:

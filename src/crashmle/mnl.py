@@ -27,14 +27,6 @@ from .reporting import EffectRow, EffectsReport
 SEPARATION_BOUND = 30.0
 
 
-def _blocks(n: int, per_row: int):
-    """Consecutive slices over ``n`` observations, each of at most
-    ``draws.BLOCK_ELEMENTS // per_row`` of them (at least one)."""
-    step = max(1, _draws.BLOCK_ELEMENTS // per_row)
-    for a in range(0, n, step):
-        yield slice(a, min(a + step, n))
-
-
 def _softmax_slices(v: list):
     """Reduce per-outcome predictor slices over the outcomes, one slice at
     a time: the maximum ``m = max_i v_i``, the shifted slices ``v_i - m``,
@@ -214,7 +206,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
             theta = np.where(over[:, None], 0.0, theta)
         sd = {j: np.exp(theta[:, design.scale_pos[j], None, None]) for j in random}
         block = _block_softmax(theta, design, slots)
-        for b in _blocks(design.n_obs, k * n_draws):
+        for b in _draws.blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
             v, coef, z, lse, q, c, buf = block(b)
             # log q_y: the observed outcome's log-share in the fixed group
@@ -370,7 +362,7 @@ def _mean_probs(theta, design: DesignMatrix, draws=None,
     slots = _slots(design, None if draws is None else draws.std)
     block = _block_softmax(theta, design, slots)
     rows = ([slice(row, row + 1)] if row is not None
-            else _blocks(design.n_obs, 1 if draws is None else draws.n_draws))
+            else _draws.blocks(design.n_obs, 1 if draws is None else draws.n_draws))
     out = np.concatenate([_draw_means(block, slots[0], b)[2] for b in rows])
     return out if row is None else out[0]
 
@@ -382,10 +374,9 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
     Probabilities and their derivatives are averaged over the draws the
     fit records, :func:`crashmle.families.fit_draws` (a plain logit has
     one draw), so coefficient heterogeneity propagates into the averaged
-    effects.  Each observation's effects are evaluated in observation
-    blocks, on the likelihood kernel's probabilities
-    (:func:`_block_softmax`), and averaged over all observations at the
-    end.
+    effects.  The observations' effects are evaluated and summed in
+    observation blocks, on the likelihood kernel's probabilities
+    (:func:`_block_softmax`), and the sum is divided by N at the end.
     """
     design = build_design(table, fit.spec)
     draws = families.fit_draws(fit, design)
@@ -400,9 +391,9 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
                 else f"variable {var!r} is a 0/1 indicator; use pseudo-elasticities")
     slots = _slots(design, None if draws is None else draws.std)
     slot, block = slots[0], _block_softmax(theta, design, slots)
-    # per-observation effects: (triple, outcome, observation)
-    each = np.empty((len(triples), len(labels), design.n_obs))
-    for b in _blocks(design.n_obs, 1 if draws is None else draws.n_draws):
+    # the effects summed over the observations: (triple, outcome)
+    values = np.zeros((len(triples), len(labels)))
+    for b in _draws.blocks(design.n_obs, 1 if draws is None else draws.n_draws):
         p, q, p_bar = _draw_means(block, slot, b)
         p_sum = p.sum(axis=-1)  # (n_slots, nb)
         for t, (var, j, target) in enumerate(triples):
@@ -412,17 +403,20 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
                 # switched in the target's predictor alone
                 on = _draw_means(block, slot, b, (j, col, 1.0 - x))[2]
                 off = _draw_means(block, slot, b, (j, col, -x))[2]
-                each[t, :, b] = ((on - off) / p_bar).T
-                continue
-            # p_col,r, and the coefficient draws times it
-            pc = p[slot[col]] if slot[col] else q[col] * p[0]
-            bp = coefficient_draws(theta, design, draws, j, rows=b) * pc
-            # cross: -x mean_r(p_i,r b_r p_col,r) / p_bar_i, the same for
-            # every outcome of a slot (a fixed outcome's share cancels)
-            cross = (p[:, :, None, :] @ bp[:, :, None])[..., 0, 0] / p_sum
-            each[t, :, b] = -x * cross[slot]
-            each[t, col, b] = x * (bp * (1.0 - pc)).mean(axis=-1) / p_bar[:, col]
-    values = each.mean(axis=-1)
+                each = np.ascontiguousarray(((on - off) / p_bar).T)
+            else:
+                # p_col,r, and the coefficient draws times it
+                pc = p[slot[col]] if slot[col] else q[col] * p[0]
+                bp = coefficient_draws(theta, design, draws, j, rows=b) * pc
+                # cross: -x mean_r(p_i,r b_r p_col,r) / p_bar_i, the same for
+                # every outcome of a slot (a fixed outcome's share cancels)
+                cross = (p[:, :, None, :] @ bp[:, :, None])[..., 0, 0] / p_sum
+                each = -x * cross[slot]
+                each[col] = x * (bp * (1.0 - pc)).mean(axis=-1) / p_bar[:, col]
+            # (outcome, observation), each outcome's row contiguous, so that
+            # it is summed pairwise
+            values[t] += each.sum(axis=-1)
+    values /= design.n_obs
     rows = []
     for (var, j, target), vals in zip(triples, values):
         col = labels.index(target)

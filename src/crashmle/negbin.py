@@ -23,7 +23,7 @@ from . import families
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, as_counts, build_design)
 from .draws import DrawMatrix, coefficient_draws
-from .mnl import _blocks, _term_targets
+from .mnl import _term_targets
 from .optimize import FitResult, OptimSettings
 from .reporting import EffectRow, EffectsReport
 
@@ -156,15 +156,15 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
 
     The K rows are evaluated in tiles of at least one row and at most
     ``draws.BLOCK_ELEMENTS`` (row, observation, draw) elements and as many table
-    entries, and a tile of rows with draws in observation blocks of at
-    most ``BLOCK_ELEMENTS`` such elements (at least one observation), so
-    that working memory scales with the block, not with K * N * R or the
-    largest count.  Each row's dispersion tables, table entries and
-    location predictor are built once per tile, for all its
-    observations.  A row's arithmetic depends neither on the rows
-    evaluated with it nor on the blocking of its observations, so every
-    tiling gives the same outputs bit for bit.  A row without draws is
-    one block, so that its Hessian sums every observation at once.
+    entries, and a tile in observation blocks of at most that many
+    elements (at least one observation; a row without draws is one draw),
+    both cut by :func:`crashmle.draws.blocks`, so that working memory
+    scales with the block, not with K * N * R or the largest count.  Each
+    row's dispersion tables, table entries and location predictor are
+    built once per tile, for all its observations.  A row's blocks depend
+    only on N, R and ``BLOCK_ELEMENTS``, not on the rows evaluated with
+    it, so every tiling gives the same outputs bit for bit; so does every
+    blocking, but for a Hessian, summed block by block.
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
     adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
     closure owns the work arrays of one full tile and block, its tile
@@ -189,6 +189,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     p = design.n_params
     n_draws, std = (1, None) if draws is None else (draws.n_draws, draws.std)
     index = np.arange(b)
+    per_tile = max(n * n_draws, widest)  # the larger of a row's elements and table entries
     floats = ints = None
 
     def kernel(theta, rows, hessian):
@@ -196,9 +197,8 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         k = theta.shape[0]
         rows = index[rows]
         nt = 3 if hessian else 2
-        tile = min(k, max(1, _draws.BLOCK_ELEMENTS // max(n * n_draws, widest)))
-        span = n if draws is None else min(n, max(1, _draws.BLOCK_ELEMENTS // (tile * n_draws)))
-        blocks = [slice(at, min(at + span, n)) for at in range(0, n, span)]
+        tile = next(_draws.blocks(k, per_tile)).stop
+        span = next(_draws.blocks(n, tile * n_draws)).stop
 
         def block_shapes(kt, nb):  # the work arrays of a block of a kt-row tile
             return [(kt, nb, n_draws)] * 8 + [(kt, nb, 1)] * 2
@@ -210,10 +210,9 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
         ll, scores = np.empty((k, n)), np.empty((p, k, n))
-        hess = np.empty((k, p, p)) if hessian else None
+        hess = np.zeros((k, p, p)) if hessian else None
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            for start in range(0, k, tile):
-                at_tile = slice(start, start + tile)
+            for at_tile in _draws.blocks(k, per_tile):
                 th = theta[at_tile]
                 kt, most = len(th), int(amax_row[rows[at_tile]].max())
                 at = np.take(a, rows[at_tile], axis=0, mode="clip",
@@ -235,7 +234,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     tabs[:, wide[0], wide[1]] += _poch_tail(alpha[wide[0], 0, 0], big, nt)
                     tabs[0][wide] += lgam[TAIL_START] - gammaln(big + 1.0)
                 _location(th, design, out=product)
-                for ob in blocks:
+                for ob in _draws.blocks(n, tile * n_draws):
                     (lam, l1p, ra, lpmf, q, rl, wd, tmp, top,
                      total) = _carve(floats, *block_shapes(kt, ob.stop - ob.start))
                     # wd and tmp are free until the log probabilities are done
@@ -270,22 +269,23 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                         scores[design.scale_pos[j], at_tile, ob] = (
                             x[ob, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
                     np.add(tabs[1][:, ob], tmp_sum, out=scores[-1, at_tile, ob])
-                if not hessian:
-                    continue
-                # one draw, so w = 1, and one block of every observation;
-                # u = -d(a - q)/d eta
-                h = hess[at_tile]
-                rs = np.divide(r, rl, out=rl)
-                u = np.multiply(q, rs, out=ra)
-                h[:, :-1, :-1] = -(u.reshape(kt, 1, n) @ xx).reshape(kt, p - 1, p - 1)
-                cross = x.T @ np.multiply(np.subtract(lam, q, out=tmp), rs, out=tmp)
-                h[:, :-1, -1:], h[:, -1:, :-1] = cross, cross.transpose(0, 2, 1)
-                np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
-                tmp -= np.multiply(r, l1p, out=wd)
-                tmp -= u
-                h[:, -1, -1] = np.add(tabs[2], tmp[..., 0], out=tabs[2]).sum(axis=1)
+                    if not hessian:
+                        continue
+                    # the block's part of the Hessian: one draw, so w = 1;
+                    # u = -d(a - q)/d eta
+                    h, t2 = hess[at_tile], tabs[2][:, ob]
+                    rs = np.divide(r, rl, out=rl)
+                    u = np.multiply(q, rs, out=ra)
+                    h[:, :-1, :-1] -= (u.reshape(kt, 1, -1) @ xx[ob]).reshape(kt, p - 1, p - 1)
+                    h[:, :-1, -1:] += x[ob].T @ np.multiply(np.subtract(lam, q, out=tmp), rs,
+                                                            out=tmp)
+                    np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
+                    tmp -= np.multiply(r, l1p, out=wd)
+                    tmp -= u
+                    h[:, -1, -1] += np.add(t2, tmp[..., 0], out=t2).sum(axis=1)
         if not hessian:
             return ll, scores.transpose(1, 2, 0)
+        hess[:, -1:, :-1] = hess[:, :-1, -1:].transpose(0, 2, 1)
         return ll, scores.transpose(1, 2, 0), hess
 
     return families.checked(kernel, design, draws)
@@ -381,8 +381,8 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
     """Average change in the expected count per unit of each variable.
 
     For the plain model this is ``mean(lam) * beta``; the mixed model
-    averages ``lam * beta`` over observations and coefficient draws, in
-    observation blocks (a fit without draws in one, as in the kernel).
+    averages ``lam * beta`` over observations and coefficient draws.  Both
+    are summed in observation blocks, a plain row as one draw.
     """
     if fit.spec is None or not fit.spec.is_frequency:
         raise ValueError("marginal_effects requires an nb or mixed_nb fit")
@@ -390,12 +390,9 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
     theta = fit.theta_internal
     draws = families.fit_draws(fit, design)
     triples, product = _term_targets(design, variables), _location(theta, design)
-    if draws is None:
-        blocks, std, n_draws = [slice(0, design.n_obs)], None, 1
-    else:
-        blocks, std, n_draws = _blocks(design.n_obs, draws.n_draws), draws.std, draws.n_draws
+    std, n_draws = (None, 1) if draws is None else (draws.std, draws.n_draws)
     sums = []
-    for b in blocks:
+    for b in _draws.blocks(design.n_obs, n_draws):
         lam = np.exp(_eta_draws(theta, design, std, b, product))  # (nb, R)
         sums.append([(lam * coefficient_draws(theta, design, draws, j, rows=b)).sum()
                      for _, j, _ in triples])

@@ -127,9 +127,9 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
     indices of the K problems they belong to onto (K,) log-likelihoods,
     (K, P) gradients and (K, P, P) Hessians for Newton steps, or None for
     BFGS steps, as its first evaluation shows.  Newton solves the stack's
-    negative Hessians after one Cholesky factorization, and tests them
-    per row by eigenvalues only when the factorization or the solve
-    fails; a row that is not numerically positive definite steps on its
+    negative Hessians after one Cholesky factorization, and splits the
+    stack down to the rows for which that fails (:func:`_newton_directions`);
+    such a row that is not numerically positive definite steps on its
     matrix shifted by ``SHIFT``'s rule.  A row stops when it starts
     non-finite, passes the gradient test, meets a non-finite Hessian
     (Newton) or a zero gradient (BFGS), finds no ascent step, moves less
@@ -171,17 +171,7 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
             neg_h = -hess[rows]
             ok = np.isfinite(neg_h).all(axis=(1, 2))
             direction = np.zeros_like(g)
-            try:  # one Cholesky and solve of the stack; per-row eigenvalues if one fails
-                np.linalg.cholesky(neg_h[ok])
-                direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                lam = np.linalg.eigvalsh(neg_h[ok])
-                top = np.maximum(1.0, np.abs(lam).max(axis=1))
-                # rows not numerically positive definite step on the shifted matrix
-                low = lam[:, 0] <= p * np.finfo(np.float64).eps * top
-                tau = SHIFT * top[low] - lam[low, 0]
-                neg_h[np.flatnonzero(ok)[low]] += tau[:, None, None] * np.eye(p)
-                direction[ok] = np.linalg.solve(neg_h[ok], g[ok][:, :, None])[:, :, 0]
+            direction[ok] = _newton_directions(neg_h[ok], g[ok])
             slope = np.einsum("kp,kp->k", direction, g)
             why = "Hessian not finite"
         if not ok.all():
@@ -237,6 +227,26 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
         ll_path.append(ll.copy())
 
     return BatchResult(theta, ll, converged, iterations, message, grad, ll_path, n_evals)
+
+
+def _newton_directions(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton directions (K, P) for negative Hessians (K, P, P) and
+    gradients (K, P): one Cholesky and solve of the stack, else of each
+    half, down to single rows, so that a row is shifted by ``SHIFT``'s
+    rule exactly when it would be alone."""
+    try:
+        np.linalg.cholesky(neg_h)
+        return np.linalg.solve(neg_h, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(neg_h) > 1:
+            half = len(neg_h) // 2
+            return np.concatenate([_newton_directions(neg_h[:half], g[:half]),
+                                   _newton_directions(neg_h[half:], g[half:])])
+    lam, p = np.linalg.eigvalsh(neg_h[0]), g.shape[1]
+    top = max(1.0, np.abs(lam).max())
+    if lam[0] <= p * np.finfo(np.float64).eps * top:  # not numerically positive definite
+        neg_h = neg_h + (SHIFT * top - lam[0]) * np.eye(p)
+    return np.linalg.solve(neg_h, g[..., None])[..., 0]
 
 
 def maximize(objective, theta0, settings: OptimSettings | None = None) -> MaximizeResult:

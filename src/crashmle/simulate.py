@@ -20,9 +20,9 @@ import numpy as np
 
 from . import serialize
 from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
-                      build_design, expected_param_names, scale_param_name, term_param_name)
-from .draws import standard_draws
-from .mnl import _block_softmax, _blocks, _draw_means, _slots
+                      build_design, expected_param_names)
+from .draws import blocks, standard_draws
+from .mnl import _block_softmax, _draw_means, _slots
 from .negbin import _eta_draws, _location
 
 #: each recipe kind's parameters, in the order ``to_dict`` writes them
@@ -171,18 +171,6 @@ class DgpConfig:
             seed=serialize.integer(d.get("seed", 0), "dgp seed"), influence=influence)
 
 
-def true_theta(config: DgpConfig) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Per-term true locations and natural scales, plus alpha if any."""
-    spec = config.spec
-    locs = np.array([config.params[term_param_name(t, spec.is_severity)]
-                     for t in spec.terms])
-    scales = np.array([
-        config.params[scale_param_name(t, spec.is_severity)] if t.is_random else 0.0
-        for t in spec.terms])
-    alpha = config.params["alpha"] if spec.is_frequency else None
-    return locs, scales, alpha
-
-
 def _mixing_draws(design: DesignMatrix, mix_rng) -> tuple:
     """Each random term's standardized mixing draws (N, 1), one per row:
     one whole-N stream draw per random term, in term order."""
@@ -205,20 +193,19 @@ def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarra
 
 def _outcome_laws(design: DesignMatrix, theta: np.ndarray, std: tuple):
     """What the outcome draws take, block by block of observations
-    (:func:`crashmle.mnl._blocks`): the (nb,) NB means of a count design,
+    (:func:`crashmle.draws.blocks`): the (nb,) NB means of a count design,
     the (nb, I) cumulative outcome probabilities of a severity design.
     Each is the likelihood kernel's own law at one draw per row:
     ``theta`` is packed like a fit's ``theta_internal``, and ``std`` holds
     each random term's (N, 1) :func:`_mixing_draws`."""
-    blocks = _blocks(design.n_obs, 1)
     if design.spec.is_severity:
         slots = _slots(design, std)
         block = _block_softmax(theta, design, slots)
-        for b in blocks:
+        for b in blocks(design.n_obs, 1):
             yield np.cumsum(_draw_means(block, slots[0], b)[2], axis=1)
     else:
         product = _location(theta, design)
-        for b in blocks:
+        for b in blocks(design.n_obs, 1):
             yield np.exp(_eta_draws(theta, design, std, b, product))[:, 0]
 
 

@@ -501,6 +501,25 @@ def quartic_batch(theta, rows):
     return -np.sum(d ** 4, axis=1), -4.0 * d ** 3, (-12.0 * d ** 2)[:, :, None]
 
 
+def curvature_pair(problems):
+    """The rows ``problems`` selects of two: row 0 is t1 + t2 - (t1**2 +
+    1e-17 t2**2) / 2, whose negative Hessian diag(1, 1e-17) is positive
+    definite but nearly singular; row 1 is -(t1**2 - 1)**2 - t2**2 / 2,
+    indefinite at t1 = 0.1."""
+    kind = np.arange(2)[problems]
+
+    def objective(theta, rows):
+        quad = kind[rows, None] == 0
+        t1, t2 = theta[:, :1], theta[:, 1:]
+        ll = np.where(quad, t1 + t2 - 0.5 * (t1 ** 2 + 1e-17 * t2 ** 2),
+                      -(t1 ** 2 - 1.0) ** 2 - 0.5 * t2 ** 2)
+        grad = np.where(quad, np.hstack([1.0 - t1, 1.0 - 1e-17 * t2]),
+                        np.hstack([-4.0 * t1 * (t1 ** 2 - 1.0), -t2]))
+        curv = np.where(quad, [-1.0, -1e-17], np.hstack([4.0 - 12.0 * t1 ** 2, -np.ones_like(t2)]))
+        return ll[:, 0], grad, curv[:, :, None] * np.eye(2)
+    return objective
+
+
 def test_maximize_batch_stops_rows_on_a_short_step():
     res = maximize_batch(quartic_batch, np.array([[0.0], [0.5]]),
                          OptimSettings(step_tolerance=1.0))
@@ -524,6 +543,8 @@ def test_maximize_batch_rows_are_independent():
         for d, c, t in map(nb_batch_case, (1e-6, 0.8, 50.0))]
     for make, start in (
             (lambda rows: quartic_batch, quartic_starts),
+            # a stack that fails Cholesky shifts only the rows that fail alone
+            (curvature_pair, np.array([[0.0, 0.0], [0.1, 1.0]])),
             (lambda rows: families.batched(mnl._kernel(design, None, ys[rows])), theta),
             *nb_cases):
         res = maximize_batch(make(slice(None)), start)

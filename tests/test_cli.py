@@ -126,6 +126,26 @@ def test_simulate_overrides_n_and_seed(workdir):
     assert manifest["seed"] == 5
 
 
+def test_a_manifest_records_the_arguments_main_parsed(workdir, monkeypatch):
+    # main called in-process, under another program's command line
+    monkeypatch.setattr(sys, "argv", ["host_program.py", "--workload", "cli_pipeline"])
+    argv = ["fit", "--data", str(workdir / "nb_data.csv"), "--spec", str(workdir / "nb.ini"),
+            "--out", str(workdir / "nbfit")]
+    assert main(argv) == 0
+    assert json.loads((workdir / "nbfit.manifest.json").read_text())["command"] == argv
+
+
+def test_a_plain_run_records_no_draws(workdir):
+    # --draws is ignored by a plain family, and so is left out of its record
+    common = ["--data", str(workdir / "nb_data.csv"), "--spec", str(workdir / "nb.ini"),
+              "--draws", "50"]
+    assert main(["fit", *common, "--out", str(workdir / "nbfit")]) == 0
+    assert main(["lrtest", *common, "--flag", "flag", "--out", str(workdir / "nblr")]) == 0
+    assert json.loads((workdir / "nbfit.json").read_text())["n_draws"] is None
+    for out in ("nbfit", "nblr"):
+        assert json.loads((workdir / f"{out}.manifest.json").read_text())["n_draws"] is None
+
+
 def test_fit_effects_pipeline(workdir, capsys):
     assert main(["fit", "--data", str(workdir / "mnl_data.csv"),
                  "--spec", str(workdir / "mnl.ini"),

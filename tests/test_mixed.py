@@ -27,7 +27,7 @@ from crashmle.mixed import (
     transform_draws,
 )
 from crashmle import mnl
-from crashmle.draws import BLOCK_ELEMENTS
+from crashmle.draws import BLOCK_ELEMENTS, blocks
 from crashmle.mnl import elasticities, fit_mnl, mnl_probs
 
 
@@ -569,7 +569,7 @@ def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
 def test_logit_blocks_may_come_in_any_order():
     design, draws, _, theta = shared_case(2 * (BLOCK_ELEMENTS // 30), 30, k=1)
     slots = mnl._slots(design, draws.std)
-    short, full = slice(5, 8), next(mnl._blocks(design.n_obs, draws.n_draws))
+    short, full = slice(5, 8), next(blocks(design.n_obs, draws.n_draws))
     block = mnl._block_softmax(theta[0], design, slots)
     p_short, _, short_first = mnl._draw_means(block, slots[0], short)
     kept = p_short.copy()

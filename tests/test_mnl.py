@@ -1,6 +1,8 @@
 """Multinomial logit: probabilities, likelihood, fitting, elasticities."""
 
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +10,7 @@ import scipy.optimize
 from conftest import peak_beyond_outputs
 from crashmle import mnl
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
+from crashmle.draws import BLOCK_ELEMENTS
 from crashmle.mnl import (
     SEPARATION_BOUND,
     elasticities,
@@ -301,6 +304,22 @@ def test_pseudo_elasticities_match_direct_recomputation():
         assert by_outcome[label] == pytest.approx(expected[i], rel=1e-12)
     kinds = {r.outcome: r.kind for r in report.rows}
     assert kinds["a"] == "direct" and kinds["b"] == "cross"
+
+
+def test_elasticities_peak_the_same_at_twice_the_observations(monkeypatch):
+    # the effects are summed block by block: beyond the design, built
+    # outside the call here, an observation adds no (variable, outcome)
+    # entries (72 B for these three triples of three outcomes).  Both sizes
+    # are whole blocks, so that their last blocks are alike
+    fit = SimpleNamespace(spec=THREE_SPEC,
+                          theta_internal=np.array([0.3, -0.2, 0.8, 0.8, -0.5, 0.7]))
+    peaks = {}
+    for n in (2 * BLOCK_ELEMENTS, 4 * BLOCK_ELEMENTS):
+        table = three_outcome_table(n, seed=5)
+        design = build_design(table, THREE_SPEC)
+        monkeypatch.setattr(mnl, "build_design", lambda *_, d=design: d)
+        peaks[n] = peak_beyond_outputs(elasticities, fit, table, ["x1", "x2"])[1]
+    assert peaks[4 * BLOCK_ELEMENTS] <= peaks[2 * BLOCK_ELEMENTS] + 8 * BLOCK_ELEMENTS
 
 
 def test_effect_variable_type_enforcement():

@@ -336,7 +336,9 @@ def test_c09_marginal_effects_peak_the_same_at_twice_the_observations(monkeypatc
 
 def test_observation_blocks_give_the_whole_row_bit_for_bit():
     # rows with draws split into blocks of 1, 7 or 40 observations, and
-    # one block of every observation, give the same outputs
+    # one block of every observation, give the same outputs; so do plain
+    # rows, but for their Hessians, summed block by block, which agree to
+    # rounding
     table = count_table(150, seed=4)
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
                                   Term("z2", (), "random_uniform")))
@@ -355,6 +357,26 @@ def test_observation_blocks_give_the_whole_row_bit_for_bit():
             blocked = kernel(theta, rows)
         for got, want in zip(blocked, whole, strict=True):
             np.testing.assert_array_equal(got, want)
+    plain = negbin._kernel(build_design(table, NB_SPEC), None, counts)
+    theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(4, 4))
+    *whole, hess = tiled_calls(len(theta), plain, theta, rows, 150, hessian=True)
+    for span in (1, 7, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("crashmle.draws.BLOCK_ELEMENTS", span)
+            *blocked, blocked_hess = plain(theta, rows, hessian=True)
+        for got, want in zip(blocked, whole, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(blocked_hess, hess, rtol=0,
+                                   atol=1e-13 * np.abs(hess).max())
+
+
+def test_a_first_plain_hessian_call_adds_only_its_tile_per_observation():
+    # a plain row of more than BLOCK_ELEMENTS observations is blocked like
+    # a row with draws: beyond its outputs, a first Hessian call holds per
+    # observation only its tile's predictor, counts and table entries (48
+    # B), not a block's work arrays for every observation as well
+    peaks = {n: hessian_call_peak(1, n) for n in (50_000, 100_000)}
+    assert peaks[100_000] <= peaks[50_000] + 48 * 50_000 + 8 * BLOCK_ELEMENTS
 
 
 def tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian):

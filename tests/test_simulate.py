@@ -22,7 +22,6 @@ from crashmle.simulate import (
     gen_nb,
     generate,
     redraw_outcomes,
-    true_theta,
 )
 
 MNL_SPEC = ModelSpec("mnl", (
@@ -159,14 +158,23 @@ def test_config_from_dict_refuses_an_unknown_key(where, key, message):
         DgpConfig.from_dict(d)
 
 
+def true_locations_and_scales(config, design):
+    """Each term's true location and natural scale (zero for a fixed
+    term), read from the config's parameters packed like a fit's."""
+    packed = np.array([config.params[name] for name in design.param_names])
+    return (packed[design.loc_pos],
+            np.where(design.scale_pos >= 0, packed[design.scale_pos], 0.0))
+
+
 def test_true_theta_layout():
     spec = ModelSpec("mixed_nb", (Term(CONSTANT), Term("z", (), "random_normal")))
     cfg = DgpConfig(spec, {"constant": 1.0, "z": 0.2, "z:sd": 0.5, "alpha": 0.8},
                     {"z": CovariateRecipe("normal")}, n=10)
-    locs, scales, alpha = true_theta(cfg)
+    design = build_design(generate(cfg), spec)
+    locs, scales = true_locations_and_scales(cfg, design)
     np.testing.assert_array_equal(locs, [1.0, 0.2])
     np.testing.assert_array_equal(scales, [0.0, 0.5])
-    assert alpha == 0.8
+    assert design.param_names[-1] == "alpha"
 
 
 # ------------------------------------------------------------- determinism
@@ -239,7 +247,7 @@ def test_severity_outcomes_drawn_by_block_equal_one_whole_draw(n, mixed):
     columns = {name: recipe.draw(cov_rng, n) for name, recipe in config.covariates.items()}
     design = build_design(ObservationTable(columns, np.full(n, "a"), "severity"),
                           config.spec)
-    locs, scales, _ = true_theta(config)
+    locs, scales = true_locations_and_scales(config, design)
     v = (design.x * coefficient_matrix(design, locs, scales, mix_rng)) @ design.incidence
     e = np.exp(v - v.max(axis=1, keepdims=True))
     cdf = np.cumsum(e / e.sum(axis=1, keepdims=True), axis=1)
@@ -367,7 +375,7 @@ def test_mixing_spreads_the_coefficients():
                              "frequency")
     from crashmle.dataset import build_design
     design = build_design(shell, spec)
-    locs, scales, _ = true_theta(cfg)
+    locs, scales = true_locations_and_scales(cfg, design)
     rng = np.random.default_rng(1)
     coef = coefficient_matrix(design, locs, scales, rng)
     assert np.all(coef[:, 0] == 1.0)
