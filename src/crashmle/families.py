@@ -7,30 +7,30 @@ pipeline, the CLI and the pooling test look a family up here instead of
 branching on its name.
 
 A family's likelihood is one stacked kernel, ``Family.kernel``
-(``mnl._kernel`` or ``negbin._kernel``): ``kernel(theta, rows,
-hessian=False)`` maps (K, P) parameter rows and the indices of the K
-outcome rows they belong to onto (K, N) log-likelihoods, (K, N, P)
-scores and, with ``hessian``, (K, P, P) Hessians of the summed rows.
-Each row holds ``design.n_params`` parameters.  Given a draw matrix,
-which must have the design's rows, a kernel is the mixed family's
-simulated likelihood, which has no Hessian; without one it is the plain
-family, as if with one draw, and the design has fixed terms only.
-:func:`checked` enforces this contract for both kernels.  Every other
-view derives from the kernel.  Every kernel call returns arrays that the
-caller owns: no later call touches them.  Both kernels bound their
-working memory by the constant ``draws.BLOCK_ELEMENTS``, so it scales
-with a block, not with K * N * R; ``draws.blocks`` makes every cut.  The
-logit kernel works through the observations in blocks of that many
-elements per outcome, the NB kernel through its K rows in tiles of that
-many (row, observation, draw) elements and table entries, and every row
-(without draws, as one draw) in observation blocks of that many
-elements, in a tile arena that never leaves the kernel; both sum their
-Hessians block by block.  Draw matrices are built that many Halton
-values at a time.  The logit's per-block softmax (``mnl._block_softmax``)
-also gives its simulated probabilities and effects, and the NB's
-per-block log-means (``negbin._eta_draws``) its marginal effects, in the
-logit's observation blocks.  ``simulate`` draws its outcomes from the same
-per-block laws, at one draw per row.
+(``mnl._kernel`` or ``negbin._kernel``): ``kernel(theta, rows, obs=False)``
+maps (K, P) parameter rows and the indices of the K outcome rows they belong
+to onto (K,) log-likelihoods, (K, P) gradients and (K, P, P) Hessians (None
+with draws), each summed over the observations, or with ``obs`` onto (K, N)
+log-likelihoods and (K, N, P) scores.  Each row holds ``design.n_params``
+parameters.  Given a draw matrix, which must have the design's rows, a
+kernel is the mixed family's simulated likelihood; without one it is the
+plain family, as if with one draw, and the design has fixed terms only.
+:func:`checked` enforces this contract for both kernels, a summed row that
+is not finite coming back as -inf with a zero gradient.  Every other view
+derives from the kernel.  Every kernel call returns arrays that the caller
+owns: no later call touches them.  Both kernels bound their working memory
+by the constant ``draws.BLOCK_ELEMENTS``, so it scales with a block, not
+with K * N * R; ``draws.blocks`` makes every cut.  The logit kernel works
+through the observations in blocks of that many elements per outcome, the NB
+kernel through its K rows in tiles of that many (row, observation, draw)
+elements and table entries, and every row (without draws, as one draw) in
+observation blocks of that many elements, in a tile arena that never leaves
+the kernel; both sum their outputs block by block.  Draw matrices are built
+that many Halton values at a time.  The logit's per-block softmax
+(``mnl._block_softmax``) also gives its simulated probabilities, effects and
+separation check, and the NB's per-block log-means (``negbin._eta_draws``)
+its marginal effects, in the logit's observation blocks.  ``simulate`` draws
+its outcomes from the same per-block laws, at one draw per row.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:
@@ -63,7 +63,7 @@ class Family:
     ``perfbench/tracer.py`` does) also sees the calls made from here.
     """
 
-    #: (design, draws or None, outcomes or None) -> stacked kernel
+    #: (design, draws or None, outcomes or None) -> stacked kernel, the ascent's objective
     kernel: Callable
     #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)``, for fit's FD Hessian
     objective: Callable
@@ -94,7 +94,7 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
     on every row, no row is maximized: each is reported not converged at
     its start, with a message naming the term.
     """
-    objective = batched(family.kernel(design, draws, outcomes), hessian=draws is None)
+    objective = family.kernel(design, draws, outcomes)
     idle = np.flatnonzero(~design.x.any(axis=0))
     if idle.size:
         names = ", ".join(design.param_names[design.loc_pos[j]] for j in idle)
@@ -113,20 +113,22 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
 
 
 def checked(kernel, design: DesignMatrix, draws: DrawMatrix | None):
-    """Stacked ``kernel`` on ``design`` and ``draws`` behind the checks of
-    the kernel contract, ``theta`` cast to float64; both factories use it."""
+    """Stacked ``kernel`` on ``design`` and ``draws`` behind the kernel
+    contract's checks and non-finite rule, ``theta`` as float64; both factories use it."""
     if draws is None and design.random_terms:
         raise ValueError("objective requires a design with fixed terms only")
     if draws is not None and draws.n_obs != design.n_obs:
         raise ValueError("draw matrix and design disagree on the number of rows")
 
-    def call(theta, rows, hessian=False):
-        if hessian and draws is not None:
-            raise ValueError("the simulated likelihood has no analytic Hessian")
+    def call(theta, rows, obs=False):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape[-1] != design.n_params:
             raise ValueError(f"expected {design.n_params} parameters, got {theta.shape[-1]}")
-        return kernel(theta, rows, hessian)
+        out = kernel(theta, rows, obs)
+        if not obs:
+            bad = ~np.isfinite(out[0])
+            out[0][bad], out[1][bad] = -np.inf, 0.0
+        return out
 
     return call
 
@@ -135,36 +137,17 @@ def first_row(kernel):
     """A stacked kernel at one ``theta`` on its first outcome row:
     ``theta -> (ll (N,), scores (N, P))``."""
     def single(theta):
-        ll, scores = kernel(np.asarray(theta, dtype=np.float64)[None], slice(0, 1))
+        ll, scores = kernel(np.asarray(theta, dtype=np.float64)[None], slice(0, 1), obs=True)
         return ll[0], scores[0]
 
     return single
 
 
-def batched(kernel, hessian=True):
-    """Ascent objective ``(theta, rows) -> (ll (K,), grad (K, P), hess)``
-    summing a stacked kernel's rows: ``hess`` is the kernel's (K, P, P)
-    Hessians with ``hessian`` (Newton) and None without (BFGS).  A
-    non-finite row log-likelihood comes back as -inf with a zero
-    gradient."""
-    def objective(theta, rows):
-        ll_obs, scores, *hess = kernel(theta, rows, hessian=hessian)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ll, grad = ll_obs.sum(axis=1), scores.sum(axis=1)
-        bad = ~np.isfinite(ll)
-        ll[bad], grad[bad] = -np.inf, 0.0
-        return ll, grad, hess[0] if hessian else None
-
-    return objective
-
-
 def summed(kernel):
     """Objective ``theta -> (ll, grad)`` from a stacked kernel at one
-    ``theta``, :func:`batched` on its first outcome row."""
-    objective = batched(kernel, hessian=False)
-
+    ``theta``: its summed outputs on its first outcome row."""
     def single(theta):
-        ll, grad, _ = objective(np.asarray(theta, dtype=np.float64)[None], slice(0, 1))
+        ll, grad, _ = kernel(np.asarray(theta, dtype=np.float64)[None], slice(0, 1))
         return float(ll[0]), grad[0]
 
     return single
@@ -205,10 +188,10 @@ def fit(table: ObservationTable, spec: ModelSpec,
 
     Maximizes from the family's start vector with :func:`maximize_rows`,
     takes the covariance from the inverse negative Hessian (the kernel's
-    analytic one without draws, central differences of
-    ``family.objective`` with them) with the outer product of the
-    kernel's scores as fallback, and reports mixing scales and alpha on
-    their natural scale with delta-method standard errors.
+    analytic one without draws, central differences of ``family.objective``
+    with them) with the outer product of the kernel's per-observation
+    scores, asked for only then, as fallback, and reports mixing scales and
+    alpha on their natural scale with delta-method standard errors.
     ``n_draws``, ``seed``, ``skip`` and ``shift`` set the Halton draw
     matrix of the mixed families and are ignored by the others.
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` check
@@ -224,12 +207,10 @@ def fit(table: ObservationTable, spec: ModelSpec,
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
     res = maximize_rows(family, design, draws, family.start(design)[None],
                         settings=settings).row()
-    # the scores and, without draws, the analytic Hessian at the solution
-    at = family.kernel(design, draws, None)(res.theta[None], slice(0, 1),
-                                            hessian=draws is None)
-    objective = None if draws is None else family.objective(design, draws, None)
-    cov = covariance(objective, res.theta, scores=at[1][0],
-                     hessian=at[2][0] if draws is None else None)
+    kernel, at = family.kernel(design, draws, None), (res.theta[None], slice(0, 1))
+    cov = covariance(None if draws is None else family.objective(design, draws, None),
+                     res.theta, scores=lambda: kernel(*at, obs=True)[1][0],
+                     hessian=None if draws is not None else kernel(*at)[2][0])
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
     return summarize(
         nat, cov_nat, res.ll, ll_restricted,

@@ -73,10 +73,11 @@ def search_influence(table: ObservationTable, spec: ModelSpec,
     :func:`crashmle.families.maximize_rows`.  Once the cap exceeds the
     largest observed distance the capped variable stops changing, so the
     fit and the log-likelihood are bitwise identical from cap to cap.  A
-    cap whose fit raises is skipped, and a separated fit is reported not
-    converged, as by :func:`crashmle.families.fit`.  Log-likelihood ties
-    within ``TIE_TOL`` resolve to the smallest cap; a profile whose total
-    range is below it is reported flat with a warning.
+    cap not finite at its start comes back not converged with a NaN
+    log-likelihood, a separated fit not converged, as in
+    :func:`crashmle.families.fit`; no cap that did not converge is chosen.
+    Log-likelihood ties within ``TIE_TOL`` resolve to the smallest cap; a
+    profile whose total range is below it is reported flat with a warning.
     """
     if spec.family != "mnl":
         raise ValueError("influence search expects a plain mnl spec")

@@ -179,7 +179,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     """
     x = design.x
     inc = design.incidence
-    y = np.atleast_2d(design.y_index if y_index is None else y_index).astype(np.int64)
+    y = np.atleast_2d(np.asarray(design.y_index if y_index is None else y_index, np.int64))
     # outcomes some term enters; only their probabilities reach the scores
     scored = np.flatnonzero(inc.any(axis=0))
     to_terms = inc[:, scored].T  # (S, T): the terms entering each
@@ -192,11 +192,11 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
     tiny = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
     gys = slot[y] if random else None  # the observed outcomes' slots
 
-    def kernel(theta, rows, hessian):
-        k, t = theta.shape[0], x.shape[1]
-        ll = np.empty((k, design.n_obs))
-        scores = np.empty((k, design.n_obs, design.n_params))
-        hess = np.zeros((k, t, t)) if hessian else None
+    def kernel(theta, rows, obs):
+        k, t, p = theta.shape[0], x.shape[1], design.n_params
+        shape = (k, design.n_obs) if obs else (k,)  # per observation, or their sums
+        ll, scores = np.zeros(shape), np.zeros((*shape, p))
+        hess = np.zeros((k, t, t)) if draws is None and not obs else None
         # a row whose mixing scale overflows has no finite simulated
         # likelihood: it is evaluated at zero instead and returned as -inf
         with np.errstate(over="ignore"):
@@ -208,6 +208,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
         block = _block_softmax(theta, design, slots)
         for b in _draws.blocks(design.n_obs, k * n_draws):
             yb = y[rows, b]  # (K, nb)
+            sb = scores[:, b] if obs else np.empty((*yb.shape, p))
             v, coef, z, lse, q, c, buf = block(b)
             # log q_y: the observed outcome's log-share in the fixed group
             logq = z[0].copy()
@@ -215,7 +216,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                 np.copyto(logq, z[f], where=(yb == fixed[f])[..., None])
             logq -= lse
             if not random:
-                ll[:, b] = logq[..., 0]
+                lb = logq[..., 0]
                 ps = np.concatenate([q[i] for i in scored], axis=-1)
             else:
                 kn = k * (b.stop - b.start)
@@ -239,11 +240,11 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                     w[low] = np.exp(lp - shift[:, None])
                     total[low] = w[low].sum(axis=-1)
                 # ``w / total`` are the draws' posterior weights
-                lb = np.log(total)
+                lw = np.log(total)
                 if low[0].size:
-                    lb[low] += shift
-                lb -= np.log(n_draws)
-                ll[:, b] = np.where(gy == 0, lb + logq[..., 0], lb)
+                    lw[low] += shift
+                lw -= np.log(n_draws)
+                lb = np.where(gy == 0, lw + logq[..., 0], lw)
                 # draw-weighted mean probability of each slot, and of each
                 # scored outcome: a fixed outcome's is its share of slot 0's
                 pw = (w[..., None, :] @ sl[..., None])[..., 0, 0] / total  # (n_slots, K, nb)
@@ -252,7 +253,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
             # probability mass of each term's outcome set, draw-weighted
             mass = x[b] * (ps @ to_terms)  # (K, nb, T)
             # the data part (x where y is in term t's set) less that mass
-            scores[:, b, design.loc_pos] = x[b] * inc.T[yb] - mass
+            sb[..., design.loc_pos] = x[b] * inc.T[yb] - mass
             for j in random:
                 # sum_r w_r (1[y in set_j] - P_set_j,r) x_j sd_j std_j,r; the
                 # products go to ``top``, so ``w`` stays intact for the next
@@ -262,9 +263,9 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                     top -= sl[si]
                 top *= w
                 top *= std[j][b]
-                scores[:, b, design.scale_pos[j]] = (
+                sb[..., design.scale_pos[j]] = (
                     x[b, j] * (top.sum(axis=-1) / total) * sd[j][..., 0])
-            if hessian:
+            if hess is not None:
                 # d v_ni / d theta_t = x_nt inc_ti: the mass products, less
                 # x_S' diag(p_i) x_S on the terms S entering each outcome i
                 hess += mass.transpose(0, 2, 1) @ mass
@@ -272,13 +273,21 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None = None,
                     xs = x[b, terms]
                     hess[:, terms[:, None], terms] -= (
                         (ps[..., i, None] * xs).transpose(0, 2, 1) @ xs)
+            if obs:
+                ll[:, b] = lb
+            else:  # the running gradient enters the block's first observation,
+                # so that N is summed in numpy's order over a whole (K, N, P) array
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ll += lb.sum(axis=1)
+                    sb[:, 0] += scores
+                    scores = sb.sum(axis=1)
             # freed before the next block allocates its own, so that the
             # blocks take turns in one place in memory, which stays in cache
-            buf = sl = top = tot = w = None
+            buf = sl = top = tot = w = lb = sb = None
         ll[over], scores[over] = -np.inf, 0.0
-        if hessian:  # the matmuls' rounding leaves it a few ulps from symmetric
+        if hess is not None:  # the matmuls' rounding leaves it a few ulps from symmetric
             hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-        return (ll, scores, hess) if hessian else (ll, scores)
+        return (ll, scores) if obs else (ll, scores, hess)
 
     return families.checked(kernel, design, draws)
 
@@ -308,7 +317,8 @@ def restricted_loglik(design: DesignMatrix) -> float:
 
 
 def _separation(design: DesignMatrix, theta: np.ndarray) -> str | None:
-    vmax = float(np.max(np.abs(design.linear_predictors(theta))))
+    block = _block_softmax(theta, design, _slots(design, None))  # predictors per block
+    vmax = max(float(np.abs(block(b)[0]).max()) for b in _draws.blocks(design.n_obs, 1))
     if vmax > SEPARATION_BOUND:
         return (f"linear predictors reach {vmax:.1f}; possible perfect "
                 f"separation, estimates are not interior")
@@ -416,6 +426,7 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
             # (outcome, observation), each outcome's row contiguous, so that
             # it is summed pairwise
             values[t] += each.sum(axis=-1)
+        p = q = p_bar = p_sum = pc = bp = cross = each = on = off = None  # freed, as in _kernel
     values /= design.n_obs
     rows = []
     for (var, j, target), vals in zip(triples, values):

@@ -164,7 +164,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     built once per tile, for all its observations.  A row's blocks depend
     only on N, R and ``BLOCK_ELEMENTS``, not on the rows evaluated with
     it, so every tiling gives the same outputs bit for bit; so does every
-    blocking, but for a Hessian, summed block by block.
+    blocking per observation, while the summed rows move in their last bits.
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
     adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
     closure owns the work arrays of one full tile and block, its tile
@@ -192,11 +192,12 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     per_tile = max(n * n_draws, widest)  # the larger of a row's elements and table entries
     floats = ints = None
 
-    def kernel(theta, rows, hessian):
+    def kernel(theta, rows, obs):
         nonlocal floats, ints
         k = theta.shape[0]
         rows = index[rows]
-        nt = 3 if hessian else 2
+        hess = np.zeros((k, p, p)) if draws is None and not obs else None
+        nt = 2 if hess is None else 3
         tile = next(_draws.blocks(k, per_tile)).stop
         span = next(_draws.blocks(n, tile * n_draws)).stop
 
@@ -209,8 +210,14 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
         size = per_block + sum(map(math.prod, tile_shapes(tile, widest)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
             floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
-        ll, scores = np.empty((k, n)), np.empty((p, k, n))
-        hess = np.zeros((k, p, p)) if hessian else None
+        shape = (k, n) if obs else (k,)  # per observation, or their sums
+        ll, scores = np.zeros(shape), np.zeros((p, *shape))  # each parameter's contiguous
+
+        def add(out, block):  # a block's (kt, nb) log-likelihoods or one parameter's scores
+            if obs:
+                out[at_tile, ob] = block
+            else:  # summed as it is computed, so that no (P, K, nb) array is held
+                out[at_tile] += block.sum(axis=1)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             for at_tile in _draws.blocks(k, per_tile):
                 th = theta[at_tile]
@@ -249,7 +256,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     np.subtract(fk, q, out=wd)
                     np.subtract(np.multiply(r, l1p, out=tmp), q, out=tmp)
                     if draws is None:  # one draw: its share is one
-                        ll[at_tile, ob] = lpmf[..., 0]
+                        lb = lpmf[..., 0]
                         wd_sum, tmp_sum = wd[..., 0], tmp[..., 0]
                     else:  # the log of the draw mean; the draws' shares overwrite lpmf
                         np.max(lpmf, axis=-1, keepdims=True, out=top)
@@ -257,19 +264,20 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                         np.exp(lpmf, out=lpmf)
                         np.sum(lpmf, axis=-1, keepdims=True, out=total)
                         lpmf /= total
-                        ll[at_tile, ob] = (top + np.log(total))[..., 0] - np.log(n_draws)
+                        lb = (top + np.log(total))[..., 0] - np.log(n_draws)
                         wd *= lpmf
                         tmp *= lpmf
                         wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
-                    # (P, K, N), so that each parameter's scores stay contiguous
+                    add(ll, lb)
+                    spare = top[..., 0]  # free from here on
                     for j in range(x.shape[1]):
-                        np.multiply(x[ob, j], wd_sum, out=scores[design.loc_pos[j], at_tile, ob])
+                        add(scores[design.loc_pos[j]], np.multiply(x[ob, j], wd_sum, out=spare))
                     for dim, j in enumerate(design.random_terms):  # the log-scales
                         drawn = np.multiply(wd, std[dim][ob], out=rl).sum(axis=-1)
-                        scores[design.scale_pos[j], at_tile, ob] = (
+                        add(scores[design.scale_pos[j]],
                             x[ob, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
-                    np.add(tabs[1][:, ob], tmp_sum, out=scores[-1, at_tile, ob])
-                    if not hessian:
+                    add(scores[-1], np.add(tabs[1][:, ob], tmp_sum, out=spare))
+                    if hess is None:
                         continue
                     # the block's part of the Hessian: one draw, so w = 1;
                     # u = -d(a - q)/d eta
@@ -283,10 +291,9 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                     tmp -= np.multiply(r, l1p, out=wd)
                     tmp -= u
                     h[:, -1, -1] += np.add(t2, tmp[..., 0], out=t2).sum(axis=1)
-        if not hessian:
-            return ll, scores.transpose(1, 2, 0)
-        hess[:, -1:, :-1] = hess[:, :-1, -1:].transpose(0, 2, 1)
-        return ll, scores.transpose(1, 2, 0), hess
+        if hess is not None:
+            hess[:, -1:, :-1] = hess[:, :-1, -1:].transpose(0, 2, 1)
+        return (ll, scores.transpose(1, 2, 0)) if obs else (ll, scores.T, hess)
 
     return families.checked(kernel, design, draws)
 
@@ -396,6 +403,7 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
         lam = np.exp(_eta_draws(theta, design, std, b, product))  # (nb, R)
         sums.append([(lam * coefficient_draws(theta, design, draws, j, rows=b)).sum()
                      for _, j, _ in triples])
+        lam = None  # freed before the next block allocates its own
     means = np.sum(sums, axis=0) / (design.n_obs * n_draws)
     rows = [EffectRow(var, "", "", "marginal", float(mean))
             for (var, _, _), mean in zip(triples, means)]

@@ -310,18 +310,17 @@ def _try_inverse_pd(a: np.ndarray, min_rcond: float = 0.0) -> np.ndarray | None:
     return inv if np.all(np.isfinite(var) & (var > 0.0)) else None
 
 
-def covariance(objective, theta_hat: np.ndarray,
-               scores: np.ndarray | None = None,
+def covariance(objective, theta_hat: np.ndarray, scores=None,
                hessian: np.ndarray | None = None) -> CovarianceResult:
     """Parameter covariance at the optimum.
 
-    Tries the inverse negative Hessian first: ``hessian`` if given,
-    else central differences of ``objective``'s gradient.  If that is
-    not positive definite and per-observation ``scores`` (N, P) are
-    supplied, falls back to the inverse outer product of scores, unless
-    its reciprocal condition number is below ``BHHH_MIN_RCOND``.  When
-    both fail the standard errors are NaN and the method is
-    ``"undefined"``.
+    Tries the inverse negative Hessian first: ``hessian`` if given, else
+    central differences of ``objective``'s gradient.  If that is not
+    positive definite and per-observation ``scores`` (N, P), or a
+    callable that returns them when called, are supplied, falls back to
+    the inverse outer product of scores, unless its reciprocal condition
+    number is below ``BHHH_MIN_RCOND``.  When both fail the standard
+    errors are NaN and the method is ``"undefined"``.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     p = theta_hat.size
@@ -331,7 +330,7 @@ def covariance(objective, theta_hat: np.ndarray,
     if cov is not None:
         return CovarianceResult(cov, np.sqrt(np.diag(cov)), "hessian")
     if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
+        scores = np.asarray(scores() if callable(scores) else scores, dtype=np.float64)
         opg = scores.T @ scores
         cov = _try_inverse_pd(opg, BHHH_MIN_RCOND)
         if cov is not None:

@@ -75,10 +75,10 @@ def batch_cases():
     for alpha in (1e-6, 0.8, 50.0):
         design, counts, theta = nb_batch_case(alpha)
         yield (f"nb alpha={alpha}",
-               families.batched(negbin._kernel(design, None, counts)),
+               negbin._kernel(design, None, counts),
                [negbin.make_objective(design, counts=c) for c in counts], theta)
     design, ys, theta = mnl_batch_case()
-    yield ("mnl", families.batched(mnl._kernel(design, None, ys)),
+    yield ("mnl", mnl._kernel(design, None, ys),
            [mnl.make_objective(design, y_index=y) for y in ys], theta)
 
 
@@ -106,7 +106,7 @@ def test_batch_rows_match_independent_likelihoods():
     for alpha in (1e-6, 0.8, 50.0):
         design, counts, theta = nb_batch_case(alpha)
         rows = np.array([2, 0, 3])
-        batch = families.batched(negbin._kernel(design, None, counts))
+        batch = negbin._kernel(design, None, counts)
         ll, _, _ = batch(theta[rows], rows)
         for k, row in enumerate(rows):
             lam = np.exp(design.x @ theta[row, :-1])
@@ -114,7 +114,7 @@ def test_batch_rows_match_independent_likelihoods():
             want = nbinom.logpmf(counts[row], r, r / (r + lam)).sum()
             assert ll[k] == pytest.approx(want, rel=1e-8), alpha
     design, ys, theta = mnl_batch_case()
-    ll, _, _ = families.batched(mnl._kernel(design, None, ys))(theta, np.arange(len(ys)))
+    ll, _, _ = mnl._kernel(design, None, ys)(theta, np.arange(len(ys)))
     for k, y in enumerate(ys):
         v = (design.x * theta[k]) @ design.incidence
         prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
@@ -130,7 +130,7 @@ def test_mixed_logit_rows_equal_the_serial_objective():
     theta = 0.3 * np.random.default_rng(3).normal(size=(3, design.n_params))
     theta[:, design.scale_pos[list(design.random_terms)]] = np.log([0.6, 1.5])
     rows = np.array([2, 0, 1])
-    ll, scores = mnl._kernel(design, draws, ys)(theta, rows)
+    ll, scores = mnl._kernel(design, draws, ys)(theta, rows, obs=True)
     assert scores.shape == (3, design.n_obs, design.n_params)
     for k, row in enumerate(rows):
         ll_k, grad_k = mixed.make_objective(design, draws, y_index=ys[row])(theta[k])
@@ -228,14 +228,13 @@ def test_each_parameter_row_has_the_design_width(case, entry, extra):
 def test_a_kernel_with_draws_has_no_hessian(kernel, table, spec):
     design = build_design(table(n=300), spec)
     call = kernel(design, DrawMatrix.for_design(design, 25))
-    refused(lambda: call(np.zeros((1, design.n_params)), [0], hessian=True),
-            "^the simulated likelihood has no analytic Hessian$")
+    assert call(np.zeros((1, design.n_params)), [0])[2] is None
 
 
 def test_logit_kernel_without_draws_is_the_mnl_closed_form():
     design, ys, theta = mnl_batch_case()
     y = ys[1]
-    ll, scores = mnl._kernel(design, None, y)(theta[:1], slice(0, 1))
+    ll, scores = mnl._kernel(design, None, y)(theta[:1], slice(0, 1), obs=True)
     v = (design.x * theta[0]) @ design.incidence
     prob = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(ll[0], np.log(prob[np.arange(len(y)), y]), rtol=1e-12)
@@ -266,7 +265,7 @@ def nb_problems(draw):
 @given(nb_problems())
 def test_nb_batch_rows_are_consistent_on_random_problems(problem):
     design, counts, rows, theta = problem
-    batch = families.batched(negbin._kernel(design, None, counts))
+    batch = negbin._kernel(design, None, counts)
     _, grad, hess = batch(theta, rows)
     for k, row in enumerate(rows):
         # one row alone is the serial objective on its counts
@@ -316,11 +315,73 @@ def test_nb_kernel_rows_do_not_depend_on_the_batch():
         design, counts, theta = nb_batch_case(alpha)
         kernel = negbin._kernel(design, None, counts)
         rows = np.arange(len(theta))
-        together = [out.copy() for out in kernel(theta, rows, hessian=True)]
-        for k in rows:
-            alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
-            for got, want in zip(alone, together):
-                np.testing.assert_array_equal(got[0], want[k])
+        for obs in (False, True):
+            together = [out.copy() for out in kernel(theta, rows, obs)]
+            for k in rows:
+                alone = kernel(theta[k:k + 1], rows[k:k + 1], obs)
+                for got, want in zip(alone, together, strict=True):
+                    np.testing.assert_array_equal(got[0], want[k])
+
+
+def one_block_kernel(label):
+    """Kernel, theta, rows and ``span -> BLOCK_ELEMENTS`` giving blocks of
+    ``span`` observations, for family ``label``; at the default
+    ``BLOCK_ELEMENTS`` each row of 150 observations is one block."""
+    rng, rows = np.random.default_rng(8), np.array([2, 0, 1])
+    n_draws = 25 if label.startswith("mixed") else None
+    if label.endswith("mnl"):
+        design = build_design(mnl_table(n=150), MIXED_SPEC if n_draws else MNL_SPEC)
+        outcomes = np.stack([np.roll(design.y_index, s) for s in range(3)])
+        theta = 0.3 * rng.normal(size=(3, design.n_params))
+        make, budget = mnl._kernel, lambda span: span * len(rows) * (n_draws or 1)
+    else:  # a row of more than one block is a tile of its own
+        design = build_design(nb_table(n=150), MIXED_NB_SPEC if n_draws else NB_SPEC)
+        outcomes = np.stack([np.roll(design.counts, s) for s in range(3)])
+        theta = np.array([1.5, 0.4, *([np.log(0.5)] if n_draws else []), np.log(0.8)])
+        theta = theta + 0.1 * rng.normal(size=(3, theta.size))
+        make, budget = negbin._kernel, lambda span: span * (n_draws or 1)
+    draws = DrawMatrix.for_design(design, n_draws) if n_draws else None
+    return make(design, draws, outcomes), theta, rows, budget
+
+
+@pytest.mark.parametrize("label", ["mnl", "mixed_mnl", "nb", "mixed_nb"])
+def test_summed_outputs_are_the_observations_summed(label):
+    """A row of one block sums, bit for bit, what the per-observation view
+    returns for it; a row of several blocks agrees to rounding, but for the
+    logit's scores, which the running sum keeps bit for bit."""
+    kernel, theta, rows, budget = one_block_kernel(label)
+    for span in (None, 1, 7, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            if span is not None:
+                mp.setattr("crashmle.draws.BLOCK_ELEMENTS", budget(span))
+            ll, grad, hess = kernel(theta, rows)
+            ll_obs, scores = kernel(theta, rows, obs=True)
+        assert (hess is None) == label.startswith("mixed")
+        if span is None or label.endswith("mnl"):
+            np.testing.assert_array_equal(grad, scores.sum(axis=1))
+        if span is None:
+            np.testing.assert_array_equal(ll, ll_obs.sum(axis=1))
+            continue
+        for got, want in ((ll, ll_obs.sum(axis=1)), (grad, scores.sum(axis=1))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_a_running_sum_carried_into_each_block_is_numpys_middle_axis_sum():
+    """What the logit kernel's scores rely on: numpy sums a C-contiguous (K,
+    N, P) array over N one observation after another, so adding the running
+    sum into each block's first observation before summing the block gives
+    ``sum(axis=1)`` bit for bit, for every block size."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 1000, 5)) * 10.0 ** rng.integers(-8, 9, size=(3, 1000, 5))
+    want = a.sum(axis=1)
+    assert not np.array_equal(a[:, ::-1].sum(axis=1), want)  # the order shows in the bits
+    for span in (1, 7, 40, 1000):
+        total = np.zeros((3, 5))
+        for at in range(0, 1000, span):
+            block = a[:, at:at + span].copy()
+            block[:, 0] += total
+            total = block.sum(axis=1)
+        np.testing.assert_array_equal(total, want)
 
 
 def test_arrays_a_caller_keeps_survive_the_next_kernel_call():
@@ -329,7 +390,7 @@ def test_arrays_a_caller_keeps_survive_the_next_kernel_call():
     design, counts, theta = nb_batch_case(0.8)
     kernel = negbin._kernel(design, None, counts)
     for call in (lambda t: families.first_row(kernel)(t[0]),
-                 lambda t: families.batched(kernel)(t, np.arange(len(t))),
+                 lambda t: kernel(t, np.arange(len(t))),
                  lambda t: families.summed(kernel)(t[0])):
         first = call(theta)
         kept = [np.copy(out) for out in first]
@@ -341,7 +402,7 @@ def test_arrays_a_caller_keeps_survive_the_next_kernel_call():
 def test_nb_batch_objective_is_minus_infinity_where_undefined():
     design, counts, theta = nb_batch_case(0.8)
     theta[1, 0] = 800.0  # exp overflows: the serial objective returns -inf too
-    ll, _, _ = families.batched(negbin._kernel(design, None, counts))(theta, np.arange(4))
+    ll, _, _ = negbin._kernel(design, None, counts)(theta, np.arange(4))
     assert ll[1] == -np.inf and np.all(np.isfinite(ll[[0, 2, 3]]))
 
 
@@ -539,13 +600,13 @@ def test_maximize_batch_rows_are_independent():
     np.testing.assert_array_equal(
         maximize_batch(quartic_batch, quartic_starts).iterations, [13, 7, 16, 0])
     nb_cases = [
-        (lambda rows, d=d, c=c: families.batched(negbin._kernel(d, None, c[rows])), t)
+        (lambda rows, d=d, c=c: negbin._kernel(d, None, c[rows]), t)
         for d, c, t in map(nb_batch_case, (1e-6, 0.8, 50.0))]
     for make, start in (
             (lambda rows: quartic_batch, quartic_starts),
             # a stack that fails Cholesky shifts only the rows that fail alone
             (curvature_pair, np.array([[0.0, 0.0], [0.1, 1.0]])),
-            (lambda rows: families.batched(mnl._kernel(design, None, ys[rows])), theta),
+            (lambda rows: mnl._kernel(design, None, ys[rows]), theta),
             *nb_cases):
         res = maximize_batch(make(slice(None)), start)
         for k in range(len(start)):
@@ -557,7 +618,7 @@ def test_maximize_batch_rows_are_independent():
 def test_maximize_batch_respects_the_iteration_limit():
     design, counts, theta = nb_batch_case(0.8)
     theta += 1.0
-    res = maximize_batch(families.batched(negbin._kernel(design, None, counts)), theta,
+    res = maximize_batch(negbin._kernel(design, None, counts), theta,
                          OptimSettings(max_iterations=1))
     assert not res.converged.any()
     assert np.all(res.iterations <= 1)
@@ -808,20 +869,27 @@ def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
     assert_block_matches_serial(table, pieces, theta, outcomes)
 
 
-@pytest.mark.parametrize("spec, table", [(NB_SPEC, nb_table), (MNL_SPEC, mnl_table)],
-                         ids=["nb", "mnl"])
-def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spec, table):
-    """One kernel call at the solution gives the Hessian and the scores;
-    the objective is not built at all."""
-    want = families.fit(table(), spec)
+@pytest.mark.parametrize("spec, table, flat", [
+    (NB_SPEC, nb_table, False), (MNL_SPEC, mnl_table, False),
+    (MIXED_NB_SPEC, nb_table, False), (MIXED_NB_SPEC, nb_table, True)],
+    ids=["nb", "mnl", "mixed_nb", "bhhh"])
+def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spec, table,
+                                                                 flat):
+    """After maximizing, a plain fit makes one summed kernel call, which
+    gives the Hessian, and builds no objective.  A mixed fit whose
+    finite-difference Hessian inverts makes no kernel call; one whose
+    Hessian does not (a flat objective here) makes one per-observation
+    call, for the outer product of its scores."""
+    options = {"n_draws": 25} if spec.is_mixed else {}
+    want = families.fit(table(), spec, **options)
     family, maximize_rows, log = families.REGISTRY[spec.family], families.maximize_rows, []
 
     def recording_kernel(design, draws, outcomes):
         kernel = family.kernel(design, draws, outcomes)
 
-        def recorded(theta, rows, hessian=False):
-            log.append(hessian)
-            return kernel(theta, rows, hessian)
+        def recorded(theta, rows, obs=False):
+            log.append("obs" if obs else "summed")
+            return kernel(theta, rows, obs)
         return recorded
 
     def recording_maximize(*args, **kwargs):
@@ -829,16 +897,26 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
         log.append("maximized")
         return res
 
-    def no_objective(*args):
-        raise AssertionError("a plain fit builds no objective")
+    def objective(design, draws, outcomes):
+        if not spec.is_mixed:
+            raise AssertionError("a plain fit builds no objective")
+        if flat:
+            return lambda theta: (0.0, np.zeros(design.n_params))
+        return family.objective(design, draws, outcomes)
 
     monkeypatch.setitem(families.REGISTRY, spec.family,
-                        replace(family, kernel=recording_kernel, objective=no_objective))
+                        replace(family, kernel=recording_kernel, objective=objective))
     monkeypatch.setattr(families, "maximize_rows", recording_maximize)
-    got = families.fit(table(), spec)
+    if flat:
+        with pytest.warns(RuntimeWarning, match="outer product of scores"):
+            got = families.fit(table(), spec, **options)
+    else:
+        got = families.fit(table(), spec, **options)
     after = log[len(log) - log[::-1].index("maximized"):]
-    assert after == [True]
-    np.testing.assert_array_equal(got.standard_errors, want.standard_errors)
+    assert after == (["obs"] if flat else [] if spec.is_mixed else ["summed"])
+    assert got.se_method == ("bhhh" if flat else "hessian")
+    if not flat:
+        np.testing.assert_array_equal(got.standard_errors, want.standard_errors)
     np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
 
 
@@ -853,9 +931,10 @@ def test_an_outlier_count_takes_newton_in_every_stage(monkeypatch):
         kernel = negbin._kernel(design, draws, counts)
         kernels.append((counts, flags))
 
-        def recorded(theta, rows, hessian=False):
-            flags.add(hessian)
-            return kernel(theta, rows, hessian)
+        def recorded(theta, rows, obs=False):
+            out = kernel(theta, rows, obs)
+            flags.add(not obs and out[2] is not None)  # a Newton call
+            return out
         return recorded
 
     monkeypatch.setattr(pieces, "family",

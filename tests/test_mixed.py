@@ -538,7 +538,7 @@ def test_blocked_kernel_matches_a_dense_evaluation(rows_of):
     n_draws, pick = 40, np.array([3, 0, 2])
     n = rows_of(BLOCK_ELEMENTS // (len(pick) * n_draws))
     design, draws, y, theta = shared_case(n, n_draws, k=len(pick))
-    ll, scores = mnl._kernel(design, draws, y)(theta, pick)
+    ll, scores = mnl._kernel(design, draws, y)(theta, pick, obs=True)
     want_ll, want_scores = dense_logit(design, draws, y[pick], theta)
     assert ll.shape == (3, n) and scores.shape == (3, n, design.n_params)
     assert_close(ll, want_ll)
@@ -552,7 +552,8 @@ def test_blocked_kernel_matches_a_dense_evaluation_without_draws():
         case, _, y, theta = shared_case(n, 25)
         design = build_design(case.table, spec)
         theta = theta[:, [0, 1, 2, 4, 6]]
-        ll, scores, hess = mnl._kernel(design, None, y)(theta, slice(1, 4), hessian=True)
+        kernel = mnl._kernel(design, None, y)
+        (ll, scores), hess = kernel(theta, slice(1, 4), obs=True), kernel(theta, slice(1, 4))[2]
         want_ll, want_scores = dense_logit(design, None, y[1:4], theta)
         assert_close(ll, want_ll)
         assert_close(scores, want_scores)
@@ -593,7 +594,7 @@ def test_kernel_rescues_observations_improbable_at_every_draw():
     design, draws, _, theta = shared_case(12, 30, k=1)
     theta[0, 0] = 800.0
     y = np.arange(12) % 4
-    ll, scores = mnl._kernel(design, draws, y)(theta, slice(0, 1))
+    ll, scores = mnl._kernel(design, draws, y)(theta, slice(0, 1), obs=True)
     want_ll, want_scores = dense_logit(design, draws, y[None], theta)
     assert np.all(want_ll[0, y != 0] < np.log(1e-300))
     assert np.all(np.isfinite(ll)) and np.all(np.isfinite(scores))
@@ -606,7 +607,7 @@ def test_kernel_at_a_plateau_scale_matches_a_dense_evaluation():
     # nearly every draw one outcome takes all the probability
     design, draws, y, theta = shared_case(50, 30, k=2)
     theta[:, [3, 5]] = np.log(1e11)
-    ll, scores = mnl._kernel(design, draws, y)(theta, [2, 0])
+    ll, scores = mnl._kernel(design, draws, y)(theta, [2, 0], obs=True)
     want_ll, want_scores = dense_logit(design, draws, y[[2, 0]], theta)
     assert np.all(np.isfinite(ll))
     assert_close(ll, want_ll)
@@ -622,8 +623,8 @@ def test_an_overflowing_mixing_scale_gives_minus_infinity():
     assert ll == -np.inf and not grad.any()
     # in a stack of rows only that row is -inf; the other is as if alone
     kernel = mnl._kernel(design, draws, y)
-    ll, scores = kernel(theta, np.array([0, 2]))
-    alone = kernel(theta[1:], np.array([2]))
+    ll, scores = kernel(theta, np.array([0, 2]), obs=True)
+    alone = kernel(theta[1:], np.array([2]), obs=True)
     assert np.all(ll[0] == -np.inf) and not scores[0].any()
     np.testing.assert_array_equal(ll[1:], alone[0])
     np.testing.assert_array_equal(scores[1:], alone[1])

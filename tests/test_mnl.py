@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 
 from conftest import peak_beyond_outputs
-from crashmle import mnl
+from crashmle import families, mnl
 from crashmle.dataset import CONSTANT, ModelSpec, ObservationTable, Term, build_design
 from crashmle.draws import BLOCK_ELEMENTS
 from crashmle.mnl import (
@@ -127,7 +127,7 @@ def twelve_term_design(n, seed=4):
 def test_stacked_hessians_match_the_covariate_product_formula():
     design = twelve_term_design(500)
     theta = np.random.default_rng(6).normal(scale=0.3, size=(3, design.n_params))
-    _, _, hess = mnl._kernel(design)(theta, np.zeros(3, dtype=np.int64), hessian=True)
+    _, _, hess = mnl._kernel(design)(theta, np.zeros(3, dtype=np.int64))
     # sum over observations of m m' - sum_i p_i (x * inc_i)(x * inc_i)', with
     # m = x * (inc @ p) the probability mass of each term's outcome set
     x, inc = design.x, design.incidence
@@ -147,7 +147,8 @@ def test_the_hessian_needs_no_covariate_product_array():
     design = twelve_term_design(40_000)
     kernel = mnl._kernel(design)
     theta, rows = np.full((1, design.n_params), 0.05), np.zeros(1, dtype=np.int64)
-    peaks = {hessian: peak_beyond_outputs(kernel, theta, rows, hessian=hessian)[1]
+    # a per-observation call has no Hessian; a summed call has
+    peaks = {hessian: peak_beyond_outputs(kernel, theta, rows, obs=not hessian)[1]
              for hessian in (False, True)}
     assert peaks[True] <= 1.5 * peaks[False], peaks
 
@@ -162,10 +163,10 @@ def test_building_the_kernel_allocates_no_rows_by_observations_by_terms_array():
     kernel, peak = peak_beyond_outputs(mnl._kernel, design, None, y)
     assert peak < 2 * y.nbytes
     theta = np.full((2, design.n_params), 0.05)
-    ll, scores = kernel(theta, np.array([3, 1]))
+    ll, scores = kernel(theta, np.array([3, 1]), obs=True)
     for got, row in zip(scores, (3, 1)):
         np.testing.assert_array_equal(got, mnl._kernel(design, None, y[row])(
-            theta[:1], slice(0, 1))[1][0])
+            theta[:1], slice(0, 1), obs=True)[1][0])
 
 
 def test_restricted_loglik_equal_shares():
@@ -220,6 +221,49 @@ def test_separation_is_flagged():
     assert "separation" in fit.message
     lp = build_design(table, BINARY_SPEC).linear_predictors(fit.theta_internal)
     assert np.max(np.abs(lp)) > SEPARATION_BOUND
+
+
+def test_separation_check_peaks_the_same_at_twice_the_observations():
+    # the check reads the logit's predictors block by block: the (N, I)
+    # predictors of every observation at once would take 1.6 MB more at
+    # four blocks than at two
+    theta = np.array([0.3, -0.2, 0.8, -0.5, 0.7])
+    peaks = {}
+    for n_blocks in (2, 4):
+        design = build_design(three_outcome_table(n_blocks * BLOCK_ELEMENTS), THREE_SPEC)
+        peaks[n_blocks] = peak_beyond_outputs(mnl._separation, design, theta)[1]
+    assert peaks[4] <= peaks[2] + 8 * BLOCK_ELEMENTS
+
+
+def test_a_plain_ascent_peaks_the_same_at_twice_the_observations():
+    # beyond the design, built before the call here, maximize_rows holds
+    # per observation no kernel outputs, no copy of the outcomes and no
+    # separation predictors: its kernel sums each block as it goes
+    family = families.REGISTRY["mnl"]
+    peaks = {}
+    for n_blocks in (2, 4):
+        design = build_design(three_outcome_table(n_blocks * BLOCK_ELEMENTS), THREE_SPEC)
+        res, peaks[n_blocks] = peak_beyond_outputs(
+            families.maximize_rows, family, design, None, family.start(design)[None])
+        assert res.converged[0]
+    assert peaks[4] <= peaks[2] + 8 * BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("effects, variables", [(elasticities, ["x1", "x2"]),
+                                                (pseudo_elasticities, ["flag"])],
+                         ids=["elasticity", "pseudo"])
+def test_logit_effects_hold_one_block_at_a_time(monkeypatch, effects, variables):
+    # a block's arrays are freed before the next block allocates its own, so
+    # beyond the design, built before the call here, two blocks peak as one
+    fit = SimpleNamespace(spec=THREE_SPEC,
+                          theta_internal=np.array([0.3, -0.2, 0.8, -0.5, 0.7]))
+    peaks = {}
+    for n_blocks in (1, 2):
+        table = three_outcome_table(n_blocks * BLOCK_ELEMENTS)
+        design = build_design(table, THREE_SPEC)
+        monkeypatch.setattr(mnl, "build_design", lambda *_, d=design: d)
+        peaks[n_blocks] = peak_beyond_outputs(effects, fit, table, variables)[1]
+    assert peaks[2] <= peaks[1] + 8 * BLOCK_ELEMENTS
 
 
 # ------------------------------------------------------------ elasticities

@@ -243,8 +243,8 @@ def c09_kernel():
 
 def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
     kernel, theta = c09_kernel()
-    first = kernel(theta, slice(0, 1))
-    again, peak = peak_beyond_outputs(kernel, theta, slice(0, 1))
+    first = kernel(theta, slice(0, 1), obs=True)
+    again, peak = peak_beyond_outputs(kernel, theta, slice(0, 1), obs=True)
     # one (N, R) array takes 2.4 MB; the outputs take 0.06 MB
     assert peak < 0.9e6
     for out, repeated in zip(first, again):
@@ -261,9 +261,9 @@ def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
             (negbin._kernel(build_design(table, NB_SPEC), None),
              np.array([[1.0, 0.4, -0.3, np.log(0.8)]])),
             (mnl._kernel(build_design(severity, logit)), np.array([[0.2, 0.5]]))]:
-        first = kernel(theta, slice(0, 1), hessian=True)
+        first = kernel(theta, slice(0, 1))
         kept = [np.copy(out) for out in first]
-        again = kernel(theta + 0.1, slice(0, 1), hessian=True)
+        again = kernel(theta + 0.1, slice(0, 1))
         for out, value, repeated in zip(first, kept, again):
             assert not np.shares_memory(out, repeated)
             np.testing.assert_array_equal(out, value)
@@ -271,8 +271,7 @@ def test_mixed_kernel_averages_its_draws_in_its_work_arrays():
 
 def test_mixed_kernel_has_no_hessian():
     kernel, theta = c09_kernel()
-    with pytest.raises(ValueError, match="no analytic Hessian"):
-        kernel(theta, slice(0, 1), hessian=True)
+    assert kernel(theta, slice(0, 1))[2] is None
 
 
 def test_mixed_kernel_holds_no_hessian_products():
@@ -350,20 +349,21 @@ def test_observation_blocks_give_the_whole_row_bit_for_bit():
     theta = np.array([1.0, 0.4, np.log(0.3), -0.3, np.log(0.2), np.log(0.8)]) \
         + 0.1 * rng.normal(size=(4, 6))
     rows = np.array([2, 0, 1, 2])
-    whole = tiled_calls(len(theta), kernel, theta, rows, 150 * 25, hessian=False)
+    whole = tiled_calls(len(theta), kernel, theta, rows, 150 * 25, obs=True)
     for span in (1, 7, 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("crashmle.draws.BLOCK_ELEMENTS", span * 25)
-            blocked = kernel(theta, rows)
+            blocked = kernel(theta, rows, obs=True)
         for got, want in zip(blocked, whole, strict=True):
             np.testing.assert_array_equal(got, want)
     plain = negbin._kernel(build_design(table, NB_SPEC), None, counts)
     theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(4, 4))
-    *whole, hess = tiled_calls(len(theta), plain, theta, rows, 150, hessian=True)
+    whole = tiled_calls(len(theta), plain, theta, rows, 150, obs=True)
+    hess = tiled_calls(len(theta), plain, theta, rows, 150, obs=False)[2]
     for span in (1, 7, 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("crashmle.draws.BLOCK_ELEMENTS", span)
-            *blocked, blocked_hess = plain(theta, rows, hessian=True)
+            blocked, blocked_hess = plain(theta, rows, obs=True), plain(theta, rows)[2]
         for got, want in zip(blocked, whole, strict=True):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(blocked_hess, hess, rtol=0,
@@ -379,12 +379,12 @@ def test_a_first_plain_hessian_call_adds_only_its_tile_per_observation():
     assert peaks[100_000] <= peaks[50_000] + 48 * 50_000 + 8 * BLOCK_ELEMENTS
 
 
-def tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian):
+def tiled_calls(budget_rows, kernel, theta, rows, n_elements, obs):
     """Copies of a kernel call's outputs with a tile budget of
     ``budget_rows`` rows of ``n_elements`` (N * R) elements each."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("crashmle.draws.BLOCK_ELEMENTS", budget_rows * n_elements)
-        return [np.copy(out) for out in kernel(theta, rows, hessian=hessian)]
+        return [np.copy(out) for out in kernel(theta, rows, obs=obs)]
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["nb", "mixed_nb"])
@@ -403,10 +403,10 @@ def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
         theta = np.insert(theta, 2, np.log(0.3), axis=1)
     rows = rng.integers(0, len(counts), size=len(theta))
     n_elements = design.n_obs * (draws.n_draws if mixed else 1)
-    for hessian in ([False] if mixed else [False, True]):
-        untiled = tiled_calls(len(theta), kernel, theta, rows, n_elements, hessian)
+    for obs in (True, False):
+        untiled = tiled_calls(len(theta), kernel, theta, rows, n_elements, obs)
         for budget_rows in (1, 7):
-            tiled = tiled_calls(budget_rows, kernel, theta, rows, n_elements, hessian)
+            tiled = tiled_calls(budget_rows, kernel, theta, rows, n_elements, obs)
             for got, want in zip(tiled, untiled, strict=True):
                 np.testing.assert_array_equal(got, want)
 
@@ -418,7 +418,7 @@ def hessian_call_peak(k, n=122):
     kernel = negbin._kernel(design, None)
     theta = np.tile([1.0, 0.4, -0.3, np.log(0.8)], (k, 1))
     rows = np.zeros(k, dtype=np.int64)
-    return peak_beyond_outputs(kernel, theta, rows, hessian=True)[1]
+    return peak_beyond_outputs(kernel, theta, rows)[1]
 
 
 def test_hessian_call_memory_is_set_by_the_tile_not_by_k_times_n():
@@ -443,10 +443,10 @@ def test_an_outlier_count_widens_only_its_own_tile():
     rng = np.random.default_rng(4)
     theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(200, 4))
     rows = np.arange(200)
-    together, peak = peak_beyond_outputs(kernel, theta, rows, hessian=True)
-    assert peak < 9e6  # the outputs take 1 MB
+    together, peak = peak_beyond_outputs(kernel, theta, rows)
+    assert peak < 9e6  # per-observation outputs would take 1 MB
     for k in rows:
-        alone = kernel(theta[k:k + 1], rows[k:k + 1], hessian=True)
+        alone = kernel(theta[k:k + 1], rows[k:k + 1])
         for got, want in zip(alone, together, strict=True):
             np.testing.assert_array_equal(got[0], want[k])
 
@@ -465,14 +465,14 @@ def test_a_count_above_the_cap_sizes_tiles_by_the_tables_they_build(monkeypatch)
     real = negbin._poch_tables
     monkeypatch.setattr(negbin, "_poch_tables",
                         lambda alpha, out: tables.append(out.shape) or real(alpha, out))
-    assert np.isfinite(kernel(theta, np.arange(500), hessian=True)[0]).all()
+    assert np.isfinite(kernel(theta, np.arange(500))[0]).all()
     rows = BLOCK_ELEMENTS // (negbin.TAIL_START + 1)
     assert len(tables) == -(-500 // rows)  # one call per tile
     assert {shape[1] for shape in tables[:-1]} == {rows}
 
 
-@pytest.mark.parametrize("hessian", [False, True])
-def test_kernel_memory_does_not_grow_with_the_largest_count(hessian):
+@pytest.mark.parametrize("obs", [False, True])
+def test_kernel_memory_does_not_grow_with_the_largest_count(obs):
     # one count of a trillion reads the capped tables and adds its tail; one
     # table as wide as that count would take 8 TB
     design = build_design(count_table(122, seed=1), NB_SPEC)
@@ -482,7 +482,7 @@ def test_kernel_memory_does_not_grow_with_the_largest_count(hessian):
         counts = np.tile(design.counts, (4, 1))
         counts[2, 9] = count
         (ll, *_), peak = peak_beyond_outputs(
-            lambda: negbin._kernel(design, None, counts)(theta, np.arange(4), hessian))
+            lambda: negbin._kernel(design, None, counts)(theta, np.arange(4), obs))
         peaks.append(peak)
         assert np.isfinite(ll).all()
     assert peaks[1] < peaks[0] + 1e6
