@@ -237,7 +237,7 @@ def _load_typed(fh, header, out_pos, mode, outcome_labels):
 
 
 def _load_rows(path, mode: str, outcome_column: str,
-               outcome_labels=None) -> ObservationTable:
+               outcome_labels) -> ObservationTable:
     """:func:`load_csv` one record at a time: drops and counts rows with
     an empty cell and names the line of the first bad one."""
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:

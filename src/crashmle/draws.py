@@ -211,7 +211,7 @@ class DrawMatrix:
 
 
 def coefficient_draws(theta, design: DesignMatrix, draws: DrawMatrix | None,
-                      j: int, rows=slice(None)):
+                      j: int, rows):
     """Coefficient draws (N, R) for term j of the observations ``rows``
     selects; the location if the term is fixed."""
     loc = theta[design.loc_pos[j]]

@@ -39,7 +39,8 @@ NB), each shifted by ``optimize.SHIFT``'s rule where it is not
 numerically negative definite (an exactly singular one, from a repeated
 column, included), and BFGS with draws.  A design column that is zero
 on every row leaves its coefficient unidentified; such a design is not
-maximized at all.
+maximized at all.  A plain fit inverts the Hessian its ascent stopped
+on; only the mixed families register an ``objective`` to difference.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix
 from .optimize import (BatchResult, FitResult, OptimSettings, covariance,
-                       maximize_batch, summarize)
+                       hessian_fd, maximize_batch, summarize)
 
 @dataclass(frozen=True)
 class Family:
@@ -65,8 +66,6 @@ class Family:
 
     #: (design, draws or None, outcomes or None) -> stacked kernel, the ascent's objective
     kernel: Callable
-    #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)``, for fit's FD Hessian
-    objective: Callable
     #: design -> default start vector
     start: Callable
     #: (design, settings) -> restricted log-likelihood for rho-squared
@@ -75,6 +74,8 @@ class Family:
     effects: dict
     #: (design, theta) -> message when the estimates are not interior
     boundary: Callable = lambda design, theta: None
+    #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)`` for fit's FD Hessian
+    objective: Callable | None = None
 
 
 REGISTRY: dict[str, Family] = {}
@@ -99,11 +100,11 @@ def maximize_rows(family: Family, design: DesignMatrix, draws: DrawMatrix | None
     if idle.size:
         names = ", ".join(design.param_names[design.loc_pos[j]] for j in idle)
         b, theta = len(starts), np.array(starts, dtype=np.float64)
-        ll, grad, _ = objective(theta, np.arange(b))
+        ll, grad, hess = objective(theta, np.arange(b))
         message = np.full(b, f"not maximized: term {names} is zero on every row, so "
                              f"its coefficient is not identified", dtype=object)
         return BatchResult(theta, ll, np.zeros(b, dtype=bool), np.zeros(b, dtype=np.int64),
-                           message, grad, [ll.copy()], 1)
+                           message, grad, [ll.copy()], 1, hess)
     res = maximize_batch(objective, starts, settings)
     for i in np.flatnonzero(res.converged):
         boundary = family.boundary(design, res.theta[i])
@@ -187,11 +188,12 @@ def fit(table: ObservationTable, spec: ModelSpec,
     """Estimate a model of any family by (simulated) maximum likelihood.
 
     Maximizes from the family's start vector with :func:`maximize_rows`,
-    takes the covariance from the inverse negative Hessian (the kernel's
-    analytic one without draws, central differences of ``family.objective``
-    with them) with the outer product of the kernel's per-observation
-    scores, asked for only then, as fallback, and reports mixing scales and
-    alpha on their natural scale with delta-method standard errors.
+    takes the covariance from the inverse negative Hessian (the one the
+    ascent stopped on, or central differences of a registered
+    ``family.objective``) with the outer product of the kernel's
+    per-observation scores, asked for only then, as fallback, and reports
+    mixing scales and alpha on their natural scale with delta-method
+    standard errors.
     ``n_draws``, ``seed``, ``skip`` and ``shift`` set the Halton draw
     matrix of the mixed families and are ignored by the others.
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` check
@@ -205,12 +207,11 @@ def fit(table: ObservationTable, spec: ModelSpec,
     draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
                      if spec.is_mixed else {})
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
-    res = maximize_rows(family, design, draws, family.start(design)[None],
-                        settings=settings).row()
-    kernel, at = family.kernel(design, draws, None), (res.theta[None], slice(0, 1))
-    cov = covariance(None if draws is None else family.objective(design, draws, None),
-                     res.theta, scores=lambda: kernel(*at, obs=True)[1][0],
-                     hessian=None if draws is not None else kernel(*at)[2][0])
+    batch = maximize_rows(family, design, draws, family.start(design)[None], settings=settings)
+    res = batch.row()
+    hessian = (batch.hess[0] if family.objective is None
+               else hessian_fd(family.objective(design, draws, None), res.theta))
+    cov = covariance(hessian, lambda: first_row(family.kernel(design, draws, None))(res.theta)[1])
     nat, cov_nat = natural_from_internal(res.theta, design, cov.cov)
     return summarize(
         nat, cov_nat, res.ll, ll_restricted,

@@ -472,7 +472,6 @@ def pseudo_elasticities(fit: FitResult, table: ObservationTable,
 
 
 families.REGISTRY["mnl"] = families.Family(
-    objective=lambda design, draws, y: make_objective(design, y),
     kernel=_kernel,
     start=lambda design: np.zeros(design.n_params),
     restricted_ll=lambda design, settings: restricted_loglik(design),

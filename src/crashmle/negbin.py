@@ -118,16 +118,14 @@ def _location(theta, design: DesignMatrix, out=None) -> np.ndarray:
 
 
 def _eta_draws(theta, design: DesignMatrix, std: tuple | None,
-               rows=slice(None), product=None, out=(None, None)) -> np.ndarray:
+               rows, product, out=(None, None)) -> np.ndarray:
     """Log-mean per draw, shape (..., n, R) for ``theta`` of shape
     (..., P), on the n observations ``rows`` selects, with each random
     term's (N, R) draws ``std``; R = 1 without draws.  Scale slots hold
-    logs.  ``product`` is the :func:`_location` of every observation,
-    computed here when None; a block takes its columns, which a product
-    over the block alone could round differently.  ``out`` receives the
-    sum and one term's draws (..., n, R), where not None."""
-    if product is None:
-        product = _location(theta, design)
+    logs.  ``product`` is the :func:`_location` of every observation;
+    a block takes its columns, which a product over the block alone could
+    round differently.  ``out`` receives the sum and one term's draws
+    (..., n, R), where not None."""
     eta = np.swapaxes(product[..., rows], -1, -2)
     total, term = out
     for dim, j in enumerate(design.random_terms):
@@ -411,7 +409,6 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
 
 
 families.REGISTRY["nb"] = families.Family(
-    objective=lambda design, draws, counts: make_objective(design, counts=counts),
     kernel=_kernel,
     start=_default_theta0,
     restricted_ll=_intercept_only_ll,

@@ -11,10 +11,11 @@ included, steps on that matrix shifted by a multiple of the identity
 ``gradient_tolerance``), the step-tolerance stop, the iteration limit
 and the rows' stop messages are shared.  Fits run it through
 :func:`crashmle.families.maximize_rows`; :func:`maximize` is its one-row
-BFGS case, which no fit calls.  Standard errors come from the inverse
-negative Hessian (analytic when given, else central finite differences
-of the gradient), with an outer-product-of-scores fallback when that
-matrix is not positive definite or does not invert.
+BFGS case, which no fit calls.  Standard errors invert the negative
+Hessian handed to :func:`covariance` (the ascent's last analytic one, or
+:func:`hessian_fd`'s central differences of the gradient), falling back
+on the outer product of scores when that matrix is not positive definite
+or does not invert.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import serialize
-from .dataset import ModelSpec, expected_param_names
+from .dataset import FAMILIES, ModelSpec, expected_param_names
 
 #: smallest reciprocal condition number of an outer product of scores
 #: that is inverted for BHHH standard errors.  Below it the inverse has
@@ -88,7 +89,8 @@ class BatchResult:
     iterate; ``iterations`` counts its accepted steps, so its entries of
     ``ll_path`` (the (B,) log-likelihoods at the start and after every
     iteration) are the first ``iterations + 1``.  An ``error`` row was
-    not finite at its start and has a NaN ``ll``."""
+    not finite at its start and has a NaN ``ll``.  ``hess`` holds each
+    Newton row's Hessian at its final ``theta``; it is None for BFGS."""
 
     theta: np.ndarray       # (B, P)
     ll: np.ndarray          # (B,)
@@ -98,6 +100,7 @@ class BatchResult:
     grad: np.ndarray        # (B, P)
     ll_path: list
     n_evals: int
+    hess: np.ndarray | None  # (B, P, P)
 
     @property
     def error(self) -> np.ndarray:
@@ -133,7 +136,8 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
     matrix shifted by ``SHIFT``'s rule.  A row stops when it starts
     non-finite, passes the gradient test, meets a non-finite Hessian
     (Newton) or a zero gradient (BFGS), finds no ascent step, moves less
-    than ``step_tolerance`` or runs out of iterations.
+    than ``step_tolerance`` or runs out of iterations.  A Newton row keeps
+    the Hessian of its last accepted evaluation, which the result returns.
     """
     s = settings or OptimSettings()
     theta = np.array(theta0, dtype=np.float64)
@@ -226,7 +230,7 @@ def maximize_batch(objective, theta0, settings: OptimSettings | None = None) -> 
                     h += rho * rho * float(y @ hy) * np.outer(d, d) + rho * np.outer(d, d)
         ll_path.append(ll.copy())
 
-    return BatchResult(theta, ll, converged, iterations, message, grad, ll_path, n_evals)
+    return BatchResult(theta, ll, converged, iterations, message, grad, ll_path, n_evals, hess)
 
 
 def _newton_directions(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -310,36 +314,29 @@ def _try_inverse_pd(a: np.ndarray, min_rcond: float = 0.0) -> np.ndarray | None:
     return inv if np.all(np.isfinite(var) & (var > 0.0)) else None
 
 
-def covariance(objective, theta_hat: np.ndarray, scores=None,
-               hessian: np.ndarray | None = None) -> CovarianceResult:
-    """Parameter covariance at the optimum.
+def covariance(hessian: np.ndarray, scores=None) -> CovarianceResult:
+    """Parameter covariance at the optimum from its log-likelihood Hessian.
 
-    Tries the inverse negative Hessian first: ``hessian`` if given, else
-    central differences of ``objective``'s gradient.  If that is not
-    positive definite and per-observation ``scores`` (N, P), or a
-    callable that returns them when called, are supplied, falls back to
+    Tries the inverse negative ``hessian`` first.  If that is not
+    positive definite and ``scores``, a zero-argument callable that
+    returns the per-observation scores (N, P), is supplied, falls back to
     the inverse outer product of scores, unless its reciprocal condition
     number is below ``BHHH_MIN_RCOND``.  When both fail the standard
     errors are NaN and the method is ``"undefined"``.
     """
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    p = theta_hat.size
-    if hessian is None:
-        hessian = hessian_fd(objective, theta_hat)
     cov = _try_inverse_pd(-np.asarray(hessian, dtype=np.float64))
     if cov is not None:
         return CovarianceResult(cov, np.sqrt(np.diag(cov)), "hessian")
     if scores is not None:
-        scores = np.asarray(scores() if callable(scores) else scores, dtype=np.float64)
-        opg = scores.T @ scores
-        cov = _try_inverse_pd(opg, BHHH_MIN_RCOND)
+        scores = np.asarray(scores(), dtype=np.float64)
+        cov = _try_inverse_pd(scores.T @ scores, BHHH_MIN_RCOND)
         if cov is not None:
             warnings.warn("negative Hessian not positive definite; standard errors "
                           "use the outer product of scores", RuntimeWarning)
             return CovarianceResult(cov, np.sqrt(np.diag(cov)), "bhhh")
     warnings.warn("covariance matrix is undefined at this solution; standard "
                   "errors reported as NaN", RuntimeWarning)
-    return CovarianceResult(None, np.full(p, np.nan), "undefined")
+    return CovarianceResult(None, np.full(len(hessian), np.nan), "undefined")
 
 
 @dataclass
@@ -419,6 +416,11 @@ class FitResult:
         names = tuple(serialize.string(v, "fit param name")
                       for v in serialize.array(d["param_names"], "fit param_names"))
         spec = ModelSpec.from_dict(d["spec"]) if d.get("spec") else None
+        family = serialize.string(d["family"], "fit family")
+        if family not in FAMILIES:
+            raise ValueError(f"fit family must be one of {FAMILIES}, got {family!r}")
+        if spec is not None and family != spec.family:
+            raise ValueError(f"fit family {family!r} is not its spec's family {spec.family!r}")
         if spec is not None and names != expected_param_names(spec):
             raise ValueError(f"fit param_names {list(names)} are not the spec's "
                              f"{list(expected_param_names(spec))}")
@@ -443,7 +445,7 @@ class FitResult:
             converged=serialize.boolean(d["converged"], "fit converged"),
             iterations=serialize.integer(d["iterations"], "fit iterations"),
             n_obs=serialize.integer(d["n_obs"], "fit n_obs"),
-            family=serialize.string(d["family"], "fit family"),
+            family=family,
             se_method=se_method,
             message=serialize.string(d.get("message", ""), "fit message"),
             shift=(serialize.boolean(d["shift"], "fit shift") if "shift" in d

@@ -64,14 +64,14 @@ class EffectsReport:
 
 def fmt_est(v: float) -> str:
     """Three significant figures, 'nan' when undefined."""
-    if v is None or not math.isfinite(v):
+    if not math.isfinite(v):
         return "nan"
     return f"{v:.3g}"
 
 
 def fmt_t(v: float) -> str:
     """Two decimals, 'nan' when undefined."""
-    if v is None or not math.isfinite(v):
+    if not math.isfinite(v):
         return "nan"
     return f"{v:.2f}"
 

@@ -651,7 +651,8 @@ def serial_replicate(table, spec, theta_observed, outcome, draws=None):
     on the rows of ``draws`` it owns."""
     labels = np.asarray(spec.outcomes)[outcome] if spec.is_severity else outcome
     fit_table = ObservationTable(dict(table.columns), labels, table.mode)
-    make = families.REGISTRY[spec.family].objective
+    kernel = families.REGISTRY[spec.family].kernel
+    make = lambda design, draws, outcomes: families.summed(kernel(design, draws, outcomes))
     flagged = table.columns["flag"] == 1.0
     # split_by_flag returns the flag == 1 part first, like subset A
     parts = zip(split_by_flag(fit_table, "flag"), (flagged, ~flagged))
@@ -703,6 +704,33 @@ def test_mc_matches_a_serial_refit_loop(family):
         assert result.replicates_dropped_by_reason[reason] == \
             sum(why == reason for _, why in reference)
     np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
+
+
+def test_batch_hess_is_the_kernel_hessian_at_each_rows_final_theta():
+    """A Newton row returns the Hessian of its last accepted evaluation:
+    bit for bit a fresh one-row kernel call's at its final theta.  The NB
+    rows are stacked, their kernel rows being independent of each other;
+    the logit's observation blocks depend on the rows per call, so it is
+    fitted one row at a time, as a fit does.  A stage with draws returns
+    no Hessian."""
+    nb_design, counts, theta = nb_batch_case(0.8)
+    mnl_design = build_design(mnl_table(), MNL_SPEC)
+    for family, design, starts, outcomes in [
+            ("nb", nb_design, theta, counts),
+            ("mnl", mnl_design, np.zeros((1, mnl_design.n_params)), None)]:
+        kernel = families.REGISTRY[family].kernel
+        res = families.maximize_rows(families.REGISTRY[family], design, None, starts, outcomes)
+        assert res.converged.all() and res.iterations.min() > 0
+        for k in range(len(starts)):
+            fresh = kernel(design, None, None if outcomes is None else outcomes[k:k + 1])
+            np.testing.assert_array_equal(res.hess[k],
+                                          fresh(res.theta[k:k + 1], slice(0, 1))[2][0])
+    table = nb_table()
+    design = build_design(table, MIXED_NB_SPEC)
+    res = families.maximize_rows(families.REGISTRY["mixed_nb"], design,
+                                 DrawMatrix.for_design(design, 25),
+                                 families.REGISTRY["mixed_nb"].start(design)[None])
+    assert res.iterations[0] > 0 and res.hess is None
 
 
 @pytest.mark.parametrize("family", ["mixed_nb", "mixed_mnl"])
@@ -873,13 +901,12 @@ def test_forced_fallback_rows_are_kept_or_dropped_as_serially():
     (NB_SPEC, nb_table, False), (MNL_SPEC, mnl_table, False),
     (MIXED_NB_SPEC, nb_table, False), (MIXED_NB_SPEC, nb_table, True)],
     ids=["nb", "mnl", "mixed_nb", "bhhh"])
-def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spec, table,
-                                                                 flat):
-    """After maximizing, a plain fit makes one summed kernel call, which
-    gives the Hessian, and builds no objective.  A mixed fit whose
-    finite-difference Hessian inverts makes no kernel call; one whose
-    Hessian does not (a flat objective here) makes one per-observation
-    call, for the outer product of its scores."""
+def test_a_plain_fit_makes_no_kernel_call_after_maximizing(monkeypatch, spec, table, flat):
+    """After maximizing, a plain fit makes no kernel call: it inverts the
+    Hessian its ascent stopped on.  A mixed fit whose finite-difference
+    Hessian inverts makes no kernel call either; one whose Hessian does
+    not (a flat objective here) makes one per-observation call, for the
+    outer product of its scores."""
     options = {"n_draws": 25} if spec.is_mixed else {}
     want = families.fit(table(), spec, **options)
     family, maximize_rows, log = families.REGISTRY[spec.family], families.maximize_rows, []
@@ -898,14 +925,13 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
         return res
 
     def objective(design, draws, outcomes):
-        if not spec.is_mixed:
-            raise AssertionError("a plain fit builds no objective")
         if flat:
             return lambda theta: (0.0, np.zeros(design.n_params))
         return family.objective(design, draws, outcomes)
 
     monkeypatch.setitem(families.REGISTRY, spec.family,
-                        replace(family, kernel=recording_kernel, objective=objective))
+                        replace(family, kernel=recording_kernel,
+                                objective=objective if spec.is_mixed else None))
     monkeypatch.setattr(families, "maximize_rows", recording_maximize)
     if flat:
         with pytest.warns(RuntimeWarning, match="outer product of scores"):
@@ -913,7 +939,7 @@ def test_a_plain_fit_evaluates_the_kernel_once_after_maximizing(monkeypatch, spe
     else:
         got = families.fit(table(), spec, **options)
     after = log[len(log) - log[::-1].index("maximized"):]
-    assert after == (["obs"] if flat else [] if spec.is_mixed else ["summed"])
+    assert after == (["obs"] if flat else [])
     assert got.se_method == ("bhhh" if flat else "hessian")
     if not flat:
         np.testing.assert_array_equal(got.standard_errors, want.standard_errors)

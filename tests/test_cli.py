@@ -701,10 +701,13 @@ def mixed_fit(tmp_path_factory):
     ("se_method", "opg", "fit se_method must be hessian, bhhh or undefined, got 'opg'"),
     ("message", [1], "fit message must be a string, got [1]"),
     ("shift", "false", 'fit shift must be a boolean, got "false"'),
+    ("family", "mnl", "fit family 'mnl' is not its spec's family 'mixed_mnl'"),
+    ("family", "logit",
+     "fit family must be one of ('mnl', 'mixed_mnl', 'nb', 'mixed_nb'), got 'logit'"),
 ], ids=["theta_number", "theta_short", "names_number", "names_reordered",
         "draws_string", "draws_float", "skip_string", "converged_string",
         "converged_null", "se_method_number", "se_method_unknown", "message_list",
-        "shift_string"])
+        "shift_string", "family_other", "family_unknown"])
 def test_effects_names_a_mistyped_fit_value(mixed_fit, capsys, key, value, message):
     root, d = mixed_fit
     (root / "bad_fit.json").write_text(dumps({**d, key: value}))

@@ -410,7 +410,7 @@ def test_load_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_bytes(b"x,outcome\r\n\r\n1.5,a\r\n\r\n\r\n2.5,b\r\n\r\n")
     for load in (load_csv, _load_rows):
-        t = load(path, "severity", "outcome")
+        t = load(path, "severity", "outcome", None)
         assert t.columns["x"].tolist() == [1.5, 2.5]
         assert t.outcome.tolist() == ["a", "b"]
         assert t.n_dropped == 0

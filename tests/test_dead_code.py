@@ -4,7 +4,9 @@ Every module-level import must be read in its module or named in the
 module's ``__all__`` (a name re-exported on purpose is read by a tuple
 that holds it, as ``mixed.REEXPORTED`` does), and every private
 module-level function, class and assigned name must be referenced
-somewhere in the package outside its own definition.
+somewhere in the package outside its own definition.  A private
+module-level function's default is dead when every package call of the
+function passes that parameter: the default has no caller.
 """
 
 import ast
@@ -85,3 +87,44 @@ def test_every_private_function_is_referenced(module):
 @pytest.mark.parametrize("module", list(TREES))
 def test_every_private_constant_and_class_is_referenced(module):
     assert unreferenced(module, (ast.ClassDef, ast.Assign, ast.AnnAssign)) == []
+
+
+def calls(name):
+    """Every call of ``name`` in the package, bare or as an attribute, or
+    None when the name is also read other than as the callee of a call,
+    or a call passes ``*args`` or ``**kwargs``: its calls are then not
+    all known."""
+    reads = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id == name or isinstance(node, ast.Attribute) and node.attr == name]
+    found = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and any(node.func is read for read in reads)]
+    starred = any(isinstance(a, ast.Starred) for c in found for a in c.args) or any(
+        k.arg is None for c in found for k in c.keywords)
+    return None if len(found) != len(reads) or starred else found
+
+
+def dead_defaults(module):
+    """``function.parameter`` for each defaulted parameter of a private
+    module-level function of ``module`` that every package call passes."""
+    dead = []
+    for node in TREES[module].body:
+        if not (isinstance(node, ast.FunctionDef) and private_names(node)):
+            continue
+        found = calls(node.name)
+        if not found:
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(node.args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(node.args.kwonlyargs,
+                                                     node.args.kw_defaults) if d is not None]
+        dead += [f"{node.name}.{arg}" for i, arg in defaulted
+                 if all(i is not None and i < len(c.args)
+                        or arg in {k.arg for k in c.keywords} for c in found)]
+    return dead
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_no_private_function_has_a_default_every_call_passes(module):
+    assert dead_defaults(module) == []

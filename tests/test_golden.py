@@ -28,8 +28,8 @@ import pytest
 
 from crashmle.cli import main
 from crashmle.dataset import CONSTANT, ModelSpec, Term, build_design, load_csv
-from crashmle.families import REGISTRY, natural_from_internal
-from crashmle.optimize import FitResult, OptimSettings, covariance
+from crashmle.families import REGISTRY, natural_from_internal, summed
+from crashmle.optimize import FitResult, OptimSettings, covariance, hessian_fd
 from crashmle.serialize import dumps
 from crashmle.simulate import CovariateRecipe, DgpConfig
 
@@ -233,11 +233,11 @@ def test_golden_newton_fits_are_optima_with_analytic_covariance(outputs, name, d
     mode = "severity" if spec.is_severity else "frequency"
     table = load_csv(outputs / f"{data}.csv", mode, "outcome", labels)
     design = build_design(table, spec)
-    objective = REGISTRY[spec.family].objective(design, None, None)
+    objective = summed(REGISTRY[spec.family].kernel(design, None, None))
     ll, grad = objective(fit.theta_internal)
     assert ll == pytest.approx(fit.ll_converged, rel=1e-12)
     assert np.max(np.abs(grad)) / max(1.0, abs(ll)) <= OptimSettings().gradient_tolerance
-    cov = covariance(objective, fit.theta_internal)  # finite differences
+    cov = covariance(hessian_fd(objective, fit.theta_internal))  # finite differences
     assert cov.method == "hessian"
     _, cov_nat = natural_from_internal(fit.theta_internal, design, cov.cov)
     np.testing.assert_allclose(fit.standard_errors, np.sqrt(np.diag(cov_nat)),

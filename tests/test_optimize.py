@@ -179,7 +179,7 @@ def test_hessian_fd_matches_analytic():
 
 def test_covariance_from_hessian():
     hess = np.array([[4.0, 1.0], [1.0, 3.0]])
-    res = covariance(quadratic([0.5, -0.5], hess), np.array([0.5, -0.5]))
+    res = covariance(hessian_fd(quadratic([0.5, -0.5], hess), np.array([0.5, -0.5])))
     assert res.method == "hessian"
     np.testing.assert_allclose(res.cov, np.linalg.inv(hess), atol=1e-6)
     np.testing.assert_allclose(res.se, np.sqrt(np.diag(np.linalg.inv(hess))),
@@ -193,7 +193,7 @@ def test_covariance_bhhh_fallback():
 
     scores = np.array([[0.5, 0.2], [-0.5, -0.1], [0.1, 0.3], [-0.1, -0.4]])
     with pytest.warns(RuntimeWarning, match="outer product"):
-        res = covariance(objective, np.zeros(2), scores=scores)
+        res = covariance(hessian_fd(objective, np.zeros(2)), scores=lambda: scores)
     assert res.method == "bhhh"
     np.testing.assert_allclose(res.cov, np.linalg.inv(scores.T @ scores),
                                atol=1e-10)
@@ -204,7 +204,7 @@ def test_covariance_undefined_when_all_routes_fail():
         return -0.5 * theta[0] ** 2, np.array([-theta[0], 0.0])
 
     with pytest.warns(RuntimeWarning, match="undefined"):
-        res = covariance(objective, np.zeros(2))
+        res = covariance(hessian_fd(objective, np.zeros(2)))
     assert res.method == "undefined"
     assert np.all(np.isnan(res.se))
 
@@ -233,7 +233,8 @@ def test_covariance_rejects_an_inverse_with_a_non_positive_variance():
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = covariance(objective, np.zeros(3), scores=near_collinear_scores())
+        res = covariance(hessian_fd(objective, np.zeros(3)),
+                         scores=lambda: near_collinear_scores())
     assert res.method == "undefined"
     assert np.all(np.isnan(res.se))
     messages = [str(w.message) for w in caught]
@@ -247,7 +248,7 @@ def test_covariance_rejects_an_ill_conditioned_outer_product():
 
     scores = np.random.default_rng(0).normal(size=(50, 2))
     with pytest.warns(RuntimeWarning, match="outer product"):
-        res = covariance(objective, np.zeros(2), scores=scores)
+        res = covariance(hessian_fd(objective, np.zeros(2)), scores=lambda: scores)
     assert res.method == "bhhh"
     # positive definite, but with a condition number of about 1e20 its
     # inverse is rounding noise: variances near 1e20
@@ -257,7 +258,7 @@ def test_covariance_rejects_an_ill_conditioned_outer_product():
     assert 1e19 < np.linalg.cond(opg) < 1e21
     assert 1.0 / np.linalg.cond(opg) < BHHH_MIN_RCOND
     with pytest.warns(RuntimeWarning, match="undefined"):
-        res = covariance(objective, np.zeros(2), scores=ill)
+        res = covariance(hessian_fd(objective, np.zeros(2)), scores=lambda: ill)
     assert res.method == "undefined"
     assert np.all(np.isnan(res.se))
 
