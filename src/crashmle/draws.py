@@ -31,10 +31,15 @@ MIN_DRAWS = 25
 BLOCK_ELEMENTS = 1 << 14
 
 
+def block_rows(per_row: int, budget: int | None = None) -> int:
+    """Rows of ``per_row`` elements in one full slice of :func:`blocks`."""
+    return max(1, (BLOCK_ELEMENTS if budget is None else budget) // per_row)
+
+
 def blocks(n: int, per_row: int, budget: int | None = None):
     """Consecutive slices over ``n`` rows of ``per_row`` elements, each of at
     most ``budget`` (``BLOCK_ELEMENTS`` when it runs) elements or one row."""
-    step = max(1, (BLOCK_ELEMENTS if budget is None else budget) // per_row)
+    step = block_rows(per_row, budget)
     for a in range(0, n, step):
         yield slice(a, min(a + step, n))
 

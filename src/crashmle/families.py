@@ -16,7 +16,8 @@ parameters.  Given a draw matrix, which must have the design's rows, a
 kernel is the mixed family's simulated likelihood; without one it is the
 plain family, as if with one draw, and the design has fixed terms only.
 :func:`checked` enforces this contract for both kernels, a summed row that
-is not finite coming back as -inf with a zero gradient.  Every other view
+is not finite coming back as -inf with a zero gradient, and an empty stack
+(K = 0) as empty outputs of these shapes.  Every other view
 derives from the kernel.  Every kernel call returns arrays that the caller
 owns: no later call touches them.  Both kernels bound their working memory
 by the constant ``draws.BLOCK_ELEMENTS``, so it scales with a block, not
@@ -123,8 +124,13 @@ def checked(kernel, design: DesignMatrix, draws: DrawMatrix | None):
 
     def call(theta, rows, obs=False):
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape[-1] != design.n_params:
-            raise ValueError(f"expected {design.n_params} parameters, got {theta.shape[-1]}")
+        p = design.n_params
+        if theta.shape[-1] != p:
+            raise ValueError(f"expected {p} parameters, got {theta.shape[-1]}")
+        if not len(theta):  # an empty stack: the outputs' shapes, no kernel work
+            if obs:
+                return np.zeros((0, design.n_obs)), np.zeros((0, design.n_obs, p))
+            return np.zeros(0), np.zeros((0, p)), None if draws else np.zeros((0, p, p))
         out = kernel(theta, rows, obs)
         if not obs:
             bad = ~np.isfinite(out[0])

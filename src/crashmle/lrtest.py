@@ -254,7 +254,9 @@ def simulate_under_null(fit: FitResult, table: ObservationTable,
 
 def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
                        seed: int, start: int, stop: int) -> np.ndarray:
-    """Simulated outcome vectors of replicates ``start..stop-1``, one per row.
+    """Simulated outcome vectors of replicates ``start..stop-1``, one per row
+    of an int64 (stop - start, N) array, filled in place (no rows for an
+    empty range).
 
     Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so a
     row does not depend on which block it is drawn in.  Without random
@@ -262,10 +264,11 @@ def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
     probabilities they give are computed once for the block.
     """
     law = None if design.random_terms else simulate.outcome_law(design, theta_internal)
-    return np.stack([
-        simulate.draw_outcomes(design, theta_internal, np.random.Generator(
+    out = np.empty((stop - start, design.n_obs), dtype=np.int64)
+    for row, i in zip(out, range(start, stop)):
+        row[:] = simulate.draw_outcomes(design, theta_internal, np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, i)))), law)
-        for i in range(start, stop)])
+    return out
 
 
 def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,

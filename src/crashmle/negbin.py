@@ -164,11 +164,17 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     it, so every tiling gives the same outputs bit for bit; so does every
     blocking per observation, while the summed rows move in their last bits.
     Tables reach a tile's largest count up to ``TABLE_CAP``; a larger count
-    adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  The
+    adds its :func:`_poch_tail` to the entries at ``TAIL_START``.  A stack
+    of several tiles is cut in order of each row's largest count (a stable
+    sort), so that a tile's tables are about as wide as its own rows need,
+    not as the widest row that happens to sit beside them; since no row
+    depends on its neighbours, the order moves no output bit, and each
+    tile's sums are written to its rows' places in the outputs.  The
     closure owns the work arrays of one full tile and block, its tile
-    arena, so that repeated calls do not allocate them: each draw's log
-    probability becomes its posterior share in place.  The arena never
-    leaves the kernel; every call returns fresh outputs.
+    arena, and their views, so that repeated calls neither allocate nor
+    carve them: each draw's log probability becomes its posterior share
+    in place.  The arena never leaves the kernel; every call returns
+    fresh outputs.
     ``lnGamma(a + 1)`` is folded into the log-Pochhammer table, so one
     ``take`` gathers every count's table entries.
     """
@@ -188,45 +194,67 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
     n_draws, std = (1, None) if draws is None else (draws.n_draws, draws.std)
     index = np.arange(b)
     per_tile = max(n * n_draws, widest)  # the larger of a row's elements and table entries
-    floats = ints = None
+    floats = ints = layout = None
+    carved = {}  # views of ``floats`` by offset and shapes, for one arena and layout
+
+    def carve(at, shapes):
+        key = (at, *shapes)
+        if key not in carved:
+            carved[key] = _carve(floats[at:], *shapes)
+        return carved[key]
 
     def kernel(theta, rows, obs):
-        nonlocal floats, ints
+        nonlocal floats, ints, layout
         k = theta.shape[0]
-        rows = index[rows]
+        # a slice becomes a view of the row indices; an array stays the caller's
+        rows = index[rows] if isinstance(rows, slice) else np.asarray(rows)
         hess = np.zeros((k, p, p)) if draws is None and not obs else None
         nt = 2 if hess is None else 3
-        tile = next(_draws.blocks(k, per_tile)).stop
-        span = next(_draws.blocks(n, tile * n_draws)).stop
+        tile = min(k, _draws.block_rows(per_tile))
+        span = min(n, _draws.block_rows(tile * n_draws))
 
         def block_shapes(kt, nb):  # the work arrays of a block of a kt-row tile
             return [(kt, nb, n_draws)] * 8 + [(kt, nb, 1)] * 2
 
-        def tile_shapes(kt, width):  # a kt-row tile's arrays over all its observations
-            return [(kt, 1, n), (kt, n, 1), (nt, kt, n), (nt, kt, width)]
+        def tile_shapes(kt):  # a kt-row tile's arrays over all its observations
+            return [(kt, 1, n), (kt, n, 1), (nt, kt, n)]
+        # the arena: a block's work arrays, a tile's tables, its other arrays
         per_block = sum(map(math.prod, block_shapes(tile, span)))
-        size = per_block + sum(map(math.prod, tile_shapes(tile, widest)))
+        at_arrays = per_block + nt * tile * widest
+        size = at_arrays + sum(map(math.prod, tile_shapes(tile)))
         if floats is None or len(floats) < size or len(ints) < tile * n:
-            floats, ints = np.empty(size), np.empty(tile * n, dtype=np.int64)
+            floats, ints, layout = np.empty(size), np.empty(tile * n, dtype=np.int64), None
+        if layout != (per_block, at_arrays):  # views are kept for one layout at a time
+            layout = per_block, at_arrays
+            carved.clear()
         shape = (k, n) if obs else (k,)  # per observation, or their sums
         ll, scores = np.zeros(shape), np.zeros((p, *shape))  # each parameter's contiguous
+        tiles = _draws.blocks(k, per_tile)
+        if k > tile:  # tiles take the rows in order of largest count
+            order = np.argsort(amax_row[rows], kind="stable")
+            tiles = (order[t] for t in tiles)
 
         def add(out, block):  # a block's (kt, nb) log-likelihoods or one parameter's scores
             if obs:
                 out[at_tile, ob] = block
             else:  # summed as it is computed, so that no (P, K, nb) array is held
-                out[at_tile] += block.sum(axis=1)
+                out += block.sum(axis=1)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            for at_tile in _draws.blocks(k, per_tile):
-                th = theta[at_tile]
-                kt, most = len(th), int(amax_row[rows[at_tile]].max())
-                at = np.take(a, rows[at_tile], axis=0, mode="clip",
-                             out=ints[:kt * n].reshape(kt, n))
+            for at_tile in tiles:
+                sel, th = rows[at_tile], theta[at_tile]
+                # the tile's sums: views of the call's for a slice, else copies
+                # written back once the tile is done
+                lt, st = (ll, scores) if obs else (ll[at_tile], scores[:, at_tile])
+                ht = None if hess is None else hess[at_tile]
+                kt, most = len(th), int(amax_row[sel].max())
+                # wrap: a negative row index counts from the end, as amax_row[sel] took it
+                at = np.take(a, sel, axis=0, mode="wrap", out=ints[:kt * n].reshape(kt, n))
                 if most > TABLE_CAP:  # larger counts read the entries at TAIL_START
                     wide = np.nonzero(at > TABLE_CAP)
                     big, at[wide] = at[wide].astype(np.float64), TAIL_START
                 width = (int(at.max()) if most > TABLE_CAP else most) + 1
-                product, afk, tabs, tables = _carve(floats[per_block:], *tile_shapes(kt, width))
+                product, afk, tabs = carve(at_arrays, tile_shapes(kt))
+                tables = floats[per_block:per_block + nt * kt * width].reshape(nt, kt, width)
                 np.copyto(afk[..., 0], at)
                 # position of count a of row k in the flattened tables
                 at += width * np.arange(kt)[:, None]
@@ -241,7 +269,7 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                 _location(th, design, out=product)
                 for ob in _draws.blocks(n, tile * n_draws):
                     (lam, l1p, ra, lpmf, q, rl, wd, tmp, top,
-                     total) = _carve(floats, *block_shapes(kt, ob.stop - ob.start))
+                     total) = carve(0, block_shapes(kt, ob.stop - ob.start))
                     # wd and tmp are free until the log probabilities are done
                     eta = _eta_draws(th, design, std, ob, product, out=(wd, tmp))
                     fk = afk[:, ob]
@@ -266,29 +294,33 @@ def _kernel(design: DesignMatrix, draws: DrawMatrix | None, counts=None):
                         wd *= lpmf
                         tmp *= lpmf
                         wd_sum, tmp_sum = wd.sum(axis=-1), tmp.sum(axis=-1)
-                    add(ll, lb)
+                    add(lt, lb)
                     spare = top[..., 0]  # free from here on
                     for j in range(x.shape[1]):
-                        add(scores[design.loc_pos[j]], np.multiply(x[ob, j], wd_sum, out=spare))
+                        add(st[design.loc_pos[j]], np.multiply(x[ob, j], wd_sum, out=spare))
                     for dim, j in enumerate(design.random_terms):  # the log-scales
                         drawn = np.multiply(wd, std[dim][ob], out=rl).sum(axis=-1)
-                        add(scores[design.scale_pos[j]],
+                        add(st[design.scale_pos[j]],
                             x[ob, j] * drawn * np.exp(th[:, design.scale_pos[j], None]))
-                    add(scores[-1], np.add(tabs[1][:, ob], tmp_sum, out=spare))
+                    add(st[-1], np.add(tabs[1][:, ob], tmp_sum, out=spare))
                     if hess is None:
                         continue
                     # the block's part of the Hessian: one draw, so w = 1;
                     # u = -d(a - q)/d eta
-                    h, t2 = hess[at_tile], tabs[2][:, ob]
+                    t2 = tabs[2][:, ob]
                     rs = np.divide(r, rl, out=rl)
                     u = np.multiply(q, rs, out=ra)
-                    h[:, :-1, :-1] -= (u.reshape(kt, 1, -1) @ xx[ob]).reshape(kt, p - 1, p - 1)
-                    h[:, :-1, -1:] += x[ob].T @ np.multiply(np.subtract(lam, q, out=tmp), rs,
-                                                            out=tmp)
+                    ht[:, :-1, :-1] -= (u.reshape(kt, 1, -1) @ xx[ob]).reshape(kt, p - 1, p - 1)
+                    ht[:, :-1, -1:] += x[ob].T @ np.multiply(np.subtract(lam, q, out=tmp), rs,
+                                                             out=tmp)
                     np.multiply(np.multiply(lam, 2.0, out=tmp), rs, out=tmp)
                     tmp -= np.multiply(r, l1p, out=wd)
                     tmp -= u
-                    h[:, -1, -1] += np.add(t2, tmp[..., 0], out=t2).sum(axis=1)
+                    ht[:, -1, -1] += np.add(t2, tmp[..., 0], out=t2).sum(axis=1)
+                if not obs:
+                    ll[at_tile], scores[:, at_tile] = lt, st
+                if hess is not None:
+                    hess[at_tile] = ht
         if hess is not None:
             hess[:, -1:, :-1] = hess[:, :-1, -1:].transpose(0, 2, 1)
         return (ll, scores.transpose(1, 2, 0)) if obs else (ll, scores.T, hess)

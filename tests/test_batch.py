@@ -231,6 +231,27 @@ def test_a_kernel_with_draws_has_no_hessian(kernel, table, spec):
     assert call(np.zeros((1, design.n_params)), [0])[2] is None
 
 
+@pytest.mark.parametrize("family", ["mnl", "mixed_mnl", "nb", "mixed_nb"])
+def test_an_empty_stack_gives_empty_outputs_and_an_empty_fit(family):
+    logit = family.endswith("mnl")
+    spec = {"mnl": MNL_SPEC, "mixed_mnl": MIXED_SPEC, "nb": NB_SPEC,
+            "mixed_nb": MIXED_NB_SPEC}[family]
+    design = build_design((mnl_table if logit else nb_table)(n=60), spec)
+    draws = DrawMatrix.for_design(design, 25) if spec.is_mixed else None
+    record = families.REGISTRY[family]
+    p, n = design.n_params, design.n_obs
+    theta, rows = np.zeros((0, p)), np.arange(0)
+    kernel = record.kernel(design, draws, None)
+    ll, grad, hess = kernel(theta, rows)
+    assert (ll.shape, grad.shape) == ((0,), (0, p))
+    assert hess is None if spec.is_mixed else hess.shape == (0, p, p)
+    ll, scores = kernel(theta, rows, obs=True)
+    assert (ll.shape, scores.shape) == ((0, n), (0, n, p))
+    outcomes = (design.y_index if logit else design.counts)[None, :][:0]
+    res = families.maximize_rows(record, design, draws, theta, outcomes)
+    assert (res.theta.shape, res.ll.shape, res.converged.shape) == ((0, p), (0,), (0,))
+
+
 def test_logit_kernel_without_draws_is_the_mnl_closed_form():
     design, ys, theta = mnl_batch_case()
     y = ys[1]
@@ -641,6 +662,15 @@ def test_replicate_outcomes_follow_the_per_replicate_streams():
             want = (build_design(sim, spec).y_index if spec.is_severity
                     else sim.outcome)
             np.testing.assert_array_equal(block[row], want)
+
+
+def test_an_empty_range_of_replicates_draws_no_outcomes():
+    for table, spec in ((nb_table(), NB_SPEC), (mnl_table(), MNL_SPEC)):
+        design = build_design(table, spec)
+        theta = np.linspace(0.1, 0.5, design.n_params)
+        for stop, rows in ((3, 0), (5, 2)):
+            block = lrtest.replicate_outcomes(design, theta, 11, 3, stop)
+            assert block.shape == (rows, table.n_rows) and block.dtype == np.int64
 
 
 # ---------------------------------------------------- the Monte Carlo loop

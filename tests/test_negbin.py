@@ -411,6 +411,55 @@ def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
                 np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["nb", "mixed_nb"])
+def test_a_permuted_stack_gives_the_permuted_outputs_bit_for_bit(mixed):
+    # tiles take a stack's rows in order of largest count, so permuting the
+    # stack changes which rows share a tile, but no row's outputs
+    table = count_table(150, seed=4)
+    spec = (ModelSpec("mixed_nb", (Term(CONSTANT), Term("z1", (), "random_normal"),
+                                   Term("z2"))) if mixed else NB_SPEC)
+    design = build_design(table, spec)
+    draws = DrawMatrix.for_design(design, 25) if mixed else None
+    counts = np.stack([np.roll(table.outcome, s) for s in range(5)])
+    counts[2, 7], counts[4, 9] = 60, 25  # wider dispersion tables for two rows
+    kernel = negbin._kernel(design, draws, counts)
+    rng = np.random.default_rng(6)
+    theta = np.array([1.0, 0.4, -0.3, np.log(0.8)]) + 0.1 * rng.normal(size=(20, 4))
+    if mixed:
+        theta = np.insert(theta, 2, np.log(0.3), axis=1)
+    rows, perm = rng.integers(0, len(counts), size=len(theta)), rng.permutation(len(theta))
+    n_elements = design.n_obs * (draws.n_draws if mixed else 1)
+    for obs in (True, False):
+        for budget_rows in (1, 7, 20):  # tiles of one row, of seven, one tile
+            want = tiled_calls(budget_rows, kernel, theta, rows, n_elements, obs)
+            got = tiled_calls(budget_rows, kernel, theta[perm], rows[perm], n_elements, obs)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w[perm] if w.ndim else w)
+
+
+def test_stacked_tiles_build_tables_about_as_wide_as_their_rows_need(monkeypatch):
+    # a C12-shaped Hessian stack: 500 count vectors of 122 sites.  Tiles
+    # that take rows in stack order build 2.03 times the table entries the
+    # rows' own largest counts need here; tiles in order of largest count
+    # build 1.16 times
+    rng = np.random.default_rng(12)
+    z1 = rng.normal(size=122)
+    lam = np.exp(2.2 + 0.3 * z1)
+    counts = rng.poisson(rng.gamma(1 / 0.8, 0.8 * lam, size=(500, 122)))
+    table = ObservationTable({"z1": z1, "z2": rng.uniform(0.0, 2.0, 122)}, counts[0],
+                             "frequency")
+    kernel = negbin._kernel(build_design(table, NB_SPEC), None, counts)
+    shapes = []
+    real = negbin._poch_tables
+    monkeypatch.setattr(negbin, "_poch_tables",
+                        lambda alpha, out: shapes.append(out.shape) or real(alpha, out))
+    theta = np.tile([2.2, 0.3, 0.0, np.log(0.8)], (500, 1))
+    assert np.isfinite(kernel(theta, np.arange(500))[0]).all()
+    assert len(shapes) > 1  # several tiles
+    built = sum(rows * width for _, rows, width in shapes)
+    assert built <= 1.5 * (counts.max(axis=1) + 1).sum()
+
+
 def hessian_call_peak(k, n=122):
     """Memory peak of one K-row Hessian call of the plain NB kernel beyond
     its outputs."""
