@@ -45,9 +45,9 @@ def _manifest(args, input_paths, seed=None, n_draws=None) -> RunManifest:
 
 
 def _load_table(args, spec):
-    mode = "severity" if spec.is_severity else "frequency"
-    labels = spec.outcomes if spec.is_severity else None
-    table = load_csv(args.data, mode, args.outcome_column, labels)
+    if spec.is_mixed and getattr(args, "draws", 0) is None:  # fit and lrtest take --draws
+        raise ValueError("mixed families require --draws")
+    table = load_csv(args.data, spec.mode, args.outcome_column, spec.outcomes or None)
     if table.n_dropped:
         print(f"note: dropped {table.n_dropped} rows with missing fields")
     return table
@@ -56,8 +56,6 @@ def _load_table(args, spec):
 def cmd_fit(args) -> int:
     spec = load_spec(args.spec)
     table = _load_table(args, spec)
-    if spec.is_mixed and args.draws is None:
-        raise ValueError("mixed families require --draws")
     fit = families.fit(table, spec, _settings(args), n_draws=args.draws,
                        seed=args.seed, skip=args.skip, shift=args.shift)
     text = fit_table_text(fit)
@@ -102,8 +100,6 @@ def cmd_effects(args) -> int:
 def cmd_lrtest(args) -> int:
     spec = load_spec(args.spec)
     table = _load_table(args, spec)
-    if spec.is_mixed and args.draws is None:
-        raise ValueError("mixed families require --draws")
     settings = _settings(args)
     if args.mc is not None:
         result = mc_null_distribution(

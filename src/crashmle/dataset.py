@@ -406,6 +406,10 @@ class ModelSpec:
     def is_mixed(self) -> bool:
         return self.family in MIXED_FAMILIES
 
+    @property
+    def mode(self) -> str:
+        return SEVERITY if self.is_severity else FREQUENCY
+
     def to_dict(self) -> dict:
         d = {"family": self.family,
              "terms": [{"var": t.variable, "outcomes": list(t.outcomes),
@@ -546,10 +550,9 @@ class DesignMatrix:
     """
 
     def __init__(self, table: ObservationTable, spec: ModelSpec):
-        expected_mode = SEVERITY if spec.is_severity else FREQUENCY
-        if table.mode != expected_mode:
+        if table.mode != spec.mode:
             raise ValueError(
-                f"family {spec.family!r} needs a {expected_mode} table, "
+                f"family {spec.family!r} needs a {spec.mode} table, "
                 f"got {table.mode}")
         if table.n_rows == 0:
             raise ValueError("the table has no rows")

@@ -198,7 +198,9 @@ class DrawMatrix:
         self.std = tuple(std)
 
     @classmethod
-    def for_design(cls, design: DesignMatrix, n_draws: int, **options) -> "DrawMatrix":
+    def for_design(cls, design: DesignMatrix, n_draws: int | None, **options) -> "DrawMatrix":
+        if n_draws is None:  # no hidden default draw count
+            raise ValueError("mixed families require n_draws")
         dists = tuple(_KIND_TO_DIST[design.spec.terms[j].kind]
                       for j in design.random_terms)
         if not dists:

@@ -27,11 +27,10 @@ kernel through its K rows in tiles of that many (row, observation, draw)
 elements and table entries, and every row (without draws, as one draw) in
 observation blocks of that many elements, in a tile arena that never leaves
 the kernel; both sum their outputs block by block.  Draw matrices are built
-that many Halton values at a time.  The logit's per-block softmax
-(``mnl._block_softmax``) also gives its simulated probabilities, effects and
-separation check, and the NB's per-block log-means (``negbin._eta_draws``)
-its marginal effects, in the logit's observation blocks.  ``simulate`` draws
-its outcomes from the same per-block laws, at one draw per row.
+that many Halton values at a time.  Each family walks its outcome law in
+the logit's observation blocks, once: the logit's simulated probabilities and
+the NB's means, which give effects and, through ``Family.law`` and
+``Family.draw``, the outcomes ``simulate`` draws at one draw per row.
 
 Every fit, refit and grid point is maximized by :func:`maximize_rows`
 in one stacked ascent on the kernel, :func:`crashmle.optimize.maximize_batch`:
@@ -60,9 +59,10 @@ from .optimize import (BatchResult, FitResult, OptimSettings, covariance,
 class Family:
     """What the shared machinery needs to know about one model family.
 
-    ``objective`` looks its factory up as a module attribute when it
-    runs, so a wrapper installed on that attribute (as
-    ``perfbench/tracer.py`` does) also sees the calls made from here.
+    ``objective`` and ``draw`` look their functions up as module
+    attributes when they run, so a wrapper installed on such an attribute
+    (as ``perfbench/tracer.py`` does) also sees the calls made from here.
+    ``law`` comes in the pieces that ``draw`` takes one at a time.
     """
 
     #: (design, draws or None, outcomes or None) -> stacked kernel, the ascent's objective
@@ -73,6 +73,10 @@ class Family:
     restricted_ll: Callable
     #: effect type -> (fit, table, variables) -> EffectsReport
     effects: dict
+    #: (theta, design, std) -> the outcome law at each random term's (N, 1) draws ``std``
+    law: Callable
+    #: (law piece, natural theta, rng) -> the outcome indices or counts drawn from it
+    draw: Callable
     #: (design, theta) -> message when the estimates are not interior
     boundary: Callable = lambda design, theta: None
     #: (design, draws, outcomes or None) -> ``theta -> (ll, grad)`` for fit's FD Hessian
@@ -205,14 +209,12 @@ def fit(table: ObservationTable, spec: ModelSpec,
     ``fit_mnl``, ``fit_mixed_mnl``, ``fit_nb`` and ``fit_mixed_nb`` check
     the family and forward their options here.
     """
-    if spec.is_mixed and n_draws is None:
-        raise ValueError("mixed families require n_draws")
     family = REGISTRY[spec.family]
     design = build_design(table, spec)
-    ll_restricted = family.restricted_ll(design, settings)
     draw_settings = (dict(n_draws=n_draws, seed=seed, skip=skip, shift=shift)
                      if spec.is_mixed else {})
     draws = DrawMatrix.for_design(design, **draw_settings) if draw_settings else None
+    ll_restricted = family.restricted_ll(design, settings)
     batch = maximize_rows(family, design, draws, family.start(design)[None], settings=settings)
     res = batch.row()
     hessian = (batch.hess[0] if family.objective is None

@@ -38,7 +38,7 @@ from . import serialize, simulate
 from .dataset import (DesignMatrix, ModelSpec, ObservationTable, build_design,
                       split_by_flag)
 from .draws import DrawMatrix, blocks
-from .families import REGISTRY, maximize_rows
+from .families import REGISTRY, maximize_rows, natural_from_internal
 from .optimize import FitResult, OptimSettings
 
 #: most (replicate, observation) elements in a block of refits: on large
@@ -174,8 +174,6 @@ class _Pieces:
                         for key, part in zip(self.rows, (table, part_a, part_b))}
         self.draws = {}
         if spec.is_mixed:  # the subsets' draws are the pooled draws' rows
-            if n_draws is None:
-                raise ValueError("mixed families require n_draws")
             pooled = DrawMatrix.for_design(self.designs["all"], n_draws)
             self.draws = {key: pooled.subset(rows) for key, rows in self.rows.items()}
 
@@ -260,14 +258,17 @@ def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
 
     Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so a
     row does not depend on which block it is drawn in.  Without random
-    terms the coefficients take no draws, and the means or outcome
-    probabilities they give are computed once for the block.
+    terms the block computes the outcome law once, and each replicate
+    takes the family's ``draw`` from it.
     """
+    family = REGISTRY[design.spec.family]
+    natural = natural_from_internal(theta_internal, design)[0]
     law = None if design.random_terms else simulate.outcome_law(design, theta_internal)
     out = np.empty((stop - start, design.n_obs), dtype=np.int64)
     for row, i in zip(out, range(start, stop)):
-        row[:] = simulate.draw_outcomes(design, theta_internal, np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, i)))), law)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        row[:] = (simulate.draw_outcomes(design, theta_internal, rng) if law is None
+                  else family.draw(law, natural, rng))
     return out
 
 

@@ -12,6 +12,8 @@ probabilities and effects are those of :mod:`crashmle.mnl` over the draws.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import families, mnl
@@ -19,7 +21,7 @@ from .dataset import DesignMatrix, ModelSpec, ObservationTable
 from .draws import (DrawMatrix, Mixing, first_primes, halton, is_prime, sign_share,
                     transform_draws)
 from .families import natural_from_internal
-from .mnl import _logit_effects, restricted_loglik
+from .mnl import _logit_effects
 from .optimize import FitResult
 from .reporting import EffectsReport
 
@@ -91,11 +93,9 @@ def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
     return _logit_effects(fit, table, variables, pseudo)
 
 
-families.REGISTRY["mixed_mnl"] = families.Family(
+families.REGISTRY["mixed_mnl"] = replace(
+    families.REGISTRY["mnl"],
+    boundary=lambda design, theta: None,  # no separation check yet (ROADMAP item 1)
     objective=lambda design, draws, y: make_objective(design, draws, y_index=y),
-    kernel=mnl._kernel,
-    start=lambda design: np.zeros(design.n_params),
-    restricted_ll=lambda design, settings: restricted_loglik(design),
     effects={"elasticity": lambda fit, table, v: mixed_effects(fit, table, v),
-             "pseudo": lambda fit, table, v: mixed_effects(fit, table, v,
-                                                           pseudo=True)})
+             "pseudo": lambda fit, table, v: mixed_effects(fit, table, v, pseudo=True)})

@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import draws as _draws
-from . import families
+from . import families, simulate
 from .dataset import DesignMatrix, ModelSpec, ObservationTable, build_design
 from .draws import DrawMatrix, coefficient_draws
 from .optimize import FitResult
-from .reporting import EffectRow, EffectsReport
+from .reporting import EffectRow, EffectsReport, term_targets
 
 #: predictor magnitude beyond which a fit is flagged as separated
 SEPARATION_BOUND = 30.0
@@ -339,28 +339,14 @@ def fit_mnl(table: ObservationTable, spec: ModelSpec, **options) -> FitResult:
     return families.fit(table, spec, **options)
 
 
-def _term_targets(design: DesignMatrix, variables):
-    """(variable, term index, target outcome) triples in report order.
-
-    Count-model terms have no outcomes; their target is ``""``.
-    """
-    spec = design.spec
-    if variables is None:
-        variables = []
-        for t in spec.terms:
-            if t.variable != "constant" and t.variable not in variables:
-                variables.append(t.variable)
-    triples = []
-    for var in variables:
-        if var == "constant":
-            raise ValueError("effects for the constant are not defined")
-        hits = [j for j, t in enumerate(spec.terms) if t.variable == var]
-        if not hits:
-            raise ValueError(f"variable {var!r} has no term in the model")
-        for j in hits:
-            for target in spec.terms[j].outcomes or ("",):
-                triples.append((var, j, target))
-    return triples
+def _prob_blocks(theta, design: DesignMatrix, std: tuple | None, rows=None):
+    """The logit's outcome law: the outcome probabilities (nb, I) averaged
+    over each random term's (N, R) draws ``std`` (None: fixed terms only), on
+    each observation slice of ``rows``, by default the blocks of R draws a row."""
+    slots = _slots(design, std)
+    block = _block_softmax(theta, design, slots)
+    for b in rows or _draws.blocks(design.n_obs, std[0].shape[1] if std else 1):
+        yield _draw_means(block, slots[0], b)[2]
 
 
 def _mean_probs(theta, design: DesignMatrix, draws=None,
@@ -369,11 +355,8 @@ def _mean_probs(theta, design: DesignMatrix, draws=None,
     observation ``row`` alone; evaluated in observation blocks."""
     if row is not None and not 0 <= row < design.n_obs:
         raise IndexError(f"row {row} out of range for {design.n_obs} observations")
-    slots = _slots(design, None if draws is None else draws.std)
-    block = _block_softmax(theta, design, slots)
-    rows = ([slice(row, row + 1)] if row is not None
-            else _draws.blocks(design.n_obs, 1 if draws is None else draws.n_draws))
-    out = np.concatenate([_draw_means(block, slots[0], b)[2] for b in rows])
+    out = np.concatenate(list(_prob_blocks(theta, design, None if draws is None else draws.std,
+                                           None if row is None else [slice(row, row + 1)])))
     return out if row is None else out[0]
 
 
@@ -392,7 +375,7 @@ def _logit_effects(fit: FitResult, table: ObservationTable, variables,
     draws = families.fit_draws(fit, design)
     theta = fit.theta_internal
     labels = design.outcome_labels
-    triples = _term_targets(design, variables)
+    triples = term_targets(design, variables)
     for var, j, _ in triples:
         x = design.x[:, j]
         if pseudo != bool(np.all((x == 0.0) | (x == 1.0))):
@@ -473,6 +456,9 @@ def pseudo_elasticities(fit: FitResult, table: ObservationTable,
 
 families.REGISTRY["mnl"] = families.Family(
     kernel=_kernel,
+    # one uniform per row, drawn block by block from the cumulative law
+    law=lambda *args: (np.cumsum(p, axis=1) for p in _prob_blocks(*args)),
+    draw=lambda cdf, natural, rng: simulate.draw_severity_outcomes(cdf, rng),
     start=lambda design: np.zeros(design.n_params),
     restricted_ll=lambda design, settings: restricted_loglik(design),
     effects={"elasticity": lambda fit, table, v: elasticities(fit, table, v),

@@ -19,13 +19,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import draws as _draws
-from . import families
+from . import families, simulate
 from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       Term, as_counts, build_design)
 from .draws import DrawMatrix, coefficient_draws
-from .mnl import _term_targets
 from .optimize import FitResult, OptimSettings
-from .reporting import EffectRow, EffectsReport
+from .reporting import EffectRow, EffectsReport, term_targets
 
 #: largest count whose dispersion tables are summed term by term; a larger
 #: count continues from the entries at TAIL_START in closed form (:func:`_poch_tail`)
@@ -134,6 +133,14 @@ def _eta_draws(theta, design: DesignMatrix, std: tuple | None,
         term *= design.x[rows, j, None]
         eta = np.add(eta, term, out=total)
     return eta
+
+
+def _mean_blocks(theta, design: DesignMatrix, std: tuple | None):
+    """The NB's outcome law: each observation block ``b`` and its means per draw
+    (nb, R) at each random term's (N, R) draws ``std``, as the kernel has them."""
+    product = _location(theta, design)
+    for b in _draws.blocks(design.n_obs, std[0].shape[1] if std else 1):
+        yield b, np.exp(_eta_draws(theta, design, std, b, product))
 
 
 def _carve(flat: np.ndarray, *shapes):
@@ -426,11 +433,9 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
     design = build_design(table, fit.spec)
     theta = fit.theta_internal
     draws = families.fit_draws(fit, design)
-    triples, product = _term_targets(design, variables), _location(theta, design)
-    std, n_draws = (None, 1) if draws is None else (draws.std, draws.n_draws)
+    triples, n_draws = term_targets(design, variables), 1 if draws is None else draws.n_draws
     sums = []
-    for b in _draws.blocks(design.n_obs, n_draws):
-        lam = np.exp(_eta_draws(theta, design, std, b, product))  # (nb, R)
+    for b, lam in _mean_blocks(theta, design, None if draws is None else draws.std):
         sums.append([(lam * coefficient_draws(theta, design, draws, j, rows=b)).sum()
                      for _, j, _ in triples])
         lam = None  # freed before the next block allocates its own
@@ -442,6 +447,10 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
 
 families.REGISTRY["nb"] = families.Family(
     kernel=_kernel,
+    # one piece: the gamma stage draws every mean's multiplier before the Poisson draws
+    law=lambda theta, design, std: [np.concatenate([
+        lam[:, 0] for _, lam in _mean_blocks(theta, design, std)])],
+    draw=lambda lam, natural, rng: simulate.draw_counts(lam, natural[-1], rng),
     start=_default_theta0,
     restricted_ll=_intercept_only_ll,
     effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)})

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import serialize
-from .dataset import term_param_name
+from .dataset import CONSTANT, DesignMatrix, term_param_name
 from .draws import Mixing, sign_share
 from .optimize import FitResult
 
@@ -60,6 +60,30 @@ class EffectsReport:
             **{k: np.array([getattr(r, k) for r in self.rows], dtype=object) for k in text},
             "value": np.array([r.value for r in self.rows], dtype=np.float64),
             "elastic": np.array([r.elastic for r in self.rows], dtype=bool)})
+
+
+def term_targets(design: DesignMatrix, variables):
+    """An effects report's (variable, term index, target outcome) triples.
+
+    Count-model terms have no outcomes; their target is ``""``.
+    """
+    spec = design.spec
+    if variables is None:
+        variables = []
+        for t in spec.terms:
+            if t.variable != CONSTANT and t.variable not in variables:
+                variables.append(t.variable)
+    triples = []
+    for var in variables:
+        if var == CONSTANT:
+            raise ValueError("effects for the constant are not defined")
+        hits = [j for j, t in enumerate(spec.terms) if t.variable == var]
+        if not hits:
+            raise ValueError(f"variable {var!r} has no term in the model")
+        for j in hits:
+            for target in spec.terms[j].outcomes or ("",):
+                triples.append((var, j, target))
+    return triples
 
 
 def fmt_est(v: float) -> str:

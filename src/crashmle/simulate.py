@@ -2,10 +2,10 @@
 
 All randomness flows from numpy's PCG64 bit generator.  A top-level
 seed is split with ``SeedSequence.spawn`` into three independent
-streams (covariates, coefficient mixing, outcomes).  The outcome law is
-the likelihood kernels' own per-block law at one draw per row, each
-random term's mixing draw, so a mixed-family generator run with all
-scales at zero uses the covariate and outcome streams exactly like its
+streams (covariates, coefficient mixing, outcomes).  The outcome law and
+draw are the family's (``Family.law``, ``Family.draw``), at one draw per
+row, each random term's mixing draw, so a mixed-family generator run with
+all scales at zero uses the covariate and outcome streams exactly like its
 plain counterpart, and its law agrees with the plain one to rounding.
 Normal and mixing variates are produced by the inverse-CDF
 transform of uniforms, :func:`crashmle.draws.standard_draws`, never by
@@ -21,9 +21,8 @@ import numpy as np
 from . import serialize
 from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
                       build_design, expected_param_names)
-from .draws import blocks, standard_draws
-from .mnl import _block_softmax, _draw_means, _slots
-from .negbin import _eta_draws, _location
+from .draws import standard_draws
+from .families import REGISTRY, natural_from_internal
 
 #: each recipe kind's parameters, in the order ``to_dict`` writes them
 RECIPE_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
@@ -191,24 +190,6 @@ def coefficient_matrix(design: DesignMatrix, locs, scales, mix_rng) -> np.ndarra
     return coef
 
 
-def _outcome_laws(design: DesignMatrix, theta: np.ndarray, std: tuple):
-    """What the outcome draws take, block by block of observations
-    (:func:`crashmle.draws.blocks`): the (nb,) NB means of a count design,
-    the (nb, I) cumulative outcome probabilities of a severity design.
-    Each is the likelihood kernel's own law at one draw per row:
-    ``theta`` is packed like a fit's ``theta_internal``, and ``std`` holds
-    each random term's (N, 1) :func:`_mixing_draws`."""
-    if design.spec.is_severity:
-        slots = _slots(design, std)
-        block = _block_softmax(theta, design, slots)
-        for b in blocks(design.n_obs, 1):
-            yield np.cumsum(_draw_means(block, slots[0], b)[2], axis=1)
-    else:
-        product = _location(theta, design)
-        for b in blocks(design.n_obs, 1):
-            yield np.exp(_eta_draws(theta, design, std, b, product))[:, 0]
-
-
 def draw_severity_outcomes(cdf: np.ndarray, out_rng: np.random.Generator) -> np.ndarray:
     """Outcome indices from (N, I) cumulative probabilities (one uniform
     per row)."""
@@ -225,62 +206,63 @@ def draw_counts(lam: np.ndarray, alpha: float,
     return out_rng.poisson(lam * g).astype(np.int64)
 
 
-def _generate(config: DgpConfig) -> ObservationTable:
-    cov_rng, mix_rng, out_rng = _streams(config.seed)
+def _labels(spec: ModelSpec, outcome: np.ndarray) -> np.ndarray:
+    """A severity spec's labels of the outcome indices; counts as they are."""
+    return np.asarray(spec.outcomes)[outcome] if spec.is_severity else outcome
+
+
+def _draw(design: DesignMatrix, theta: np.ndarray, natural: np.ndarray,
+          mix_rng, out_rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices or counts: the family's law at the packed ``theta`` and
+    one ``mix_rng`` draw per row, drawn from ``out_rng`` at ``natural``."""
+    family = REGISTRY[design.spec.family]
+    laws = family.law(theta, design, _mixing_draws(design, mix_rng))
+    return np.concatenate([family.draw(law, natural, out_rng) for law in laws])
+
+
+def _generate(config: DgpConfig, family: str) -> ObservationTable:
     spec = config.spec
+    if spec.family != family:
+        raise ValueError(f"config family is {spec.family!r}, expected {family!r}")
+    cov_rng, mix_rng, out_rng = _streams(config.seed)
     columns = {name: recipe.draw(cov_rng, config.n)
                for name, recipe in config.covariates.items()}
-    mode = "severity" if spec.is_severity else "frequency"
-    placeholder = (np.zeros(config.n, dtype=np.int64) if mode == "frequency"
-                   else np.full(config.n, spec.outcomes[0]))
     law_columns = dict(columns)
     if config.influence is not None:  # the law takes the capped distance, the table the raw
         column, cap = config.influence
         law_columns[column] = np.minimum(columns[column], cap)
-    design = build_design(ObservationTable(law_columns, placeholder, mode), spec)
+    placeholder = _labels(spec, np.zeros(config.n, dtype=np.int64))
+    design = build_design(ObservationTable(law_columns, placeholder, spec.mode), spec)
     # the true parameters packed like a fit's: a zero scale's log is -inf,
-    # and its coefficient is exactly the location
-    theta = np.array([config.params[name] for name in design.param_names])
+    # and its coefficient is exactly the location; the draws take them as given
+    natural = np.array([config.params[name] for name in design.param_names])
+    theta = natural.copy()
     with np.errstate(divide="ignore"):
-        theta[design.log_pos] = np.log(theta[design.log_pos])
-    laws = _outcome_laws(design, theta, _mixing_draws(design, mix_rng))
-    if spec.is_severity:  # one uniform per row, drawn block by block
-        index = np.concatenate([draw_severity_outcomes(cdf, out_rng) for cdf in laws])
-        outcome = np.asarray(spec.outcomes)[index]
-    else:
-        outcome = draw_counts(np.concatenate(list(laws)), config.params["alpha"], out_rng)
-    return ObservationTable(columns, outcome, mode)
-
-
-def _require_family(config: DgpConfig, family: str):
-    if config.spec.family != family:
-        raise ValueError(f"config family is {config.spec.family!r}, expected {family!r}")
+        theta[design.log_pos] = np.log(natural[design.log_pos])
+    outcome = _draw(design, theta, natural, mix_rng, out_rng)
+    return ObservationTable(columns, _labels(spec, outcome), spec.mode)
 
 
 def gen_mnl(config: DgpConfig) -> ObservationTable:
     """Multinomial logit data at the true coefficients."""
-    _require_family(config, "mnl")
-    return _generate(config)
+    return _generate(config, "mnl")
 
 
 def gen_mixed_mnl(config: DgpConfig) -> ObservationTable:
     """Mixed logit data, one mixing draw per row; zero scales take
     :func:`gen_mnl`'s streams and its law, to rounding."""
-    _require_family(config, "mixed_mnl")
-    return _generate(config)
+    return _generate(config, "mixed_mnl")
 
 
 def gen_nb(config: DgpConfig) -> ObservationTable:
     """Negative binomial counts via the gamma-Poisson mixture."""
-    _require_family(config, "nb")
-    return _generate(config)
+    return _generate(config, "nb")
 
 
 def gen_mixed_nb(config: DgpConfig) -> ObservationTable:
     """Random-coefficient NB counts, one mixing draw per row; zero scales
     take :func:`gen_nb`'s streams and its means, to rounding."""
-    _require_family(config, "mixed_nb")
-    return _generate(config)
+    return _generate(config, "mixed_nb")
 
 
 def gen_influence(config: DgpConfig) -> ObservationTable:
@@ -289,46 +271,40 @@ def gen_influence(config: DgpConfig) -> ObservationTable:
     The table keeps the raw distances; only the data-generating
     predictor uses min(distance, cap).
     """
-    _require_family(config, "mnl")
     if config.influence is None:
         raise ValueError("config.influence must name the distance column and cap")
-    return _generate(config)
+    return _generate(config, "mnl")
 
 
 def generate(config: DgpConfig) -> ObservationTable:
     """Family-dispatching front end used by the CLI."""
     if config.influence is not None:
         return gen_influence(config)
-    return _generate(config)
+    return _generate(config, config.spec.family)
 
 
 def outcome_law(design: DesignMatrix, theta_internal: np.ndarray,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """The part of :func:`draw_outcomes` before the outcome draws: the
-    (N,) NB means of a count design, or the (N, I) cumulative outcome
-    probabilities of a severity design, at per-row coefficients whose
-    mixing draws come from ``rng``.  A design without random terms takes
-    no draws, and ``rng`` may be None."""
+    """The part of :func:`draw_outcomes` before the outcome draws, the whole
+    ``Family.law``: the (N,) NB means or the (N, I) cumulative outcome
+    probabilities at per-row coefficients whose mixing draws come from ``rng``
+    (None for a design without random terms, which takes no draws)."""
     theta = np.asarray(theta_internal, dtype=np.float64)
-    return np.concatenate(list(_outcome_laws(design, theta, _mixing_draws(design, rng))))
+    laws = REGISTRY[design.spec.family].law(theta, design, _mixing_draws(design, rng))
+    return np.concatenate(list(laws))
 
 
 def draw_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
-                  rng: np.random.Generator, law: np.ndarray | None = None) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Outcome indices (severity) or counts (frequency) for ``design``.
 
     ``theta_internal`` is the packed optimizer vector of a fit of the
-    design's spec (scales and alpha as logs).  Mixing draws, the gamma
-    stage, and the outcome draws all come from ``rng`` in a fixed order.
-    ``law``, the :func:`outcome_law` of a design without random terms,
-    may be passed in when many outcome vectors are drawn from it.
+    design's spec (scales and alpha as logs).  Mixing draws, then the
+    family's outcome draws (:attr:`crashmle.families.Family.draw`: a
+    count's gamma stage, then its Poisson draw) all come from ``rng``.
     """
     theta = np.asarray(theta_internal, dtype=np.float64)
-    if law is None:
-        law = outcome_law(design, theta, rng)
-    if design.spec.is_severity:
-        return draw_severity_outcomes(law, rng)
-    return draw_counts(law, float(np.exp(theta[-1])), rng)
+    return _draw(design, theta, natural_from_internal(theta, design)[0], rng, rng)
 
 
 def redraw_outcomes(spec: ModelSpec, theta_internal: np.ndarray,
@@ -340,6 +316,4 @@ def redraw_outcomes(spec: ModelSpec, theta_internal: np.ndarray,
     are those of :func:`draw_outcomes`.
     """
     outcome = draw_outcomes(build_design(table, spec), theta_internal, rng)
-    if spec.is_severity:
-        outcome = np.asarray(spec.outcomes)[outcome]
-    return ObservationTable(dict(table.columns), outcome, table.mode)
+    return ObservationTable(dict(table.columns), _labels(spec, outcome), table.mode)

@@ -6,7 +6,9 @@ that holds it, as ``mixed.REEXPORTED`` does), and every private
 module-level function, class and assigned name must be referenced
 somewhere in the package outside its own definition.  A private
 module-level function's default is dead when every package call of the
-function passes that parameter: the default has no caller.
+function passes that parameter: the default has no caller.  A family
+module's private names are read within its own family alone: the logit
+family's (``mnl``, ``mixed``) nowhere else, ``negbin``'s nowhere else.
 """
 
 import ast
@@ -128,3 +130,30 @@ def dead_defaults(module):
 @pytest.mark.parametrize("module", list(TREES))
 def test_no_private_function_has_a_default_every_call_passes(module):
     assert dead_defaults(module) == []
+
+
+#: each family module's family: its private names are read within it alone
+FAMILY_OF = {"mnl": "logit", "mixed": "logit", "negbin": "negbin"}
+
+
+def foreign_private_reads(module):
+    """``family_module._name`` for each private name of another family's
+    module that ``module`` reads: imported from it by name, or read as an
+    attribute of the module object an import binds."""
+    tree = TREES[module]
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    bound = {a.asname or a.name: a.name
+             for node in imports if node.module is None for a in node.names}
+    reads = [(node.module, a.name) for node in imports if node.module for a in node.names]
+    reads += [(bound[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
+    return sorted({f"{owner}.{name}" for owner, name in reads
+                   if owner in FAMILY_OF and FAMILY_OF[owner] != FAMILY_OF.get(module)
+                   and name.startswith("_") and not name.startswith("__")})
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_no_module_reads_another_familys_private_names(module):
+    assert foreign_private_reads(module) == []
