@@ -24,10 +24,14 @@ elements.  The kernels bound their own working memory.  A stacked NB
 refit does not depend on the rows fitted with it, so NB statistics are
 the same, bit for bit, for every block size; logit statistics agree to
 1e-6 (the logit kernel's observation blocks depend on the rows per call).
+Replicate ``i`` draws from ``SeedSequence((seed, i))``, whose state a port
+of numpy's hash computes a block at a time (checked against numpy's).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -250,23 +254,78 @@ def simulate_under_null(fit: FitResult, table: ObservationTable,
     return simulate.redraw_outcomes(fit.spec, fit.theta_internal, table, rng)
 
 
+def _seed_hash(const: int, mult: int):
+    """numpy's ``SeedSequence`` word hash on uint32 arrays, stepping ``const``."""
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_words
+
+
+def _replicate_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each
+    replicate ``i`` in ``start..stop-1``, one row each, by numpy's seed hash
+    (NEP 19 keeps it fixed) on all rows at once.  The entropy is the seed's,
+    then ``i``'s, little-endian 32-bit words (0 is one zero word)."""
+    seed, start, stop = map(operator.index, (seed, start, stop))
+    if seed < 0 or start < 0:
+        raise ValueError("seed and replicate indices must be non-negative")
+    if stop < start:
+        raise ValueError(f"replicate range {start}..{stop} ends before it starts")
+    if start < 1 << 32 < stop:  # from 2**32 on, i has a second word
+        return np.concatenate([_replicate_states(seed, start, 1 << 32),
+                               _replicate_states(seed, 1 << 32, stop)])
+    index = np.arange(start, stop, dtype=np.uint64)
+    words = ([seed >> 32 * k & 0xFFFFFFFF for k in range((seed.bit_length() + 31) // 32 or 1)]
+             + [index >> np.uint64(32 * k) for k in range(1 + (start >= 1 << 32))])
+    words = [np.broadcast_to(w, index.shape).astype(np.uint32)  # zeros fill the pool
+             for w in words + [0] * (4 - len(words))]
+    hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    # each pool word into every other, then each word beyond the pool into all
+    for src, dst in [*itertools.permutations(range(4), 2),
+                     *itertools.product(range(4, len(words)), range(4))]:
+        mixed = (np.uint32(0xCA01F9DD) * pool[dst]
+                 - np.uint32(0x4973F715) * hashmix((pool if src < 4 else words)[src]))
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    walk = _seed_hash(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([walk(pool[k % 4]) for k in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass
+class _PresetState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one precomputed state."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset state holds 4 uint64 words only")
+        return self.state
+
+
 def replicate_outcomes(design: DesignMatrix, theta_internal: np.ndarray,
                        seed: int, start: int, stop: int) -> np.ndarray:
     """Simulated outcome vectors of replicates ``start..stop-1``, one per row
     of an int64 (stop - start, N) array, filled in place (no rows for an
-    empty range).
+    empty range; a reversed range or a negative seed or start is refused).
 
-    Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so a
-    row does not depend on which block it is drawn in.  Without random
-    terms the block computes the outcome law once, and each replicate
-    takes the family's ``draw`` from it.
+    Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, its state
+    computed with the block's by :func:`_replicate_states`, so a row does
+    not depend on the block.  Without random terms the block computes the
+    outcome law once, and each replicate takes the family's ``draw``.
     """
+    states = _replicate_states(seed, start, stop)
     family = REGISTRY[design.spec.family]
     natural = natural_from_internal(theta_internal, design)[0]
     law = None if design.random_terms else simulate.outcome_law(design, theta_internal)
     out = np.empty((stop - start, design.n_obs), dtype=np.int64)
-    for row, i in zip(out, range(start, stop)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+    for row, state in zip(out, states):
+        rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
         row[:] = (simulate.draw_outcomes(design, theta_internal, rng) if law is None
                   else family.draw(law, natural, rng))
     return out
@@ -315,8 +374,8 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     each stage one call of :func:`crashmle.families.maximize_rows`.  A
     separated MNL refit counts as not converged.  Statistics of every
     family agree with one serial refit per replicate to within 1e-6.
-    Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone, so
-    outcomes do not depend on execution order.
+    Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone (its state
+    computed a block at a time), so outcomes do not depend on execution order.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")

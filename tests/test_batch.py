@@ -673,6 +673,22 @@ def test_an_empty_range_of_replicates_draws_no_outcomes():
             assert block.shape == (rows, table.n_rows) and block.dtype == np.int64
 
 
+def test_mixed_replicate_outcomes_follow_the_per_replicate_streams():
+    # a mixed replicate draws its mixing draws, then its outcomes, from
+    # the one stream SeedSequence((seed, i))
+    for table, spec in ((nb_table(), MIXED_NB_SPEC), (mnl_table(), MIXED_SPEC)):
+        design = build_design(table, spec)
+        theta = np.linspace(0.1, 0.5, design.n_params)
+        block = lrtest.replicate_outcomes(design, theta, 11, 3, 7)
+        assert block.shape == (4, table.n_rows)
+        for row, i in enumerate(range(3, 7)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, i))))
+            sim = redraw_outcomes(spec, theta, table, rng)
+            want = (build_design(sim, spec).y_index if spec.is_severity
+                    else sim.outcome)
+            np.testing.assert_array_equal(block[row], want)
+
+
 # ---------------------------------------------------- the Monte Carlo loop
 
 def serial_replicate(table, spec, theta_observed, outcome, draws=None):
@@ -730,6 +746,19 @@ def test_mc_matches_a_serial_refit_loop(family):
     kept = np.array([x2 for x2, why in reference if why == ""])
     assert result.replicates_kept == kept.size
     assert result.replicates_dropped == replicates - kept.size
+    for reason in lrtest.DROP_REASONS:
+        assert result.replicates_dropped_by_reason[reason] == \
+            sum(why == reason for _, why in reference)
+    np.testing.assert_allclose(result.null_stats, kept, rtol=0.0, atol=1e-6)
+
+
+def test_mc_matches_a_serial_refit_loop_at_a_multi_word_seed():
+    # a seed of 2**32 or more enters SeedSequence as two or more words
+    table, seed = nb_table(122, seed=5), 2**32 + 1
+    result = lrtest.mc_null_distribution(table, NB_SPEC, "flag", replicates=40, seed=seed)
+    reference = serial_null(table, NB_SPEC, 40, seed)
+    kept = np.array([x2 for x2, why in reference if why == ""])
+    assert result.replicates_kept == kept.size
     for reason in lrtest.DROP_REASONS:
         assert result.replicates_dropped_by_reason[reason] == \
             sum(why == reason for _, why in reference)
