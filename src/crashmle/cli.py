@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="observations CSV")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--outcome-column", default="outcome")
-    p.add_argument("--type", required=True,
-                   choices=["elasticity", "pseudo", "marginal"])
+    p.add_argument("--type", required=True, choices=list(dict.fromkeys(
+        kind for family in families.REGISTRY.values() for kind in family.effects)))
     p.add_argument("--vars", help="comma-separated variables (default: all)")
     p.set_defaults(func=cmd_effects)
 

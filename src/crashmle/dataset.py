@@ -24,11 +24,13 @@ FREQUENCY = "frequency"
 MODES = (SEVERITY, FREQUENCY)
 
 FAMILIES = ("mnl", "mixed_mnl", "nb", "mixed_nb")
-SEVERITY_FAMILIES = ("mnl", "mixed_mnl")
-FREQUENCY_FAMILIES = ("nb", "mixed_nb")
+SEVERITY_FAMILIES = ("mnl", "mixed_mnl")  # the others are frequency families
 MIXED_FAMILIES = ("mixed_mnl", "mixed_nb")
 
-TERM_KINDS = ("fixed", "random_normal", "random_uniform")
+#: each term kind's mixing distribution, as a spec file's ``dist`` names it
+_KIND_TO_DIST = {"fixed": "fixed", "random_normal": "normal", "random_uniform": "uniform"}
+_DIST_TO_KIND = {v: k for k, v in _KIND_TO_DIST.items()}
+TERM_KINDS = tuple(_KIND_TO_DIST)
 
 #: pseudo-variable that expands to a column of ones
 CONSTANT = "constant"
@@ -91,8 +93,8 @@ class ObservationTable:
 
     def subset(self, index: np.ndarray) -> "ObservationTable":
         """Row subset (boolean mask or integer index array), order preserved."""
-        cols = {name: arr[index].copy() for name, arr in self.columns.items()}
-        return ObservationTable(cols, self.outcome[index].copy(), self.mode, 0)
+        cols = {name: arr[index] for name, arr in self.columns.items()}
+        return ObservationTable(cols, self.outcome[index], self.mode, 0)
 
     def to_csv(self, path, outcome_column: str = "outcome") -> None:
         """Write the table as CSV by :func:`crashmle.serialize.write_csv`,
@@ -325,6 +327,11 @@ class Term:
         return self.kind != "fixed"
 
     @property
+    def dist(self) -> str:
+        """The spec file's ``dist``: ``normal``, ``uniform``, or ``fixed``."""
+        return _KIND_TO_DIST[self.kind]
+
+    @property
     def n_params(self) -> int:
         """Location only for fixed terms, location plus scale otherwise."""
         return 2 if self.is_random else 1
@@ -379,7 +386,7 @@ class ModelSpec:
                 if t.outcomes:
                     raise ValueError(
                         f"term {t.variable!r} lists outcomes in a frequency model")
-        if self.family in ("mnl", "nb"):
+        if not self.is_mixed:
             for t in self.terms:
                 if t.is_random:
                     raise ValueError(
@@ -400,7 +407,7 @@ class ModelSpec:
 
     @property
     def is_frequency(self) -> bool:
-        return self.family in FREQUENCY_FAMILIES
+        return not self.is_severity
 
     @property
     def is_mixed(self) -> bool:
@@ -413,7 +420,7 @@ class ModelSpec:
     def to_dict(self) -> dict:
         d = {"family": self.family,
              "terms": [{"var": t.variable, "outcomes": list(t.outcomes),
-                        "dist": _KIND_TO_DIST[t.kind]} for t in self.terms]}
+                        "dist": t.dist} for t in self.terms]}
         if self.is_severity:
             d["outcomes"] = list(self.outcomes)
             d["base"] = self.base_outcome
@@ -447,8 +454,6 @@ class ModelSpec:
                          None if base is None else serialize.string(base, "model spec base"))
 
 
-_DIST_TO_KIND = {"fixed": "fixed", "normal": "random_normal", "uniform": "random_uniform"}
-_KIND_TO_DIST = {v: k for k, v in _DIST_TO_KIND.items()}
 #: the keys of a spec object besides ``terms`` (INI's ``[term]`` sections), and of a term
 _MODEL_KEYS, _TERM_KEYS = ("family", "outcomes", "base"), ("var", "outcomes", "dist")
 
@@ -511,7 +516,7 @@ def term_param_name(term: Term, severity: bool) -> str:
 
 
 def scale_param_name(term: Term, severity: bool) -> str:
-    suffix = "sd" if term.kind == "random_normal" else "spread"
+    suffix = "sd" if term.dist == "normal" else "spread"
     return f"{term_param_name(term, severity)}:{suffix}"
 
 

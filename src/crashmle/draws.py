@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .dataset import _KIND_TO_DIST, DesignMatrix
+from .dataset import DesignMatrix
 
 MIN_DRAWS = 25
 
@@ -201,8 +201,7 @@ class DrawMatrix:
     def for_design(cls, design: DesignMatrix, n_draws: int | None, **options) -> "DrawMatrix":
         if n_draws is None:  # no hidden default draw count
             raise ValueError("mixed families require n_draws")
-        dists = tuple(_KIND_TO_DIST[design.spec.terms[j].kind]
-                      for j in design.random_terms)
+        dists = tuple(design.spec.terms[j].dist for j in design.random_terms)
         if not dists:
             raise ValueError("design has no random terms")
         return cls(design.n_obs, n_draws, dists, **options)

@@ -241,7 +241,9 @@ def simulate_under_null(fit: FitResult, table: ObservationTable,
                         rng: np.random.Generator | int = 0) -> ObservationTable:
     """Redraw outcomes for ``table`` from a fitted pooled model.
 
-    ``rng`` may be a Generator or a non-negative seed.  Under this
+    ``rng`` may be a Generator or a non-negative seed; a seed draws from
+    ``SeedSequence(seed)``, not from a replicate's ``SeedSequence((seed, i))``
+    as :func:`replicate_outcomes` does.  Under this
     resampling the pooled spec is the true model, so refitted statistics
     trace the null distribution of the pooling test.
     """

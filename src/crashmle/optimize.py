@@ -72,6 +72,10 @@ class OptimSettings:
 
 @dataclass
 class MaximizeResult:
+    """One problem's outcome of the ascent loop.  ``grad_inf_norm`` is
+    the gradient's infinity norm over max(1, |ll|), the quantity the
+    stop test reads."""
+
     theta: np.ndarray
     ll: float
     converged: bool

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import serialize
-from .dataset import CONSTANT, DesignMatrix, term_param_name
+from .dataset import CONSTANT, DesignMatrix, scale_param_name, term_param_name
 from .draws import Mixing, sign_share
 from .optimize import FitResult
 
@@ -69,12 +69,9 @@ def term_targets(design: DesignMatrix, variables):
     """
     spec = design.spec
     if variables is None:
-        variables = []
-        for t in spec.terms:
-            if t.variable != CONSTANT and t.variable not in variables:
-                variables.append(t.variable)
+        variables = [t.variable for t in spec.terms if t.variable != CONSTANT]
     triples = []
-    for var in variables:
+    for var in dict.fromkeys(variables):  # each variable once, where first named
         if var == CONSTANT:
             raise ValueError("effects for the constant are not defined")
         hits = [j for j, t in enumerate(spec.terms) if t.variable == var]
@@ -155,23 +152,14 @@ def _random_coefficient_lines(fit: FitResult) -> list[str]:
     if fit.spec is None or not fit.spec.is_mixed:
         return []
     lines = []
-    for term in fit.spec.terms:
-        if not term.is_random:
-            continue
+    for term in (t for t in fit.spec.terms if t.is_random):
         name = term_param_name(term, fit.spec.is_severity)
-        loc = fit.coef(name)
-        if term.kind == "random_normal":
-            scale = fit.coef(f"{name}:sd")
-            share = sign_share(Mixing("normal", loc, scale))
-            lines.append(f"  {name}: normal(mean {fmt_est(loc)}, sd {fmt_est(scale)}); "
-                         f"share below zero {share:.3f}")
-        else:
-            spread = fit.coef(f"{name}:spread")
-            share = sign_share(Mixing("uniform", loc, spread))
-            sd = spread / math.sqrt(3.0)
-            lines.append(f"  {name}: uniform(center {fmt_est(loc)}, "
-                         f"spread {fmt_est(spread)}, implied sd {fmt_est(sd)}); "
-                         f"share below zero {share:.3f}")
+        loc, scale = fit.coef(name), fit.coef(scale_param_name(term, fit.spec.is_severity))
+        law = (f"normal(mean {fmt_est(loc)}, sd {fmt_est(scale)})" if term.dist == "normal"
+               else f"uniform(center {fmt_est(loc)}, spread {fmt_est(scale)}, "
+                    f"implied sd {fmt_est(scale / math.sqrt(3.0))})")
+        share = sign_share(Mixing(term.dist, loc, scale))
+        lines.append(f"  {name}: {law}; share below zero {share:.3f}")
     return lines
 
 

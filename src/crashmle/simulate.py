@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .dataset import (_KIND_TO_DIST, CONSTANT, DesignMatrix, ModelSpec, ObservationTable,
-                      build_design, expected_param_names)
+from .dataset import (CONSTANT, DesignMatrix, ModelSpec, ObservationTable, build_design,
+                      expected_param_names, scale_param_name)
 from .draws import standard_draws
 from .families import REGISTRY, natural_from_internal
 
@@ -122,8 +122,9 @@ class DgpConfig:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise ValueError(f"params mismatch; missing {missing}, unexpected {extra}")
-        for name, value in self.params.items():
-            if (name.endswith(":sd") or name.endswith(":spread")) and value < 0:
+        for name in (scale_param_name(t, self.spec.is_severity)
+                     for t in self.spec.terms if t.is_random):
+            if self.params[name] < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.spec.is_frequency and self.params["alpha"] <= 0:
             raise ValueError("alpha must be positive")
@@ -176,7 +177,7 @@ def _mixing_draws(design: DesignMatrix, mix_rng) -> tuple:
     if design.random_terms and mix_rng is None:
         raise ValueError("the mixing draws of a design with random terms need rng")
     return tuple(standard_draws(_uniform_open(mix_rng, design.n_obs),
-                                _KIND_TO_DIST[design.spec.terms[j].kind])[:, None]
+                                design.spec.terms[j].dist)[:, None]
                  for j in design.random_terms)
 
 
@@ -203,7 +204,7 @@ def draw_counts(lam: np.ndarray, alpha: float,
     """NB counts by gamma-Poisson mixture around the means ``lam``."""
     r = 1.0 / alpha
     g = out_rng.gamma(shape=r, scale=alpha, size=lam.size)
-    return out_rng.poisson(lam * g).astype(np.int64)
+    return out_rng.poisson(lam * g).astype(np.int64, copy=False)
 
 
 def _labels(spec: ModelSpec, outcome: np.ndarray) -> np.ndarray:

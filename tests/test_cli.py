@@ -750,10 +750,14 @@ def test_argparse_rejects_missing_required_options():
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "crashmle", "--version"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "crashmle" in proc.stdout
+    # the package the tests import, whether or not it is installed
+    src = str(Path(crashmle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for module in ("crashmle", "crashmle.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, f"crashmle {crashmle.VERSION}\n"), module
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")

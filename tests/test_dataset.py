@@ -76,7 +76,8 @@ def test_table_rejects_bad_mode_and_shapes():
 
 
 def test_frequency_outcomes_coerced_and_validated():
-    for counts in (np.array([3.0, 0.0]), np.array([3, 0], dtype=np.uint64)):
+    for counts in (np.array([3.0, 0.0]), np.array([3, 0], dtype=np.uint64),
+                   np.array([3, 0], dtype=object)):
         t = ObservationTable({"x": [1.0, 2.0]}, counts, "frequency")
         assert t.outcome.dtype == np.int64
         assert list(t.outcome) == [3, 0]

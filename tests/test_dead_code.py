@@ -6,9 +6,10 @@ that holds it, as ``mixed.REEXPORTED`` does), and every private
 module-level function, class and assigned name must be referenced
 somewhere in the package outside its own definition.  A private
 module-level function's default is dead when every package call of the
-function passes that parameter: the default has no caller.  A family
-module's private names are read within its own family alone: the logit
-family's (``mnl``, ``mixed``) nowhere else, ``negbin``'s nowhere else.
+function passes that parameter: the default has no caller.  No module
+reads another module's private names, and a family's modules count as
+one module: the logit family's (``mnl``, ``mixed``) share theirs, and
+every other module is a family of its own.
 """
 
 import ast
@@ -132,13 +133,13 @@ def test_no_private_function_has_a_default_every_call_passes(module):
     assert dead_defaults(module) == []
 
 
-#: each family module's family: its private names are read within it alone
-FAMILY_OF = {"mnl": "logit", "mixed": "logit", "negbin": "negbin"}
+#: the modules that share their private names; every other module is its own family
+FAMILY_OF = {"mnl": "logit", "mixed": "logit"}
 
 
 def foreign_private_reads(module):
-    """``family_module._name`` for each private name of another family's
-    module that ``module`` reads: imported from it by name, or read as an
+    """``owner._name`` for each private name of another family's module
+    that ``module`` reads: imported from it by name, or read as an
     attribute of the module object an import binds."""
     tree = TREES[module]
     imports = [node for node in ast.walk(tree)
@@ -150,7 +151,7 @@ def foreign_private_reads(module):
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in bound]
     return sorted({f"{owner}.{name}" for owner, name in reads
-                   if owner in FAMILY_OF and FAMILY_OF[owner] != FAMILY_OF.get(module)
+                   if FAMILY_OF.get(owner, owner) != FAMILY_OF.get(module, module)
                    and name.startswith("_") and not name.startswith("__")})
 
 

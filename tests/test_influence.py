@@ -119,3 +119,6 @@ def test_separated_caps_are_not_converged_and_never_chosen():
     np.testing.assert_array_equal(profile.converged, [True, True, False, False, False])
     assert profile.ll[2:].min() > profile.ll[:2].max()
     assert profile.d_star == pytest.approx(0.1)
+    # a grid of separated caps alone has no cap to choose
+    with pytest.raises(RuntimeError, match="^no grid point converged; profile is unusable$"):
+        search_influence(table, spec, "d", 0.3, 0.5, 0.1)

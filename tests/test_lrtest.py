@@ -75,6 +75,9 @@ def test_chi2_quantile_inverts_the_survival_function():
         chi2_quantile(0.0, 3)
     with pytest.raises(ValueError):
         chi2_quantile(1.0, 3)
+    for dof in (0, -2):
+        with pytest.raises(ValueError, match="^dof must be positive$"):
+            chi2_quantile(0.5, dof)
 
 
 def test_chi2_quantile_monotone_in_p():
@@ -185,6 +188,8 @@ def test_simulate_under_null_redraws_outcomes_only():
     assert not np.array_equal(sim.outcome, table.outcome)
     again = simulate_under_null(fit, table, rng=3)
     assert np.array_equal(sim.outcome, again.outcome)
+    with pytest.raises(ValueError, match="^fit carries no model spec$"):
+        simulate_under_null(replace(fit, spec=None), table, rng=3)
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
@@ -252,6 +257,21 @@ def test_mc_histogram_csv(tmp_path):
     plain = lr_test(table, NB_SPEC, "flag")
     with pytest.raises(ValueError, match="no Monte Carlo"):
         plain.write_histogram_csv(tmp_path / "x.csv")
+
+
+def test_mc_histogram_spans_zero_to_one_when_every_statistic_is_zero(monkeypatch):
+    """Outcomes split evenly between both groups give an observed statistic
+    of exactly 0; with every replicate's 0 as well, the histogram has no
+    width of its own and spans [0, 1]."""
+    spec = ModelSpec("mnl", (Term(CONSTANT, ("a",)),), ("a", "base"), "base")
+    table = ObservationTable({"flag": np.array([1.0, 1.0, 0.0, 0.0])},
+                             np.array(["a", "base"] * 2), "severity")
+    monkeypatch.setattr(lrtest, "_replicate_block", lambda pieces, theta, outcomes: (
+        np.zeros(len(outcomes)), np.full(len(outcomes), "")))
+    result = mc_null_distribution(table, spec, "flag", replicates=20, bins=4)
+    assert result.x2 == 0.0 and result.p_mc == 1.0
+    np.testing.assert_array_equal(result.histogram_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(result.histogram_counts, [20, 0, 0, 0])
 
 
 def test_mixed_nb_null_statistics_are_non_negative():

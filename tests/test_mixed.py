@@ -1,6 +1,7 @@
 """Mixed logit: Halton draws, mixing transforms, simulated likelihood."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from crashmle.mixed import (
     simulated_probs,
     transform_draws,
 )
-from crashmle import mnl
+from crashmle import families, mnl
 from crashmle.draws import BLOCK_ELEMENTS, blocks
-from crashmle.mnl import elasticities, fit_mnl, mnl_probs
+from crashmle.mnl import elasticities, fit_mnl, mnl_probs, pseudo_elasticities
+from crashmle.negbin import marginal_effects
 
 
 def mixed_table(n=60, seed=3):
@@ -191,6 +193,8 @@ def test_a_draw_matrix_build_peaks_one_chunk_above_its_output():
 def test_draw_matrix_minimum_draws_enforced():
     with pytest.raises(ValueError, match="at least 25"):
         DrawMatrix(n_obs=2, n_draws=24, dists=("normal",))
+    with pytest.raises(ValueError, match="^n_obs must be positive$"):
+        DrawMatrix(n_obs=0, n_draws=25, dists=("normal",))
 
 
 def test_draw_matrix_shift_is_seeded_and_deterministic():
@@ -352,11 +356,17 @@ def test_fit_mixed_requires_mixed_family():
     plain = ModelSpec("mnl", (Term("x1", ("a",)),), ("a", "b", "base"), "base")
     with pytest.raises(ValueError, match="mixed_mnl"):
         fit_mixed_mnl(table, plain, n_draws=25)
+    with pytest.raises(ValueError, match="^fit_mnl expects family 'mnl', got 'mixed_mnl'$"):
+        fit_mnl(table, MIXED_SPEC)
 
 
 def test_a_mixed_fit_without_a_draw_count_names_it():
     with pytest.raises(ValueError, match="mixed families require n_draws"):
         fit_mixed_mnl(mixed_table(), MIXED_SPEC, n_draws=None)
+    # nor are the draws of a mixed fit that records no count rebuilt
+    design = build_design(mixed_table(), MIXED_SPEC)
+    with pytest.raises(ValueError, match="^fit carries no draw count; was it a mixed fit\\?$"):
+        families.fit_draws(SimpleNamespace(spec=MIXED_SPEC, n_draws=None), design)
 
 
 # ----------------------------------------------------------------- effects
@@ -473,6 +483,14 @@ def test_mixed_effects_requires_mixed_fit():
     fit = fit_mnl(table, plain_spec)
     with pytest.raises(ValueError, match="mixed"):
         mixed_effects(fit, table)
+    # and the plain families' effects refuse a fit of another family
+    with pytest.raises(ValueError, match="^marginal_effects requires an nb or mixed_nb fit$"):
+        marginal_effects(fit, table)
+    mixed_fit = SimpleNamespace(spec=MIXED_SPEC)
+    for effects in (elasticities, pseudo_elasticities):
+        with pytest.raises(ValueError, match=f"^{effects.__name__} requires a plain mnl fit; "
+                                             f"use mixed_effects for mixed fits$"):
+            effects(mixed_fit, table)
 
 
 # ------------------------------------------------- blocked logit kernel

@@ -83,6 +83,9 @@ def test_probabilities_sum_to_one_and_match_row_accessor():
     for row in (0, 17, 59):
         np.testing.assert_allclose(mnl_prob(theta, design, row), probs[row],
                                    rtol=1e-15)
+    for row in (-1, 60):
+        with pytest.raises(IndexError, match=f"row {row} out of range for 60"):
+            mnl_prob(theta, design, row)
 
 
 def test_loglik_matches_direct_recomputation():

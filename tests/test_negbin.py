@@ -206,6 +206,8 @@ def test_fit_requires_nb_family():
                                           (Term(CONSTANT),
                                            Term("z1", (), "random_normal"),
                                            Term("z2"))))
+    with pytest.raises(ValueError, match="^fit_mixed_nb expects family 'mixed_nb', got 'nb'$"):
+        fit_mixed_nb(count_table(50), NB_SPEC, n_draws=25)
 
 
 # ----------------------------------------------------------------- mixed
@@ -586,6 +588,8 @@ def test_marginal_effects_match_finite_difference_of_mean_rate():
     lam_dn = np.exp(design.x @ beta - h * beta[1])
     fd = (lam_up - lam_dn).mean() / (2.0 * h)
     assert report.rows[0].value == pytest.approx(fd, rel=1e-5)
+    # a variable named twice is reported once
+    assert marginal_effects(fit, table, ["z1", "z1"]).rows == report.rows
 
 
 def test_marginal_effects_reject_the_constant():

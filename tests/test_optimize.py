@@ -16,6 +16,7 @@ from crashmle.optimize import (
     maximize,
     summarize,
 )
+from crashmle.reporting import fit_table_text
 
 
 def quadratic(center, hess):
@@ -274,6 +275,12 @@ def test_summarize_computes_t_and_rho2():
     assert fit.t_ratio("b") == pytest.approx(-0.5)
     assert fit.mcfadden_rho2 == pytest.approx(0.5)
     assert fit.n_params == 2
+    # a restricted log-likelihood of zero: rho-squared is 0 at ll 0, else undefined
+    zero = dict(param_names=("a",), converged=True, iterations=1, n_obs=10,
+                family="mnl", theta_internal=np.array([1.0]))
+    assert summarize(np.array([1.0]), np.eye(1), 0.0, 0.0, **zero).mcfadden_rho2 == 0.0
+    with pytest.warns(RuntimeWarning, match="may be swapped"):
+        assert np.isnan(summarize(np.array([1.0]), np.eye(1), -1.0, 0.0, **zero).mcfadden_rho2)
 
 
 def test_summarize_warns_on_swapped_likelihoods():
@@ -291,6 +298,9 @@ def test_summarize_handles_missing_covariance():
     assert np.isnan(fit.se("a"))
     assert np.isnan(fit.t_ratio("a"))
     assert not fit.converged
+    # the table prints an undefined error and t-ratio as nan
+    row = next(line for line in fit_table_text(fit).splitlines() if line.startswith("a "))
+    assert row.split() == ["a", "1", "nan", "nan"]
 
 
 def test_fit_result_round_trip():
