@@ -45,12 +45,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class ObservationTable:
     """Immutable rectangular data set.
 
+    It reads each array through a read-only view and copies one only to
+    give it its type, so writing afterwards to a float64 column, int64
+    counts or string labels it was given writes to the table.
+
     Parameters
     ----------
     columns : dict[str, np.ndarray]
         Covariate columns, float64, all the same length.
-    outcome : np.ndarray
-        Severity labels (strings) or frequency counts (int64).
+    outcome : np.ndarray or list
+        Severity labels, held as strings, or frequency counts, held as int64.
     mode : str
         ``"severity"`` or ``"frequency"``.
     n_dropped : int
@@ -73,15 +77,13 @@ class ObservationTable:
                 raise ValueError(f"column {name!r} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"column {name!r} contains non-finite values")
-            cols[name] = _readonly(arr)
+            cols[name] = _readonly(arr.view())
         if self.mode == FREQUENCY:
             out = as_counts(self.outcome, "frequency outcomes")
-        else:
-            out = np.asarray(self.outcome)
-            if out.dtype.kind not in ("U", "O"):
-                out = out.astype(str)
+        else:  # labels as strings, whatever array or list they come in
+            out = np.asarray(self.outcome, dtype=str)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "outcome", _readonly(out))
+        object.__setattr__(self, "outcome", _readonly(out.view()))
 
     @property
     def n_rows(self) -> int:
@@ -105,10 +107,10 @@ class ObservationTable:
 
 
 def as_counts(values, what: str) -> np.ndarray:
-    """``values`` as int64 counts: integers, or floats within 1e-9 of an
-    integer, none negative; Python integers of any size, unsigned and
-    float values inside the int64 range (checked before the cast;
-    infinities too).  ``what`` names them."""
+    """``values`` as int64 counts, an int64 array as it is: integers, or
+    floats within 1e-9 of an integer, none negative; Python integers of
+    any size, unsigned and float values inside the int64 range (checked
+    before the cast; infinities too).  ``what`` names them."""
     out = np.asarray(values)
     if out.dtype.kind == "O":  # numpy holds integers beyond 64 bits as objects
         if np.any((out < -2 ** 63) | (out >= 2 ** 63)):
@@ -123,7 +125,7 @@ def as_counts(values, what: str) -> np.ndarray:
         if not np.all(np.abs(out - rounded) < 1e-9):
             raise ValueError(f"{what} must be integers")
         out = rounded
-    out = out.astype(np.int64)
+    out = out.astype(np.int64, copy=False)
     if out.min(initial=0) < 0:
         raise ValueError(f"{what} must be non-negative")
     return out
@@ -233,8 +235,11 @@ def _load_typed(fh, header, out_pos, mode, outcome_labels):
         outcome = np.asarray(labels)
     elif np.any(outcome < 0):
         return None
+    else:  # a copy: a view would keep the whole record array
+        outcome = np.ascontiguousarray(outcome)
     columns = {name: np.ascontiguousarray(data[str(i)])
                for i, name in enumerate(header) if i != out_pos}
+    del data  # the table checks its columns without the record array beside them
     return ObservationTable(columns, outcome, mode, 0)
 
 
@@ -283,11 +288,7 @@ def _load_rows(path, mode: str, outcome_column: str,
 
     data = np.asarray(cov_rows, dtype=np.float64).reshape(len(cov_rows), len(cov_names))
     columns = {name: data[:, j] for j, name in enumerate(cov_names)}
-    if mode == SEVERITY:
-        outcome = np.asarray(outcomes)
-    else:
-        outcome = np.asarray(outcomes, dtype=np.int64)
-    return ObservationTable(columns, outcome, mode, n_dropped)
+    return ObservationTable(columns, outcomes, mode, n_dropped)
 
 
 def split_by_flag(table: ObservationTable, flag_column: str):
@@ -599,7 +600,7 @@ class DesignMatrix:
             # each label's place among the sorted outcomes, then its index
             order = np.argsort(spec.outcomes)
             ranked = np.asarray(spec.outcomes)[order]
-            at = np.searchsorted(ranked, table.outcome.astype(str, copy=False)).clip(max=n_out - 1)
+            at = np.searchsorted(ranked, table.outcome).clip(max=n_out - 1)
             unknown = np.flatnonzero(ranked[at] != table.outcome)
             if unknown.size:
                 raise ValueError(

@@ -65,6 +65,8 @@ class Family:
     ``law`` comes in the pieces that ``draw`` takes one at a time.
     """
 
+    #: the model's name in a fit table's heading
+    title: str
     #: (design, draws or None, outcomes or None) -> stacked kernel, the ascent's objective
     kernel: Callable
     #: design -> default start vector

@@ -95,6 +95,7 @@ def mixed_effects(fit: FitResult, table: ObservationTable, variables=None,
 
 families.REGISTRY["mixed_mnl"] = replace(
     families.REGISTRY["mnl"],
+    title="mixed multinomial logit",
     boundary=lambda design, theta: None,  # no separation check yet (ROADMAP item 1)
     objective=lambda design, draws, y: make_objective(design, draws, y_index=y),
     effects={"elasticity": lambda fit, table, v: mixed_effects(fit, table, v),

@@ -455,6 +455,7 @@ def pseudo_elasticities(fit: FitResult, table: ObservationTable,
 
 
 families.REGISTRY["mnl"] = families.Family(
+    title="multinomial logit",
     kernel=_kernel,
     # one uniform per row, drawn block by block from the cumulative law
     law=lambda *args: (np.cumsum(p, axis=1) for p in _prob_blocks(*args)),

@@ -446,6 +446,7 @@ def marginal_effects(fit: FitResult, table: ObservationTable,
 
 
 families.REGISTRY["nb"] = families.Family(
+    title="negative binomial",
     kernel=_kernel,
     # one piece: the gamma stage draws every mean's multiplier before the Poisson draws
     law=lambda theta, design, std: [np.concatenate([
@@ -456,5 +457,6 @@ families.REGISTRY["nb"] = families.Family(
     effects={"marginal": lambda fit, table, v: marginal_effects(fit, table, v)})
 families.REGISTRY["mixed_nb"] = replace(
     families.REGISTRY["nb"],
+    title="mixed negative binomial",
     objective=lambda design, draws, counts: make_mixed_objective(
         design, draws, counts=counts))

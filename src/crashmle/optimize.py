@@ -343,6 +343,18 @@ def covariance(hessian: np.ndarray, scores=None) -> CovarianceResult:
     return CovarianceResult(None, np.full(len(hessian), np.nan), "undefined")
 
 
+#: :meth:`FitResult.from_dict`'s reader of a field by its annotation: (JSON value,
+#: name in messages) -> value; a null float is NaN, and a written ``shift`` a boolean
+_READERS = {
+    "float": lambda v, what: math.nan if v is None else serialize.number(v, what),
+    "int": serialize.integer, "bool": serialize.boolean, "str": serialize.string,
+    "bool | None": serialize.boolean,
+    "int | None": lambda v, what: None if v is None else serialize.integer(v, what),
+    "np.ndarray": lambda v, what: np.array([_READERS["float"](x, what)
+                                            for x in serialize.array(v, what)]),
+}
+
+
 @dataclass
 class FitResult:
     """Estimates and fit statistics in reporting (natural) parameterization.
@@ -350,7 +362,8 @@ class FitResult:
     ``theta_hat`` holds locations, positive mixing scales, and the
     overdispersion alpha where applicable; ``theta_internal`` is the
     packed optimizer vector (scales and alpha as logs) used for warm
-    starts and post-fit computations.
+    starts and post-fit computations.  The fields are the fit file's
+    keys: :meth:`to_dict` writes each of them, and ``n_params``.
     """
 
     param_names: tuple[str, ...]
@@ -374,6 +387,10 @@ class FitResult:
     skip: int | None = None
     shift: bool | None = None
 
+    def __post_init__(self):
+        self.param_names = tuple(self.param_names)
+        self.theta_internal = np.asarray(self.theta_internal, dtype=np.float64)
+
     @property
     def n_params(self) -> int:
         return len(self.param_names)
@@ -388,27 +405,13 @@ class FitResult:
         return float(self.t_ratios[self.param_names.index(name)])
 
     def to_dict(self) -> dict:
-        return serialize.sanitize({
-            "param_names": list(self.param_names),
-            "theta_hat": self.theta_hat,
-            "standard_errors": self.standard_errors,
-            "t_ratios": self.t_ratios,
-            "ll_converged": self.ll_converged,
-            "ll_restricted": self.ll_restricted,
-            "mcfadden_rho2": self.mcfadden_rho2,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "n_obs": self.n_obs,
-            "n_params": self.n_params,
-            "family": self.family,
-            "theta_internal": self.theta_internal,
-            "spec": self.spec.to_dict() if self.spec is not None else None,
-            "se_method": self.se_method,
-            "message": self.message,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            **({} if self.skip is None else {"skip": self.skip, "shift": self.shift}),
-        })
+        """Every field, the spec as its own dict, and ``n_params``; a fit
+        without draws leaves out ``skip`` and ``shift``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.skip is None:
+            del d["skip"], d["shift"]
+        d["spec"] = None if self.spec is None else self.spec.to_dict()
+        return serialize.sanitize({**d, "n_params": self.n_params})
 
     def to_json(self) -> str:
         return serialize.dumps(self.to_dict())
@@ -420,7 +423,17 @@ class FitResult:
         names = tuple(serialize.string(v, "fit param name")
                       for v in serialize.array(d["param_names"], "fit param_names"))
         spec = ModelSpec.from_dict(d["spec"]) if d.get("spec") else None
-        family = serialize.string(d["family"], "fit family")
+        # older files of simulated fits hold no draw settings: the defaults
+        values = {"skip": 10, "shift": False} if d.get("n_draws") is not None else {}
+        for f in fields(FitResult):
+            if f.name not in ("param_names", "spec"):
+                read = _READERS[f.type]  # a new annotation needs its reader
+                if f.name in d:
+                    values[f.name] = v = read(d[f.name], f"fit {f.name}")
+                    if f.type == "np.ndarray" and len(v) != len(names):
+                        raise ValueError(f"fit {f.name} has {len(v)} values for "
+                                         f"{len(names)} parameters")
+        family = values["family"]
         if family not in FAMILIES:
             raise ValueError(f"fit family must be one of {FAMILIES}, got {family!r}")
         if spec is not None and family != spec.family:
@@ -428,42 +441,15 @@ class FitResult:
         if spec is not None and names != expected_param_names(spec):
             raise ValueError(f"fit param_names {list(names)} are not the spec's "
                              f"{list(expected_param_names(spec))}")
-        num = lambda key, v: math.nan if v is None else serialize.number(v, f"fit {key}")
-        arrays = {}
-        for key in ("theta_hat", "standard_errors", "t_ratios", "theta_internal"):
-            values = serialize.array(d[key], f"fit {key}")
-            if len(values) != len(names):
-                raise ValueError(f"fit {key} has {len(values)} values for "
-                                 f"{len(names)} parameters")
-            arrays[key] = np.array([num(key, v) for v in values])
-        simulated = d.get("n_draws") is not None  # older files: default draws
-        draw_settings = {"n_draws": d.get("n_draws"), "seed": d.get("seed"),
-                         "skip": d.get("skip", 10 if simulated else None)}
-        se_method = serialize.string(d.get("se_method", "hessian"), "fit se_method")
-        if se_method not in ("hessian", "bhhh", "undefined"):
+        if values.get("se_method", "hessian") not in ("hessian", "bhhh", "undefined"):
             raise ValueError(f"fit se_method must be hessian, bhhh or undefined, "
-                             f"got {se_method!r}")
-        return FitResult(
-            param_names=names, spec=spec, **arrays,
-            **{k: num(k, d[k]) for k in ("ll_converged", "ll_restricted", "mcfadden_rho2")},
-            converged=serialize.boolean(d["converged"], "fit converged"),
-            iterations=serialize.integer(d["iterations"], "fit iterations"),
-            n_obs=serialize.integer(d["n_obs"], "fit n_obs"),
-            family=family,
-            se_method=se_method,
-            message=serialize.string(d.get("message", ""), "fit message"),
-            shift=(serialize.boolean(d["shift"], "fit shift") if "shift" in d
-                   else False if simulated else None),
-            **{k: None if v is None else serialize.integer(v, f"fit {k}")
-               for k, v in draw_settings.items()})
+                             f"got {values['se_method']!r}")
+        return FitResult(param_names=names, spec=spec, **values)
 
 
-def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,
-              param_names, converged: bool, iterations: int, n_obs: int,
-              family: str, theta_internal, spec=None,
-              se_method: str = "hessian", message: str = "",
-              n_draws=None, seed=None, skip=None, shift=None) -> FitResult:
-    """Assemble a :class:`FitResult`.
+def summarize(theta_hat, cov, ll: float, ll_restricted: float, **fields) -> FitResult:
+    """Assemble a :class:`FitResult` from its estimates, their covariance
+    and the two log-likelihoods; ``fields`` are its other fields, by name.
 
     Standard errors are the square roots of ``cov``'s diagonal (NaN
     without ``cov``); McFadden rho-squared is ``1 - ll / ll_restricted``.
@@ -484,11 +470,6 @@ def summarize(theta_hat, cov, ll: float, ll_restricted: float, *,
         rho2 = 1.0 - ll / ll_restricted
     else:
         rho2 = 0.0 if ll == 0.0 else np.nan
-    return FitResult(
-        param_names=tuple(param_names), theta_hat=theta_hat,
-        standard_errors=se, t_ratios=t_ratios, ll_converged=float(ll),
-        ll_restricted=float(ll_restricted), mcfadden_rho2=float(rho2),
-        converged=converged, iterations=iterations, n_obs=n_obs,
-        family=family, theta_internal=np.asarray(theta_internal, dtype=np.float64),
-        spec=spec, se_method=se_method, message=message,
-        n_draws=n_draws, seed=seed, skip=skip, shift=shift)
+    return FitResult(theta_hat=theta_hat, standard_errors=se, t_ratios=t_ratios,
+                     ll_converged=float(ll), ll_restricted=float(ll_restricted),
+                     mcfadden_rho2=float(rho2), **fields)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from . import serialize
 from .dataset import CONSTANT, DesignMatrix, scale_param_name, term_param_name
 from .draws import Mixing, sign_share
+from .families import REGISTRY
 from .optimize import FitResult
 
 #: package version recorded in manifests (kept in sync with pyproject)
@@ -39,6 +40,10 @@ class EffectRow:
         return abs(self.value) >= 1.0
 
 
+#: an effects file's columns: :class:`EffectRow`'s fields, then ``elastic``
+_ROW_COLUMNS = (*(f.name for f in fields(EffectRow)), "elastic")
+
+
 @dataclass(frozen=True)
 class EffectsReport:
     effect_type: str  # "elasticity", "pseudo_elasticity", or "marginal"
@@ -49,17 +54,12 @@ class EffectsReport:
         return serialize.sanitize({
             "effect_type": self.effect_type,
             "n_obs": self.n_obs,
-            "rows": [{"variable": r.variable, "target": r.target,
-                      "outcome": r.outcome, "kind": r.kind,
-                      "value": r.value, "elastic": r.elastic} for r in self.rows],
+            "rows": [{k: getattr(r, k) for k in _ROW_COLUMNS} for r in self.rows],
         })
 
     def to_csv(self, path) -> None:
-        text = ("variable", "target", "outcome", "kind")
-        serialize.write_csv(path, {
-            **{k: np.array([getattr(r, k) for r in self.rows], dtype=object) for k in text},
-            "value": np.array([r.value for r in self.rows], dtype=np.float64),
-            "elastic": np.array([r.elastic for r in self.rows], dtype=bool)})
+        serialize.write_csv(path, {k: np.array([getattr(r, k) for r in self.rows])
+                                   for k in _ROW_COLUMNS})
 
 
 def term_targets(design: DesignMatrix, variables):
@@ -97,14 +97,6 @@ def fmt_t(v: float) -> str:
     return f"{v:.2f}"
 
 
-_FAMILY_TITLES = {
-    "mnl": "multinomial logit",
-    "mixed_mnl": "mixed multinomial logit",
-    "nb": "negative binomial",
-    "mixed_nb": "mixed negative binomial",
-}
-
-
 def fit_table_text(fit: FitResult) -> str:
     """Human-readable estimation table.
 
@@ -115,8 +107,7 @@ def fit_table_text(fit: FitResult) -> str:
     """
     name_w = max(28, max((len(n) for n in fit.param_names), default=0) + 2)
     lines = []
-    title = _FAMILY_TITLES.get(fit.family, fit.family)
-    lines.append(f"Model: {title} ({fit.family})")
+    lines.append(f"Model: {REGISTRY[fit.family].title} ({fit.family})")
     if fit.n_draws is not None:
         seed = "" if fit.seed is None else f", seed {fit.seed}"
         lines.append(f"Simulated likelihood: {fit.n_draws} Halton draws per "

@@ -329,6 +329,7 @@ def test_batch_derivatives_match_finite_differences():
             np.testing.assert_array_equal(hess[k], hess[k].T)
 
 
+@pytest.mark.bitwise
 def test_nb_kernel_rows_do_not_depend_on_the_batch():
     """Each row of a 4-row NB kernel call is, bit for bit, its 1-row call:
     log-likelihoods, scores and Hessian."""
@@ -850,6 +851,7 @@ def mc_in_blocks_of(block_rows, table, *args, tile_rows=None):
         return lrtest.mc_null_distribution(table, *args)
 
 
+@pytest.mark.bitwise
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(st.integers(0, 2**16), st.integers(0, 2**16))
 def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):

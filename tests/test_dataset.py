@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_beyond_outputs
 from crashmle import dataset, serialize
 from crashmle.dataset import (
     CONSTANT,
@@ -64,6 +65,39 @@ def test_table_columns_are_float64_and_readonly():
         t.columns["x"][0] = 9.0
     with pytest.raises(ValueError):
         t.outcome[0] = 9
+
+
+def test_a_table_leaves_its_callers_arrays_writeable():
+    """A caller's float64 column, int64 counts and string labels are the
+    table's data, read through read-only views: not copied, and not frozen."""
+    x, counts = np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int64)
+    labels = np.array(["a", "b"])
+    for table, outcome in ((ObservationTable({"x": x}, counts, "frequency"), counts),
+                           (ObservationTable({"x": x}, labels, "severity"), labels)):
+        assert x.flags.writeable and outcome.flags.writeable
+        assert not (table.columns["x"].flags.writeable or table.outcome.flags.writeable)
+        assert np.shares_memory(table.columns["x"], x)
+        assert np.shares_memory(table.outcome, outcome)
+    assert dataset.as_counts(counts, "counts") is counts
+
+
+def test_a_frequency_subset_copies_its_counts_once():
+    n = 100_000
+    table = ObservationTable({"x": np.zeros(n)}, np.arange(n), "frequency")
+    sub, beyond = peak_beyond_outputs(table.subset, np.arange(0, n, 2))
+    np.testing.assert_array_equal(sub.outcome, np.arange(0, n, 2))
+    # the indexed counts are the subset's own: a second copy adds n / 2 * 8 bytes
+    assert beyond < n
+
+
+def test_a_loaded_table_holds_no_view_of_the_parsed_records(tmp_path):
+    # the typed pass parses every field into one record array; each column
+    # and the counts are copied out of it, so that it can be freed
+    path = tmp_path / "counts.csv"
+    path.write_text("x,outcome,z\n1.5,3,0.5\n2.5,0,1.5\n")
+    table = load_csv(path, "frequency", "outcome")
+    assert table.outcome.tolist() == [3, 0]
+    assert [a.strides for a in (*table.columns.values(), table.outcome)] == [(8,)] * 3
 
 
 def test_table_rejects_bad_mode_and_shapes():
@@ -770,6 +804,11 @@ def test_design_encodes_prefix_labels_against_an_unsorted_outcome_order(dtype):
     d = build_design(table, spec)
     assert d.y_index.tolist() == [outcomes.index(v) for v in labels]
     assert d.y_index.dtype == np.int64
+    # integers are labels by their text, whatever array or list holds them
+    spec = ModelSpec("mnl", (Term("x", ("1",)),), ("1", "2"), "2")
+    for ints in (np.array([1, 2, 2], dtype=dtype), np.array([1, 2, 2]), [1, 2, 2]):
+        table = ObservationTable({"x": np.arange(3.0)}, ints, "severity")
+        assert build_design(table, spec).y_index.tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("dtype", [str, object])

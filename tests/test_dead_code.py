@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.gate
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "crashmle"
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
          for path in sorted(SRC.glob("*.py"))}

@@ -5,7 +5,8 @@ mixed_mnl, nb and mixed_nb models, computes their effects, runs
 asymptotic and Monte Carlo pooling tests and an influence grid search.
 Every result JSON must match its golden copy in ``tests/golden/``: the
 same structure, the same strings and flags, and every number within a
-relative 1e-9.  Manifests carry timestamps and are not compared.
+relative 1e-9.  Manifests carry timestamps and are not compared.  A
+stored fit read by ``FitResult.from_dict`` writes its own bytes again.
 
 A change that alters results on purpose regenerates the goldens with::
 
@@ -220,6 +221,13 @@ def test_result_matches_golden(outputs, name):
     got = json.loads((outputs / name).read_text())
     want = json.loads((GOLDEN / name).read_text())
     assert mismatches(got, want) == []
+
+
+@pytest.mark.parametrize("name", [n for n in result_files(GOLDEN) if n.startswith("fit_")])
+def test_golden_fits_are_fixed_points_of_the_fit_record(name):
+    """Reading a stored fit and writing it again gives its bytes."""
+    text = (GOLDEN / name).read_text()
+    assert FitResult.from_dict(json.loads(text)).to_json() == text
 
 
 @pytest.mark.parametrize("name, data", [("fit_mnl", "sev"), ("fit_nb", "cnt")])

@@ -389,6 +389,7 @@ def tiled_calls(budget_rows, kernel, theta, rows, n_elements, obs):
         return [np.copy(out) for out in kernel(theta, rows, obs=obs)]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("mixed", [False, True], ids=["nb", "mixed_nb"])
 def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
     table = count_table(150, seed=4)
@@ -413,6 +414,7 @@ def test_kernel_tiles_give_the_untiled_outputs_bit_for_bit(mixed):
                 np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("mixed", [False, True], ids=["nb", "mixed_nb"])
 def test_a_permuted_stack_gives_the_permuted_outputs_bit_for_bit(mixed):
     # tiles take a stack's rows in order of largest count, so permuting the

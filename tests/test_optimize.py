@@ -1,10 +1,15 @@
 """Maximizer, covariance machinery, and fit-summary assembly."""
 
+import json
+import re
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
+from crashmle import optimize
+from crashmle.dataset import ModelSpec, Term
 from crashmle.optimize import (
     BHHH_MIN_RCOND,
     CovarianceResult,
@@ -332,6 +337,71 @@ def test_fit_result_round_trip():
     assert (legacy.skip, legacy.shift) == (10, False)
     assert back.ll_converged == fit.ll_converged
     assert "-50.0" in fit.to_json() or "-50" in fit.to_json()
+
+
+def every_field_set():
+    """A simulated fit whose every field with a default holds another value."""
+    spec = ModelSpec("mixed_nb", (Term("constant"), Term("z", (), "random_normal")))
+    return FitResult(
+        param_names=["constant", "z", "z:sd", "alpha"],
+        theta_hat=np.array([1.0, 0.5, 2.0, 0.8]),
+        standard_errors=np.array([0.1, 0.2, np.nan, 0.3]),
+        t_ratios=np.array([10.0, 2.5, np.nan, 0.8 / 0.3]),
+        ll_converged=-50.0, ll_restricted=-80.0, mcfadden_rho2=0.375,
+        converged=False, iterations=12, n_obs=100, family="mixed_nb",
+        theta_internal=[1.0, 0.5, np.log(2.0), np.log(0.8)], spec=spec,
+        se_method="bhhh", message="step size below tolerance",
+        n_draws=100, seed=4, skip=500, shift=True)
+
+
+def test_every_fit_field_survives_the_fit_file():
+    fit = every_field_set()
+    # the record coerces its names and packed vector, whichever way it is built
+    assert fit.param_names == ("constant", "z", "z:sd", "alpha")
+    assert fit.theta_internal.dtype == np.float64
+    back = FitResult.from_dict(json.loads(fit.to_json()))
+    for f in fields(FitResult):
+        want, got = getattr(fit, f.name), getattr(back, f.name)
+        assert f.default is MISSING or want != f.default, f.name
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want, err_msg=f.name)
+        else:
+            assert (type(got), got) == (type(want), want), f.name
+
+
+def test_the_fit_file_keys_are_the_fields_and_n_params():
+    keys = {f.name for f in fields(FitResult)} | {"n_params"}
+    fit = every_field_set()
+    assert set(fit.to_dict()) == keys
+    assert fit.to_dict()["n_params"] == 4
+    # a fit without draws writes no draw settings
+    plain = summarize(np.array([1.0]), np.eye(1), ll=-1.0, ll_restricted=-2.0,
+                      param_names=("a",), converged=True, iterations=0,
+                      n_obs=1, family="nb", theta_internal=np.array([1.0]))
+    assert set(plain.to_dict()) == keys - {"skip", "shift"}
+
+
+def test_every_fit_field_annotation_has_a_reader(monkeypatch):
+    # the names and the spec are read on their own; every other field
+    # through the reader of its annotation
+    special = {"param_names", "spec"}
+    assert {f.type for f in fields(FitResult) if f.name not in special} <= set(optimize._READERS)
+    # an annotation without a reader fails the read, though its field is not in the file
+    d = every_field_set().to_dict()
+    del d["seed"]
+    monkeypatch.delitem(optimize._READERS, "int | None")
+    with pytest.raises(KeyError, match=re.escape("'int | None'")):
+        FitResult.from_dict(d)
+
+
+@pytest.mark.parametrize("family, title", [
+    ("mnl", "multinomial logit"), ("mixed_mnl", "mixed multinomial logit"),
+    ("nb", "negative binomial"), ("mixed_nb", "mixed negative binomial")])
+def test_the_fit_table_heads_with_the_family_title(family, title):
+    fit = summarize(np.array([1.0]), np.eye(1), ll=-1.0, ll_restricted=-2.0,
+                    param_names=("a",), converged=True, iterations=0,
+                    n_obs=1, family=family, theta_internal=np.array([1.0]))
+    assert fit_table_text(fit).splitlines()[0] == f"Model: {title} ({family})"
 
 
 def test_fit_result_unknown_name_errors():

@@ -10,6 +10,8 @@ from crashmle import lrtest
 from crashmle.dataset import CONSTANT, ModelSpec, Term, build_design
 from crashmle.simulate import CovariateRecipe, DgpConfig
 
+pytestmark = pytest.mark.gate
+
 #: one zero word, one word, the largest one-word seed, the smallest
 #: two-word one, three words, five words (entropy longer than the pool of
 #: four with any index), and a numpy integer

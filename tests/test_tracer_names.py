@@ -10,7 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import crashmle
+
+pytestmark = pytest.mark.gate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
