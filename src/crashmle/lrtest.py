@@ -17,21 +17,35 @@ non-negative by construction for every family.
 
 The Monte Carlo replicates are refitted in :func:`crashmle.draws.blocks`
 of ``max(BLOCK_ELEMENTS // (n_obs * R), 1)`` rows, R being a mixed spec's
-draws and 1 otherwise: 2,148 on a 122-site plain table, so that 500
-replicates take one block; fewer on large tables and with many draws, so
-that a block's outcomes and outputs stay within a fixed number of
-elements.  The kernels bound their own working memory.  A stacked NB
-refit does not depend on the rows fitted with it, so NB statistics are
-the same, bit for bit, for every block size; logit statistics agree to
-1e-6 (the logit kernel's observation blocks depend on the rows per call).
-Replicate ``i`` draws from ``SeedSequence((seed, i))``, whose state a port
-of numpy's hash computes a block at a time (checked against numpy's).
+draws and 1 otherwise: 268 on a 122-site plain table, so that 500
+replicates take two blocks (268 + 232 rows); fewer on large tables and
+with many draws, so that a block's outcomes and outputs stay within a
+fixed number of elements.  The kernels bound their own working memory.
+A stacked NB refit does not depend on the rows fitted with it, so NB
+statistics are the same, bit for bit, for every block size; logit
+statistics agree to 1e-6 (the logit kernel's observation blocks depend
+on the rows per call).  Replicate ``i`` draws from
+``SeedSequence((seed, i))``, whose state a port of numpy's hash computes
+a block at a time (checked against numpy's).
+
+The blocks are shared among one process per CPU of the affinity mask:
+:func:`_in_processes` forks a child for each share but the first, which
+the calling process refits itself, and pins each child to a CPU of its
+own.  The partition depends only on the replicates, N and R, and a block
+is refitted by the same code wherever it runs, so no output bit depends
+on the number of processes.  The call stays in one process on a single
+CPU, with a single block, where the platform cannot fork or report its
+affinity, and wherever another OS thread runs (a fork can then copy a
+lock that thread holds).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -46,8 +60,10 @@ from .families import REGISTRY, maximize_rows, natural_from_internal
 from .optimize import FitResult, OptimSettings
 
 #: most (replicate, observation) elements in a block of refits: on large
-#: tables a block has fewer rows, so its outcomes and outputs stay bounded
-BLOCK_ELEMENTS = 1 << 18
+#: tables a block has fewer rows, so its outcomes and outputs stay bounded;
+#: a 500-replicate test on a 122-row table takes two blocks, one per CPU
+#: of a two-CPU host
+BLOCK_ELEMENTS = 1 << 15
 #: why a Monte Carlo replicate is dropped, in order of precedence
 DROP_REASONS = ("optimization_error", "not_converged", "negative_statistic")
 #: how far below zero a statistic is clamped to zero as optimizer noise
@@ -351,6 +367,113 @@ def _replicate_block(pieces: _Pieces, theta_observed: np.ndarray,
     return x2, reason
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork or
+    does not report its affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread (Linux's ``/proc/self/task``;
+    False where that is missing).  A BLAS thread pool counts."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _cpu_now() -> int | None:
+    """The CPU this process last ran on (Linux's ``/proc/self/stat``, field
+    39); None where that is missing."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _processes(n_blocks: int) -> int:
+    """Processes to share ``n_blocks`` blocks among: one per CPU, at most one
+    per block, and only this one where forking is unsafe or unavailable."""
+    if n_blocks < 2:
+        return 1
+    cpus = _cpus()
+    if cpus < 2 or not _single_threaded():
+        return 1
+    return min(cpus, n_blocks)
+
+
+def _child(write: int, work, share, cpu: int | None):
+    """In a forked child: on ``cpu`` (if given), send ``work(share)``'s
+    result, or the exception it raised, pickled through the pipe end
+    ``write``, then leave by ``os._exit``, so that none of the parent's
+    cleanup runs here."""
+    status = 1
+    try:
+        try:
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})
+            sent = ("result", work(share))
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            sent = ("error", exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(sent))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_processes(work, shares: list) -> list:
+    """``[work(share) for share in shares]``, the first share in this process
+    (it starts first, so it takes the largest share), each other in a child
+    forked for it.  A child's exception is raised here with its type and
+    message.  Every child is reaped before this returns or raises; if this
+    process's share, a read or an interrupt raises, the children not yet
+    reaped are killed first."""
+    if len(shares) == 1:
+        return [work(shares[0])]
+    here = _cpu_now()
+    # a CPU of its own for each child, not this process's: a kernel that
+    # does not balance load across CPUs keeps a child on its parent's CPU
+    cpus = [] if here is None else sorted(os.sched_getaffinity(0) - {here})
+    pids, reads = [], []
+    try:
+        for share, cpu in zip(shares[1:], cpus + [None] * len(shares)):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                if (pid := os.fork()) == 0:
+                    _child(write, work, share, cpu)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        results = [work(shares[0])]
+        for k, (pid, read) in enumerate(zip(pids, reads)):
+            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            pids[k] = None  # reaped
+            if status != 0 or not data:
+                code = os.waitstatus_to_exitcode(status)
+                ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(f"Monte Carlo replicate process {pid} ended "
+                                   f"without a result ({ended})")
+            kind, value = pickle.loads(data)  # written by a child of this call
+            if kind == "error":
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for read in reads:
+            os.close(read)
+
+
 def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
                          flag_column: str, replicates: int = 1000,
                          seed: int = 0, bins: int = 50,
@@ -378,6 +501,9 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     family agree with one serial refit per replicate to within 1e-6.
     Replicate ``i`` draws from ``SeedSequence((seed, i))`` alone (its state
     computed a block at a time), so outcomes do not depend on execution order.
+    With more than one block, the blocks are refitted in forked processes,
+    one per CPU (module docstring); the results are the same bit for bit
+    as in one process, and no process outlives the call.
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
@@ -389,13 +515,23 @@ def mc_null_distribution(table: ObservationTable, spec: ModelSpec,
     fits = _observed(pieces)
     result = _build_result(pieces, fits)
 
+    theta = fits[0].theta
+
+    def refit(share):
+        return [_replicate_block(pieces, theta, replicate_outcomes(
+            pieces.designs["all"], theta, seed, b.start, b.stop)) for b in share]
+
+    slices = list(blocks(replicates, table.n_rows * (n_draws if spec.is_mixed else 1),
+                         BLOCK_ELEMENTS))
+    n_proc = _processes(len(slices))
+    # process k refits every n_proc-th block from block k
+    refitted = [None] * len(slices)
+    shares = [slices[k::n_proc] for k in range(n_proc)]
+    for k, done in enumerate(_in_processes(refit, shares)):
+        refitted[k::n_proc] = done
     null_stats = []
     by_reason = dict.fromkeys(DROP_REASONS, 0)
-    for b in blocks(replicates, table.n_rows * (n_draws if spec.is_mixed else 1),
-                    BLOCK_ELEMENTS):
-        outcomes = replicate_outcomes(pieces.designs["all"], fits[0].theta, seed,
-                                      b.start, b.stop)
-        x2, reason = _replicate_block(pieces, fits[0].theta, outcomes)
+    for x2, reason in refitted:
         null_stats.extend(x2[reason == ""])
         for r in reason[reason != ""]:
             by_reason[r] += 1

@@ -1,7 +1,9 @@
 """Batched Monte Carlo refits: kernels, the Newton solver, and the block
 dispatcher of the pooling test, each checked against its serial oracle."""
 
+import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -839,7 +841,7 @@ def test_mixed_fits_and_pooling_tests_do_not_call_the_one_row_maximizer(monkeypa
 
 def mc_in_blocks_of(block_rows, table, *args, tile_rows=None):
     """``lrtest.mc_null_distribution`` with ``block_rows`` replicates per
-    block (None: the default, every replicate in one block) and a kernel
+    block (None: the default, ``lrtest.BLOCK_ELEMENTS // n_rows``) and a kernel
     block of ``tile_rows`` table rows' elements (None: the default),
     which sets the NB kernel's tiles and the logit kernel's observation
     blocks."""
@@ -875,13 +877,111 @@ def test_mc_statistics_do_not_depend_on_the_block_size(table_seed, seed):
 
 
 def test_mc_memory_on_a_large_table_is_bounded_by_the_block():
-    # 20,000 rows: a block has BLOCK_ELEMENTS // 20,000 = 13 replicates,
-    # not all 64, and its work arrays stay within tens of MB
+    # 20,000 rows: a block has one replicate (BLOCK_ELEMENTS // 20,000 is
+    # 1), not all 64, and its work arrays stay within tens of MB
     table = nb_table(20_000, seed=1)
     res, peak = peak_beyond_outputs(lrtest.mc_null_distribution, table, NB_SPEC, "flag",
                                     replicates=64)
     assert res.replicates_kept == 64
     assert peak < 80e6
+
+
+# Python 3.12 and later warn when a process with other threads forks; the
+# tests below fork beside a BLAS thread pool wherever one was started
+FORK_WARNING = "ignore:This process .* is multi-threaded:DeprecationWarning"
+
+
+def in_processes(monkeypatch, n):
+    """Monte Carlo blocks shared among ``n`` processes, as on an ``n``-CPU
+    host, with the thread probe reading one thread (a BLAS thread pool
+    would otherwise keep every call in one process)."""
+    monkeypatch.setattr(lrtest, "_cpus", lambda: n)
+    monkeypatch.setattr(lrtest, "_single_threaded", lambda: True)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.bitwise
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("family", ["nb", "mnl", "mixed_nb", "mixed_mnl"])
+def test_mc_results_do_not_depend_on_the_process_count(family, monkeypatch):
+    """Null statistics, the observed statistic, p_mc and the drops by
+    reason are bit-identical in 1, 2 and 3 processes, over at least three
+    blocks, and every forked child is reaped."""
+    spec = {"nb": NB_SPEC, "mnl": MNL_SPEC, "mixed_nb": MIXED_NB_SPEC,
+            "mixed_mnl": MIXED_SPEC}[family]
+    table = nb_table(122, seed=5) if spec.is_frequency else mnl_table(300, seed=5)
+    replicates, n_draws = (9, 25) if spec.is_mixed else (60, None)
+    monkeypatch.setattr(lrtest, "BLOCK_ELEMENTS", 3 * table.n_rows * (n_draws or 1))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for n in (1, 2, 3):
+        in_processes(monkeypatch, n)
+        runs.append(lrtest.mc_null_distribution(table, spec, "flag", replicates, 4,
+                                                n_draws=n_draws))
+    assert len(forks) == 0 + 1 + 2
+    assert_no_child_left()
+    for res in runs[1:]:
+        np.testing.assert_array_equal(res.null_stats, runs[0].null_stats)
+        assert (res.x2, res.p_mc, res.replicates_dropped_by_reason) == \
+            (runs[0].x2, runs[0].p_mc, runs[0].replicates_dropped_by_reason)
+
+
+@pytest.mark.filterwarnings(FORK_WARNING)
+@pytest.mark.parametrize("where, error, message", [
+    ("child", ValueError, "a block failed in the child"),
+    ("parent", ValueError, "a block failed in the parent"),
+    ("child exit", RuntimeError, r"ended without a result \(exit status 7\)")])
+def test_a_failed_block_raises_and_leaves_no_child(where, error, message, monkeypatch):
+    """A child's exception is raised with its type and message, a child that
+    dies names its exit status, and a failure in the calling process kills
+    the children; in each case every child is reaped."""
+    table = nb_table(122, seed=5)
+    monkeypatch.setattr(lrtest, "BLOCK_ELEMENTS", 10 * table.n_rows)
+    in_processes(monkeypatch, 3)
+    parent, block = os.getpid(), lrtest._replicate_block
+
+    def failing(pieces, theta, outcomes):
+        if os.getpid() == parent and where == "parent":
+            raise ValueError("a block failed in the parent")
+        if os.getpid() != parent and where == "child":
+            raise ValueError("a block failed in the child")
+        if os.getpid() != parent and where == "child exit":
+            os._exit(7)
+        return block(pieces, theta, outcomes)
+    monkeypatch.setattr(lrtest, "_replicate_block", failing)
+    with pytest.raises(error, match=message) as raised:
+        lrtest.mc_null_distribution(table, NB_SPEC, "flag", replicates=40, seed=1)
+    assert raised.type is error
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one cpu", "probe reads two threads", "thread running"])
+def test_mc_does_not_fork_on_one_cpu_or_beside_another_thread(case, monkeypatch):
+    """Four blocks stay in one process on one CPU, where the thread probe
+    reads a second thread, and (probe unpatched) beside a running thread."""
+    def no_fork():
+        raise AssertionError("os.fork was called")
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(lrtest, "_cpus", lambda: 1 if case == "one cpu" else 3)
+    if case != "thread running":
+        monkeypatch.setattr(lrtest, "_single_threaded", lambda: case == "one cpu")
+    table = nb_table(122, seed=5)
+    monkeypatch.setattr(lrtest, "BLOCK_ELEMENTS", 10 * table.n_rows)
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    waiting.start()
+    try:
+        res = lrtest.mc_null_distribution(table, NB_SPEC, "flag", replicates=40, seed=1)
+    finally:
+        stop.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert res.replicates_requested == 40
 
 
 def test_mc_drops_separated_mnl_replicates_as_not_converged():
